@@ -8,7 +8,7 @@ from typing import Dict, Iterator, List, Optional, Set
 from repro.analysis.rules.base import Finding, Rule, RuleContext
 
 #: Call names through which a message escapes the constructing function.
-_ESCAPE_CALLS = frozenset({"send", "send_many", "send_fanout", "enqueue"})
+_ESCAPE_CALLS = frozenset({"send", "send_fanout"})
 
 #: Constructor calls producing a shared mutable default on a wire type.
 _MUTABLE_FACTORIES = frozenset({"list", "dict", "set", "bytearray"})
@@ -16,8 +16,8 @@ _MUTABLE_FACTORIES = frozenset({"list", "dict", "set", "bytearray"})
 
 class MessageMutationRule(Rule):
     """Wire messages are shared by reference once handed to the
-    transport: ``send_many`` / ``send_fanout`` deliver *one* object to
-    many inboxes, and the reliability tier caches it for replay.
+    transport: ``send_fanout`` delivers *one* object to many inboxes, and
+    the reliability tier caches it for replay.
     Mutating a message after it escaped therefore rewrites history for
     every receiver -- a hazard the frozen-dataclass convention (SLOT001)
     prevents for the committed wire types, but nothing prevented for new
@@ -25,8 +25,8 @@ class MessageMutationRule(Rule):
 
     Escape-lite tracking, within one function: a local name bound to a
     tracked wire-message constructor *escapes* when it appears as an
-    argument to ``send`` / ``send_many`` / ``send_fanout`` / ``enqueue``;
-    any later ``name.attr = ...`` (or augmented) assignment is flagged.
+    argument to ``send`` / ``send_fanout``; any later ``name.attr = ...``
+    (or augmented) assignment is flagged.
     The analysis is linear in source-line order -- loops that mutate on
     the next iteration are out of scope (and moot for frozen types).
 
@@ -37,7 +37,7 @@ class MessageMutationRule(Rule):
     """
 
     ID = "MUT001"
-    SUMMARY = "wire message mutated after escaping into send/enqueue"
+    SUMMARY = "wire message mutated after escaping into send"
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         tracked = self._tracked_names(ctx)

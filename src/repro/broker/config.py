@@ -40,13 +40,6 @@ class BrokerConfig:
     per_connection_bps:
         Maximum drain rate of a single subscriber connection (TCP / client
         uplink ceiling).  ``None`` means only the shared NIC limits it.
-    fanout_cache_enabled:
-        Keep the per-channel precompiled subscriber arrays (resolved
-        connection + transport pair-state refs) across publications,
-        invalidating only on topology changes.  ``False`` rebuilds the
-        arrays on every publication through the exact same code path --
-        the comparison knob the byte-identical cache property tests use.
-        Results are identical either way; only wall-clock time differs.
     """
 
     nominal_egress_bps: float = 4_000_000.0
@@ -56,7 +49,6 @@ class BrokerConfig:
     per_message_overhead_bytes: int = 48
     output_buffer_limit_bytes: int = 1_048_576
     per_connection_bps: Optional[float] = 1_000_000.0
-    fanout_cache_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.nominal_egress_bps <= 0:

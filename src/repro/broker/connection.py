@@ -69,24 +69,6 @@ class Connection:
         self._busy_until = start + size_bytes / self.per_connection_bps
         return self._busy_until
 
-    def enqueue(self, now: float, completion_time: float, size_bytes: int) -> int:
-        """Record a delivery occupying the buffer until ``completion_time``.
-
-        Returns the buffer occupancy *after* the enqueue, which the server
-        compares against the hard limit.
-        """
-        # Hot path: ``_expire`` is inlined (one call per delivery).
-        pending = self._pending
-        pending_bytes = self._pending_bytes
-        while pending and pending[0][0] <= now:
-            pending_bytes -= pending.popleft()[1]
-        pending.append((completion_time, size_bytes))
-        pending_bytes += size_bytes
-        self._pending_bytes = pending_bytes
-        self.deliveries += 1
-        self.bytes_delivered += size_bytes
-        return pending_bytes
-
     def kill(self) -> None:
         """Mark the connection dead and drop its buffered state."""
         self.alive = False

@@ -426,8 +426,7 @@ class PubSubServer(Actor):
                 if entry is not None:
                     self.fanout_cache_invalidations += 1
                 entry = self._build_fanout_entry(subs)
-                if self.config.fanout_cache_enabled:
-                    self._fanout_cache[channel] = entry
+                self._fanout_cache[channel] = entry
             dst_ids, conns, states, dead, _ = entry
             if dead:
                 self.dropped_deliveries += dead
@@ -453,8 +452,12 @@ class PubSubServer(Actor):
                 delivered = len(dst_ids)
                 limit = self.config.output_buffer_limit_bytes
                 kills: List[tuple] = []
-                # -- inline Connection.enqueue (one call per delivery;
-                # the method remains for the control-plane paths) --
+                # Output-buffer accounting, inline (a method call per
+                # delivery would be a quarter of a wide fan-out's calls):
+                # each delivery occupies its connection's buffer until its
+                # transmit completion; expired entries are popped first, and
+                # the occupancy *after* the enqueue is what the hard limit
+                # is compared against.
                 for dst_id, conn, completion in zip(dst_ids, conns, completions):
                     pending = conn._pending
                     pending_bytes = conn._pending_bytes

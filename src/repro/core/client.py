@@ -524,10 +524,11 @@ class DynamothClient(Actor):
     # ------------------------------------------------------------------
     def receive(self, message: Any, src_id: str) -> None:
         if isinstance(message, Delivery):
-            # Hot path: one call per application delivery.  ``_touch``,
-            # ``_is_duplicate`` and the non-causal tail of ``_deliver_app``
-            # are inlined here (the methods remain for the other call
-            # sites); ``sim._now`` skips the ``now`` property descriptor.
+            # Hot path: one call per application delivery.  ``_touch`` and
+            # the non-causal tail of ``_deliver_app`` are inlined here (both
+            # methods remain for their other call sites: plan bookkeeping,
+            # causal release/flush); ``sim._now`` skips the ``now`` property
+            # descriptor.
             delivery = message
             envelope = delivery.payload
             if not isinstance(envelope, AppEnvelope):
@@ -581,7 +582,13 @@ class DynamothClient(Actor):
                         ).inc()
                     return
 
-            # -- inline _is_duplicate --
+            # Message-id dedup with a count-aware LRU window.  A duplicate
+            # hit re-appends the id (recency refresh): under active replay
+            # the same id keeps arriving, and a FIFO window would eventually
+            # expire it *between* two replays -- double-counting the message
+            # in the delivery ledger.  Counts track how many times an id
+            # sits in the deque so eviction only forgets an id when its
+            # last occurrence leaves the window.
             msg_id = envelope.msg_id
             seen = self._seen_ids
             order = self._seen_order
@@ -765,31 +772,6 @@ class DynamothClient(Actor):
             ).inc()
         for envelope, delivery in parked:
             self._deliver_app(channel, envelope, delivery)
-
-    def _is_duplicate(self, msg_id: str) -> bool:
-        """Message-id dedup with a count-aware LRU window.
-
-        A duplicate hit re-appends the id (recency refresh): under active
-        replay the same id keeps arriving, and the old FIFO window would
-        eventually expire it *between* two replays -- double-counting the
-        message in the delivery ledger.  Counts track how many times an id
-        sits in the deque so eviction only forgets an id when its last
-        occurrence leaves the window.
-        """
-        seen = self._seen_ids
-        order = self._seen_order
-        count = seen.get(msg_id)
-        duplicate = count is not None
-        seen[msg_id] = (count + 1) if duplicate else 1
-        order.append(msg_id)
-        if len(order) > self._dedup_window:
-            oldest = order.popleft()
-            remaining = seen[oldest] - 1
-            if remaining:
-                seen[oldest] = remaining
-            else:
-                del seen[oldest]
-        return duplicate
 
     def _handle_disconnect(self, server_id: str) -> None:
         """A server closed our connection (overload kill or decommission)."""

@@ -71,8 +71,6 @@ class DynamothCluster:
         wan_model: Optional[LatencyModel] = None,
         lan_model: Optional[LatencyModel] = None,
         tracer: Optional[Tracer] = None,
-        scheduler: str = "heap",
-        gc_managed: bool = False,
     ):
         if initial_servers < 1:
             raise ValueError("initial_servers must be >= 1")
@@ -84,7 +82,7 @@ class DynamothCluster:
         #: server id -> boot count: a restarted id gets a new epoch so its
         #: fresh sequence stream is never mistaken for a regression.
         self._boot_counts: Dict[str, int] = {}
-        self.sim = Simulator(scheduler=scheduler, gc_managed=gc_managed)
+        self.sim = Simulator()
         self.rng = RngRegistry(seed)
         #: shared flight recorder; the no-op NULL_TRACER unless one is
         #: passed in, so untraced runs pay only guard checks.

@@ -35,15 +35,10 @@ one run; compare it only between runs of the same scenario order.  The
 ``chaos_light`` scenario runs fully traced through a streaming JSONL sink
 (no event buffering) and carries the live SLA monitor's windowed-p95
 report and violation timeline into the JSON.
-
-The harness is deliberately tolerant of running against older builds (no
-``scheduler`` keyword, no batching) so a pre-optimization baseline can be
-captured with the same code that measures the optimized build.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import platform
@@ -58,7 +53,6 @@ from repro.core.cluster import BALANCER_DYNAMOTH, BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
 from repro.obs.sink import StreamingJsonlSink
 from repro.obs.trace import Tracer
-from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTask
 
 #: Schema version of the emitted JSON.
@@ -134,7 +128,6 @@ class ScenarioResult:
     """One scenario's measurements (the JSON unit of ``BENCH_*.json``)."""
 
     name: str
-    scheduler: str
     wall_s: float
     sim_time_s: float
     events: int
@@ -186,34 +179,11 @@ class _RssSampler:
         )
 
 
-_CLUSTER_PARAMS = frozenset(
-    inspect.signature(DynamothCluster.__init__).parameters
-)
-
-
-def _make_cluster(scheduler: str, **kwargs) -> DynamothCluster:
-    """Build a cluster, passing newer tuning knobs only when supported.
-
-    Lets the harness run unchanged against builds that predate the
-    calendar-queue / managed-GC options (the pre-optimization baseline).
-    """
-    if scheduler != "heap":
-        kwargs["scheduler"] = scheduler
-    if "gc_managed" in _CLUSTER_PARAMS:
-        kwargs["gc_managed"] = True
-    return DynamothCluster(**kwargs)
-
-
 def _install_rss_sampler(cluster: DynamothCluster, sampler: _RssSampler) -> None:
-    """Attach the RSS sampler when the kernel supports sampling hooks."""
-    set_hook = getattr(cluster.sim, "set_sample_hook", None)
-    if set_hook is not None:
-        set_hook(sampler, every=RSS_SAMPLE_EVERY)
+    cluster.sim.set_sample_hook(sampler, every=RSS_SAMPLE_EVERY)
 
 
-def _measure(
-    name: str, scheduler: str, build_and_run: Callable[[], DynamothCluster]
-) -> ScenarioResult:
+def _measure(name: str, build_and_run: Callable[[], DynamothCluster]) -> ScenarioResult:
     start = time.perf_counter()
     cluster = build_and_run()
     wall = time.perf_counter() - start
@@ -221,7 +191,6 @@ def _measure(
     deliveries = sum(s.delivery_count for s in cluster.servers.values())
     return ScenarioResult(
         name=name,
-        scheduler=scheduler,
         wall_s=round(wall, 4),
         sim_time_s=round(cluster.sim.now, 3),
         events=events,
@@ -235,9 +204,7 @@ def _measure(
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
-def run_fanout(
-    profile: BenchProfile, *, seed: int = 0, scheduler: str = "heap"
-) -> ScenarioResult:
+def run_fanout(profile: BenchProfile, *, seed: int = 0) -> ScenarioResult:
     """One hot channel, huge subscriber set, single publisher."""
     sampler = _RssSampler()
 
@@ -249,8 +216,7 @@ def run_fanout(
             per_connection_bps=None,
             output_buffer_limit_bytes=1 << 30,
         )
-        cluster = _make_cluster(
-            scheduler,
+        cluster = DynamothCluster(
             seed=seed,
             config=DynamothConfig(max_servers=1, min_servers=1),
             broker_config=broker,
@@ -275,20 +241,17 @@ def run_fanout(
         cluster.run_for(0.6)  # drain in-flight deliveries
         return cluster
 
-    result = _measure("fanout", scheduler, build)
+    result = _measure("fanout", build)
     result.rss_series = sampler.series
     return result
 
 
-def run_steady(
-    profile: BenchProfile, *, seed: int = 0, scheduler: str = "heap"
-) -> ScenarioResult:
+def run_steady(profile: BenchProfile, *, seed: int = 0) -> ScenarioResult:
     """Many channels, moderate fan-out, the real balancer in the loop."""
     sampler = _RssSampler()
 
     def build() -> DynamothCluster:
-        cluster = _make_cluster(
-            scheduler,
+        cluster = DynamothCluster(
             seed=seed,
             config=DynamothConfig(max_servers=4),
             broker_config=BrokerConfig(nominal_egress_bps=4_000_000.0),
@@ -321,14 +284,12 @@ def run_steady(
         cluster.run_for(0.6)
         return cluster
 
-    result = _measure("steady", scheduler, build)
+    result = _measure("steady", build)
     result.rss_series = sampler.series
     return result
 
 
-def run_flash_crowd(
-    profile: BenchProfile, *, seed: int = 0, scheduler: str = "heap"
-) -> ScenarioResult:
+def run_flash_crowd(profile: BenchProfile, *, seed: int = 0) -> ScenarioResult:
     """Subscribers ramp onto one channel while it is being published to."""
     sampler = _RssSampler()
 
@@ -338,8 +299,7 @@ def run_flash_crowd(
             per_connection_bps=None,
             output_buffer_limit_bytes=1 << 30,
         )
-        cluster = _make_cluster(
-            scheduler,
+        cluster = DynamothCluster(
             seed=seed,
             config=DynamothConfig(max_servers=4),
             broker_config=broker,
@@ -367,7 +327,7 @@ def run_flash_crowd(
         cluster.run_for(0.6)
         return cluster
 
-    result = _measure("flash_crowd", scheduler, build)
+    result = _measure("flash_crowd", build)
     result.rss_series = sampler.series
     return result
 
@@ -385,14 +345,10 @@ class _SamplingTracer(Tracer):
 
     def attach_kernel(self, sim: Any) -> None:
         super().attach_kernel(sim)
-        set_hook = getattr(sim, "set_sample_hook", None)
-        if set_hook is not None:
-            set_hook(self._rss_sampler, every=RSS_SAMPLE_EVERY)
+        sim.set_sample_hook(self._rss_sampler, every=RSS_SAMPLE_EVERY)
 
 
-def run_chaos_light(
-    profile: BenchProfile, *, seed: int = 0, scheduler: str = "heap"
-) -> ScenarioResult:
+def run_chaos_light(profile: BenchProfile, *, seed: int = 0) -> ScenarioResult:
     """The chaos smoke scenario: crash + recovery, fully traced.
 
     The trace streams through a :class:`StreamingJsonlSink` into a
@@ -418,7 +374,6 @@ def run_chaos_light(
     deliveries = int(metrics.counter("deliveries_received_total").value)
     return ScenarioResult(
         name="chaos_light",
-        scheduler=scheduler,
         wall_s=round(wall, 4),
         sim_time_s=round(config.duration_s, 3),
         events=events,
@@ -457,9 +412,7 @@ def _latency_stats(latencies: List[float]) -> Dict[str, float]:
     }
 
 
-def run_reliability(
-    profile: BenchProfile, *, seed: int = 0, scheduler: str = "heap"
-) -> ScenarioResult:
+def run_reliability(profile: BenchProfile, *, seed: int = 0) -> ScenarioResult:
     """The same lossy workload under each delivery tier.
 
     A steady multi-channel workload whose subscriber links degrade
@@ -485,8 +438,7 @@ def run_reliability(
         holder: Dict[str, Any] = {}
 
         def build(tier: str = tier, holder: Dict[str, Any] = holder) -> DynamothCluster:
-            cluster = _make_cluster(
-                scheduler,
+            cluster = DynamothCluster(
                 seed=seed,
                 config=DynamothConfig(max_servers=2, delivery_tier=tier),
                 broker_config=BrokerConfig(nominal_egress_bps=8_000_000.0),
@@ -538,7 +490,7 @@ def run_reliability(
             holder["subscribers"] = subscribers
             return cluster
 
-        result = _measure(f"reliability:{tier}", scheduler, build)
+        result = _measure(f"reliability:{tier}", build)
         cluster = holder["cluster"]
         sink = holder["sink"]
         subscribers = holder["subscribers"]
@@ -571,7 +523,6 @@ def run_reliability(
 
     return ScenarioResult(
         name="reliability",
-        scheduler=scheduler,
         wall_s=round(total_wall, 4),
         sim_time_s=sim_time,
         events=total_events,
@@ -622,7 +573,6 @@ def run_bench(
     *,
     seed: int = 0,
     scenarios: Optional[List[str]] = None,
-    scheduler: str = "heap",
     repeat: int = 1,
 ) -> Dict[str, ScenarioResult]:
     """Run the selected scenarios; with ``repeat`` > 1 keep the fastest run."""
@@ -632,11 +582,7 @@ def run_bench(
         runner = SCENARIOS[name]
         best: Optional[ScenarioResult] = None
         for __ in range(max(1, repeat)):
-            result = runner(profile, seed=seed, scheduler=scheduler)
-            # The managed GC policy froze this run's topology; release it
-            # so back-to-back runs don't accumulate uncollectable graphs
-            # (which both bloats RSS and slows later repeats).
-            Simulator.gc_release()
+            result = runner(profile, seed=seed)
             if best is None or result.events_per_s > best.events_per_s:
                 best = result
         assert best is not None
@@ -670,12 +616,12 @@ def extract_headline(doc: dict) -> Optional[float]:
 
 def render_results(results: Dict[str, ScenarioResult]) -> str:
     header = (
-        f"{'scenario':<14} {'sched':<9} {'events':>10} {'wall s':>8} "
+        f"{'scenario':<14} {'events':>10} {'wall s':>8} "
         f"{'events/s':>11} {'deliv/s':>11} {'rss MB':>8}"
     )
     lines = [header, "-" * len(header)]
     lines.extend(
-        f"{r.name:<14} {r.scheduler:<9} {r.events:>10} {r.wall_s:>8.2f} "
+        f"{r.name:<14} {r.events:>10} {r.wall_s:>8.2f} "
         f"{r.events_per_s:>11.0f} {r.deliveries_per_s:>11.0f} "
         f"{r.peak_rss_kb / 1024.0:>8.1f}"
         for r in results.values()

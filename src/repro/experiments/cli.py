@@ -132,12 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run only this scenario (repeatable; default: all)",
     )
-    p.add_argument(
-        "--scheduler",
-        choices=("heap", "calendar"),
-        default="heap",
-        help="event-queue implementation driving the kernel",
-    )
     p.add_argument("--repeat", type=int, default=1, help="runs per scenario; keep fastest")
     p.add_argument("--output", metavar="PATH", default=None, help="write results JSON here")
     p.add_argument(
@@ -258,7 +252,6 @@ def _run_bench(args) -> int:
         profile,
         seed=args.seed,
         scenarios=args.scenario,
-        scheduler=args.scheduler,
         repeat=args.repeat,
     )
     print(bench.render_results(results))

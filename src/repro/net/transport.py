@@ -17,10 +17,12 @@ Hot-path notes: all per-connection state lives in one flat table keyed by
 model the pair uses (it never changes while both endpoints stay
 registered), the model's constant sample when it declares a
 ``fixed_delay`` (constant models never touch the RNG), and the FIFO clamp.
-One dict lookup per message covers all four.  :meth:`send_many` is the
-bulk fan-out API: it computes the NIC drain incrementally, samples
-propagation once per *leg* (latency model) per batch, and schedules all
-deliveries through the kernel's pooled batch interface.
+One dict lookup per message covers all four.  There are two send bodies:
+:meth:`Transport.send` for one message (control plane, client publishes)
+and :meth:`Transport.send_fanout`, the bulk fan-out API: it computes the
+NIC drain incrementally, samples propagation once per *leg* (latency
+model) per batch, and schedules all deliveries through the kernel's batch
+interface.
 """
 
 from __future__ import annotations
@@ -207,106 +209,25 @@ class Transport:
             if delivery_time < state[_P_FIFO]:
                 delivery_time = state[_P_FIFO]  # FIFO: never overtake
             state[_P_FIFO] = delivery_time
-        self.sim.schedule_at(delivery_time, self._deliver, dst_id, message, src_id)
+        # No caller cancels a message in flight, so it rides the kernel's
+        # fire-and-forget entry instead of a ScheduledEvent handle.
+        self.sim.schedule_batch(
+            self._deliver, (delivery_time,), ((dst_id, message, src_id),)
+        )
         self.messages_sent += 1
         return completion, delivery_time
-
-    # repro: scope[hot]
-    def send_many(
-        self,
-        src_id: str,
-        dst_ids: Sequence[str],
-        message: Any,
-        size_bytes: int,
-        *,
-        min_completions: Optional[Sequence[float]] = None,
-    ) -> List[float]:
-        """Fan one ``message`` out to many destinations in a single batch.
-
-        The shared NIC is charged incrementally -- equivalent to sending
-        the messages back to back -- and propagation is sampled **once per
-        leg** (latency model) for the whole batch: the deliveries of one
-        fan-out instant share the network-weather sample instead of paying
-        one RNG draw each.  Per-connection FIFO order against earlier and
-        later sends is preserved through the same ``(src, dst)`` clamp as
-        :meth:`send`.
-
-        ``min_completions``, when given, is a parallel sequence of
-        per-destination completion floors (the pub/sub server's
-        per-connection drain ceilings).
-
-        Returns the transmit-completion time per destination, in order.
-        Destinations that are dead or lose the message to the fault plane
-        are skipped and counted in :attr:`messages_dropped`; their bytes
-        still occupied the NIC.
-        """
-        if src_id not in self._actors:
-            raise KeyError(f"unknown sender: {src_id}")
-        port = self._ports[src_id]
-        sim = self.sim
-        completions = port.transmit_many(sim.now, size_bytes, len(dst_ids))
-        if min_completions is not None:
-            for index, floor in enumerate(min_completions):
-                if floor > completions[index]:
-                    completions[index] = floor
-        plane = self.fault_plane
-        pairs = self._pairs
-        rng = self._rng
-        #: one propagation sample per latency model ("leg") per batch
-        leg_samples: Dict[int, float] = {}
-        times: List[float] = []
-        args_seq: List[Tuple[Any, ...]] = []
-        add_time = times.append
-        add_args = args_seq.append
-        dropped = 0
-        for index, dst_id in enumerate(dst_ids):
-            if plane is not None:
-                extra = plane.apply(src_id, dst_id)
-                if extra is None:
-                    dropped += 1
-                    continue
-            else:
-                extra = 0.0
-            state = pairs.get((src_id, dst_id))
-            if state is None:
-                state = self._classify_pair((src_id, dst_id))
-            if state is None or not state[_P_DST].alive:
-                dropped += 1
-                continue
-            fixed = state[_P_FIXED]
-            if fixed is not None:
-                latency = fixed
-            else:
-                model = state[_P_MODEL]
-                leg = id(model)
-                latency = leg_samples.get(leg)
-                if latency is None:
-                    latency = model.sample(rng)
-                    leg_samples[leg] = latency
-            delivery_time = completions[index] + latency + extra
-            if delivery_time < state[_P_FIFO]:
-                delivery_time = state[_P_FIFO]
-            state[_P_FIFO] = delivery_time
-            add_time(delivery_time)
-            add_args((dst_id, message, src_id))
-        if times:
-            sim.schedule_batch(self._deliver, times, args_seq)
-            self.messages_sent += len(times)
-        if dropped:
-            self.messages_dropped += dropped
-        return completions
 
     def fanout_states(
         self, src_id: str, dst_ids: Sequence[str]
     ) -> List[Optional[List[Any]]]:
         """Resolve pair states for a fan-out source, one per destination.
 
-        Entries are the live objects from the pair table -- the same lists
-        :meth:`send_many` would fetch -- so a caller may hold them across
-        calls and pass them back through :meth:`send_fanout` for as long
-        as :attr:`pair_epoch` stays unchanged.  ``None`` entries mean the
-        destination is not currently registered; :meth:`send_fanout`
-        re-probes those per call so a later registration is picked up.
+        Entries are the live objects from the pair table, so a caller may
+        hold them across calls and pass them back through
+        :meth:`send_fanout` for as long as :attr:`pair_epoch` stays
+        unchanged.  ``None`` entries mean the destination is not currently
+        registered; :meth:`send_fanout` re-probes those per call so a later
+        registration is picked up.
         """
         pairs = self._pairs
         states: List[Optional[List[Any]]] = []
@@ -328,58 +249,29 @@ class Transport:
         *,
         min_completions: Optional[Sequence[float]] = None,
     ) -> List[float]:
-        """Fan out along pre-resolved pair states (:meth:`fanout_states`).
+        """Fan one ``message`` out along pre-resolved pair states.
 
-        Semantically identical to :meth:`send_many` -- same NIC charges,
-        same lazy once-per-leg propagation sampling (and therefore the
-        same RNG draw order), same FIFO clamps and drop accounting -- but
-        the per-destination ``(src, dst)`` key-tuple allocation and table
-        lookup are gone: the caller supplies the resolved states, which
-        the broker's per-channel subscriber arrays cache across
-        publications.  A one-destination batch takes a dedicated fast
-        path that skips the batch machinery entirely (sparse chaos
-        workloads are dominated by tiny fan-outs).
+        ``states`` comes from :meth:`fanout_states`; the broker's
+        per-channel subscriber arrays cache it across publications, which
+        spares the per-destination ``(src, dst)`` key tuple and table
+        lookup.  The shared NIC is charged incrementally -- equivalent to
+        sending the messages back to back -- and propagation is sampled
+        lazily, **once per leg** (latency model) for the whole batch: the
+        deliveries of one fan-out instant share the network-weather sample
+        instead of paying one RNG draw each.  Per-connection FIFO order
+        against earlier and later sends is preserved through the same
+        ``(src, dst)`` clamp as :meth:`send`.
+
+        ``min_completions``, when given, is a parallel sequence of
+        per-destination completion floors (the pub/sub server's
+        per-connection drain ceilings).
+
+        Returns the transmit-completion time per destination, in order.
+        Destinations that are dead or lose the message to the fault plane
+        are skipped and counted in :attr:`messages_dropped`; their bytes
+        still occupied the NIC.
         """
         sim = self.sim
-        if len(dst_ids) == 1:
-            # Single-destination fast path: no completion list, no batch
-            # lists, no leg-sample table.  Float math matches the batch
-            # path exactly (transmit == transmit_many for one message).
-            dst_id = dst_ids[0]
-            port = self._ports[src_id]
-            completion = port.transmit(sim.now, size_bytes)
-            if min_completions is not None and min_completions[0] > completion:
-                completion = min_completions[0]
-            plane = self.fault_plane
-            if plane is not None:
-                extra = plane.apply(src_id, dst_id)
-                if extra is None:
-                    self.messages_dropped += 1
-                    return [completion]
-            else:
-                extra = 0.0
-            state = states[0]
-            if state is None:
-                state = self._pairs.get((src_id, dst_id))
-                if state is None:
-                    state = self._classify_pair((src_id, dst_id))
-            if state is None or not state[_P_DST].alive:
-                self.messages_dropped += 1
-                return [completion]
-            fixed = state[_P_FIXED]
-            if fixed is not None:
-                latency = fixed
-            else:
-                latency = state[_P_MODEL].sample(self._rng)
-            delivery_time = completion + latency + extra
-            if delivery_time < state[_P_FIFO]:
-                delivery_time = state[_P_FIFO]
-            state[_P_FIFO] = delivery_time
-            sim.schedule_batch(
-                self._deliver, (delivery_time,), ((dst_id, message, src_id),)
-            )
-            self.messages_sent += 1
-            return [completion]
         port = self._ports[src_id]
         completions = port.transmit_many(sim.now, size_bytes, len(dst_ids))
         if min_completions is not None:
@@ -401,86 +293,52 @@ class Transport:
         add_time = times.append
         add_args = args_seq.append
         dropped = 0
-        if plane is None:
-            # Specialized copy of the loop below with the fault-plane
-            # branch (and its per-destination ``extra`` add) removed --
-            # the dominant configuration in large fan-out workloads.
-            for dst_id, state, completion in zip(dst_ids, states, completions):
+        extra = 0.0
+        for dst_id, state, completion in zip(dst_ids, states, completions):
+            if plane is not None:
+                verdict = plane.apply(src_id, dst_id)
+                if verdict is None:
+                    dropped += 1
+                    continue
+                extra = verdict
+            if state is None:
+                state = pairs.get((src_id, dst_id))
                 if state is None:
-                    state = pairs.get((src_id, dst_id))
-                    if state is None:
-                        state = self._classify_pair((src_id, dst_id))
-                    if state is None or not state[_P_DST].alive:
-                        dropped += 1
-                        continue
-                elif not state[_P_DST].alive:
+                    state = self._classify_pair((src_id, dst_id))
+                if state is None or not state[_P_DST].alive:
                     dropped += 1
                     continue
-                fixed = state[_P_FIXED]
-                if fixed is not None:
-                    latency = fixed
+            elif not state[_P_DST].alive:
+                dropped += 1
+                continue
+            fixed = state[_P_FIXED]
+            if fixed is not None:
+                latency = fixed
+            else:
+                model = state[_P_MODEL]
+                if model is last_model:
+                    latency = last_latency
                 else:
-                    model = state[_P_MODEL]
-                    if model is last_model:
-                        latency = last_latency
-                    else:
-                        if leg_samples is None:
-                            leg_samples = {}
-                        leg = id(model)
-                        cached = leg_samples.get(leg)
-                        if cached is None:
-                            cached = model.sample(rng)
-                            leg_samples[leg] = cached
-                        latency = cached
-                        last_model = model
-                        last_latency = cached
-                delivery_time = completion + latency
-                if delivery_time < state[_P_FIFO]:
-                    delivery_time = state[_P_FIFO]
-                state[_P_FIFO] = delivery_time
-                add_time(delivery_time)
-                add_args((dst_id, message, src_id))
-        else:
-            for index, dst_id in enumerate(dst_ids):
-                extra = plane.apply(src_id, dst_id)
-                if extra is None:
-                    dropped += 1
-                    continue
-                state = states[index]
-                if state is None:
-                    state = pairs.get((src_id, dst_id))
-                    if state is None:
-                        state = self._classify_pair((src_id, dst_id))
-                    if state is None or not state[_P_DST].alive:
-                        dropped += 1
-                        continue
-                elif not state[_P_DST].alive:
-                    dropped += 1
-                    continue
-                fixed = state[_P_FIXED]
-                if fixed is not None:
-                    latency = fixed
-                else:
-                    model = state[_P_MODEL]
-                    if model is last_model:
-                        latency = last_latency
-                    else:
-                        if leg_samples is None:
-                            leg_samples = {}
-                        leg = id(model)
-                        cached = leg_samples.get(leg)
-                        if cached is None:
-                            cached = model.sample(rng)
-                            leg_samples[leg] = cached
-                        latency = cached
-                        last_model = model
-                        last_latency = cached
-                delivery_time = completions[index] + latency + extra
-                if delivery_time < state[_P_FIFO]:
-                    delivery_time = state[_P_FIFO]
-                state[_P_FIFO] = delivery_time
-                add_time(delivery_time)
-                add_args((dst_id, message, src_id))
+                    if leg_samples is None:
+                        leg_samples = {}
+                    leg = id(model)
+                    cached = leg_samples.get(leg)
+                    if cached is None:
+                        cached = model.sample(rng)
+                        leg_samples[leg] = cached
+                    latency = cached
+                    last_model = model
+                    last_latency = cached
+            # Float order is (completion + latency) + extra, with no add at
+            # all on a healthy network.
+            delivery_time = completion + latency
+            if plane is not None:
+                delivery_time += extra
+            if delivery_time < state[_P_FIFO]:
+                delivery_time = state[_P_FIFO]
+            state[_P_FIFO] = delivery_time
+            add_time(delivery_time)
+            add_args((dst_id, message, src_id))
         if times:
             sim.schedule_batch(self._deliver, times, args_seq)
             self.messages_sent += len(times)

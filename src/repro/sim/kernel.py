@@ -6,33 +6,22 @@ of pending events.  Components schedule callbacks at future points in time;
 them.  Ties are broken by insertion order, which makes runs fully
 deterministic for a fixed seed.
 
-Two interchangeable event-queue implementations are provided:
-
-* ``scheduler="heap"`` (the default): a binary heap of ``(time, seq,
-  event)`` tuples.  Tuple entries keep every comparison inside C -- the
-  ``(time, seq)`` prefix is unique, so the event object itself is never
-  compared.
-* ``scheduler="calendar"``: a calendar queue -- events are appended O(1)
-  into fixed-width time buckets and each bucket is sorted once when the
-  clock enters it.  Profitable for workloads that schedule dense bursts of
-  near-simultaneous events (large fan-out batches); ordering semantics are
-  byte-identical to the heap.
-
-Both queues share the *fire-and-forget entry* representation used by
-:meth:`Simulator.schedule_batch`: bulk callers that never need a cancel
-handle (the transport's fan-out path) enqueue plain ``(time, seq, None,
-fn, args)`` tuples instead of allocating a ``ScheduledEvent`` per
-message -- the run loop skips all handle bookkeeping for them.
+The queue is a binary heap of tuple entries (see ``_Entry``), so every
+comparison stays inside C.  Callers that never need a cancel handle (the
+transport) enqueue *fire-and-forget* entries through
+:meth:`Simulator.schedule_batch`: no ``ScheduledEvent`` is allocated per
+message and the run loop skips all handle bookkeeping for them.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-from bisect import insort
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-#: Queue entry.  Two shapes share every queue:
+_NEVER = float("inf")
+
+#: Queue entry.  Two shapes share the queue:
 #:
 #: * ``(time, seq, event)`` -- a cancellable :class:`ScheduledEvent` handle
 #:   created by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
@@ -83,11 +72,6 @@ class ScheduledEvent:
         if sim is not None:
             sim._note_cancelled()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<ScheduledEvent t={self.time:.6f} seq={self.seq} {state}>"
@@ -103,67 +87,26 @@ class Simulator:
         sim.run_until(10.0)
 
     The clock unit is seconds.  Events scheduled for the same instant fire in
-    the order they were scheduled, regardless of the queue implementation.
+    the order they were scheduled.
     """
 
     #: Compaction floor: queues smaller than this are never compacted (the
     #: rebuild would cost more than the memory it frees).
     COMPACT_MIN_CANCELLED = 64
 
-    #: Executed events between explicit young-generation collections while
-    #: the managed GC policy is active.
+    #: Executed events between the run loop's explicit young-generation
+    #: collections (see :meth:`_run_loop` for the GC policy).
     GC_MAINTENANCE_EVENTS = 1_000_000
 
-    def __init__(
-        self,
-        *,
-        scheduler: str = "heap",
-        calendar_bucket_s: float = 0.01,
-        gc_managed: bool = False,
-    ) -> None:
-        if scheduler not in ("heap", "calendar"):
-            raise ValueError(f"unknown scheduler: {scheduler!r}")
-        if calendar_bucket_s <= 0:
-            raise ValueError(f"calendar_bucket_s must be positive: {calendar_bucket_s!r}")
-        self.scheduler = scheduler
-        #: Managed GC policy (opt-in): on first entry into a run loop the
-        #: long-lived object graph built so far (topology: actors, clients,
-        #: connections) is collected once and frozen into the permanent
-        #: generation, and automatic collection is suspended while events
-        #: execute -- CPython's default full-heap collections otherwise
-        #: re-scan the entire static topology every ~70k allocations, which
-        #: dominates large fan-out runs.  Explicit young-generation
-        #: collections every :data:`GC_MAINTENANCE_EVENTS` events keep
-        #: cyclic garbage bounded.  Automatic GC is re-enabled whenever the
-        #: run loop returns.  The policy never affects simulation results,
-        #: only wall-clock time.
-        self.gc_managed = gc_managed
-        self._gc_frozen = False
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
         self._events_processed: int = 0
         self._cancelled_pending: int = 0
         self._compactions: int = 0
         self._running = False
-        # --- heap scheduler state ---
         self._heap: List[_Entry] = []
-        # --- calendar scheduler state ---
-        self._use_calendar = scheduler == "calendar"
-        self._bucket_s = calendar_bucket_s
-        #: bucket index -> unsorted list of entries (sorted lazily when the
-        #: clock enters the bucket)
-        self._buckets: Dict[int, List[_Entry]] = {}
-        #: min-heap of bucket indices with (possibly stale) pending entries
-        self._bucket_heap: List[int] = []
-        #: bucket currently being drained: sorted entries + read cursor
-        self._current: List[_Entry] = []
-        self._current_idx: int = 0
-        self._current_key: Optional[int] = None
-        self._cal_count: int = 0
-        #: set whenever an insert lands in a bucket *earlier* than the one
-        #: being drained -- the run loop then re-checks bucket order once
-        #: instead of probing the bucket heap on every event.
-        self._cal_earlier: bool = False
+        self._gc_next: int = self.GC_MAINTENANCE_EVENTS
         #: Optional observability hook ``(now, events_processed) -> None``,
         #: invoked after each executed event.  Hoisted into a local at run
         #: entry (``None`` then costs nothing per event), so it must be
@@ -181,7 +124,7 @@ class Simulator:
         #: executed events, so per-event cost is one integer compare.
         self.sample_hook: Optional[Callable[[float, int], None]] = None
         self.sample_every: int = 0
-        self._sample_next: float = float("inf")
+        self._sample_next: float = _NEVER
 
     # ------------------------------------------------------------------
     # Clock
@@ -199,8 +142,6 @@ class Simulator:
     @property
     def pending_count(self) -> int:
         """Number of events still queued, including cancelled ones."""
-        if self._use_calendar:
-            return self._cal_count
         return len(self._heap)
 
     @property
@@ -239,10 +180,7 @@ class Simulator:
         self._seq = seq + 1
         event = ScheduledEvent(time, seq, fn, args)
         event._sim = self
-        if self._use_calendar:
-            self._cal_insert((time, seq, event))
-        else:
-            heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_batch(
@@ -260,139 +198,20 @@ class Simulator:
         returned, and batch events cannot be cancelled by callers -- in
         exchange the run loop pays zero handle bookkeeping for them.
         Returns the number of events scheduled.
+
+        The batch is atomic: a timestamp in the past raises before anything
+        is queued, so a rejected batch consumes no sequence numbers.
         """
-        now = self._now
-        seq = self._seq
+        if times and min(times) < self._now:
+            raise ValueError(f"cannot schedule in the past: {min(times)} < {self._now}")
+        first = seq = self._seq
         heap = self._heap
         push = heapq.heappush
-        count = 0
-        if self._use_calendar:
-            # Inlined _cal_insert with a same-bucket fast path: fan-out
-            # batches land overwhelmingly in one bucket (near-identical
-            # delivery times), so after the first insert each event is a
-            # single compare + append instead of a method call, a divide,
-            # and a dict probe.
-            bucket_s = self._bucket_s
-            buckets = self._buckets
-            current_key = self._current_key
-            last_key: Optional[int] = None
-            last_bucket: Optional[List[_Entry]] = None
-            for time, args in zip(times, args_seq):
-                if time < now:
-                    raise ValueError(f"cannot schedule in the past: {time} < {now}")
-                entry = (time, seq, None, fn, args)
-                key = int(time / bucket_s)
-                if key == last_key:
-                    last_bucket.append(entry)  # type: ignore[union-attr]
-                elif current_key is not None and key == current_key:
-                    insort(self._current, entry, lo=self._current_idx)
-                else:
-                    if current_key is not None and key < current_key:
-                        self._cal_earlier = True
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = bucket = [entry]
-                        push(self._bucket_heap, key)
-                    else:
-                        bucket.append(entry)
-                    last_key = key
-                    last_bucket = bucket
-                seq += 1
-                count += 1
-            self._cal_count += count
-        else:
-            for time, args in zip(times, args_seq):
-                if time < now:
-                    raise ValueError(f"cannot schedule in the past: {time} < {now}")
-                push(heap, (time, seq, None, fn, args))
-                seq += 1
-                count += 1
+        for time, args in zip(times, args_seq):
+            push(heap, (time, seq, None, fn, args))
+            seq += 1
         self._seq = seq
-        return count
-
-    # ------------------------------------------------------------------
-    # Calendar queue internals
-    # ------------------------------------------------------------------
-    def _cal_insert(self, entry: _Entry) -> None:
-        key = int(entry[0] / self._bucket_s)
-        current_key = self._current_key
-        if current_key is not None and key == current_key:
-            # The bucket being drained: keep the not-yet-consumed tail
-            # sorted.  ``lo`` bounds the bisect to the unread portion.
-            insort(self._current, entry, lo=self._current_idx)
-        else:
-            if current_key is not None and key < current_key:
-                self._cal_earlier = True
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [entry]
-                heapq.heappush(self._bucket_heap, key)
-            else:
-                bucket.append(entry)
-        self._cal_count += 1
-
-    def _cal_stash_current(self) -> None:
-        """Push the unread remainder of the current bucket back."""
-        remainder = self._current[self._current_idx:]
-        key = self._current_key
-        self._current = []
-        self._current_idx = 0
-        self._current_key = None
-        if remainder and key is not None:
-            existing = self._buckets.get(key)
-            if existing is None:
-                self._buckets[key] = remainder
-                heapq.heappush(self._bucket_heap, key)
-            else:
-                existing.extend(remainder)
-
-    def _cal_head(self) -> Optional[_Entry]:
-        """The next entry in (time, seq) order, without consuming it."""
-        while True:
-            if self._current_idx < len(self._current):
-                # A schedule_at into an *earlier* bucket (possible when the
-                # clock idles behind the drained bucket) must win over the
-                # current bucket's remainder.
-                bucket_heap = self._bucket_heap
-                current_key = self._current_key
-                if (
-                    bucket_heap
-                    and current_key is not None
-                    and bucket_heap[0] < current_key
-                    and self._buckets.get(bucket_heap[0])
-                ):
-                    self._cal_stash_current()
-                    continue
-                return self._current[self._current_idx]
-            # Current bucket exhausted: load the next non-empty one.
-            self._current = []
-            self._current_idx = 0
-            self._current_key = None
-            while self._bucket_heap:
-                key = self._bucket_heap[0]
-                bucket = self._buckets.get(key)
-                if not bucket:
-                    heapq.heappop(self._bucket_heap)  # stale index
-                    self._buckets.pop(key, None)
-                    continue
-                heapq.heappop(self._bucket_heap)
-                del self._buckets[key]
-                bucket.sort()
-                self._current = bucket
-                self._current_key = key
-                break
-            else:
-                return None
-
-    def _cal_pop(self) -> _Entry:
-        entry = self._current[self._current_idx]
-        self._current_idx += 1
-        self._cal_count -= 1
-        if self._current_idx >= len(self._current):
-            self._current = []
-            self._current_idx = 0
-            self._current_key = None
-        return entry
+        return seq - first
 
     # ------------------------------------------------------------------
     # Queue compaction
@@ -409,38 +228,20 @@ class Simulator:
         self._cancelled_pending += 1
         if (
             self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > self.pending_count
+            and self._cancelled_pending * 2 > len(self._heap)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        if self._use_calendar:
-            self._cal_stash_current()
-            compacted: Dict[int, List[_Entry]] = {}
-            count = 0
-            for key, bucket in self._buckets.items():
-                live = []
-                for entry in bucket:
-                    event = entry[2]
-                    # Fire-and-forget entries (event is None) cannot be
-                    # cancelled; only ScheduledEvent tombstones are dropped.
-                    if event is None or not event.cancelled:
-                        live.append(entry)
-                if live:
-                    compacted[key] = live
-                    count += len(live)
-            self._buckets = compacted
-            self._bucket_heap = list(compacted)
-            heapq.heapify(self._bucket_heap)
-            self._cal_count = count
-        else:
-            live_entries = []
-            for entry in self._heap:
-                event = entry[2]
-                if event is None or not event.cancelled:
-                    live_entries.append(entry)
-            self._heap = live_entries
-            heapq.heapify(self._heap)
+        live_entries = []
+        for entry in self._heap:
+            event = entry[2]
+            # Fire-and-forget entries (event is None) cannot be cancelled;
+            # only ScheduledEvent tombstones are dropped.
+            if event is None or not event.cancelled:
+                live_entries.append(entry)
+        self._heap = live_entries
+        heapq.heapify(self._heap)
         self._cancelled_pending = 0
         self._compactions += 1
 
@@ -459,7 +260,7 @@ class Simulator:
         if fn is None:
             self.sample_hook = None
             self.sample_every = 0
-            self._sample_next = float("inf")
+            self._sample_next = _NEVER
             return
         if every < 1:
             raise ValueError(f"sample_every must be >= 1: {every!r}")
@@ -467,127 +268,34 @@ class Simulator:
         self.sample_every = every
         self._sample_next = self._events_processed + every
 
-    def _execute(self, entry: _Entry) -> None:
-        """Run one queue entry's callback and fire the instrumentation hooks.
+    def _run_loop(self, limit: float, budget: Optional[int] = None) -> bool:
+        """Execute due events in ``(time, seq)`` order: the one run loop.
 
-        For :class:`ScheduledEvent` entries the handle state is released
-        *before* running so an event rescheduling itself does not grow
-        memory; fire-and-forget entries carry no handle to release.
+        Runs every event with timestamp <= ``limit``, stopping early once
+        ``budget`` events have executed (``None``: unbounded).  Returns
+        ``True`` when the budget stopped it, ``False`` when it ran out of
+        due events.
+
+        GC policy.  CPython's automatic full-heap collections re-scan the
+        whole static topology (actors, clients, connections) every ~70k
+        allocations, which dominates large fan-out runs.  So the outermost
+        loop freezes everything alive at entry -- long-lived by
+        construction -- into the permanent generation and suspends
+        automatic collection while events execute; a young-generation
+        collection every :data:`GC_MAINTENANCE_EVENTS` events keeps cyclic
+        garbage bounded.  On the way out, normally or by exception,
+        collection is re-enabled and the freeze undone, so nothing stays
+        pinned past the run.  A nested loop, or a caller that disabled
+        collection itself, finds it disabled and leaves it alone.  The
+        policy never affects simulation results, only wall-clock time.
         """
-        event = entry[2]
-        if event is None:
-            fn = entry[3]
-            args = entry[4]
-        else:
-            fn = event.fn
-            args = event.args
-            assert fn is not None  # non-cancelled events carry a callback
-            # This event already left the queue, so its self-cancel must
-            # not count toward the compaction trigger.
-            event._sim = None
-            event.cancelled = True
-            event.fn = None
-            event.args = ()
-        self._events_processed += 1
-        fn(*args)
-        hook = self.event_hook
-        if hook is not None:
-            hook(self._now, self._events_processed)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.record_event(fn, self._now)
-        if self._events_processed >= self._sample_next:
-            self._sample_next = self._events_processed + self.sample_every
-            sample = self.sample_hook
-            if sample is not None:
-                sample(self._now, self._events_processed)
-
-    def _gc_suspend(self) -> bool:
-        """Apply the managed GC policy on run-loop entry.
-
-        Returns ``True`` when automatic collection was disabled here and
-        must be re-enabled when the loop exits.  Re-entrant runs are safe:
-        the nested call sees collection already disabled and does nothing.
-        """
-        if not self.gc_managed or not gc.isenabled():
-            return False
-        if not self._gc_frozen:
-            # One full collection before the very first freeze, so dead
-            # setup-time cycles do not get pinned forever.
-            gc.collect()
-            self._gc_frozen = True
-        # Freeze on *every* entry, not just the first: topology wired during
-        # an earlier run (e.g. a subscription storm inside the warm-up
-        # ``run_until``) would otherwise sit in the young generations for
-        # the whole process -- automatic collection is disabled while events
-        # execute, so nothing ever promotes it -- and every mid-run
-        # maintenance collection would re-scan all of it.  Freezing is a
-        # cheap list splice; anything alive right now is long-lived by
-        # construction.  Cycles alive at a freeze point stay uncollectable
-        # for the process lifetime, which is acceptable for bounded
-        # simulation runs and never affects results.
-        gc.freeze()
-        gc.disable()
-        return True
-
-    @staticmethod
-    def gc_release() -> None:
-        """Undo the managed policy's freezes and reclaim dead cycles.
-
-        ``gc.freeze`` is process-global: once a managed run froze its
-        topology, that graph stays uncollectable even after the simulation
-        is dropped.  A harness running several independent simulations in
-        one process (bench repeats, sweep workers) calls this between runs
-        so each finished topology's cycles are actually reclaimed.
-        """
-        gc.unfreeze()
-        gc.collect()
-
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the queue is empty.
-        Cancelled events are discarded silently.
-        """
-        if self._use_calendar:
-            while True:
-                entry = self._cal_head()
-                if entry is None:
-                    return False
-                self._cal_pop()
-                event = entry[2]
-                if event is not None and event.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                self._now = entry[0]
-                self._execute(entry)
-                return True
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            event = entry[2]
-            if event is not None and event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._now = entry[0]
-            self._execute(entry)
-            return True
-        return False
-
-    def run_until(self, time: float) -> None:
-        """Run all events with timestamp <= ``time``; advance clock to ``time``.
-
-        The clock always ends exactly at ``time`` even if the queue drains
-        early, so periodic processes can be resumed from a known instant.
-        """
-        if time < self._now:
-            raise ValueError(f"cannot run backwards: {time} < {self._now}")
-        gc_restore = self._gc_suspend()
-        gc_next = (
-            self._events_processed + self.GC_MAINTENANCE_EVENTS
-            if gc_restore
-            else float("inf")
-        )
+        owns_gc = gc.isenabled()
+        if owns_gc:
+            gc.freeze()
+            gc.disable()
+        gc_next = self._gc_next if owns_gc else _NEVER
+        stop_at = _NEVER if budget is None else self._events_processed + budget
+        was_running = self._running
         self._running = True
         try:
             # Instrumentation hooks are hoisted into locals once per run
@@ -598,159 +306,84 @@ class Simulator:
             # event.
             hook = self.event_hook
             profiler = self.profiler
-            pause_next = self._sample_next if self._sample_next < gc_next else gc_next
-            if self._use_calendar:
-                # Like the heap loop below, the calendar loop inlines
-                # _cal_head()/_cal_pop()/_execute() for the common case
-                # (next entry comes from the already-sorted current
-                # bucket); bucket transitions fall back to _cal_head().
-                while True:
-                    current = self._current
-                    idx = self._current_idx
-                    if idx < len(current):
-                        if self._cal_earlier:
-                            # An insert landed in a bucket earlier than the
-                            # one being drained: re-check bucket order.  The
-                            # flag is set at insert time so the steady-state
-                            # loop pays one attribute test instead of a
-                            # bucket-heap probe per event.
-                            self._cal_earlier = False
-                            bucket_heap = self._bucket_heap
-                            current_key = self._current_key
-                            if (
-                                bucket_heap
-                                and current_key is not None
-                                and bucket_heap[0] < current_key
-                                and self._buckets.get(bucket_heap[0])
-                            ):
-                                self._cal_stash_current()
-                                continue
-                        entry = current[idx]
-                    else:
-                        entry = self._cal_head()
-                        if entry is None:
-                            break
-                        current = self._current
-                        idx = self._current_idx
-                    if entry[0] > time:
-                        break
-                    # -- inline _cal_pop --
-                    idx += 1
-                    self._cal_count -= 1
-                    if idx >= len(current):
-                        self._current = []
-                        self._current_idx = 0
-                        self._current_key = None
-                    else:
-                        self._current_idx = idx
-                    event = entry[2]
-                    if event is None:
-                        # Fire-and-forget batch entry: no handle state to
-                        # release, cannot be cancelled.
-                        fn = entry[3]
-                        args = entry[4]
-                    elif event.cancelled:
-                        self._cancelled_pending -= 1
-                        continue
-                    else:
-                        fn = event.fn
-                        args = event.args
-                        # Already out of the queue: the self-cancel marker
-                        # must not count toward the compaction trigger.
-                        event._sim = None
-                        event.cancelled = True
-                        event.fn = None
-                        event.args = ()
-                    self._now = entry[0]
-                    self._events_processed += 1
-                    fn(*args)
-                    if hook is not None:
-                        hook(self._now, self._events_processed)
-                    if profiler is not None:
-                        profiler.record_event(fn, self._now)
-                    if self._events_processed >= pause_next:
-                        # Combined threshold: one compare per event covers
-                        # both the sampling hook and GC maintenance.
-                        if self._events_processed >= self._sample_next:
-                            self._sample_next = (
-                                self._events_processed + self.sample_every
-                            )
-                            sample = self.sample_hook
-                            if sample is not None:
-                                sample(self._now, self._events_processed)
-                        if self._events_processed >= gc_next:
-                            gc.collect(1)
-                            gc_next = (
-                                self._events_processed + self.GC_MAINTENANCE_EVENTS
-                            )
-                        pause_next = (
-                            self._sample_next
-                            if self._sample_next < gc_next
-                            else gc_next
-                        )
-            else:
-                # The heap loop is the simulator's hottest code: _execute()
-                # is inlined to shave per-event call overhead (identical
-                # observable behaviour).
-                heap = self._heap
-                pop = heapq.heappop
-                while heap:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event is not None and event.cancelled:
-                        pop(heap)
-                        self._cancelled_pending -= 1
-                        continue
-                    if entry[0] > time:
-                        break
+            # Combined threshold: one compare per event covers the sampling
+            # hook, GC maintenance and the event budget.
+            pause_next = min(self._sample_next, gc_next, stop_at)
+            heap = self._heap
+            pop = heapq.heappop
+            while heap:
+                entry = heap[0]
+                event = entry[2]
+                if event is not None and event.cancelled:
                     pop(heap)
-                    self._now = entry[0]
-                    if event is None:
-                        # Fire-and-forget batch entry: no handle state to
-                        # release, cannot be cancelled.
-                        fn = entry[3]
-                        args = entry[4]
-                    else:
-                        fn = event.fn
-                        args = event.args
-                        # Already out of the queue: the self-cancel marker
-                        # must not count toward the compaction trigger.
-                        event._sim = None
-                        event.cancelled = True
-                        event.fn = None
-                        event.args = ()
-                    self._events_processed += 1
-                    fn(*args)
-                    if hook is not None:
-                        hook(self._now, self._events_processed)
-                    if profiler is not None:
-                        profiler.record_event(fn, self._now)
-                    if heap is not self._heap:
-                        heap = self._heap  # compaction rebuilt it
-                    if self._events_processed >= pause_next:
-                        # Combined threshold: one compare per event covers
-                        # both the sampling hook and GC maintenance.
-                        if self._events_processed >= self._sample_next:
-                            self._sample_next = (
-                                self._events_processed + self.sample_every
-                            )
-                            sample = self.sample_hook
-                            if sample is not None:
-                                sample(self._now, self._events_processed)
-                        if self._events_processed >= gc_next:
-                            gc.collect(1)
-                            gc_next = (
-                                self._events_processed + self.GC_MAINTENANCE_EVENTS
-                            )
-                        pause_next = (
-                            self._sample_next
-                            if self._sample_next < gc_next
-                            else gc_next
+                    self._cancelled_pending -= 1
+                    continue
+                if entry[0] > limit:
+                    break
+                pop(heap)
+                self._now = entry[0]
+                if event is None:
+                    # Fire-and-forget batch entry: no handle state to
+                    # release, cannot be cancelled.
+                    fn = entry[3]
+                    args = entry[4]
+                else:
+                    # Handle state is released *before* running, so an
+                    # event rescheduling itself does not grow memory.
+                    fn = event.fn
+                    args = event.args
+                    # Already out of the queue: the self-cancel marker
+                    # must not count toward the compaction trigger.
+                    event._sim = None
+                    event.cancelled = True
+                    event.fn = None
+                    event.args = ()
+                self._events_processed += 1
+                fn(*args)
+                if hook is not None:
+                    hook(self._now, self._events_processed)
+                if profiler is not None:
+                    profiler.record_event(fn, self._now)
+                if heap is not self._heap:
+                    heap = self._heap  # compaction rebuilt it
+                if self._events_processed >= pause_next:
+                    if self._events_processed >= self._sample_next:
+                        self._sample_next = self._events_processed + self.sample_every
+                        sample = self.sample_hook
+                        if sample is not None:
+                            sample(self._now, self._events_processed)
+                    if self._events_processed >= gc_next:
+                        gc.collect(1)
+                        gc_next = self._gc_next = (
+                            self._events_processed + self.GC_MAINTENANCE_EVENTS
                         )
+                    if self._events_processed >= stop_at:
+                        return True
+                    pause_next = min(self._sample_next, gc_next, stop_at)
+            return False
         finally:
-            self._running = False
-            if gc_restore:
+            self._running = was_running
+            if owns_gc:
                 gc.enable()
+                gc.unfreeze()
+
+    def step(self) -> bool:
+        """Execute the single next pending event.
+
+        Returns ``True`` if an event ran, ``False`` if the queue is empty.
+        Cancelled events are discarded silently.
+        """
+        return self._run_loop(_NEVER, 1)
+
+    def run_until(self, time: float) -> None:
+        """Run all events with timestamp <= ``time``; advance clock to ``time``.
+
+        The clock always ends exactly at ``time`` even if the queue drains
+        early, so periodic processes can be resumed from a known instant.
+        """
+        if time < self._now:
+            raise ValueError(f"cannot run backwards: {time} < {self._now}")
+        self._run_loop(time)
         self._now = time
 
     def run(self, max_events: Optional[int] = None) -> None:
@@ -762,18 +395,8 @@ class Simulator:
         clean, resumable state: :attr:`running` is ``False``, the clock
         stays at the last executed event, and the remaining queue is intact.
         """
-        executed = 0
-        gc_restore = self._gc_suspend()
-        self._running = True
-        try:
-            while self.step():
-                executed += 1
-                if max_events is not None and executed >= max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events}; "
-                        "likely a runaway periodic process"
-                    )
-        finally:
-            self._running = False
-            if gc_restore:
-                gc.enable()
+        if self._run_loop(_NEVER, max_events):
+            raise RuntimeError(
+                f"simulation exceeded max_events={max_events}; "
+                "likely a runaway periodic process"
+            )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.sweep.orchestrator import (
     bench_markdown,
@@ -94,7 +94,6 @@ def _cmd_bench(args: argparse.Namespace, out: _Out) -> int:
     doc = bench_sweep(
         names,
         profile=args.profile,
-        scheduler=args.scheduler,
         seed=args.seed,
         repeat=args.repeat,
         procs=args.procs,
@@ -162,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the bench scenario matrix")
     bench.add_argument("--profile", default="full",
                        help="bench profile name (default: full)")
-    bench.add_argument("--scheduler", default="heap",
-                       choices=["heap", "calendar"])
     bench.add_argument("--scenario", action="append", default=[],
                        help="scenario to run (repeatable; default: all)")
     bench.add_argument("--seed", type=int, default=0)

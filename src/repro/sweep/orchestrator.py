@@ -129,7 +129,6 @@ def bench_sweep(
     scenarios: Sequence[str],
     *,
     profile: str = "full",
-    scheduler: str = "heap",
     seed: int = 0,
     repeat: int = 1,
     procs: int = 1,
@@ -147,7 +146,6 @@ def bench_sweep(
         BenchTask(
             scenario=name,
             profile=profile,
-            scheduler=scheduler,
             seed=seed,
             repeat=repeat,
         )
@@ -158,7 +156,6 @@ def bench_sweep(
         "schema": SWEEP_SCHEMA,
         "mode": "bench",
         "profile": profile,
-        "scheduler": scheduler,
         "python": platform.python_version(),
         "scenarios": {r["scenario"]: r["result"] for r in results},
     }
@@ -168,8 +165,7 @@ def bench_markdown(doc: Dict[str, Any]) -> str:
     lines = [
         "# Bench sweep",
         "",
-        f"Profile `{doc['profile']}`, scheduler `{doc['scheduler']}`, "
-        f"Python {doc['python']}.",
+        f"Profile `{doc['profile']}`, Python {doc['python']}.",
         "",
         "| scenario | events | wall s | events/s | deliveries/s | peak RSS MB |",
         "|---|---:|---:|---:|---:|---:|",

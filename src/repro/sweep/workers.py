@@ -6,13 +6,6 @@ function mapping one task to one JSON-serializable dict.  Workers never
 read the wall clock themselves (DET001 scope): any host-time numbers in
 a bench result come from :mod:`repro.experiments.bench`, which owns
 measurement.
-
-Pool worker processes are reused across tasks, and single-process mode
-runs every task in the orchestrating interpreter -- so each worker ends
-by calling :meth:`Simulator.gc_release`.  The kernel's managed GC
-policy freezes each run's object graph; without the release, back-to-
-back simulations in one process pin every dead topology permanently
-(hundreds of MB over a long soak).
 """
 
 from __future__ import annotations
@@ -20,8 +13,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
-
-from repro.sim.kernel import Simulator
 
 
 @dataclass(frozen=True)
@@ -39,7 +30,6 @@ class BenchTask:
 
     scenario: str
     profile: str = "full"
-    scheduler: str = "heap"
     seed: int = 0
     repeat: int = 1
 
@@ -73,7 +63,7 @@ def check_worker(task: CheckTask) -> Dict[str, Any]:
     result = run_scenario(scenario)
     violations = check_result(result)
     digest = hashlib.sha256(result.trace_bytes()).hexdigest()
-    out: Dict[str, Any] = {
+    return {
         "seed": task.seed,
         "label": scenario.label,
         "delivery_tier": scenario.delivery_tier,
@@ -84,8 +74,6 @@ def check_worker(task: CheckTask) -> Dict[str, Any]:
         "trace_sha256": digest,
         "violations": [str(v) for v in violations],
     }
-    Simulator.gc_release()
-    return out
 
 
 def bench_worker(task: BenchTask) -> Dict[str, Any]:
@@ -97,10 +85,8 @@ def bench_worker(task: BenchTask) -> Dict[str, Any]:
         profile,
         seed=task.seed,
         scenarios=[task.scenario],
-        scheduler=task.scheduler,
         repeat=task.repeat,
     )
-    # run_bench already released the GC freeze after each repeat.
     return {
         "scenario": task.scenario,
         "seed": task.seed,
@@ -120,10 +106,8 @@ def lab_worker(task: LabTask) -> Dict[str, Any]:
         list(task.policies) or None,
         sla_threshold_s=task.sla_threshold_s,
     )
-    out = {
+    return {
         "scenario": task.scenario,
         "seed": task.seed,
         "report": report.to_dict(),
     }
-    Simulator.gc_release()
-    return out

@@ -11,6 +11,6 @@ class RosterNotice:
 
 def rebroadcast(net, channel):
     notice = MappingNotice(channel=channel)  # noqa: F821 - parse-only fixture
-    net.send_many(notice, 64)
+    net.send_fanout(notice, 64)
     notice.channel = "redacted"
     return notice

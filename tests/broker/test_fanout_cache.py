@@ -5,7 +5,8 @@ The broker compiles each channel's subscriber walk (ids, connections,
 pair states) into a reusable entry keyed by channel and guarded by the
 transport's ``pair_epoch``.  The cache is a pure performance artifact:
 every observable -- delivery sets, timings, trace bytes -- must be
-identical with it disabled.
+identical when every publication rebuilds its entry from scratch, which
+the tests force from their side (:func:`force_rebuilds`).
 """
 
 from __future__ import annotations
@@ -54,6 +55,22 @@ def build(sim, rng: Random, config=None, clients=4):
     for c in fakes:
         net.register(c)
     return net, server, fakes
+
+
+def force_rebuilds(server: PubSubServer) -> None:
+    """Make ``server`` recompile the fan-out arrays on every publication.
+
+    Drops every compiled entry just before each publication completes, so
+    the arrays are rebuilt through the production code path -- the
+    reference the cached runs are compared against.
+    """
+    complete = server._complete_publish
+
+    def rebuilding(cmd, publisher_id):
+        server._fanout_cache.clear()
+        complete(cmd, publisher_id)
+
+    server._complete_publish = rebuilding
 
 
 class TestChurnInvalidation:
@@ -122,26 +139,29 @@ class TestChurnInvalidation:
         for c in clients[:2]:
             assert [d.payload for d in c.deliveries()] == ["one", "two"]
 
-    def test_disabled_cache_stays_empty(self, sim, rng: Random):
-        config = BrokerConfig(fanout_cache_enabled=False)
-        net, server, clients = build(sim, rng, config)
+    def test_forced_rebuild_never_hits(self, sim, rng: Random):
+        # The reference side of the equivalence tests below is only a
+        # reference if it really rebuilds on every publication.
+        net, server, clients = build(sim, rng)
+        force_rebuilds(server)
         clients[0].send("srv", SubscribeCmd("news"), 64)
         sim.run_until(1.0)
         for __ in range(3):
             clients[3].send("srv", PublishCmd("news", "x", 100), 100)
         sim.run_until(2.0)
         stats = server.fanout_cache_stats()
-        assert stats["channels"] == 0
+        assert stats["builds"] == 3
         assert stats["hits"] == 0
         assert len(clients[0].deliveries()) == 3
 
 
-def _unit_run(fanout_cache_enabled: bool):
+def _unit_run(cached: bool):
     """One deterministic churn-heavy unit run; returns delivery log."""
     sim = Simulator()
     rng = Random(7)
-    config = BrokerConfig(fanout_cache_enabled=fanout_cache_enabled)
-    net, server, clients = build(sim, rng, config, clients=6)
+    net, server, clients = build(sim, rng, clients=6)
+    if not cached:
+        force_rebuilds(server)
     for i, c in enumerate(clients[:4]):
         c.send("srv", SubscribeCmd("news"), 64)
     sim.run_until(1.0)
@@ -171,14 +191,17 @@ class TestCachedUncachedEquivalence:
 CHANNEL = "arena"
 
 
-def _cluster(*, fanout_cache_enabled=True, tracer=None, seed=0):
-    return DynamothCluster(
+def _cluster(*, cached=True, tracer=None, seed=0):
+    cluster = DynamothCluster(
         seed=seed,
         initial_servers=3,
         balancer=BALANCER_NONE,
-        broker_config=BrokerConfig(fanout_cache_enabled=fanout_cache_enabled),
         tracer=tracer,
     )
+    if not cached:
+        for server in cluster.servers.values():
+            force_rebuilds(server)
+    return cluster
 
 
 def _stream(cluster, n_subscribers=3):
@@ -234,7 +257,6 @@ class TestClusterInvalidation:
             seed=0,
             initial_servers=3,
             config=DynamothConfig(client_ping_interval_s=1.0),
-            broker_config=BrokerConfig(fanout_cache_enabled=True),
         )
         publisher, received = _stream(cluster)
         cluster.run_for(1.0)
@@ -272,9 +294,9 @@ class TestClusterInvalidation:
         )
 
     def test_trace_bytes_identical_cached_vs_uncached(self):
-        def run(enabled: bool) -> bytes:
+        def run(cached: bool) -> bytes:
             tracer = Tracer()
-            cluster = _cluster(fanout_cache_enabled=enabled, tracer=tracer)
+            cluster = _cluster(cached=cached, tracer=tracer)
             publisher, received = _stream(cluster)
             cluster.run_for(1.0)
             for i in range(6):

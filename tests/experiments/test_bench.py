@@ -1,6 +1,7 @@
 """Bench harness tests: schema v2 payload, RSS series, streamed chaos SLA."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +82,20 @@ class TestSchema:
     def test_headline_extraction_unchanged(self):
         doc = {"scenarios": {"fanout": {"events_per_s": 123.0}}}
         assert bench.extract_headline(doc) == 123.0
+
+    @pytest.mark.parametrize(
+        "baseline",
+        [
+            "BENCH_PR4.json",
+            "benchmarks/perf/BENCH_PR7.json",
+            "benchmarks/perf/BENCH_PR9.json",
+            "benchmarks/perf/baseline_smoke.json",
+        ],
+    )
+    def test_committed_baselines_still_gate(self, baseline):
+        # Baselines recorded before the scheduler option was removed carry
+        # an extra per-scenario "scheduler" key; the gate must read them.
+        root = Path(__file__).resolve().parents[2]
+        doc = json.loads((root / baseline).read_text(encoding="utf-8"))
+        headline = bench.extract_headline(doc)
+        assert headline is not None and headline > 0

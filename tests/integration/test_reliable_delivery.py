@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from random import Random
 
+from repro.broker.commands import Delivery
 from repro.core.client import DynamothClient
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
+from repro.core.messages import AppEnvelope
 from repro.obs.export import event_to_json
 from repro.obs.trace import ReplayEvent, ReplayGapEvent, Tracer
 from repro.sim.kernel import Simulator
@@ -141,6 +143,15 @@ class TestKillSwitchSilence:
         assert sub._rel is not None and sub._rel.gap_requests >= 1
 
 
+def _arrives_as_duplicate(client: DynamothClient, msg_id: str) -> bool:
+    """Feed one delivery carrying ``msg_id``; was it suppressed as a dup?"""
+    delivered, duplicates = client.delivered, client.duplicates
+    envelope = AppEnvelope(msg_id, "pub", "body", 0, 0.0)
+    client.receive(Delivery("arena", envelope, 10, "s1"), "s1")
+    assert (client.delivered - delivered) + (client.duplicates - duplicates) == 1
+    return client.duplicates > duplicates
+
+
 class TestDedupWindowRegression:
     def test_replay_refreshes_the_dedup_window(self):
         """Regression: under active replay the same msg id keeps arriving;
@@ -151,22 +162,22 @@ class TestDedupWindowRegression:
         client = DynamothClient(
             sim, "c", ConsistentHashRing(["s1"]), Random(0), dedup_window=2
         )
-        assert not client._is_duplicate("m1")
-        assert not client._is_duplicate("x1")
+        assert not _arrives_as_duplicate(client, "m1")
+        assert not _arrives_as_duplicate(client, "x1")
         # First replay of m1: a duplicate, and its recency is refreshed.
-        assert client._is_duplicate("m1")
-        assert not client._is_duplicate("x2")
+        assert _arrives_as_duplicate(client, "m1")
+        assert not _arrives_as_duplicate(client, "x2")
         # Second replay: still recognized.  The old FIFO window held
         # [x1, x2] at this point and would have let m1 through again.
-        assert client._is_duplicate("m1")
+        assert _arrives_as_duplicate(client, "m1")
 
     def test_expiry_still_works_once_replays_stop(self):
         sim = Simulator()
         client = DynamothClient(
             sim, "c", ConsistentHashRing(["s1"]), Random(0), dedup_window=2
         )
-        assert not client._is_duplicate("m1")
+        assert not _arrives_as_duplicate(client, "m1")
         for i in range(4):
-            assert not client._is_duplicate(f"x{i}")
+            assert not _arrives_as_duplicate(client, f"x{i}")
         # m1's last occurrence left the window long ago.
-        assert not client._is_duplicate("m1")
+        assert not _arrives_as_duplicate(client, "m1")

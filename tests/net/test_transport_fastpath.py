@@ -1,8 +1,9 @@
-"""Tests for the transport fast path (PR 4).
+"""Tests for the transport fast path.
 
-Covers the bulk :meth:`Transport.send_many` API (ordering, leg sampling,
-completion floors, drop accounting) and the pruning of per-pair
-connection state on unregister.
+Covers the bulk :meth:`Transport.send_fanout` API (ordering, leg sampling,
+completion floors, drop accounting, equivalence with :meth:`Transport.send`
+and across fault-plane presence) and the pruning of per-pair connection
+state on unregister.
 """
 
 from random import Random
@@ -42,7 +43,31 @@ def _fixed_net(sim):
     )
 
 
-class TestSendMany:
+def _fanout(net, src_id, dst_ids, message, size_bytes, **kwargs):
+    """Fan out the way the broker does: resolve the states, then send."""
+    states = net.fanout_states(src_id, dst_ids)
+    return net.send_fanout(src_id, dst_ids, states, message, size_bytes, **kwargs)
+
+
+class _Stamper(Recorder):
+    """Records ``(node_id, exact arrival time)`` into a shared list."""
+
+    def __init__(self, sim, node_id, stamps):
+        super().__init__(sim, node_id)
+        self.stamps = stamps
+
+    def receive(self, message, src_id):
+        self.stamps.append((self.node_id, message, self.sim.now))
+
+
+class _HealthyPlane:
+    """A fault plane with no active fault: every verdict is 0.0 extra."""
+
+    def apply(self, src_id, dst_id):
+        return 0.0
+
+
+class TestSendFanout:
     def test_delivers_to_every_destination(self, sim):
         net = _fixed_net(sim)
         src = Recorder(sim, "src")
@@ -50,7 +75,7 @@ class TestSendMany:
         dsts = [Recorder(sim, f"d{i}") for i in range(20)]
         for dst in dsts:
             net.register(dst)
-        completions = net.send_many("src", [d.node_id for d in dsts], "hello", 100)
+        completions = _fanout(net, "src", [d.node_id for d in dsts], "hello", 100)
         assert len(completions) == 20
         sim.run_until(1.0)
         for dst in dsts:
@@ -60,7 +85,7 @@ class TestSendMany:
     def test_unknown_sender_rejected(self, sim):
         net = _fixed_net(sim)
         with pytest.raises(KeyError):
-            net.send_many("ghost", ["a"], "x", 10)
+            net.send_fanout("ghost", ["a"], [None], "x", 10)
 
     def test_fifo_order_preserved_under_jitter(self, sim):
         # Interleave single sends and batch sends on the same connections:
@@ -73,10 +98,10 @@ class TestSendMany:
         net.register(b)
         net.register(c)
         net.send("src", "b", 0, 10)
-        net.send_many("src", ["b", "c"], 1, 10)
+        _fanout(net, "src", ["b", "c"], 1, 10)
         net.send("src", "c", 2, 10)
-        net.send_many("src", ["c", "b"], 3, 10)
-        net.send_many("src", ["b", "c"], 4, 10)
+        _fanout(net, "src", ["c", "b"], 3, 10)
+        _fanout(net, "src", ["b", "c"], 4, 10)
         sim.run_until(5.0)
         assert [m for m, __ in b.inbox] == [0, 1, 3, 4]
         assert [m for m, __ in c.inbox] == [1, 2, 3, 4]
@@ -87,18 +112,15 @@ class TestSendMany:
         net = _jittery_net(sim)
         src = Recorder(sim, "src")
         net.register(src)
-        arrival_times = {}
-
-        class Stamper(Recorder):
-            def receive(self, message, src_id):
-                arrival_times[self.node_id] = self.sim.now
-
-        for i in range(10):
-            net.register(Stamper(sim, f"d{i}"))
-        net.send_many("src", [f"d{i}" for i in range(10)], "x", 10)
+        stamps = []
+        ids = [f"d{i}" for i in range(10)]
+        for node_id in ids:
+            net.register(_Stamper(sim, node_id, stamps))
+        _fanout(net, "src", ids, "x", 10)
         sim.run_until(5.0)
         # Unlimited NIC: all completions equal, so all arrivals coincide.
-        assert len(set(arrival_times.values())) == 1
+        assert len(stamps) == 10
+        assert len({when for __, __, when in stamps}) == 1
 
     def test_min_completions_floor_applied(self, sim):
         net = _fixed_net(sim)
@@ -107,8 +129,8 @@ class TestSendMany:
         d0, d1 = Recorder(sim, "d0"), Recorder(sim, "d1")
         net.register(d0)
         net.register(d1)
-        completions = net.send_many(
-            "src", ["d0", "d1"], "x", 10, min_completions=[0.5, 0.0]
+        completions = _fanout(
+            net, "src", ["d0", "d1"], "x", 10, min_completions=[0.5, 0.0]
         )
         assert completions[0] == 0.5
         assert completions[1] < 0.5
@@ -124,12 +146,28 @@ class TestSendMany:
         net.register(alive_dst)
         net.register(dead_dst)
         dead_dst.shutdown()
-        net.send_many("src", ["alive", "dead", "ghost"], "x", 10)
+        _fanout(net, "src", ["alive", "dead", "ghost"], "x", 10)
         sim.run_until(1.0)
         assert alive_dst.inbox == [("x", "src")]
         assert dead_dst.inbox == []
         assert net.messages_sent == 1
         assert net.messages_dropped == 2
+
+    def test_unresolved_state_is_reprobed_per_call(self, sim):
+        # A ``None`` state (destination unregistered at resolve time) is
+        # looked up again on every fan-out, so a later registration is
+        # picked up without re-resolving the whole array.
+        net = _fixed_net(sim)
+        net.register(Recorder(sim, "src"))
+        states = net.fanout_states("src", ["late"])
+        assert states == [None]
+        net.send_fanout("src", ["late"], states, "early", 10)
+        late = Recorder(sim, "late")
+        net.register(late)
+        net.send_fanout("src", ["late"], states, "now", 10)
+        sim.run_until(1.0)
+        assert late.inbox == [("now", "src")]
+        assert (net.messages_sent, net.messages_dropped) == (1, 1)
 
     def test_matches_sequential_sends_with_fixed_latency(self):
         # With a constant-latency model, a batch must land at exactly the
@@ -140,21 +178,69 @@ class TestSendMany:
             src = Recorder(sim, "src")
             net.register(src, egress_capacity_bps=8_000.0)  # 10ms per 10B
             stamps = []
-
-            class Stamper(Recorder):
-                def receive(self, message, src_id):
-                    stamps.append((self.node_id, round(self.sim.now, 9)))
-
             ids = [f"d{i}" for i in range(5)]
             for node_id in ids:
-                net.register(Stamper(sim, node_id))
+                net.register(_Stamper(sim, node_id, stamps))
             if use_batch:
-                net.send_many("src", ids, "x", 10)
+                _fanout(net, "src", ids, "x", 10)
             else:
                 for node_id in ids:
                     net.send("src", node_id, "x", 10)
             sim.run_until(5.0)
             return stamps
+
+        assert deliveries(True) == deliveries(False)
+
+    def test_single_destination_fanout_is_float_identical_to_send(self):
+        # The fan-out loop takes n=1 with no dedicated branch, so
+        # ``transmit_many(now, size, 1)`` must equal ``transmit(now, size)``
+        # and the latency / floor / FIFO arithmetic must match ``send`` bit
+        # for bit: a sampled latency model, a finite NIC that accumulates
+        # backlog, odd sizes, and completion floors.
+        def deliveries(use_fanout: bool):
+            sim = Simulator()
+            net = _jittery_net(sim)
+            net.register(Recorder(sim, "src"), egress_capacity_bps=7_000.0)
+            stamps = []
+            net.register(_Stamper(sim, "dst", stamps))
+            completions = []
+            for k in range(40):
+                size = 13 + 7 * k
+                floor = 0.05 * k if k % 3 == 0 else 0.0
+                if use_fanout:
+                    completions.extend(
+                        _fanout(net, "src", ["dst"], k, size, min_completions=[floor])
+                    )
+                else:
+                    completions.append(
+                        net.send("src", "dst", k, size, min_completion=floor)[0]
+                    )
+                sim.run_until(sim.now + 0.01)
+            sim.run_until(100.0)
+            return completions, stamps, net.port("src").total_bytes
+
+        assert deliveries(True) == deliveries(False)
+
+    def test_healthy_fault_plane_changes_nothing(self):
+        # One loop serves both configurations: a plane whose every verdict
+        # is 0.0 must leave arrival times bit-identical to no plane at all
+        # (the extra is added after completion + latency, and x + 0.0 == x).
+        def deliveries(with_plane: bool):
+            sim = Simulator()
+            net = _jittery_net(sim)
+            if with_plane:
+                net.fault_plane = _HealthyPlane()
+            net.register(Recorder(sim, "src"), egress_capacity_bps=9_000.0)
+            stamps = []
+            ids = [f"d{i}" for i in range(6)]
+            for node_id in ids:
+                net.register(_Stamper(sim, node_id, stamps))
+            for k in range(20):
+                _fanout(net, "src", ids[: 1 + k % 6], k, 11 + 3 * k)
+                net.send("src", ids[k % 6], -k, 17 + k)
+                sim.run_until(sim.now + 0.02)
+            sim.run_until(100.0)
+            return stamps, net.messages_sent, net.messages_dropped
 
         assert deliveries(True) == deliveries(False)
 
@@ -167,7 +253,7 @@ class TestPairStatePruning:
             net.register(actor)
         net.send("a", "b", "x", 10)
         net.send("b", "a", "y", 10)
-        net.send_many("c", ["a", "b"], "z", 10)
+        _fanout(net, "c", ["a", "b"], "z", 10)
         assert net.pair_state_count() == 4
         net.unregister("a")
         assert net.pair_state_count() == 1  # only (c, b) survives

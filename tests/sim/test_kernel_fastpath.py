@@ -1,11 +1,13 @@
-"""Tests for the kernel's hot-path machinery (PR 4, PR 9).
+"""Tests for the kernel's hot-path machinery.
 
-Covers the calendar-queue scheduler, the fire-and-forget
-``schedule_batch`` path, its interaction with compaction, the managed GC
-policy, and the clean failure state of ``run(max_events=...)``.
+Covers the one run loop behind ``run_until`` / ``run`` / ``step``, the
+fire-and-forget ``schedule_batch`` path, its interaction with compaction,
+the run loop's GC policy, and the clean failure state of
+``run(max_events=...)``.
 """
 
 import gc
+import inspect
 from random import Random
 
 import pytest
@@ -21,12 +23,12 @@ def _mixed_workload(sim: Simulator, log: list) -> None:
     # Exact ties: insertion order must win.
     for i in range(20):
         sim.schedule_at(1.5, log.append, ("tie", i))
-    # Nested scheduling, including zero-delay and into earlier buckets.
+    # Nested scheduling, including zero-delay.
     def nest(depth: int) -> None:
         log.append(("nest", depth, sim.now))
         if depth:
             sim.schedule(0.0, nest, depth - 1)
-            sim.schedule(0.004, nest, 0)  # lands inside the current bucket
+            sim.schedule(0.004, nest, 0)
     sim.schedule_at(2.0, nest, 3)
     # Cancellations interleaved with live events.
     doomed = [sim.schedule_at(2.5, log.append, ("never", i)) for i in range(50)]
@@ -38,63 +40,60 @@ def _mixed_workload(sim: Simulator, log: list) -> None:
     sim.schedule_batch(log.append, times, [(("batch", k),) for k in range(8)])
 
 
-class TestCalendarScheduler:
-    def test_rejects_unknown_scheduler(self):
-        with pytest.raises(ValueError):
-            Simulator(scheduler="wheel")
+def _drive(sim: Simulator, drive: str) -> None:
+    if drive == "run_until":
+        sim.run_until(1_000.0)
+    elif drive == "run":
+        sim.run()
+    else:
+        while sim.step():
+            pass
 
-    def test_rejects_non_positive_bucket(self):
-        with pytest.raises(ValueError):
-            Simulator(scheduler="calendar", calendar_bucket_s=0.0)
 
-    def test_matches_heap_order_exactly(self):
+class TestOneLoop:
+    """``run_until``, ``run`` and ``step`` are thin callers of one loop."""
+
+    def test_simulator_takes_no_options(self):
+        assert list(inspect.signature(Simulator.__init__).parameters) == ["self"]
+
+    def test_step_run_and_run_until_agree(self):
         logs = []
-        for scheduler in ("heap", "calendar"):
-            sim = Simulator(scheduler=scheduler)
+        for drive in ("run_until", "run", "step"):
+            sim = Simulator()
             log: list = []
             _mixed_workload(sim, log)
-            sim.run_until(5.0)
+            _drive(sim, drive)
             assert sim.pending_count == 0
             logs.append(log)
-        assert logs[0] == logs[1]
+        assert logs[0] == logs[1] == logs[2]
 
-    def test_step_and_run_agree(self):
-        sim_a = Simulator(scheduler="calendar")
-        sim_b = Simulator(scheduler="calendar")
-        log_a: list = []
-        log_b: list = []
-        _mixed_workload(sim_a, log_a)
-        _mixed_workload(sim_b, log_b)
-        sim_a.run_until(5.0)
-        while sim_b.step():
-            pass
-        assert log_a == log_b
-
-    def test_schedule_into_earlier_bucket_while_draining(self):
-        # With a large bucket the current bucket spans [0, 10): an event
-        # executed at t=1 schedules one at t=0.5 -- the queue must not run
-        # it (the past is rejected) but an earlier *bucket* insert from a
-        # later bucket must still win over the current remainder.
-        sim = Simulator(scheduler="calendar", calendar_bucket_s=1.0)
-        order = []
-        sim.schedule_at(5.5, order.append, "far")
-        sim.schedule_at(5.2, lambda: sim.schedule_at(5.3, order.append, "mid"))
-        sim.schedule_at(0.1, lambda: sim.schedule_at(0.9, order.append, "near"))
-        sim.run_until(10.0)
-        assert order == ["near", "mid", "far"]
-
-    def test_compaction_on_calendar(self):
-        sim = Simulator(scheduler="calendar")
-        live = []
-        doomed = [sim.schedule_at(100.0 + i, live.append, "no") for i in range(200)]
-        sim.schedule_at(1.0, live.append, "yes")
-        for handle in doomed:
-            handle.cancel()
+    @pytest.mark.parametrize("drive", ["run_until", "run", "step"])
+    def test_compaction_inside_a_callback_is_picked_up(self, drive):
+        # The loop holds the heap in a local; a compaction triggered by an
+        # executing event rebuilds ``sim._heap`` and must be re-read.
+        sim = Simulator()
+        fired = []
+        doomed = [sim.schedule_at(50.0 + i, fired.append, "never") for i in range(200)]
+        sim.schedule_at(1.0, lambda: [h.cancel() for h in doomed])
+        sim.schedule_at(2.0, fired.append, "after")
+        _drive(sim, drive)
         assert sim.compactions >= 1
-        assert sim.pending_count < 201  # tombstones actually freed
-        sim.run_until(300.0)  # past every tombstone's timestamp
-        assert live == ["yes"]
+        assert fired == ["after"]
         assert sim.pending_count == 0
+
+    def test_idle_insert_before_the_pending_remainder_runs_first(self):
+        sim = Simulator()
+        order: list = []
+        sim.schedule_at(1.000, order.append, "first")
+        sim.schedule_at(1.009, order.append, "remainder")
+        sim.run_until(1.000)
+        assert order == ["first"]
+        # The clock idles behind the remainder; earlier inserts, via a
+        # handle and via the batch path, must still come first.
+        sim.schedule_at(1.002, order.append, "earlier-handle")
+        sim.schedule_batch(order.append, [1.003], [("earlier-batch",)])
+        sim.run_until(2.0)
+        assert order == ["first", "earlier-handle", "earlier-batch", "remainder"]
 
 
 class TestScheduleBatch:
@@ -113,6 +112,24 @@ class TestScheduleBatch:
         sim.run_until(5.0)
         with pytest.raises(ValueError):
             sim.schedule_batch(lambda: None, [4.0], [()])
+
+    def test_rejected_batch_is_atomic(self, sim):
+        # Regression: a past timestamp mid-batch used to raise after the
+        # earlier entries were pushed but before the sequence counter was
+        # committed, so the next schedule_at reused their seq numbers and
+        # the (time, seq) tie fell through to comparing None with a handle.
+        fired = []
+        sim.run_until(1.0)
+        with pytest.raises(ValueError):
+            sim.schedule_batch(fired.append, [2.0, 0.5], [("a",), ("b",)])
+        assert sim.pending_count == 0
+        sim.schedule_at(2.0, fired.append, "ok")
+        sim.run_until(3.0)
+        assert fired == ["ok"]
+
+    def test_empty_batch(self, sim):
+        assert sim.schedule_batch(lambda: None, [], []) == 0
+        assert sim.pending_count == 0
 
     def test_ties_with_schedule_interleave_by_insertion(self, sim):
         order = []
@@ -163,19 +180,6 @@ class TestBatchCompactionInteraction:
         sim.run_until(300.0)
         assert fired == list(range(10))
 
-    def test_compaction_on_calendar_preserves_batch_entries(self):
-        sim = Simulator(scheduler="calendar")
-        fired = []
-        sim.schedule_batch(fired.append, [100.0 + i for i in range(10)],
-                           [(i,) for i in range(10)])
-        doomed = [sim.schedule_at(150.0 + i, fired.append, -i) for i in range(200)]
-        for handle in doomed:
-            handle.cancel()
-        assert sim.compactions >= 1
-        assert sim.pending_count < 210
-        sim.run_until(300.0)
-        assert fired == list(range(10))
-
 
 class TestRunCleanState:
     def test_max_events_leaves_clean_resumable_state(self, sim):
@@ -210,26 +214,38 @@ class TestRunCleanState:
         assert observed == [True]
 
 
-class TestManagedGc:
-    def test_results_identical_with_gc_managed(self):
+class TestGcPolicy:
+    """The run loop freezes + suspends the collector and always undoes it."""
+
+    def test_results_identical_with_and_without_the_policy(self):
         logs = []
-        for managed in (False, True):
-            sim = Simulator(gc_managed=managed)
+        for caller_disabled in (False, True):
+            sim = Simulator()
             log: list = []
             _mixed_workload(sim, log)
-            sim.run_until(5.0)
+            if caller_disabled:
+                gc.disable()  # the loop then leaves the collector alone
+            try:
+                sim.run_until(5.0)
+                assert gc.isenabled() is not caller_disabled
+            finally:
+                gc.enable()
             logs.append(log)
         assert logs[0] == logs[1]
 
-    def test_gc_reenabled_after_run(self):
+    @pytest.mark.parametrize("drive", ["run_until", "run", "step"])
+    def test_suspended_inside_and_released_after(self, drive):
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        sim = Simulator()
+        inside = []
+        sim.schedule(1.0, lambda: inside.append((gc.isenabled(), gc.get_freeze_count() > 0)))
+        _drive(sim, drive)
+        assert inside == [(False, True)]
         assert gc.isenabled()
-        sim = Simulator(gc_managed=True)
-        sim.schedule(1.0, lambda: None)
-        sim.run_until(2.0)
-        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
 
-    def test_gc_reenabled_after_runtime_error(self):
-        sim = Simulator(gc_managed=True)
+    def test_released_after_max_events_error(self):
+        sim = Simulator()
 
         def forever():
             sim.schedule(1.0, forever)
@@ -238,52 +254,43 @@ class TestManagedGc:
         with pytest.raises(RuntimeError):
             sim.run(max_events=10)
         assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_released_after_callback_error(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            sim.run_until(2.0)
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+        assert sim.running is False
 
     def test_nested_run_does_not_reenable_early(self):
-        # A callback that itself drives the simulator (run_until on a
-        # sub-interval is not allowed, but run() on a drained queue is a
-        # no-op) must not re-enable GC for the outer loop.
-        sim = Simulator(gc_managed=True)
+        sim = Simulator()
         states = []
 
-        def probe():
-            states.append(gc.isenabled())
+        def outer():
+            sim.schedule(0.0, states.append, "inner")
+            sim.run_until(sim.now)  # a nested loop, inside the outer one
+            states.append((gc.isenabled(), gc.get_freeze_count() > 0, sim.running))
 
-        sim.schedule(1.0, probe)
-        sim.schedule(2.0, probe)
+        sim.schedule(1.0, outer)
+        sim.schedule(2.0, lambda: states.append(gc.isenabled()))
         sim.run_until(3.0)
-        assert states == [False, False]
+        assert states == ["inner", (False, True, True), False]
         assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
 
-
-class TestEarlierBucketDirtyFlag:
-    """The run loop's earlier-bucket re-check is gated on a flag set at
-    insert time (``_cal_earlier``).  These pin the one scenario that
-    needs it: the clock idles behind a partially drained bucket, then an
-    insert lands in an *earlier* bucket than the current remainder."""
-
-    def test_idle_insert_into_earlier_bucket_wins_over_remainder(self):
-        sim = Simulator(scheduler="calendar", calendar_bucket_s=0.01)
-        order: list = []
-        # Two events in one far-future bucket; drain only the first.
-        sim.schedule_at(1.000, order.append, "first")
-        sim.schedule_at(1.009, order.append, "remainder")
-        sim.run_until(1.000)
-        assert order == ["first"]
-        # The clock idles behind the remainder; schedule into an earlier
-        # bucket, both via a handle and via the batch fast path.
-        sim.schedule_at(1.002, order.append, "earlier-handle")
-        sim.schedule_batch(order.append, [1.003], [("earlier-batch",)])
-        sim.run_until(2.0)
-        assert order == ["first", "earlier-handle", "earlier-batch", "remainder"]
-
-    def test_step_also_respects_earlier_insert(self):
-        sim = Simulator(scheduler="calendar", calendar_bucket_s=0.01)
-        order: list = []
-        sim.schedule_at(1.000, order.append, "first")
-        sim.schedule_at(1.009, order.append, "remainder")
-        sim.run_until(1.000)
-        sim.schedule_at(1.002, order.append, "earlier")
-        while sim.step():
-            pass
-        assert order == ["first", "earlier", "remainder"]
+    @pytest.mark.parametrize("drive", ["run_until", "run", "step"])
+    def test_maintenance_collection_runs_on_every_entry_point(self, drive, monkeypatch):
+        # Regression: run() and step() used to bypass the loop that held
+        # the maintenance collection, so a long run() with automatic GC
+        # suspended accumulated cyclic garbage without bound.
+        monkeypatch.setattr(Simulator, "GC_MAINTENANCE_EVENTS", 10)
+        collected = []
+        monkeypatch.setattr(gc, "collect", lambda *args: collected.append(args) or 0)
+        sim = Simulator()
+        for i in range(35):
+            sim.schedule(float(i + 1), lambda: None)
+        _drive(sim, drive)
+        assert collected == [(1,), (1,), (1,)]

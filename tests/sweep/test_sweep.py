@@ -80,9 +80,7 @@ class TestCheckSweep:
 
 class TestBenchSweep:
     def test_merged_doc_is_headline_compatible(self):
-        doc = bench_sweep(
-            ["fanout"], profile="smoke", scheduler="calendar", repeat=1
-        )
+        doc = bench_sweep(["fanout"], profile="smoke", repeat=1)
         assert doc["mode"] == "bench"
         headline = extract_headline(doc)
         assert headline is not None and headline > 0
@@ -90,9 +88,7 @@ class TestBenchSweep:
         assert compare_to_baseline(doc, doc, 0.2) is None
 
     def test_regression_gate_fires_on_inflated_baseline(self):
-        doc = bench_sweep(
-            ["fanout"], profile="smoke", scheduler="calendar", repeat=1
-        )
+        doc = bench_sweep(["fanout"], profile="smoke", repeat=1)
         inflated = json.loads(json.dumps(doc))
         inflated["scenarios"]["fanout"]["events_per_s"] *= 100.0
         assert compare_to_baseline(doc, inflated, 0.2) is not None
@@ -122,7 +118,6 @@ class TestCli:
             [
                 "bench",
                 "--profile", "smoke",
-                "--scheduler", "calendar",
                 "--scenario", "steady",
                 "--output", str(out_json),
             ]
