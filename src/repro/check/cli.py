@@ -142,15 +142,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         ]
 
     for scenario in scenarios:
-        tracer = None
-        if args.trace is not None:
+        if args.trace is None:
+            result = run_scenario(scenario)
+        else:
             # Tee mode: stream to disk while also buffering, because the
-            # oracles read result.tracer.events after the run.
-            sink = StreamingJsonlSink(str(args.trace))
-            tracer = Tracer(sink=sink, keep_events=True)
-        result = run_scenario(scenario, tracer=tracer)
-        if tracer is not None and tracer.sink is not None:
-            tracer.sink.finalize(tracer)
+            # oracles read result.tracer.events after the run.  Should the
+            # scenario raise, leaving the ``with`` flushes the events that
+            # led up to it (no trailer); after finalize it is a no-op.
+            with StreamingJsonlSink(str(args.trace)) as sink:
+                tracer = Tracer(sink=sink, keep_events=True)
+                result = run_scenario(scenario, tracer=tracer)
+                sink.finalize(tracer)
         violations = check_result(result)
         if violations:
             return _handle_failure(scenario, violations, args)

@@ -638,13 +638,9 @@ class DynamothClient(Actor):
                         delivery.server_id,
                     )
                 )
-                tracer.metrics.histogram(
-                    "delivery_latency_s", channel_class=channel_class(channel)
-                ).observe(latency)
-                # Single global counter so streaming runs (which keep no
-                # event buffer to count DeliveryEvents in) still report
-                # totals.
-                tracer.metrics.counter("deliveries_received_total").inc()
+                latency_hist, received = tracer.delivery_instruments[channel]
+                latency_hist.observe(latency)
+                received.inc()
 
             if self.on_delivery is not None:
                 self.on_delivery(channel, envelope, delivery)
@@ -697,12 +693,9 @@ class DynamothClient(Actor):
                     delivery.server_id,
                 )
             )
-            tracer.metrics.histogram(
-                "delivery_latency_s", channel_class=channel_class(channel)
-            ).observe(latency)
-            # Single global counter so streaming runs (which keep no event
-            # buffer to count DeliveryEvents in) still report totals.
-            tracer.metrics.counter("deliveries_received_total").inc()
+            latency_hist, received = tracer.delivery_instruments[channel]
+            latency_hist.observe(latency)
+            received.inc()
 
         if self.on_delivery is not None:
             self.on_delivery(channel, envelope, delivery)

@@ -369,9 +369,10 @@ def run_chaos_light(profile: BenchProfile, *, seed: int = 0) -> ScenarioResult:
         result = chaos.run_chaos(config, tracer=tracer)
         wall = time.perf_counter() - start
         sink.finalize(tracer)
-    metrics = result.tracer.metrics
-    events = int(metrics.counter("sim_events_total").value)
-    deliveries = int(metrics.counter("deliveries_received_total").value)
+    # The snapshot pulls the kernel's event count into sim_events_total.
+    counters = result.tracer.metrics.snapshot()["counters"]
+    events = int(counters["sim_events_total"])
+    deliveries = int(counters["deliveries_received_total"])
     return ScenarioResult(
         name="chaos_light",
         wall_s=round(wall, 4),

@@ -281,7 +281,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         stream=sys.stderr,
     )
     tracer = _make_tracer(args)
+    try:
+        return _run_command(args, tracer)
+    finally:
+        # A run that raised never reached ``_dump``: flush the streamed
+        # tail (no trailer -- the run did not finish) so the events leading
+        # up to the failure are on disk and a gzip member is not cut short.
+        # After a finished run the sink is already closed and this is a no-op.
+        if tracer is not None and tracer.sink is not None:
+            tracer.sink.close()
 
+
+def _run_command(args, tracer: Optional[Tracer]) -> int:
     if args.command == "bench":
         return _run_bench(args)
     if args.command == "fig4a":

@@ -11,6 +11,11 @@ Schema (one JSON object per line):
   with :func:`trailer_events`), the trace ends with an optional ``profile``
   event and a ``metrics`` event embedding a full registry snapshot.
 
+An event line is ``json.dumps(event.to_dict(), sort_keys=True,
+separators=(",", ":"))`` byte for byte, but the writer never builds that
+dict: :func:`line_encoder` compiles, once per event class, a function that
+joins the class's pre-rendered ``"key":`` fragments with the field values.
+
 The loader reconstructs typed event objects, so a write/read cycle is
 lossless (``loaded == original`` field for field); unknown event types in
 *newer* traces are skipped rather than failing, keeping old readers usable.
@@ -21,12 +26,22 @@ written by :class:`repro.obs.sink.StreamingJsonlSink`.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import json
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, Iterator, List, Union
+from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Tuple, Type, Union
 
-from repro.obs.trace import EVENT_TYPES, MetricsEvent, ProfileEvent, TraceEvent, Tracer
+from repro.obs.trace import (
+    EVENT_TYPES,
+    MetricsEvent,
+    ProfileEvent,
+    TraceEvent,
+    Tracer,
+    field_names,
+)
 
 #: Current writer schema.  v2 added the fault/recovery event types of the
 #: ``repro.faults`` subsystem; v3 adds the live-SLA events (sla_violation_*,
@@ -42,8 +57,69 @@ HEADER_TYPE = "trace_header"
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
+#: The one general-purpose encoder, for values the line encoders do not
+#: render themselves (``json.dumps`` with these arguments builds a fresh
+#: encoder object on every call).
+_encode_other = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@functools.cache
+def line_encoder(cls: Type[TraceEvent]) -> Callable[[TraceEvent], str]:
+    """The compiled ``event -> JSON line`` function of one event class.
+
+    Everything static is worked out here, once: the sorted key order (the
+    constant ``"type"`` member sorts in among the field names) and the
+    escaped ``,"key":`` text in front of each value.  Per event, the
+    returned function renders the values and joins.  A value is rendered
+    by its *exact* type -- ``bool`` is an ``int`` to ``isinstance`` but
+    ``true`` to JSON -- with the same C primitives the json module uses for
+    ``str``, ``int`` and finite ``float``; any other value (tuples, dict
+    payloads, non-finite floats, subclasses) goes to the shared encoder,
+    which is byte-exact by construction.
+    """
+    plan: List[Tuple[str, str]] = []
+    static = "{"
+    for index, name in enumerate(sorted(field_names(cls) + ("type",))):
+        static += ("," if index else "") + encode_basestring_ascii(name) + ":"
+        if name == "type":
+            static += encode_basestring_ascii(cls.TYPE)
+        else:
+            plan.append((static, name))
+            static = ""
+    tail = static + "}"
+    float_repr = float.__repr__
+    int_repr = int.__repr__
+
+    def encode(event: TraceEvent) -> str:
+        parts: List[str] = []
+        for fragment, name in plan:
+            value = getattr(event, name)
+            kind = type(value)
+            if kind is str:
+                text = encode_basestring_ascii(value)
+            elif kind is float and isfinite(value):
+                text = float_repr(value)
+            elif kind is int:
+                text = int_repr(value)
+            elif value is None:
+                text = "null"
+            elif value is True:
+                text = "true"
+            elif value is False:
+                text = "false"
+            else:
+                text = _encode_other(value)
+            parts.append(fragment)
+            parts.append(text)
+        parts.append(tail)
+        return "".join(parts)
+
+    return encode
+
+
 def event_to_json(event: TraceEvent) -> str:
-    return json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
+    """One trace line (no newline) for ``event``."""
+    return line_encoder(type(event))(event)
 
 
 def header_json() -> str:
@@ -73,11 +149,13 @@ def trailer_events(tracer: Tracer) -> List[TraceEvent]:
     """End-of-run events appended after the timeline.
 
     A ``profile`` snapshot (when a profiler is attached) followed by the
-    ``metrics`` registry snapshot, both stamped with the last event time.
-    Shared by :func:`dump_tracer` and streaming-sink finalization so both
-    paths produce byte-identical output.
+    ``metrics`` registry snapshot, both stamped with the latest event time
+    (``tracer.last_t``, not the last *emitted* event's: an SLA boundary
+    event is emitted after the delivery that crossed the boundary, with the
+    earlier boundary time).  Shared by :func:`dump_tracer` and
+    streaming-sink finalization so both produce byte-identical output.
     """
-    t = tracer.events[-1].t if tracer.events else tracer.last_t
+    t = tracer.last_t
     trailer: List[TraceEvent] = []
     if tracer.profiler is not None:
         trailer.append(ProfileEvent(t=t, data=tracer.profiler.snapshot()))

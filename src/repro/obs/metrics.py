@@ -20,7 +20,7 @@ assertions in tests, and per-sim-second sampling by the experiment harness.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Canonical instrument key: (name, sorted (label, value) pairs).
 InstrumentKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -221,13 +221,24 @@ def merge_histograms(histograms: Iterable[Histogram]) -> Histogram:
 
 
 class MetricsRegistry:
-    """Lazily created, label-aware instruments plus on-demand snapshots."""
+    """Lazily created, label-aware instruments plus on-demand snapshots.
+
+    Lookups are memoised on the raw call shape ``(kind, name,
+    *labels.items())``, so a repeated ``counter("x", server=sid)`` costs one
+    dict probe instead of re-sorting and re-stringifying its labels.  Many
+    raw shapes (any kwarg order) map to the one canonical instrument; the
+    canonical tables, and therefore :meth:`snapshot`, know nothing of the
+    memo.  Label values must be hashable.
+    """
 
     def __init__(self, quantiles: Optional[Sequence[float]] = None) -> None:
         self._counters: Dict[InstrumentKey, Counter] = {}
         self._gauges: Dict[InstrumentKey, Gauge] = {}
         self._histograms: Dict[InstrumentKey, Histogram] = {}
         self._kinds: Dict[str, str] = {}
+        #: raw call shape -> canonical instrument (see the class docstring).
+        self._memo: Dict[Tuple[Any, ...], Any] = {}
+        self._collectors: List[Callable[[], None]] = []
         #: Quantile list rendered into histogram snapshots.
         self.quantiles: Tuple[float, ...] = (
             tuple(quantiles) if quantiles is not None else Histogram.DEFAULT_QUANTILES
@@ -241,22 +252,45 @@ class MetricsRegistry:
         if existing != kind:
             raise ValueError(f"metric {name!r} already registered as a {existing}")
 
+    def _resolve(
+        self,
+        raw: Tuple[Any, ...],
+        table: Dict[InstrumentKey, Any],
+        labels: Dict[str, object],
+        factory: Callable[..., Any],
+        *layout: object,
+    ) -> Any:
+        """Memo miss: get or create the canonical instrument for ``raw``."""
+        kind, name = raw[0], raw[1]
+        key = _key(name, labels)
+        instrument = table.get(key)
+        if instrument is None:
+            self._check_kind(name, kind)
+            instrument = table[key] = factory(*layout)
+        # ``1``, ``1.0`` and ``True`` are one dict key but three label
+        # strings, so only shapes whose values *are* their label strings
+        # may be answered from the memo.
+        if all(type(value) is str for value in labels.values()):
+            self._memo[raw] = instrument
+        return instrument
+
+    # repro: scope[hot]
     def counter(self, name: str, **labels: object) -> Counter:
-        key = _key(name, labels)
-        instrument = self._counters.get(key)
+        raw = ("counter", name, *labels.items())
+        instrument = self._memo.get(raw)
         if instrument is None:
-            self._check_kind(name, "counter")
-            instrument = self._counters[key] = Counter()
+            instrument = self._resolve(raw, self._counters, labels, Counter)
         return instrument
 
+    # repro: scope[hot]
     def gauge(self, name: str, **labels: object) -> Gauge:
-        key = _key(name, labels)
-        instrument = self._gauges.get(key)
+        raw = ("gauge", name, *labels.items())
+        instrument = self._memo.get(raw)
         if instrument is None:
-            self._check_kind(name, "gauge")
-            instrument = self._gauges[key] = Gauge()
+            instrument = self._resolve(raw, self._gauges, labels, Gauge)
         return instrument
 
+    # repro: scope[hot]
     def histogram(
         self,
         name: str,
@@ -266,18 +300,30 @@ class MetricsRegistry:
         buckets: int = Histogram.DEFAULT_BUCKETS,
         **labels: object,
     ) -> Histogram:
-        key = _key(name, labels)
-        instrument = self._histograms.get(key)
+        raw = ("histogram", name, *labels.items())
+        instrument = self._memo.get(raw)
         if instrument is None:
-            self._check_kind(name, "histogram")
-            instrument = self._histograms[key] = Histogram(min_value, factor, buckets)
+            instrument = self._resolve(
+                raw, self._histograms, labels, Histogram, min_value, factor, buckets
+            )
         return instrument
+
+    def add_collector(self, collect: Callable[[], None]) -> None:
+        """Run ``collect()`` at the start of every :meth:`snapshot`.
+
+        For values whose source already holds them (the kernel's event
+        count and clock): the collector copies them into instruments when
+        someone looks, instead of a hook pushing them once per event.
+        """
+        self._collectors.append(collect)
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Everything, as plain JSON-serializable dicts with stable keys."""
+        for collect in self._collectors:
+            collect()
         return {
             "counters": {
                 format_key(k): c.value for k, c in sorted(self._counters.items())

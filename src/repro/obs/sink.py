@@ -1,13 +1,13 @@
 """Bounded-memory streaming trace sinks.
 
-PR 1's flight recorder buffered every event in RAM before export -- fine
-for figure-sized runs, a blocker for the ROADMAP's 100k-1M client tier
-(chaos_light alone peaks near a GB of RSS).  A :class:`TraceSink` receives
+A buffered tracer holds every event in RAM until export, which a
+multi-million-event run cannot afford.  A :class:`TraceSink` receives
 events *as they are emitted* and the :class:`StreamingJsonlSink` writes
 them incrementally:
 
-* events are serialized immediately and buffered as strings, flushed to
-  disk every ``chunk_events`` lines -- memory stays O(chunk), not O(run);
+* events are serialized immediately (by the event class's compiled line
+  encoder) and buffered as strings, flushed to disk every
+  ``chunk_events`` lines -- memory stays O(chunk), not O(run);
 * output is byte-equivalent to the buffered :func:`repro.obs.export.dump_tracer`
   path (same header, same serialization, same trailer via
   :meth:`finalize`), so downstream tooling cannot tell the difference;
@@ -21,6 +21,11 @@ Usage::
     tracer = Tracer(sink=sink)           # buffering off by default
     ... run the simulation ...
     sink.finalize(tracer)                # trailer + flush + close
+
+A run that raises never reaches ``finalize``; its owner calls
+:meth:`StreamingJsonlSink.close` in a ``finally`` so the buffered tail --
+the events leading up to the failure -- reaches the disk, without a
+trailer.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import gzip
 from pathlib import Path
 from typing import IO, List, Optional, Protocol, Union
 
-from repro.obs.export import event_to_json, header_json, trailer_events
+from repro.obs.export import header_json, line_encoder, trailer_events
 from repro.obs.trace import TraceEvent, Tracer
 
 
@@ -76,6 +81,7 @@ class StreamingJsonlSink:
     # ------------------------------------------------------------------
     # TraceSink interface
     # ------------------------------------------------------------------
+    # repro: scope[hot]
     def emit(self, event: TraceEvent) -> None:
         if self._fh is None:
             raise ValueError(f"{self.path}: sink is closed")
@@ -83,7 +89,7 @@ class StreamingJsonlSink:
             self._flush()
             self._close_fh()
             self._open_segment()
-        self._buffer.append(event_to_json(event))
+        self._buffer.append(line_encoder(type(event))(event))
         self._segment_events += 1
         self.events_written += 1
         if len(self._buffer) >= self._chunk:

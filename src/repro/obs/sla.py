@@ -74,6 +74,7 @@ class SlidingHistogram:
         return int(t / self.slice_s)
 
     def observe(self, t: float, value: float) -> None:
+        # SlaMonitor.observe unrolls this over its windows; keep them in step.
         epoch = self.epoch_of(t)
         slot = epoch % len(self._hists)
         hist = self._hists[slot]
@@ -169,6 +170,9 @@ class SlaMonitor:
         self._tracer = tracer
         self.config = config
         self._scopes: Dict[str, _Scope] = {}
+        #: (channel, server) -> the windows one delivery there feeds, so
+        #: scope names are built once per pair, not once per delivery.
+        self._feeds: Dict[Tuple[str, str], Tuple[SlidingHistogram, ...]] = {}
         self._epoch: Optional[int] = None
         self.slice_s = config.window_s / config.slices
         #: Closed + active violation episodes, in start order.
@@ -182,19 +186,28 @@ class SlaMonitor:
         if type(event) is DeliveryEvent:
             self.observe(event.t, event.latency_s, event.channel, event.server)
 
+    # repro: scope[hot]
     def observe(self, t: float, latency_s: float, channel: str, server: str = "") -> None:
-        self._advance(t)
-        scopes = [OVERALL_SCOPE]
-        if self.config.per_channel:
-            scopes.append(f"channel:{channel_class(channel)}")
-        if self.config.per_server and server:
-            scopes.append(f"server:{server}")
-        for name in scopes:
-            self._scope(name).window.observe(t, latency_s)
+        # One pass: every window shares ``slice_s``, so the epoch and the
+        # ring slot are worked out once and SlidingHistogram.observe is
+        # unrolled over the windows this (channel, server) feeds.
+        epoch = int(t / self.slice_s)
+        if epoch != self._epoch:
+            self._advance(epoch)
+        windows = self._feeds.get((channel, server))
+        if windows is None:
+            windows = self._feed(channel, server)
+        slot = epoch % self.config.slices
+        for window in windows:
+            hist = window._hists[slot]
+            if window._epochs[slot] != epoch:
+                hist.reset()
+                window._epochs[slot] = epoch
+            hist.observe(latency_s)
 
     def poll(self, now: float) -> None:
         """Advance windows on sim time without recording a sample."""
-        self._advance(now)
+        self._advance(int(now / self.slice_s))
 
     # ------------------------------------------------------------------
     # Reading (balancer signal / reports)
@@ -255,6 +268,18 @@ class SlaMonitor:
     # ------------------------------------------------------------------
     # Window clock
     # ------------------------------------------------------------------
+    def _feed(self, channel: str, server: str) -> Tuple[SlidingHistogram, ...]:
+        """First delivery on ``(channel, server)``: resolve its scopes."""
+        names = [OVERALL_SCOPE]
+        if self.config.per_channel:
+            names.append(f"channel:{channel_class(channel)}")
+        if self.config.per_server and server:
+            names.append(f"server:{server}")
+        windows = self._feeds[channel, server] = tuple(
+            self._scope(name).window for name in names
+        )
+        return windows
+
     def _scope(self, name: str) -> _Scope:
         entry = self._scopes.get(name)
         if entry is None:
@@ -270,8 +295,7 @@ class SlaMonitor:
             )
         return entry
 
-    def _advance(self, t: float) -> None:
-        epoch = int(t / self.slice_s)
+    def _advance(self, epoch: int) -> None:
         if self._epoch is None:
             self._epoch = epoch
             return

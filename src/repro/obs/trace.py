@@ -21,10 +21,11 @@ events, which keeps traced and untraced runs bit-identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
 def channel_class(channel: str) -> str:
@@ -39,6 +40,12 @@ def channel_class(channel: str) -> str:
     return stripped if stripped else prefix
 
 
+@functools.cache
+def field_names(cls: Type["TraceEvent"]) -> Tuple[str, ...]:
+    """An event class's field names in declaration order, derived once."""
+    return tuple(f.name for f in fields(cls))
+
+
 @dataclass
 class TraceEvent:
     """Base event: every record carries the virtual timestamp ``t``."""
@@ -48,12 +55,17 @@ class TraceEvent:
     t: float
 
     def to_dict(self) -> Dict[str, Any]:
+        """The event as a JSON-ready dict: what a reader gets back.
+
+        The writer does not come through here (it uses the per-class line
+        encoders of :mod:`repro.obs.export`); tests hold the two equal.
+        """
         out: Dict[str, Any] = {"type": self.TYPE}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, tuple):
                 value = list(value)
-            out[f.name] = value
+            out[name] = value
         return out
 
     @classmethod
@@ -545,6 +557,29 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
 }
 
 
+class _DeliveryInstruments(Dict[str, Tuple[Histogram, Counter]]):
+    """``channel -> (delivery_latency_s{channel_class}, deliveries_received_total)``.
+
+    Resolved on a channel's first traced delivery, so :func:`channel_class`
+    and the registry lookups run once per channel, not once per delivery,
+    and a run without deliveries still registers neither instrument.
+    """
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        super().__init__()
+        self._metrics = metrics
+
+    def __missing__(self, channel: str) -> Tuple[Histogram, Counter]:
+        metrics = self._metrics
+        pair = self[channel] = (
+            metrics.histogram("delivery_latency_s", channel_class=channel_class(channel)),
+            # Single global counter so streaming runs (which keep no event
+            # buffer to count DeliveryEvents in) still report totals.
+            metrics.counter("deliveries_received_total"),
+        )
+        return pair
+
+
 class Tracer:
     """Collects trace events and owns the shared metrics registry.
 
@@ -591,6 +626,13 @@ class Tracer:
         self.last_t: float = 0.0
         self._keep = keep_events
         self._observers: List[Callable[[TraceEvent], None]] = []
+        #: The two per-delivery instruments, by channel.  Held here, not by
+        #: the clients that feed them: one dict per run, not one per client.
+        self.delivery_instruments = _DeliveryInstruments(self.metrics)
+        #: Kernel whose event count and clock the registry pulls, and the
+        #: part of its ``events_processed`` already counted.
+        self._kernel: Optional[Any] = None
+        self._kernel_counted = 0
 
     @property
     def events_kept(self) -> bool:
@@ -601,6 +643,7 @@ class Tracer:
         """Register a live per-event callback (runs on every emit)."""
         self._observers.append(observer)
 
+    # repro: scope[hot]
     def emit(self, event: TraceEvent) -> None:
         if event.t > self.last_t:
             self.last_t = event.t
@@ -628,17 +671,35 @@ class Tracer:
             profiler.count_message(type(message).__name__, size_bytes)
 
     def attach_kernel(self, sim: Any) -> None:
-        """Install the kernel hook tracking sim events and the clock."""
-        events_total = self.metrics.counter("sim_events_total")
-        clock = self.metrics.gauge("sim_clock_s")
+        """Follow ``sim``: its events count into ``sim_events_total`` and
+        its clock into ``sim_clock_s``.
 
-        def hook(now: float, events_processed: int) -> None:
-            events_total.inc()
-            clock.set(now)
-
-        sim.event_hook = hook
+        Nothing runs per kernel event.  The kernel already holds both
+        numbers, so the registry pulls them when it is snapshotted.  A
+        tracer follows one kernel at a time: attaching the next one (an
+        experiment building a cluster per load level) first settles the
+        previous one's totals.
+        """
+        if self._kernel is None:
+            self.metrics.add_collector(self._collect_kernel)
+        else:
+            self._collect_kernel()
+        self._kernel = sim
+        self._kernel_counted = sim.events_processed
         if self.profiler is not None:
             sim.profiler = self.profiler
+
+    def _collect_kernel(self) -> None:
+        """Registry collector: count the kernel events executed since the
+        last collection and note the time of the latest one."""
+        sim = self._kernel
+        assert sim is not None
+        executed = sim.events_processed - self._kernel_counted
+        self._kernel_counted += executed
+        self.metrics.counter("sim_events_total").inc(executed)
+        clock = self.metrics.gauge("sim_clock_s")
+        if executed:
+            clock.set(sim.last_event_time)
 
 
 class NullTracer(Tracer):

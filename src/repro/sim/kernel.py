@@ -107,21 +107,19 @@ class Simulator:
         self._running = False
         self._heap: List[_Entry] = []
         self._gc_next: int = self.GC_MAINTENANCE_EVENTS
-        #: Optional observability hook ``(now, events_processed) -> None``,
-        #: invoked after each executed event.  Hoisted into a local at run
-        #: entry (``None`` then costs nothing per event), so it must be
-        #: installed *before* entering a run loop, never from inside an
-        #: executing event; the hook must not schedule events or touch any
-        #: RNG so instrumented runs stay deterministic.
-        self.event_hook: Optional[Callable[[float, int], None]] = None
+        self._last_event_time: float = 0.0
         #: Optional sim-profiler (``repro.obs.profile.SimProfiler``-shaped:
         #: anything with ``record_event(fn, now)``).  Fed the executed
-        #: callback after each event; same determinism contract as
-        #: :attr:`event_hook` (counts and virtual time only, no wall clock).
+        #: callback after each event.  Hoisted into a local at run entry
+        #: (``None`` then costs nothing per event), so it must be installed
+        #: *before* entering a run loop, never from inside an executing
+        #: event; it must not schedule events or touch any RNG (counts and
+        #: virtual time only, no wall clock) so instrumented runs stay
+        #: deterministic.
         self.profiler: Optional[Any] = None
-        #: Low-frequency sampling hook installed via :meth:`set_sample_hook`;
-        #: unlike :attr:`event_hook` it fires only every ``sample_every``
-        #: executed events, so per-event cost is one integer compare.
+        #: Low-frequency sampling hook installed via :meth:`set_sample_hook`:
+        #: it fires only every ``sample_every`` executed events, so
+        #: per-event cost is one integer compare.
         self.sample_hook: Optional[Callable[[float, int], None]] = None
         self.sample_every: int = 0
         self._sample_next: float = _NEVER
@@ -138,6 +136,15 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of events executed so far (diagnostic)."""
         return self._events_processed
+
+    @property
+    def last_event_time(self) -> float:
+        """Timestamp of the last event executed by a finished run loop.
+
+        Unlike :attr:`now` it does not jump to the :meth:`run_until`
+        horizon; 0.0 until a run loop that executed something has exited.
+        """
+        return self._last_event_time
 
     @property
     def pending_count(self) -> int:
@@ -255,7 +262,7 @@ class Simulator:
 
         ``fn(now, events_processed)`` fires after every ``every`` executed
         events -- used by the bench harness for RSS time series.  The hook
-        must follow the :attr:`event_hook` determinism contract.
+        must follow the :attr:`profiler` determinism contract.
         """
         if fn is None:
             self.sample_hook = None
@@ -294,17 +301,16 @@ class Simulator:
             gc.freeze()
             gc.disable()
         gc_next = self._gc_next if owns_gc else _NEVER
-        stop_at = _NEVER if budget is None else self._events_processed + budget
+        started_at = self._events_processed
+        stop_at = _NEVER if budget is None else started_at + budget
         was_running = self._running
         self._running = True
         try:
-            # Instrumentation hooks are hoisted into locals once per run
-            # entry: a None hook costs nothing per event instead of an
-            # attribute load + test.  Hooks must therefore be installed
-            # before the run loop starts (Tracer.attach_kernel and the
-            # bench harness both do), never from inside an executing
+            # The profiler is hoisted into a local once per run entry: None
+            # costs nothing per event instead of an attribute load + test.
+            # It must therefore be installed before the run loop starts
+            # (Tracer.attach_kernel does), never from inside an executing
             # event.
-            hook = self.event_hook
             profiler = self.profiler
             # Combined threshold: one compare per event covers the sampling
             # hook, GC maintenance and the event budget.
@@ -340,8 +346,6 @@ class Simulator:
                     event.args = ()
                 self._events_processed += 1
                 fn(*args)
-                if hook is not None:
-                    hook(self._now, self._events_processed)
                 if profiler is not None:
                     profiler.record_event(fn, self._now)
                 if heap is not self._heap:
@@ -363,6 +367,10 @@ class Simulator:
             return False
         finally:
             self._running = was_running
+            if self._events_processed != started_at:
+                # One store per loop exit, not per event: run_until is about
+                # to move ``_now`` to its horizon.
+                self._last_event_time = self._now
             if owns_gc:
                 gc.enable()
                 gc.unfreeze()

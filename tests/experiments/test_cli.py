@@ -3,6 +3,9 @@
 import pytest
 
 from repro.experiments.cli import main
+from repro.obs.export import iter_trace
+from repro.obs.trace import MetricsEvent
+from tests.helpers import crash_clusters_at
 
 
 class TestCli:
@@ -56,6 +59,22 @@ class TestStreamingFlags:
         assert main(["chaos", "--smoke", "--trace", str(buffered)]) == 0
         capsys.readouterr()
         assert streamed.read_bytes() == buffered.read_bytes()
+
+    @pytest.mark.parametrize("gzip_flag", [[], ["--trace-gzip"]])
+    def test_run_that_raises_keeps_its_streamed_tail(self, tmp_path, monkeypatch, gzip_flag):
+        """The sink's unflushed chunk must not die with the exception: the
+        trace reads through the last event before the raise, no trailer."""
+        seen = crash_clusters_at(monkeypatch, 2.0)
+        path = tmp_path / "crashed.jsonl"
+        with pytest.raises(RuntimeError, match="workload callback failed"):
+            main(
+                ["fig4a", "--levels", "100", "--measure-s", "4",
+                 "--trace", str(path), "--stream-trace", *gzip_flag]
+            )
+        events = list(iter_trace(path))
+        assert len(events) == seen["emitted"] > 0
+        assert events[-1].t <= 2.0
+        assert not any(type(e) is MetricsEvent for e in events)
 
     def test_chaos_sim_profile_prints_ranking(self, capsys):
         assert main(["chaos", "--smoke", "--sim-profile"]) == 0

@@ -9,7 +9,7 @@ being copy-pasted per suite.
 from __future__ import annotations
 
 from random import Random
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.broker.config import BrokerConfig
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
@@ -34,6 +34,29 @@ def make_static_cluster(
         broker_config=broker_config,
         config=config,
     )
+
+
+def crash_clusters_at(monkeypatch, t: float) -> Dict[str, int]:
+    """Make every cluster built from now on raise from a callback at ``t``.
+
+    Stands in for a workload callback that fails mid-run.  The returned
+    dict's ``"emitted"`` is the number of events the cluster's streaming
+    sink had been handed when the callback raised.
+    """
+    seen: Dict[str, int] = {}
+    original = DynamothCluster.__init__
+
+    def crashing_init(cluster, *args, **kwargs):
+        original(cluster, *args, **kwargs)
+
+        def boom():
+            seen["emitted"] = cluster.tracer.sink.events_written
+            raise RuntimeError("workload callback failed")
+
+        cluster.sim.schedule_at(t, boom)
+
+    monkeypatch.setattr(DynamothCluster, "__init__", crashing_init)
+    return seen
 
 
 def make_fixed_transport(

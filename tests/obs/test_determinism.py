@@ -67,14 +67,21 @@ class TestNullTracerStaysCold:
         result = experiment1.run_fig4a_point(50, False, seed=0, measure_s=1.0)
         assert result.delivery_rate > 0.0
 
-    def test_untraced_cluster_has_no_kernel_hook(self):
-        cluster = DynamothCluster(seed=0, initial_servers=1)
-        assert cluster.sim.event_hook is None
+    def test_kernel_runs_nothing_per_event_traced_or_not(self):
+        """The kernel metrics are pulled when the registry is snapshotted:
+        there is no per-event hook for a tracer to install."""
+        for tracer in (None, Tracer()):
+            cluster = DynamothCluster(seed=0, initial_servers=1, tracer=tracer)
+            assert not hasattr(cluster.sim, "event_hook")
+            assert cluster.sim.profiler is None
 
-    def test_traced_cluster_installs_kernel_hook(self):
+    def test_traced_cluster_reports_kernel_metrics(self):
         tracer = Tracer()
         cluster = DynamothCluster(seed=0, initial_servers=1, tracer=tracer)
-        assert cluster.sim.event_hook is not None
+        cluster.run_until(2.0)
+        snap = tracer.metrics.snapshot()
+        assert snap["counters"]["sim_events_total"] == cluster.sim.events_processed > 0
+        assert snap["gauges"]["sim_clock_s"] == cluster.sim.last_event_time
 
 
 class TestControlPlaneTrace:

@@ -1,13 +1,17 @@
 """JSONL export round-trip tests: every event type survives write -> read."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.export import (
     HEADER_TYPE,
     SCHEMA_VERSION,
     dump_tracer,
+    event_to_json,
     read_trace,
     write_trace,
 )
@@ -52,6 +56,7 @@ from repro.obs.trace import (
     SwitchNoticeEvent,
     Tracer,
     UnsubscribeEvent,
+    field_names,
 )
 
 #: One instance of every event type, exercising tuples, dicts and None.
@@ -131,6 +136,94 @@ class TestRoundTrip:
         assert isinstance(loaded[-1], MetricsEvent)
         assert loaded[-1].t == 2.0  # stamped with the last event's time
         assert loaded[-1].data["counters"]["deliveries_total{server=pub1}"] == 5
+
+
+def reference_json(event):
+    """What a trace line is defined to be; the writer must match it."""
+    return json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+#: Values that separate a hand-rolled encoder from ``json.dumps``.  They go
+#: into *every* field of every event type, whatever its annotation says:
+#: the encoder dispatches on the value it finds, not on the declaration.
+TRICKY_VALUES = [
+    "",
+    "plain",
+    "caf\u00e9 \u2603 \U0001f600",
+    'quote " backslash \\ slash / \x00\x1f\x7f \n\t',
+    0.0,
+    -0.0,
+    1e-320,
+    1e22,
+    1e16,
+    123456789.123456789,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    0,
+    -1,
+    2**63,
+    -(2**80),
+    True,
+    False,
+    None,
+    (),
+    ("a",),
+    ("a", ("b", (), (1, 2.5, None, True)), "c"),
+    ["a", ("b",)],
+    {"b": 1, "a": {"z": (1, 2), "y": None, "x": float("nan")}},
+    {},
+]
+
+
+class TestCompiledEncoder:
+    @pytest.mark.parametrize("event", SAMPLE_EVENTS, ids=lambda e: e.TYPE)
+    def test_sample_events_match_the_reference(self, event):
+        assert event_to_json(event) == reference_json(event)
+
+    @pytest.mark.parametrize("event", SAMPLE_EVENTS, ids=lambda e: e.TYPE)
+    def test_tricky_values_in_every_field_match_the_reference(self, event):
+        for name in field_names(type(event)):
+            for value in TRICKY_VALUES:
+                mutated = replace(event, **{name: value})
+                assert event_to_json(mutated) == reference_json(mutated), (name, value)
+
+    def test_bool_in_an_int_field_is_not_an_int(self):
+        event = ReplayEvent(1.0, "pub1", "tile:1:1", "bob", True, False, 1, 0, 0)
+        line = event_to_json(event)
+        assert '"epoch":true' in line and '"from_seq":false' in line
+        assert line == reference_json(event)
+
+    def test_metrics_event_with_nested_dicts(self):
+        tracer = Tracer()
+        tracer.metrics.counter("z_total", server="pub2", channel_class="tile").inc(3)
+        tracer.metrics.histogram("lat_s", channel_class="tile").observe(0.25)
+        event = MetricsEvent(t=2.0, data=tracer.metrics.snapshot())
+        assert event_to_json(event) == reference_json(event)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        values=st.lists(
+            st.recursive(
+                st.none()
+                | st.booleans()
+                | st.integers()
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(),
+                lambda inner: st.lists(inner, max_size=3).map(tuple)
+                | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                max_leaves=8,
+            ),
+            min_size=9,
+            max_size=9,
+        ),
+    )
+    def test_arbitrary_values_match_the_reference(self, data, values):
+        event = data.draw(st.sampled_from(SAMPLE_EVENTS))
+        names = field_names(type(event))
+        mutated = replace(event, **dict(zip(names, values)))
+        assert event_to_json(mutated) == reference_json(mutated)
 
 
 class TestReaderRobustness:

@@ -133,6 +133,54 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             reg.histogram("thing")
 
+    def test_any_spelling_of_a_label_set_is_one_instrument(self):
+        """The lookup memo is keyed on the raw call shape; every shape must
+        still land on the one canonical instrument, hit or miss."""
+        reg = MetricsRegistry()
+        first = reg.counter("x", a="1", b="2")
+        for _ in range(2):  # second round is answered from the memo
+            assert reg.counter("x", a="1", b="2") is first
+            assert reg.counter("x", b="2", a="1") is first
+            assert reg.counter("x", a=1, b=2) is first
+            assert reg.counter("x", b="2", a=1) is first
+        assert list(reg.snapshot()["counters"]) == ["x{a=1,b=2}"]
+
+    def test_equal_keys_with_different_label_text_stay_apart(self):
+        # 1 == 1.0 == True as dict keys, but they are three label strings.
+        reg = MetricsRegistry()
+        for _ in range(2):
+            reg.counter("x", a=1).inc()
+            reg.counter("x", a=1.0).inc(10)
+            reg.counter("x", a=True).inc(100)
+        assert reg.snapshot()["counters"] == {
+            "x{a=1.0}": 20, "x{a=1}": 2, "x{a=True}": 200,
+        }
+
+    def test_kind_conflict_rejected_with_a_warm_memo(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            reg.counter("thing", server="a").inc()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="already registered as a counter"):
+                reg.gauge("thing", server="a")
+        assert reg.snapshot()["gauges"] == {}
+
+    def test_untouched_instrument_is_absent_from_snapshot(self):
+        reg = MetricsRegistry()
+        reg.counter("touched", server="a").inc()
+        reg.counter_value("only_read", server="a")
+        snap = reg.snapshot()
+        assert list(snap["counters"]) == ["touched{server=a}"]
+        assert snap["gauges"] == {} and snap["histograms"] == {}
+
+    def test_collectors_run_at_every_snapshot(self):
+        reg = MetricsRegistry()
+        source = [3.0]
+        reg.add_collector(lambda: reg.gauge("pulled").set(source[0]))
+        assert reg.snapshot()["gauges"] == {"pulled": 3.0}
+        source[0] = 4.0
+        assert reg.snapshot()["gauges"] == {"pulled": 4.0}
+
     def test_unknown_counter_reads_zero(self):
         assert MetricsRegistry().counter_value("nope") == 0.0
 

@@ -11,7 +11,15 @@ from repro.obs.export import (
     trace_segments,
 )
 from repro.obs.sink import StreamingJsonlSink
-from repro.obs.trace import DeliveryEvent, PublishEvent, ServerReadyEvent, Tracer
+from repro.obs.sla import SlaConfig, SlaMonitor
+from repro.obs.trace import (
+    DeliveryEvent,
+    MetricsEvent,
+    PublishEvent,
+    ServerReadyEvent,
+    SlaWindowEvent,
+    Tracer,
+)
 
 
 def _emit_sample_run(tracer, n=50):
@@ -43,6 +51,35 @@ class TestByteEquivalence:
         _emit_sample_run(tracer)
         sink.finalize(tracer)
         assert path.read_bytes() == expected
+
+    def test_trailer_timestamp_when_the_last_emitted_event_is_not_the_latest(self, tmp_path):
+        """An SLA boundary event is emitted *after* the delivery that
+        crossed the boundary, stamped with the earlier boundary time; both
+        exports must stamp the trailer with the latest time, not the last
+        emitted one."""
+
+        def run(tracer):
+            tracer.add_observer(SlaMonitor(tracer, SlaConfig(threshold_s=0.15)))  # 1 s slices
+            for t in (0.5, 1.2):
+                tracer.emit(DeliveryEvent(t, "bob", "tile:1:1", f"m{t}", "alice", 0.01, 2, "pub1"))
+
+        buffered = Tracer()
+        run(buffered)
+        assert type(buffered.events[-1]) is SlaWindowEvent
+        assert buffered.events[-1].t == 1.0
+        buffered_path = tmp_path / "buffered.jsonl"
+        dump_tracer(buffered, buffered_path)
+
+        streamed_path = tmp_path / "streamed.jsonl"
+        sink = StreamingJsonlSink(str(streamed_path))
+        streamed = Tracer(sink=sink)
+        run(streamed)
+        sink.finalize(streamed)
+
+        assert streamed_path.read_bytes() == buffered_path.read_bytes()
+        trailer = read_trace(buffered_path)[-1]
+        assert type(trailer) is MetricsEvent
+        assert trailer.t == 1.2
 
     def test_gzip_decompresses_to_buffered_bytes(self, tmp_path):
         expected = _buffered_bytes(tmp_path)

@@ -157,6 +157,6 @@ class TestDeterminism:
             config.duration_s = 30.0
             config.sla_threshold_s = threshold
             result = run_chaos(config)
-            return int(result.tracer.metrics.counter("sim_events_total").value)
+            return result.tracer.metrics.snapshot()["counters"]["sim_events_total"]
 
         assert events_processed(None) == events_processed(0.15)

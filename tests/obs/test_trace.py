@@ -1,6 +1,7 @@
 """Tests for the tracer: channel classes, event capture on a live cluster."""
 
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
+from repro.obs.profile import SimProfiler
 from repro.obs.trace import (
     NULL_TRACER,
     DeliveryEvent,
@@ -12,6 +13,7 @@ from repro.obs.trace import (
     UnsubscribeEvent,
     channel_class,
 )
+from repro.sim.kernel import Simulator
 
 
 class TestChannelClass:
@@ -102,13 +104,70 @@ class TestTracedRun:
         assert sent >= 2  # at least subscribe + publish
         assert tracer.metrics.counter_value("messages_sent_total", node="pub") >= 1
 
-    def test_kernel_hook_tracks_clock(self):
+    def test_kernel_metrics_track_clock(self):
         cluster, tracer = _traced_cluster()
         cluster.create_client("c").subscribe("x", lambda *a: None)
         cluster.run_for(3.0)
         snap = tracer.metrics.snapshot()
         assert snap["counters"]["sim_events_total"] > 0
         assert 0.0 < snap["gauges"]["sim_clock_s"] <= 3.0
+
+    def test_kernel_metrics_equal_a_per_event_hook(self):
+        """The pulled metrics must be what a hook run after every kernel
+        event would have pushed (the profiler seam is such a hook)."""
+
+        class PerEventHook(SimProfiler):
+            events = 0
+            clock = 0.0
+
+            def record_event(self, fn, now):
+                self.events += 1
+                self.clock = now
+
+        hook = PerEventHook()
+        tracer = Tracer(profiler=hook)
+        cluster = DynamothCluster(seed=0, initial_servers=1, tracer=tracer)
+        cluster.create_client("c").subscribe("x", lambda *a: None)
+        cluster.run_for(3.0)
+        snap = tracer.metrics.snapshot()
+        assert snap["counters"]["sim_events_total"] == hook.events > 0
+        assert snap["gauges"]["sim_clock_s"] == hook.clock
+        assert type(snap["counters"]["sim_events_total"]) is float
+
+    def test_kernel_clock_is_the_last_event_not_the_horizon(self):
+        sim = Simulator()
+        tracer = Tracer()
+        tracer.attach_kernel(sim)
+        assert tracer.metrics.snapshot()["counters"] == {"sim_events_total": 0.0}
+        assert tracer.metrics.snapshot()["gauges"] == {"sim_clock_s": 0.0}
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.5, lambda: None)
+        sim.run_until(10.0)
+        sim.run_until(20.0)  # executes nothing: must not move the clock
+        snap = tracer.metrics.snapshot()
+        assert snap["counters"]["sim_events_total"] == 2.0
+        assert snap["gauges"]["sim_clock_s"] == 2.5
+        assert tracer.metrics.snapshot() == snap  # pulling twice adds nothing
+
+    def test_kernels_attached_in_turn_accumulate(self):
+        """One tracer across an experiment's clusters: events add up and
+        the clock follows the kernel that ran last."""
+        tracer = Tracer()
+        first, second = Simulator(), Simulator()
+        tracer.attach_kernel(first)
+        first.schedule_at(4.0, lambda: None)
+        first.run_until(5.0)
+        tracer.attach_kernel(second)
+        for t in (0.5, 1.5, 3.0):
+            second.schedule_at(t, lambda: None)
+        second.run_until(9.0)
+        snap = tracer.metrics.snapshot()
+        assert snap["counters"]["sim_events_total"] == 4.0
+        assert snap["gauges"]["sim_clock_s"] == 3.0
+
+    def test_tracer_never_attached_reports_no_kernel_metrics(self):
+        snap = Tracer().metrics.snapshot()
+        assert snap["counters"] == {} and snap["gauges"] == {}
 
     def test_delivery_latency_histogram_recorded(self):
         cluster, tracer = _traced_cluster()
