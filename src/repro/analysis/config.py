@@ -111,6 +111,7 @@ DEFAULT_PROTOCOL: Dict[str, Tuple[str, ...]] = {
     "PongReply": ("DynamothClient",),
     "ReplayGapNotice": ("DynamothClient",),
     "ConnectionClosed": ("DynamothClient",),
+    "ParkTimeout": ("DynamothClient",),
     "PlanPush": ("Dispatcher",),
     "NoMoreSubscribers": (
         "Dispatcher",
@@ -131,13 +132,13 @@ DEFAULT_UNROUTED: Tuple[str, ...] = (
     "ReliabilityConfig",
     "CacheEntry",
     "ReplaySlice",
-    "ObserveOutcome",
 )
 
 #: Files whose actor classes are parsed for ``receive`` dispatch maps.
 DEFAULT_MSG_ACTORS: Tuple[str, ...] = (
     "src/repro/broker/server.py",
     "src/repro/core/client.py",
+    "src/repro/core/client_recovery.py",
     "src/repro/core/dispatcher.py",
     "src/repro/core/balancer.py",
     "src/repro/core/lla.py",

@@ -297,10 +297,7 @@ class PubSubServer(Actor):
 
         ``up_to_seq=None`` (the resume case) means "everything newer".
         Evicted prefixes produce a truthful :class:`ReplayGapNotice`
-        instead of silently succeeding.  With the test-only kill switch
-        off (``replay_enabled=False``) nothing is sent at all -- not even
-        the gap notice -- which is exactly the silent loss the gap-free
-        oracle exists to catch.
+        instead of silently succeeding.
         """
         rel = self.reliability
         if up_to_seq is None:

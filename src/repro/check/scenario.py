@@ -22,12 +22,15 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.core.cluster import DynamothCluster
 from repro.core.config import DELIVERY_TIERS, DynamothConfig
+from repro.core.dispatcher import Dispatcher
 from repro.core.plan import Plan
+from repro.core.reliability import BrokerReliability
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import (
     ChaosSchedule,
@@ -363,6 +366,44 @@ def _noop_callback(channel: str, body: object, envelope: object) -> None:
     pass
 
 
+#: ``Scenario`` flag -> (class, method, broken stand-in): the real loss
+#: bugs the harness can plant.  The first parks the repair buffer's
+#: messages and drops them; the second keeps brokers stamping sequence
+#: numbers but ignores every replay/resume request *silently* (no gap
+#: notice either).
+_PLANTABLE_BUGS = {
+    "break_repair_replay": (
+        Dispatcher,
+        "_flush_repair_buffer",
+        lambda dispatcher, channel: dispatcher._repair_buffers.pop(channel, None),
+    ),
+    "break_reliable_replay": (
+        BrokerReliability,
+        "replay_slice",
+        lambda reliability, channel, epoch, after_seq, up_to_seq: None,
+    ),
+}
+
+
+@contextmanager
+def _planted_bugs(scenario: Scenario) -> Iterator[None]:
+    """Apply the scenario's ``break_*`` flags for the duration of one run.
+
+    The product has no switch for either bug; the harness replaces the
+    method at class level, so servers spawned or restarted mid-run are
+    broken too.
+    """
+    planted = [bug for flag, bug in _PLANTABLE_BUGS.items() if getattr(scenario, flag)]
+    originals = [(cls, name, getattr(cls, name)) for cls, name, _ in planted]
+    try:
+        for cls, name, broken in planted:
+            setattr(cls, name, broken)
+        yield
+    finally:
+        for cls, name, original in originals:
+            setattr(cls, name, original)
+
+
 def run_scenario(
     scenario: Scenario, *, tracer: Optional[Tracer] = None
 ) -> RunResult:
@@ -371,6 +412,11 @@ def run_scenario(
     A caller-supplied ``tracer`` (e.g. one teeing into a streaming sink)
     must keep event buffering on: the oracles read ``tracer.events``.
     """
+    with _planted_bugs(scenario):
+        return _run_scenario(scenario, tracer)
+
+
+def _run_scenario(scenario: Scenario, tracer: Optional[Tracer]) -> RunResult:
     config = DynamothConfig(
         t_wait_s=scenario.t_wait_s,
         plan_entry_timeout_s=scenario.plan_entry_timeout_s,
@@ -384,10 +430,8 @@ def run_scenario(
         # loads are pruned before the repair plan is generated, and
         # repair never re-homes anything (nor arms the repair buffer).
         load_window_s=8.0,
-        repair_replay_enabled=not scenario.break_repair_replay,
         delivery_tier=scenario.delivery_tier,
         causal_order=scenario.causal_order,
-        reliable_replay_enabled=not scenario.break_reliable_replay,
     )
     if tracer is None:
         tracer = Tracer()

@@ -1,0 +1,223 @@
+"""Client-side failure detection and failover recovery.
+
+A crashed server never answers (its connection vanished without a FIN in
+this failure model), so consecutive unanswered pings are the only
+client-side liveness signal.  A :class:`DynamothClient` builds a
+:class:`ClientRecovery` only when ``client_ping_interval_s`` is set: off
+by default because pong traffic perturbs measured egress; the sends are
+fully deterministic (no RNG, no jitter), so enabling it changes nothing
+else.  The overload-kill path (``ConnectionClosed`` -> reconnect) runs
+with probing off and stays in the client.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Dict, Set
+
+from repro.broker.commands import PingCmd
+from repro.core.config import DynamothConfig
+from repro.obs.trace import ClientFailoverEvent, ClientReconnectEvent
+from repro.sim.timers import PeriodicTask
+
+if TYPE_CHECKING:
+    from repro.core.client import DynamothClient
+
+
+class ClientRecovery:
+    """Ping, declare dead, fail over, verify by ack, back off and retry.
+
+    ``failed`` and ``publish_targets`` are public because the client's
+    per-message paths touch them without a call: ``_resolve`` tests
+    ``failed`` for emptiness, ``publish`` stores into ``publish_targets``.
+    """
+
+    def __init__(self, client: "DynamothClient", config: DynamothConfig) -> None:
+        self._client = client
+        self._config = config
+        #: server -> time this client declared it dead; entries expire
+        #: after ``failed_server_ttl_s`` so a restarted server becomes
+        #: routable again without any explicit signal.
+        self.failed: Dict[str, float] = {}
+        #: server -> last time the client published through it.  Pure
+        #: publishers have no subscriptions to probe, so liveness checks
+        #: must also cover recently-used publish targets -- otherwise a
+        #: publisher keeps sending into a dead server forever.
+        self.publish_targets: Dict[str, float] = {}
+        #: server -> consecutive unanswered pings
+        self._ping_misses: Dict[str, int] = {}
+        #: channel -> servers whose SubscribeAck we have seen
+        self._acked: Dict[str, Set[str]] = {}
+        #: channels with a failover recovery in flight
+        self._pending: Set[str] = set()
+        #: channel -> newest recovery attempt number (stale timers ignored)
+        self._attempt: Dict[str, int] = {}
+        self._ping_task = PeriodicTask(client.sim, config.client_ping_interval_s, self._ping_tick)
+        self._ping_task.start()
+
+    def stop(self) -> None:
+        self._ping_task.stop()
+
+    def pong(self, server_id: str) -> None:
+        self._ping_misses[server_id] = 0
+        self.failed.pop(server_id, None)
+
+    def ack(self, channel: str, server_id: str) -> None:
+        self._acked.setdefault(channel, set()).add(server_id)
+
+    def unack(self, server_id: str, channels: list) -> None:
+        """``server_id`` was detached from ``channels``: its acks are void."""
+        for channel in channels:
+            acked = self._acked.get(channel)
+            if acked is not None:
+                acked.discard(server_id)
+
+    def forget(self, channel: str) -> None:
+        """The client unsubscribed: nothing left to recover on ``channel``."""
+        self._acked.pop(channel, None)
+        self._pending.discard(channel)
+        self._attempt.pop(channel, None)
+
+    def live_failed(self, now: float) -> Set[str]:
+        """Currently-dead servers; expires marks past the TTL."""
+        failed = self.failed
+        ttl = self._config.failed_server_ttl_s
+        for server in list(failed):
+            if now - failed[server] >= ttl:
+                del failed[server]
+        return set(failed)
+
+    def _ping_tick(self, now: float) -> None:
+        """Probe every subscribed server; declare it dead after N misses.
+
+        Servers this client recently published through are probed as
+        well: a pure publisher would otherwise never notice its target
+        died.
+        """
+        client = self._client
+        servers: Set[str] = set()
+        for sub in client._subs.values():
+            servers |= sub.servers
+        targets = self.publish_targets
+        if targets:
+            window = 5.0 * self._config.client_ping_interval_s
+            for server in list(targets):
+                if now - targets[server] > window:
+                    del targets[server]
+            servers |= set(targets)
+        misses = self._ping_misses
+        for server in list(misses):
+            if server not in servers:
+                del misses[server]
+        for server in sorted(servers):
+            missed = misses.get(server, 0)
+            if missed >= self._config.client_ping_miss_limit:
+                self._on_server_failed(server)
+                continue
+            misses[server] = missed + 1
+            client.send(server, PingCmd(), PingCmd.WIRE_SIZE)
+
+    def _on_server_failed(self, server_id: str) -> None:
+        """Declare ``server_id`` dead and fail its subscriptions over."""
+        client = self._client
+        now = client.sim.now
+        if server_id in self.live_failed(now):
+            return  # already failing over
+        self.failed[server_id] = now
+        self._ping_misses.pop(server_id, None)
+        self.publish_targets.pop(server_id, None)
+        # Any plan entry routing through the dead server is poison.
+        entries = client._entries
+        for channel in list(entries):
+            if server_id in entries[channel].mapping.servers:
+                del entries[channel]
+        affected = client._detach_server(server_id)
+        for channel in affected:
+            pending = client._reconcile.get(channel)
+            if pending is not None:
+                # A reconcile must not wait forever on a dead server's ack.
+                pending.awaiting.discard(server_id)
+                if server_id in pending.confirm:
+                    pending.confirm.remove(server_id)
+                if server_id in pending.drop:
+                    pending.drop.remove(server_id)
+                if not pending.awaiting:
+                    client._finish_reconcile(channel)
+        client.failovers += 1
+        tracer = client._tracer
+        if tracer.enabled:
+            tracer.emit(ClientFailoverEvent(now, client.node_id, server_id, tuple(affected)))
+            tracer.metrics.counter("client_failovers_total").inc()
+        for channel in affected:
+            if channel not in self._pending:
+                self._pending.add(channel)
+                self._try_recover(channel, 0)
+
+    def _try_recover(self, channel: str, attempt: int) -> None:
+        """(Re-)establish the channel's subscriptions on live servers."""
+        client = self._client
+        if not client.alive or client.transport is None:
+            return
+        sub = client._subs.get(channel)
+        if sub is None or channel not in self._pending:
+            return  # unsubscribed, or already recovered: both cleaned up
+        self._attempt[channel] = attempt
+        failed = self.live_failed(client.sim.now)
+        mapping = client._resolve(channel)
+        desired = client._desired_sub_servers(mapping, sub.servers) - failed
+        if not desired:
+            # Every candidate is currently marked dead; back off and retry
+            # (marks expire, and repair notices may arrive meanwhile).
+            self._schedule_retry(channel, attempt)
+            return
+        acked = self._acked.get(channel)
+        for server in sorted(desired - sub.servers):
+            # Only an ack of *this* SUBSCRIBE may confirm the recovery: one
+            # left over from before a migration moved us off ``server``
+            # would let _verify_recovery vouch for a server that is gone.
+            if acked is not None:
+                acked.discard(server)
+            client._send_subscribe(channel, mapping.version, server)
+            client.resubscribes += 1
+        sub.servers |= desired
+        client.sim.schedule(
+            self._config.subscribe_ack_timeout_s, self._verify_recovery, channel, attempt
+        )
+
+    def _verify_recovery(self, channel: str, attempt: int) -> None:
+        """Ack check: recovery is done only when every server confirmed."""
+        client = self._client
+        if not client.alive or client.transport is None:
+            return
+        if self._attempt.get(channel) != attempt:
+            return  # superseded by a newer recovery round
+        sub = client._subs[channel]  # a matching attempt means still subscribed
+        missing = sub.servers.difference(self._acked.get(channel, ()))
+        # An empty server set is NOT a recovered subscription: a concurrent
+        # failover for another channel may have discarded our only target
+        # between _try_recover and this check, making "nothing missing"
+        # vacuously true.  Keep retrying until a live server actually acks.
+        if not missing and sub.servers:
+            self._pending.discard(channel)
+            del self._attempt[channel]
+            client.reconnects += 1
+            tracer = client._tracer
+            if tracer.enabled:
+                servers = tuple(sorted(sub.servers))
+                tracer.emit(
+                    ClientReconnectEvent(client.sim.now, client.node_id, channel, servers, attempt + 1)
+                )
+                tracer.metrics.counter("client_reconnects_total").inc()
+            return
+        # No ack within the window: that server is dead (or unreachable)
+        # too.  Mark it and retry against the next candidate with
+        # exponential backoff.
+        for server in sorted(missing):
+            self._on_server_failed(server)
+        self._schedule_retry(channel, attempt)
+
+    def _schedule_retry(self, channel: str, attempt: int) -> None:
+        delay = min(
+            self._config.reconnect_backoff_base_s * (2.0 ** attempt),
+            self._config.reconnect_backoff_max_s,
+        )
+        self._client.sim.schedule(delay, self._try_recover, channel, attempt + 1)

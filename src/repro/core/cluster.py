@@ -212,7 +212,6 @@ class DynamothCluster:
             plan_entry_timeout_s=self.config.plan_entry_timeout_s,
             repair_buffer_s=self.config.repair_buffer_s,
             repair_buffer_max_msgs=self.config.repair_buffer_max_msgs,
-            repair_replay_enabled=self.config.repair_replay_enabled,
             tracer=self.tracer,
         )
         self.transport.register(dispatcher)
@@ -372,14 +371,7 @@ class DynamothCluster:
             client_id,
             self.plan.ring,
             self.rng.stream(f"client:{client_id}"),
-            plan_entry_timeout_s=self.config.plan_entry_timeout_s,
-            resubscribe_grace_s=self.config.resubscribe_grace_s,
-            ping_interval_s=self.config.client_ping_interval_s,
-            ping_miss_limit=self.config.client_ping_miss_limit,
-            subscribe_ack_timeout_s=self.config.subscribe_ack_timeout_s,
-            reconnect_backoff_base_s=self.config.reconnect_backoff_base_s,
-            reconnect_backoff_max_s=self.config.reconnect_backoff_max_s,
-            failed_server_ttl_s=self.config.failed_server_ttl_s,
+            config=self.config,
             tracer=self.tracer,
             reliability=self.reliability_config,
         )

@@ -148,10 +148,6 @@ class DynamothConfig:
     #: subscriber resubscribes.
     repair_buffer_s: float = 5.0
     repair_buffer_max_msgs: int = 64
-    #: test-only kill switch for the dispatcher's repair-buffer replay.
-    #: Exists so the ``repro.check`` property suite can verify its own
-    #: oracles catch a real loss bug; production code never disables it.
-    repair_replay_enabled: bool = True
 
     # --- reliable delivery tier (repro.core.reliability) ---
     #: delivery guarantee for application publications: ``at_most_once``
@@ -174,10 +170,6 @@ class DynamothConfig:
     #: causal mode: how long an out-of-order delivery may stay parked
     #: before the channel is force-flushed in arrival order
     causal_park_timeout_s: float = 2.0
-    #: test-only kill switch for the broker's replay path (sequencing
-    #: stays on).  Exists so the ``repro.check`` gap-free oracle can be
-    #: shown to catch a real loss bug; production never disables it.
-    reliable_replay_enabled: bool = True
 
     # --- consistent hashing ---
     vnodes_per_server: int = 64

@@ -104,7 +104,6 @@ class Dispatcher(Actor):
         plan_entry_timeout_s: float = 30.0,
         repair_buffer_s: float = 5.0,
         repair_buffer_max_msgs: int = 64,
-        repair_replay_enabled: bool = True,
         tracer: Tracer = NULL_TRACER,
     ):
         super().__init__(sim, dispatcher_id(server.node_id), is_infra=True)
@@ -114,8 +113,6 @@ class Dispatcher(Actor):
         self._timeout = plan_entry_timeout_s
         self._buffer_window = repair_buffer_s
         self._buffer_max = repair_buffer_max_msgs
-        #: test-only kill switch (see DynamothConfig.repair_replay_enabled)
-        self.repair_replay_enabled = repair_replay_enabled
         self._tracer = tracer
 
         self._watch: Dict[str, _Watch] = {}
@@ -472,8 +469,6 @@ class Dispatcher(Actor):
             return
         if buffer.deadline <= self.sim.now:
             return
-        if not self.repair_replay_enabled:
-            return  # test-only breakage: park the messages and drop them
         for envelope, size in buffer.messages:
             self.send(
                 self.server.node_id,

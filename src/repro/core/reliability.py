@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.config import DELIVERY_TIERS, DynamothConfig
 
@@ -52,8 +52,9 @@ __all__ = [
     "ReplaySlice",
     "ChannelReplayCache",
     "BrokerReliability",
-    "ObserveOutcome",
-    "ClientReliability",
+    "SequenceStage",
+    "ParkTimeout",
+    "CausalGate",
     "reliability_config_from",
 ]
 
@@ -68,10 +69,6 @@ class ReliabilityConfig:
     cache_max_bytes: int = 262144
     replay_retry_cooldown_s: float = 1.0
     causal_park_timeout_s: float = 2.0
-    #: test-only kill switch: with replay disabled the broker still stamps
-    #: sequence numbers but ignores every replay/resume request *silently*
-    #: (no gap notices either) -- the loss the gap-free oracle must catch.
-    replay_enabled: bool = True
 
     @property
     def reliable(self) -> bool:
@@ -203,7 +200,7 @@ class BrokerReliability:
         ignored (the client's stream state resets on the first delivery
         of the new epoch).
         """
-        if not self.config.replay_enabled or epoch != self.epoch:
+        if epoch != self.epoch:
             return None
         cache = self._caches.get(channel)
         if cache is None:
@@ -212,28 +209,16 @@ class BrokerReliability:
 
 
 # ----------------------------------------------------------------------
-# Client side
+# Client side: the two optional stages of ``DynamothClient.receive``
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class ObserveOutcome:
-    """What the client should do with one sequenced delivery."""
-
-    #: deliver to the application (False = stale/duplicate seq, drop)
-    deliver: bool
-    #: (after_seq, up_to_seq) replay request to send, if any
-    request: Optional[Tuple[int, int]] = None
-
-
 class _Stream:
     """Client-side view of one (server, channel) sequence stream."""
 
     __slots__ = ("epoch", "max_seq", "missing", "last_request_t")
 
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.max_seq = 0
+    def __init__(self) -> None:
         self.missing: Set[int] = set()
-        self.last_request_t = -1e18
+        self.reset(-1)
 
     def reset(self, epoch: int) -> None:
         self.epoch = epoch
@@ -242,39 +227,37 @@ class _Stream:
         self.last_request_t = -1e18
 
 
-class ClientReliability:
-    """Gap tracking, resume points, and causal ordering for one client."""
+class SequenceStage:
+    """Sequence/gap stage: per-stream watermarks, holes and resume points.
 
-    __slots__ = ("config", "_streams", "_fifo_next", "_delivered_vec",
-                 "gap_requests", "unrecoverable")
+    The client builds one only when the run stamps sequence numbers
+    (``ReliabilityConfig.replay_active``).
+    """
+
+    __slots__ = ("_cooldown", "_drop_stale", "_streams")
 
     def __init__(self, config: ReliabilityConfig) -> None:
-        self.config = config
+        self._cooldown = config.replay_retry_cooldown_s
+        #: the tier's one per-message question, answered once: exactly_once
+        #: drops a replayed duplicate, at_least_once lets it through (the
+        #: app may see it again -- that tier's contract)
+        self._drop_stale = config.exactly_once
         #: (server, channel) -> stream state
         self._streams: Dict[Tuple[str, str], _Stream] = {}
-        #: causal mode: (channel, sender) -> own FIFO publication counter
-        self._fifo_next: Dict[Tuple[str, str], int] = {}
-        #: causal mode: (channel, sender) -> highest pub_seq delivered
-        self._delivered_vec: Dict[Tuple[str, str], int] = {}
-        # --- counters ---
-        self.gap_requests = 0
-        self.unrecoverable = 0
 
-    # --- sequence streams ---------------------------------------------
-    def stream(self, server: str, channel: str) -> _Stream:
+    def observe(
+        self, server: str, channel: str, seq: int, epoch: int, now: float
+    ) -> Union[bool, Tuple[int, int]]:
+        """Record one sequenced delivery; decide delivery + gap repair.
+
+        ``False`` drops it, ``True`` delivers it, and an ``(after_seq,
+        up_to_seq)`` pair delivers it *and* names the range to ask the
+        server to replay.
+        """
         key = (server, channel)
         stream = self._streams.get(key)
         if stream is None:
-            stream = _Stream(-1)
-            self._streams[key] = stream
-        return stream
-
-    def observe(
-        self, server: str, channel: str, seq: int, epoch: int,
-        replayed: bool, now: float,
-    ) -> ObserveOutcome:
-        """Record one sequenced delivery; decide delivery + gap repair."""
-        stream = self.stream(server, channel)
+            stream = self._streams[key] = _Stream()
         if epoch != stream.epoch:
             # New boot of the server id (or first contact): fresh stream.
             stream.reset(epoch)
@@ -282,39 +265,32 @@ class ClientReliability:
                 # Joining mid-stream is normal (we subscribed late); only
                 # what arrives after our high-water mark is owed to us.
                 stream.max_seq = seq
-                return ObserveOutcome(True)
+                return True
+        missing = stream.missing
         if seq > stream.max_seq:
             if seq > stream.max_seq + 1:
-                stream.missing.update(range(stream.max_seq + 1, seq))
+                missing.update(range(stream.max_seq + 1, seq))
             stream.max_seq = seq
-        elif seq in stream.missing:
-            stream.missing.remove(seq)
+        elif seq in missing:
+            missing.remove(seq)
         else:
             # At or below the high-water mark and not a known hole: a
-            # replayed duplicate.  exactly_once drops it here, before any
-            # msg-id bookkeeping; at_least_once lets it through (the app
-            # may see it again -- that is the tier's contract).
-            if self.config.exactly_once:
-                return ObserveOutcome(False)
-            return ObserveOutcome(True)
-        request = None
-        if stream.missing and (
-            now - stream.last_request_t >= self.config.replay_retry_cooldown_s
-        ):
+            # replayed duplicate.
+            return not self._drop_stale
+        if missing and now - stream.last_request_t >= self._cooldown:
             stream.last_request_t = now
-            request = (min(stream.missing) - 1, max(stream.missing))
-            self.gap_requests += 1
-        return ObserveOutcome(True, request)
+            return (min(missing) - 1, max(missing))
+        return True
 
-    def forget_through(self, server: str, channel: str, epoch: int, through_seq: int) -> None:
-        """Broker said seqs <= through_seq are evicted: stop chasing them."""
+    def forget_through(self, server: str, channel: str, epoch: int, through_seq: int) -> int:
+        """Broker said seqs <= through_seq are evicted: stop chasing them.
+        Returns how many holes were written off."""
         stream = self._streams.get((server, channel))
         if stream is None or stream.epoch != epoch:
-            return
+            return 0
         lost = {s for s in stream.missing if s <= through_seq}
-        if lost:
-            stream.missing -= lost
-            self.unrecoverable += len(lost)
+        stream.missing -= lost
+        return len(lost)
 
     def resume_point(self, server: str, channel: str) -> Tuple[int, int]:
         """(resume_after, resume_epoch) for a SUBSCRIBE on this stream."""
@@ -328,46 +304,128 @@ class ClientReliability:
         """Clean unsubscribe: the stream position is no longer meaningful."""
         for key in [k for k in self._streams if k[1] == channel]:
             del self._streams[key]
-        for table in (self._fifo_next, self._delivered_vec):
-            for key in [k for k in table if k[0] == channel]:
-                del table[key]
 
-    # --- causal metadata ----------------------------------------------
-    def stamp_publication(
-        self, channel: str, sender: str
-    ) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
-        """(pub_seq, deps) metadata for one outgoing publication."""
-        key = (channel, sender)
-        pub_seq = self._fifo_next.get(key, 0) + 1
-        self._fifo_next[key] = pub_seq
-        deps = tuple(
-            (other, self._delivered_vec[(ch, other)])
-            for ch, other in sorted(self._delivered_vec)
-            if ch == channel and other != sender
-        )
-        return pub_seq, deps
 
-    def deliverable(
-        self, channel: str, sender: str, pub_seq: int,
-        deps: Tuple[Tuple[str, int], ...],
-    ) -> bool:
-        """Causal check: FIFO from the sender plus all dependencies seen."""
-        vec = self._delivered_vec
-        if pub_seq > vec.get((channel, sender), 0) + 1:
+@dataclass(frozen=True, slots=True)
+class ParkTimeout:
+    """Local message, never on the wire: a causal park timer fired.  The
+    gate schedules it into the owning client's ``receive``."""
+
+    channel: str
+    token: int
+
+
+class _ChannelOrder:
+    """Causal state of one channel."""
+
+    __slots__ = ("published", "delivered", "parked", "token")
+
+    def __init__(self) -> None:
+        self.published = 0  # the owner's FIFO publication counter
+        #: sender -> highest pub_seq handed to the application
+        self.delivered: Dict[str, int] = {}
+        #: deliveries awaiting their dependencies, in arrival order
+        self.parked: List[Any] = []
+        #: token of the armed park timer; 0 while nothing is parked
+        self.token = 0
+
+
+class CausalGate:
+    """Causal gate: holds a delivery until its dependencies were delivered.
+
+    The client builds one only under ``causal_order``.  It owns the whole
+    causal state, keyed per channel: the counters that stamp outgoing
+    envelopes, the parked deliveries, and the park timer that force-flushes
+    a channel whose dependency is lost for good.
+    """
+
+    __slots__ = ("_sim", "_owner", "_timeout", "_receive", "_channels", "_tokens")
+
+    def __init__(self, owner: Any, config: ReliabilityConfig) -> None:
+        #: the client actor: its ``sim`` runs the park timer, its ``node_id``
+        #: stamps publications, its ``receive`` gets the :class:`ParkTimeout`
+        self._sim = owner.sim
+        self._owner = owner.node_id
+        self._receive = owner.receive
+        self._timeout = config.causal_park_timeout_s
+        self._channels: Dict[str, _ChannelOrder] = {}
+        #: tokens are unique per gate, so a timer armed before the channel
+        #: drained or was dropped can never flush what parks after it
+        self._tokens = 0
+
+    def stamp(self, channel: str) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
+        """(pub_seq, deps) metadata for the owner's next publication."""
+        state = self._channels.get(channel) or self._channels.setdefault(channel, _ChannelOrder())
+        state.published += 1
+        deps = sorted(state.delivered.items())
+        own = state.delivered.get(self._owner)
+        if own is not None:
+            deps.remove((self._owner, own))
+        return state.published, tuple(deps)
+
+    def admit(self, delivery: Any) -> Sequence[Any]:
+        """One stamped arrival in; the deliveries now due to the app out.
+
+        Empty when the arrival parks; otherwise the arrival, then every
+        parked delivery it (transitively) releases.  The delivered vector
+        is advanced for the whole batch here: the caller delivers it
+        unconditionally.
+        """
+        channel = delivery.channel
+        state = self._channels.get(channel) or self._channels.setdefault(channel, _ChannelOrder())
+        parked = state.parked
+        if not self._ready(state, delivery.payload):
+            parked.append(delivery)
+            if len(parked) == 1:
+                self._tokens += 1
+                state.token = self._tokens
+                timeout = ParkTimeout(channel, state.token)
+                self._sim.schedule(self._timeout, self._receive, timeout, self._owner)
+            return ()
+        batch = [delivery]
+        index = 0
+        while index < len(parked):
+            if self._ready(state, parked[index].payload):
+                batch.append(parked.pop(index))
+                index = 0  # each release restarts the scan at the head
+            else:
+                index += 1
+        if not parked:
+            state.token = 0  # nothing (left) for an armed timer to flush
+        return batch
+
+    def expire(self, channel: str, token: int) -> Sequence[Any]:
+        """Park timeout: everything parked on ``channel``, in arrival order.
+        Empty when ``token`` is stale."""
+        state = self._channels.get(channel)
+        if state is None or state.token != token:
+            return ()
+        flushed, state.parked, state.token = state.parked, [], 0
+        delivered = state.delivered
+        for delivery in flushed:  # a flush counts as delivery, ready or not
+            sender, pub_seq = delivery.payload.sender, delivery.payload.pub_seq
+            delivered[sender] = max(pub_seq, delivered.get(sender, 0))
+        return flushed
+
+    def drop_channel(self, channel: str) -> None:
+        """Clean unsubscribe: forget the channel's causal history."""
+        self._channels.pop(channel, None)
+
+    @staticmethod
+    def _ready(state: _ChannelOrder, envelope: Any) -> bool:
+        """FIFO from the sender plus every dependency delivered; a ready
+        envelope is counted as delivered on the spot."""
+        delivered = state.delivered
+        sender = envelope.sender
+        last = delivered.get(sender, 0)
+        if envelope.pub_seq > last + 1:
             return False
-        for dep_sender, dep_seq in deps:
-            if dep_sender == sender:
-                continue
-            if vec.get((channel, dep_sender), 0) < dep_seq:
+        for dep_sender, dep_seq in envelope.deps:
+            if dep_sender != sender and delivered.get(dep_sender, 0) < dep_seq:
                 return False
+        if envelope.pub_seq > last:
+            delivered[sender] = envelope.pub_seq
         return True
-
-    def note_app_delivery(self, channel: str, sender: str, pub_seq: int) -> None:
-        if pub_seq <= 0:
-            return
-        key = (channel, sender)
-        if pub_seq > self._delivered_vec.get(key, 0):
-            self._delivered_vec[key] = pub_seq
 
 
 def reliability_config_from(config: DynamothConfig) -> Optional[ReliabilityConfig]:
@@ -381,5 +439,4 @@ def reliability_config_from(config: DynamothConfig) -> Optional[ReliabilityConfi
         cache_max_bytes=config.replay_cache_max_bytes,
         replay_retry_cooldown_s=config.replay_retry_cooldown_s,
         causal_park_timeout_s=config.causal_park_timeout_s,
-        replay_enabled=config.reliable_replay_enabled,
     )

@@ -502,9 +502,7 @@ def run_reliability(profile: BenchProfile, *, seed: int = 0) -> ScenarioResult:
                 replayed_messages += rel.replayed_messages
                 replayed_bytes += rel.replayed_bytes
                 unrecoverable += rel.unrecoverable_gaps
-        gap_requests = sum(
-            sub._rel.gap_requests for sub in subscribers if sub._rel is not None
-        )
+        gap_requests = sum(sub.gap_requests for sub in subscribers)
         duplicates = sum(sub.duplicates for sub in subscribers)
         tiers[tier] = {
             "app_deliveries": sink.count,

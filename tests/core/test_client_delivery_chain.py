@@ -1,0 +1,176 @@
+"""The client's Delivery chain, composed at construction.
+
+sequence/gap stage -> msg-id dedup -> causal gate -> the one delivery
+tail.  The stages themselves are unit-tested in test_reliability.py; here
+a bare client (recording wire, no cluster) shows which of them a
+configuration builds and that everything released or flushed reaches the
+application through the same tail, in the pinned order.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import repro.core.client as client_module
+from repro.broker.commands import Delivery, PublishCmd, ReplayGapNotice, ReplayRequest
+from repro.core.client import DynamothClient
+from repro.core.config import DynamothConfig
+from repro.core.messages import AppEnvelope
+from repro.core.reliability import ReliabilityConfig
+from repro.obs.trace import CausalTimeoutEvent, DeliveryEvent, Tracer
+from tests.helpers import make_bare_client, make_static_cluster
+
+
+def make_client(**kwargs):
+    sim, wire, client = make_bare_client("me", **kwargs)
+    return sim, client
+
+
+def stamped(sender: str, pub_seq: int, deps=(), *, seq=None, server="s1") -> Delivery:
+    envelope = AppEnvelope(
+        f"{sender}:{pub_seq}", sender, None, 0, 0.0, False, pub_seq, tuple(deps)
+    )
+    return Delivery("ch", envelope, 16, server, seq, 1)
+
+
+class TestComposition:
+    def test_plain_client_builds_no_stage_and_no_recovery(self, monkeypatch):
+        """at_most_once with probing off: the chain is receive's own frame."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("constructed for a run that cannot reach it")
+
+        for name in ("SequenceStage", "CausalGate", "ClientRecovery"):
+            monkeypatch.setattr(client_module, name, forbidden)
+        sim, bare = make_client()
+        clustered = make_static_cluster().create_client("c")
+        for client in (bare, clustered):
+            assert client._sequence is None
+            assert client._gate is None
+            assert client._recovery is None
+
+    @pytest.mark.parametrize(
+        "config, sequence, gate, recovery",
+        [
+            (DynamothConfig(delivery_tier="at_least_once"), True, False, False),
+            (DynamothConfig(delivery_tier="exactly_once", causal_order=True), True, True, False),
+            (DynamothConfig(causal_order=True), False, True, False),
+            # A zero replay budget stamps nothing: no sequence stage either.
+            (DynamothConfig(delivery_tier="exactly_once", replay_cache_max_msgs=0), False, False, False),
+            (DynamothConfig(client_ping_interval_s=1.0), False, False, True),
+        ],
+    )
+    def test_each_decision_is_made_once_by_the_config(self, config, sequence, gate, recovery):
+        client = make_static_cluster(config=config).create_client("c")
+        assert (client._sequence is not None) == sequence
+        assert (client._gate is not None) == gate
+        assert (client._recovery is not None) == recovery
+
+    def test_cluster_clients_share_the_cluster_config_object(self):
+        cluster = make_static_cluster()
+        assert cluster.create_client("c")._config is cluster.config
+
+
+class TestSequenceStageInTheChain:
+    def test_gap_sends_one_replay_request_and_counts_it(self):
+        sim, client = make_client(reliability=ReliabilityConfig("at_least_once"))
+        client.receive(stamped("a", 1, seq=1), "s1")
+        client.receive(stamped("a", 4, seq=4), "s1")
+        (request,) = client.transport.messages(ReplayRequest)
+        assert (request.channel, request.epoch) == ("ch", 1)
+        assert (request.after_seq, request.up_to_seq) == (1, 3)
+        assert client.gap_requests == 1
+        assert client.delivered == 2
+        client.receive(ReplayGapNotice("s1", "ch", 1, 3), "s1")
+        assert client.unrecoverable == 2
+
+    def test_stale_replays_never_cycle_the_dedup_window(self, monkeypatch):
+        """exactly_once drops a below-watermark seq *before* the msg-id
+        bookkeeping: replay traffic must not push fresh ids out."""
+        monkeypatch.setattr(DynamothClient, "DEDUP_WINDOW", 2)
+        sim, client = make_client(reliability=ReliabilityConfig("exactly_once"))
+        client.receive(stamped("a", 1, seq=1), "s1")
+        client.receive(stamped("a", 2, seq=2), "s1")
+        for n in range(3, 8):  # stale seq 1, carrying ids the window never saw
+            client.receive(stamped("replay", n, seq=1), "s1")
+        assert (client.delivered, client.duplicates) == (2, 5)
+        # a:1 is still remembered: its copy on another stream is a duplicate.
+        client.receive(stamped("a", 1, seq=1, server="s2"), "s2")
+        assert (client.delivered, client.duplicates) == (2, 6)
+
+
+class TestOneTail:
+    def make_causal_client(self):
+        tracer = Tracer()
+        sim, client = make_client(
+            tracer=tracer,
+            reliability=ReliabilityConfig(causal_order=True, causal_park_timeout_s=2.0),
+        )
+        seen = []
+        client.on_delivery = lambda ch, env, delivery: seen.append(("hook", env.msg_id))
+        client.subscribe("ch", lambda ch, body, env: seen.append(("app", env.msg_id)))
+        return sim, client, tracer, seen
+
+    @staticmethod
+    def trace(tracer):
+        """DeliveryEvents by msg id, CausalTimeoutEvents by flushed count."""
+        out = []
+        for event in tracer.events:
+            if isinstance(event, DeliveryEvent):
+                out.append(event.msg_id)
+            elif isinstance(event, CausalTimeoutEvent):
+                out.append(("timeout", event.channel, event.flushed))
+        return out
+
+    def test_arrival_first_then_its_releases(self):
+        sim, client, tracer, seen = self.make_causal_client()
+        client.receive(stamped("b", 1, [("a", 1)]), "s1")
+        client.receive(stamped("a", 2), "s1")
+        assert client.delivered == 0 and seen == []
+        client.receive(stamped("a", 1), "s1")
+        assert self.trace(tracer) == ["a:1", "b:1", "a:2"]
+        # Each delivery runs the whole tail before the next one starts.
+        assert seen == [
+            ("hook", "a:1"), ("app", "a:1"),
+            ("hook", "b:1"), ("app", "b:1"),
+            ("hook", "a:2"), ("app", "a:2"),
+        ]
+        assert client.delivered == 3
+
+    def test_park_timeout_event_precedes_the_flush_in_arrival_order(self):
+        sim, client, tracer, seen = self.make_causal_client()
+        client.receive(stamped("a", 3), "s1")
+        client.receive(stamped("b", 1, [("a", 2)]), "s1")
+        sim.run_until(1.9)
+        assert client.causal_timeouts == 0
+        sim.run_until(2.1)
+        assert client.causal_timeouts == 1
+        assert self.trace(tracer) == [("timeout", "ch", 2), "a:3", "b:1"]
+        assert [who for who in seen if who[0] == "app"] == [("app", "a:3"), ("app", "b:1")]
+        assert tracer.events[-1].t == 2.0
+
+    def test_unsubscribe_mid_park_cancels_the_flush(self):
+        sim, client, tracer, seen = self.make_causal_client()
+        client.receive(stamped("a", 2), "s1")
+        client.unsubscribe("ch")
+        sim.run_until(5.0)
+        assert client.causal_timeouts == 0
+        assert client.delivered == 0
+
+    def test_flush_after_shutdown_is_dropped(self):
+        sim, client, tracer, seen = self.make_causal_client()
+        client.receive(stamped("a", 2), "s1")
+        client.shutdown()
+        sim.run_until(5.0)
+        assert client.causal_timeouts == 0 and client.delivered == 0
+
+    def test_publish_carries_the_gate_stamp(self):
+        sim, client, tracer, seen = self.make_causal_client()
+        client.receive(stamped("a", 1), "s1")
+        client.publish("ch", "x", 10)
+        client.publish("ch", "y", 10)
+        envelopes = [cmd.payload for cmd in client.transport.messages(PublishCmd)]
+        assert [(e.pub_seq, e.deps) for e in envelopes] == [
+            (1, (("a", 1),)),
+            (2, (("a", 1),)),
+        ]

@@ -8,6 +8,7 @@ from repro.core.cluster import (
     BALANCER_DYNAMOTH,
     BALANCER_NONE,
 )
+from repro.core.messages import MappingNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
 from tests.conftest import make_static_cluster
 
@@ -66,7 +67,14 @@ class TestClients:
         config = DynamothConfig(plan_entry_timeout_s=7.0)
         cluster = DynamothCluster(balancer=BALANCER_NONE, config=config)
         client = cluster.create_client("c")
-        assert client._plan_entry_timeout == 7.0
+        learned = ChannelMapping(ReplicationMode.SINGLE, ("pub1",), 1)
+        client.receive(MappingNotice("ch", learned), "pub1")
+        cluster.run_for(6.0)
+        client.publish("ch", "x", 10)  # activity: the entry's timer restarts
+        assert client.known_mapping("ch") == learned
+        cluster.run_for(7.5)
+        client.publish("ch", "x", 10)  # idle past the cluster's 7 s: dropped
+        assert client.known_mapping("ch") is None
 
 
 class TestStaticMappings:

@@ -1,23 +1,31 @@
 """Unit tests for the reliable-delivery primitives (repro.core.reliability).
 
-Pure-state tests: no simulator, no wire.  The broker/cluster integration
+State-machine tests: no cluster, no wire (the causal gate's park timer
+runs on a bare simulator).  The broker/cluster integration
 behaviour (replay on request, resume on subscribe, truthful gap notices)
 lives in tests/integration/test_reliable_delivery.py.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.broker.commands import Delivery
 from repro.core.config import DynamothConfig
+from repro.core.messages import AppEnvelope
 from repro.core.reliability import (
     BrokerReliability,
     CacheEntry,
+    CausalGate,
     ChannelReplayCache,
-    ClientReliability,
+    ParkTimeout,
     ReliabilityConfig,
+    SequenceStage,
     reliability_config_from,
 )
+from repro.sim.kernel import Simulator
 
 
 def _entry(seq: int, size: int = 100) -> CacheEntry:
@@ -57,7 +65,6 @@ class TestConfigFrom:
             causal_order=True,
             replay_cache_max_msgs=7,
             replay_cache_max_bytes=900,
-            reliable_replay_enabled=False,
         )
         rel = reliability_config_from(config)
         assert rel is not None
@@ -65,7 +72,6 @@ class TestConfigFrom:
         assert rel.causal_order
         assert rel.cache_max_msgs == 7
         assert rel.cache_max_bytes == 900
-        assert not rel.replay_enabled
 
     def test_causal_alone_is_not_inert(self):
         rel = reliability_config_from(DynamothConfig(causal_order=True))
@@ -176,132 +182,210 @@ class TestBrokerReliability:
         broker = BrokerReliability(_config(), epoch=1)
         assert broker.replay_slice("ghost", epoch=1, after_seq=0, up_to_seq=5) is None
 
-    def test_kill_switch_silences_replay(self):
-        broker = BrokerReliability(_config(replay_enabled=False), epoch=1)
-        broker.stamp_and_cache("a", "m", 10, 50)
-        assert broker.replay_slice("a", epoch=1, after_seq=0, up_to_seq=1) is None
-
 
 # ----------------------------------------------------------------------
-# ClientReliability: sequence streams
+# SequenceStage: driven with canned (server, channel, seq, epoch, now) tuples
 # ----------------------------------------------------------------------
-class TestClientObserve:
+def _feed(stage: SequenceStage, *observations):
+    """Feed canned observations; return the verdict of each."""
+    return [stage.observe(*observation) for observation in observations]
+
+
+class TestSequenceStage:
     def test_in_order_stream_has_no_requests(self):
-        client = ClientReliability(_config())
-        for seq in range(1, 5):
-            outcome = client.observe("s1", "a", seq, epoch=1, replayed=False, now=0.0)
-            assert outcome.deliver
-            assert outcome.request is None
-        assert client.gap_requests == 0
+        stage = SequenceStage(_config())
+        verdicts = _feed(stage, *[("s1", "a", seq, 1, 0.0) for seq in range(1, 5)])
+        assert verdicts == [True, True, True, True]
+
+    def test_first_contact_mid_stream_owes_nothing_before_the_join_point(self):
+        stage = SequenceStage(_config())
+        assert stage.observe("s1", "a", 7, 1, 0.0) is True
+        assert stage.resume_point("s1", "a") == (7, 1)
 
     def test_gap_requests_the_missing_range(self):
-        client = ClientReliability(_config())
-        client.observe("s1", "a", 1, epoch=1, replayed=False, now=0.0)
-        outcome = client.observe("s1", "a", 5, epoch=1, replayed=False, now=0.1)
-        assert outcome.deliver
-        assert outcome.request == (1, 4)
-        assert client.gap_requests == 1
+        stage = SequenceStage(_config())
+        assert _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 5, 1, 0.1)) == [
+            True,
+            (1, 4),
+        ]
 
     def test_fill_shrinks_the_hole_and_requests_the_rest(self):
-        client = ClientReliability(_config())
-        client.observe("s1", "a", 1, epoch=1, replayed=False, now=0.0)
-        client.observe("s1", "a", 5, epoch=1, replayed=False, now=0.1)
-        outcome = client.observe("s1", "a", 3, epoch=1, replayed=True, now=2.0)
-        assert outcome.deliver
-        assert outcome.request == (1, 4)  # 2 and 4 still missing
-        done = client.observe("s1", "a", 2, epoch=1, replayed=True, now=2.0)
-        assert done.deliver
-        assert done.request is None  # cooldown suppresses the re-request
-        client.observe("s1", "a", 4, epoch=1, replayed=True, now=4.0)
-        assert client.resume_point("s1", "a") == (5, 1)
+        stage = SequenceStage(_config())
+        _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 5, 1, 0.1))
+        assert stage.observe("s1", "a", 3, 1, 2.0) == (1, 4)  # 2 and 4 still missing
+        # The cooldown suppresses the re-request.
+        assert stage.observe("s1", "a", 2, 1, 2.0) is True
+        stage.observe("s1", "a", 4, 1, 4.0)
+        assert stage.resume_point("s1", "a") == (5, 1)
 
     def test_cooldown_suppresses_request_storms(self):
-        client = ClientReliability(_config(replay_retry_cooldown_s=1.0))
-        client.observe("s1", "a", 1, epoch=1, replayed=False, now=0.0)
-        assert client.observe("s1", "a", 3, epoch=1, replayed=False, now=0.1).request
-        assert client.observe("s1", "a", 4, epoch=1, replayed=False, now=0.5).request is None
-        assert client.observe("s1", "a", 5, epoch=1, replayed=False, now=1.2).request == (1, 2)
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        assert _feed(
+            stage,
+            ("s1", "a", 1, 1, 0.0),
+            ("s1", "a", 3, 1, 0.1),
+            ("s1", "a", 4, 1, 0.5),
+            ("s1", "a", 5, 1, 1.2),
+        ) == [True, (1, 2), True, (1, 2)]
 
     def test_stale_seq_drops_on_exactly_once_only(self):
-        exactly = ClientReliability(_config(delivery_tier="exactly_once"))
-        exactly.observe("s1", "a", 1, epoch=1, replayed=False, now=0.0)
-        exactly.observe("s1", "a", 2, epoch=1, replayed=False, now=0.0)
-        assert not exactly.observe("s1", "a", 1, epoch=1, replayed=True, now=0.1).deliver
+        exactly = SequenceStage(_config(delivery_tier="exactly_once"))
+        assert _feed(
+            exactly, ("s1", "a", 1, 1, 0.0), ("s1", "a", 2, 1, 0.0), ("s1", "a", 1, 1, 0.1)
+        ) == [True, True, False]
 
-        at_least = ClientReliability(_config(delivery_tier="at_least_once"))
-        at_least.observe("s1", "a", 1, epoch=1, replayed=False, now=0.0)
-        at_least.observe("s1", "a", 2, epoch=1, replayed=False, now=0.0)
-        assert at_least.observe("s1", "a", 1, epoch=1, replayed=True, now=0.1).deliver
+        at_least = SequenceStage(_config(delivery_tier="at_least_once"))
+        assert _feed(
+            at_least, ("s1", "a", 1, 1, 0.0), ("s1", "a", 2, 1, 0.0), ("s1", "a", 1, 1, 0.1)
+        ) == [True, True, True]
 
     def test_epoch_change_resets_and_adopts_midstream(self):
-        client = ClientReliability(_config())
-        client.observe("s1", "a", 1, epoch=1, replayed=False, now=0.0)
-        client.observe("s1", "a", 4, epoch=1, replayed=False, now=0.1)
-        # Server restarted: new epoch, and we join at seq 7 mid-stream.
-        outcome = client.observe("s1", "a", 7, epoch=2, replayed=False, now=5.0)
-        assert outcome.deliver
-        assert outcome.request is None  # no gap owed before our join point
-        assert client.resume_point("s1", "a") == (7, 2)
+        stage = SequenceStage(_config())
+        _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 4, 1, 0.1))
+        # Server restarted: new epoch, and we join at seq 7 mid-stream --
+        # no gap is owed before our join point.
+        assert stage.observe("s1", "a", 7, 2, 5.0) is True
+        assert stage.resume_point("s1", "a") == (7, 2)
 
     def test_fresh_epoch_seq_one_is_not_a_regression(self):
-        client = ClientReliability(_config())
-        client.observe("s1", "a", 9, epoch=1, replayed=False, now=0.0)
-        outcome = client.observe("s1", "a", 1, epoch=2, replayed=False, now=1.0)
-        assert outcome.deliver
-        assert outcome.request is None
+        stage = SequenceStage(_config())
+        assert _feed(stage, ("s1", "a", 9, 1, 0.0), ("s1", "a", 1, 2, 1.0)) == [
+            True,
+            True,
+        ]
 
     def test_forget_through_abandons_evicted_holes(self):
-        client = ClientReliability(_config())
-        client.observe("s1", "a", 1, epoch=1, replayed=False, now=0.0)
-        client.observe("s1", "a", 6, epoch=1, replayed=False, now=0.1)
-        client.forget_through("s1", "a", epoch=1, through_seq=4)
-        assert client.unrecoverable == 3  # 2, 3, 4 written off
-        assert client.resume_point("s1", "a") == (4, 1)  # still chasing 5
-        # A notice for the wrong epoch is ignored.
-        client.forget_through("s1", "a", epoch=9, through_seq=6)
-        assert client.unrecoverable == 3
+        stage = SequenceStage(_config())
+        _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 6, 1, 0.1))
+        assert stage.forget_through("s1", "a", epoch=1, through_seq=4) == 3  # 2, 3, 4
+        assert stage.resume_point("s1", "a") == (4, 1)  # still chasing 5
+        # A notice for the wrong epoch, or an unknown stream, is ignored.
+        assert stage.forget_through("s1", "a", epoch=9, through_seq=6) == 0
+        assert stage.forget_through("s2", "a", epoch=1, through_seq=6) == 0
 
     def test_resume_point_defaults_and_drop_channel(self):
-        client = ClientReliability(_config())
-        assert client.resume_point("s1", "a") == (-1, -1)
-        client.observe("s1", "a", 2, epoch=1, replayed=False, now=0.0)
-        client.drop_channel("a")
-        assert client.resume_point("s1", "a") == (-1, -1)
+        stage = SequenceStage(_config())
+        assert stage.resume_point("s1", "a") == (-1, -1)
+        _feed(stage, ("s1", "a", 2, 1, 0.0), ("s1", "b", 3, 1, 0.0))
+        stage.drop_channel("a")
+        assert stage.resume_point("s1", "a") == (-1, -1)
+        assert stage.resume_point("s1", "b") == (3, 1)  # other channels untouched
 
 
 # ----------------------------------------------------------------------
-# ClientReliability: causal metadata
+# CausalGate: driven with canned envelopes, a bare simulator, no cluster
 # ----------------------------------------------------------------------
-class TestCausal:
-    def test_stamp_publication_counts_fifo_and_snapshots_deps(self):
-        client = ClientReliability(_config(causal_order=True))
-        assert client.stamp_publication("a", "me") == (1, ())
-        client.note_app_delivery("a", "alice", 3)
-        client.note_app_delivery("a", "bob", 1)
-        client.note_app_delivery("b", "alice", 9)  # other channel: excluded
-        pub_seq, deps = client.stamp_publication("a", "me")
-        assert pub_seq == 2
-        assert deps == (("alice", 3), ("bob", 1))
+def _stamped(sender: str, pub_seq: int, deps=(), channel: str = "a") -> Delivery:
+    envelope = AppEnvelope(
+        f"{sender}:{pub_seq}", sender, None, 0, 0.0, False, pub_seq, tuple(deps)
+    )
+    return Delivery(channel, envelope, 16, "s1")
 
-    def test_deliverable_enforces_fifo_and_deps(self):
-        client = ClientReliability(_config(causal_order=True))
-        assert client.deliverable("a", "alice", 1, ())
-        assert not client.deliverable("a", "alice", 2, ())  # FIFO hole
-        assert not client.deliverable("a", "bob", 1, (("alice", 1),))
-        client.note_app_delivery("a", "alice", 1)
-        assert client.deliverable("a", "alice", 2, ())
-        assert client.deliverable("a", "bob", 1, (("alice", 1),))
 
-    def test_note_app_delivery_is_monotonic(self):
-        client = ClientReliability(_config(causal_order=True))
-        client.note_app_delivery("a", "alice", 5)
-        client.note_app_delivery("a", "alice", 2)  # late duplicate: no rollback
-        assert client.deliverable("a", "bob", 1, (("alice", 5),))
+def _gate(park_timeout_s: float = 2.0):
+    """A gate on a bare simulator whose timeouts land in ``timeouts``."""
+    sim = Simulator()
+    timeouts = []
+    owner = SimpleNamespace(
+        sim=sim, node_id="me", receive=lambda message, src: timeouts.append(message)
+    )
+    config = _config(causal_order=True, causal_park_timeout_s=park_timeout_s)
+    return sim, CausalGate(owner, config), timeouts
 
-    def test_unsequenced_delivery_does_not_advance_the_vector(self):
-        client = ClientReliability(_config(causal_order=True))
-        client.note_app_delivery("a", "alice", 0)
-        assert not client.deliverable("a", "bob", 1, (("alice", 1),))
+
+def _ids(batch) -> list:
+    return [delivery.payload.msg_id for delivery in batch]
+
+
+class TestCausalGate:
+    def test_stamp_counts_fifo_and_snapshots_deps(self):
+        sim, gate, _ = _gate()
+        assert gate.stamp("a") == (1, ())
+        gate.admit(_stamped("bob", 1))
+        gate.admit(_stamped("alice", 1))
+        gate.admit(_stamped("alice", 2))
+        gate.admit(_stamped("me", 1))  # own publication: never a dependency
+        gate.admit(_stamped("alice", 1, channel="b"))  # other channel: excluded
+        assert gate.stamp("a") == (2, (("alice", 2), ("bob", 1)))
+
+    def test_parks_on_a_fifo_hole_and_on_a_missing_dependency(self):
+        sim, gate, _ = _gate()
+        assert _ids(gate.admit(_stamped("alice", 1))) == ["alice:1"]
+        assert gate.admit(_stamped("alice", 3)) == ()  # FIFO hole
+        assert gate.admit(_stamped("bob", 1, [("carol", 1)])) == ()  # dep unseen
+        # A dependency on the sender itself is covered by FIFO, not parked on.
+        assert _ids(gate.admit(_stamped("dave", 1, [("dave", 5)]))) == ["dave:1"]
+
+    def test_delivered_vector_is_monotonic(self):
+        sim, gate, _ = _gate()
+        gate.admit(_stamped("alice", 1))
+        gate.admit(_stamped("alice", 2))
+        # A late duplicate of alice:1 passes (dedup runs before the gate)
+        # but must not roll the vector back.
+        assert _ids(gate.admit(_stamped("alice", 1))) == ["alice:1"]
+        assert _ids(gate.admit(_stamped("bob", 1, [("alice", 2)]))) == ["bob:1"]
+
+    def test_release_chain_follows_the_scan_order(self):
+        sim, gate, _ = _gate()
+        # Parked in arrival order: c (needs b:1), b (needs alice:1), a3, a2.
+        assert gate.admit(_stamped("carol", 1, [("bob", 1)])) == ()
+        assert gate.admit(_stamped("bob", 1, [("alice", 1)])) == ()
+        assert gate.admit(_stamped("alice", 3)) == ()
+        assert gate.admit(_stamped("alice", 2)) == ()
+        # alice:1 arrives.  Each release rescans from the head: bob:1 (the
+        # first ready), then carol:1 (now ready, and ahead of alice:2 in
+        # the list), then alice:2, then alice:3.
+        assert _ids(gate.admit(_stamped("alice", 1))) == [
+            "alice:1", "bob:1", "carol:1", "alice:2", "alice:3",
+        ]
+
+    def test_timeout_flushes_in_arrival_order_and_advances_the_vector(self):
+        sim, gate, timeouts = _gate(park_timeout_s=2.0)
+        gate.admit(_stamped("alice", 3))
+        gate.admit(_stamped("bob", 1, [("alice", 2)]))
+        sim.run_until(1.9)
+        assert timeouts == []
+        sim.run_until(2.1)
+        assert len(timeouts) == 1  # one timer per parked set, armed by the first park
+        timeout = timeouts[0]
+        assert isinstance(timeout, ParkTimeout) and timeout.channel == "a"
+        assert _ids(gate.expire("a", timeout.token)) == ["alice:3", "bob:1"]
+        # The flush counts as delivery: alice:4 is now in FIFO order.
+        assert _ids(gate.admit(_stamped("alice", 4))) == ["alice:4"]
+        # And the token is spent.
+        assert gate.expire("a", timeout.token) == ()
+
+    def test_token_is_stale_once_the_channel_drained_and_reparked(self):
+        sim, gate, timeouts = _gate(park_timeout_s=2.0)
+        gate.admit(_stamped("alice", 2))  # parks at t=0, timer due t=2
+        sim.run_until(1.0)
+        assert _ids(gate.admit(_stamped("alice", 1))) == ["alice:1", "alice:2"]
+        gate.admit(_stamped("alice", 4))  # re-parks at t=1, timer due t=3
+        sim.run_until(2.5)
+        (old,) = timeouts
+        assert gate.expire("a", old.token) == ()  # must not flush the new set early
+        sim.run_until(3.5)
+        assert _ids(gate.expire("a", timeouts[1].token)) == ["alice:4"]
+
+    def test_drop_channel_mid_park_forgets_everything(self):
+        sim, gate, timeouts = _gate(park_timeout_s=2.0)
+        gate.stamp("a")
+        gate.admit(_stamped("alice", 1))
+        gate.admit(_stamped("alice", 3))
+        gate.drop_channel("a")
+        # History is gone: the publication counter and the vector restart,
+        sim.run_until(1.0)
+        assert gate.stamp("a") == (1, ())
+        assert gate.admit(_stamped("alice", 2)) == ()  # parks again, timer due t=3
+        # and the timer armed before the drop cannot flush what parked after.
+        sim.run_until(2.5)
+        assert gate.expire("a", timeouts[0].token) == ()
+        sim.run_until(3.5)
+        assert _ids(gate.expire("a", timeouts[1].token)) == ["alice:2"]
+
+    def test_drop_channel_of_an_unknown_channel_is_a_no_op(self):
+        sim, gate, _ = _gate()
+        gate.drop_channel("ghost")
 
 
 def test_config_validation_rejects_bad_tier_and_budgets():

@@ -9,11 +9,14 @@ being copy-pasted per suite.
 from __future__ import annotations
 
 from random import Random
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.broker.commands import PingCmd, PongReply, SubscribeAck, SubscribeCmd
 from repro.broker.config import BrokerConfig
+from repro.core.client import DynamothClient
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
+from repro.core.hashing import ConsistentHashRing
 from repro.net.latency import FixedLatency
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
@@ -34,6 +37,51 @@ def make_static_cluster(
         broker_config=broker_config,
         config=config,
     )
+
+
+class RecordingWire:
+    """Transport stand-in for a bare client: the test plays the servers.
+
+    Every send is recorded as ``(time, dst, message)``; servers named in
+    ``live`` answer pings and acknowledge SUBSCRIBEs 10 ms later.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.client: Optional[DynamothClient] = None
+        self.sent: List[Tuple[float, str, object]] = []
+        self.live: Set[str] = set()
+
+    def send(self, src: str, dst: str, message: object, size: int) -> None:
+        self.sent.append((self.sim.now, dst, message))
+        if dst not in self.live:
+            return
+        if isinstance(message, PingCmd):
+            self.sim.schedule(0.01, self.client.receive, PongReply(dst), dst)
+        elif isinstance(message, SubscribeCmd):
+            ack = SubscribeAck(message.channel, dst)
+            self.sim.schedule(0.01, self.client.receive, ack, dst)
+
+    def messages(self, kind: type) -> list:
+        return [message for _, _, message in self.sent if isinstance(message, kind)]
+
+    def times(self, kind: type, dst: Optional[str] = None) -> List[float]:
+        return [
+            t for t, to, message in self.sent
+            if isinstance(message, kind) and dst in (None, to)
+        ]
+
+
+def make_bare_client(
+    node_id: str = "c", servers: Sequence[str] = ("s1",), **kwargs
+) -> Tuple[Simulator, RecordingWire, DynamothClient]:
+    """A client on a bare simulator, wired to a :class:`RecordingWire`."""
+    sim = Simulator()
+    wire = RecordingWire(sim)
+    client = DynamothClient(sim, node_id, ConsistentHashRing(list(servers)), Random(0), **kwargs)
+    client.transport = wire
+    wire.client = client
+    return sim, wire, client
 
 
 def crash_clusters_at(monkeypatch, t: float) -> Dict[str, int]:

@@ -14,11 +14,13 @@ from __future__ import annotations
 from random import Random
 
 from repro.broker.commands import Delivery
+from repro.check.scenario import Scenario, _planted_bugs
 from repro.core.client import DynamothClient
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
 from repro.core.messages import AppEnvelope
+from repro.core.reliability import BrokerReliability
 from repro.obs.export import event_to_json
 from repro.obs.trace import ReplayEvent, ReplayGapEvent, Tracer
 from repro.sim.kernel import Simulator
@@ -95,11 +97,14 @@ class TestEvictionTruthfulness:
         gaps = [e for e in tracer.events if isinstance(e, ReplayGapEvent)]
         assert gaps, "eviction produced no gap event"
         assert server.reliability.unrecoverable_gaps >= 1
-        # The client wrote the evicted seqs off instead of retrying forever.
-        assert sub._rel is not None
-        assert sub._rel.unrecoverable >= 4
-        stream = sub._rel.stream(server.node_id, "arena")
-        assert not stream.missing
+        # The client wrote the evicted seqs off instead of retrying forever:
+        # a later in-order publication triggers no further replay request.
+        assert sub.unrecoverable >= 4
+        asked = sub.gap_requests
+        cluster.clients["pub"].publish("arena", "later", 60)
+        cluster.run_for(3.0)
+        assert got[-1] == "later"
+        assert sub.gap_requests == asked
 
     def test_zero_budget_cache_degrades_to_plain_at_most_once(self):
         """cache budget 0 => no stamping, no replay: the run's trace is
@@ -118,21 +123,25 @@ class TestEvictionTruthfulness:
         assert reliable_zero == plain
 
 
-class TestKillSwitchSilence:
-    def test_disabled_replay_is_fully_silent(self):
-        """The test-only kill switch: brokers stamp but never answer a
-        replay or resume request -- no entries, no gap notice, nothing.
-        (This is the seeded loss the gap-free oracle must detect.)"""
+class TestPlantedReplayBugIsSilent:
+    def test_ignored_replay_requests_are_fully_silent(self):
+        """The bug ``repro.check`` plants with ``break_reliable_replay``:
+        brokers stamp but never answer a replay or resume request -- no
+        entries, no gap notice, nothing.  (This is the seeded loss the
+        gap-free oracle must detect.)"""
         tracer = Tracer()
-        config = DynamothConfig(
-            delivery_tier="at_least_once", reliable_replay_enabled=False
-        )
-        cluster, sub, got, server = _outage_run(config, tracer=tracer)
-        # A post-reconnect publication makes the seq hole visible to the
-        # client (the outage messages alone just never arrive).
-        late = cluster.create_client("late-pub")
-        late.publish("arena", "post", 60)
-        cluster.run_for(3.0)
+        config = DynamothConfig(delivery_tier="at_least_once")
+        genuine = BrokerReliability.replay_slice
+        with _planted_bugs(Scenario(seed=0, break_reliable_replay=True)):
+            assert BrokerReliability.replay_slice is not genuine
+            cluster, sub, got, server = _outage_run(config, tracer=tracer)
+            # A post-reconnect publication makes the seq hole visible to
+            # the client (the outage messages alone just never arrive).
+            late = cluster.create_client("late-pub")
+            late.publish("arena", "post", 60)
+            cluster.run_for(3.0)
+        # The bug leaves with the block: the product has no switch for it.
+        assert BrokerReliability.replay_slice is genuine
         # The outage window is simply lost.
         assert set(got) == {"live0", "live1", "live2", "post"}
         assert server.reliability.replayed_messages == 0
@@ -140,7 +149,7 @@ class TestKillSwitchSilence:
             isinstance(e, (ReplayEvent, ReplayGapEvent)) for e in tracer.events
         )
         # The client noticed the hole and asked; the ask went unanswered.
-        assert sub._rel is not None and sub._rel.gap_requests >= 1
+        assert sub.gap_requests >= 1
 
 
 def _arrives_as_duplicate(client: DynamothClient, msg_id: str) -> bool:
@@ -152,16 +161,18 @@ def _arrives_as_duplicate(client: DynamothClient, msg_id: str) -> bool:
     return client.duplicates > duplicates
 
 
+def _client_with_window_of_two(monkeypatch) -> DynamothClient:
+    monkeypatch.setattr(DynamothClient, "DEDUP_WINDOW", 2)
+    return DynamothClient(Simulator(), "c", ConsistentHashRing(["s1"]), Random(0))
+
+
 class TestDedupWindowRegression:
-    def test_replay_refreshes_the_dedup_window(self):
+    def test_replay_refreshes_the_dedup_window(self, monkeypatch):
         """Regression: under active replay the same msg id keeps arriving;
         a plain FIFO window expires the id *between* two replays and the
         second replay double-counts.  The count-aware LRU refreshes the
         id's recency on every duplicate hit instead."""
-        sim = Simulator()
-        client = DynamothClient(
-            sim, "c", ConsistentHashRing(["s1"]), Random(0), dedup_window=2
-        )
+        client = _client_with_window_of_two(monkeypatch)
         assert not _arrives_as_duplicate(client, "m1")
         assert not _arrives_as_duplicate(client, "x1")
         # First replay of m1: a duplicate, and its recency is refreshed.
@@ -171,11 +182,8 @@ class TestDedupWindowRegression:
         # [x1, x2] at this point and would have let m1 through again.
         assert _arrives_as_duplicate(client, "m1")
 
-    def test_expiry_still_works_once_replays_stop(self):
-        sim = Simulator()
-        client = DynamothClient(
-            sim, "c", ConsistentHashRing(["s1"]), Random(0), dedup_window=2
-        )
+    def test_expiry_still_works_once_replays_stop(self, monkeypatch):
+        client = _client_with_window_of_two(monkeypatch)
         assert not _arrives_as_duplicate(client, "m1")
         for i in range(4):
             assert not _arrives_as_duplicate(client, f"x{i}")

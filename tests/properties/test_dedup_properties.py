@@ -1,27 +1,16 @@
 """Property-based tests for client-side exactly-once delivery."""
 
-from random import Random
-
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.broker.commands import Delivery
 from repro.core.client import DynamothClient
-from repro.core.hashing import ConsistentHashRing
 from repro.core.messages import AppEnvelope
-from repro.sim.kernel import Simulator
+from tests.helpers import make_bare_client
 
 
 def make_client():
-    sim = Simulator()
-    ring = ConsistentHashRing(["s1", "s2"])
-    client = DynamothClient(sim, "c", ring, Random(0))
-
-    class NullTransport:
-        def send(self, *args, **kwargs):
-            return (0.0, 0.0)
-
-    client.transport = NullTransport()
+    sim, wire, client = make_bare_client(servers=["s1", "s2"])
     return sim, client
 
 
@@ -57,15 +46,21 @@ class TestDedupProperties:
         assert len(delivered) == n_messages
         assert client.duplicates == n_messages * (n_copies - 1)
 
-    def test_window_eviction_bounds_memory(self):
+    def test_window_remembers_exactly_the_most_recent_ids(self, monkeypatch):
+        """Memory is bounded: only the last DEDUP_WINDOW ids are held."""
+        monkeypatch.setattr(DynamothClient, "DEDUP_WINDOW", 64)
         sim, client = make_client()
-        client.subscribe("ch", lambda *a: None)
-        total = DynamothClient.DEDUP_WINDOW + 500
-        for i in range(total):
+        delivered = []
+        client.subscribe("ch", lambda ch, body, env: delivered.append(env.msg_id))
+        for i in range(64 + 20):
             envelope = AppEnvelope(f"m{i}", "peer", i, 0, 0.0)
             client.receive(Delivery("ch", envelope, 16, "s1"), "s1")
-        assert len(client._seen_ids) == DynamothClient.DEDUP_WINDOW
-        assert len(client._seen_order) == DynamothClient.DEDUP_WINDOW
+        # m20 is the oldest id still inside the window; m19 just left it.
+        for i in (20, 19):
+            envelope = AppEnvelope(f"m{i}", "peer", i, 0, 0.0)
+            client.receive(Delivery("ch", envelope, 16, "s1"), "s1")
+        assert delivered.count("m20") == 1
+        assert delivered.count("m19") == 2
 
     def test_very_old_id_can_be_redelivered_after_eviction(self):
         """The window is finite: an id older than the window is forgotten.
