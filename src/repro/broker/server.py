@@ -369,7 +369,7 @@ class PubSubServer(Actor):
     def _handle_publish(self, cmd: PublishCmd, publisher_id: str) -> None:
         """Queue a publish on the CPU; deliveries happen at CPU completion."""
         now = self.sim.now
-        fanout = self.subscriber_count(cmd.channel)
+        fanout = len(self._channels.get(cmd.channel, ()))
         cost = self.config.cpu_per_publish_s + fanout * self.config.cpu_per_delivery_s
         self.cpu_time_total += cost
         start = now if now > self._cpu_busy_until else self._cpu_busy_until
@@ -379,7 +379,8 @@ class PubSubServer(Actor):
         if done <= now:
             self._complete_publish(cmd, publisher_id)
         else:
-            self.sim.schedule_at(done, self._complete_publish, cmd, publisher_id)
+            # Never cancelled, so no handle: a fire-and-forget entry.
+            self.sim.schedule_batch(self._complete_publish, (done,), ((cmd, publisher_id),))
 
     # repro: scope[hot]
     def _complete_publish(self, cmd: PublishCmd, publisher_id: str) -> None:

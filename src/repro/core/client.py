@@ -54,6 +54,7 @@ from repro.obs.trace import (
 )
 from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
+from repro.sim.rng import RngRegistry
 
 #: tunables of a client built bare (tests); a cluster passes its own config
 _DEFAULT_CONFIG = DynamothConfig()
@@ -64,20 +65,20 @@ DeliveryCallback = Callable[[str, Any, AppEnvelope], None]
 ResponseTimeHook = Callable[[str, float, float], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class _PlanEntry:
     mapping: ChannelMapping
     last_activity: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _Subscription:
     callback: DeliveryCallback
     #: servers we currently hold (or are establishing) subscriptions on
     servers: Set[str] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Reconcile:
     """An in-flight subscription move awaiting subscribe acks."""
 
@@ -95,12 +96,25 @@ class DynamothClient(Actor):
     #: Delay before re-establishing subscriptions after a forced disconnect.
     RECONNECT_DELAY_S = 0.5
 
+    # Slots for the client's own attributes: with ``Actor``'s five in the
+    # ``__dict__`` they would pass the 30 keys CPython shares between
+    # instances, and every client would carry a private hash table.
+    __slots__ = (
+        "_ring", "_streams", "_rng", "_config", "_tracer", "_entries", "_ch_cache",
+        "_subs", "_reconcile", "_pending_drops", "_seen_ids", "_seen_order",
+        "_dedup_window", "_msg_counter", "_sequence", "_gate", "_recovery",
+        "on_response_time", "on_delivery", "on_wire_delivery",
+        "published", "delivered", "duplicates", "redirects", "switches",
+        "disconnects", "failovers", "reconnects", "resubscribes",
+        "causal_timeouts", "gap_requests", "unrecoverable",
+    )
+
     def __init__(
         self,
         sim: Simulator,
         node_id: str,
         bootstrap_ring: ConsistentHashRing,
-        rng: Random,
+        streams: RngRegistry,
         *,
         config: DynamothConfig = _DEFAULT_CONFIG,
         tracer: Tracer = NULL_TRACER,
@@ -108,7 +122,10 @@ class DynamothClient(Actor):
     ):
         super().__init__(sim, node_id, is_infra=False)
         self._ring = bootstrap_ring
-        self._rng = rng
+        #: the ``client:<id>`` stream, opened at the first draw: only a
+        #: replicated mapping draws, so most clients never seed one
+        self._streams = streams
+        self._rng: Optional[Random] = None
         #: the cluster's one shared config object, read in place
         self._config = config
         self._tracer = tracer
@@ -202,7 +219,9 @@ class DynamothClient(Actor):
         for server in sorted(sub.servers - desired):
             self.send(server, UnsubscribeCmd(channel), UnsubscribeCmd.WIRE_SIZE)
         sub.servers = desired
-        self._touch(channel)
+        entry = self._entries.get(channel)
+        if entry is not None:
+            entry.last_activity = self.sim.now
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(SubscribeEvent(self.sim.now, self.node_id, channel, tuple(sorted(desired))))
@@ -246,7 +265,10 @@ class DynamothClient(Actor):
         )
         wire_payload = payload_size + AppEnvelope.WIRE_OVERHEAD
         cmd = PublishCmd(channel, envelope, wire_payload)
-        targets = mapping.publish_targets(self._rng)
+        if mapping.mode is ReplicationMode.ALL_SUBSCRIBERS:
+            targets = mapping.publish_targets(self._rng or self._open_stream())
+        else:
+            targets = mapping.servers  # no draw: the stream stays unopened
         for server in targets:
             self.send(server, cmd, wire_payload)
         if self._recovery is not None:
@@ -254,7 +276,9 @@ class DynamothClient(Actor):
             for server in targets:
                 probed[server] = self.sim.now
         self.published += 1
-        self._touch(channel)
+        entry = self._entries.get(channel)
+        if entry is not None:
+            entry.last_activity = self.sim.now
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(
@@ -341,11 +365,6 @@ class DynamothClient(Actor):
             ).inc()
         return fallback
 
-    def _touch(self, channel: str) -> None:
-        entry = self._entries.get(channel)
-        if entry is not None:
-            entry.last_activity = self.sim.now
-
     def _desired_sub_servers(
         self, mapping: ChannelMapping, current: Set[str], *, rebalance: bool = False
     ) -> Set[str]:
@@ -366,8 +385,13 @@ class DynamothClient(Actor):
                 keep = current & set(mapping.servers)
                 if keep:
                     return {next(iter(sorted(keep)))}
-            return {self._rng.choice(mapping.servers)}
+            return {(self._rng or self._open_stream()).choice(mapping.servers)}
         return {mapping.servers[0]}
+
+    def _open_stream(self) -> Random:
+        """First draw: open this client's named stream and keep it."""
+        rng = self._rng = self._streams.stream(f"client:{self.node_id}")
+        return rng
 
     def _apply_mapping(self, channel: str, mapping: ChannelMapping) -> None:
         """Adopt a (possibly newer) mapping and reconcile subscriptions."""
@@ -460,8 +484,7 @@ class DynamothClient(Actor):
             # Hot path: one call per application delivery.  The fixed chain
             # touch -> switch notice -> wire tap -> [sequence stage] ->
             # dedup -> [causal gate] -> tail runs in this one frame (an
-            # at_most_once run has neither stage and pays for no other);
-            # ``sim._now`` skips the ``now`` property descriptor.
+            # at_most_once run has neither stage and pays for no other).
             envelope = message.payload
             if not isinstance(envelope, AppEnvelope):
                 return
@@ -469,7 +492,7 @@ class DynamothClient(Actor):
             sim = self.sim
             entry = self._entries.get(channel)
             if entry is not None:
-                entry.last_activity = sim._now
+                entry.last_activity = sim.now
 
             if isinstance(envelope.body, SwitchNotice):
                 self.switches += 1
@@ -486,7 +509,7 @@ class DynamothClient(Actor):
             sequence = self._sequence
             if sequence is not None and message.seq is not None:
                 verdict = sequence.observe(
-                    message.server_id, channel, message.seq, message.epoch, sim._now
+                    message.server_id, channel, message.seq, message.epoch, sim.now
                 )
                 if verdict is False:
                     # exactly_once: a sequence number already at or below

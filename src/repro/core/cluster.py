@@ -370,7 +370,7 @@ class DynamothCluster:
             self.sim,
             client_id,
             self.plan.ring,
-            self.rng.stream(f"client:{client_id}"),
+            self.rng,
             config=self.config,
             tracer=self.tracer,
             reliability=self.reliability_config,

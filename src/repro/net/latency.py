@@ -113,7 +113,8 @@ class KingLatencyModel:
         self._mu = math.log(median)
 
     def sample(self, rng: Random) -> float:
-        value = rng.lognormvariate(self._mu, self.sigma)
+        # What ``rng.lognormvariate`` does, minus its frame.
+        value = math.exp(rng.normalvariate(self._mu, self.sigma))
         if value < self.floor:
             return self.floor
         if value > self.ceiling:

@@ -95,7 +95,9 @@ class EgressPort:
             start = now if now > self._busy_until else self._busy_until
             completion = start + size_bytes / self.capacity_bps
             self._busy_until = completion
-        self.buckets.add(completion, size_bytes)
+        buckets = self.buckets._buckets
+        second = int(completion)
+        buckets[second] = buckets.get(second, 0) + size_bytes
         self.total_bytes += size_bytes
         self.total_messages += 1
         return completion

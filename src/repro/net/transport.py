@@ -8,16 +8,19 @@ model.  Sending a message involves, in order:
 2. one-way propagation delay sampled from the LAN model (both endpoints are
    infrastructure) or the WAN model (one endpoint is a client), mirroring
    the paper's latency-injection rules in section V-B;
-3. delivery via ``dst.receive(message, src_id)`` -- unless the destination
-   has shut down in the meantime, in which case the message is dropped and
-   counted.
+3. delivery via ``dst.receive(message, src_id)``, straight from the
+   kernel's run loop -- unless the destination has shut down or left in
+   the meantime: its ``receive`` is :meth:`Transport.dead_letter` by then,
+   and the message is dropped and counted.
 
 Hot-path notes: all per-connection state lives in one flat table keyed by
 ``(src, dst)`` tuples -- the resolved destination actor, which latency
 model the pair uses (it never changes while both endpoints stay
 registered), the model's constant sample when it declares a
-``fixed_delay`` (constant models never touch the RNG), and the FIFO clamp.
-One dict lookup per message covers all four.  There are two send bodies:
+``fixed_delay`` (constant models never touch the RNG), the FIFO clamp, and
+the ``(dst_actor,)`` tuple every delivery event of the pair shares as its
+arguments.  One dict lookup per message covers all five.  There are two
+send bodies:
 :meth:`Transport.send` for one message (control plane, client publishes)
 and :meth:`Transport.send_fanout`, the bulk fan-out API: it computes the
 NIC drain incrementally, samples propagation once per *leg* (latency
@@ -27,6 +30,7 @@ interface.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from random import Random
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -41,6 +45,7 @@ _P_DST = 0  # resolved destination Actor
 _P_MODEL = 1  # LatencyModel, or None for loopback
 _P_FIXED = 2  # constant sample when the model declares one, else None
 _P_FIFO = 3  # last scheduled delivery time on this connection
+_P_ARGS = 4  # ``(dst_actor,)``: the args of every delivery event of the pair
 
 
 class FaultPlane(Protocol):
@@ -72,8 +77,8 @@ class Transport:
         self.wan_model: LatencyModel = wan_model if wan_model is not None else KingLatencyModel()
         self._actors: Dict[str, Actor] = {}
         self._ports: Dict[str, EgressPort] = {}
-        #: per (src, dst) connection state: ``[dst_actor, model,
-        #: fixed_delay, fifo_time]``.  The FIFO clamp enforces the ordering
+        #: per (src, dst) connection state: ``[dst_actor, model, fixed_delay,
+        #: fifo_time, (dst_actor,)]``.  The FIFO clamp enforces the ordering
         #: a TCP connection provides -- without it, two messages on the
         #: same logical connection could reorder (each samples its own
         #: propagation delay), breaking protocols that rely on in-order
@@ -114,10 +119,16 @@ class Transport:
         self._actors[actor.node_id] = actor
         self._ports[actor.node_id] = port
         actor.transport = self
+        if actor.alive:
+            vars(actor).pop("receive", None)  # back after unregister(): lift the dead letter
         return port
 
     def unregister(self, node_id: str) -> None:
         """Detach a node; in-flight messages to it are dropped on arrival.
+
+        A message in flight is bound to the actor object, not the id: a
+        new actor registered under the same id before it lands (a crashed
+        server restarting) never sees the old incarnation's traffic.
 
         All per-pair connection state touching the node is pruned so long
         churny runs do not leak an entry per (departed node, peer) pair --
@@ -132,6 +143,13 @@ class Transport:
         self.pair_epoch += 1
         if actor is not None:
             actor.transport = None
+            vars(actor)["receive"] = self.dead_letter
+
+    def dead_letter(self, message: Any, src_id: str) -> None:
+        """``receive`` of a dead node: :meth:`Actor.shutdown` and
+        :meth:`unregister` install it on the instance, so liveness is decided
+        when it changes and a live arrival pays no test for it."""
+        self.messages_dropped += 1
 
     def actor(self, node_id: str) -> Optional[Actor]:
         return self._actors.get(node_id)
@@ -210,9 +228,10 @@ class Transport:
                 delivery_time = state[_P_FIFO]  # FIFO: never overtake
             state[_P_FIFO] = delivery_time
         # No caller cancels a message in flight, so it rides the kernel's
-        # fire-and-forget entry instead of a ScheduledEvent handle.
+        # fire-and-forget entry instead of a ScheduledEvent handle, and the
+        # entry calls ``dst.receive(message, src_id)`` with no frame here.
         self.sim.schedule_batch(
-            self._deliver, (delivery_time,), ((dst_id, message, src_id),)
+            methodcaller("receive", message, src_id), (delivery_time,), (state[_P_ARGS],)
         )
         self.messages_sent += 1
         return completion, delivery_time
@@ -338,9 +357,10 @@ class Transport:
                 delivery_time = state[_P_FIFO]
             state[_P_FIFO] = delivery_time
             add_time(delivery_time)
-            add_args((dst_id, message, src_id))
+            add_args(state[_P_ARGS])
         if times:
-            sim.schedule_batch(self._deliver, times, args_seq)
+            # One C callable for the whole batch, no tuple per destination.
+            sim.schedule_batch(methodcaller("receive", message, src_id), times, args_seq)
             self.messages_sent += len(times)
         if dropped:
             self.messages_dropped += dropped
@@ -357,7 +377,7 @@ class Transport:
         if dst is None:
             return None
         if src_id == dst_id:
-            state: List[Any] = [dst, None, 0.0, 0.0]
+            state: List[Any] = [dst, None, 0.0, 0.0, (dst,)]
         else:
             if self._actors[src_id].is_infra and dst.is_infra:
                 model: LatencyModel = self.lan_model
@@ -367,13 +387,6 @@ class Transport:
                 # client direct messages do not occur in Dynamoth's two-hop
                 # architecture.)
                 model = self.wan_model
-            state = [dst, model, getattr(model, "fixed_delay", None), 0.0]
+            state = [dst, model, getattr(model, "fixed_delay", None), 0.0, (dst,)]
         self._pairs[key] = state
         return state
-
-    def _deliver(self, dst_id: str, message: Any, src_id: str) -> None:
-        dst = self._actors.get(dst_id)
-        if dst is None or not dst.alive:
-            self.messages_dropped += 1
-            return
-        dst.receive(message, src_id)

@@ -12,7 +12,8 @@ is deterministic across machines.
 Hook points (all opt-in, all no-cost when absent):
 
 * the kernel calls :meth:`record_event` after executing each scheduled
-  callback (``sim.profiler`` is set by ``Tracer.attach_kernel``);
+  callback (``sim.profiler`` is set by ``Tracer.attach_kernel``); a
+  message delivery is booked to the receiving actor's ``receive``;
 * the actor message tap calls :meth:`count_message` per transport send;
 * subsystems (broker fan-out, LLA reporting) call :meth:`count` to
   attribute domain work that doesn't map 1:1 to scheduled events.
@@ -23,7 +24,8 @@ in a trace (a ``profile`` event in the trailer) as a ranked hot-path view.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from operator import methodcaller
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 #: Site key: (subsystem, qualified callback name).
 SiteKey = Tuple[str, str]
@@ -74,8 +76,13 @@ class SimProfiler:
     # ------------------------------------------------------------------
     # Hot-path hooks
     # ------------------------------------------------------------------
-    def record_event(self, fn: Callable[..., Any], now: float) -> None:
-        """Kernel hook: one executed event at sim time ``now``."""
+    def record_event(self, fn: Callable[..., Any], now: float, args: Sequence[Any]) -> None:
+        """Kernel hook: one executed event ``fn(*args)`` at sim time ``now``."""
+        if type(fn) is methodcaller:
+            # A message delivery: the transport makes one methodcaller per
+            # send, so the site is what it called -- the destination
+            # actor's ``receive`` (the dead letter, if it was down).
+            fn = args[0].receive
         func = getattr(fn, "__func__", fn)
         site = self._site_cache.get(func)
         if site is None:

@@ -56,8 +56,14 @@ class Actor:
     # Lifecycle
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Mark the node as down; the transport stops delivering to it."""
+        """Mark the node as down; the transport stops delivering to it.
+
+        A message in flight looks ``receive`` up on the instance when it
+        lands, and from now on finds the transport's dead letter there.
+        """
         self.alive = False
+        if self.transport is not None:
+            vars(self)["receive"] = self.transport.dead_letter
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "infra" if self.is_infra else "client"

@@ -99,7 +99,9 @@ class Simulator:
     GC_MAINTENANCE_EVENTS = 1_000_000
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current virtual time in seconds: a plain attribute, so a read
+        #: costs no frame.  Only the run loop and :meth:`run_until` write it.
+        self.now: float = 0.0
         self._seq: int = 0
         self._events_processed: int = 0
         self._cancelled_pending: int = 0
@@ -109,7 +111,7 @@ class Simulator:
         self._gc_next: int = self.GC_MAINTENANCE_EVENTS
         self._last_event_time: float = 0.0
         #: Optional sim-profiler (``repro.obs.profile.SimProfiler``-shaped:
-        #: anything with ``record_event(fn, now)``).  Fed the executed
+        #: anything with ``record_event(fn, now, args)``).  Fed the executed
         #: callback after each event.  Hoisted into a local at run entry
         #: (``None`` then costs nothing per event), so it must be installed
         #: *before* entering a run loop, never from inside an executing
@@ -125,13 +127,8 @@ class Simulator:
         self._sample_next: float = _NEVER
 
     # ------------------------------------------------------------------
-    # Clock
+    # Diagnostics
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total number of events executed so far (diagnostic)."""
@@ -177,12 +174,18 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
-        return self.schedule_at(self._now + delay, fn, *args)
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        event = ScheduledEvent(time, seq, fn, args)
+        event._sim = self
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> ScheduledEvent:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         seq = self._seq
         self._seq = seq + 1
         event = ScheduledEvent(time, seq, fn, args)
@@ -209,8 +212,8 @@ class Simulator:
         The batch is atomic: a timestamp in the past raises before anything
         is queued, so a rejected batch consumes no sequence numbers.
         """
-        if times and min(times) < self._now:
-            raise ValueError(f"cannot schedule in the past: {min(times)} < {self._now}")
+        if times and min(times) < self.now:
+            raise ValueError(f"cannot schedule in the past: {min(times)} < {self.now}")
         first = seq = self._seq
         heap = self._heap
         push = heapq.heappush
@@ -327,7 +330,7 @@ class Simulator:
                 if entry[0] > limit:
                     break
                 pop(heap)
-                self._now = entry[0]
+                self.now = entry[0]
                 if event is None:
                     # Fire-and-forget batch entry: no handle state to
                     # release, cannot be cancelled.
@@ -347,7 +350,7 @@ class Simulator:
                 self._events_processed += 1
                 fn(*args)
                 if profiler is not None:
-                    profiler.record_event(fn, self._now)
+                    profiler.record_event(fn, self.now, args)
                 if heap is not self._heap:
                     heap = self._heap  # compaction rebuilt it
                 if self._events_processed >= pause_next:
@@ -355,7 +358,7 @@ class Simulator:
                         self._sample_next = self._events_processed + self.sample_every
                         sample = self.sample_hook
                         if sample is not None:
-                            sample(self._now, self._events_processed)
+                            sample(self.now, self._events_processed)
                     if self._events_processed >= gc_next:
                         gc.collect(1)
                         gc_next = self._gc_next = (
@@ -369,8 +372,8 @@ class Simulator:
             self._running = was_running
             if self._events_processed != started_at:
                 # One store per loop exit, not per event: run_until is about
-                # to move ``_now`` to its horizon.
-                self._last_event_time = self._now
+                # to move ``now`` to its horizon.
+                self._last_event_time = self.now
             if owns_gc:
                 gc.enable()
                 gc.unfreeze()
@@ -389,10 +392,10 @@ class Simulator:
         The clock always ends exactly at ``time`` even if the queue drains
         early, so periodic processes can be resumed from a known instant.
         """
-        if time < self._now:
-            raise ValueError(f"cannot run backwards: {time} < {self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot run backwards: {time} < {self.now}")
         self._run_loop(time)
-        self._now = time
+        self.now = time
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the event queue is exhausted.

@@ -1,16 +1,19 @@
-"""End-to-end detection power: seeded real loss bugs are caught, shrunk
+"""End-to-end detection power: planted real loss bugs are caught, shrunk
 to minimal reproducers, and replayed from the printed seed alone.
 
-Two seeded bugs, one per replay path:
+Two planted bugs, one per replay path.  The product has no switch for
+either: for the duration of a run the harness replaces the method at
+class level (``repro.check.scenario._PLANTABLE_BUGS``).
 
-* the dispatcher's test-only ``repair_replay_enabled`` kill switch: with
-  replay off, publications a repaired channel's new home accepts before
-  the recovering subscriber re-attaches are silently lost -- exactly what
-  the repair-bridging oracle asserts against;
-* the reliable tier's ``reliable_replay_enabled`` kill switch: brokers
-  keep stamping sequence numbers but silently ignore replay requests (and
-  send no gap notices), so a lossy client link leaves unrepaired sequence
-  holes -- exactly what the gap-free oracle asserts against.
+* ``break_repair_replay`` makes ``Dispatcher._flush_repair_buffer`` drop
+  the buffer instead of replaying it: publications a repaired channel's
+  new home accepts before the recovering subscriber re-attaches are
+  silently lost -- exactly what the repair-bridging oracle asserts against;
+* ``break_reliable_replay`` makes ``BrokerReliability.replay_slice``
+  answer nothing: brokers keep stamping sequence numbers but silently
+  ignore replay requests (and send no gap notices), so a lossy client link
+  leaves unrepaired sequence holes -- exactly what the gap-free oracle
+  asserts against.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ def _scenario_size(scenario: Scenario) -> tuple:
 def test_broken_replay_is_caught():
     scenario = generate_scenario(BROKEN_SEED, break_repair_replay=True)
     violations = check_result(run_scenario(scenario))
-    assert violations, "kill switch went undetected"
+    assert violations, "planted repair-replay bug went undetected"
     assert {v.oracle for v in violations} == {"repair-bridging"}
 
 
@@ -106,7 +109,7 @@ def test_broken_reliable_replay_is_caught():
         GAP_SEED, delivery_tier="exactly_once", break_reliable_replay=True
     )
     violations = check_result(run_scenario(scenario))
-    assert violations, "reliable-replay kill switch went undetected"
+    assert violations, "planted reliable-replay bug went undetected"
     assert {v.oracle for v in violations} == {"gap-free"}
 
 
@@ -126,7 +129,7 @@ def test_gap_violation_shrinks_and_replays_from_json():
     assert runs > 0
     assert min_violations and all(v.oracle == "gap-free" for v in min_violations)
     # The minimal scenario must reproduce from its own JSON alone,
-    # including the tier and kill-switch axes.  The shrinker may downgrade
+    # including the tier and planted-bug axes.  The shrinker may downgrade
     # exactly_once to at_least_once (gap-free applies to both), but never
     # below a reliable tier.
     replayed = Scenario.from_json(minimal.to_json())

@@ -1,9 +1,12 @@
 """Tests for the Dynamoth client library (through a static cluster)."""
 
+from random import Random
+
 import pytest
 
 from repro.core.messages import MappingNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
+from repro.sim.rng import derive_seed
 from tests.conftest import make_static_cluster
 
 
@@ -255,3 +258,47 @@ class TestChFallbackConvergence:
         drain(cluster)
         assert got == ["one", "two", "three"]
         assert cluster.servers[home].publish_count == old_home_before
+
+
+class TestPerClientStateOnFirstUse:
+    """State most clients never use is not built at construction."""
+
+    def test_stream_opens_at_the_first_draw_not_before(self):
+        seed = 7
+        cluster = make_static_cluster(seed=seed, initial_servers=3)
+        got = []
+        sub = cluster.create_client("sub0")
+        sub.subscribe("plain", lambda ch, body, env: got.append(body))
+        drain(cluster)
+        sub.publish("plain", "x", 10)
+        drain(cluster)
+        assert got == ["x"]
+        assert "client:sub0" not in cluster.rng  # SINGLE mappings never draw
+
+        servers = tuple(sorted(cluster.servers))
+        cluster.set_static_mapping(
+            "wide", ChannelMapping(ReplicationMode.ALL_PUBLISHERS, servers, 1)
+        )
+        drain(cluster)
+        # Learn the mapping first (a fallback subscriber is redirected),
+        # then the ALL_PUBLISHERS pick is this stream's first draw.
+        sub.subscribe("wide", lambda *a: None)
+        drain(cluster)
+        assert "client:sub0" in cluster.rng
+        expected = Random(derive_seed(seed, "client:sub0")).choice(servers)
+        assert sub.subscription_servers("wide") == {expected}
+
+    def test_own_attributes_live_in_slots(self, cluster):
+        client = cluster.create_client("c")
+        assert "delivered" not in vars(client) and "_subs" not in vars(client)
+        # Actor's handful stay in the (key-sharing) instance dict ...
+        assert vars(client)["node_id"] == "c"
+        # ... and the hooks tests and harnesses assign still assign.
+        seen = []
+        client.on_delivery = lambda channel, envelope, delivery: seen.append(channel)
+        client.on_response_time = lambda channel, rtt, now: None
+        client.subscribe("ch", lambda *a: None)
+        drain(cluster)
+        client.publish("ch", "x", 10)
+        drain(cluster)
+        assert seen == ["ch"] and client.delivered == 1

@@ -20,6 +20,7 @@ from repro.core.hashing import ConsistentHashRing
 from repro.net.latency import FixedLatency
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
+from repro.sim.rng import RngRegistry
 
 
 def make_static_cluster(
@@ -62,6 +63,9 @@ class RecordingWire:
             ack = SubscribeAck(message.channel, dst)
             self.sim.schedule(0.01, self.client.receive, ack, dst)
 
+    def dead_letter(self, message: object, src: str) -> None:
+        """What ``Actor.shutdown()`` points the client's ``receive`` at."""
+
     def messages(self, kind: type) -> list:
         return [message for _, _, message in self.sent if isinstance(message, kind)]
 
@@ -78,7 +82,8 @@ def make_bare_client(
     """A client on a bare simulator, wired to a :class:`RecordingWire`."""
     sim = Simulator()
     wire = RecordingWire(sim)
-    client = DynamothClient(sim, node_id, ConsistentHashRing(list(servers)), Random(0), **kwargs)
+    ring = ConsistentHashRing(list(servers))
+    client = DynamothClient(sim, node_id, ring, RngRegistry(0), **kwargs)
     client.transport = wire
     wire.client = client
     return sim, wire, client

@@ -11,8 +11,6 @@ gap replay.
 
 from __future__ import annotations
 
-from random import Random
-
 from repro.broker.commands import Delivery
 from repro.check.scenario import Scenario, _planted_bugs
 from repro.core.client import DynamothClient
@@ -24,6 +22,7 @@ from repro.core.reliability import BrokerReliability
 from repro.obs.export import event_to_json
 from repro.obs.trace import ReplayEvent, ReplayGapEvent, Tracer
 from repro.sim.kernel import Simulator
+from repro.sim.rng import RngRegistry
 
 
 def _cluster(config: DynamothConfig, *, tracer=None, seed: int = 0) -> DynamothCluster:
@@ -163,7 +162,7 @@ def _arrives_as_duplicate(client: DynamothClient, msg_id: str) -> bool:
 
 def _client_with_window_of_two(monkeypatch) -> DynamothClient:
     monkeypatch.setattr(DynamothClient, "DEDUP_WINDOW", 2)
-    return DynamothClient(Simulator(), "c", ConsistentHashRing(["s1"]), Random(0))
+    return DynamothClient(Simulator(), "c", ConsistentHashRing(["s1"]), RngRegistry(0))
 
 
 class TestDedupWindowRegression:

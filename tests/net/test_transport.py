@@ -106,6 +106,69 @@ class TestDelivery:
         assert b.received == []
         assert net.messages_dropped == 1
 
+    def test_fanout_to_actor_dying_in_flight_dropped_on_arrival(self, sim, net):
+        a, b, c = Recorder(sim, "a"), Recorder(sim, "b"), Recorder(sim, "c")
+        for actor in (a, b, c):
+            net.register(actor)
+        net.send_fanout("a", ["b", "c"], net.fanout_states("a", ["b", "c"]), "m", 10)
+        b.shutdown()
+        sim.run_until(1.0)
+        assert b.received == [] and [m for _, m, _ in c.received] == ["m"]
+        assert (net.messages_sent, net.messages_dropped) == (2, 1)
+
+    def test_messages_to_actor_unregistered_in_flight_dropped_on_arrival(self, sim, net):
+        a, b = Recorder(sim, "a"), Recorder(sim, "b")
+        net.register(a)
+        net.register(b)
+        a.send("b", "m", 10)
+        net.unregister("b")  # leaves, still alive, while the message is in flight
+        sim.run_until(1.0)
+        assert b.received == []
+        assert net.messages_dropped == 1
+
+    def test_in_flight_message_is_not_handed_to_a_new_actor_under_the_same_id(self, sim, net):
+        """Crash -> restart under one id: the message was for the old
+        incarnation, and dies with it (DESIGN.md 6d, fault model)."""
+        a, old = Recorder(sim, "a"), Recorder(sim, "b")
+        net.register(a)
+        net.register(old)
+        a.send("b", "for the old b", 10)
+        old.shutdown()
+        net.unregister("b")
+        fresh = Recorder(sim, "b")
+        net.register(fresh)  # before the message lands
+        sim.run_until(1.0)
+        assert old.received == [] and fresh.received == []
+        assert net.messages_dropped == 1
+        a.send("b", "for the new b", 10)
+        sim.run_until(2.0)
+        assert [m for _, m, _ in fresh.received] == ["for the new b"]
+        assert net.messages_dropped == 1
+
+    def test_same_actor_reregistered_receives_again(self, sim, net):
+        a, b = Recorder(sim, "a"), Recorder(sim, "b")
+        net.register(a)
+        net.register(b)
+        net.unregister("b")
+        net.register(b)
+        a.send("b", "m", 10)
+        sim.run_until(1.0)
+        assert [m for _, m, _ in b.received] == ["m"]
+        assert net.messages_dropped == 0
+
+    def test_shut_down_actor_stays_dead_when_reregistered(self, sim, net):
+        a, b = Recorder(sim, "a"), Recorder(sim, "b")
+        net.register(a)
+        net.register(b)
+        a.send("b", "in flight", 10)
+        b.shutdown()
+        net.unregister("b")
+        net.register(b)
+        a.send("b", "sent to the dead", 10)
+        sim.run_until(1.0)
+        assert b.received == []
+        assert net.messages_dropped == 2
+
     def test_unknown_sender_raises(self, sim, net):
         net.register(Recorder(sim, "b"))
         with pytest.raises(KeyError):

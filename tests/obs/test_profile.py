@@ -2,6 +2,7 @@
 
 import json
 
+from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.obs.export import dump_tracer, read_trace
 from repro.obs.profile import SimProfiler, classify_callable, render_profile
 from repro.obs.trace import ProfileEvent, Tracer
@@ -157,3 +158,54 @@ class TestReliabilityAttribution:
     def test_reliable_tier_attributes_stamping(self):
         counters = self._cluster_counters("at_least_once")
         assert counters.get("reliability:stamp.sequenced", 0) >= 5
+
+
+class TestDeliveryAttribution:
+    """A delivery is booked to the receiving actor's ``receive``, whatever
+    per-message callable the transport handed the kernel."""
+
+    def test_deliveries_are_booked_per_receiving_class(self):
+        profiler = SimProfiler()
+        cluster = DynamothCluster(
+            seed=0, initial_servers=1, balancer=BALANCER_NONE, tracer=Tracer(profiler=profiler)
+        )
+        for i in range(20):
+            cluster.create_client(f"sub{i}").subscribe("hot", lambda *a: None)
+        publisher = cluster.create_client("pub")
+        cluster.run_for(1.0)
+        for i in range(50):
+            cluster.sim.schedule(0.05 * i, publisher.publish, "hot", i, 100)
+        cluster.run_for(4.0)
+        transport = cluster.transport
+        leaver = cluster.clients["sub0"]
+        sent = transport.messages_sent
+        publisher.publish("hot", "in flight when sub0 leaves", 100)
+        while transport.messages_sent < sent + 21:  # the publish, then the fan-out
+            cluster.sim.step()
+        cluster.remove_client("sub0")
+        cluster.run_for(2.0)
+
+        app_deliveries = sum(c.delivered for c in cluster.clients.values()) + leaver.delivered
+        assert app_deliveries == 20 * 50 + 19
+        events = profiler.snapshot()["events"]
+        receives = {k: v["count"] for k, v in events.items() if k.endswith(".receive")}
+        dead = events["net:Transport.dead_letter"]["count"]
+        assert dead >= 1  # sub0's copy; send-time drops never become events
+        assert sum(receives.values()) == transport.messages_sent - dead
+        assert receives["core:DynamothClient.receive"] >= app_deliveries
+        assert receives["broker:PubSubServer.receive"] >= 51  # the publications
+        assert not [k for k in events if "operator" in k or "_deliver" in k]
+        assert len(profiler._site_cache) < 50
+
+    def test_snapshot_is_deterministic_with_deliveries(self):
+        def run():
+            profiler = SimProfiler()
+            cluster = DynamothCluster(seed=3, initial_servers=2, tracer=Tracer(profiler=profiler))
+            for i in range(5):
+                cluster.create_client(f"c{i}").subscribe("ch", lambda *a: None)
+            cluster.run_for(1.0)
+            cluster.clients["c0"].publish("ch", "x", 10)
+            cluster.run_for(2.0)
+            return profiler.snapshot()
+
+        assert run() == run()

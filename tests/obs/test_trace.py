@@ -120,7 +120,7 @@ class TestTracedRun:
             events = 0
             clock = 0.0
 
-            def record_event(self, fn, now):
+            def record_event(self, fn, now, args):
                 self.events += 1
                 self.clock = now
 

@@ -1,6 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+from repro.sim.kernel import Simulator
 
 
 class TestScheduling:
@@ -185,3 +190,30 @@ class TestHeapCompaction:
         sim.run_until(2.0)
         assert sim.cancelled_pending == 0
         assert sim.pending_count == 0
+
+
+class TestClockHasOneWriter:
+    """``Simulator.now`` is a plain attribute (reading it costs no frame);
+    what a read-only property used to enforce, this does."""
+
+    def test_now_is_a_plain_attribute(self, sim):
+        assert not isinstance(vars(Simulator).get("now"), property)
+        assert vars(sim)["now"] == 0.0
+        assert not hasattr(sim, "_now")
+
+    def test_only_the_kernel_assigns_the_clock(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        writers = []
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Attribute) and leaf.attr == "now":
+                            writers.append(f"{path.relative_to(src).as_posix()}:{node.lineno}")
+        assert writers and all(w.startswith("repro/sim/kernel.py:") for w in writers), writers
