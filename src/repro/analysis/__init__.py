@@ -2,7 +2,7 @@
 
 Every guarantee this reproduction makes -- loss-free reconfiguration
 oracles (``repro.check``), byte-identical chaos replays (``repro.faults``)
-and the perf-gate baselines -- rests on the simulator being *perfectly
+and the perf ledger's exact counts -- rests on the simulator being *perfectly
 deterministic*.  Nothing at runtime stops a change from introducing a
 ``time.time()`` call, a module-level ``random.*`` draw, or iteration over
 an unordered ``set`` on a fan-out path; such a change breaks replay
@@ -16,7 +16,7 @@ AST lint engine with codebase-specific rules, runnable as::
 Rules (see ``python -m repro.analysis explain`` for the full catalogue):
 
 ========  ===========================================================
-DET001    no wall-clock reads outside experiments / obs export paths
+DET001    no wall-clock reads anywhere (no path is exempt)
 DET002    no module-level ``random.*`` calls (seeded streams only)
 DET003    no iteration over unordered sets on hot paths
 DET004    no blocking I/O inside simulation modules
@@ -33,7 +33,7 @@ message`` diagnostics (``--format=json`` for CI artifacts).  It
 self-hosts: the repository must check clean at every merge.
 """
 
-from repro.analysis.config import AnalysisConfig, load_config
+from repro.analysis.config import AnalysisConfig
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import AnalysisEngine
 from repro.analysis.project import ProjectFacts, collect_facts
@@ -47,5 +47,4 @@ __all__ = [
     "ProjectFacts",
     "collect_facts",
     "get_rule",
-    "load_config",
 ]

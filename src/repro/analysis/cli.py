@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Set
 
 from repro.analysis.baseline import write_baseline
 from repro.analysis.bisect import bisect_traces, format_divergence
-from repro.analysis.config import find_project_root, load_config
+from repro.analysis.config import find_project_root
 from repro.analysis.engine import AnalysisEngine, CheckReport
 from repro.analysis.rules import ALL_RULES, get_rule
 
@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _make_engine(root_arg: Optional[str]) -> AnalysisEngine:
     root = Path(root_arg).resolve() if root_arg else find_project_root()
-    return AnalysisEngine(root, load_config(root))
+    return AnalysisEngine(root)
 
 
 def _emit_text(report: CheckReport, stream) -> None:

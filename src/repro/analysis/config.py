@@ -1,19 +1,12 @@
-"""Analyzer configuration, loaded from ``[tool.repro.analysis]``.
+"""Analyzer configuration: the defaults below are the configuration.
 
-The analyzer's settings live in ``pyproject.toml`` next to the ruff/PERF
-configuration so all lint tooling is declared in one place.  The code
-defaults below are *identical* to the committed pyproject table: on
-interpreters without a TOML parser (Python 3.10 lacks :mod:`tomllib` and
-this repository takes no third-party dependencies) the analyzer silently
-falls back to them, so results only diverge if the table is edited without
-updating the defaults -- the self-host test pins both.
+There is one source -- this module.  No file is read; every caller
+builds :class:`AnalysisConfig` directly.
 
 Scope semantics
 ---------------
 Rules that only make sense for particular modules are *scoped*:
 
-* ``wallclock-allowed`` -- globs where DET001 (wall-clock reads) is off:
-  experiment harnesses and trace export genuinely need host time.
 * ``hot-paths`` -- globs where DET003 (unordered set iteration) is on.
 * ``no-io`` -- globs where DET004 (blocking I/O) is on.
 * ``wire-messages`` -- files whose dataclasses SLOT001 holds to the
@@ -25,13 +18,16 @@ top (first :data:`PRAGMA_SCAN_LINES` lines)::
     # repro: scope[hot-path]
 
 which is how test fixtures and new modules outside the globs participate.
+DET001 (wall-clock reads) has no path scope at all: it is on everywhere,
+and only a file carrying ``# repro: scope[wallclock-ok]`` in plain sight
+is exempt (fixtures and out-of-tree files; nothing under ``src/``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: How many leading lines are searched for ``# repro: scope[...]`` pragmas.
 PRAGMA_SCAN_LINES = 15
@@ -148,7 +144,7 @@ DEFAULT_MSG_ACTORS: Tuple[str, ...] = (
 
 @dataclass
 class AnalysisConfig:
-    """Parsed ``[tool.repro.analysis]`` settings (or the identical defaults)."""
+    """Everything the analyzer can be told; the defaults are the project's."""
 
     enable: Tuple[str, ...] = DEFAULT_RULES
     disable: Tuple[str, ...] = ()
@@ -159,11 +155,6 @@ class AnalysisConfig:
     #: directories skipped during discovery (explicit file arguments are
     #: always analyzed, so fixture violations stay directly checkable)
     exclude: Tuple[str, ...] = ("tests/analysis/fixtures",)
-    #: DET001 is *off* under these globs
-    wallclock_allowed: Tuple[str, ...] = (
-        "src/repro/experiments/*",
-        "src/repro/obs/*",
-    )
     #: DET003 is *on* under these globs
     hot_paths: Tuple[str, ...] = (
         "src/repro/broker/*",
@@ -216,7 +207,6 @@ class AnalysisConfig:
         return repr(
             (
                 tuple(sorted(self.active_rules())),
-                self.wallclock_allowed,
                 self.hot_paths,
                 self.no_io,
                 self.wire_messages,
@@ -228,86 +218,6 @@ class AnalysisConfig:
                 self.msg_actors,
             )
         )
-
-
-def _load_toml(path: Path) -> Optional[Dict[str, Any]]:
-    """Parse ``path`` with whichever TOML parser exists, else ``None``."""
-    try:
-        import tomllib as toml_parser  # Python >= 3.11
-    except ImportError:  # pragma: no cover - exercised only on 3.10
-        try:
-            import tomli as toml_parser  # type: ignore[import-not-found,no-redef]
-        except ImportError:
-            return None
-    try:
-        with open(path, "rb") as handle:
-            return toml_parser.load(handle)
-    except OSError:
-        return None
-
-
-def _str_tuple(value: Any, fallback: Tuple[str, ...]) -> Tuple[str, ...]:
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return tuple(value)
-    return fallback
-
-
-def load_config(root: Path) -> AnalysisConfig:
-    """Read ``[tool.repro.analysis]`` from ``root/pyproject.toml``.
-
-    Missing file, missing table, or missing TOML parser all yield the
-    (identical) built-in defaults; individual keys override individually.
-    """
-    config = AnalysisConfig()
-    data = _load_toml(root / "pyproject.toml")
-    if data is None:
-        return config
-    table = data.get("tool", {}).get("repro", {}).get("analysis", {})
-    if not isinstance(table, dict):
-        return config
-    config.enable = _str_tuple(table.get("enable"), config.enable)
-    config.disable = _str_tuple(table.get("disable"), config.disable)
-    if isinstance(table.get("baseline"), str):
-        config.baseline = table["baseline"]
-    if isinstance(table.get("cache"), str):
-        config.cache = table["cache"]
-    config.exclude = _str_tuple(table.get("exclude"), config.exclude)
-    config.wallclock_allowed = _str_tuple(
-        table.get("wallclock-allowed"), config.wallclock_allowed
-    )
-    config.hot_paths = _str_tuple(table.get("hot-paths"), config.hot_paths)
-    config.no_io = _str_tuple(table.get("no-io"), config.no_io)
-    config.wire_messages = _str_tuple(table.get("wire-messages"), config.wire_messages)
-    if isinstance(table.get("trace-schema"), str):
-        config.trace_schema = table["trace-schema"]
-    raw_classes = table.get("config-classes")
-    if isinstance(raw_classes, dict) and all(
-        isinstance(k, str) and isinstance(v, str) for k, v in raw_classes.items()
-    ):
-        config.config_classes = dict(raw_classes)
-    config.layers = _str_list_table(table.get("layers"), config.layers)
-    config.protocol = _str_list_table(table.get("protocol"), config.protocol)
-    config.unrouted_messages = _str_tuple(
-        table.get("unrouted-messages"), config.unrouted_messages
-    )
-    config.msg_actors = _str_tuple(table.get("msg-actors"), config.msg_actors)
-    return config
-
-
-def _str_list_table(
-    value: Any, fallback: Dict[str, Tuple[str, ...]]
-) -> Dict[str, Tuple[str, ...]]:
-    """A TOML table of string lists (the layers / protocol shape)."""
-    if not isinstance(value, dict):
-        return fallback
-    out: Dict[str, Tuple[str, ...]] = {}
-    for key, entry in value.items():
-        if not isinstance(key, str):
-            return fallback
-        if not (isinstance(entry, list) and all(isinstance(v, str) for v in entry)):
-            return fallback
-        out[key] = tuple(entry)
-    return out
 
 
 def find_project_root(start: Optional[Path] = None) -> Path:

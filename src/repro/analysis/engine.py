@@ -10,8 +10,8 @@ Pipeline per file::
 Scopes come from the config globs plus ``# repro: scope[TAG]`` pragmas in
 the first :data:`~repro.analysis.config.PRAGMA_SCAN_LINES` lines, so a
 file outside the configured trees (a test fixture, a new subsystem) can
-opt itself into ``hot-path`` / ``no-io`` / ``wire-messages`` /
-``wallclock-ok`` semantics.
+opt itself into ``hot-path`` / ``no-io`` / ``wire-messages`` semantics;
+``wallclock-ok`` has no glob and can only be claimed by pragma.
 
 Discovery skips ``exclude`` directories, but paths given explicitly on
 the command line are always analyzed -- the ruff convention, and what
@@ -42,7 +42,6 @@ _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9_,\s]+)\]")
 
 #: scope tag -> config attribute holding its globs
 _SCOPE_GLOBS: Tuple[Tuple[str, str], ...] = (
-    ("wallclock-ok", "wallclock_allowed"),
     ("hot-path", "hot_paths"),
     ("no-io", "no_io"),
     ("wire-messages", "wire_messages"),

@@ -11,7 +11,7 @@ _PKG_PREFIX = "src/repro/"
 
 
 class LayeringRule(Rule):
-    """``[tool.repro.analysis.layers]`` declares the package DAG --
+    """``AnalysisConfig.layers`` declares the package DAG --
     ``sim`` at the bottom, the control plane (``core``) above the data
     plane (``broker``), harnesses on top.  An import *against* that
     direction smuggles upper-layer state into a foundation module: the

@@ -21,7 +21,7 @@ class ConfigFieldsRule(Rule):
     deep inside a sweep, hours in.
 
     This rule checks, against the dataclass definitions parsed from the
-    configured source files (``config-classes`` in pyproject):
+    configured source files (``AnalysisConfig.config_classes``):
 
     * constructor keywords -- ``DynamothConfig(publish_rate=...)`` must
       name declared fields;

@@ -40,10 +40,10 @@ class WallClockRule(Rule):
     ``_ns`` variants), ``time.localtime/gmtime/strftime``,
     ``datetime.datetime.now/utcnow/today`` and ``datetime.date.today``.
 
-    Exempt paths (``wallclock-allowed`` globs, or a
-    ``# repro: scope[wallclock-ok]`` pragma): experiment harnesses and
-    observability export code, which legitimately measure host wall time
-    -- the perf bench exists to report it.
+    No path is exempt: nothing under ``src/repro`` reads host time, and
+    host-time measurement lives in ``benchmarks/ledger/`` and nowhere
+    else.  A single file (a fixture, an out-of-tree script) can opt out
+    only in plain sight, with a ``# repro: scope[wallclock-ok]`` pragma.
     """
 
     ID = "DET001"

@@ -10,7 +10,7 @@ from repro.analysis.rules.base import Finding, Rule, RuleContext
 
 
 class MessageProtocolRule(Rule):
-    """The message routing table in ``[tool.repro.analysis.protocol]``
+    """The message routing table (``AnalysisConfig.protocol``)
     declares, for every wire command/message type, which actor classes
     dispatch it.  Each actor's ``receive`` is an ``isinstance`` chain
     ending in ``raise TypeError`` -- so a routed message without a branch

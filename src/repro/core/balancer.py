@@ -32,8 +32,13 @@ from repro.core.messages import (
     ServerSpawned,
 )
 from repro.core.metrics import ClusterLoadView
-from repro.core.plan import ChannelMapping, Plan, ReplicationMode
-from repro.core.policy import PolicyContext, RebalancePolicy, make_policy
+from repro.core.plan import Plan
+from repro.core.policy import (
+    PolicyContext,
+    RebalancePolicy,
+    make_policy,
+    repair_mappings,
+)
 from repro.core.stragglers import StragglerTracker
 from repro.obs.trace import (
     NULL_TRACER,
@@ -424,9 +429,6 @@ class LoadBalancer(Actor):
         exclusion-aware ring lookup.  Repair bypasses ``T_wait`` -- waiting
         out the settle window would prolong the outage.
         """
-        channels = sorted(
-            set(self.plan.channels_on(dead_id)) | set(self.view.channel_loads(dead_id))
-        )
         live = list(self.active_servers)
         if not live:
             # Nothing to re-home onto; repair once a spawn completes.
@@ -435,39 +437,12 @@ class LoadBalancer(Actor):
             self._maybe_spawn()
             return
 
-        # Seed the estimator with the dead server too: its last load
-        # reports carry the per-channel egress weights that decide where
-        # each re-homed channel lands.  Without it every repaired channel
-        # would look weightless and pile onto one "least loaded" target.
-        ctx = self._policy_context(now, active_servers=live + [dead_id])
-        estimator = ctx.make_estimator()
-        mappings: Dict[str, ChannelMapping] = {}
-        for channel in channels:
-            current = self.plan.mapping(channel)
-            if dead_id not in current.servers:
-                continue  # observed on the dead server but homed elsewhere
-            survivors = tuple(
-                s for s in current.servers if s != dead_id and s in live
-            )
-            if not survivors:
-                # Where an orphaned channel lands is a *policy* question.
-                target = self.policy.place_unknown_channel(
-                    ctx, estimator, channel, live
-                )
-                if target is None:
-                    target = estimator.least_loaded(live)
-                if target is None:
-                    continue  # unreachable: live is non-empty
-                estimator.migrate(channel, dead_id, target)
-                mappings[channel] = ChannelMapping(ReplicationMode.SINGLE, (target,))
-            elif len(survivors) == 1:
-                # A replicated channel down to one replica collapses to
-                # SINGLE; the next regular rebalance re-replicates it if
-                # the thresholds still hold.
-                mappings[channel] = ChannelMapping(ReplicationMode.SINGLE, survivors)
-            else:
-                mappings[channel] = ChannelMapping(current.mode, survivors)
-
+        mappings = repair_mappings(
+            self._policy_context(now, active_servers=live + [dead_id]),
+            self.policy,
+            dead_id,
+            live,
+        )
         if self._tracer.enabled:
             self._tracer.emit(PlanRepairStartEvent(now, dead_id, tuple(mappings)))
         previous_plan = self.plan

@@ -21,6 +21,7 @@ from repro.core.policy.base import (
     make_policy,
     policy_class,
     register_policy,
+    repair_mappings,
     replicated_channels,
 )
 from repro.core.policy.chbl import BoundedLoadPolicy
@@ -41,5 +42,6 @@ __all__ = [
     "make_policy",
     "policy_class",
     "register_policy",
+    "repair_mappings",
     "replicated_channels",
 ]

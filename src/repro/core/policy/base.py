@@ -100,6 +100,51 @@ def replicated_channels(
     return replicated
 
 
+def repair_mappings(
+    ctx: PolicyContext,
+    policy: "RebalancePolicy",
+    dead_id: str,
+    live: Sequence[str],
+) -> Dict[str, ChannelMapping]:
+    """Re-home every channel ``dead_id`` carried onto the ``live`` servers.
+
+    The one plan-repair rule, shared by the balancer and the lab's
+    replayer.  Covers explicitly mapped channels and consistent-hashing
+    fallback channels the view observed traffic for.  ``ctx`` must list
+    the dead server among its ``active_servers``: its last load reports
+    carry the per-channel egress weights that decide where each re-homed
+    channel lands; without them every repaired channel would look
+    weightless and pile onto one "least loaded" target.
+    """
+    plan = ctx.plan
+    estimator = ctx.make_estimator()
+    mappings: Dict[str, ChannelMapping] = {}
+    for channel in sorted(
+        set(plan.channels_on(dead_id)) | set(ctx.view.channel_loads(dead_id))
+    ):
+        current = plan.mapping(channel)
+        if dead_id not in current.servers:
+            continue  # observed on the dead server but homed elsewhere
+        survivors = tuple(s for s in current.servers if s != dead_id and s in live)
+        if not survivors:
+            # Where an orphaned channel lands is a *policy* question.
+            target = policy.place_unknown_channel(ctx, estimator, channel, live)
+            if target is None:
+                target = estimator.least_loaded(live)
+            if target is None:
+                continue  # unreachable: callers repair only onto a live pool
+            estimator.migrate(channel, dead_id, target)
+            mappings[channel] = ChannelMapping(ReplicationMode.SINGLE, (target,))
+        elif len(survivors) == 1:
+            # A replicated channel down to one replica collapses to
+            # SINGLE; the next regular rebalance re-replicates it if the
+            # thresholds still hold.
+            mappings[channel] = ChannelMapping(ReplicationMode.SINGLE, survivors)
+        else:
+            mappings[channel] = ChannelMapping(current.mode, survivors)
+    return mappings
+
+
 class RebalancePolicy(ABC):
     """One rebalancing strategy behind the policy seam.
 
@@ -152,9 +197,9 @@ class RebalancePolicy(ABC):
     ) -> Optional[str]:
         """Pick a home for a channel with no usable current server.
 
-        Called by the balancer's plan repair (a channel's only server
-        died) and by the replay harness when demand appears on an
-        unplanned channel.  The default -- the least-loaded candidate --
+        Called by :func:`repair_mappings` (a channel's only server died)
+        and by the replay harness when demand appears on an unplanned
+        channel.  The default -- the least-loaded candidate --
         matches the pre-seam repair behaviour; CHBL overrides it with a
         bounded-load ring walk.
         """

@@ -165,7 +165,7 @@ class BrokerReliability:
         #: tell a fresh stream from a sequence regression.
         self.epoch = epoch
         self._caches: Dict[str, ChannelReplayCache] = {}
-        # --- counters (metrics / bench) ---
+        # --- counters (metrics / perf ledger) ---
         self.replayed_messages = 0
         self.replayed_bytes = 0
         self.unrecoverable_gaps = 0

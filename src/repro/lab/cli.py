@@ -72,44 +72,45 @@ class Scenario:
         )
 
 
-def _scenarios() -> Dict[str, Scenario]:
-    return {
-        # Mild constant load on an over-provisioned pool: exercises the
-        # low-load drain path (server-hours differ across policies).
-        "steady": Scenario(
-            name="steady",
-            describe="constant moderate load, over-provisioned pool",
-            duration_s=60.0,
-            initial_servers=2,
-            max_servers=4,
-            nominal_egress_bps=200_000.0,
-            schedule=steps([(0.0, 30), (60.0, 30)]),
-        ),
-        # A quiet start, then the population quadruples in seconds: the
-        # paper's flash-crowd shape.  Overloads the single bootstrap
-        # server hard enough to force migrations and spawns.
-        "flash-crowd": Scenario(
-            name="flash-crowd",
-            describe="population spike overloading the bootstrap server",
-            duration_s=90.0,
-            initial_servers=1,
-            max_servers=4,
-            nominal_egress_bps=150_000.0,
-            schedule=steps([(0.0, 12), (20.0, 12), (28.0, 90), (90.0, 90)]),
-        ),
-        # Steady load, one broker hard-crashes mid-run: records the
-        # failure/repair event stream for fault-path replay.
-        "crash": Scenario(
-            name="crash",
-            describe="broker crash under steady load",
-            duration_s=90.0,
-            initial_servers=3,
-            max_servers=4,
-            nominal_egress_bps=250_000.0,
-            schedule=steps([(0.0, 40), (90.0, 40)]),
-            crash_at_s=30.0,
-        ),
-    }
+#: Every recordable live scenario, by name (``record --scenario`` here and
+#: ``python -m repro.sweep lab --scenario``).
+SCENARIOS: Dict[str, Scenario] = {
+    # Mild constant load on an over-provisioned pool: exercises the
+    # low-load drain path (server-hours differ across policies).
+    "steady": Scenario(
+        name="steady",
+        describe="constant moderate load, over-provisioned pool",
+        duration_s=60.0,
+        initial_servers=2,
+        max_servers=4,
+        nominal_egress_bps=200_000.0,
+        schedule=steps([(0.0, 30), (60.0, 30)]),
+    ),
+    # A quiet start, then the population quadruples in seconds: the
+    # paper's flash-crowd shape.  Overloads the single bootstrap
+    # server hard enough to force migrations and spawns.
+    "flash-crowd": Scenario(
+        name="flash-crowd",
+        describe="population spike overloading the bootstrap server",
+        duration_s=90.0,
+        initial_servers=1,
+        max_servers=4,
+        nominal_egress_bps=150_000.0,
+        schedule=steps([(0.0, 12), (20.0, 12), (28.0, 90), (90.0, 90)]),
+    ),
+    # Steady load, one broker hard-crashes mid-run: records the
+    # failure/repair event stream for fault-path replay.
+    "crash": Scenario(
+        name="crash",
+        describe="broker crash under steady load",
+        duration_s=90.0,
+        initial_servers=3,
+        max_servers=4,
+        nominal_egress_bps=250_000.0,
+        schedule=steps([(0.0, 40), (90.0, 40)]),
+        crash_at_s=30.0,
+    ),
+}
 
 
 def record_scenario(scenario: Scenario, seed: int) -> LoadHistory:
@@ -147,7 +148,7 @@ def record_scenario(scenario: Scenario, seed: int) -> LoadHistory:
 # Subcommands
 # ----------------------------------------------------------------------
 def _cmd_record(args: argparse.Namespace, out: Callable[[str], None]) -> int:
-    scenario = _scenarios()[args.scenario]
+    scenario = SCENARIOS[args.scenario]
     history = record_scenario(scenario, args.seed)
     history.save(args.out)
     out(
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     record = sub.add_parser("record", help="run a live scenario and save its load history")
     record.add_argument(
         "--scenario",
-        choices=sorted(_scenarios()),
+        choices=sorted(SCENARIOS),
         default="flash-crowd",
         help="which live scenario to run",
     )

@@ -45,13 +45,18 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from repro.core.config import DynamothConfig
 from repro.core.messages import ChannelMetricsSnapshot, LoadReport
 from repro.core.metrics import ClusterLoadView
-from repro.core.plan import ChannelMapping, Plan, ReplicationMode
-from repro.core.policy import PolicyContext, RebalancePolicy, make_policy
+from repro.core.plan import Plan, ReplicationMode
+from repro.core.policy import (
+    PolicyContext,
+    RebalancePolicy,
+    make_policy,
+    repair_mappings,
+)
 from repro.lab.history import LoadHistory, TickRecord, plan_digest
 from repro.obs.sla import OVERALL_SCOPE, SlaConfig, SlaMonitor
 from repro.obs.trace import NULL_TRACER
 
-#: Latency proxy constants (see DESIGN.md section 6i).
+#: Latency proxy constants (see DESIGN.md section 6h).
 BASE_LATENCY_S = 0.02
 KNEE_LR = 0.8
 KNEE_GAIN_S = 0.5
@@ -276,10 +281,23 @@ class PolicyReplayer:
             if dead_pending and active:
                 pending, dead_pending = dead_pending, []
                 for dead in pending:
-                    repaired = self._repair(plan, view, active, bootstrap, dead, now)
-                    if repaired is not None:
-                        metrics.repairs += 1
-                        adopt(repaired, now)
+                    ctx = PolicyContext(
+                        now=now,
+                        plan=plan,
+                        view=view,
+                        config=cfg,
+                        active_servers=tuple(active + [dead]),
+                        bootstrap_servers=frozenset(bootstrap),
+                        default_nominal_bps=self.history.default_nominal_bps,
+                    )
+                    mappings = repair_mappings(ctx, self.policy, dead, active)
+                    metrics.repairs += 1
+                    adopt(
+                        plan.evolve(
+                            mappings=mappings, active_servers=tuple(active)
+                        ),
+                        now,
+                    )
 
             # 5. latency proxy -> SLA monitor, plus load accounting
             monitor.poll(now)
@@ -357,53 +375,6 @@ class PolicyReplayer:
         if verify:
             result.divergences = self._diverging(plan_seq)
         return result
-
-    # ------------------------------------------------------------------
-    def _repair(
-        self,
-        plan: Plan,
-        view: ClusterLoadView,
-        active: List[str],
-        bootstrap: Set[str],
-        dead_id: str,
-        now: float,
-    ) -> Optional[Plan]:
-        """Re-home the dead server's channels (mirrors LoadBalancer._repair_plan)."""
-        channels = sorted(
-            set(plan.channels_on(dead_id)) | set(view.channel_loads(dead_id))
-        )
-        live = list(active)
-        if not live:
-            return None
-        ctx = PolicyContext(
-            now=now,
-            plan=plan,
-            view=view,
-            config=self.config,
-            active_servers=tuple(live + [dead_id]),
-            bootstrap_servers=frozenset(bootstrap),
-            default_nominal_bps=self.history.default_nominal_bps,
-        )
-        estimator = ctx.make_estimator()
-        mappings: Dict[str, ChannelMapping] = {}
-        for channel in channels:
-            current = plan.mapping(channel)
-            if dead_id not in current.servers:
-                continue
-            survivors = tuple(s for s in current.servers if s != dead_id and s in live)
-            if not survivors:
-                target = self.policy.place_unknown_channel(ctx, estimator, channel, live)
-                if target is None:
-                    target = estimator.least_loaded(live)
-                if target is None:
-                    continue
-                estimator.migrate(channel, dead_id, target)
-                mappings[channel] = ChannelMapping(ReplicationMode.SINGLE, (target,))
-            elif len(survivors) == 1:
-                mappings[channel] = ChannelMapping(ReplicationMode.SINGLE, survivors)
-            else:
-                mappings[channel] = ChannelMapping(current.mode, survivors)
-        return plan.evolve(mappings=mappings, active_servers=tuple(active))
 
     # ------------------------------------------------------------------
     def _build_view(

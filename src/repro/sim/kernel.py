@@ -264,8 +264,9 @@ class Simulator:
         """Install (or clear, with ``fn=None``) the periodic sampling hook.
 
         ``fn(now, events_processed)`` fires after every ``every`` executed
-        events -- used by the bench harness for RSS time series.  The hook
-        must follow the :attr:`profiler` determinism contract.
+        events -- the perf ledger's probe (``benchmarks/ledger/``) samples
+        through it.  The hook must follow the :attr:`profiler` determinism
+        contract.
         """
         if fn is None:
             self.sample_hook = None

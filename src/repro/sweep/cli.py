@@ -1,16 +1,13 @@
-"""``python -m repro.sweep`` -- multiprocess soak / bench / lab sweeps.
+"""``python -m repro.sweep`` -- multiprocess soak / lab sweeps.
 
 Subcommands::
 
     check   soak N generated check-scenario seeds through every oracle
-    bench   run the bench scenario matrix, one scenario per work unit
     lab     record each live lab scenario and compare every policy
 
-All three fan work over a ``spawn`` process pool (``--procs``) and
-merge results in task order, so the JSON/markdown reports are
-byte-stable across process counts (bench wall-time fields excepted).
-``bench`` can gate on a committed baseline exactly like
-``python -m repro.experiments bench --baseline``.
+Both fan work over a ``spawn`` process pool (``--procs``) and merge
+results in task order, so the JSON/markdown reports are byte-stable
+across process counts.
 """
 
 from __future__ import annotations
@@ -18,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
+from repro.core.config import DELIVERY_TIERS
+from repro.core.policy import policy_class
+from repro.lab.cli import SCENARIOS
 from repro.sweep.orchestrator import (
-    bench_markdown,
-    bench_sweep,
     check_markdown,
     check_sweep,
     lab_markdown,
@@ -79,38 +77,6 @@ def _cmd_check(args: argparse.Namespace, out: _Out) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, out: _Out) -> int:
-    from repro.experiments.bench import SCENARIOS, compare_to_baseline
-
-    names = args.scenario or list(SCENARIOS)
-
-    def progress(result: Dict[str, Any]) -> None:
-        r = result["result"]
-        out(
-            f"{result['scenario']}: {r['events']} events in "
-            f"{r['wall_s']:.2f}s ({r['events_per_s']:.0f} events/s)"
-        )
-
-    doc = bench_sweep(
-        names,
-        profile=args.profile,
-        seed=args.seed,
-        repeat=args.repeat,
-        procs=args.procs,
-        progress=progress,
-    )
-    _write_outputs(doc, bench_markdown(doc), args, out)
-    if args.baseline:
-        with open(args.baseline, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        error = compare_to_baseline(doc, baseline, args.max_regression)
-        if error is not None:
-            out(f"REGRESSION: {error}")
-            return 1
-        out(f"headline within {args.max_regression:.0%} of baseline")
-    return 0
-
-
 def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
     def progress(result: Dict[str, Any]) -> None:
         report = result["report"]
@@ -120,9 +86,9 @@ def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
         )
 
     doc = lab_sweep(
-        args.scenario,
+        args.scenario or list(SCENARIOS),
         seed=args.seed,
-        policies=[p.strip() for p in args.policies.split(",") if p.strip()],
+        policies=args.policies,
         sla_threshold_s=args.sla_threshold,
         procs=args.procs,
         progress=progress,
@@ -131,11 +97,22 @@ def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
     return 0
 
 
+def _policy_names(value: str) -> Tuple[str, ...]:
+    """``--policies a,b`` -> names, rejected before anything is recorded."""
+    names = tuple(p.strip() for p in value.split(",") if p.strip())
+    try:
+        for name in names:
+            policy_class(name)
+    except ValueError as exc:  # names the registered policies
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sweep",
-        description="Multiprocess sweeps over check soaks, bench "
-        "scenarios, and policy-lab comparisons.",
+        description="Multiprocess sweeps over check soaks and "
+        "policy-lab comparisons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -150,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="soak generated check seeds")
     check.add_argument("--iterations", type=int, default=50,
                        help="seeds 0..N-1 to soak (default: 50)")
-    check.add_argument("--tier", default=None,
+    check.add_argument("--tier", choices=DELIVERY_TIERS, default=None,
                        help="pin the delivery tier instead of sampling it")
     check.add_argument("--causal", action=argparse.BooleanOptionalAction,
                        default=None,
@@ -158,29 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(check)
     check.set_defaults(func=_cmd_check)
 
-    bench = sub.add_parser("bench", help="run the bench scenario matrix")
-    bench.add_argument("--profile", default="full",
-                       help="bench profile name (default: full)")
-    bench.add_argument("--scenario", action="append", default=[],
-                       help="scenario to run (repeatable; default: all)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="repeats per scenario, keep the fastest")
-    bench.add_argument("--baseline", default="",
-                       help="bench JSON to gate the headline metric against")
-    bench.add_argument("--max-regression", type=float, default=0.2,
-                       help="allowed headline regression vs baseline "
-                            "(default: 0.2)")
-    common(bench)
-    bench.set_defaults(func=_cmd_bench)
-
     lab = sub.add_parser("lab", help="record lab scenarios, compare policies")
-    lab.add_argument("--scenario", action="append",
+    lab.add_argument("--scenario", action="append", choices=sorted(SCENARIOS),
                      default=None,
                      help="live scenario to record (repeatable; "
-                          "default: steady, flash-crowd, crash)")
+                          "default: all)")
     lab.add_argument("--seed", type=int, default=0)
-    lab.add_argument("--policies", default="",
+    lab.add_argument("--policies", type=_policy_names, default="",
                      help="comma-separated policy names (default: all)")
     lab.add_argument("--sla-threshold", type=float, default=None)
     common(lab)
@@ -190,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", "") == "lab" and args.scenario is None:
-        args.scenario = ["steady", "flash-crowd", "crash"]
     handler: Callable[[argparse.Namespace, _Out], int] = args.func
     return handler(args, lambda line: print(line, file=sys.stdout))
 

@@ -5,7 +5,7 @@ merged document depends only on the task list and each task's result,
 never on completion order or worker count.  ``ProcessPoolExecutor.map``
 yields results in submission order, and single-process mode is a plain
 in-order loop, so ``--procs 8`` and ``--procs 1`` produce identical
-reports (bench wall-time fields excepted).
+reports.
 
 The pool always uses the ``spawn`` start method: workers re-import
 :mod:`repro` from scratch, which keeps them honest (no inherited
@@ -18,14 +18,7 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
-from repro.sweep.workers import (
-    BenchTask,
-    CheckTask,
-    LabTask,
-    bench_worker,
-    check_worker,
-    lab_worker,
-)
+from repro.sweep.workers import CheckTask, LabTask, check_worker, lab_worker
 
 SWEEP_SCHEMA = 1
 
@@ -119,64 +112,6 @@ def check_markdown(doc: Dict[str, Any]) -> str:
         lines.append("")
         for seed in summary["failed_seeds"]:
             lines.append(f"    python -m repro.check --seed {seed}")
-    return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# bench matrix
-# ----------------------------------------------------------------------
-def bench_sweep(
-    scenarios: Sequence[str],
-    *,
-    profile: str = "full",
-    seed: int = 0,
-    repeat: int = 1,
-    procs: int = 1,
-    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> Dict[str, Any]:
-    """Run each bench scenario as its own work unit.
-
-    The merged document keeps the harness's ``{"scenarios": {...}}``
-    shape so :func:`repro.experiments.bench.extract_headline` and
-    ``compare_to_baseline`` work on it unchanged.
-    """
-    import platform
-
-    tasks = [
-        BenchTask(
-            scenario=name,
-            profile=profile,
-            seed=seed,
-            repeat=repeat,
-        )
-        for name in scenarios
-    ]
-    results = run_tasks(bench_worker, tasks, procs=procs, progress=progress)
-    return {
-        "schema": SWEEP_SCHEMA,
-        "mode": "bench",
-        "profile": profile,
-        "python": platform.python_version(),
-        "scenarios": {r["scenario"]: r["result"] for r in results},
-    }
-
-
-def bench_markdown(doc: Dict[str, Any]) -> str:
-    lines = [
-        "# Bench sweep",
-        "",
-        f"Profile `{doc['profile']}`, Python {doc['python']}.",
-        "",
-        "| scenario | events | wall s | events/s | deliveries/s | peak RSS MB |",
-        "|---|---:|---:|---:|---:|---:|",
-    ]
-    for name in sorted(doc["scenarios"]):
-        r = doc["scenarios"][name]
-        lines.append(
-            f"| {name} | {r['events']} | {r['wall_s']:.2f} "
-            f"| {r['events_per_s']:.0f} | {r['deliveries_per_s']:.0f} "
-            f"| {r['peak_rss_kb'] / 1024.0:.1f} |"
-        )
     return "\n".join(lines) + "\n"
 
 

@@ -3,15 +3,13 @@
 Each task is a frozen dataclass of primitives (hashable, picklable under
 the ``spawn`` start method) and each worker is a plain module-level
 function mapping one task to one JSON-serializable dict.  Workers never
-read the wall clock themselves (DET001 scope): any host-time numbers in
-a bench result come from :mod:`repro.experiments.bench`, which owns
-measurement.
+read the wall clock (DET001).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -22,16 +20,6 @@ class CheckTask:
     seed: int
     delivery_tier: Optional[str] = None
     causal_order: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class BenchTask:
-    """One bench scenario (with its own repeat-keep-fastest loop)."""
-
-    scenario: str
-    profile: str = "full"
-    seed: int = 0
-    repeat: int = 1
 
 
 @dataclass(frozen=True)
@@ -76,31 +64,12 @@ def check_worker(task: CheckTask) -> Dict[str, Any]:
     }
 
 
-def bench_worker(task: BenchTask) -> Dict[str, Any]:
-    """Run one bench scenario; ``run_bench`` keeps the fastest repeat."""
-    from repro.experiments.bench import PROFILES, run_bench
-
-    profile = PROFILES[task.profile]
-    results = run_bench(
-        profile,
-        seed=task.seed,
-        scenarios=[task.scenario],
-        repeat=task.repeat,
-    )
-    return {
-        "scenario": task.scenario,
-        "seed": task.seed,
-        "result": asdict(results[task.scenario]),
-    }
-
-
 def lab_worker(task: LabTask) -> Dict[str, Any]:
     """Record one live scenario and compare every policy over it."""
-    from repro.lab.cli import _scenarios, record_scenario
+    from repro.lab.cli import SCENARIOS, record_scenario
     from repro.lab.compare import compare_policies
 
-    scenario = _scenarios()[task.scenario]
-    history = record_scenario(scenario, task.seed)
+    history = record_scenario(SCENARIOS[task.scenario], task.seed)
     report = compare_policies(
         history,
         list(task.policies) or None,

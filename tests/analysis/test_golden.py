@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisEngine, load_config
+from repro.analysis import AnalysisEngine
 
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = "tests/analysis/fixtures"
@@ -128,7 +128,7 @@ GOLDEN = {
 
 @pytest.fixture(scope="module")
 def engine():
-    return AnalysisEngine(ROOT, load_config(ROOT))
+    return AnalysisEngine(ROOT)
 
 
 @pytest.mark.parametrize("fixture", sorted(GOLDEN))

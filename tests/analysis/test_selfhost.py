@@ -1,8 +1,8 @@
 """Self-hosting: the analyzer passes clean over its own repository.
 
 These tests run the real CLI in a subprocess (the exact commands CI and
-developers use) and pin the pyproject ``[tool.repro.analysis]`` table to
-the code defaults so the 3.10 no-TOML fallback cannot drift.
+developers use) and hold the "no module under ``src/`` reads host time"
+rule with no path carved out of it.
 """
 
 import json
@@ -11,9 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import AnalysisConfig, AnalysisEngine, load_config
+from repro.analysis import AnalysisConfig, AnalysisEngine
 from repro.analysis.cli import main
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -34,10 +32,29 @@ def run_cli(*args: str) -> "subprocess.CompletedProcess[str]":
 
 class TestSelfHost:
     def test_src_is_clean_in_process(self):
-        engine = AnalysisEngine(ROOT, load_config(ROOT))
+        engine = AnalysisEngine(ROOT)
         report = engine.check([Path("src")], use_cache=False)
         assert [d.format() for d in report.diagnostics] == []
         assert report.baselined == 0  # nothing grandfathered either
+
+    def test_no_wallclock_exemption_anywhere_under_src(self):
+        """The simulator package never reads host time, and no config glob
+        can excuse a file that starts to: ``time.perf_counter()`` anywhere
+        under ``src/`` is a DET001 finding (host-time measurement lives in
+        ``benchmarks/ledger/``)."""
+        engine = AnalysisEngine(ROOT)
+        report = engine.check([Path("src")], use_cache=False)
+        assert [d for d in report.raw if d.rule == "DET001"] == []
+        assert not any("wallclock" in name for name in vars(AnalysisConfig()))
+        for path in engine.discover([Path("src")]):
+            rel = path.relative_to(ROOT).as_posix()
+            scopes = engine.scopes_for(rel, path.read_text(encoding="utf-8"))
+            assert "wallclock-ok" not in scopes, rel
+        # The directories the old exemption covered are held like any other.
+        source = "import time\nt = time.perf_counter()\n"
+        for rel in ("src/repro/experiments/x.py", "src/repro/obs/x.py"):
+            found = engine.analyze_source(rel, source)
+            assert [d.rule for d in found] == ["DET001"], rel
 
     def test_check_src_exits_zero(self):
         proc = run_cli("check", "src", "--no-cache")
@@ -94,23 +111,6 @@ class TestCliInProcess:
     def test_explain_is_case_insensitive(self, capsys):
         assert main(["explain", "det001"]) == 0
         assert "DET001" in capsys.readouterr().out
-
-
-def test_pyproject_table_matches_code_defaults():
-    """The committed TOML table and the code defaults must be identical.
-
-    On Python 3.10 (no tomllib, no third-party tomli) load_config silently
-    falls back to the code defaults; this pin guarantees the fallback and
-    the table can never disagree.
-    """
-    try:
-        import tomllib  # noqa: F401
-    except ImportError:
-        try:
-            import tomli  # noqa: F401
-        except ImportError:
-            pytest.skip("no TOML parser available to compare against")
-    assert load_config(ROOT) == AnalysisConfig()
 
 
 def test_committed_baseline_is_empty():

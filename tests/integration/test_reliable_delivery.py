@@ -1,5 +1,6 @@
-"""Reliable-delivery tier, end to end: reconnect replay, truthful
-eviction, zero-budget degradation, and the dedup-window regression.
+"""Reliable-delivery tier, end to end: reconnect replay, lossy-link
+repair, truthful eviction, zero-budget degradation, and the dedup-window
+regression.
 
 These tests drive the full broker/client stack (real transport, real
 reconnect path) rather than the unit-level state machines covered by
@@ -19,10 +20,12 @@ from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
 from repro.core.messages import AppEnvelope
 from repro.core.reliability import BrokerReliability
+from repro.faults import ChaosSchedule, DegradeLink, FaultInjector
 from repro.obs.export import event_to_json
 from repro.obs.trace import ReplayEvent, ReplayGapEvent, Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.timers import PeriodicTask
 
 
 def _cluster(config: DynamothConfig, *, tracer=None, seed: int = 0) -> DynamothCluster:
@@ -80,6 +83,69 @@ class TestReconnectReplay:
         config = DynamothConfig(delivery_tier="exactly_once")
         cluster, sub, got, server = _outage_run(config)
         assert sorted(got) == ["away0", "away1", "live0", "live1", "live2"]
+
+
+def _lossy_window_run(tier: str):
+    """4 channels x 3 subscribers on 2 brokers, one publisher per channel
+    at 4 msg/s; the links of the first two channels' subscribers lose 40%
+    for the middle third of the run.  Returns (delivered, replayed)."""
+    cluster = DynamothCluster(
+        seed=0,
+        config=DynamothConfig(max_servers=2, delivery_tier=tier),
+        initial_servers=2,
+        balancer=BALANCER_NONE,
+    )
+    got = []
+    subscribers, tasks = [], []
+    for c in range(4):
+        for s in range(3):
+            sub = cluster.create_client(f"sub-{c}-{s}")
+            sub.subscribe(f"tile:{c}", lambda ch, body, env: got.append(body))
+            subscribers.append(sub)
+        pub = cluster.create_client(f"pub-{c}")
+        tasks.append(
+            PeriodicTask(
+                cluster.sim,
+                0.25,
+                lambda now, pub=pub, c=c: pub.publish(f"tile:{c}", pub.published, 200),
+            )
+        )
+    FaultInjector(
+        cluster,
+        ChaosSchedule(
+            tuple(
+                DegradeLink(3.0, sub.node_id, server_id, loss=0.4, until=5.0)
+                for sub in subscribers[:6]
+                for server_id in sorted(cluster.servers)
+            )
+        ),
+    ).arm()
+    cluster.run_until(1.0)
+    for task in tasks:
+        task.start()
+    cluster.run_until(7.0)
+    for task in tasks:
+        task.stop()
+    cluster.run_for(2.0)  # let replay requests drain
+    replayed = sum(
+        server.reliability.replayed_messages
+        for server in cluster.servers.values()
+        if server.reliability is not None
+    )
+    return len(got), replayed
+
+
+class TestLossyLink:
+    def test_reliable_tiers_repair_the_lossy_window(self):
+        """A degraded subscriber link is the canonical gap producer:
+        at_most_once just loses those deliveries; the reliable tiers see
+        the sequence holes and replay them."""
+        lossy, replayed = _lossy_window_run("at_most_once")
+        assert replayed == 0
+        for tier in ("at_least_once", "exactly_once"):
+            delivered, replayed = _lossy_window_run(tier)
+            assert delivered >= lossy
+            assert replayed > 0
 
 
 class TestEvictionTruthfulness:

@@ -11,15 +11,9 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.config import find_project_root, load_config
-from repro.experiments.bench import compare_to_baseline, extract_headline
-from repro.sweep import (
-    SWEEP_SCHEMA,
-    CheckTask,
-    bench_sweep,
-    check_sweep,
-    run_tasks,
-)
+import pytest
+
+from repro.sweep import SWEEP_SCHEMA, CheckTask, check_sweep, run_tasks
 from repro.sweep.cli import main
 from repro.sweep.orchestrator import check_markdown
 
@@ -78,22 +72,6 @@ class TestCheckSweep:
         assert doc["results"][0]["delivery_tier"] == "at_least_once"
 
 
-class TestBenchSweep:
-    def test_merged_doc_is_headline_compatible(self):
-        doc = bench_sweep(["fanout"], profile="smoke", repeat=1)
-        assert doc["mode"] == "bench"
-        headline = extract_headline(doc)
-        assert headline is not None and headline > 0
-        # The merged shape gates against itself without adaptation.
-        assert compare_to_baseline(doc, doc, 0.2) is None
-
-    def test_regression_gate_fires_on_inflated_baseline(self):
-        doc = bench_sweep(["fanout"], profile="smoke", repeat=1)
-        inflated = json.loads(json.dumps(doc))
-        inflated["scenarios"]["fanout"]["events_per_s"] *= 100.0
-        assert compare_to_baseline(doc, inflated, 0.2) is not None
-
-
 class TestCli:
     def test_check_writes_reports(self, tmp_path, capsys):
         out_json = tmp_path / "soak.json"
@@ -112,41 +90,48 @@ class TestCli:
         assert doc["summary"]["passed"] == 1
         assert "# Check soak" in out_md.read_text(encoding="utf-8")
 
-    def test_bench_baseline_gate_exit_codes(self, tmp_path, capsys):
-        out_json = tmp_path / "bench.json"
+    def test_lab_compares_the_named_policies(self, tmp_path, capsys):
+        out_json = tmp_path / "lab.json"
         rc = main(
             [
-                "bench",
-                "--profile", "smoke",
+                "lab",
                 "--scenario", "steady",
+                "--policies", "paper, chbl",
                 "--output", str(out_json),
             ]
         )
         assert rc == 0
-        assert json.loads(out_json.read_text(encoding="utf-8"))["mode"] == "bench"
+        doc = json.loads(out_json.read_text(encoding="utf-8"))
+        assert doc["mode"] == "lab"
+        report = doc["scenarios"]["steady"]
+        assert [m["policy"] for m in report["policies"]] == ["paper", "chbl"]
+
+    @pytest.mark.parametrize(
+        "argv, listed",
+        [
+            (["lab", "--scenario", "nope"], "flash-crowd"),
+            (["check", "--tier", "bogus"], "exactly_once"),
+            (["lab", "--scenario", "steady", "--policies", "bogus"], "paper"),
+        ],
+        ids=["scenario", "tier", "policies"],
+    )
+    def test_mistyped_name_exits_2_before_any_work(
+        self, argv, listed, monkeypatch, capsys
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a scenario ran before the arguments were checked")
+
+        monkeypatch.setattr("repro.lab.cli.record_scenario", must_not_run)
+        monkeypatch.setattr("repro.check.scenario.run_scenario", must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert listed in captured.err  # the valid names are spelled out
 
 
 class TestDeterminismScope:
-    def test_sweep_is_inside_det001_scope(self):
-        """repro.sweep must stay under the wall-clock sanitizer.
-
-        The orchestrator's byte-stability promise depends on it: if
-        sweep code could read host time, reports would stop being
-        reproducible.  Guard the config so nobody quietly adds the
-        package to the allow-list.
-        """
-        import fnmatch
-
-        config = load_config(find_project_root())
-        for path in (
-            "src/repro/sweep/orchestrator.py",
-            "src/repro/sweep/workers.py",
-            "src/repro/sweep/cli.py",
-        ):
-            assert not any(
-                fnmatch.fnmatch(path, glob) for glob in config.wallclock_allowed
-            ), f"{path} must not be wallclock-allowed"
-
     def test_worker_tasks_are_picklable_for_spawn(self):
         import pickle
 
