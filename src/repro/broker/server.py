@@ -38,6 +38,7 @@ from repro.broker.connection import Connection
 from repro.obs.trace import (
     NULL_TRACER,
     FanoutEvent,
+    FirstUse,
     ReplayEvent,
     ReplayGapEvent,
     Tracer,
@@ -118,16 +119,21 @@ class PubSubServer(Actor):
         #: sequence stamping resolved once per boot: the at_most_once
         #: fast path is a single attribute test per publication.
         self._stamping = reliability is not None and reliability.config.replay_active
+        #: traced runs only.  channel -> ``(publishes_total, deliveries_total,
+        #: egress_bytes_total{server}, fanout_size{channel_class})``, bound
+        #: on the channel's first publication here: a server that never
+        #: publishes registers none of them.
+        self._publish_instruments: Optional[FirstUse] = None
+        self._cache_gauges: Optional[tuple] = None
         if tracer.enabled:
             metrics = tracer.metrics
-            self._cache_gauges: Optional[tuple] = (
+            self._cache_gauges = (
                 metrics.gauge("fanout_cache_channels", server=node_id),
                 metrics.gauge("fanout_cache_hits", server=node_id),
                 metrics.gauge("fanout_cache_builds", server=node_id),
                 metrics.gauge("fanout_cache_invalidations", server=node_id),
             )
-        else:
-            self._cache_gauges = None
+            self._publish_instruments = FirstUse(self._bind_publish_instruments)
 
     # ------------------------------------------------------------------
     # Introspection used by the LLA and tests
@@ -200,9 +206,24 @@ class PubSubServer(Actor):
     # ------------------------------------------------------------------
     # Command handling
     # ------------------------------------------------------------------
+    # repro: scope[hot]
     def receive(self, message: Any, src_id: str) -> None:
         if isinstance(message, PublishCmd):
-            self._handle_publish(message, src_id)
+            # Queue the publish on the CPU; deliveries happen at completion.
+            now = self.sim.now
+            config = self.config
+            fanout = len(self._channels.get(message.channel, ()))
+            cost = config.cpu_per_publish_s + fanout * config.cpu_per_delivery_s
+            self.cpu_time_total += cost
+            start = now if now > self._cpu_busy_until else self._cpu_busy_until
+            done = start + cost
+            self._cpu_busy_until = done
+            self.publish_count += 1
+            if done <= now:
+                self._complete_publish(message, src_id)
+            else:
+                # Never cancelled, so no handle: a fire-and-forget entry.
+                self.sim.schedule_batch(self._complete_publish, (done,), ((message, src_id),))
         elif isinstance(message, SubscribeCmd):
             self._handle_subscribe(
                 message.channel,
@@ -366,22 +387,6 @@ class PubSubServer(Actor):
             if profiler is not None:
                 profiler.count("reliability", "replay.messages", len(replay.entries))
 
-    def _handle_publish(self, cmd: PublishCmd, publisher_id: str) -> None:
-        """Queue a publish on the CPU; deliveries happen at CPU completion."""
-        now = self.sim.now
-        fanout = len(self._channels.get(cmd.channel, ()))
-        cost = self.config.cpu_per_publish_s + fanout * self.config.cpu_per_delivery_s
-        self.cpu_time_total += cost
-        start = now if now > self._cpu_busy_until else self._cpu_busy_until
-        done = start + cost
-        self._cpu_busy_until = done
-        self.publish_count += 1
-        if done <= now:
-            self._complete_publish(cmd, publisher_id)
-        else:
-            # Never cancelled, so no handle: a fire-and-forget entry.
-            self.sim.schedule_batch(self._complete_publish, (done,), ((cmd, publisher_id),))
-
     # repro: scope[hot]
     def _complete_publish(self, cmd: PublishCmd, publisher_id: str) -> None:
         """Fan a processed publication out to all subscribers."""
@@ -497,15 +502,11 @@ class PubSubServer(Actor):
                     wire_size,
                 )
             )
-            metrics = tracer.metrics
-            metrics.counter("publishes_total", server=self.node_id).inc()
-            metrics.counter("deliveries_total", server=self.node_id).inc(delivered)
-            metrics.counter("egress_bytes_total", server=self.node_id).inc(
-                delivered * wire_size
-            )
-            metrics.histogram("fanout_size", channel_class=channel_class(channel)).observe(
-                float(delivered)
-            )
+            publishes, deliveries, egress_bytes, fanout_size = self._publish_instruments[channel]
+            publishes.inc()
+            deliveries.inc(delivered)
+            egress_bytes.inc(delivered * wire_size)
+            fanout_size.observe(float(delivered))
             gauges = self._cache_gauges
             if gauges is not None:
                 gauges[0].set(float(len(self._fanout_cache)))
@@ -527,6 +528,15 @@ class PubSubServer(Actor):
             callback(channel, publisher_id, cmd.payload, cmd.payload_size)
         for callback in self._observers:
             callback(channel, publisher_id, cmd.payload, cmd.payload_size)
+
+    def _bind_publish_instruments(self, channel: str) -> tuple:
+        metrics = self.tracer.metrics
+        return (
+            metrics.counter("publishes_total", server=self.node_id),
+            metrics.counter("deliveries_total", server=self.node_id),
+            metrics.counter("egress_bytes_total", server=self.node_id),
+            metrics.histogram("fanout_size", channel_class=channel_class(channel)),
+        )
 
     def _build_fanout_entry(self, subs: Dict[str, None]) -> tuple:
         """Compile a channel's subscriber dict into flat fan-out arrays.

@@ -533,7 +533,7 @@ def _run_scenario(scenario: Scenario, tracer: Optional[Tracer]) -> RunResult:
 
     def enter_settle() -> None:
         if injector is not None:
-            injector.plane.clear()
+            injector.heal_network()
 
     cluster.sim.schedule(scenario.settle_start_s, enter_settle)
     cluster.run_until(scenario.horizon_s)

@@ -254,11 +254,13 @@ class DynamothClient(Actor):
         if tracer.enabled:
             tracer.emit(UnsubscribeEvent(self.sim.now, self.node_id, channel))
 
+    # repro: scope[hot]
     def publish(self, channel: str, body: Any, payload_size: int) -> str:
         """Publish ``body`` on ``channel``; returns the message id."""
         mapping = self._resolve(channel)
         self._msg_counter += 1
-        msg_id = f"{self.node_id}:{self._msg_counter}"
+        # The globally unique id is the message's identity on the wire.
+        msg_id = f"{self.node_id}:{self._msg_counter}"  # repro: allow[HOT001]
         pub_seq, deps = self._gate.stamp(channel) if self._gate is not None else (0, ())
         envelope = AppEnvelope(
             msg_id, self.node_id, body, mapping.version, self.sim.now, False, pub_seq, deps
@@ -287,7 +289,7 @@ class DynamothClient(Actor):
                     tuple(targets), payload_size,
                 )
             )
-            tracer.metrics.counter("publications_total", channel_class=channel_class(channel)).inc()
+            tracer.publication_counters[channel].inc()
         return msg_id
 
     def is_subscribed(self, channel: str) -> bool:

@@ -403,6 +403,7 @@ class Dispatcher(Actor):
     # ------------------------------------------------------------------
     # Local traffic observation (loopback)
     # ------------------------------------------------------------------
+    # repro: scope[hot]
     def _on_publication(
         self, channel: str, publisher_id: str, payload: Any, payload_size: int
     ) -> None:
@@ -413,7 +414,9 @@ class Dispatcher(Actor):
             return  # our own (or a peer dispatcher's) control publication
 
         watch = self._watch.get(channel)
-        mapping = self._mapping(channel)
+        mapping = self._mapping_cache.get(channel)
+        if mapping is None:
+            mapping = self._mapping(channel)
         if watch is not None:
             self._maybe_switch_notice(channel, mapping)
         if self._repair_buffers and self.server.node_id in mapping.servers:
@@ -443,8 +446,9 @@ class Dispatcher(Actor):
                 for server in mapping.servers:
                     if server != my_id:
                         self._forward(channel, envelope, payload_size, server)
-        for server in self._straggler_targets(channel, mapping):
-            self._forward(channel, envelope, payload_size, server)
+        if channel in self._stragglers:
+            for server in self._straggler_targets(channel, mapping):
+                self._forward(channel, envelope, payload_size, server)
 
     def _buffer_for_repair(self, channel: str, envelope: AppEnvelope, payload_size: int) -> None:
         buffer = self._repair_buffers.get(channel)

@@ -143,7 +143,7 @@ class LoadEstimator:
         """Channels on ``server_id`` by descending egress contribution."""
         contrib = self._contrib.get(server_id, {})
         channels = [c for c in contrib if c not in exclude and contrib[c] > 0]
-        channels.sort(key=lambda c: contrib[c], reverse=True)
+        channels.sort(key=contrib.__getitem__, reverse=True)
         return channels
 
     # ------------------------------------------------------------------

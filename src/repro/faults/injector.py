@@ -46,15 +46,16 @@ class FaultInjector:
         self.lla_stalls = 0
 
     def arm(self) -> List[ConcreteAction]:
-        """Install the fault plane and schedule every action.
+        """Schedule every action.
 
-        Returns the concrete timeline (stochastic processes expanded), so
-        experiments can record exactly which faults will fire.
+        The network fault plane goes onto the transport with its first
+        rule, not here (:meth:`_plane_changed`).  Returns the concrete
+        timeline (stochastic processes expanded), so experiments can record
+        exactly which faults will fire.
         """
         if self._armed:
             raise RuntimeError("injector already armed")
         self._armed = True
-        self.cluster.transport.fault_plane = self.plane
         self.timeline = self.schedule.expand(
             self._rng, sorted(self.cluster.servers)
         )
@@ -101,10 +102,28 @@ class FaultInjector:
             return self.cluster.colocated_node_ids(endpoint)
         return (endpoint,)
 
+    def _plane_changed(self) -> None:
+        """Keep the plane on the transport exactly while it has rules.
+
+        An idle plane answers ``0.0`` to every send and fan-out destination
+        without touching its RNG, so a crash-only schedule (or the healthy
+        stretch before and after a partition) would pay one frame per
+        message to learn nothing; off the transport, the same bits cost one
+        attribute check.
+        """
+        self.cluster.transport.fault_plane = self.plane if self.plane.active else None
+
+    def heal_network(self) -> None:
+        """Drop every partition and link rule at once (a harness entering
+        its settle window)."""
+        self.plane.clear()
+        self._plane_changed()
+
     def _partition(self, a: str, b: str) -> None:
         for node_a in self._group(a):
             for node_b in self._group(b):
                 self.plane.partition(node_a, node_b)
+        self._plane_changed()
         self.partitions += 1
         tracer = self.cluster.tracer
         if tracer.enabled:
@@ -114,6 +133,7 @@ class FaultInjector:
         for node_a in self._group(a):
             for node_b in self._group(b):
                 self.plane.heal(node_a, node_b)
+        self._plane_changed()
         self.heals += 1
         tracer = self.cluster.tracer
         if tracer.enabled:
@@ -123,6 +143,7 @@ class FaultInjector:
         for node_a in self._group(a):
             for node_b in self._group(b):
                 self.plane.degrade(node_a, node_b, loss, jitter_s)
+        self._plane_changed()
         self.link_faults += 1
         tracer = self.cluster.tracer
         if tracer.enabled:

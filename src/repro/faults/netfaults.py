@@ -1,9 +1,12 @@
 """Network fault plane: partitions, loss and jitter per node pair.
 
 Implements the :class:`repro.net.transport.FaultPlane` protocol.  The
-plane is consulted once per message send; with no active rules it answers
-``0.0`` without touching its RNG stream, so an installed-but-idle plane
-leaves the simulation byte-identical to one with no plane at all.
+plane is consulted while it has rules: the :class:`~repro.faults.FaultInjector`
+puts it on the transport with its first rule and takes it off with its
+last, and from then on every send and fan-out destination asks it once.
+With no active rules it answers ``0.0`` without touching its RNG stream,
+so a plane installed idle (a test's, say) still leaves the simulation
+byte-identical to one with no plane at all.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Dict, Optional, Set, Tuple
 
 
 class NetworkFaultPlane:
-    """Mutable rule set the transport consults on every send.
+    """Mutable rule set the transport consults on every send while installed.
 
     Rules are symmetric (keyed on the unordered node pair).  Randomness --
     loss sampling and jitter draws -- comes exclusively from the dedicated

@@ -11,7 +11,7 @@ This package emulates the paper's experimental network (section V-B):
   (:class:`~repro.net.link.EgressPort`); the paper's key observation is
   that *outgoing bandwidth saturates before CPU*, so egress is modelled
   carefully: messages queue FIFO and drain at the port's capacity, and the
-  per-second egress byte counts feed the Local Load Analyzers.
+  port's running byte total feeds the Local Load Analyzers.
 """
 
 from repro.net.latency import (
@@ -21,7 +21,7 @@ from repro.net.latency import (
     LatencyModel,
     UniformLatency,
 )
-from repro.net.link import EgressPort, SecondBuckets
+from repro.net.link import EgressPort
 from repro.net.transport import Transport
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "KingLatencyModel",
     "LanLatency",
     "LatencyModel",
-    "SecondBuckets",
     "Transport",
     "UniformLatency",
 ]

@@ -17,6 +17,10 @@ from random import Random
 from typing import Protocol
 
 
+#: ``random.NV_MAGICCONST``, defined as the stdlib defines it (the same float).
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
+
+
 class LatencyModel(Protocol):
     """Anything that can sample a one-way delay in seconds.
 
@@ -112,9 +116,19 @@ class KingLatencyModel:
         self.ceiling = ceiling
         self._mu = math.log(median)
 
+    # repro: scope[hot]
     def sample(self, rng: Random) -> float:
-        # What ``rng.lognormvariate`` does, minus its frame.
-        value = math.exp(rng.normalvariate(self._mu, self.sigma))
+        # What ``rng.lognormvariate(mu, sigma)`` does, minus its frame and
+        # ``normalvariate``'s: the Kinderman-Monahan ratio-of-uniforms loop
+        # on the same draws, through the same float expressions.
+        random = rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                break
+        value = math.exp(self._mu + z * self.sigma)
         if value < self.floor:
             return self.floor
         if value > self.ceiling:

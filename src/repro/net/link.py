@@ -1,50 +1,17 @@
-"""Bandwidth-limited egress ports and per-second byte accounting.
+"""Bandwidth-limited egress ports.
 
-The paper's Local Load Analyzers report, per server and per second, the
-measured outgoing bandwidth ``M_i``; the load ratio ``LR_i = M_i / T_i``
-(eq. 1) is the single signal the rebalancer acts on.  :class:`EgressPort`
-provides both halves of that: a FIFO transmission queue that drains at the
+The paper's Local Load Analyzers report, per server, the measured outgoing
+bandwidth ``M_i``; the load ratio ``LR_i = M_i / T_i`` (eq. 1) is the single
+signal the rebalancer acts on.  :class:`EgressPort` provides both halves of
+that with a FIFO queue clock and two totals: transmissions drain at the
 port's capacity (so an overloaded server's deliveries back up and response
-times climb), and :class:`SecondBuckets` counters that expose the measured
-egress bytes for each wall-clock second of virtual time.
+times climb), and ``total_bytes`` counts everything sent -- an LLA measures
+``M_i`` as its delta over a report window.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-
-class SecondBuckets:
-    """Per-second byte counters with cheap harvesting.
-
-    ``add(t, n)`` attributes ``n`` bytes to the second ``floor(t)``;
-    ``drain_until(t)`` returns and forgets all complete buckets strictly
-    before second ``floor(t)`` so the caller (an LLA) can aggregate them.
-    """
-
-    def __init__(self) -> None:
-        self._buckets: Dict[int, int] = {}
-
-    def add(self, time: float, nbytes: int) -> None:
-        second = int(time)
-        self._buckets[second] = self._buckets.get(second, 0) + nbytes
-
-    def peek(self, second: int) -> int:
-        """Bytes recorded for a specific second (0 if none)."""
-        return self._buckets.get(second, 0)
-
-    def drain_until(self, time: float) -> List[Tuple[int, int]]:
-        """Remove and return ``(second, bytes)`` pairs before ``floor(time)``.
-
-        Pairs are returned in increasing second order.
-        """
-        horizon = int(time)
-        ready = sorted(s for s in self._buckets if s < horizon)
-        return [(s, self._buckets.pop(s)) for s in ready]
-
-    def total(self) -> int:
-        """Sum of all not-yet-drained buckets (diagnostic)."""
-        return sum(self._buckets.values())
+from typing import List, Optional
 
 
 class EgressPort:
@@ -66,7 +33,6 @@ class EgressPort:
             raise ValueError(f"capacity must be positive: {capacity_bps!r}")
         self.capacity_bps = capacity_bps
         self._busy_until: float = 0.0
-        self.buckets = SecondBuckets()
         self.total_bytes: int = 0
         self.total_messages: int = 0
 
@@ -83,9 +49,7 @@ class EgressPort:
         """Enqueue a transmission; return its completion time.
 
         The message starts transmitting when the port becomes free and
-        occupies it for ``size / capacity`` seconds.  Bytes are attributed
-        to the second in which transmission *completes*, which is what a
-        NIC byte counter sampled once per second would report.
+        occupies it for ``size / capacity`` seconds.
         """
         if size_bytes < 0:
             raise ValueError(f"negative message size: {size_bytes!r}")
@@ -95,9 +59,6 @@ class EgressPort:
             start = now if now > self._busy_until else self._busy_until
             completion = start + size_bytes / self.capacity_bps
             self._busy_until = completion
-        buckets = self.buckets._buckets
-        second = int(completion)
-        buckets[second] = buckets.get(second, 0) + size_bytes
         self.total_bytes += size_bytes
         self.total_messages += 1
         return completion
@@ -106,9 +67,7 @@ class EgressPort:
         """Enqueue ``count`` equal-size transmissions back to back.
 
         Equivalent to calling :meth:`transmit` ``count`` times (same float
-        accumulation, same per-second byte attribution), but with one call,
-        one backlog lookup, and bucket updates aggregated per touched
-        second -- the dominant cost of a large fan-out burst otherwise.
+        accumulation), but with one call and one backlog lookup.
         """
         if size_bytes < 0:
             raise ValueError(f"negative message size: {size_bytes!r}")
@@ -117,7 +76,6 @@ class EgressPort:
         if count == 0:
             return []
         if self.capacity_bps is None:
-            self.buckets.add(now, size_bytes * count)
             self.total_bytes += size_bytes * count
             self.total_messages += count
             return [now] * count
@@ -129,21 +87,6 @@ class EgressPort:
             c += per  # iterative, matching sequential transmit() floats
             append(c)
         self._busy_until = c
-        # Attribute bytes per completion second, aggregating consecutive
-        # runs that land in the same second into one bucket update.
-        buckets = self.buckets
-        run_second = int(completions[0])
-        run_bytes = 0
-        for completion in completions:
-            second = int(completion)
-            if second != run_second:
-                buckets._buckets[run_second] = (
-                    buckets._buckets.get(run_second, 0) + run_bytes
-                )
-                run_second = second
-                run_bytes = 0
-            run_bytes += size_bytes
-        buckets._buckets[run_second] = buckets._buckets.get(run_second, 0) + run_bytes
         self.total_bytes += size_bytes * count
         self.total_messages += count
         return completions

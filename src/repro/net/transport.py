@@ -4,7 +4,8 @@
 model.  Sending a message involves, in order:
 
 1. queuing on the sender's :class:`~repro.net.link.EgressPort` (transmission
-   delay = backlog + size/capacity);
+   delay = backlog + size/capacity) -- a FIFO queue clock and two totals,
+   and the one owner of NIC accounting: nothing here repeats its arithmetic;
 2. one-way propagation delay sampled from the LAN model (both endpoints are
    infrastructure) or the WAN model (one endpoint is a client), mirroring
    the paper's latency-injection rules in section V-B;
@@ -97,11 +98,11 @@ class Transport:
         self.messages_sent: int = 0
         self.messages_dropped: int = 0
         #: optional network fault plane (installed by
-        #: :class:`repro.faults.FaultInjector`).  Consulted per message:
-        #: may drop it (partition, loss) or add delay (jitter).  ``None``
-        #: -- the default -- costs one attribute check per send, and the
-        #: plane draws from its own RNG stream, so fault-free runs are
-        #: byte-identical with or without it installed.
+        #: :class:`repro.faults.FaultInjector` while it has rules).
+        #: Consulted per message: may drop it (partition, loss) or add
+        #: delay (jitter).  ``None`` -- the default -- costs one attribute
+        #: check per send, and the plane draws from its own RNG stream, so
+        #: fault-free runs are byte-identical with or without it installed.
         self.fault_plane: Optional["FaultPlane"] = None
 
     # ------------------------------------------------------------------

@@ -557,27 +557,26 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
 }
 
 
-class _DeliveryInstruments(Dict[str, Tuple[Histogram, Counter]]):
-    """``channel -> (delivery_latency_s{channel_class}, deliveries_received_total)``.
+class FirstUse(Dict[str, Any]):
+    """``key -> instruments``, resolved by ``resolve(key)`` on the key's first use.
 
-    Resolved on a channel's first traced delivery, so :func:`channel_class`
-    and the registry lookups run once per channel, not once per delivery,
-    and a run without deliveries still registers neither instrument.
+    The traced hot paths (a delivery, a publication, a tapped send) look
+    their instruments up here: a hit is one C dict probe, so
+    :func:`channel_class` and the registry lookups run once per channel or
+    node, not once per message -- and a key that is never used still
+    registers nothing, so the metrics trailer is what per-call lookups
+    would have written.
     """
 
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        super().__init__()
-        self._metrics = metrics
+    __slots__ = ("_resolve",)
 
-    def __missing__(self, channel: str) -> Tuple[Histogram, Counter]:
-        metrics = self._metrics
-        pair = self[channel] = (
-            metrics.histogram("delivery_latency_s", channel_class=channel_class(channel)),
-            # Single global counter so streaming runs (which keep no event
-            # buffer to count DeliveryEvents in) still report totals.
-            metrics.counter("deliveries_received_total"),
-        )
-        return pair
+    def __init__(self, resolve: Callable[[str], Any]) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, key: str) -> Any:
+        value = self[key] = self._resolve(key)
+        return value
 
 
 class Tracer:
@@ -626,9 +625,15 @@ class Tracer:
         self.last_t: float = 0.0
         self._keep = keep_events
         self._observers: List[Callable[[TraceEvent], None]] = []
-        #: The two per-delivery instruments, by channel.  Held here, not by
-        #: the clients that feed them: one dict per run, not one per client.
-        self.delivery_instruments = _DeliveryInstruments(self.metrics)
+        #: Instruments of the client-side hot paths, bound on first use.
+        #: Held here, not by the clients that feed them: one dict per run,
+        #: not one per client.
+        #: ``channel -> (delivery_latency_s{channel_class}, deliveries_received_total)``
+        self.delivery_instruments = FirstUse(self._delivery_instruments)
+        #: ``channel -> publications_total{channel_class}``
+        self.publication_counters = FirstUse(self._publication_counter)
+        #: ``node -> (messages_sent_total{node}, bytes_sent_total{node})``
+        self._tap_counters = FirstUse(self._tap_counter_pair)
         #: Kernel whose event count and clock the registry pulls, and the
         #: part of its ``events_processed`` already counted.
         self._kernel: Optional[Any] = None
@@ -663,12 +668,31 @@ class Tracer:
     # ------------------------------------------------------------------
     def message_tap(self, src_id: str, dst_id: str, message: Any, size_bytes: int) -> None:
         """Per-message actor tap: counts sends without recording events."""
-        metrics = self.metrics
-        metrics.counter("messages_sent_total", node=src_id).inc()
-        metrics.counter("bytes_sent_total", node=src_id).inc(size_bytes)
+        messages, sent_bytes = self._tap_counters[src_id]
+        messages.inc()
+        sent_bytes.inc(size_bytes)
         profiler = self.profiler
         if profiler is not None:
             profiler.count_message(type(message).__name__, size_bytes)
+
+    def _delivery_instruments(self, channel: str) -> Tuple[Histogram, Counter]:
+        metrics = self.metrics
+        return (
+            metrics.histogram("delivery_latency_s", channel_class=channel_class(channel)),
+            # Single global counter so streaming runs (which keep no event
+            # buffer to count DeliveryEvents in) still report totals.
+            metrics.counter("deliveries_received_total"),
+        )
+
+    def _publication_counter(self, channel: str) -> Counter:
+        return self.metrics.counter("publications_total", channel_class=channel_class(channel))
+
+    def _tap_counter_pair(self, node_id: str) -> Tuple[Counter, Counter]:
+        metrics = self.metrics
+        return (
+            metrics.counter("messages_sent_total", node=node_id),
+            metrics.counter("bytes_sent_total", node=node_id),
+        )
 
     def attach_kernel(self, sim: Any) -> None:
         """Follow ``sim``: its events count into ``sim_events_total`` and

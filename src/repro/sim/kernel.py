@@ -44,19 +44,18 @@ class ScheduledEvent:
     events are enqueued as plain fire-and-forget tuples with no handle.
     """
 
+    # No ``__init__``: :meth:`Simulator.schedule` / ``schedule_at``, the only
+    # makers, fill the six slots in their own frame.
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
 
-    def __init__(
-        self, time: float, seq: int, fn: Callable[..., None], args: Tuple[Any, ...]
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn: Optional[Callable[..., None]] = fn
-        self.args = args
-        self.cancelled = False
-        #: back-reference to the owning simulator while the event is in its
-        #: queue, so cancellations can be counted for compaction.
-        self._sim: Optional["Simulator"] = None
+    time: float
+    seq: int
+    fn: Optional[Callable[..., None]]
+    args: Tuple[Any, ...]
+    cancelled: bool
+    #: back-reference to the owning simulator while the event is in its
+    #: queue, so cancellations can be counted for compaction.
+    _sim: Optional["Simulator"]
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
@@ -177,7 +176,12 @@ class Simulator:
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, fn, args)
+        event = ScheduledEvent()
+        event.time = time
+        event.seq = seq
+        event.fn = fn
+        event.args = args
+        event.cancelled = False
         event._sim = self
         heapq.heappush(self._heap, (time, seq, event))
         return event
@@ -188,7 +192,12 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         seq = self._seq
         self._seq = seq + 1
-        event = ScheduledEvent(time, seq, fn, args)
+        event = ScheduledEvent()
+        event.time = time
+        event.seq = seq
+        event.fn = fn
+        event.args = args
+        event.cancelled = False
         event._sim = self
         heapq.heappush(self._heap, (time, seq, event))
         return event

@@ -112,14 +112,16 @@ class PeriodicTask:
             self._event.cancel()
             self._event = None
 
-    def _next_delay(self) -> float:
-        if self._jitter > 0:
-            assert self._rng is not None  # enforced by __init__
-            return self.period + self._rng.uniform(-self._jitter, self._jitter)
-        return self.period
-
+    # repro: scope[hot]
     def _tick(self) -> None:
         if not self._running:
             return
-        self._event = self._sim.schedule(self._next_delay(), self._tick)
+        delay = self.period
+        jitter = self._jitter
+        if jitter > 0:
+            assert self._rng is not None  # enforced by __init__
+            # ``rng.uniform(-jitter, jitter)``: the same float expression on
+            # the same draw, minus its frame.
+            delay += -jitter + (jitter - -jitter) * self._rng.random()
+        self._event = self._sim.schedule(delay, self._tick)
         self._callback(self._sim.now)

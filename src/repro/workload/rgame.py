@@ -62,6 +62,12 @@ class TileWorld:
         self.world_size = world_size
         self.tiles_per_side = tiles_per_side
         self.tile_size = world_size / tiles_per_side
+        #: ``grid[i][j] == tile_channel(i, j)``, built once: the per-tick
+        #: lookup of a player's tile is two indexings, no string built.
+        self.grid: List[List[str]] = [
+            [self.tile_channel(i, j) for j in range(tiles_per_side)]
+            for i in range(tiles_per_side)
+        ]
 
     def tile_of(self, x: float, y: float) -> Tuple[int, int]:
         """Grid coordinates of the tile containing ``(x, y)``."""
@@ -79,11 +85,7 @@ class TileWorld:
         return f"tile:{i}:{j}"
 
     def all_channels(self) -> List[str]:
-        return [
-            self.tile_channel(i, j)
-            for i in range(self.tiles_per_side)
-            for j in range(self.tiles_per_side)
-        ]
+        return [channel for row in self.grid for channel in row]
 
     def random_point(self, rng: Random) -> Tuple[float, float]:
         return rng.uniform(0, self.world_size), rng.uniform(0, self.world_size)
@@ -144,35 +146,41 @@ class Player:
         self.updates_received += 1
 
     def _enter_tile(self, channel: str) -> None:
-        if channel == self.current_channel:
-            return
+        """Move the subscription to ``channel``, a tile other than the current."""
         if self.current_channel is not None:
             self.client.unsubscribe(self.current_channel)
         self.client.subscribe(channel, self._on_delivery)
         self.current_channel = channel
 
-    def _move(self, dt: float, now: float) -> None:
-        if now < self._paused_until:
-            return
-        tx, ty = self._target
-        dx, dy = tx - self.x, ty - self.y
-        distance = math.hypot(dx, dy)
-        step = self.config.move_speed * dt
-        if distance <= step:
-            # Waypoint reached: take a short break, then pick a new one.
-            self.x, self.y = tx, ty
-            low, high = self.config.pause_range
-            self._paused_until = now + self._rng.uniform(low, high)
-            self._target = self.world.random_point(self._rng)
-        else:
-            self.x += dx / distance * step
-            self.y += dy / distance * step
-
+    # repro: scope[hot]
     def _tick(self, now: float) -> None:
-        self._move(1.0 / self.config.updates_per_s, now)
-        self._enter_tile(self.world.channel_of(self.x, self.y))
+        config = self.config
+        if now >= self._paused_until:
+            # One update period of random-waypoint movement.
+            tx, ty = self._target
+            dx, dy = tx - self.x, ty - self.y
+            distance = math.hypot(dx, dy)
+            step = config.move_speed * (1.0 / config.updates_per_s)
+            if distance <= step:
+                # Waypoint reached: take a short break, then pick a new one.
+                self.x, self.y = tx, ty
+                low, high = config.pause_range
+                self._paused_until = now + self._rng.uniform(low, high)
+                self._target = self.world.random_point(self._rng)
+            else:
+                self.x += dx / distance * step
+                self.y += dy / distance * step
+        # ``world.channel_of(x, y)`` through the prebuilt grid; a tick that
+        # stays in its tile (nearly all of them) touches no subscription.
+        world = self.world
+        last = world.tiles_per_side - 1
+        i = min(last, max(0, int(self.x / world.tile_size)))
+        j = min(last, max(0, int(self.y / world.tile_size)))
+        channel = world.grid[i][j]
+        if channel != self.current_channel:
+            self._enter_tile(channel)
         body = ("pos", round(self.x, 1), round(self.y, 1))
-        self.client.publish(self.current_channel, body, self.config.payload_size)
+        self.client.publish(channel, body, config.payload_size)
         self.updates_sent += 1
 
 
@@ -197,6 +205,8 @@ class RGameWorkload:
         self.rtt_sink = rtt_sink
         self._players: Dict[str, Player] = {}
         self._player_counter = 0
+        #: updates sent by players that have since left
+        self._departed_updates = 0
         self._schedule: Optional[PopulationSchedule] = None
         self._driver = PeriodicTask(cluster.sim, 1.0, self._follow_schedule)
         self._rng = cluster.rng.stream("rgame")
@@ -232,6 +242,7 @@ class RGameWorkload:
         for client_id in victims:
             player = self._players.pop(client_id)
             player.leave()
+            self._departed_updates += player.updates_sent
             self.cluster.remove_client(client_id)
 
     # ------------------------------------------------------------------
@@ -255,4 +266,5 @@ class RGameWorkload:
 
     # ------------------------------------------------------------------
     def total_updates_sent(self) -> int:
-        return sum(p.updates_sent for p in self._players.values())
+        """Updates published over the whole run, departed players included."""
+        return self._departed_updates + sum(p.updates_sent for p in self._players.values())

@@ -15,11 +15,56 @@ from tests.conftest import make_static_cluster
 
 class TestArming:
     def test_arm_installs_plane_and_returns_timeline(self):
+        """``arm()`` returns the timeline; the plane is on the transport
+        exactly while it has rules, so a crash-only schedule never pays it."""
         cluster = make_static_cluster()
         injector = FaultInjector(cluster, ChaosSchedule.single_crash("pub1", at=5.0))
         timeline = injector.arm()
-        assert cluster.transport.fault_plane is injector.plane
         assert timeline == [CrashServer(5.0, "pub1")]
+        assert cluster.transport.fault_plane is None
+        cluster.run_until(6.0)
+        assert injector.crashes == 1
+        assert cluster.transport.fault_plane is None
+
+    def test_plane_installed_from_first_rule_to_last_heal(self):
+        cluster = make_static_cluster()
+        transport = cluster.transport
+        schedule = ChaosSchedule(
+            (
+                PartitionNodes(1.0, "pub1", "pub2", until=3.0),
+                DegradeLink(2.0, "pub1", "client", loss=0.5, until=4.0),
+                DegradeLink(6.0, "pub2", "client", jitter_s=0.01, until=7.0),
+            )
+        )
+        injector = FaultInjector(cluster, schedule)
+        injector.arm()
+        installed = {}
+        for t in (0.5, 1.5, 2.5, 3.5, 4.5, 6.5, 7.5):
+            cluster.run_until(t)
+            installed[t] = transport.fault_plane
+        plane = injector.plane
+        assert installed == {
+            0.5: None,  # armed, no rule yet
+            1.5: plane,  # partition
+            2.5: plane,  # partition + degrade
+            3.5: plane,  # partition healed, the overlapping degrade holds it
+            4.5: None,  # both ended
+            6.5: plane,  # a later fault brings it back
+            7.5: None,
+        }
+
+    def test_heal_network_drops_every_rule_and_the_plane(self):
+        cluster = make_static_cluster()
+        schedule = ChaosSchedule(
+            (PartitionNodes(1.0, "pub1", "pub2"), DegradeLink(1.0, "pub1", "client", loss=1.0))
+        )
+        injector = FaultInjector(cluster, schedule)
+        injector.arm()
+        cluster.run_until(2.0)
+        assert cluster.transport.fault_plane is injector.plane
+        injector.heal_network()
+        assert not injector.plane.active
+        assert cluster.transport.fault_plane is None
 
     def test_double_arm_rejected(self):
         cluster = make_static_cluster()

@@ -8,8 +8,10 @@ being copy-pasted per suite.
 
 from __future__ import annotations
 
+import cProfile
+import os
 from random import Random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.broker.commands import PingCmd, PongReply, SubscribeAck, SubscribeCmd
 from repro.broker.config import BrokerConfig
@@ -38,6 +40,29 @@ def make_static_cluster(
         broker_config=broker_config,
         config=config,
     )
+
+
+def python_calls_by_file(run: Callable[[], object]) -> Dict[str, int]:
+    """Python-level calls made by ``run()``, per source file (``/`` paths).
+
+    Counted as the perf ledger's counting pass counts: no built-ins, and
+    only functions with a source file -- the wire dataclasses'
+    ``__init__``s, compiled from ``<string>``, share one profile row and
+    are left out.
+    """
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    try:
+        run()
+    finally:
+        profiler.disable()
+    profiler.create_stats()
+    calls: Dict[str, int] = {}
+    for (filename, _line, _name), (_cc, ncalls, *_rest) in profiler.stats.items():
+        if not filename.startswith(("<", "~")):
+            path = filename.replace(os.sep, "/")
+            calls[path] = calls.get(path, 0) + ncalls
+    return calls
 
 
 class RecordingWire:

@@ -1,5 +1,6 @@
 """Unit tests for latency models."""
 
+import math
 from random import Random
 
 import pytest
@@ -62,6 +63,19 @@ class TestKingLatencyModel:
         p50 = samples[len(samples) // 2]
         p95 = samples[int(0.95 * len(samples))]
         assert p95 > 1.8 * p50
+
+    def test_sample_is_clamped_lognormvariate_draw_for_draw(self):
+        """``sample`` runs the normal-variate loop itself; it must stay, bit
+        for bit, ``exp(rng.normalvariate(mu, sigma))`` clamped, leaving the
+        stream where the stdlib call leaves it."""
+        model = KingLatencyModel()
+        mu = math.log(model.median)
+        rng, twin = Random(42), Random(42)
+        for __ in range(10_000):
+            expected = math.exp(twin.normalvariate(mu, model.sigma))
+            expected = min(model.ceiling, max(model.floor, expected))
+            assert model.sample(rng) == expected
+        assert rng.random() == twin.random()
 
     def test_mean_formula(self):
         model = KingLatencyModel(median=0.03, sigma=0.5)

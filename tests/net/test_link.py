@@ -1,40 +1,8 @@
-"""Unit tests for egress ports and byte accounting."""
+"""Unit tests for egress ports: the FIFO queue clock and the byte totals."""
 
 import pytest
 
-from repro.net.link import EgressPort, SecondBuckets
-
-
-class TestSecondBuckets:
-    def test_add_and_peek(self):
-        buckets = SecondBuckets()
-        buckets.add(1.2, 100)
-        buckets.add(1.9, 50)
-        buckets.add(2.0, 30)
-        assert buckets.peek(1) == 150
-        assert buckets.peek(2) == 30
-        assert buckets.peek(5) == 0
-
-    def test_drain_until_returns_complete_seconds_only(self):
-        buckets = SecondBuckets()
-        buckets.add(0.5, 10)
-        buckets.add(1.5, 20)
-        buckets.add(2.5, 40)
-        drained = buckets.drain_until(2.7)  # second 2 is incomplete
-        assert drained == [(0, 10), (1, 20)]
-        assert buckets.peek(2) == 40
-
-    def test_drain_removes_buckets(self):
-        buckets = SecondBuckets()
-        buckets.add(0.5, 10)
-        buckets.drain_until(2.0)
-        assert buckets.drain_until(2.0) == []
-
-    def test_total(self):
-        buckets = SecondBuckets()
-        buckets.add(0.1, 5)
-        buckets.add(3.0, 7)
-        assert buckets.total() == 12
+from repro.net.link import EgressPort
 
 
 class TestEgressPort:
@@ -68,12 +36,6 @@ class TestEgressPort:
         port.transmit(0.0, 200)
         assert port.total_bytes == 500
         assert port.total_messages == 2
-
-    def test_bytes_attributed_to_completion_second(self):
-        port = EgressPort(100.0)
-        port.transmit(0.0, 150)  # completes at t=1.5
-        assert port.buckets.peek(0) == 0
-        assert port.buckets.peek(1) == 150
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -86,22 +86,6 @@ class TestEgressPortProperties:
     @given(
         schedule=st.lists(
             st.tuples(
-                st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-                st.integers(min_value=1, max_value=5_000),
-            ),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    def test_bucket_bytes_equal_total_bytes(self, schedule):
-        port = EgressPort(1000.0)
-        for at, size in sorted(schedule):
-            port.transmit(at, size)
-        assert port.buckets.total() == port.total_bytes
-
-    @given(
-        schedule=st.lists(
-            st.tuples(
                 st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
                 st.integers(min_value=1, max_value=5_000),
             ),

@@ -118,6 +118,21 @@ class TestPeriodicTask:
         assert all(0.7 <= g <= 1.3 for g in gaps)
         assert len(set(round(g, 6) for g in gaps)) > 1  # actually varies
 
+    def test_jittered_delay_is_random_uniform_on_the_same_draws(self, sim):
+        """``_tick`` computes the delay itself; it must stay, bit for bit,
+        ``period + rng.uniform(-jitter, jitter)`` on a twin stream."""
+        period, jitter = 1.0 / 3.0, 0.2 / 3.0  # an RGame player's
+        ticks = []
+        task = PeriodicTask(sim, period, ticks.append, jitter=jitter, rng=Random(11))
+        task.start(start_delay=0.0)
+        sim.run_until(400.0)
+        assert len(ticks) > 1000
+        twin = Random(11)
+        expected = 0.0
+        for tick in ticks:
+            assert tick == expected
+            expected = tick + (period + twin.uniform(-jitter, jitter))
+
     def test_invalid_jitter_rejected(self, sim):
         with pytest.raises(ValueError):
             PeriodicTask(sim, 1.0, lambda t: None, jitter=1.0, rng=Random(0))

@@ -7,6 +7,7 @@ import pytest
 from repro.workload.rgame import RGameConfig, RGameWorkload, TileWorld
 from repro.workload.schedules import steps
 from tests.conftest import make_static_cluster
+from tests.helpers import python_calls_by_file
 
 
 class TestTileWorld:
@@ -30,6 +31,13 @@ class TestTileWorld:
         channels = world.all_channels()
         assert len(channels) == 9
         assert len(set(channels)) == 9
+
+    def test_grid_holds_every_tile_channel(self):
+        """The prebuilt grid a player's tick indexes is ``tile_channel``."""
+        world = TileWorld(100.0, 4)
+        for i in range(4):
+            for j in range(4):
+                assert world.grid[i][j] == world.tile_channel(i, j)
 
     def test_random_point_in_bounds(self):
         world = TileWorld(100.0, 4)
@@ -122,6 +130,27 @@ class TestPlayer:
         cluster.run_for(5.0)
         assert samples and all(0 < s < 2.0 for s in samples)
 
+    def test_a_tick_costs_three_workload_frames(self):
+        """The timer's ``_tick``, the player's ``_tick`` and the player's own
+        update coming back through ``_on_delivery``: nothing else in the
+        workload or the timer layer runs per tick (moving and the tile
+        lookup happen in the tick's own frame)."""
+        cluster = make_static_cluster()
+        workload = RGameWorkload(cluster, RGameConfig())
+        (player,) = workload.add_players(1)
+        cluster.run_for(1.0)
+        sent = player.updates_sent
+        by_file = python_calls_by_file(lambda: cluster.run_for(30.0))
+        ticks = player.updates_sent - sent
+        assert ticks > 80
+        calls = sum(
+            n
+            for path, n in by_file.items()
+            if "/repro/workload/" in path or path.endswith("/repro/sim/timers.py")
+        )
+        # Waypoint arrivals and tile crossings (a handful in 30 s) are the slack.
+        assert calls / ticks <= 3.2, calls
+
     def test_leave_stops_everything(self):
         cluster = make_static_cluster()
         workload = RGameWorkload(cluster, RGameConfig())
@@ -162,6 +191,19 @@ class TestWorkloadDriver:
         assert workload.population == 3
         ids = [p.client.node_id for p in workload.players()]
         assert len(set(ids)) == 3
+
+    def test_total_updates_keep_departed_players(self):
+        """Removing players must not lower the run's total (the perf ledger
+        uses it as the expected response count)."""
+        cluster = make_static_cluster()
+        workload = RGameWorkload(cluster, RGameConfig())
+        players = workload.add_players(5)
+        cluster.run_for(3.0)
+        before = workload.total_updates_sent()
+        workload.remove_players(3)
+        assert workload.total_updates_sent() == before
+        cluster.run_for(2.0)
+        assert workload.total_updates_sent() == sum(p.updates_sent for p in players) > before
 
     def test_total_updates_accumulate(self):
         cluster = make_static_cluster()
