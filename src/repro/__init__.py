@@ -10,7 +10,8 @@ including every substrate the paper depends on:
 * a Redis-like channel pub/sub server (:mod:`repro.broker`),
 * the Dynamoth middleware itself -- plans, hierarchical load balancing,
   channel replication and lazy reconfiguration (:mod:`repro.core`),
-* the consistent-hashing baseline (:mod:`repro.baselines`),
+* the consistent-hashing baseline, as one more rebalancing policy of the
+  same balancer (:mod:`repro.core.policy.consistent_hashing`),
 * the RGame massively-multiplayer workload and micro-benchmark workloads
   (:mod:`repro.workload`),
 * the experiment harness regenerating every figure of the paper's

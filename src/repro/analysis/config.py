@@ -64,7 +64,6 @@ DEFAULT_LAYERS: Dict[str, Tuple[str, ...]] = {
     "net": ("sim",),
     "broker": ("sim", "net", "obs"),
     "core": ("sim", "net", "obs", "broker"),
-    "baselines": ("sim", "net", "obs", "broker", "core"),
     "faults": ("sim", "net", "obs", "broker", "core"),
     "workload": ("sim", "net", "obs", "broker", "core"),
     "check": ("sim", "net", "obs", "broker", "core", "faults", "workload"),
@@ -75,7 +74,6 @@ DEFAULT_LAYERS: Dict[str, Tuple[str, ...]] = {
         "obs",
         "broker",
         "core",
-        "baselines",
         "faults",
         "workload",
     ),
@@ -85,7 +83,6 @@ DEFAULT_LAYERS: Dict[str, Tuple[str, ...]] = {
         "obs",
         "broker",
         "core",
-        "baselines",
         "faults",
         "workload",
         "check",
@@ -109,13 +106,9 @@ DEFAULT_PROTOCOL: Dict[str, Tuple[str, ...]] = {
     "ConnectionClosed": ("DynamothClient",),
     "ParkTimeout": ("DynamothClient",),
     "PlanPush": ("Dispatcher",),
-    "NoMoreSubscribers": (
-        "Dispatcher",
-        "LoadBalancer",
-        "ConsistentHashingBalancer",
-    ),
-    "LoadReport": ("LoadBalancer", "ConsistentHashingBalancer"),
-    "ServerSpawned": ("LoadBalancer", "ConsistentHashingBalancer"),
+    "NoMoreSubscribers": ("Dispatcher", "LoadBalancer"),
+    "LoadReport": ("LoadBalancer",),
+    "ServerSpawned": ("LoadBalancer",),
 }
 
 #: Wire dataclasses deliberately outside actor routing: envelopes and
@@ -138,7 +131,6 @@ DEFAULT_MSG_ACTORS: Tuple[str, ...] = (
     "src/repro/core/dispatcher.py",
     "src/repro/core/balancer.py",
     "src/repro/core/lla.py",
-    "src/repro/baselines/consistent_hashing.py",
 )
 
 
@@ -161,7 +153,6 @@ class AnalysisConfig:
         "src/repro/net/*",
         "src/repro/sim/*",
         "src/repro/core/*",
-        "src/repro/baselines/*",
     )
     #: DET004 is *on* under these globs
     no_io: Tuple[str, ...] = (

@@ -9,7 +9,9 @@ through the configured :class:`~repro.core.policy.RebalancePolicy`
 two-step rebalancer of :mod:`repro.core.rebalance`), then pushed reliably
 to every dispatcher.  The balancer itself never places a channel -- every
 placement decision, including plan repair after a server failure, goes
-through the policy seam.
+through the policy seam.  This is the only control loop: Experiment 2's
+consistent-hashing comparator and every policy the lab compares run
+inside it, as policies.
 
 The balancer also drives elasticity: it asks the cloud for an extra server
 when migration alone cannot relieve an overload, and decommissions drained
@@ -81,7 +83,9 @@ class BalancerEvent:
     """A timestamped control-plane action, kept for the experiment plots."""
 
     time: float
-    kind: str  # "rebalance" | "spawn-request" | "server-ready" | "decommission"
+    #: "rebalance" | "repair" | "spawn-request" | "server-ready" |
+    #: "decommission" | "server-suspect" | "server-failed" | "server-resurrected"
+    kind: str
     detail: str = ""
 
 
@@ -153,12 +157,6 @@ class LoadBalancer(Actor):
         #: (``config.rebalance_policy``; see :mod:`repro.core.policy`).
         self.policy: RebalancePolicy = make_policy(config)
 
-        #: Optional load-history recorder (``repro.lab.LoadHistoryRecorder``),
-        #: wired by the cluster or an experiment.  Called once per
-        #: evaluation tick with the balancer itself; purely observational,
-        #: like ``sla_monitor``.
-        self.history_recorder: Optional[Any] = None
-
         self._task = PeriodicTask(sim, config.lb_eval_interval_s, self._evaluate)
 
     # ------------------------------------------------------------------
@@ -218,9 +216,11 @@ class LoadBalancer(Actor):
         if server_id in self.failed_servers:
             # A crashed server came back (restart with the same id).
             self._on_server_resurrected(server_id)
-        if server_id not in self.active_servers:
+        elif server_id not in self.active_servers:
+            # Only a new id is a spawn completing; a restarted one must
+            # not cancel the count of a replacement that is still booting.
             self.active_servers.append(server_id)
-        self.pending_spawns = max(0, self.pending_spawns - 1)
+            self.pending_spawns = max(0, self.pending_spawns - 1)
         self._pool_changed = True
         self._last_report_at.setdefault(server_id, self.sim.now)
         self.events.append(BalancerEvent(self.sim.now, "server-ready", server_id))
@@ -250,9 +250,6 @@ class LoadBalancer(Actor):
         self.load_history.append((now, ratios))
         if self._tracer.enabled:
             self._tracer.emit(LoadSnapshotEvent(now, dict(ratios)))
-        recorder = self.history_recorder
-        if recorder is not None:
-            recorder.record_tick(now, self)
 
         waited_enough = (now - self._last_plan_time) >= self.config.t_wait_s
         if not (waited_enough or self._pool_changed):

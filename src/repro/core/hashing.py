@@ -6,7 +6,7 @@ Dynamoth uses consistent hashing in two roles:
   with no plan entry for a channel hashes the channel onto the bootstrap
   ring (section II-C);
 * as the *baseline* load-distribution scheme the paper compares against
-  (:mod:`repro.baselines.consistent_hashing`).
+  (:mod:`repro.core.policy.consistent_hashing`).
 
 Each server owns ``vnodes`` virtual identifiers; a channel maps to the
 server owning the first identifier clockwise of the channel's hash.  Adding

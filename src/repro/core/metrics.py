@@ -71,13 +71,7 @@ class ServerLoadView:
         return len(self._reports)
 
     def mean_measured_egress_bps(self) -> float:
-        """Window-averaged measured egress in bytes/s (0 when no reports).
-
-        Exposed (rather than derived as ``load_ratio * nominal``) so the
-        load-history recorder (:mod:`repro.lab`) can persist the *exact*
-        float the load ratio is computed from; re-multiplying would round
-        differently and break bit-exact offline replay.
-        """
+        """Window-averaged measured egress in bytes/s (0 when no reports)."""
         if not self._reports:
             return 0.0
         total = sum(r.measured_egress_bps for r in self._reports)
@@ -163,9 +157,6 @@ class ClusterLoadView:
         view = self._servers.get(server_id)
         return view.load_ratio() if view is not None else 0.0
 
-    def load_ratios(self, server_ids: Iterable[str]) -> Dict[str, float]:
-        return {s: self.load_ratio(s) for s in server_ids}
-
     def average_load_ratio(self, server_ids: Iterable[str]) -> float:
         ids = list(server_ids)
         if not ids:
@@ -175,10 +166,6 @@ class ClusterLoadView:
     def nominal_egress_bps(self, server_id: str) -> float:
         view = self._servers.get(server_id)
         return view.nominal_egress_bps if view is not None else 0.0
-
-    def mean_measured_egress_bps(self, server_id: str) -> float:
-        view = self._servers.get(server_id)
-        return view.mean_measured_egress_bps() if view is not None else 0.0
 
     def cpu_utilization(self, server_id: str) -> float:
         view = self._servers.get(server_id)

@@ -7,10 +7,13 @@ Importing this package registers the built-in policies:
 * ``least_loaded`` -- greedy busiest-channel-to-least-loaded migration,
 * ``ewma_predictive`` -- trend-extrapolated load, acts before overload,
 * ``headroom_pace`` -- receivers scored by projected spare capacity,
-* ``chbl`` -- consistent hashing with bounded loads (Mirrokni et al.).
+* ``chbl`` -- consistent hashing with bounded loads (Mirrokni et al.),
+* ``consistent_hashing`` -- plain ring placement, the paper's comparator
+  (Experiment 2; ``DynamothCluster(balancer="consistent-hashing")``).
 
-Select one via ``DynamothConfig.rebalance_policy``; compare them offline
-with ``python -m repro.lab compare`` (see :mod:`repro.lab`).
+Select one via ``DynamothConfig.rebalance_policy``; compare them by
+running each on the same scenario with ``python -m repro.lab compare``
+(see :mod:`repro.lab`).
 """
 
 from repro.core.policy.base import (
@@ -25,12 +28,14 @@ from repro.core.policy.base import (
     replicated_channels,
 )
 from repro.core.policy.chbl import BoundedLoadPolicy
+from repro.core.policy.consistent_hashing import ConsistentHashingPolicy
 from repro.core.policy.ewma import EwmaPredictivePolicy
 from repro.core.policy.greedy import HeadroomPacePolicy, LeastLoadedPolicy
 from repro.core.policy.paper import PaperPolicy
 
 __all__ = [
     "BoundedLoadPolicy",
+    "ConsistentHashingPolicy",
     "EwmaPredictivePolicy",
     "HeadroomPacePolicy",
     "LeastLoadedPolicy",

@@ -12,17 +12,19 @@ every balancer implementation must answer --
 
 so that competing answers (:mod:`repro.core.policy.paper`,
 :mod:`~repro.core.policy.greedy`, :mod:`~repro.core.policy.ewma`,
-:mod:`~repro.core.policy.chbl`) are interchangeable behind one seam.  The
-:class:`~repro.core.balancer.LoadBalancer` holds exactly one policy and
-calls only through this interface; the offline trace-replay harness
-(:mod:`repro.lab`) drives the same interface from recorded load histories.
+:mod:`~repro.core.policy.chbl`,
+:mod:`~repro.core.policy.consistent_hashing`) are interchangeable behind
+one seam.  The
+:class:`~repro.core.balancer.LoadBalancer` holds exactly one policy, calls
+only through this interface, and is the interface's only caller: the lab
+(:mod:`repro.lab`) compares policies by running the balancer on each.
 
 Policies are *pure* with respect to the simulation: they read a
 :class:`PolicyContext` and return a
 :class:`~repro.core.rebalance.RebalanceDecision`.  A policy may keep
 internal prediction state across calls (EWMA trackers, hash rings), but it
 must never touch an RNG, the wall clock, or anything outside the context
--- determinism of the balancer (and of offline replay) depends on it.
+-- determinism of the balancer depends on it.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ from repro.core.rebalance import LoadEstimator, RebalanceDecision
 class PolicyContext:
     """Everything a policy may look at when deciding.
 
-    ``view`` is the balancer's aggregated sliding-window load picture; in
-    offline replay it is a reconstructed view with identical query
-    semantics.  ``allow_scale_down`` mirrors the balancer's rule that no
-    server is drained while a spawn is still booting.
+    ``view`` is the balancer's aggregated sliding-window load picture.
+    ``allow_scale_down`` mirrors the balancer's rule that no server is
+    drained while a spawn is still booting.
     """
 
     now: float
@@ -108,13 +109,12 @@ def repair_mappings(
 ) -> Dict[str, ChannelMapping]:
     """Re-home every channel ``dead_id`` carried onto the ``live`` servers.
 
-    The one plan-repair rule, shared by the balancer and the lab's
-    replayer.  Covers explicitly mapped channels and consistent-hashing
-    fallback channels the view observed traffic for.  ``ctx`` must list
-    the dead server among its ``active_servers``: its last load reports
-    carry the per-channel egress weights that decide where each re-homed
-    channel lands; without them every repaired channel would look
-    weightless and pile onto one "least loaded" target.
+    The balancer's plan-repair rule.  Covers explicitly mapped channels
+    and consistent-hashing fallback channels the view observed traffic
+    for.  ``ctx`` must list the dead server among its ``active_servers``:
+    its last load reports carry the per-channel egress weights that decide
+    where each re-homed channel lands; without them every repaired channel
+    would look weightless and pile onto one "least loaded" target.
     """
     plan = ctx.plan
     estimator = ctx.make_estimator()
@@ -197,11 +197,10 @@ class RebalancePolicy(ABC):
     ) -> Optional[str]:
         """Pick a home for a channel with no usable current server.
 
-        Called by :func:`repair_mappings` (a channel's only server died)
-        and by the replay harness when demand appears on an unplanned
-        channel.  The default -- the least-loaded candidate --
-        matches the pre-seam repair behaviour; CHBL overrides it with a
-        bounded-load ring walk.
+        Called by :func:`repair_mappings` when a channel's only server
+        died.  The default is the least-loaded candidate; CHBL overrides
+        it with a bounded-load ring walk, the consistent-hashing
+        comparator with a plain one.  ``None`` defers to the default.
         """
         return estimator.least_loaded(candidates)
 

@@ -3,8 +3,9 @@
 This policy is a *pure delegation* to :mod:`repro.core.rebalance` -- the
 hooks call the exact Algorithm 1 / Algorithm 2 / low-load-drain functions
 with the exact gating that ``generate_decision`` composes, so plans
-produced through the seam are byte-identical to the pre-seam balancer
-(asserted by the seam-equivalence tests and the CI ``policy-lab`` gate).
+produced through the seam are the reference's (asserted decision for
+decision by ``tests/core/policy/test_policy_seam.py`` and end to end by the
+golden trace digests).
 Any behavioural change to the paper's algorithms belongs in
 :mod:`repro.core.rebalance`, not here.
 """

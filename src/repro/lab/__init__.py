@@ -1,41 +1,31 @@
-"""The policy lab: record live load histories, replay them offline.
+"""The policy lab: compare rebalancing policies by running each one.
 
-The lab closes the loop that the policy seam (:mod:`repro.core.policy`)
-opens: :class:`LoadHistoryRecorder` captures the balancer's tick-by-tick
-load picture during a live (simulated) run into a versioned JSONL
-:class:`LoadHistory`; :class:`PolicyReplayer` then re-runs that history
-against any registered policy *without* re-simulating the network, and
-:func:`compare_policies` tabulates SLA violations, migration churn, plan
-pushes and rented server-hours across all of them.
+The policy seam (:mod:`repro.core.policy`) makes every placement rule a
+plug-in of the one :class:`~repro.core.balancer.LoadBalancer`; the lab is
+the harness that exploits it.  :func:`run_policy` runs one live scenario
+under one policy and reads the comparison row -- SLA violations, plan
+pushes, migration churn, spawns, rented server-hours, load ratios -- off
+the records the run itself keeps; :func:`compare_policies` tabulates every
+registered policy on the same scenario and seed.
 
-``python -m repro.lab`` exposes ``record`` / ``replay`` / ``compare``.
+``python -m repro.lab compare`` is the front end; ``python -m repro.sweep
+lab`` fans all scenarios over worker processes.
 """
 
-from repro.lab.compare import ComparisonReport, compare_policies
-from repro.lab.history import (
-    HISTORY_SCHEMA,
-    LoadHistory,
-    LoadHistoryRecorder,
-    plan_digest,
-)
-from repro.lab.replay import (
-    MODELED,
-    VERBATIM,
-    PolicyReplayer,
-    ReplayMetrics,
-    ReplayResult,
+from repro.lab.compare import (
+    SCENARIOS,
+    Scenario,
+    compare_policies,
+    report_json,
+    report_markdown,
+    run_policy,
 )
 
 __all__ = [
-    "HISTORY_SCHEMA",
-    "MODELED",
-    "VERBATIM",
-    "ComparisonReport",
-    "LoadHistory",
-    "LoadHistoryRecorder",
-    "PolicyReplayer",
-    "ReplayMetrics",
-    "ReplayResult",
+    "SCENARIOS",
+    "Scenario",
     "compare_policies",
-    "plan_digest",
+    "report_json",
+    "report_markdown",
+    "run_policy",
 ]

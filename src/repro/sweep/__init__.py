@@ -5,8 +5,8 @@ merges the results into byte-stable JSON / markdown reports:
 
 * ``check``  -- property-test soak: N generated scenario seeds through
   the :mod:`repro.check` oracles;
-* ``lab``    -- record each :mod:`repro.lab` live scenario and replay
-  its history against every registered rebalancing policy.
+* ``lab``    -- run each :mod:`repro.lab` scenario live under every
+  registered rebalancing policy, one *(scenario, policy)* run per unit.
 
 Every work unit is a frozen dataclass of primitives (spawn-picklable)
 and every worker is a module-level function, so the pool works under

@@ -3,7 +3,7 @@
 Subcommands::
 
     check   soak N generated check-scenario seeds through every oracle
-    lab     record each live lab scenario and compare every policy
+    lab     run every lab scenario live under every policy
 
 Both fan work over a ``spawn`` process pool (``--procs``) and merge
 results in task order, so the JSON/markdown reports are byte-stable
@@ -15,17 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.core.config import DELIVERY_TIERS
-from repro.core.policy import policy_class
-from repro.lab.cli import SCENARIOS
-from repro.sweep.orchestrator import (
-    check_markdown,
-    check_sweep,
-    lab_markdown,
-    lab_sweep,
-)
+from repro.lab.cli import policy_names
+from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, SCENARIOS, report_markdown
+from repro.sweep.orchestrator import check_markdown, check_sweep, lab_sweep
 
 _Out = Callable[[str], None]
 
@@ -79,10 +74,12 @@ def _cmd_check(args: argparse.Namespace, out: _Out) -> int:
 
 def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
     def progress(result: Dict[str, Any]) -> None:
-        report = result["report"]
+        row = result["row"]
         out(
-            f"{result['scenario']}: {report['ticks']} ticks, "
-            f"{len(report['policies'])} policies compared"
+            f"{result['scenario']} / {row['policy']}: "
+            f"{row['plan_pushes']} pushes, {row['migrations']} migrations, "
+            f"{row['spawns']} spawns, "
+            f"{row['sla_violation_seconds']:.1f}s in SLA violation"
         )
 
     doc = lab_sweep(
@@ -93,19 +90,9 @@ def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
         procs=args.procs,
         progress=progress,
     )
-    _write_outputs(doc, lab_markdown(doc), args, out)
+    markdown = "\n".join(report_markdown(r) for r in doc["scenarios"].values())
+    _write_outputs(doc, markdown, args, out)
     return 0
-
-
-def _policy_names(value: str) -> Tuple[str, ...]:
-    """``--policies a,b`` -> names, rejected before anything is recorded."""
-    names = tuple(p.strip() for p in value.split(",") if p.strip())
-    try:
-        for name in names:
-            policy_class(name)
-    except ValueError as exc:  # names the registered policies
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,15 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(check)
     check.set_defaults(func=_cmd_check)
 
-    lab = sub.add_parser("lab", help="record lab scenarios, compare policies")
+    lab = sub.add_parser("lab", help="run lab scenarios live under each policy")
     lab.add_argument("--scenario", action="append", choices=sorted(SCENARIOS),
                      default=None,
-                     help="live scenario to record (repeatable; "
-                          "default: all)")
+                     help="live scenario to run (repeatable; default: all)")
     lab.add_argument("--seed", type=int, default=0)
-    lab.add_argument("--policies", type=_policy_names, default="",
+    lab.add_argument("--policies", type=policy_names, default=(),
                      help="comma-separated policy names (default: all)")
-    lab.add_argument("--sla-threshold", type=float, default=None)
+    lab.add_argument("--sla-threshold", type=float,
+                     default=DEFAULT_SLA_THRESHOLD_S)
     common(lab)
     lab.set_defaults(func=_cmd_lab)
     return parser

@@ -18,6 +18,8 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
+from repro.core.policy import available_policies
+from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, SCENARIOS, make_report
 from repro.sweep.workers import CheckTask, LabTask, check_worker, lab_worker
 
 SWEEP_SCHEMA = 1
@@ -123,45 +125,29 @@ def lab_sweep(
     *,
     seed: int = 0,
     policies: Sequence[str] = (),
-    sla_threshold_s: Optional[float] = None,
+    sla_threshold_s: float = DEFAULT_SLA_THRESHOLD_S,
     procs: int = 1,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Dict[str, Any]:
-    """Record each live lab scenario and compare every policy over it."""
+    """Run every (scenario, policy) pair live; one report per scenario."""
+    scenarios = list(dict.fromkeys(scenarios))  # a repeated name runs once
     tasks = [
-        LabTask(
-            scenario=name,
-            seed=seed,
-            policies=tuple(policies),
-            sla_threshold_s=sla_threshold_s,
-        )
+        LabTask(scenario=name, policy=policy, seed=seed, sla_threshold_s=sla_threshold_s)
         for name in scenarios
+        for policy in policies or available_policies()
     ]
     results = run_tasks(lab_worker, tasks, procs=procs, progress=progress)
     return {
         "schema": SWEEP_SCHEMA,
         "mode": "lab",
         "seed": seed,
-        "scenarios": {r["scenario"]: r["report"] for r in results},
-    }
-
-
-def lab_markdown(doc: Dict[str, Any]) -> str:
-    lines = ["# Policy lab sweep", ""]
-    for name in sorted(doc["scenarios"]):
-        report = doc["scenarios"][name]
-        lines.append(
-            f"## `{name}` (seed {report['seed']}, {report['ticks']} ticks, "
-            f"SLA {report['sla_threshold_s'] * 1000:.0f} ms)"
-        )
-        lines.append("")
-        lines.append("| policy | SLA viol. | SLA sec | pushes | migrations | server-h |")
-        lines.append("|---|---:|---:|---:|---:|---:|")
-        for m in report["policies"]:
-            lines.append(
-                f"| {m['policy']} | {m['sla_violations']} "
-                f"| {m['sla_violation_seconds']:.1f} | {m['plan_pushes']} "
-                f"| {m['migrations']} | {m['server_hours']:.3f} |"
+        "scenarios": {
+            name: make_report(
+                SCENARIOS[name],
+                seed,
+                sla_threshold_s,
+                [r["row"] for r in results if r["scenario"] == name],
             )
-        lines.append("")
-    return "\n".join(lines) + "\n"
+            for name in scenarios
+        },
+    }

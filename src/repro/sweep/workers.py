@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,12 @@ class CheckTask:
 
 @dataclass(frozen=True)
 class LabTask:
-    """Record one live lab scenario, then replay it against policies."""
+    """Run one live lab scenario under one policy."""
 
     scenario: str
-    seed: int = 0
-    policies: Tuple[str, ...] = ()
-    sla_threshold_s: Optional[float] = None
+    policy: str
+    seed: int
+    sla_threshold_s: float
 
 
 def check_worker(task: CheckTask) -> Dict[str, Any]:
@@ -65,18 +65,10 @@ def check_worker(task: CheckTask) -> Dict[str, Any]:
 
 
 def lab_worker(task: LabTask) -> Dict[str, Any]:
-    """Record one live scenario and compare every policy over it."""
-    from repro.lab.cli import SCENARIOS, record_scenario
-    from repro.lab.compare import compare_policies
+    """One (scenario, policy) live run; returns the policy's report row."""
+    from repro.lab.compare import SCENARIOS, run_policy
 
-    history = record_scenario(SCENARIOS[task.scenario], task.seed)
-    report = compare_policies(
-        history,
-        list(task.policies) or None,
-        sla_threshold_s=task.sla_threshold_s,
+    row = run_policy(
+        SCENARIOS[task.scenario], task.policy, task.seed, task.sla_threshold_s
     )
-    return {
-        "scenario": task.scenario,
-        "seed": task.seed,
-        "report": report.to_dict(),
-    }
+    return {"scenario": task.scenario, "row": row}

@@ -1,4 +1,5 @@
-"""Tests for the consistent-hashing baseline balancer."""
+"""Tests for the consistent-hashing baseline: ``balancer="consistent-hashing"``
+runs the one ``LoadBalancer`` on the ``consistent_hashing`` policy."""
 
 import pytest
 
@@ -59,7 +60,7 @@ class TestScaleOut:
         for channel in (f"ch{i}" for i in range(4)):
             mapping = lb.plan.mapping(channel)
             assert mapping.mode is ReplicationMode.SINGLE
-            assert mapping.servers == (lb.ring.lookup(channel),)
+            assert mapping.servers == (lb.policy.ring.lookup(channel),)
 
     def test_never_replicates_channels(self):
         cluster = build()

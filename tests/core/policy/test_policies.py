@@ -8,6 +8,7 @@ from repro.core.metrics import ClusterLoadView
 from repro.core.plan import ChannelMapping, Plan, ReplicationMode
 from repro.core.policy import PolicyContext
 from repro.core.policy.chbl import BoundedLoadPolicy
+from repro.core.policy.consistent_hashing import ConsistentHashingPolicy
 from repro.core.policy.ewma import EwmaPredictivePolicy
 from repro.core.policy.greedy import HeadroomPacePolicy, LeastLoadedPolicy
 
@@ -291,7 +292,13 @@ class TestBoundedLoad:
 class TestEmptyPool:
     @pytest.mark.parametrize(
         "policy_cls",
-        [LeastLoadedPolicy, HeadroomPacePolicy, EwmaPredictivePolicy, BoundedLoadPolicy],
+        [
+            LeastLoadedPolicy,
+            HeadroomPacePolicy,
+            EwmaPredictivePolicy,
+            BoundedLoadPolicy,
+            ConsistentHashingPolicy,
+        ],
     )
     def test_decide_with_no_active_servers_is_noop(self, policy_cls):
         cfg = config()

@@ -68,13 +68,14 @@ def context(plan, view, cfg, active, *, bootstrap=None, allow_scale_down=True):
 
 
 class TestRegistry:
-    def test_all_five_policies_registered(self):
+    def test_all_six_policies_registered(self):
         assert {
             "paper",
             "least_loaded",
             "ewma_predictive",
             "headroom_pace",
             "chbl",
+            "consistent_hashing",
         } <= set(available_policies())
 
     def test_make_policy_follows_config(self):

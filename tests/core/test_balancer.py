@@ -14,6 +14,7 @@ def build_cluster(
     max_servers=4,
     min_servers=None,
     t_wait=5.0,
+    spawn_delay=2.0,
     seed=0,
     **config_kwargs,
 ):
@@ -21,7 +22,7 @@ def build_cluster(
         max_servers=max_servers,
         min_servers=min_servers if min_servers is not None else initial_servers,
         t_wait_s=t_wait,
-        spawn_delay_s=2.0,
+        spawn_delay_s=spawn_delay,
         **config_kwargs,
     )
     broker = BrokerConfig(nominal_egress_bps=nominal, per_connection_bps=None)
@@ -141,6 +142,23 @@ class TestBookkeeping:
         cluster = build_cluster()
         with pytest.raises(TypeError):
             cluster.balancer.receive(object(), "x")
+
+    def test_restart_does_not_cancel_a_booting_replacement(self):
+        """A restarted id is not the server the pending spawn is waiting for."""
+        cluster = build_cluster(initial_servers=2, min_servers=2, spawn_delay=30.0)
+        lb = cluster.balancer
+        cluster.run_until(5.0)
+        cluster.crash_server("pub2")
+        cluster.run_until(12.0)
+        assert "pub2" in lb.failed_servers
+        assert lb.pending_spawns == 1  # the replacement, pub3, is booting
+        cluster.restart_server("pub2")
+        assert "pub2" in lb.active_servers
+        assert lb.pending_spawns == 1  # ... and still is
+        assert "pub3" not in cluster.servers
+        cluster.run_until(45.0)
+        assert "pub3" in lb.active_servers
+        assert lb.pending_spawns == 0
 
     def test_average_load_ratio_accessor(self):
         cluster = build_cluster()

@@ -1,137 +1,155 @@
-"""Offline replay: seam equivalence, determinism, policy comparison, CLI."""
+"""The live policy lab: rows read off real runs, determinism, report, CLI."""
 
 import json
 
 import pytest
 
+from repro.core.cluster import DynamothCluster
 from repro.core.policy import available_policies
 from repro.lab.cli import main
-from repro.lab.compare import compare_policies
-from repro.lab.replay import MODELED, VERBATIM, PolicyReplayer
+from repro.lab.compare import (
+    Scenario,
+    compare_policies,
+    make_report,
+    report_json,
+    report_markdown,
+    run_policy,
+)
+from repro.workload.rgame import RGameConfig, RGameWorkload
+from repro.workload.schedules import steps
+
+MINI_FLASH = Scenario(
+    name="mini-flash",
+    describe="small flash crowd for tests",
+    duration_s=45.0,
+    initial_servers=1,
+    max_servers=4,
+    nominal_egress_bps=100_000.0,
+    schedule=steps([(0.0, 8), (10.0, 8), (16.0, 48), (45.0, 48)]),
+)
+SEED = 7
 
 
-class TestSeamEquivalence:
-    """The gate: verbatim paper replay reproduces the live plan sequence."""
+@pytest.fixture(scope="module")
+def mini_report():
+    """Every registered policy, run live once on the mini flash crowd."""
+    return compare_policies(MINI_FLASH, seed=SEED)
 
-    def test_verbatim_paper_replay_matches_live_plans(self, mini_history):
-        result = PolicyReplayer(mini_history, "paper", mode=VERBATIM).run(verify=True)
-        assert result.divergences == []
-        assert result.equivalent
-        # every recorded plan was reproduced, digest for digest
-        recorded = [(p.version, p.digest) for p in mini_history.plans]
-        replayed = [(v, d) for (__, v, d) in result.plan_seq]
-        assert replayed == recorded
 
-    def test_divergence_is_detected(self, mini_history):
-        """A non-paper policy replayed over the same history diverges --
-        the verify machinery must say so rather than vacuously pass."""
-        result = PolicyReplayer(mini_history, "least_loaded", mode=VERBATIM).run(
-            verify=True
+def rows_by_policy(report):
+    return {row["policy"]: row for row in report["policies"]}
+
+
+class TestLiveRows:
+    def test_paper_row_is_a_reading_of_the_live_run(self, mini_report):
+        """The row is what the balancer did -- with observability off too."""
+        cluster = DynamothCluster(
+            seed=SEED,
+            config=MINI_FLASH.dynamoth_config(),  # default policy: paper
+            broker_config=MINI_FLASH.broker_config(),
+            initial_servers=MINI_FLASH.initial_servers,
         )
-        assert result.divergences
-        assert not result.equivalent
+        workload = RGameWorkload(
+            cluster,
+            RGameConfig(
+                tiles_per_side=MINI_FLASH.tiles_per_side,
+                updates_per_s=MINI_FLASH.updates_per_s,
+                payload_size=MINI_FLASH.payload_size,
+            ),
+        )
+        workload.follow(MINI_FLASH.schedule)
+        cluster.run_until(MINI_FLASH.duration_s)
+        workload.stop()
+
+        lb = cluster.balancer
+        plans = [plan for __, plan in lb.plan_history]
+        kinds = [e.kind for e in lb.events]
+        row = rows_by_policy(mini_report)["paper"]
+        assert row["plan_pushes"] == len(lb.plan_history) - 1 > 0
+        assert row["migrations"] == sum(
+            len(old.diff(new)) for old, new in zip(plans, plans[1:])
+        )
+        assert row["spawns"] == kinds.count("spawn-request") > 0
+        assert row["decommissions"] == kinds.count("decommission")
+        assert row["server_seconds"] == cluster.server_seconds()
+        assert row["final_plan_version"] == lb.plan.version
+        assert row["ticks"] == len(lb.load_history) == 45
+
+    def test_open_sla_episode_lasts_until_the_run_stops(self, mini_report):
+        row = rows_by_policy(mini_report)["paper"]
+        overall = [v for v in row["sla"]["violations"] if v["scope"] == "overall"]
+        assert len(overall) == row["sla_violations"] == 1
+        assert overall[0]["end_t"] is None  # the crowd never leaves
+        assert row["sla_violation_seconds"] == (
+            MINI_FLASH.duration_s - overall[0]["start_t"]
+        )
 
 
 class TestDeterminism:
-    def test_replay_twice_identical(self, mini_history):
-        a = PolicyReplayer(mini_history, "chbl").run()
-        b = PolicyReplayer(mini_history, "chbl").run()
-        assert a.metrics.to_dict() == b.metrics.to_dict()
-        assert a.plan_seq == b.plan_seq
-
-    def test_compare_report_deterministic(self, mini_history):
-        one = compare_policies(mini_history).to_json()
-        two = compare_policies(mini_history).to_json()
-        assert one == two
+    def test_compare_report_deterministic(self, mini_report):
+        again = compare_policies(
+            MINI_FLASH, ("consistent_hashing", "paper"), seed=SEED
+        )
+        first = rows_by_policy(mini_report)
+        assert again["policies"] == [first["consistent_hashing"], first["paper"]]
+        rebuilt = make_report(MINI_FLASH, SEED, 0.25, again["policies"])
+        assert report_json(again) == report_json(rebuilt)
 
 
 class TestModeledReplay:
-    def test_all_policies_complete(self, mini_history):
-        report = compare_policies(mini_history)
-        assert [m.policy for m in report.rows] == available_policies()
-        for m in report.rows:
-            assert m.ticks == len(mini_history.ticks)
-            assert m.mode == MODELED
-            assert m.server_seconds > 0
-            assert m.peak_load_ratio > 0
+    """Class name kept from the offline lab; every row here is a live run."""
 
-    def test_flash_crowd_forces_action(self, mini_history):
-        """The recorded flash crowd overloads the pool: every policy must
-        have reacted (spawned or migrated), none may sit still."""
-        report = compare_policies(mini_history)
-        for m in report.rows:
-            assert m.plan_pushes > 0 or m.spawns > 0, m.policy
+    def test_all_policies_complete(self, mini_report):
+        assert [m["policy"] for m in mini_report["policies"]] == available_policies()
+        for m in mini_report["policies"]:
+            assert m["ticks"] == 45
+            assert m["server_seconds"] > 0
+            assert m["peak_load_ratio"] > 0
 
-    def test_sla_scopes_in_report(self, mini_history):
-        metrics = PolicyReplayer(mini_history, "paper").run().metrics
-        assert "overall" in metrics.sla["scopes"]
-        assert metrics.sla_violation_seconds >= 0.0
+    def test_flash_crowd_forces_action(self, mini_report):
+        """The flash crowd overloads the pool: every policy must have
+        reacted (spawned or migrated), none may sit still."""
+        for m in mini_report["policies"]:
+            assert m["plan_pushes"] > 0 or m["spawns"] > 0, m["policy"]
 
-    def test_markdown_report_lists_all_policies(self, mini_history):
-        text = compare_policies(mini_history).to_markdown()
+    def test_sla_scopes_in_report(self, mini_report):
+        row = rows_by_policy(mini_report)["paper"]
+        assert "overall" in row["sla"]["scopes"]
+        assert row["sla"]["threshold_s"] == mini_report["sla_threshold_s"] == 0.25
+        assert row["sla_violation_seconds"] >= 0.0
+
+    def test_markdown_report_lists_all_policies(self, mini_report):
+        text = report_markdown(mini_report)
         for name in available_policies():
             assert f"| {name} |" in text
 
-    def test_unknown_policy_rejected(self, mini_history):
+    def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown rebalance policy"):
-            PolicyReplayer(mini_history, "nope")
-
-    def test_unknown_mode_rejected(self, mini_history):
-        with pytest.raises(ValueError, match="unknown replay mode"):
-            PolicyReplayer(mini_history, "paper", mode="psychic")
+            run_policy(MINI_FLASH, "nope", SEED, 0.25)
 
 
 class TestCli:
-    @pytest.fixture()
-    def history_file(self, mini_history, tmp_path):
-        path = tmp_path / "mini.jsonl"
-        mini_history.save(path)
-        return path
-
-    def test_replay_verify_exit_codes(self, history_file, capsys):
-        ok = main(
-            ["replay", str(history_file), "--policy", "paper", "--mode", "verbatim", "--verify"]
-        )
-        assert ok == 0
-        assert "matches the recorded run" in capsys.readouterr().out
-        bad = main(
-            [
-                "replay",
-                str(history_file),
-                "--policy",
-                "least_loaded",
-                "--mode",
-                "verbatim",
-                "--verify",
-            ]
-        )
-        assert bad == 1
-
-    def test_replay_json_output(self, history_file, capsys):
-        assert main(["replay", str(history_file), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["policy"] == "paper"
-        assert payload["ticks"] == 45
-
-    def test_compare_writes_report(self, history_file, tmp_path, capsys):
+    def test_compare_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.md"
-        assert main(["compare", str(history_file), "--out", str(out)]) == 0
+        assert main(["compare", "--scenario", "steady", "--out", str(out)]) == 0
         text = out.read_text()
-        assert text.startswith("# Policy lab:")
+        assert text.startswith("# Policy lab: `steady`")
         for name in available_policies():
             assert f"| {name} |" in text
 
-    def test_compare_policy_subset(self, history_file, capsys):
-        assert main(["compare", str(history_file), "--policies", "paper,chbl"]) == 0
-        out = capsys.readouterr().out
-        assert "| paper |" in out
-        assert "| chbl |" in out
-        assert "| least_loaded |" not in out
+    def test_compare_policy_subset(self, capsys):
+        argv = ["compare", "--scenario", "steady", "--policies", "paper,chbl", "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [m["policy"] for m in report["policies"]] == ["paper", "chbl"]
+        assert report["scenario"] == "steady"
 
-    def test_record_then_replay_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "steady.jsonl"
-        assert main(["record", "--scenario", "steady", "--seed", "3", "--out", str(path)]) == 0
-        assert (
-            main(["replay", str(path), "--policy", "paper", "--mode", "verbatim", "--verify"])
-            == 0
-        )
+    def test_mistyped_policy_exits_2_before_any_run(self, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a scenario ran before the arguments were checked")
+
+        monkeypatch.setattr("repro.lab.compare.run_policy", must_not_run)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "--policies", "bogus"])
+        assert exit_info.value.code == 2
+        assert "paper" in capsys.readouterr().err  # the valid names are listed

@@ -106,6 +106,22 @@ class TestCli:
         report = doc["scenarios"]["steady"]
         assert [m["policy"] for m in report["policies"]] == ["paper", "chbl"]
 
+    def test_lab_json_is_identical_across_procs(self, tmp_path, capsys):
+        """(scenario, policy) runs merge in task order, whoever ran them."""
+        outputs = []
+        for procs in ("1", "2"):
+            out_json = tmp_path / f"lab-{procs}.json"
+            argv = [
+                "lab",
+                "--scenario", "steady",
+                "--policies", "paper,consistent_hashing",
+                "--procs", procs,
+                "--output", str(out_json),
+            ]
+            assert main(argv) == 0
+            outputs.append(out_json.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize(
         "argv, listed",
         [
@@ -121,7 +137,7 @@ class TestCli:
         def must_not_run(*args, **kwargs):
             raise AssertionError("a scenario ran before the arguments were checked")
 
-        monkeypatch.setattr("repro.lab.cli.record_scenario", must_not_run)
+        monkeypatch.setattr("repro.lab.compare.run_policy", must_not_run)
         monkeypatch.setattr("repro.check.scenario.run_scenario", must_not_run)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
