@@ -21,35 +21,21 @@ Fig 5, Fig 6 and the headline benches share them instead of re-simulating.
 from functools import lru_cache
 
 from benchmarks.conftest import run_once
-from repro.core.cluster import BALANCER_CONSISTENT_HASHING, BALANCER_DYNAMOTH
-from repro.experiments.experiment2 import (
-    HeadlineComparison,
-    ScalabilityConfig,
-    run_scalability,
-)
-from repro.experiments.report import render_figure5, render_headline
+from repro.experiments.report import headline_gain, render_figure5, render_headline
+from repro.experiments.run import SPECS, run, with_policy
 
-BENCH_CONFIG = ScalabilityConfig(
-    tiles_per_side=8,
-    start_players=60,
-    end_players=620,
-    ramp_duration_s=450.0,
-    hold_duration_s=50.0,
-    nominal_egress_bps=620_000.0,
-    # paper-like rebalance cadence (Fig 5 shows reconfigurations tens of
-    # seconds apart); very short T_wait thrashes the transition machinery
-    t_wait_s=20.0,
-)
+#: the run ``python -m repro.experiments fig5`` makes
+BENCH_SPEC = SPECS["fig5"]
 
 
 @lru_cache(maxsize=None)
 def dynamoth_run():
-    return run_scalability(BENCH_CONFIG, balancer=BALANCER_DYNAMOTH)
+    return run(BENCH_SPEC)
 
 
 @lru_cache(maxsize=None)
 def hashing_run():
-    return run_scalability(BENCH_CONFIG, balancer=BALANCER_CONSISTENT_HASHING)
+    return run(with_policy(BENCH_SPEC, "consistent_hashing"))
 
 
 def test_bench_fig5_dynamoth(benchmark):
@@ -57,9 +43,9 @@ def test_bench_fig5_dynamoth(benchmark):
     result = run_once(benchmark, dynamoth_run)
 
     # Fig 5a: the ramp was followed
-    assert result.recorder.max("population") >= BENCH_CONFIG.end_players * 0.95
+    assert result.series.max("population") >= BENCH_SPEC.population[-1][1] * 0.95
     # Fig 5b: servers scaled out to the full pool under load
-    assert result.final_server_count == BENCH_CONFIG.max_servers
+    assert result.final_server_count == BENCH_SPEC.config.max_servers
     # Fig 5c: response time at moderate load sits near the WAN baseline
     # in most windows ("small spikes ... of short duration" at rebalance
     # points are the paper's own observation)
@@ -84,7 +70,7 @@ def test_bench_fig5_consistent_hashing(benchmark):
     print()
     print(render_figure5(dynamoth_run(), result))
 
-    assert result.final_server_count == BENCH_CONFIG.max_servers
+    assert result.final_server_count == BENCH_SPEC.config.max_servers
     # the paper's observation: CH spawns a server on *every* rebalance
     spawns = [t for t, k, __ in result.balancer_events if k == "spawn-request"]
     assert len(result.rebalance_times) == len(spawns)
@@ -123,14 +109,12 @@ def test_bench_headline_60_percent(benchmark):
     Dynamoth's -- and reports the single-seed sustainable-player counts
     as informational output.  EXPERIMENTS.md discusses the measured range.
     """
-    comparison = run_once(
-        benchmark, lambda: HeadlineComparison(dynamoth_run(), hashing_run())
-    )
+    dynamoth, hashing = run_once(benchmark, lambda: (dynamoth_run(), hashing_run()))
     print()
-    print(render_headline(comparison))
+    print(render_headline(dynamoth, hashing))
 
-    dyn_imbalance = _imbalance(comparison.dynamoth)
-    ch_imbalance = _imbalance(comparison.consistent_hashing)
+    dyn_imbalance = _imbalance(dynamoth)
+    ch_imbalance = _imbalance(hashing)
     print(
         f"load imbalance (busiest/average LR, mid-ramp): "
         f"dynamoth={dyn_imbalance:.2f}  consistent-hashing={ch_imbalance:.2f}"
@@ -142,8 +126,10 @@ def test_bench_headline_60_percent(benchmark):
     assert dyn_imbalance < 1.6
     assert ch_imbalance > dyn_imbalance * 1.15
 
-    benchmark.extra_info["dynamoth_players"] = comparison.dynamoth_max_players
-    benchmark.extra_info["ch_players"] = comparison.ch_max_players
-    benchmark.extra_info["improvement_single_seed"] = round(comparison.improvement, 3)
+    benchmark.extra_info["dynamoth_players"] = dynamoth.max_sustainable_players()
+    benchmark.extra_info["ch_players"] = hashing.max_sustainable_players()
+    benchmark.extra_info["improvement_single_seed"] = round(
+        headline_gain(dynamoth, hashing), 3
+    )
     benchmark.extra_info["dyn_imbalance"] = round(dyn_imbalance, 3)
     benchmark.extra_info["ch_imbalance"] = round(ch_imbalance, 3)

@@ -8,7 +8,7 @@ Reuses the cached Experiment 2 Dynamoth run from ``test_bench_fig5``.
 """
 
 from benchmarks.conftest import run_once
-from benchmarks.test_bench_fig5 import BENCH_CONFIG, dynamoth_run
+from benchmarks.test_bench_fig5 import dynamoth_run
 from repro.experiments.report import render_figure6
 
 

@@ -12,55 +12,44 @@ Paper shapes:
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.experiment3 import ElasticityConfig, run_elasticity
 from repro.experiments.report import render_figure7
+from repro.experiments.run import SPECS, run
 
-BENCH_CONFIG = ElasticityConfig(
-    tiles_per_side=8,
-    peak1=360,
-    trough=90,
-    peak2=260,
-    transition_s=90.0,
-    plateau_s=90.0,
-    nominal_egress_bps=620_000.0,
-    max_servers=8,
-    plan_entry_timeout_s=15.0,
-)
+#: the run ``python -m repro.experiments fig7`` makes
+BENCH_SPEC = SPECS["fig7"]
 
 
 def test_bench_fig7_elasticity(benchmark):
-    result = run_once(benchmark, lambda: run_elasticity(BENCH_CONFIG))
+    result = run_once(benchmark, lambda: run(BENCH_SPEC))
     print()
     print(render_figure7(result))
 
-    config = result.config
+    # breakpoint times: start, peak 1 reached / left, trough reached / left,
+    # peak 2 reached / held until
+    times = [t for t, __ in BENCH_SPEC.population]
+    peak1_end, drop_complete, trough_end, peak2_start, peak2_end = times[2:]
     # servers were rented during the first climb
-    t_peak1_end = config.transition_s + config.plateau_s
-    assert result.server_count_at(t_peak1_end) > config.initial_servers
+    assert result.server_count_at(peak1_end) > BENCH_SPEC.initial_servers
 
     # ... and released after the drop (the paper notes "an observable
     # delay between the time when the load decreases and the servers are
     # removed")
     assert result.scaled_down()
     decommissions = [t for t, k, __ in result.balancer_events if k == "decommission"]
-    drop_complete = 2 * config.transition_s + config.plateau_s
-    peak1_end = config.transition_s + config.plateau_s
     # servers are only released once the population decline has begun
     assert decommissions and min(decommissions) > peak1_end
 
     # ... and rented again for the second climb
-    peak2_time = 3 * config.transition_s + 2.5 * config.plateau_s
+    peak2_time = (peak2_start + peak2_end) / 2
     trough_servers = min(
         int(v)
-        for t, v in result.recorder.get("servers")
-        if drop_complete + config.plateau_s * 0.5 <= t <= drop_complete + config.plateau_s
+        for t, v in result.server_series()
+        if (drop_complete + trough_end) / 2 <= t <= trough_end
     )
     assert result.server_count_at(peak2_time) >= trough_servers
 
     # response time during the trough plateau is healthy
-    trough_rt = result.response_times.window_mean(
-        drop_complete + 20, drop_complete + config.plateau_s
-    )
+    trough_rt = result.response_times.window_mean(drop_complete + 20, trough_end)
     assert trough_rt is not None and trough_rt < 0.150
 
     benchmark.extra_info["peak_servers"] = result.peak_server_count()

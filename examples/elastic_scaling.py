@@ -13,32 +13,36 @@ Run with::
     python examples/elastic_scaling.py
 """
 
-from repro.experiments.experiment3 import ElasticityConfig, run_elasticity
+from repro.core.config import DynamothConfig
 from repro.experiments.report import render_figure7
+from repro.experiments.run import RunSpec, run
+
+#: Figure 7's shape at demo scale: 0 -> 150 -> 40 -> 110 players, one
+#: minute per climb, fall and plateau.
+DEMO = RunSpec(
+    name="fig7-demo",
+    describe="elasticity at demo scale",
+    duration_s=390.0,
+    population=(
+        (0.0, 0), (60.0, 150), (120.0, 150), (180.0, 40),
+        (240.0, 40), (300.0, 110), (360.0, 110),
+    ),
+    tiles_per_side=5,
+    nominal_egress_bps=180_000.0,
+    config=DynamothConfig(max_servers=6, plan_entry_timeout_s=15.0),
+)
 
 
 def main() -> None:
-    config = ElasticityConfig(
-        tiles_per_side=5,
-        peak1=150,
-        trough=40,
-        peak2=110,
-        transition_s=60.0,
-        plateau_s=60.0,
-        nominal_egress_bps=180_000.0,
-        max_servers=6,
-    )
-    print(
-        f"population plan: 0 -> {config.peak1} -> {config.trough} -> "
-        f"{config.peak2} players\n"
-    )
-    result = run_elasticity(config)
+    peak1, trough, peak2 = (DEMO.population[i][1] for i in (1, 3, 5))
+    print(f"population plan: 0 -> {peak1} -> {trough} -> {peak2} players\n")
+    result = run(DEMO)
     print(render_figure7(result))
     print(f"\npeak servers: {result.peak_server_count()}")
     print(f"scaled back down after the drop: {result.scaled_down()}")
-    decommissions = [e for e in result.balancer_events if e[1] == "decommission"]
-    for t, __, detail in decommissions:
-        print(f"  t={t:6.1f}s decommissioned {detail}")
+    for t, kind, detail in result.balancer_events:
+        if kind == "decommission":
+            print(f"  t={t:6.1f}s decommissioned {detail}")
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ DEFAULT_LAYERS: Dict[str, Tuple[str, ...]] = {
     "faults": ("sim", "net", "obs", "broker", "core"),
     "workload": ("sim", "net", "obs", "broker", "core"),
     "check": ("sim", "net", "obs", "broker", "core", "faults", "workload"),
-    "lab": ("sim", "net", "obs", "broker", "core", "faults", "workload"),
+    "lab": ("sim", "net", "obs", "broker", "core", "faults", "workload", "experiments"),
     "experiments": (
         "sim",
         "net",
@@ -174,6 +174,7 @@ class AnalysisConfig:
         default_factory=lambda: {
             "DynamothConfig": "src/repro/core/config.py",
             "ChaosScenarioConfig": "src/repro/experiments/chaos.py",
+            "RunSpec": "src/repro/experiments/run.py",
         }
     )
     #: ARCH001 layer DAG: package -> module-level import allow-list

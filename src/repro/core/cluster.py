@@ -4,9 +4,9 @@
 
 * ``n`` pub/sub server nodes, each with a co-located Local Load Analyzer
   and Dispatcher;
-* one Load Balancer node (on the configured policy, on the paper's
-  consistent-hashing comparator policy, or none for manually planned
-  micro-benchmarks);
+* one Load Balancer node on ``config.rebalance_policy`` (the paper's
+  algorithms, its consistent-hashing comparator, ...), or none for
+  manually planned micro-benchmarks;
 * the network transport with WAN latency injection for clients and a cloud
   LAN between infrastructure nodes;
 * an elastic server pool: the balancer can rent additional servers (ready
@@ -23,7 +23,6 @@ This is the main entry point of the library::
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.broker.config import BrokerConfig
@@ -35,7 +34,6 @@ from repro.core.dispatcher import Dispatcher, dispatcher_id
 from repro.core.lla import LocalLoadAnalyzer
 from repro.core.messages import PlanPush, ServerSpawned
 from repro.core.plan import ChannelMapping, Plan
-from repro.core.policy import ConsistentHashingPolicy
 from repro.core.reliability import BrokerReliability, reliability_config_from
 from repro.net.latency import LatencyModel
 from repro.net.transport import Transport
@@ -51,11 +49,9 @@ from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
-#: Balancer selection: the balancer on ``config.rebalance_policy``, the
-#: same balancer on the ``consistent_hashing`` comparator policy, or no
+#: Balancer selection: the balancer on ``config.rebalance_policy``, or no
 #: balancer (static plans).
 BALANCER_DYNAMOTH = "dynamoth"
-BALANCER_CONSISTENT_HASHING = "consistent-hashing"
 BALANCER_NONE = "none"
 
 LB_NODE_ID = "load-balancer"
@@ -79,11 +75,6 @@ class DynamothCluster:
         if initial_servers < 1:
             raise ValueError("initial_servers must be >= 1")
         self.config = config if config is not None else DynamothConfig()
-        if balancer == BALANCER_CONSISTENT_HASHING:
-            # The paper's comparator is the same balancer on another policy.
-            self.config = replace(
-                self.config, rebalance_policy=ConsistentHashingPolicy.name
-            )
         self.broker_config = broker_config if broker_config is not None else BrokerConfig()
         #: reliability-layer snapshot shared by all brokers and clients;
         #: ``None`` (plain at_most_once) keeps every component inert.
@@ -140,7 +131,7 @@ class DynamothCluster:
 
         self.balancer_kind = balancer
         self.balancer: Optional[LoadBalancer] = None
-        if balancer in (BALANCER_DYNAMOTH, BALANCER_CONSISTENT_HASHING):
+        if balancer == BALANCER_DYNAMOTH:
             self.balancer = LoadBalancer(
                 self.sim,
                 LB_NODE_ID,

@@ -9,7 +9,7 @@ Importing this package registers the built-in policies:
 * ``headroom_pace`` -- receivers scored by projected spare capacity,
 * ``chbl`` -- consistent hashing with bounded loads (Mirrokni et al.),
 * ``consistent_hashing`` -- plain ring placement, the paper's comparator
-  (Experiment 2; ``DynamothCluster(balancer="consistent-hashing")``).
+  (Experiment 2).
 
 Select one via ``DynamothConfig.rebalance_policy``; compare them by
 running each on the same scenario with ``python -m repro.lab compare``

@@ -2,11 +2,11 @@
 
 * :mod:`repro.experiments.experiment1` -- Figure 4a/4b (channel-level
   replication micro-benchmarks).
-* :mod:`repro.experiments.experiment2` -- Figures 5a/5b/5c and 6
-  (client scalability, Dynamoth vs consistent hashing) plus the headline
-  "60% more clients" comparison.
-* :mod:`repro.experiments.experiment3` -- Figure 7a/7b (elasticity under a
-  fluctuating player population).
+* :mod:`repro.experiments.run` -- the one RGame run behind Figures
+  5a/5b/5c, 6 and 7, the headline "60% more clients" comparison, the
+  policy lab and the chaos scenario: ``RunSpec`` / ``build`` / ``run`` /
+  ``RunRecord`` and the ``SPECS`` table of named presets.
+* :mod:`repro.experiments.chaos` -- broker-crash recovery milestones.
 * :mod:`repro.experiments.records` -- low-footprint time-series recording.
 * :mod:`repro.experiments.report` -- plain-text tables/series mirroring
   the paper's figures.

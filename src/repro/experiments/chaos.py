@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.broker.config import BrokerConfig
-from repro.core.cluster import DynamothCluster
 from repro.core.config import DynamothConfig
-from repro.faults import ChaosSchedule, FaultInjector
+from repro.experiments.run import RunSpec, build
+from repro.faults import ChaosSchedule
 from repro.obs.trace import (
     ClientFailoverEvent,
     ClientReconnectEvent,
@@ -42,7 +41,6 @@ from repro.obs.trace import (
     TraceEvent,
     Tracer,
 )
-from repro.workload.rgame import RGameConfig, RGameWorkload
 
 
 @dataclass
@@ -89,31 +87,32 @@ class ChaosScenarioConfig:
             sla_threshold_s=0.15,
         )
 
-    def dynamoth_config(self) -> DynamothConfig:
-        return DynamothConfig(
-            max_servers=self.max_servers,
-            spawn_delay_s=5.0,
-            t_wait_s=self.t_wait_s,
-            client_ping_interval_s=self.client_ping_interval_s,
-            sla_threshold_s=self.sla_threshold_s,
-            sla_window_s=self.sla_window_s,
-            delivery_tier=self.delivery_tier,
+    def spec(self) -> RunSpec:
+        """This scenario as a run: a static population and one crash."""
+        victim = self.victim or f"pub{min(2, self.initial_servers)}"
+        crash = ChaosSchedule.single_crash(
+            victim, at=self.crash_at_s, restart_after_s=self.restart_after_s
         )
-
-    def broker_config(self) -> BrokerConfig:
-        return BrokerConfig(
-            nominal_egress_bps=self.nominal_egress_bps,
-            cpu_per_publish_s=10e-6,
-            cpu_per_delivery_s=5e-6,
-            per_connection_bps=None,
-            output_buffer_limit_bytes=8 * 1_048_576,
-        )
-
-    def rgame_config(self) -> RGameConfig:
-        return RGameConfig(
+        return RunSpec(
+            name="chaos",
+            describe="broker crash under RGame workload",
+            duration_s=self.duration_s,
+            population=((0.0, self.players),),
             tiles_per_side=self.tiles_per_side,
+            nominal_egress_bps=self.nominal_egress_bps,
+            config=DynamothConfig(
+                max_servers=self.max_servers,
+                spawn_delay_s=5.0,
+                t_wait_s=self.t_wait_s,
+                client_ping_interval_s=self.client_ping_interval_s,
+                sla_threshold_s=self.sla_threshold_s,
+                sla_window_s=self.sla_window_s,
+                delivery_tier=self.delivery_tier,
+            ),
+            initial_servers=self.initial_servers,
             updates_per_s=self.updates_per_s,
             payload_size=self.payload_size,
+            faults=crash.actions,
         )
 
 
@@ -240,34 +239,13 @@ def run_chaos(
     """
     config = config if config is not None else ChaosScenarioConfig()
     tracer = tracer if tracer is not None else Tracer()
-    cluster = DynamothCluster(
-        seed=config.seed,
-        config=config.dynamoth_config(),
-        broker_config=config.broker_config(),
-        initial_servers=config.initial_servers,
-        tracer=tracer,
-    )
-    victim = config.victim
-    if victim is None:
-        candidates = sorted(cluster.servers)
-        victim = candidates[min(1, len(candidates) - 1)]
-    elif victim not in cluster.servers:
-        raise ValueError(f"victim {victim!r} is not a bootstrap server")
-
-    watch = RecoveryWatch(victim)
+    spec = config.spec()
+    cluster, __ = build(spec, config.seed, tracer=tracer)
+    # Registered after ``build`` so the cluster's SLA monitor observes
+    # first; ``faults[0]`` is the crash (a restart may follow it).
+    watch = RecoveryWatch(spec.faults[0].server)
     tracer.add_observer(watch)
-
-    injector = FaultInjector(
-        cluster,
-        ChaosSchedule.single_crash(
-            victim, at=config.crash_at_s, restart_after_s=config.restart_after_s
-        ),
-    )
-    injector.arm()
-
-    workload = RGameWorkload(cluster, config.rgame_config())
-    workload.add_players(config.players)
-    cluster.run_until(config.duration_s)
+    cluster.run_until(spec.duration_s)
 
     if watch.crash_t is None:  # pragma: no cover - the schedule always fires
         raise RuntimeError("crash never executed; check crash_at_s < duration_s")
@@ -276,7 +254,7 @@ def run_chaos(
         monitor.poll(cluster.sim.now)
     return ChaosResult(
         config=config,
-        victim=victim,
+        victim=watch.victim,
         crash_t=watch.crash_t,
         detection_s=watch.detection_s,
         repair_s=watch.repair_s,

@@ -11,7 +11,9 @@ Regenerate any of the paper's figures from a shell::
     python -m repro.experiments chaos --smoke --max-recovery-s 30
 
 Each subcommand prints the same table the corresponding benchmark prints,
-so results can be regenerated without pytest.
+so results can be regenerated without pytest: ``fig5`` / ``headline`` /
+``fig7`` and ``benchmarks/test_bench_fig{5,6,7}.py`` run the same entries of
+:data:`repro.experiments.run.SPECS` (``--paper-scale`` its ``-paper`` twin).
 
 Every figure subcommand also accepts ``--trace PATH``: the run is then
 executed with the flight recorder attached and a JSONL trace written to
@@ -28,9 +30,9 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.core.cluster import BALANCER_CONSISTENT_HASHING, BALANCER_DYNAMOTH
 from repro.core.config import DELIVERY_TIERS
-from repro.experiments import chaos, experiment1, experiment2, experiment3, report
+from repro.experiments import chaos, experiment1, report
+from repro.experiments.run import SPECS, RunSpec, run, with_policy
 from repro.obs.export import dump_tracer
 from repro.obs.profile import SimProfiler, render_profile
 from repro.obs.sink import StreamingJsonlSink
@@ -146,21 +148,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scalability_config(args) -> "experiment2.ScalabilityConfig":
-    if getattr(args, "paper_scale", False):
-        config = experiment2.ScalabilityConfig.paper_scale()
-    else:
-        config = experiment2.ScalabilityConfig(
-            tiles_per_side=8,
-            start_players=60,
-            end_players=620,
-            ramp_duration_s=450.0,
-            hold_duration_s=50.0,
-            nominal_egress_bps=620_000.0,
-        )
+def _figure_spec(figure: str, args) -> RunSpec:
+    spec = SPECS[f"{figure}-paper" if args.paper_scale else figure]
     if getattr(args, "players", None):
-        config = replace(config, end_players=args.players)
-    return replace(config, seed=args.seed)
+        end_t, __ = spec.population[-1]
+        spec = replace(spec, population=spec.population[:-1] + ((end_t, args.players),))
+    return spec
 
 
 def _make_tracer(args) -> Optional[Tracer]:
@@ -243,54 +236,28 @@ def _run_command(args, tracer: Optional[Tracer]) -> int:
         )
         _dump(tracer, args)
         print(report.render_figure4(result, "Figure 4b -- all-subscribers replication"))
-    elif args.command == "fig5":
-        config = _scalability_config(args)
-        logger.info("running Dynamoth (%d players max)...", config.end_players)
+    elif args.command in ("fig5", "headline"):
+        spec = _figure_spec("fig5", args)
+        logger.info("running Dynamoth (%d players max)...", spec.population[-1][1])
         # The trace follows the Dynamoth run; the consistent-hashing
         # comparison run is untraced.
-        dynamoth = experiment2.run_scalability(
-            config, balancer=BALANCER_DYNAMOTH, tracer=tracer
-        )
+        dynamoth = run(spec, args.seed, tracer=tracer)
         _dump(tracer, args)
         hashing = None
-        if not args.dynamoth_only:
+        if not getattr(args, "dynamoth_only", False):
             logger.info("running consistent hashing...")
-            hashing = experiment2.run_scalability(
-                config, balancer=BALANCER_CONSISTENT_HASHING
-            )
-        print(report.render_figure5(dynamoth, hashing))
-        print()
-        print(report.render_figure6(dynamoth))
-        if hashing is not None:
+            hashing = run(with_policy(spec, "consistent_hashing"), args.seed)
+        if args.command == "fig5":
+            print(report.render_figure5(dynamoth, hashing))
             print()
-            print(report.render_headline(experiment2.HeadlineComparison(dynamoth, hashing)))
-    elif args.command == "headline":
-        config = _scalability_config(args)
-        logger.info("running Dynamoth (%d players max)...", config.end_players)
-        dynamoth = experiment2.run_scalability(
-            config, balancer=BALANCER_DYNAMOTH, tracer=tracer
-        )
-        _dump(tracer, args)
-        logger.info("running consistent hashing...")
-        hashing = experiment2.run_scalability(config, balancer=BALANCER_CONSISTENT_HASHING)
-        print(report.render_headline(experiment2.HeadlineComparison(dynamoth, hashing)))
+            print(report.render_figure6(dynamoth))
+            if hashing is not None:
+                print()
+        if hashing is not None:
+            print(report.render_headline(dynamoth, hashing))
     elif args.command == "fig7":
-        if args.paper_scale:
-            config = experiment3.ElasticityConfig.paper_scale()
-        else:
-            config = experiment3.ElasticityConfig(
-                tiles_per_side=8,
-                peak1=360,
-                trough=90,
-                peak2=260,
-                transition_s=90.0,
-                plateau_s=90.0,
-                nominal_egress_bps=620_000.0,
-                plan_entry_timeout_s=15.0,
-            )
-        config = replace(config, seed=args.seed)
         logger.info("running elasticity scenario...")
-        result = experiment3.run_elasticity(config, tracer=tracer)
+        result = run(_figure_spec("fig7", args), args.seed, tracer=tracer)
         _dump(tracer, args)
         print(report.render_figure7(result))
     elif args.command == "chaos":

@@ -3,15 +3,13 @@
 A scalability run produces millions of response-time samples; keeping each
 one would dominate memory.  :class:`BucketedStat` aggregates samples into
 per-second ``(count, sum, max)`` buckets online -- enough to draw every
-"average X over time" figure -- and keeps a bounded reservoir for
-percentiles.  :class:`Sampler` snapshots cluster gauges (population, server
+"average X over time" figure.  :class:`Sampler` snapshots cluster gauges (population, server
 count, cumulative deliveries, load ratios) once per second, yielding the
 series behind Figures 5, 6 and 7.
 """
 
 from __future__ import annotations
 
-from random import Random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -20,14 +18,12 @@ from repro.sim.timers import PeriodicTask
 
 
 class BucketedStat:
-    """Per-second aggregation of a streaming metric with a reservoir."""
+    """Per-second aggregation of a streaming metric."""
 
-    def __init__(self, reservoir_size: int = 20_000, seed: int = 0):
+    def __init__(self) -> None:
         self._buckets: Dict[int, List[float]] = {}  # second -> [count, sum, max]
-        self._reservoir: List[float] = []
-        self._reservoir_size = reservoir_size
-        self._seen = 0
-        self._rng = Random(seed)
+        #: samples added
+        self.count = 0
 
     def add(self, time: float, value: float) -> None:
         bucket = self._buckets.get(int(time))
@@ -38,29 +34,13 @@ class BucketedStat:
             bucket[1] += value
             if value > bucket[2]:
                 bucket[2] = value
-        self._seen += 1
-        if len(self._reservoir) < self._reservoir_size:
-            self._reservoir.append(value)
-        else:
-            slot = self._rng.randrange(self._seen)
-            if slot < self._reservoir_size:
-                self._reservoir[slot] = value
-
-    # ------------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        return self._seen
+        self.count += 1
 
     def mean_series(self) -> List[Tuple[int, float]]:
         """``(second, mean)`` pairs, sorted by time."""
         return [
             (second, bucket[1] / bucket[0])
             for second, bucket in sorted(self._buckets.items())
-        ]
-
-    def count_series(self) -> List[Tuple[int, int]]:
-        return [
-            (second, int(bucket[0])) for second, bucket in sorted(self._buckets.items())
         ]
 
     def window_mean(self, start: float, end: float) -> Optional[float]:
@@ -71,24 +51,6 @@ class BucketedStat:
                 count += bucket[0]
                 total += bucket[1]
         return total / count if count else None
-
-    def window_count(self, start: float, end: float) -> int:
-        return int(
-            sum(b[0] for s, b in self._buckets.items() if start <= s < end)
-        )
-
-    def mean(self) -> Optional[float]:
-        count = sum(b[0] for b in self._buckets.values())
-        total = sum(b[1] for b in self._buckets.values())
-        return total / count if count else None
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Approximate percentile from the reservoir (q in [0, 100])."""
-        if not self._reservoir:
-            return None
-        data = sorted(self._reservoir)
-        rank = min(len(data) - 1, max(0, round(q / 100.0 * (len(data) - 1))))
-        return data[rank]
 
 
 @dataclass
@@ -105,10 +67,6 @@ class SeriesRecorder:
 
     def values(self, name: str) -> List[float]:
         return [v for __, v in self.get(name)]
-
-    def last(self, name: str) -> Optional[float]:
-        points = self.get(name)
-        return points[-1][1] if points else None
 
     def max(self, name: str) -> Optional[float]:
         points = self.get(name)

@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.experiments.experiment1 import Experiment1Result
-from repro.experiments.experiment2 import HeadlineComparison, ScalabilityResult
-from repro.experiments.experiment3 import ElasticityResult
+from repro.experiments.run import RunRecord
 
 
 def _fmt_ms(value: Optional[float]) -> str:
@@ -78,9 +77,7 @@ def render_figure4(result: Experiment1Result, title: str) -> str:
 # ----------------------------------------------------------------------
 # Figures 5 & 6
 # ----------------------------------------------------------------------
-def render_figure5(
-    dynamoth: ScalabilityResult, hashing: Optional[ScalabilityResult] = None
-) -> str:
+def render_figure5(dynamoth: RunRecord, hashing: Optional[RunRecord] = None) -> str:
     """Figures 5a/5b/5c as aligned per-interval rows."""
     out: List[str] = ["Figure 5 -- scalability over time"]
     rt_dyn = dict(dynamoth.response_series())
@@ -94,7 +91,7 @@ def render_figure5(
     if hashing:
         headers += ["ch srv", "ch rt(ms)"]
     rows = []
-    horizon = int(dynamoth.config.duration_s)
+    horizon = int(dynamoth.end_t)
     step = max(10, horizon // 25)
     for t in range(0, horizon + 1, step):
         row = [
@@ -120,7 +117,7 @@ def render_figure5(
     return "\n".join(out)
 
 
-def render_figure6(result: ScalabilityResult) -> str:
+def render_figure6(result: RunRecord) -> str:
     """Figure 6: average and busiest load ratio over time."""
     series = result.load_ratio_series()
     step = max(1, len(series) // 25)
@@ -137,17 +134,20 @@ def render_figure6(result: ScalabilityResult) -> str:
     return "\n".join(out)
 
 
-def render_headline(comparison: HeadlineComparison) -> str:
+def headline_gain(dynamoth: RunRecord, hashing: RunRecord) -> float:
+    """Relative player-capacity gain of Dynamoth over consistent hashing
+    (the paper reports ~0.60)."""
+    ch = hashing.max_sustainable_players()
+    return (dynamoth.max_sustainable_players() - ch) / ch if ch else float("inf")
+
+
+def render_headline(dynamoth: RunRecord, hashing: RunRecord) -> str:
     """The paper's headline: sustainable players, Dynamoth vs CH."""
     rows = [
-        ["dynamoth", comparison.dynamoth_max_players, comparison.dynamoth.final_server_count],
-        [
-            "consistent-hashing",
-            comparison.ch_max_players,
-            comparison.consistent_hashing.final_server_count,
-        ],
+        [name, record.max_sustainable_players(), record.final_server_count]
+        for name, record in (("dynamoth", dynamoth), ("consistent-hashing", hashing))
     ]
-    gain = comparison.improvement
+    gain = headline_gain(dynamoth, hashing)
     return (
         table(["approach", "max players (<150ms)", "servers used"], rows)
         + f"\nDynamoth sustains {gain * 100:.0f}% more players (paper: ~60%)"
@@ -157,13 +157,13 @@ def render_headline(comparison: HeadlineComparison) -> str:
 # ----------------------------------------------------------------------
 # Figure 7
 # ----------------------------------------------------------------------
-def render_figure7(result: ElasticityResult) -> str:
+def render_figure7(result: RunRecord) -> str:
     """Figure 7a/7b: population, servers, messages, response time."""
     pop = {int(t): v for t, v in result.population_series()}
     srv = {int(t): v for t, v in result.server_series()}
     msg = {int(t): v for t, v in result.messages_series()}
     rt = dict(result.response_series())
-    horizon = int(result.config.duration_s)
+    horizon = int(result.end_t)
     step = max(10, horizon // 25)
     rows = [
         [

@@ -2,7 +2,8 @@
 
 One subcommand::
 
-    compare  run one live scenario (steady / flash-crowd / crash) under
+    compare  run one named run spec (steady / flash-crowd / crash, or
+             any other entry of ``repro.experiments.run.SPECS``) under
              every registered policy -- same seed, same SLA threshold --
              and print a markdown (or JSON) comparison report
 
@@ -19,9 +20,9 @@ import sys
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.policy import available_policies, policy_class
+from repro.experiments.run import SPECS
 from repro.lab.compare import (
     DEFAULT_SLA_THRESHOLD_S,
-    SCENARIOS,
     compare_policies,
     report_json,
     report_markdown,
@@ -41,7 +42,7 @@ def policy_names(value: str) -> Tuple[str, ...]:
 
 def _cmd_compare(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     report = compare_policies(
-        SCENARIOS[args.scenario],
+        SPECS[args.scenario],
         args.policies,
         seed=args.seed,
         sla_threshold_s=args.sla_threshold,
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="run a live scenario under every policy")
     compare.add_argument(
         "--scenario",
-        choices=sorted(SCENARIOS),
+        choices=sorted(SPECS),
         default="flash-crowd",
         help="which live scenario to run",
     )

@@ -18,8 +18,9 @@ import sys
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.core.config import DELIVERY_TIERS
+from repro.experiments.run import SPECS
 from repro.lab.cli import policy_names
-from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, SCENARIOS, report_markdown
+from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, LAB_SPECS, report_markdown
 from repro.sweep.orchestrator import check_markdown, check_sweep, lab_sweep
 
 _Out = Callable[[str], None]
@@ -83,7 +84,7 @@ def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
         )
 
     doc = lab_sweep(
-        args.scenario or list(SCENARIOS),
+        args.scenario or LAB_SPECS,
         seed=args.seed,
         policies=args.policies,
         sla_threshold_s=args.sla_threshold,
@@ -123,9 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=_cmd_check)
 
     lab = sub.add_parser("lab", help="run lab scenarios live under each policy")
-    lab.add_argument("--scenario", action="append", choices=sorted(SCENARIOS),
+    lab.add_argument("--scenario", action="append", choices=sorted(SPECS),
                      default=None,
-                     help="live scenario to run (repeatable; default: all)")
+                     help="run spec to compare on (repeatable; default: "
+                     + ", ".join(LAB_SPECS) + ")")
     lab.add_argument("--seed", type=int, default=0)
     lab.add_argument("--policies", type=policy_names, default=(),
                      help="comma-separated policy names (default: all)")

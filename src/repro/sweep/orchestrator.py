@@ -19,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.core.policy import available_policies
-from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, SCENARIOS, make_report
+from repro.experiments.run import SPECS
+from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, make_report
 from repro.sweep.workers import CheckTask, LabTask, check_worker, lab_worker
 
 SWEEP_SCHEMA = 1
@@ -143,7 +144,7 @@ def lab_sweep(
         "seed": seed,
         "scenarios": {
             name: make_report(
-                SCENARIOS[name],
+                SPECS[name],
                 seed,
                 sla_threshold_s,
                 [r["row"] for r in results if r["scenario"] == name],

@@ -24,7 +24,7 @@ class CheckTask:
 
 @dataclass(frozen=True)
 class LabTask:
-    """Run one live lab scenario under one policy."""
+    """Run one named run spec live under one policy."""
 
     scenario: str
     policy: str
@@ -66,9 +66,10 @@ def check_worker(task: CheckTask) -> Dict[str, Any]:
 
 def lab_worker(task: LabTask) -> Dict[str, Any]:
     """One (scenario, policy) live run; returns the policy's report row."""
-    from repro.lab.compare import SCENARIOS, run_policy
+    from repro.experiments.run import SPECS
+    from repro.lab.compare import run_policy
 
     row = run_policy(
-        SCENARIOS[task.scenario], task.policy, task.seed, task.sla_threshold_s
+        SPECS[task.scenario], task.policy, task.seed, task.sla_threshold_s
     )
     return {"scenario": task.scenario, "row": row}

@@ -36,7 +36,9 @@ class TestConfigClasses:
         assert set(facts.config_classes) == {
             "DynamothConfig",
             "ChaosScenarioConfig",
+            "RunSpec",
         }
+        assert "population" in facts.config_classes["RunSpec"].fields
 
     def test_dynamoth_fields_present(self, facts):
         fields = facts.config_classes["DynamothConfig"].fields

@@ -1,10 +1,9 @@
-"""Tests for the consistent-hashing baseline: ``balancer="consistent-hashing"``
-runs the one ``LoadBalancer`` on the ``consistent_hashing`` policy."""
+"""Tests for the consistent-hashing baseline: the one ``LoadBalancer`` on
+``DynamothConfig(rebalance_policy="consistent_hashing")``."""
 
 import pytest
 
 from repro import BrokerConfig, DynamothCluster, DynamothConfig
-from repro.core.cluster import BALANCER_CONSISTENT_HASHING
 from repro.core.plan import ReplicationMode
 from repro.sim.timers import PeriodicTask
 
@@ -15,6 +14,7 @@ def build(nominal=15_000.0, initial_servers=1, max_servers=4, seed=0):
         min_servers=initial_servers,
         t_wait_s=5.0,
         spawn_delay_s=2.0,
+        rebalance_policy="consistent_hashing",
     )
     broker = BrokerConfig(nominal_egress_bps=nominal, per_connection_bps=None)
     return DynamothCluster(
@@ -22,7 +22,6 @@ def build(nominal=15_000.0, initial_servers=1, max_servers=4, seed=0):
         config=config,
         broker_config=broker,
         initial_servers=initial_servers,
-        balancer=BALANCER_CONSISTENT_HASHING,
     )
 
 

@@ -2,12 +2,11 @@
 
 Unit tests drive :class:`ConsistentHashingPolicy` through the seam on
 canned views; the last class runs it inside the one ``LoadBalancer``
-(``DynamothCluster(balancer="consistent-hashing")``), where it inherits
+(``DynamothConfig(rebalance_policy="consistent_hashing")``), where it inherits
 the heartbeat failure detection and plan repair every policy gets.
 """
 
 from repro import BrokerConfig, DynamothCluster, DynamothConfig
-from repro.core.cluster import BALANCER_CONSISTENT_HASHING
 from repro.core.hashing import ConsistentHashRing
 from repro.core.plan import Plan, ReplicationMode
 from repro.core.policy.consistent_hashing import ConsistentHashingPolicy
@@ -111,10 +110,10 @@ class TestInsideTheBalancer:
                 t_wait_s=5.0,
                 load_window_s=10.0,  # the victim's last reports outlive its confirmation
                 client_ping_interval_s=1.0,
+                rebalance_policy="consistent_hashing",
             ),
             broker_config=BrokerConfig(nominal_egress_bps=1e6, per_connection_bps=None),
             initial_servers=3,
-            balancer=BALANCER_CONSISTENT_HASHING,
         )
         lb = cluster.balancer
         assert lb.policy.name == cluster.config.rebalance_policy == "consistent_hashing"

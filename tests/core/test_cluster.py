@@ -3,11 +3,7 @@
 import pytest
 
 from repro import BrokerConfig, DynamothCluster, DynamothConfig
-from repro.core.cluster import (
-    BALANCER_CONSISTENT_HASHING,
-    BALANCER_DYNAMOTH,
-    BALANCER_NONE,
-)
+from repro.core.cluster import BALANCER_DYNAMOTH, BALANCER_NONE
 from repro.core.messages import MappingNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
 from tests.conftest import make_static_cluster
@@ -34,9 +30,13 @@ class TestConstruction:
             DynamothCluster(initial_servers=0)
 
     def test_balancer_kinds_construct(self):
-        for kind in (BALANCER_DYNAMOTH, BALANCER_CONSISTENT_HASHING, BALANCER_NONE):
+        for kind in (BALANCER_DYNAMOTH, BALANCER_NONE):
             cluster = DynamothCluster(initial_servers=2, balancer=kind)
             assert (cluster.balancer is None) == (kind == BALANCER_NONE)
+        comparator = DynamothCluster(
+            config=DynamothConfig(rebalance_policy="consistent_hashing")
+        )
+        assert comparator.balancer.policy.name == "consistent_hashing"
 
     def test_deterministic_given_seed(self):
         def run(seed):

@@ -2,32 +2,36 @@
 
 import pytest
 
-from repro.experiments.experiment2 import (
-    HeadlineComparison,
-    ScalabilityConfig,
-    ScalabilityResult,
-)
 from repro.experiments.records import BucketedStat, SeriesRecorder
+from repro.experiments.report import headline_gain
+from repro.experiments.run import SPECS, RunRecord
 
 
-def synthetic_result(rt_by_second, pop_by_second, config=None):
-    """Build a ScalabilityResult from hand-written series."""
-    config = config or ScalabilityConfig.smoke()
+def synthetic_result(rt_by_second, pop_by_second):
+    """Build a RunRecord from hand-written series."""
     rtt = BucketedStat()
     for second, value in rt_by_second.items():
         rtt.add(second + 0.5, value)
-    recorder = SeriesRecorder()
+    series = SeriesRecorder()
     for second, pop in pop_by_second.items():
-        recorder.record("population", float(second), float(pop))
-    return ScalabilityResult(
-        balancer="dynamoth",
-        config=config,
-        recorder=recorder,
+        series.record("population", float(second), float(pop))
+    return RunRecord(
+        spec=SPECS["fig5-smoke"],
+        seed=0,
+        policy="paper",
+        end_t=100.0,
+        series=series,
         response_times=rtt,
         rebalance_times=[],
         balancer_events=[],
         load_history=[],
+        plan_pushes=0,
+        migrations=0,
+        final_plan_version=0,
         final_server_count=4,
+        server_seconds=0.0,
+        updates_sent=0,
+        sla=None,
     )
 
 
@@ -72,38 +76,33 @@ class TestHeadlineComparison:
             {t: (0.08 if t < 15 else 9.9) for t in range(30)},
             {t: 10 * t for t in range(30)},
         )
-        comparison = HeadlineComparison(dynamoth=a, consistent_hashing=b)
-        assert comparison.dynamoth_max_players > comparison.ch_max_players
-        expected = (
-            comparison.dynamoth_max_players - comparison.ch_max_players
-        ) / comparison.ch_max_players
-        assert comparison.improvement == pytest.approx(expected)
+        dyn, ch = a.max_sustainable_players(), b.max_sustainable_players()
+        assert dyn > ch
+        assert headline_gain(a, b) == pytest.approx((dyn - ch) / ch)
 
     def test_zero_baseline_is_infinite(self):
         a = synthetic_result({0: 0.08}, {0: 10})
         b = synthetic_result({t: 9.9 for t in range(0, 30)}, {t: 10 for t in range(0, 30)})
-        comparison = HeadlineComparison(dynamoth=a, consistent_hashing=b)
-        if comparison.ch_max_players == 0:
-            assert comparison.improvement == float("inf")
+        assert b.max_sustainable_players() == 0
+        assert headline_gain(a, b) == float("inf")
 
 
 class TestConfigPresets:
     def test_paper_scale_magnitudes(self):
-        config = ScalabilityConfig.paper_scale()
-        assert config.end_players == 1200
-        assert config.tiles_per_side == 8
-        assert config.max_servers == 8
+        spec = SPECS["fig5-paper"]
+        assert spec.population[-1][1] == 1200
+        assert spec.tiles_per_side == 8
+        assert spec.config.max_servers == 8
 
     def test_smoke_is_small(self):
-        config = ScalabilityConfig.smoke()
-        assert config.end_players <= 100
-        assert config.duration_s <= 120
+        spec = SPECS["fig5-smoke"]
+        assert spec.population[-1][1] <= 100
+        assert spec.duration_s <= 120
 
     def test_derived_configs_consistent(self):
-        config = ScalabilityConfig()
-        dyn = config.dynamoth_config()
-        assert dyn.max_servers == config.max_servers
-        broker = config.broker_config()
-        assert broker.nominal_egress_bps == config.nominal_egress_bps
-        rgame = config.rgame_config()
-        assert rgame.tiles_per_side == config.tiles_per_side
+        """The CLI's and the bench's fig 5 are one spec: the cadence
+        EXPERIMENTS.md reports, a pool that starts at its floor."""
+        spec = SPECS["fig5"]
+        assert spec.config.t_wait_s == 20.0
+        assert spec.config.min_servers == spec.initial_servers == 1
+        assert spec.config.rebalance_policy == "paper"

@@ -3,10 +3,8 @@ and reproduces its qualitative paper shape."""
 
 import pytest
 
-from repro.core.cluster import BALANCER_CONSISTENT_HASHING, BALANCER_DYNAMOTH
 from repro.experiments.experiment1 import run_fig4a_point, run_fig4b_point
-from repro.experiments.experiment2 import ScalabilityConfig, run_scalability
-from repro.experiments.experiment3 import ElasticityConfig, run_elasticity
+from repro.experiments.run import SPECS, run, with_policy
 from repro.experiments import report
 
 
@@ -49,20 +47,18 @@ class TestExperiment1Shapes:
 class TestExperiment2Smoke:
     @pytest.fixture(scope="class")
     def results(self):
-        config = ScalabilityConfig.smoke()
-        dyn = run_scalability(config, balancer=BALANCER_DYNAMOTH)
-        ch = run_scalability(config, balancer=BALANCER_CONSISTENT_HASHING)
-        return dyn, ch
+        spec = SPECS["fig5-smoke"]
+        return run(spec), run(with_policy(spec, "consistent_hashing"))
 
     def test_population_follows_ramp(self, results):
         dyn, __ = results
-        pops = dyn.recorder.values("population")
+        pops = dyn.series.values("population")
         assert pops[0] <= 20
-        assert max(pops) >= dyn.config.end_players * 0.9
+        assert max(pops) >= dyn.spec.population[-1][1] * 0.9
 
     def test_servers_scale_out_under_load(self, results):
         dyn, __ = results
-        assert dyn.final_server_count > dyn.config.initial_servers
+        assert dyn.final_server_count > dyn.spec.initial_servers
 
     def test_rebalances_recorded(self, results):
         dyn, __ = results
@@ -90,18 +86,17 @@ class TestExperiment2Smoke:
 class TestExperiment3Smoke:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_elasticity(ElasticityConfig.smoke())
+        return run(SPECS["fig7-smoke"])
 
     def test_population_pattern_followed(self, result):
         pops = dict((int(t), v) for t, v in result.population_series())
-        config = result.config
-        t_peak1 = config.transition_s + config.plateau_s / 2
-        t_trough = 2 * config.transition_s + 1.5 * config.plateau_s
-        assert pops[int(t_peak1)] == pytest.approx(config.peak1, abs=3)
-        assert pops[int(t_trough)] == pytest.approx(config.trough, abs=3)
+        # the middle of the first two plateaus (breakpoints 1-2 and 3-4)
+        (t1, peak1), (t2, __), (t3, trough), (t4, __) = result.spec.population[1:5]
+        assert pops[int((t1 + t2) / 2)] == pytest.approx(peak1, abs=3)
+        assert pops[int((t3 + t4) / 2)] == pytest.approx(trough, abs=3)
 
     def test_servers_follow_load_up(self, result):
-        assert result.peak_server_count() > result.config.initial_servers
+        assert result.peak_server_count() > result.spec.initial_servers
 
     def test_servers_released_after_drop(self, result):
         assert result.scaled_down()

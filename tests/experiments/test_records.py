@@ -13,12 +13,7 @@ class TestBucketedStat:
         stat.add(0.8, 20.0)
         stat.add(1.5, 30.0)
         assert stat.mean_series() == [(0, 15.0), (1, 30.0)]
-
-    def test_count_series(self):
-        stat = BucketedStat()
-        stat.add(0.2, 1.0)
-        stat.add(0.8, 1.0)
-        assert stat.count_series() == [(0, 2)]
+        assert stat.count == 3
 
     def test_window_mean(self):
         stat = BucketedStat()
@@ -26,35 +21,6 @@ class TestBucketedStat:
             stat.add(t + 0.5, float(t))
         assert stat.window_mean(2, 5) == pytest.approx((2 + 3 + 4) / 3)
         assert stat.window_mean(100, 200) is None
-
-    def test_window_count(self):
-        stat = BucketedStat()
-        for t in range(10):
-            stat.add(t + 0.5, 1.0)
-        assert stat.window_count(0, 10) == 10
-        assert stat.window_count(3, 6) == 3
-
-    def test_global_mean(self):
-        stat = BucketedStat()
-        assert stat.mean() is None
-        stat.add(0.0, 2.0)
-        stat.add(5.0, 4.0)
-        assert stat.mean() == pytest.approx(3.0)
-
-    def test_percentiles_from_reservoir(self):
-        stat = BucketedStat()
-        for i in range(1000):
-            stat.add(i * 0.01, float(i))
-        assert stat.percentile(0) == 0.0
-        assert stat.percentile(100) == 999.0
-        assert 400 <= stat.percentile(50) <= 600
-
-    def test_reservoir_bounded(self):
-        stat = BucketedStat(reservoir_size=100)
-        for i in range(10_000):
-            stat.add(0.0, float(i))
-        assert len(stat._reservoir) == 100
-        assert stat.count == 10_000
 
     def test_max_tracked_per_bucket(self):
         stat = BucketedStat()
@@ -71,13 +37,11 @@ class TestSeriesRecorder:
         rec.record("pop", 2.0, 12.0)
         assert rec.get("pop") == [(1.0, 10.0), (2.0, 12.0)]
         assert rec.values("pop") == [10.0, 12.0]
-        assert rec.last("pop") == 12.0
         assert rec.max("pop") == 12.0
 
     def test_empty_series(self):
         rec = SeriesRecorder()
         assert rec.get("nope") == []
-        assert rec.last("nope") is None
         assert rec.max("nope") is None
 
 

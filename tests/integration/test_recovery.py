@@ -12,9 +12,8 @@ guarantees:
 
 from dataclasses import replace
 
-from repro.core.cluster import DynamothCluster
 from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
-from repro.faults import ChaosSchedule, FaultInjector
+from repro.experiments.run import build
 from repro.obs.export import write_trace
 from repro.obs.trace import (
     PlanRepairDoneEvent,
@@ -22,7 +21,6 @@ from repro.obs.trace import (
     ServerSuspectEvent,
     Tracer,
 )
-from repro.workload.rgame import RGameWorkload
 
 # A trimmed-down scenario so the suite stays fast: 12 players, 2x2 tiles,
 # crash at t=10s, 40 simulated seconds.
@@ -57,21 +55,13 @@ class TestCrashRecoveryInvariants:
         assert result.crash_t <= suspect <= confirm <= repaired
 
     def test_no_subscription_dropped(self):
-        # Hand-rolled run so we can inspect the clients afterwards.
-        config = FAST
-        cluster = DynamothCluster(
-            seed=config.seed,
-            config=config.dynamoth_config(),
-            broker_config=config.broker_config(),
-            initial_servers=config.initial_servers,
-        )
-        victim = sorted(cluster.servers)[1]
-        FaultInjector(
-            cluster, ChaosSchedule.single_crash(victim, at=config.crash_at_s)
-        ).arm()
-        workload = RGameWorkload(cluster, config.rgame_config())
-        players = workload.add_players(config.players)
-        cluster.run_until(config.duration_s)
+        # ``build`` rather than ``run_chaos`` so the clients can be
+        # inspected afterwards.
+        spec = FAST.spec()
+        cluster, workload = build(spec, FAST.seed)
+        victim = spec.faults[0].server
+        players = workload.players()
+        cluster.run_until(spec.duration_s)
 
         # Freeze movement (players discover the dead server lazily as they
         # wander into its channels) and give detection a settle window, so

@@ -4,28 +4,26 @@ import json
 
 import pytest
 
-from repro.core.cluster import DynamothCluster
+from repro.core.config import DynamothConfig
 from repro.core.policy import available_policies
+from repro.experiments.run import RunSpec, build
 from repro.lab.cli import main
 from repro.lab.compare import (
-    Scenario,
     compare_policies,
     make_report,
     report_json,
     report_markdown,
     run_policy,
 )
-from repro.workload.rgame import RGameConfig, RGameWorkload
-from repro.workload.schedules import steps
 
-MINI_FLASH = Scenario(
+MINI_FLASH = RunSpec(
     name="mini-flash",
     describe="small flash crowd for tests",
     duration_s=45.0,
-    initial_servers=1,
-    max_servers=4,
+    population=((0.0, 8), (10.0, 8), (16.0, 48), (45.0, 48)),
+    tiles_per_side=3,
     nominal_egress_bps=100_000.0,
-    schedule=steps([(0.0, 8), (10.0, 8), (16.0, 48), (45.0, 48)]),
+    config=DynamothConfig(max_servers=4),  # default policy: paper
 )
 SEED = 7
 
@@ -43,21 +41,7 @@ def rows_by_policy(report):
 class TestLiveRows:
     def test_paper_row_is_a_reading_of_the_live_run(self, mini_report):
         """The row is what the balancer did -- with observability off too."""
-        cluster = DynamothCluster(
-            seed=SEED,
-            config=MINI_FLASH.dynamoth_config(),  # default policy: paper
-            broker_config=MINI_FLASH.broker_config(),
-            initial_servers=MINI_FLASH.initial_servers,
-        )
-        workload = RGameWorkload(
-            cluster,
-            RGameConfig(
-                tiles_per_side=MINI_FLASH.tiles_per_side,
-                updates_per_s=MINI_FLASH.updates_per_s,
-                payload_size=MINI_FLASH.payload_size,
-            ),
-        )
-        workload.follow(MINI_FLASH.schedule)
+        cluster, workload = build(MINI_FLASH, SEED)  # no tracer, no readers
         cluster.run_until(MINI_FLASH.duration_s)
         workload.stop()
 
