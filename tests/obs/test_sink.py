@@ -1,6 +1,7 @@
 """Streaming trace sink tests: byte-equivalence, bounded memory, rotation."""
 
 import gzip
+import hashlib
 
 import pytest
 
@@ -102,6 +103,29 @@ class TestByteEquivalence:
         plain_path = tmp_path / "plain.jsonl"
         dump_tracer(plain, plain_path)
         assert read_trace(path) == read_trace(plain_path)
+
+
+class TestPinnedBytes:
+    #: sha256 of the chaos smoke run's streamed trace.  The golden digests
+    #: (``tests/check``) hash ``tracer.events`` of runs without an SLA
+    #: threshold: they see neither the ``sla_*`` events nor the metrics
+    #: trailer.  This file has both, so a change to the emit path, the SLA
+    #: monitor or an instrument that moves a byte moves this value.
+    SMOKE_TRACE_SHA256 = "1dc831d3138661cf6c25e7f288cc384e7f71ca1eab3c7be2cb2a7353553a62b0"
+
+    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
+    def test_chaos_smoke_trace_is_pinned(self, tmp_path, streamed):
+        from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
+
+        path = tmp_path / "smoke.jsonl"
+        sink = StreamingJsonlSink(str(path)) if streamed else None
+        tracer = Tracer(sink=sink)
+        run_chaos(ChaosScenarioConfig.smoke(), tracer=tracer)
+        if sink is not None:
+            sink.finalize(tracer)
+        else:
+            dump_tracer(tracer, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SMOKE_TRACE_SHA256
 
 
 class TestRotation:
