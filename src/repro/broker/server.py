@@ -503,16 +503,18 @@ class PubSubServer(Actor):
                 )
             )
             publishes, deliveries, egress_bytes, fanout_size = self._publish_instruments[channel]
-            publishes.inc()
-            deliveries.inc(delivered)
-            egress_bytes.inc(delivered * wire_size)
+            # Written in place: a frame per instrument is seven per
+            # publication, and none of the amounts can be negative.
+            publishes.value += 1.0
+            deliveries.value += delivered
+            egress_bytes.value += delivered * wire_size
             fanout_size.observe(float(delivered))
             gauges = self._cache_gauges
             if gauges is not None:
-                gauges[0].set(float(len(self._fanout_cache)))
-                gauges[1].set(float(self.fanout_cache_hits))
-                gauges[2].set(float(self.fanout_cache_builds))
-                gauges[3].set(float(self.fanout_cache_invalidations))
+                gauges[0].value = float(len(self._fanout_cache))
+                gauges[1].value = float(self.fanout_cache_hits)
+                gauges[2].value = float(self.fanout_cache_builds)
+                gauges[3].value = float(self.fanout_cache_invalidations)
             profiler = tracer.profiler
             if profiler is not None:
                 profiler.count("broker", "fanout.deliveries", delivered)

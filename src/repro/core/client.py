@@ -289,7 +289,7 @@ class DynamothClient(Actor):
                     tuple(targets), payload_size,
                 )
             )
-            tracer.publication_counters[channel].inc()
+            tracer.publication_counters[channel].value += 1.0
         return msg_id
 
     def is_subscribed(self, channel: str) -> bool:
@@ -632,7 +632,7 @@ class DynamothClient(Actor):
                 )
                 latency_hist, received = tracer.delivery_instruments[channel]
                 latency_hist.observe(latency)
-                received.inc()
+                received.value += 1.0
             if self.on_delivery is not None:
                 self.on_delivery(channel, envelope, delivery)
             if envelope.sender == self.node_id and self.on_response_time is not None:

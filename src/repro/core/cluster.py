@@ -40,6 +40,7 @@ from repro.net.transport import Transport
 from repro.obs.sla import SlaConfig, SlaMonitor
 from repro.obs.trace import (
     NULL_TRACER,
+    DeliveryEvent,
     LlaStallEvent,
     ServerCrashEvent,
     ServerRestartEvent,
@@ -91,7 +92,7 @@ class DynamothCluster:
             self.tracer.attach_kernel(self.sim)
         #: Live SLA monitor (observability only); built when tracing is on
         #: and the config sets a threshold.  It rides the tracer's observer
-        #: hook, so it sees every DeliveryEvent as it is emitted.
+        #: hook, called for every DeliveryEvent as it is emitted.
         self.sla_monitor: Optional[SlaMonitor] = None
         if self.tracer.enabled and self.config.sla_threshold_s is not None:
             self.sla_monitor = SlaMonitor(
@@ -103,7 +104,7 @@ class DynamothCluster:
                     slices=self.config.sla_window_slices,
                 ),
             )
-            self.tracer.add_observer(self.sla_monitor)
+            self.tracer.add_observer(self.sla_monitor.on_delivery, DeliveryEvent)
         self.transport = Transport(
             self.sim,
             self.rng.stream("net"),

@@ -130,6 +130,12 @@ class RecoveryWatch:
       recovery time is the slowest such close.
     """
 
+    #: The event classes :meth:`__call__` acts on.
+    EVENT_TYPES = (
+        DeliveryEvent, ServerCrashEvent, ClientReconnectEvent,
+        ServerFailureConfirmedEvent, PlanRepairDoneEvent, ClientFailoverEvent,
+    )
+
     def __init__(self, victim: str):
         self.victim = victim
         self.crash_t: Optional[float] = None
@@ -244,7 +250,7 @@ def run_chaos(
     # Registered after ``build`` so the cluster's SLA monitor observes
     # first; ``faults[0]`` is the crash (a restart may follow it).
     watch = RecoveryWatch(spec.faults[0].server)
-    tracer.add_observer(watch)
+    tracer.add_observer(watch, *RecoveryWatch.EVENT_TYPES)
     cluster.run_until(spec.duration_s)
 
     if watch.crash_t is None:  # pragma: no cover - the schedule always fires

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import gzip
 import json
+import zlib
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
@@ -61,6 +62,8 @@ _GZIP_MAGIC = b"\x1f\x8b"
 #: render themselves (``json.dumps`` with these arguments builds a fresh
 #: encoder object on every call).
 _encode_other = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: The item types of a tuple the line encoders render themselves.
+_STR_ONLY = frozenset({str})
 
 
 @functools.cache
@@ -73,9 +76,11 @@ def line_encoder(cls: Type[TraceEvent]) -> Callable[[TraceEvent], str]:
     returned function renders the values and joins.  A value is rendered
     by its *exact* type -- ``bool`` is an ``int`` to ``isinstance`` but
     ``true`` to JSON -- with the same C primitives the json module uses for
-    ``str``, ``int`` and finite ``float``; any other value (tuples, dict
-    payloads, non-finite floats, subclasses) goes to the shared encoder,
-    which is byte-exact by construction.
+    ``str``, ``int`` and finite ``float``, and a tuple of nothing but
+    ``str`` (publish targets, subscription servers) as the array of them;
+    any other value (mixed or nested tuples, dict payloads, non-finite
+    floats, subclasses) goes to the shared encoder, which is byte-exact by
+    construction.
     """
     plan: List[Tuple[str, str]] = []
     static = "{"
@@ -107,6 +112,8 @@ def line_encoder(cls: Type[TraceEvent]) -> Callable[[TraceEvent], str]:
                 text = "true"
             elif value is False:
                 text = "false"
+            elif kind is tuple and _STR_ONLY.issuperset(map(type, value)):
+                text = "[" + ",".join(map(encode_basestring_ascii, value)) + "]"
             else:
                 text = _encode_other(value)
             parts.append(fragment)
@@ -186,32 +193,42 @@ def iter_trace(path: Union[str, Path]) -> Iterator[TraceEvent]:
     """Stream one trace file's events without materializing the list.
 
     Same validation semantics as :func:`read_trace` (header checked,
-    unknown event types skipped, malformed lines raise with line numbers).
+    unknown event types skipped); a malformed line -- cut short, not a JSON
+    object, fields that do not fit the event -- or a gzip member cut short
+    raises ``ValueError`` naming the file and the line.
     """
+    line_no = 0
     with _open_for_read(path) as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty trace file")
-        header = json.loads(header_line)
-        if header.get("type") != HEADER_TYPE:
-            raise ValueError(f"{path}: missing trace header")
-        if header.get("schema") not in SUPPORTED_SCHEMAS:
-            raise ValueError(
-                f"{path}: unsupported schema {header.get('schema')!r} "
-                f"(reader supports {sorted(SUPPORTED_SCHEMAS)})"
-            )
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            cls = EVENT_TYPES.get(data.get("type", ""))
-            if cls is None:
-                continue  # forward compatibility: newer writers add types
-            try:
-                yield cls.from_dict(data)
-            except (KeyError, TypeError) as exc:  # noqa: PERF203 - per-line diagnostics
-                raise ValueError(f"{path}:{line_no}: malformed event: {exc}") from exc
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line and line_no > 1:
+                    continue
+                try:
+                    data = json.loads(line)
+                    tag = data.get("type", "")
+                    cls = EVENT_TYPES.get(tag)
+                except (ValueError, AttributeError, TypeError) as exc:
+                    raise ValueError(f"{path}:{line_no}: malformed line: {exc}") from exc
+                if line_no == 1:
+                    if tag != HEADER_TYPE:
+                        raise ValueError(f"{path}: missing trace header")
+                    if data.get("schema") not in SUPPORTED_SCHEMAS:
+                        raise ValueError(
+                            f"{path}: unsupported schema {data.get('schema')!r} "
+                            f"(reader supports {sorted(SUPPORTED_SCHEMAS)})"
+                        )
+                    continue
+                if cls is None:
+                    continue  # forward compatibility: newer writers add types
+                try:
+                    yield cls.from_dict(data)
+                except (KeyError, TypeError) as exc:  # noqa: PERF203 - per-line diagnostics
+                    raise ValueError(f"{path}:{line_no}: malformed event: {exc}") from exc
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ValueError(f"{path}:{line_no + 1}: malformed gzip stream: {exc}") from exc
+    if not line_no:
+        raise ValueError(f"{path}: empty trace file")
 
 
 def read_trace(path: Union[str, Path]) -> List[TraceEvent]:

@@ -40,7 +40,12 @@ def format_key(key: InstrumentKey) -> str:
 
 
 class Counter:
-    """A monotonically increasing value."""
+    """A monotonically increasing value.
+
+    A one-slot box: :meth:`inc` is the checked way to move it; a
+    per-message site whose amount cannot be negative (a count of sends, a
+    ``len``) adds to ``value`` in place and saves the frame.
+    """
 
     __slots__ = ("value",)
 
@@ -54,7 +59,8 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (set to the latest observation)."""
+    """A value that can go up and down (set to the latest observation);
+    a one-slot box like :class:`Counter`, assigned in place per message."""
 
     __slots__ = ("value",)
 
@@ -121,11 +127,15 @@ class Histogram:
 
     def merge(self, other: "Histogram") -> None:
         """Fold ``other``'s samples into this histogram (same layout only)."""
-        if other.layout() != self.layout():
+        counts = self._counts
+        if (
+            other._min_value != self._min_value
+            or other._factor != self._factor
+            or len(other._counts) != len(counts)
+        ):
             raise ValueError(
                 f"histogram layouts differ: {self.layout()} vs {other.layout()}"
             )
-        counts = self._counts
         for index, bucket_count in enumerate(other._counts):
             counts[index] += bucket_count
         self.count += other.count
@@ -309,7 +319,8 @@ class MetricsRegistry:
         return instrument
 
     def add_collector(self, collect: Callable[[], None]) -> None:
-        """Run ``collect()`` at the start of every :meth:`snapshot`.
+        """Run ``collect()`` before every read: :meth:`snapshot`,
+        :meth:`counter_value` and :meth:`counter_total`.
 
         For values whose source already holds them (the kernel's event
         count and clock): the collector copies them into instruments when
@@ -317,13 +328,16 @@ class MetricsRegistry:
         """
         self._collectors.append(collect)
 
+    def _collect(self) -> None:
+        for collect in self._collectors:
+            collect()
+
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Everything, as plain JSON-serializable dicts with stable keys."""
-        for collect in self._collectors:
-            collect()
+        self._collect()
         return {
             "counters": {
                 format_key(k): c.value for k, c in sorted(self._counters.items())
@@ -336,9 +350,11 @@ class MetricsRegistry:
         }
 
     def counter_value(self, name: str, **labels: object) -> float:
+        self._collect()
         instrument = self._counters.get(_key(name, labels))
         return instrument.value if instrument is not None else 0.0
 
     def counter_total(self, name: str) -> float:
         """Sum of one counter family over all label sets."""
+        self._collect()
         return sum(c.value for (n, __), c in self._counters.items() if n == name)

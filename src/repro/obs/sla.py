@@ -6,24 +6,31 @@ run-level histograms in :mod:`repro.obs.metrics` answer that after the
 fact; this module answers it *live*, on sim time, so the balancer can see
 an SLA breach as a signal and traces carry a violation timeline.
 
-Design:
+Design -- a sample is recorded once, at the leaf; everything coarser is
+merged when someone reads it:
 
 * :class:`SlidingHistogram` -- a ring of K log-bucket
   :class:`~repro.obs.metrics.Histogram` slices covering ``window_s``
-  seconds of sim time.  Observations land in the slice owning their
-  timestamp; slices age out as the window advances; a windowed percentile
-  is a percentile of the merged live slices.  Memory is O(K * buckets),
-  independent of delivery rate.
-* :class:`SlaMonitor` -- a tracer observer fed every
-  :class:`~repro.obs.trace.DeliveryEvent`.  It maintains windows per scope
-  ("overall", ``channel:<class>``, ``server:<id>``) and, at each slice
-  boundary, evaluates the configured quantile against ``threshold_s``,
-  emitting ``sla_violation_start`` / ``sla_violation_end`` (and periodic
-  ``sla_window`` stats) trace events.  A violation is strict crossing:
-  a windowed p95 exactly *at* the threshold still meets the SLA, and an
-  empty window (no deliveries at all) cannot violate -- so a total outage
-  ends an episode only once the stale samples age out, which is why the
-  balancer's evaluation tick also calls :meth:`SlaMonitor.poll`.
+  seconds of sim time, one ring per ``(channel class, server)`` *leaf*.
+  A sample lands in the slice owning its timestamp; slices age out as the
+  window advances.  Memory is O(leaves * K * buckets), independent of
+  delivery rate.
+* :class:`SlaMonitor` -- fed every :class:`~repro.obs.trace.DeliveryEvent`
+  by the tracer.  A delivery is one ``Histogram.observe``, into its leaf.
+  A scope ("overall", ``channel:<class>``, ``server:<id>``) holds no
+  samples: it is the list of leaves it reads, and its windowed percentile
+  is a percentile of their merged live slices.  Merging is exact for
+  everything the monitor reports -- bucket counts, ``count``, ``min`` and
+  ``max`` add up to what a window of the scope's own would hold; only the
+  float ``sum`` depends on the order of addition, and nothing here reads
+  it.  At each slice boundary every scope's quantile is judged against
+  ``threshold_s``, emitting ``sla_violation_start`` /
+  ``sla_violation_end`` (and periodic ``sla_window`` stats) trace events.
+  A violation is strict crossing: a windowed p95 exactly *at* the
+  threshold still meets the SLA, and an empty window (no deliveries at
+  all) cannot violate -- so a total outage ends an episode only once the
+  stale samples age out, which is why the balancer's evaluation tick also
+  calls :meth:`SlaMonitor.poll`.
 
 Everything here advances on event/sim time only -- no wall clock, no RNG,
 no scheduled events -- so an SLA-monitored run stays byte-identical to an
@@ -32,12 +39,13 @@ unmonitored one on the simulation side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram, merge_histograms
 from repro.obs.trace import (
     DeliveryEvent,
+    FirstUse,
     SlaViolationEndEvent,
     SlaViolationStartEvent,
     SlaWindowEvent,
@@ -51,62 +59,30 @@ OVERALL_SCOPE = "overall"
 
 
 class SlidingHistogram:
-    """A sim-time sliding window over log-bucketed latency histograms."""
+    """A sim-time sliding window: a ring of ``slices`` latency histograms,
+    one per slice of sim time (an *epoch*).
 
-    def __init__(
-        self,
-        window_s: float = 10.0,
-        slices: int = 10,
-        *,
-        min_value: float = Histogram.DEFAULT_MIN,
-        factor: float = Histogram.DEFAULT_FACTOR,
-        buckets: int = Histogram.DEFAULT_BUCKETS,
-    ) -> None:
-        if window_s <= 0 or slices < 1:
-            raise ValueError("need window_s > 0 and slices >= 1")
-        self.window_s = window_s
-        self.slice_s = window_s / slices
+    :meth:`SlaMonitor.on_delivery` writes the slices in place -- a write
+    method here would be a second frame per delivery.
+    """
+
+    def __init__(self, slices: int, min_value: float, factor: float, buckets: int) -> None:
+        if slices < 1:
+            raise ValueError(f"need slices >= 1: {slices!r}")
         self._hists = [Histogram(min_value, factor, buckets) for _ in range(slices)]
         #: Epoch (slice index since t=0) owning each slot, or None if empty.
+        #: A slot keeps an aged-out epoch's samples until the ring comes
+        #: round to it; readers go by the epoch, not by the counts.
         self._epochs: List[Optional[int]] = [None] * slices
 
-    def epoch_of(self, t: float) -> int:
-        return int(t / self.slice_s)
-
-    def observe(self, t: float, value: float) -> None:
-        # SlaMonitor.observe unrolls this over its windows; keep them in step.
-        epoch = self.epoch_of(t)
-        slot = epoch % len(self._hists)
-        hist = self._hists[slot]
-        if self._epochs[slot] != epoch:
-            hist.reset()
-            self._epochs[slot] = epoch
-        hist.observe(value)
-
-    def roll(self, epoch: int) -> None:
-        """Age out slices that fell behind the window ending at ``epoch``."""
-        horizon = epoch - len(self._hists) + 1
-        for slot, slot_epoch in enumerate(self._epochs):
-            if slot_epoch is not None and (slot_epoch < horizon or slot_epoch > epoch):
-                self._hists[slot].reset()
-                self._epochs[slot] = None
-
     def live_slices(self, epoch: int) -> List[Histogram]:
-        """Non-empty slices within the window ending at ``epoch``."""
+        """Slices within the window ending at ``epoch`` (each holds a sample)."""
         horizon = epoch - len(self._hists) + 1
         return [
             self._hists[slot]
             for slot, slot_epoch in enumerate(self._epochs)
             if slot_epoch is not None and horizon <= slot_epoch <= epoch
         ]
-
-    def merged(self, epoch: int) -> Optional[Histogram]:
-        """All live samples in the window as one histogram (None if empty)."""
-        slices = self.live_slices(epoch)
-        if not slices:
-            return None
-        merged = merge_histograms(slices)
-        return merged if merged.count else None
 
 
 @dataclass(frozen=True)
@@ -154,25 +130,30 @@ class SlaViolation:
 
 @dataclass
 class _Scope:
-    window: SlidingHistogram
+    #: The leaves whose samples are this scope's; it holds none itself.
+    leaves: List[SlidingHistogram] = field(default_factory=list)
     active: Optional[SlaViolation] = None
 
 
 class SlaMonitor:
-    """Tracer observer tracking windowed latency quantiles per scope.
+    """Windowed delivery-latency quantiles per scope, judged live.
 
-    Attach with ``tracer.add_observer(monitor)``; optionally call
-    :meth:`poll` from a periodic control-plane tick (the balancer's
-    evaluation loop does) so windows drain even when deliveries stop.
+    Attach with ``tracer.add_observer(monitor.on_delivery, DeliveryEvent)``
+    (or a bare ``tracer.add_observer(monitor)``, which looks at every
+    event); optionally call :meth:`poll` from a periodic control-plane tick
+    (the balancer's evaluation loop does) so windows drain even when
+    deliveries stop.
     """
 
     def __init__(self, tracer: Tracer, config: SlaConfig) -> None:
         self._tracer = tracer
         self.config = config
         self._scopes: Dict[str, _Scope] = {}
-        #: (channel, server) -> the windows one delivery there feeds, so
-        #: scope names are built once per pair, not once per delivery.
-        self._feeds: Dict[Tuple[str, str], Tuple[SlidingHistogram, ...]] = {}
+        #: (channel class, server) -> the one window a delivery there feeds.
+        self._leaves: Dict[Tuple[str, str], SlidingHistogram] = {}
+        #: (channel, server) -> its leaf, so a channel's class is worked
+        #: out once per pair, not once per delivery.
+        self._feeds = FirstUse(self._leaf_of)
         self._epoch: Optional[int] = None
         self.slice_s = config.window_s / config.slices
         #: Closed + active violation episodes, in start order.
@@ -182,28 +163,23 @@ class SlaMonitor:
     # Feeding
     # ------------------------------------------------------------------
     def __call__(self, event: TraceEvent) -> None:
-        """Tracer-observer entry point."""
+        """Every-event observer entry point."""
         if type(event) is DeliveryEvent:
-            self.observe(event.t, event.latency_s, event.channel, event.server)
+            self.on_delivery(event)
 
     # repro: scope[hot]
-    def observe(self, t: float, latency_s: float, channel: str, server: str = "") -> None:
-        # One pass: every window shares ``slice_s``, so the epoch and the
-        # ring slot are worked out once and SlidingHistogram.observe is
-        # unrolled over the windows this (channel, server) feeds.
-        epoch = int(t / self.slice_s)
+    def on_delivery(self, event: DeliveryEvent) -> None:
+        """Record one delivery, in its leaf (the ``DeliveryEvent`` observer)."""
+        epoch = int(event.t / self.slice_s)
         if epoch != self._epoch:
             self._advance(epoch)
-        windows = self._feeds.get((channel, server))
-        if windows is None:
-            windows = self._feed(channel, server)
-        slot = epoch % self.config.slices
-        for window in windows:
-            hist = window._hists[slot]
-            if window._epochs[slot] != epoch:
-                hist.reset()
-                window._epochs[slot] = epoch
-            hist.observe(latency_s)
+        leaf = self._feeds[event.channel, event.server]
+        slot = epoch % len(leaf._hists)
+        hist = leaf._hists[slot]
+        if leaf._epochs[slot] != epoch:
+            hist.reset()
+            leaf._epochs[slot] = epoch
+        hist.observe(event.latency_s)
 
     def poll(self, now: float) -> None:
         """Advance windows on sim time without recording a sample."""
@@ -225,9 +201,7 @@ class SlaMonitor:
     def windowed_percentile(self, scope: str = OVERALL_SCOPE) -> Optional[float]:
         """Current windowed SLA-quantile value for ``scope`` (None if empty)."""
         entry = self._scopes.get(scope)
-        if entry is None or self._epoch is None:
-            return None
-        merged = entry.window.merged(self._epoch)
+        merged = self._window(entry) if entry is not None else None
         return None if merged is None else merged.percentile(self.config.quantile)
 
     def report(self) -> Dict[str, Any]:
@@ -235,9 +209,7 @@ class SlaMonitor:
         scopes: Dict[str, Any] = {}
         for name in sorted(self._scopes):
             entry = self._scopes[name]
-            merged = (
-                entry.window.merged(self._epoch) if self._epoch is not None else None
-            )
+            merged = self._window(entry)
             scopes[name] = {
                 "window_count": merged.count if merged else 0,
                 "value_s": (
@@ -266,42 +238,42 @@ class SlaMonitor:
         }
 
     # ------------------------------------------------------------------
-    # Window clock
+    # Leaves and the window clock
     # ------------------------------------------------------------------
-    def _feed(self, channel: str, server: str) -> Tuple[SlidingHistogram, ...]:
-        """First delivery on ``(channel, server)``: resolve its scopes."""
-        names = [OVERALL_SCOPE]
-        if self.config.per_channel:
-            names.append(f"channel:{channel_class(channel)}")
-        if self.config.per_server and server:
-            names.append(f"server:{server}")
-        windows = self._feeds[channel, server] = tuple(
-            self._scope(name).window for name in names
-        )
-        return windows
-
-    def _scope(self, name: str) -> _Scope:
-        entry = self._scopes.get(name)
-        if entry is None:
-            config = self.config
-            entry = self._scopes[name] = _Scope(
-                SlidingHistogram(
-                    config.window_s,
-                    config.slices,
-                    min_value=config.bucket_min_s,
-                    factor=config.bucket_factor,
-                    buckets=config.bucket_count,
-                )
+    def _leaf_of(self, pair: Tuple[str, str]) -> SlidingHistogram:
+        """First delivery on ``(channel, server)``: find its leaf, or grow
+        one and list it under the scopes that read it."""
+        channel, server = pair
+        config = self.config
+        key = (channel_class(channel), server)
+        leaf = self._leaves.get(key)
+        if leaf is None:
+            leaf = self._leaves[key] = SlidingHistogram(
+                config.slices, config.bucket_min_s, config.bucket_factor, config.bucket_count
             )
-        return entry
+            names = [OVERALL_SCOPE]
+            if config.per_channel:
+                names.append(f"channel:{key[0]}")
+            if config.per_server and server:
+                names.append(f"server:{server}")
+            for name in names:
+                self._scopes.setdefault(name, _Scope()).leaves.append(leaf)
+        return leaf
+
+    def _window(self, entry: _Scope) -> Optional[Histogram]:
+        """The scope's live samples, merged on read (None if empty)."""
+        if self._epoch is None:
+            return None
+        slices = [h for leaf in entry.leaves for h in leaf.live_slices(self._epoch)]
+        return merge_histograms(slices) if slices else None
 
     def _advance(self, epoch: int) -> None:
         if self._epoch is None:
             self._epoch = epoch
             return
-        # Evaluate each completed slice boundary in order (bounded per
-        # scope by the ring size via roll(), but boundaries themselves are
-        # walked so violation timestamps stay slice-aligned).
+        # Evaluate each completed slice boundary in order: a gap longer
+        # than the window still walks every boundary, so violation
+        # timestamps stay slice-aligned.
         while self._epoch < epoch:
             self._epoch += 1
             self._evaluate(self._epoch)
@@ -313,8 +285,7 @@ class SlaMonitor:
         tracer = self._tracer
         for name in sorted(self._scopes):
             entry = self._scopes[name]
-            entry.window.roll(epoch)
-            merged = entry.window.merged(epoch)
+            merged = self._window(entry)
             value = merged.percentile(config.quantile) if merged else None
             count = merged.count if merged else 0
             # Strict crossing: value == threshold still meets the SLA.

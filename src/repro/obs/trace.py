@@ -557,24 +557,29 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
 }
 
 
-class FirstUse(Dict[str, Any]):
-    """``key -> instruments``, resolved by ``resolve(key)`` on the key's first use.
+#: A live per-event callback (:meth:`Tracer.add_observer`).
+Observer = Callable[[TraceEvent], None]
+
+
+class FirstUse(Dict[Any, Any]):
+    """``key -> value``, resolved by ``resolve(key)`` on the key's first use.
 
     The traced hot paths (a delivery, a publication, a tapped send) look
     their instruments up here: a hit is one C dict probe, so
     :func:`channel_class` and the registry lookups run once per channel or
     node, not once per message -- and a key that is never used still
     registers nothing, so the metrics trailer is what per-call lookups
-    would have written.
+    would have written.  :meth:`Tracer.emit` finds an event class's
+    observers the same way.
     """
 
     __slots__ = ("_resolve",)
 
-    def __init__(self, resolve: Callable[[str], Any]) -> None:
+    def __init__(self, resolve: Callable[[Any], Any]) -> None:
         super().__init__()
         self._resolve = resolve
 
-    def __missing__(self, key: str) -> Any:
+    def __missing__(self, key: Any) -> Any:
         value = self[key] = self._resolve(key)
         return value
 
@@ -594,9 +599,10 @@ class Tracer:
       O(sink chunk) events rather than the whole timeline; pass
       ``keep_events=True`` to tee (stream *and* buffer, e.g. for oracles).
     * observers -- live per-event callbacks (:meth:`add_observer`), used by
-      the SLA monitor and the chaos recovery watcher.  Observers run after
-      the event is recorded, so anything they emit re-entrantly lands
-      after the triggering event in both buffered and streamed output.
+      the SLA monitor and the chaos recovery watcher, each called for the
+      event classes it asked for.  Observers run after the event is
+      recorded, so anything they emit re-entrantly lands after the
+      triggering event in both buffered and streamed output.
     * ``profiler`` -- a :class:`repro.obs.profile.SimProfiler`; attached to
       the kernel by :meth:`attach_kernel` and fed by the message tap.
     """
@@ -624,7 +630,11 @@ class Tracer:
         #: replacement for ``events[-1].t`` when buffering is off).
         self.last_t: float = 0.0
         self._keep = keep_events
-        self._observers: List[Callable[[TraceEvent], None]] = []
+        #: ``(observer, the event classes it asked for)`` in registration
+        #: order; ``emit`` reads the per-class resolution of it.
+        self._observers: List[Tuple[Observer, Tuple[Type[TraceEvent], ...]]] = []
+        #: event class -> the observers it goes to, in registration order.
+        self._observers_of = FirstUse(self._resolve_observers)
         #: Instruments of the client-side hot paths, bound on first use.
         #: Held here, not by the clients that feed them: one dict per run,
         #: not one per client.
@@ -644,9 +654,20 @@ class Tracer:
         """Whether emitted events are buffered in :attr:`events`."""
         return self._keep
 
-    def add_observer(self, observer: Callable[[TraceEvent], None]) -> None:
-        """Register a live per-event callback (runs on every emit)."""
-        self._observers.append(observer)
+    def add_observer(self, observer: Observer, *event_types: Type[TraceEvent]) -> None:
+        """Register a live callback for events of exactly ``event_types``.
+
+        No types means every event.  An event's observers are called in
+        registration order; one added mid-run is honoured from the next
+        emit.
+        """
+        self._observers.append((observer, event_types))
+        self._observers_of.clear()
+
+    def _resolve_observers(self, cls: Type[TraceEvent]) -> Tuple[Observer, ...]:
+        return tuple(
+            observer for observer, types in self._observers if not types or cls in types
+        )
 
     # repro: scope[hot]
     def emit(self, event: TraceEvent) -> None:
@@ -657,7 +678,7 @@ class Tracer:
         sink = self.sink
         if sink is not None:
             sink.emit(event)
-        for observer in self._observers:
+        for observer in self._observers_of[type(event)]:
             observer(event)
 
     def events_of(self, event_type: Type[TraceEvent]) -> List[TraceEvent]:
@@ -669,8 +690,8 @@ class Tracer:
     def message_tap(self, src_id: str, dst_id: str, message: Any, size_bytes: int) -> None:
         """Per-message actor tap: counts sends without recording events."""
         messages, sent_bytes = self._tap_counters[src_id]
-        messages.inc()
-        sent_bytes.inc(size_bytes)
+        messages.value += 1.0
+        sent_bytes.value += size_bytes
         profiler = self.profiler
         if profiler is not None:
             profiler.count_message(type(message).__name__, size_bytes)
@@ -699,7 +720,7 @@ class Tracer:
         its clock into ``sim_clock_s``.
 
         Nothing runs per kernel event.  The kernel already holds both
-        numbers, so the registry pulls them when it is snapshotted.  A
+        numbers, so the registry pulls them when it is read.  A
         tracer follows one kernel at a time: attaching the next one (an
         experiment building a cluster per load level) first settles the
         previous one's totals.

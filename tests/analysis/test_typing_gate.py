@@ -2,8 +2,8 @@
 
 The pyproject ladder keeps legacy modules at ``ignore_errors`` while
 ``repro.sim.*``, ``repro.net.*``, ``repro.core.messages``,
-``repro.core.plan``, ``repro.core.reliability`` and ``repro.obs.trace``
-carry full strict flags.
+``repro.core.plan``, ``repro.core.reliability``, ``repro.obs.trace`` and
+``repro.obs.sla`` carry full strict flags.
 mypy is an optional tool (this repository takes no runtime third-party
 dependencies), so the gate skips where it is not installed -- CI installs
 it in the ``analysis`` job, which is where the gate is binding.
@@ -26,6 +26,7 @@ STRICT_TARGETS = [
     "src/repro/core/plan.py",
     "src/repro/core/reliability.py",
     "src/repro/obs/trace.py",
+    "src/repro/obs/sla.py",
 ]
 
 pytestmark = pytest.mark.skipif(

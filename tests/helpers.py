@@ -42,8 +42,9 @@ def make_static_cluster(
     )
 
 
-def python_calls_by_file(run: Callable[[], object]) -> Dict[str, int]:
-    """Python-level calls made by ``run()``, per source file (``/`` paths).
+def python_calls_by_function(run: Callable[[], object]) -> Dict[Tuple[str, int, str], int]:
+    """Python-level calls made by ``run()``, per ``(file, line, name)``
+    (``/`` paths).
 
     Counted as the perf ledger's counting pass counts: no built-ins, and
     only functions with a source file -- the wire dataclasses'
@@ -57,11 +58,18 @@ def python_calls_by_file(run: Callable[[], object]) -> Dict[str, int]:
     finally:
         profiler.disable()
     profiler.create_stats()
+    return {
+        (filename.replace(os.sep, "/"), line, name): ncalls
+        for (filename, line, name), (_cc, ncalls, *_rest) in profiler.stats.items()
+        if not filename.startswith(("<", "~"))
+    }
+
+
+def python_calls_by_file(run: Callable[[], object]) -> Dict[str, int]:
+    """:func:`python_calls_by_function`, summed per source file."""
     calls: Dict[str, int] = {}
-    for (filename, _line, _name), (_cc, ncalls, *_rest) in profiler.stats.items():
-        if not filename.startswith(("<", "~")):
-            path = filename.replace(os.sep, "/")
-            calls[path] = calls.get(path, 0) + ncalls
+    for (path, _line, _name), ncalls in python_calls_by_function(run).items():
+        calls[path] = calls.get(path, 0) + ncalls
     return calls
 
 

@@ -12,6 +12,7 @@ from repro.obs.export import (
     SCHEMA_VERSION,
     dump_tracer,
     event_to_json,
+    header_json,
     read_trace,
     write_trace,
 )
@@ -262,6 +263,33 @@ class TestReaderRobustness:
             '{"type": "server_ready", "t": 2.0}\n'  # missing "server"
         )
         with pytest.raises(ValueError, match=":2:"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("keep", [31, 60], ids=["header", "body"])
+    def test_line_cut_short_rejected_with_line_number(self, tmp_path, keep):
+        """A writer killed mid-line: the header (31 of its 37 bytes), or the
+        first event's line."""
+        path = tmp_path / "cut.jsonl"
+        write_trace(path, SAMPLE_EVENTS)
+        path.write_bytes(path.read_bytes()[:keep])
+        line_no = 1 if keep < len(header_json()) else 2
+        with pytest.raises(ValueError, match=rf"cut\.jsonl:{line_no}: malformed line"):
+            read_trace(path)
+
+    def test_line_that_is_not_an_object_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(header_json() + "\n[1, 2]\n")
+        with pytest.raises(ValueError, match=r"t\.jsonl:2: malformed line"):
+            read_trace(path)
+
+    def test_gzip_member_cut_short_rejected_with_location(self, tmp_path):
+        import gzip
+
+        path = tmp_path / "cut.jsonl.gz"
+        lines = [header_json()] + [event_to_json(e) for e in SAMPLE_EVENTS]
+        whole = gzip.compress(("\n".join(lines) + "\n").encode())
+        path.write_bytes(whole[: len(whole) // 2])
+        with pytest.raises(ValueError, match=r"cut\.jsonl\.gz:\d+: malformed gzip stream"):
             read_trace(path)
 
     def test_blank_lines_ignored(self, tmp_path):

@@ -181,6 +181,32 @@ class TestRegistry:
         source[0] = 4.0
         assert reg.snapshot()["gauges"] == {"pulled": 4.0}
 
+    def test_collectors_run_before_a_counter_is_read(self):
+        """A pulled counter must not read stale between snapshots."""
+        reg = MetricsRegistry()
+        source, counted = [2.0], [0.0]
+
+        def collect():
+            reg.counter("pulled", kind="a").inc(source[0] - counted[0])
+            counted[0] = source[0]
+
+        reg.add_collector(collect)
+        assert reg.counter_value("pulled", kind="a") == 2.0
+        source[0] = 5.0
+        assert reg.counter_total("pulled") == 5.0
+        assert reg.counter_value("pulled", kind="a") == 5.0
+
+    def test_kernel_events_read_without_a_snapshot(self):
+        from repro.obs.trace import Tracer
+        from repro.sim.kernel import Simulator
+
+        sim, tracer = Simulator(), Tracer()
+        tracer.attach_kernel(sim)
+        for i in range(5):
+            sim.schedule(0.1 * i, lambda: None)
+        sim.run_until(1.0)
+        assert tracer.metrics.counter_value("sim_events_total") == 5.0
+
     def test_unknown_counter_reads_zero(self):
         assert MetricsRegistry().counter_value("nope") == 0.0
 

@@ -1,7 +1,11 @@
 """Live SLA monitor tests: window mechanics, edge cases, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs.export import event_to_json
+from repro.obs.metrics import Histogram
 from repro.obs.sla import OVERALL_SCOPE, SlaConfig, SlaMonitor, SlidingHistogram
 from repro.obs.trace import (
     DeliveryEvent,
@@ -9,6 +13,7 @@ from repro.obs.trace import (
     SlaViolationStartEvent,
     SlaWindowEvent,
     Tracer,
+    channel_class,
 )
 
 
@@ -27,25 +32,41 @@ def _deliver(tracer, t, latency_s, channel="tile:1:1", server="pub1"):
     )
 
 
+def _window_count(monitor, scope=OVERALL_SCOPE):
+    return monitor.report()["scopes"][scope]["window_count"]
+
+
 class TestSlidingHistogram:
     def test_window_ages_out_old_samples(self):
-        win = SlidingHistogram(window_s=10.0, slices=10)
-        win.observe(1.0, 0.5)
-        assert win.merged(win.epoch_of(1.0)).count == 1
+        tracer, monitor = _monitor()
+        _deliver(tracer, 1.0, 0.5)
+        assert _window_count(monitor) == 1
         # 15s later the sample is outside the 10s window.
-        late_epoch = win.epoch_of(16.0)
-        win.roll(late_epoch)
-        assert win.merged(late_epoch) is None
+        monitor.poll(16.0)
+        assert _window_count(monitor) == 0
+        assert monitor.windowed_percentile() is None
 
     def test_merged_spans_live_slices(self):
-        win = SlidingHistogram(window_s=10.0, slices=10)
+        tracer, monitor = _monitor()
         for t in (1.0, 3.0, 9.0):
-            win.observe(t, 0.2)
-        assert win.merged(win.epoch_of(9.0)).count == 3
+            _deliver(tracer, t, 0.2)
+        assert _window_count(monitor) == 3
+
+    def test_a_scope_reads_every_leaf_under_it(self):
+        """One sample per (class, server) leaf; each scope counts its own."""
+        tracer, monitor = _monitor()
+        _deliver(tracer, 1.0, 0.2, channel="tile:1:1", server="pub1")
+        _deliver(tracer, 2.0, 0.3, channel="tile:2:2", server="pub2")
+        _deliver(tracer, 3.0, 0.4, channel="room:7", server="pub1")
+        counts = {name: row["window_count"] for name, row in monitor.report()["scopes"].items()}
+        assert counts == {
+            "overall": 3, "channel:tile": 2, "channel:room": 1, "server:pub1": 2, "server:pub2": 1,
+        }
+        assert len(monitor._leaves) == 3
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            SlidingHistogram(window_s=0.0, slices=10)
+            SlidingHistogram(slices=0, min_value=1e-4, factor=1.25, buckets=64)
 
 
 class TestViolationLifecycle:
@@ -132,6 +153,133 @@ class TestEdgeCases:
         _deliver(tracer, 0.5, 0.5)
         monitor.poll(5.0)
         assert not [e for e in tracer.events if type(e) is SlaWindowEvent]
+
+
+class _PerScopeReference:
+    """The monitor before leaves: every scope keeps a window of its own and
+    a sample is recorded into each scope it belongs to.  A window is a plain
+    ``(epoch, latency)`` list, re-bucketed on every read."""
+
+    def __init__(self, tracer, config):
+        self.tracer, self.config = tracer, config
+        self.slice_s = config.window_s / config.slices
+        self.samples = {}  # scope -> [(epoch, latency)]
+        self.active = {}  # scope -> its open episode, as report() renders it
+        self.violations = []
+        self.epoch = None
+
+    def __call__(self, event):
+        if type(event) is not DeliveryEvent:
+            return
+        self.poll(event.t)
+        names = [OVERALL_SCOPE]
+        if self.config.per_channel:
+            names.append(f"channel:{channel_class(event.channel)}")
+        if self.config.per_server and event.server:
+            names.append(f"server:{event.server}")
+        for name in names:
+            self.samples.setdefault(name, []).append((self.epoch, event.latency_s))
+
+    def poll(self, now):
+        epoch = int(now / self.slice_s)
+        if self.epoch is None:
+            self.epoch = epoch
+        while self.epoch < epoch:
+            self.epoch += 1
+            self.evaluate(self.epoch * self.slice_s)
+
+    def window(self, name):
+        config = self.config
+        hist = Histogram(config.bucket_min_s, config.bucket_factor, config.bucket_count)
+        for epoch, latency in self.samples[name]:
+            if self.epoch - config.slices < epoch <= self.epoch:
+                hist.observe(latency)
+        return hist
+
+    def evaluate(self, t):
+        config, emit = self.config, self.tracer.emit
+        for name in sorted(self.samples):
+            hist = self.window(name)
+            value = hist.percentile(config.quantile)  # None when empty
+            violating = value is not None and value > config.threshold_s
+            episode = self.active.get(name)
+            if violating and episode is None:
+                episode = self.active[name] = dict(
+                    scope=name, start_t=t, end_t=None, duration_s=None, peak_s=value
+                )
+                self.violations.append(episode)
+                emit(SlaViolationStartEvent(
+                    t, name, config.quantile, config.threshold_s, value, hist.count
+                ))
+            elif violating:
+                episode["peak_s"] = max(episode["peak_s"], value)
+            elif episode is not None:
+                del self.active[name]
+                episode.update(end_t=t, duration_s=t - episode["start_t"])
+                emit(SlaViolationEndEvent(t, name, episode["duration_s"], episode["peak_s"]))
+            if config.emit_window_stats and hist.count:
+                emit(SlaWindowEvent(
+                    t, name, hist.count, hist.percentile(50), value, hist.max, violating
+                ))
+
+    def report(self):
+        scopes = {}
+        for name in sorted(self.samples):
+            hist = self.window(name)
+            scopes[name] = {
+                "window_count": hist.count,
+                "value_s": hist.percentile(self.config.quantile),
+                "violating": name in self.active,
+            }
+        return {
+            "threshold_s": self.config.threshold_s,
+            "quantile": self.config.quantile,
+            "window_s": self.config.window_s,
+            "scopes": scopes,
+            "violations": self.violations,
+            "violation_count": len(self.violations),
+            "violation_seconds": sum(v["duration_s"] or 0.0 for v in self.violations),
+        }
+
+
+_DELIVERIES = st.lists(
+    st.tuples(
+        # 0.5 s slices in a 2 s window: most gaps stay inside one slice,
+        # some cross a boundary and some outlast the whole window.
+        st.sampled_from([0.0, 0.01, 0.2, 0.5, 1.3, 2.0, 7.5]),
+        st.floats(min_value=1e-5, max_value=2.0),
+        st.sampled_from(["tile:1:1", "tile:2:3", "room7", "room9", "lobby"]),
+        st.sampled_from(["", "pub1", "pub2"]),
+    ),
+    max_size=60,
+)
+
+
+class TestLeafMergeEqualsPerScopeWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(_DELIVERIES, st.booleans(), st.booleans(), st.floats(min_value=0.0, max_value=5.0))
+    def test_events_and_report_match_the_reference(
+        self, deliveries, per_channel, per_server, drain_s
+    ):
+        config = SlaConfig(
+            threshold_s=0.1, window_s=2.0, slices=4,
+            per_channel=per_channel, per_server=per_server,
+        )
+        outcomes = []
+        for build in (SlaMonitor, _PerScopeReference):
+            tracer = Tracer()
+            monitor = build(tracer, config)
+            tracer.add_observer(monitor)
+            t = 0.0
+            for gap, latency_s, channel, server in deliveries:
+                t += gap
+                _deliver(tracer, t, latency_s, channel, server)
+            monitor.poll(t + drain_s)
+            lines = [
+                event_to_json(e) for e in tracer.events if type(e) is not DeliveryEvent
+            ]
+            outcomes.append((lines, monitor.report()))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestDeterminism:

@@ -1,13 +1,20 @@
 """Tests for the tracer: channel classes, event capture on a live cluster."""
 
+import pytest
+
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
+from repro.obs.export import dump_tracer, read_trace
 from repro.obs.profile import SimProfiler
+from repro.obs.sink import StreamingJsonlSink
+from repro.obs.sla import SlaConfig, SlaMonitor
 from repro.obs.trace import (
     NULL_TRACER,
     DeliveryEvent,
     FanoutEvent,
     NullTracer,
     PublishEvent,
+    ServerReadyEvent,
+    SlaWindowEvent,
     SubscribeEvent,
     Tracer,
     UnsubscribeEvent,
@@ -180,3 +187,74 @@ class TestTracedRun:
         hist = tracer.metrics.histogram("delivery_latency_s", channel_class="tile")
         assert hist.count == 1
         assert hist.min > 0.0
+
+
+def _delivery(t):
+    return DeliveryEvent(t, "bob", "tile:1:1", f"m{t}", "alice", 0.01, 2, "pub1")
+
+
+class TestObserverDispatch:
+    """``add_observer(observer, *event_types)``: who is called, and when."""
+
+    def test_untyped_observer_sees_every_event(self):
+        tracer = Tracer()
+        seen = []
+        tracer.add_observer(seen.append)
+        events = [ServerReadyEvent(0.0, "pub1"), _delivery(0.5), SubscribeEvent(0.6, "bob", "a", ())]
+        for event in events:
+            tracer.emit(event)
+        assert seen == events
+
+    def test_typed_observer_sees_only_its_classes(self):
+        tracer = Tracer()
+        seen = []
+        tracer.add_observer(seen.append, DeliveryEvent, ServerReadyEvent)
+        ready, delivery = ServerReadyEvent(0.0, "pub1"), _delivery(0.5)
+        for event in (ready, SubscribeEvent(0.2, "bob", "a", ()), delivery):
+            tracer.emit(event)
+        assert seen == [ready, delivery]
+
+    def test_one_events_observers_run_in_registration_order(self):
+        tracer = Tracer()
+        order = []
+        tracer.add_observer(lambda e: order.append("typed-first"), DeliveryEvent)
+        tracer.add_observer(lambda e: order.append("untyped"))
+        tracer.add_observer(lambda e: order.append("other-type"), ServerReadyEvent)
+        tracer.add_observer(lambda e: order.append("typed-last"), DeliveryEvent)
+        tracer.emit(_delivery(0.5))
+        assert order == ["typed-first", "untyped", "typed-last"]
+
+    def test_observer_added_mid_run_is_honoured_from_the_next_emit(self):
+        tracer = Tracer()
+        late = []
+
+        def early(event):
+            if not late_registered:
+                late_registered.append(True)
+                tracer.add_observer(late.append, DeliveryEvent)
+
+        late_registered = []
+        tracer.add_observer(early, DeliveryEvent)
+        first, second = _delivery(0.5), _delivery(0.6)
+        tracer.emit(first)  # resolves DeliveryEvent's observers, then grows them
+        tracer.emit(second)
+        assert late == [second]
+
+    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
+    def test_reentrant_sla_event_lands_after_the_delivery_that_triggered_it(
+        self, tmp_path, streamed
+    ):
+        path = tmp_path / "t.jsonl"
+        sink = StreamingJsonlSink(str(path)) if streamed else None
+        tracer = Tracer(sink=sink)
+        monitor = SlaMonitor(tracer, SlaConfig(threshold_s=0.15))  # 1 s slices
+        tracer.add_observer(monitor.on_delivery, DeliveryEvent)
+        tracer.emit(_delivery(0.5))
+        tracer.emit(_delivery(1.2))  # crosses the t=1 boundary
+        if sink is not None:
+            sink.finalize(tracer)
+        else:
+            dump_tracer(tracer, path)
+        body = read_trace(path)[:-1]  # minus the metrics trailer
+        assert [type(e) for e in body[:3]] == [DeliveryEvent, DeliveryEvent, SlaWindowEvent]
+        assert [e.t for e in body[:3]] == [0.5, 1.2, 1.0]
