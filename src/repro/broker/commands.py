@@ -10,7 +10,7 @@ faithful to the paper's "no changes to Redis itself" constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,26 +133,23 @@ class Delivery:
 
 @dataclass(frozen=True, slots=True)
 class ReplayRequest:
-    """Client asks the broker to resend a cached sequence range.
-
-    Sent when gap tracking detects missing sequence numbers on a live
-    connection (``after_seq`` = one below the lowest missing seq,
-    ``up_to_seq`` = the highest).  The broker answers with replayed
-    :class:`Delivery` messages and, for evicted prefixes, a
-    :class:`ReplayGapNotice`.
-    """
+    """Client asks the broker to resend cached publications by number:
+    ``seqs`` names exactly the holes that are due (just found, or asked for
+    a retry timeout ago), ascending.  The broker answers with replayed
+    :class:`Delivery` messages and, for evicted ones, a :class:`ReplayGapNotice`."""
 
     channel: str
     epoch: int
-    after_seq: int
-    up_to_seq: int
+    seqs: Tuple[int, ...]
 
-    WIRE_SIZE = 64
+    @property
+    def wire_size(self) -> int:
+        return 32 + 8 * len(self.seqs)  # the fixed part + each number named
 
 
 @dataclass(frozen=True, slots=True)
 class ReplayGapNotice:
-    """Broker's truthful "that range is gone": cache eviction passed
+    """Broker's truthful "those are gone": cache eviction passed
     ``through_seq``, so sequence numbers at or below it cannot be
     replayed.  The client stops chasing them and the check harness
     records the window as an unrecoverable (excused) gap."""

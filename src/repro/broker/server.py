@@ -19,7 +19,7 @@ plans or replication exist.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.broker.commands import (
     ConnectionClosed,
@@ -235,7 +235,8 @@ class PubSubServer(Actor):
         elif isinstance(message, UnsubscribeCmd):
             self._handle_unsubscribe(message.channel, src_id)
         elif isinstance(message, ReplayRequest):
-            self._handle_replay_request(message, src_id)
+            if self.reliability is not None:
+                self._replay_range(src_id, message.channel, message.epoch, message.seqs)
         elif isinstance(message, PingCmd):
             self.transport.send(
                 self.node_id, src_id, PongReply(self.node_id), PongReply.WIRE_SIZE
@@ -272,7 +273,8 @@ class PubSubServer(Actor):
         # position is from another boot of this id -- a fresh stream, so
         # there is nothing meaningful to replay (replay_slice rejects it).
         if resume_after >= 0 and self.reliability is not None:
-            self._replay_range(client_id, channel, resume_epoch, resume_after, None)
+            newer = range(resume_after + 1, self.reliability.cache_for(channel).next_seq)
+            self._replay_range(client_id, channel, resume_epoch, newer)
 
     def _handle_unsubscribe(self, channel: str, client_id: str) -> None:
         conn = self._connections.get(client_id)
@@ -295,97 +297,47 @@ class PubSubServer(Actor):
     # ------------------------------------------------------------------
     # Reliable delivery: replay requests and resume-on-subscribe
     # ------------------------------------------------------------------
-    def _handle_replay_request(self, request: ReplayRequest, client_id: str) -> None:
-        if self.reliability is None:
-            return
-        self._replay_range(
-            client_id,
-            request.channel,
-            request.epoch,
-            request.after_seq,
-            request.up_to_seq,
-        )
-
-    def _replay_range(
-        self,
-        client_id: str,
-        channel: str,
-        epoch: int,
-        after_seq: int,
-        up_to_seq: Optional[int],
-    ) -> None:
-        """Resend cached ``(after_seq, up_to_seq]`` to one client.
-
-        ``up_to_seq=None`` (the resume case) means "everything newer".
-        Evicted prefixes produce a truthful :class:`ReplayGapNotice`
-        instead of silently succeeding.
-        """
+    def _replay_range(self, client_id: str, channel: str, epoch: int, seqs: Sequence[int]) -> None:
+        """Resend the cached publications among ``seqs`` -- the holes a
+        :class:`ReplayRequest` names, or everything past a resume point.
+        Evicted ones produce a truthful :class:`ReplayGapNotice`."""
         rel = self.reliability
-        if up_to_seq is None:
-            up_to_seq = rel.cache_for(channel).next_seq - 1
-        replay = rel.replay_slice(channel, epoch, after_seq, up_to_seq)
+        replay = rel.replay_slice(channel, epoch, seqs)
         if replay is None:
             return
-        now = self.sim.now
-        tracer = self.tracer
-        if replay.gap_through > 0:
+        now, node_id, send, tracer = self.sim.now, self.node_id, self.transport.send, self.tracer
+        through, entries = replay.gap_through, replay.entries
+        if through > 0:
             rel.unrecoverable_gaps += 1
-            notice = ReplayGapNotice(self.node_id, channel, epoch, replay.gap_through)
-            self.transport.send(
-                self.node_id, client_id, notice, ReplayGapNotice.WIRE_SIZE
-            )
+            notice = ReplayGapNotice(node_id, channel, epoch, through)
+            send(node_id, client_id, notice, ReplayGapNotice.WIRE_SIZE)
             if tracer.enabled:
-                tracer.emit(
-                    ReplayGapEvent(
-                        now,
-                        self.node_id,
-                        channel,
-                        client_id,
-                        epoch,
-                        after_seq + 1,
-                        replay.gap_through,
-                    )
-                )
-        if not replay.entries:
+                gap = ReplayGapEvent(now, node_id, channel, client_id, epoch, seqs[0], through)
+                tracer.emit(gap)
+        if not entries:
             return
         total_bytes = 0
-        for entry in replay.entries:
+        for entry in entries:
             delivery = Delivery(
-                channel,
-                entry.payload,
-                entry.payload_size,
-                self.node_id,
-                entry.seq,
-                epoch,
-                True,
+                channel, entry.payload, entry.payload_size, node_id, entry.seq, epoch, True
             )
-            self.transport.send(self.node_id, client_id, delivery, entry.wire_size)
+            send(node_id, client_id, delivery, entry.wire_size)
             total_bytes += entry.wire_size
-        rel.replayed_messages += len(replay.entries)
+        rel.replayed_messages += len(entries)
         rel.replayed_bytes += total_bytes
         if tracer.enabled:
             tracer.emit(
                 ReplayEvent(
-                    now,
-                    self.node_id,
-                    channel,
-                    client_id,
-                    epoch,
-                    replay.entries[0].seq,
-                    replay.entries[-1].seq,
-                    len(replay.entries),
-                    total_bytes,
+                    now, node_id, channel, client_id, epoch,
+                    entries[0].seq, entries[-1].seq, len(entries), total_bytes,
                 )
             )
-            tracer.metrics.counter(
-                "replayed_messages_total", server=self.node_id
-            ).inc(len(replay.entries))
-            tracer.metrics.counter(
-                "replayed_bytes_total", server=self.node_id
-            ).inc(total_bytes)
+            metrics = tracer.metrics
+            metrics.counter("replayed_messages_total", server=node_id).inc(len(entries))
+            metrics.counter("replayed_bytes_total", server=node_id).inc(total_bytes)
             profiler = tracer.profiler
             if profiler is not None:
-                profiler.count("reliability", "replay.messages", len(replay.entries))
+                profiler.count("reliability", "replay.messages", len(entries))
 
     # repro: scope[hot]
     def _complete_publish(self, cmd: PublishCmd, publisher_id: str) -> None:

@@ -8,7 +8,8 @@ Modes:
 * ``--seed S`` -- run exactly one generated scenario, shrinking on
   violation; this is the replay command printed with every failure;
 * ``--scenario FILE`` -- run a scenario from its JSON (e.g. a minimized
-  reproducer artifact) without regenerating from the seed.
+  reproducer artifact) without regenerating from the seed; a FILE that is
+  not a scenario is one ``error: FILE: ...`` line on stderr and exit 2.
 
 ``--break-repair-replay`` flips the dispatcher's test-only kill switch so
 the suite's own detection power can be demonstrated end to end;
@@ -28,7 +29,8 @@ from typing import List, Optional, Sequence
 
 from repro.check.generate import generate_scenario
 from repro.check.oracles import Violation, check_result
-from repro.check.scenario import Scenario, run_scenario, with_break, with_reliable_break
+from repro.check.scenario import Scenario, ScenarioFormatError, run_scenario
+from repro.check.scenario import with_break, with_reliable_break
 from repro.check.shrink import shrink
 from repro.core.config import DELIVERY_TIERS
 from repro.obs.sink import StreamingJsonlSink
@@ -118,7 +120,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.scenario is not None:
-        scenario = Scenario.from_json(args.scenario.read_text(encoding="utf-8"))
+        try:
+            text = args.scenario.read_text(encoding="utf-8")
+            scenario = Scenario.from_json(text, str(args.scenario))
+        except (OSError, UnicodeDecodeError, ScenarioFormatError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.break_repair_replay:
             scenario = with_break(scenario)
         if args.break_reliable_replay:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.cluster import DynamothCluster
 from repro.core.config import DELIVERY_TIERS, DynamothConfig
@@ -47,6 +47,10 @@ from repro.obs.trace import Tracer
 PUBLISH_TAIL_S = 3.0
 #: how long a churned-out subscriber stays away before resubscribing.
 CHURN_OFF_S = 1.5
+
+
+class ScenarioFormatError(ValueError):
+    """Text that cannot be read as a :class:`Scenario`; a one-line message."""
 
 
 @dataclass(frozen=True)
@@ -140,17 +144,48 @@ class Scenario:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Scenario":
-        kwargs = dict(data)
-        kwargs["faults"] = tuple(action_from_dict(a) for a in data.get("faults", []))
-        return cls(**kwargs)
+    def from_dict(cls, data: object, source: str = "<scenario>") -> "Scenario":
+        """Parsed JSON in, scenario out -- or one :class:`ScenarioFormatError`
+        naming ``source`` and the key (or index into ``faults``) at fault."""
+        if not isinstance(data, dict):
+            raise ScenarioFormatError(f"{source}: not a JSON object: {type(data).__name__}")
+        if "seed" not in data:
+            raise ScenarioFormatError(f"{source}: missing key 'seed'")
+        for name, value in data.items():
+            expected = _FIELD_TYPES.get(name)
+            if expected is None:
+                raise ScenarioFormatError(f"{source}: unknown key {name!r}")
+            if type(value) not in expected:
+                wanted = " or ".join(t.__name__ for t in expected)
+                got = f"{type(value).__name__} {value!r}"
+                raise ScenarioFormatError(f"{source}: {name!r} must be {wanted}, got {got}")
+        faults: List[FaultAction] = []
+        for action in data.get("faults", ()):
+            try:
+                faults.append(action_from_dict(action))
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ScenarioFormatError(f"{source}: faults[{len(faults)}]: {exc}") from exc
+        try:
+            return cls(**{**data, "faults": tuple(faults)})
+        except ValueError as exc:  # a value ``__post_init__`` rejects
+            raise ScenarioFormatError(f"{source}: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str, source: str = "<scenario>") -> "Scenario":
+        """Inverse of :meth:`to_json`; ``source`` names the file in errors."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"{source}: not JSON: {exc}") from exc
+        return cls.from_dict(data, source)
+
+
+#: JSON types each :class:`Scenario` key accepts (an integer reads as a float)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+_FIELD_TYPES = {f.name: _JSON_TYPES.get(str(f.type), (list,)) for f in fields(Scenario)}
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +415,7 @@ _PLANTABLE_BUGS = {
     "break_reliable_replay": (
         BrokerReliability,
         "replay_slice",
-        lambda reliability, channel, epoch, after_seq, up_to_seq: None,
+        lambda reliability, channel, epoch, seqs: None,
     ),
 }
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from random import Random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.broker.commands import (
     ConnectionClosed,
@@ -477,6 +477,21 @@ class DynamothClient(Actor):
             return  # mapping changed again; the server is wanted after all
         self.send(server, UnsubscribeCmd(channel), UnsubscribeCmd.WIRE_SIZE)
 
+    def _request_replay(self, server: str, channel: str, epoch: int, seqs: Tuple[int, ...]) -> None:
+        request = ReplayRequest(channel, epoch, seqs)
+        self.gap_requests += 1
+        self.send(server, request, request.wire_size)
+
+    def _retry_gaps(self, server: str, channel: str) -> None:
+        """Retry timer of one sequence stream: the due-check when nothing arrives."""
+        sub, live = self._subs.get(channel), self.alive and self.transport is not None
+        held = live and sub is not None and server in sub.servers
+        epoch, seqs, delay = self._sequence.retry(server, channel, self.sim.now, held)
+        if seqs:
+            self._request_replay(server, channel, epoch, seqs)
+        if delay:
+            self.sim.schedule(delay, self._retry_gaps, server, channel)
+
     # ------------------------------------------------------------------
     # Inbound traffic
     # ------------------------------------------------------------------
@@ -524,12 +539,12 @@ class DynamothClient(Actor):
                         tracer.metrics.counter("duplicates_total", client=self.node_id).inc()
                     return
                 if verdict is not True:
-                    self.gap_requests += 1
-                    self.send(
-                        message.server_id,
-                        ReplayRequest(channel, message.epoch, verdict[0], verdict[1]),
-                        ReplayRequest.WIRE_SIZE,
-                    )
+                    # Holes are due: ask, and have the stream's retry timer running.
+                    server_id = message.server_id
+                    self._request_replay(server_id, channel, message.epoch, verdict)
+                    delay = sequence.arm(server_id, channel)
+                    if delay:
+                        sim.schedule(delay, self._retry_gaps, server_id, channel)
 
             # Message-id dedup with a count-aware LRU window.  A duplicate
             # hit re-appends the id (recency refresh): under active replay

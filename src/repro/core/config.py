@@ -165,7 +165,7 @@ class DynamothConfig:
     #: to plain at-most-once (nothing is stamped or cached).
     replay_cache_max_msgs: int = 256
     replay_cache_max_bytes: int = 262144
-    #: minimum seconds between two replay requests for the same stream
+    #: retry timeout before the link's first round-trip sample, and its ceiling after
     replay_retry_cooldown_s: float = 1.0
     #: causal mode: how long an out-of-order delivery may stay parked
     #: before the channel is force-flushed in arrival order

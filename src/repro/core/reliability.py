@@ -11,9 +11,9 @@ tier selected by :attr:`~repro.core.config.DynamothConfig.delivery_tier`:
   monotonic sequence number and keeps a bounded per-channel replay cache
   (count + byte budget, deterministic oldest-first eviction).  Clients
   track the per-stream high-water mark plus missing sequence numbers and
-  request replay of the gap -- on redelivery after a killed connection,
-  and on resubscribe after a crash/partition failover (the resume point
-  rides the SUBSCRIBE command, MigratoryData-style);
+  ask for exactly those -- when a hole is found, and again once its own
+  request is older than the link's measured retry timeout; on resubscribe
+  the resume point rides the SUBSCRIBE command, MigratoryData-style;
 * ``exactly_once`` -- at-least-once plus the client's existing message-id
   dedup, and replayed-but-already-seen sequence numbers are dropped
   *before* the dedup bookkeeping so replay can never recycle the window.
@@ -103,8 +103,8 @@ class CacheEntry:
 class ReplaySlice:
     """The broker's answer to one replay request.
 
-    ``gap_through`` > 0 means sequence numbers ``<= gap_through`` inside
-    the requested range were already evicted and are unrecoverable.
+    ``gap_through`` > 0 means sequence numbers ``<= gap_through`` among
+    those asked for were already evicted and are unrecoverable.
     """
 
     entries: Tuple[CacheEntry, ...] = ()
@@ -144,13 +144,13 @@ class ChannelReplayCache:
             self.bytes_used -= evicted.wire_size
             self.floor = evicted.seq
 
-    def slice_after(self, after_seq: int, up_to_seq: int) -> ReplaySlice:
-        """Entries with ``after_seq < seq <= up_to_seq``, plus the evicted gap."""
-        selected = tuple(
-            e for e in self.entries if after_seq < e.seq <= up_to_seq
-        )
-        gap_through = self.floor if self.floor > after_seq else 0
-        return ReplaySlice(selected, gap_through)
+    def select(self, seqs: Sequence[int]) -> ReplaySlice:
+        """The cached entries among ``seqs`` (ascending), plus the evicted
+        gap.  By index: every stamped publication is cached, so the entries
+        are the contiguous run ``floor + 1 .. next_seq - 1``."""
+        entries, floor, next_seq = self.entries, self.floor, self.next_seq
+        selected = tuple([entries[seq - floor - 1] for seq in seqs if floor < seq < next_seq])
+        return ReplaySlice(selected, floor if seqs and seqs[0] <= floor else 0)
 
 
 class BrokerReliability:
@@ -191,74 +191,119 @@ class BrokerReliability:
         return seq
 
     def replay_slice(
-        self, channel: str, epoch: int, after_seq: int, up_to_seq: int
+        self, channel: str, epoch: int, seqs: Sequence[int]
     ) -> Optional[ReplaySlice]:
-        """The entries to resend, or ``None`` when nothing applies.
+        """The entries to resend for ``seqs`` (a gap request's holes, or
+        everything past a resume point), or ``None`` when nothing applies.
 
         A request against another epoch targets a stream this boot never
-        produced; replying would resend the wrong messages, so it is
-        ignored (the client's stream state resets on the first delivery
-        of the new epoch).
+        produced: replying would resend the wrong messages, so it is ignored
+        (the client's stream resets on the new epoch's first delivery).
         """
-        if epoch != self.epoch:
-            return None
-        cache = self._caches.get(channel)
-        if cache is None:
-            return None
-        return cache.slice_after(after_seq, up_to_seq)
+        cache = self._caches.get(channel) if epoch == self.epoch else None
+        return cache.select(seqs) if cache is not None else None
 
 
 # ----------------------------------------------------------------------
 # Client side: the two optional stages of ``DynamothClient.receive``
 # ----------------------------------------------------------------------
+#: ``(asked_at, asks)`` of a hole no request has named yet: due at once
+_UNASKED = (float("-inf"), 0)
+
+
+class _Link:
+    """Retry timeout of one client-server link, measured (RFC 6298):
+    ``srtt + max(4 * rttvar, srtt / 2)`` under the configured ceiling, which
+    is also the timeout before the first sample.  The floor keeps a
+    jitter-free link (``rttvar`` -> 0) off the round trip itself."""
+
+    __slots__ = ("ceiling", "srtt", "rttvar", "timeout")
+
+    def __init__(self, ceiling: float) -> None:
+        self.ceiling = ceiling
+        self.srtt = 0.0
+        self.rttvar = 0.0
+        self.timeout = ceiling
+
+    def sample(self, rtt: float) -> None:
+        srtt = self.srtt
+        if srtt:
+            self.rttvar += (abs(srtt - rtt) - self.rttvar) / 4.0
+            self.srtt = srtt = srtt + (rtt - srtt) / 8.0
+        else:
+            self.srtt = srtt = rtt
+            self.rttvar = rtt / 2.0
+        self.timeout = min(self.ceiling, srtt + max(4.0 * self.rttvar, srtt / 2.0))
+
+
 class _Stream:
     """Client-side view of one (server, channel) sequence stream."""
 
-    __slots__ = ("epoch", "max_seq", "missing", "last_request_t")
+    __slots__ = ("epoch", "max_seq", "missing", "link", "backoff")
 
-    def __init__(self) -> None:
-        self.missing: Set[int] = set()
+    def __init__(self, link: _Link) -> None:
+        #: hole -> (time of its latest request, requests so far); ascending,
+        #: because holes only ever open above the watermark
+        self.missing: Dict[int, Tuple[float, int]] = {}
+        self.link = link
+        #: multiplier on the link's timeout: 0 after an arrival (read as 1),
+        #: doubled by each retry-timer firing that no arrival preceded
+        self.backoff = 0
         self.reset(-1)
 
     def reset(self, epoch: int) -> None:
         self.epoch = epoch
         self.max_seq = 0
         self.missing.clear()
-        self.last_request_t = -1e18
 
 
 class SequenceStage:
     """Sequence/gap stage: per-stream watermarks, holes and resume points.
 
-    The client builds one only when the run stamps sequence numbers
+    Gap repair is selective repeat on one clock: every hole carries the
+    time of its own latest request, and the one due-check (:meth:`_due`)
+    names the holes never asked for or asked a retry timeout ago.  It runs
+    on every arrival (:meth:`observe`) and from the stream's retry timer
+    (:meth:`retry`), which the owning client schedules.  The client builds
+    a stage only when the run stamps sequence numbers
     (``ReliabilityConfig.replay_active``).
     """
 
-    __slots__ = ("_cooldown", "_drop_stale", "_streams")
+    __slots__ = ("_ceiling", "_drop_stale", "_streams", "_links", "_armed")
 
     def __init__(self, config: ReliabilityConfig) -> None:
-        self._cooldown = config.replay_retry_cooldown_s
+        #: retry timeout before a link's first sample, and its ceiling after
+        self._ceiling = config.replay_retry_cooldown_s
         #: the tier's one per-message question, answered once: exactly_once
         #: drops a replayed duplicate, at_least_once lets it through (the
         #: app may see it again -- that tier's contract)
         self._drop_stale = config.exactly_once
         #: (server, channel) -> stream state
         self._streams: Dict[Tuple[str, str], _Stream] = {}
+        #: server -> the estimator its streams share
+        self._links: Dict[str, _Link] = {}
+        #: (server, channel) of the retry timers in flight; not on the stream,
+        #: so that one dropped and rebuilt inherits its timer
+        self._armed: Set[Tuple[str, str]] = set()
 
     def observe(
         self, server: str, channel: str, seq: int, epoch: int, now: float
-    ) -> Union[bool, Tuple[int, int]]:
+    ) -> Union[bool, Tuple[int, ...]]:
         """Record one sequenced delivery; decide delivery + gap repair.
 
-        ``False`` drops it, ``True`` delivers it, and an ``(after_seq,
-        up_to_seq)`` pair delivers it *and* names the range to ask the
-        server to replay.
+        ``False`` drops it, ``True`` delivers it, and a tuple delivers it
+        *and* names the sequence numbers to ask the server for now.
         """
         key = (server, channel)
         stream = self._streams.get(key)
         if stream is None:
-            stream = self._streams[key] = _Stream()
+            link = self._links.get(server) or self._links.setdefault(server, _Link(self._ceiling))
+            stream = self._streams[key] = _Stream(link)
         if epoch != stream.epoch:
+            if epoch < stream.epoch:
+                # A straggler from an older boot: the live stream's holes
+                # and watermark are not its business (msg-id dedup is).
+                return True
             # New boot of the server id (or first contact): fresh stream.
             stream.reset(epoch)
             if seq > 1:
@@ -266,21 +311,62 @@ class SequenceStage:
                 # what arrives after our high-water mark is owed to us.
                 stream.max_seq = seq
                 return True
+        stream.backoff = 0
         missing = stream.missing
         if seq > stream.max_seq:
-            if seq > stream.max_seq + 1:
-                missing.update(range(stream.max_seq + 1, seq))
+            for hole in range(stream.max_seq + 1, seq):
+                missing[hole] = _UNASKED
             stream.max_seq = seq
-        elif seq in missing:
-            missing.remove(seq)
         else:
-            # At or below the high-water mark and not a known hole: a
-            # replayed duplicate.
-            return not self._drop_stale
-        if missing and now - stream.last_request_t >= self._cooldown:
-            stream.last_request_t = now
-            return (min(missing) - 1, max(missing))
+            asked = missing.pop(seq, None)
+            if asked is None:
+                # At or below the high-water mark and not a known hole: a
+                # replayed duplicate.
+                return not self._drop_stale
+            if asked[1] == 1:
+                # Karn's rule: a fill after a retry matches neither request.
+                stream.link.sample(now - asked[0])
+        if missing:
+            return self._due(stream, now, stream.link.timeout) or True
         return True
+
+    @staticmethod
+    def _due(stream: _Stream, now: float, timeout: float) -> Tuple[int, ...]:
+        """The one due-check: the holes whose latest request (if any) is
+        ``timeout`` old, ascending, each stamped as asked at ``now``."""
+        missing = stream.missing
+        due = tuple([seq for seq, asked in missing.items() if asked[0] + timeout <= now])
+        for seq in due:
+            missing[seq] = (now, missing[seq][1] + 1)
+        return due
+
+    def arm(self, server: str, channel: str) -> float:
+        """Delay of the retry timer the client must now start; 0.0 = in flight."""
+        key = (server, channel)
+        if key in self._armed:
+            return 0.0
+        self._armed.add(key)
+        return self._streams[key].link.timeout
+
+    def retry(
+        self, server: str, channel: str, now: float, held: bool
+    ) -> Tuple[int, Tuple[int, ...], float]:
+        """The retry timer fired: ``(epoch, due holes, delay to the next
+        firing)``.  A zero delay ends it: the stream was dropped, has no
+        holes, or the client no longer holds the server for the channel.
+        Each firing that no arrival preceded doubles the timeout, up to the
+        ceiling, and any arrival resets it -- per stream, not per hole: a
+        third attempt at one hole on a doubled clock parks the channel."""
+        stream = self._streams.get((server, channel))
+        if stream is None or not stream.missing or not held:
+            self._armed.discard((server, channel))
+            return 0, (), 0.0
+        ceiling, base = self._ceiling, stream.link.timeout
+        due = self._due(stream, now, min(ceiling, base * (stream.backoff or 1)))
+        stream.backoff = stream.backoff * 2 or 1
+        # Next firing: when the hole asked longest ago comes due again.
+        oldest = min([asked[0] for asked in stream.missing.values()])
+        return stream.epoch, due, oldest + min(ceiling, base * stream.backoff) - now
 
     def forget_through(self, server: str, channel: str, epoch: int, through_seq: int) -> int:
         """Broker said seqs <= through_seq are evicted: stop chasing them.
@@ -288,8 +374,9 @@ class SequenceStage:
         stream = self._streams.get((server, channel))
         if stream is None or stream.epoch != epoch:
             return 0
-        lost = {s for s in stream.missing if s <= through_seq}
-        stream.missing -= lost
+        lost = [seq for seq in stream.missing if seq <= through_seq]
+        for seq in lost:
+            del stream.missing[seq]
         return len(lost)
 
     def resume_point(self, server: str, channel: str) -> Tuple[int, int]:

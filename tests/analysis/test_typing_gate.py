@@ -2,13 +2,17 @@
 
 The pyproject ladder keeps legacy modules at ``ignore_errors`` while
 ``repro.sim.*``, ``repro.net.*``, ``repro.core.messages``,
-``repro.core.plan``, ``repro.core.reliability``, ``repro.obs.trace`` and
-``repro.obs.sla`` carry full strict flags.
+``repro.core.plan``, ``repro.core.reliability``, ``repro.broker.commands``,
+``repro.obs.trace`` and ``repro.obs.sla`` carry full strict flags.
 mypy is an optional tool (this repository takes no runtime third-party
 dependencies), so the gate skips where it is not installed -- CI installs
-it in the ``analysis`` job, which is where the gate is binding.
+it in the ``analysis`` job, which is where the gate is binding.  What
+needs no tool is checked everywhere: an ``ast`` walk holds every ``def`` in
+the strict set to complete annotations, the precondition
+``disallow_untyped_defs`` / ``disallow_incomplete_defs`` would enforce.
 """
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -25,16 +29,16 @@ STRICT_TARGETS = [
     "src/repro/core/messages.py",
     "src/repro/core/plan.py",
     "src/repro/core/reliability.py",
+    "src/repro/broker/commands.py",
     "src/repro/obs/trace.py",
     "src/repro/obs/sla.py",
 ]
 
-pytestmark = pytest.mark.skipif(
+
+@pytest.mark.skipif(
     importlib.util.find_spec("mypy") is None,
     reason="mypy not installed; the CI analysis job enforces this gate",
 )
-
-
 def test_strict_set_typechecks():
     env = dict(os.environ)
     env.pop("MYPYPATH", None)
@@ -47,3 +51,21 @@ def test_strict_set_typechecks():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_strict_set_is_completely_annotated():
+    unannotated = []
+    for target in STRICT_TARGETS:
+        path = ROOT / target
+        for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+                bare = [p.arg for p in params if p.annotation is None and p.arg not in ("self", "cls")]
+                if bare or node.returns is None:
+                    where = f"{source.relative_to(ROOT)}:{node.lineno} {node.name}"
+                    unannotated.append(f"{where}: {', '.join(bare) or 'return'}")
+    assert not unannotated, "\n".join(unannotated)

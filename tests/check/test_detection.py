@@ -18,6 +18,8 @@ class level (``repro.check.scenario._PLANTABLE_BUGS``).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.check import check_result, generate_scenario, run_scenario, shrink
 from repro.check.cli import main
 from repro.check.scenario import Scenario
@@ -164,3 +166,27 @@ def test_cli_catches_reliable_kill_switch_and_prints_replay(capsys, tmp_path):
     assert artifact.exists()
     # Replaying the written artifact reproduces the same violation.
     assert main(["--scenario", str(artifact), "--no-shrink"]) == 1
+
+
+# ----------------------------------------------------------------------
+# Known-red soak seed (ROADMAP control-plane item (ii)); not fixed here
+# ----------------------------------------------------------------------
+#: ``check-soak`` runs 200 seeds nightly and has been red on this one on
+#: every commit back to 82ceb73, on every tier.
+SOAK_RED_SEED = 52
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "plan-consistency: reader3 / reader4 still hold room:0 on removed server pub1. "
+        "pub1 crashes at 11.1; reader3 re-subscribes to room:0 on it at 14.7, 0.3 s before "
+        "anyone suspects it, and the SUBSCRIBE is dead-lettered; pub1 restarts at 17.0 never "
+        "having known the subscription and is decommissioned at 19.0; nothing -- ack "
+        "timeout, ping failover, decommission notice -- moves the client in the remaining "
+        "11 s.  Strict: this goes red the day the control plane fixes it."
+    ),
+)
+def test_soak_seed_52_subscription_stranded_on_a_decommissioned_server():
+    violations = check_result(run_scenario(generate_scenario(SOAK_RED_SEED)))
+    assert violations == []

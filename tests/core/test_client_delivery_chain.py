@@ -74,15 +74,34 @@ class TestComposition:
 class TestSequenceStageInTheChain:
     def test_gap_sends_one_replay_request_and_counts_it(self):
         sim, client = make_client(reliability=ReliabilityConfig("at_least_once"))
+        client.subscribe("ch", lambda channel, body, envelope: None)
         client.receive(stamped("a", 1, seq=1), "s1")
         client.receive(stamped("a", 4, seq=4), "s1")
         (request,) = client.transport.messages(ReplayRequest)
-        assert (request.channel, request.epoch) == ("ch", 1)
-        assert (request.after_seq, request.up_to_seq) == (1, 3)
+        assert request == ReplayRequest("ch", 1, (2, 3))
+        assert request.wire_size == 32 + 2 * 8
         assert client.gap_requests == 1
         assert client.delivered == 2
         client.receive(ReplayGapNotice("s1", "ch", 1, 3), "s1")
         assert client.unrecoverable == 2
+        # Written off, so the retry timer the request started finds no hole
+        # when it fires: it asks nothing further and is not rescheduled.
+        sim.run()
+        assert client.gap_requests == 1
+        assert sim.now == 1.0
+
+    def test_retry_timer_asks_again_until_the_hole_is_filled(self):
+        sim, client = make_client(reliability=ReliabilityConfig("at_least_once"))
+        client.subscribe("ch", lambda channel, body, envelope: None)
+        client.receive(stamped("a", 1, seq=1), "s1")
+        client.receive(stamped("a", 3, seq=3), "s1")
+        sim.run_until(2.5)  # nothing arrives: the timer fires at 1.0 and 2.0
+        assert client.transport.times(ReplayRequest) == [0.0, 1.0, 2.0]
+        assert client.transport.messages(ReplayRequest) == [ReplayRequest("ch", 1, (2,))] * 3
+        client.receive(stamped("a", 2, seq=2), "s1")
+        sim.run()
+        assert client.gap_requests == 3
+        assert sim.now == 3.0  # the firing that found no hole was the last
 
     def test_stale_replays_never_cycle_the_dedup_window(self, monkeypatch):
         """exactly_once drops a below-watermark seq *before* the msg-id

@@ -11,6 +11,8 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broker.commands import Delivery
 from repro.core.config import DynamothConfig
@@ -22,6 +24,7 @@ from repro.core.reliability import (
     ChannelReplayCache,
     ParkTimeout,
     ReliabilityConfig,
+    ReplaySlice,
     SequenceStage,
     reliability_config_from,
 )
@@ -111,24 +114,45 @@ class TestChannelReplayCache:
         assert cache.bytes_used == 0
         assert cache.floor == 2
 
-    def test_slice_after_selects_the_open_interval(self):
+    @staticmethod
+    def _filled(count: int, max_msgs: int) -> ChannelReplayCache:
         cache = ChannelReplayCache()
-        for seq in range(1, 7):
-            cache.add(_entry(seq), max_msgs=10, max_bytes=10**9)
-        result = cache.slice_after(2, 5)
+        for _ in range(count):
+            cache.add(_entry(cache.stamp()), max_msgs=max_msgs, max_bytes=10**9)
+        return cache
+
+    def test_slice_after_selects_the_open_interval(self):
+        """``select`` answers exactly the sequence numbers named: a resume's
+        run of everything newer, or a gap request's scattered holes."""
+        cache = self._filled(6, max_msgs=10)
+        result = cache.select(range(3, 6))
         assert [e.seq for e in result.entries] == [3, 4, 5]
         assert result.gap_through == 0
+        assert [e.seq for e in cache.select((2, 5)).entries] == [2, 5]
+        # Not stamped yet, or nothing asked: nothing to send, nothing lost.
+        assert cache.select((6, 7, 9)) == ReplaySlice((cache.entries[-1],), 0)
+        assert cache.select(()) == ReplaySlice()
 
     def test_slice_after_reports_evicted_gap(self):
-        cache = ChannelReplayCache()
-        for seq in range(1, 7):
-            cache.add(_entry(seq), max_msgs=2, max_bytes=10**9)
+        cache = self._filled(6, max_msgs=2)
         # Only 5, 6 remain; floor is 4.
-        result = cache.slice_after(1, 6)
+        result = cache.select(range(2, 7))
         assert [e.seq for e in result.entries] == [5, 6]
         assert result.gap_through == 4
+        assert cache.select((3, 6)) == ReplaySlice((cache.entries[1],), 4)
         # A request entirely above the floor reports no gap.
-        assert cache.slice_after(4, 6).gap_through == 0
+        assert cache.select((5, 6)).gap_through == 0
+
+    def test_select_indexes_where_the_scan_filtered(self):
+        """Every interval, at every eviction depth, selects what a scan of
+        the entries would: the cache is contiguous by construction."""
+        for max_msgs in (1, 3, 8):
+            cache = self._filled(8, max_msgs=max_msgs)
+            for low in range(0, 10):
+                for high in range(low, 11):
+                    seqs = range(low, high)
+                    scanned = tuple(e for e in cache.entries if e.seq in seqs)
+                    assert cache.select(seqs).entries == scanned
 
     def test_eviction_is_byte_identical_across_runs(self):
         """Satellite: two identical insertion sequences leave identical
@@ -169,18 +193,18 @@ class TestBrokerReliability:
         broker = BrokerReliability(_config(), epoch=3)
         for _ in range(5):
             broker.stamp_and_cache("a", "m", 10, 50)
-        result = broker.replay_slice("a", epoch=3, after_seq=1, up_to_seq=4)
+        result = broker.replay_slice("a", epoch=3, seqs=(2, 4))
         assert result is not None
-        assert [e.seq for e in result.entries] == [2, 3, 4]
+        assert [e.seq for e in result.entries] == [2, 4]
 
     def test_epoch_mismatch_returns_none(self):
         broker = BrokerReliability(_config(), epoch=2)
         broker.stamp_and_cache("a", "m", 10, 50)
-        assert broker.replay_slice("a", epoch=1, after_seq=0, up_to_seq=1) is None
+        assert broker.replay_slice("a", epoch=1, seqs=(1,)) is None
 
     def test_unknown_channel_returns_none(self):
         broker = BrokerReliability(_config(), epoch=1)
-        assert broker.replay_slice("ghost", epoch=1, after_seq=0, up_to_seq=5) is None
+        assert broker.replay_slice("ghost", epoch=1, seqs=(1, 2)) is None
 
 
 # ----------------------------------------------------------------------
@@ -203,30 +227,144 @@ class TestSequenceStage:
         assert stage.resume_point("s1", "a") == (7, 1)
 
     def test_gap_requests_the_missing_range(self):
+        """A hole is asked for by number, in the call that finds it."""
         stage = SequenceStage(_config())
         assert _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 5, 1, 0.1)) == [
             True,
-            (1, 4),
+            (2, 3, 4),
         ]
 
     def test_fill_shrinks_the_hole_and_requests_the_rest(self):
         stage = SequenceStage(_config())
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 5, 1, 0.1))
-        assert stage.observe("s1", "a", 3, 1, 2.0) == (1, 4)  # 2 and 4 still missing
-        # The cooldown suppresses the re-request.
+        # 2 and 4 are still missing and their request is a timeout old: they
+        # are named again, 3 (just filled) is not.
+        assert stage.observe("s1", "a", 3, 1, 2.0) == (2, 4)
+        # Asked a moment ago: the fill of 2 re-requests nothing.
         assert stage.observe("s1", "a", 2, 1, 2.0) is True
         stage.observe("s1", "a", 4, 1, 4.0)
         assert stage.resume_point("s1", "a") == (5, 1)
 
     def test_cooldown_suppresses_request_storms(self):
+        """The retry clock is per hole: one already asked for waits out its
+        own timeout, one found meanwhile is asked for at once."""
         stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
         assert _feed(
             stage,
             ("s1", "a", 1, 1, 0.0),
             ("s1", "a", 3, 1, 0.1),
             ("s1", "a", 4, 1, 0.5),
-            ("s1", "a", 5, 1, 1.2),
-        ) == [True, (1, 2), True, (1, 2)]
+            ("s1", "a", 6, 1, 0.6),
+            ("s1", "a", 7, 1, 1.0),
+            ("s1", "a", 8, 1, 1.2),
+            ("s1", "a", 9, 1, 1.6),
+        ) == [True, (2,), True, (5,), True, (2,), (5,)]
+
+    def test_timeout_is_measured_from_holes_asked_exactly_once(self):
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 4, 1, 1.0))  # asks 2, 3
+        link = stage._links["s1"]
+        assert (link.srtt, link.timeout) == (0.0, 1.0)  # the ceiling, until a sample
+        stage.observe("s1", "a", 2, 1, 1.08)
+        # First sample: srtt = R, rttvar = R / 2, timeout = srtt + 4 * rttvar.
+        assert link.srtt == pytest.approx(0.08) and link.rttvar == pytest.approx(0.04)
+        assert link.timeout == pytest.approx(0.24)
+        # 3 is re-asked at 1.3 and filled at 1.5: asked twice, so the fill
+        # cannot be matched to a request and is no sample (Karn's rule).
+        assert stage.observe("s1", "a", 5, 1, 1.3) == (3,)
+        assert stage.observe("s1", "a", 3, 1, 1.5) is True
+        assert (link.srtt, link.rttvar) == (pytest.approx(0.08), pytest.approx(0.04))
+        # A jitter-free link: rttvar decays, the floor holds srtt * 3 / 2.
+        for n in range(40):
+            seq = 7 + 2 * n
+            stage.observe("s1", "a", seq, 1, 2.0 + n)
+            stage.observe("s1", "a", seq - 1, 1, 2.08 + n)
+        assert link.rttvar < 0.001
+        assert link.timeout == pytest.approx(0.12)
+        # The estimator belongs to the link: another channel of s1 starts
+        # from it, another server does not.
+        _feed(stage, ("s1", "b", 1, 1, 50.0), ("s1", "b", 3, 1, 50.1), ("s2", "a", 1, 1, 50.0))
+        assert stage.observe("s1", "b", 4, 1, 50.3) == (2,)
+        assert stage._links["s2"].timeout == 1.0
+
+    def test_measured_timeout_never_exceeds_the_configured_ceiling(self):
+        stage = SequenceStage(_config(replay_retry_cooldown_s=0.5))
+        _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 3, 1, 1.0), ("s1", "a", 2, 1, 1.4))
+        assert stage._links["s1"].srtt == pytest.approx(0.4)
+        assert stage._links["s1"].timeout == 0.5
+
+    def test_straggler_from_an_older_boot_leaves_the_stream_alone(self):
+        """Regression: an epoch-1 delivery landing after epoch 2 began used
+        to reset the live stream (holes and watermark gone), and the next
+        epoch-2 delivery reset it again."""
+        for tier in ("at_least_once", "exactly_once"):
+            stage = SequenceStage(_config(delivery_tier=tier))
+            _feed(stage, ("s1", "a", 9, 1, 0.0), ("s1", "a", 1, 2, 1.0))
+            assert stage.observe("s1", "a", 4, 2, 1.1) == (2, 3)
+            # Handed on to msg-id dedup, whatever its number.
+            assert stage.observe("s1", "a", 10, 1, 1.2) is True
+            assert stage.observe("s1", "a", 3, 1, 1.2) is True
+            assert stage.resume_point("s1", "a") == (1, 2)
+            assert sorted(stage._streams[("s1", "a")].missing) == [2, 3]
+            assert stage.observe("s1", "a", 5, 2, 1.3) is True  # no reset, no re-ask
+
+    def test_retry_timer_asks_again_when_nothing_arrives(self):
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 3, 1, 2.0))
+        assert stage.arm("s1", "a") == 1.0
+        assert stage.arm("s1", "a") == 0.0  # one timer per stream
+        # Nothing arrived: the hole is due exactly when the timer fires.
+        assert stage.retry("s1", "a", 3.0, True) == (1, (2,), 1.0)
+        assert stage.retry("s1", "a", 4.0, True) == (1, (2,), 1.0)
+        # The fill ends it: the next firing finds no hole and stops.
+        assert stage.observe("s1", "a", 2, 1, 4.1) is True
+        assert stage.retry("s1", "a", 5.0, True) == (0, (), 0.0)
+        assert stage.arm("s1", "a") == 1.0  # a later hole starts a new one
+
+    def test_retry_timer_backs_off_on_silence_and_any_arrival_resets_it(self):
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 4, 1, 1.0), ("s1", "a", 2, 1, 1.08))
+        assert stage._links["s1"].timeout == pytest.approx(0.24)
+        delay = stage.arm("s1", "a")
+        fired, asked = 1.08, []
+        for _ in range(5):
+            fired += delay
+            _, seqs, delay = stage.retry("s1", "a", fired, True)
+            asked.append((round(fired, 2), seqs, round(delay, 2)))
+        # 3 was asked at 1.0.  The first firing follows an arrival (no
+        # doubling); each silent one after it doubles, up to the ceiling.
+        assert asked == [
+            (1.32, (3,), 0.24),
+            (1.56, (3,), 0.48),
+            (2.04, (3,), 0.96),
+            (3.0, (3,), 1.0),
+            (4.0, (3,), 1.0),
+        ]
+        # An arrival (here a duplicate) puts the timeout back on the link's.
+        stage.observe("s1", "a", 4, 1, 4.5)
+        assert stage.retry("s1", "a", 5.0, True) == (1, (3,), pytest.approx(0.24))
+
+    def test_retry_timer_stops_for_a_dropped_or_unheld_stream(self):
+        stage = SequenceStage(_config())
+        _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 3, 1, 0.1))
+        assert stage.arm("s1", "a") == 1.0
+        # The client no longer holds s1 for the channel: stop, ask nothing,
+        # keep the hole for the resume point.
+        assert stage.retry("s1", "a", 5.0, False) == (0, (), 0.0)
+        assert stage.resume_point("s1", "a") == (1, 1)
+        # Dropped with the timer in flight: it stops when it fires ...
+        assert stage.arm("s1", "a") == 1.0
+        stage.drop_channel("a")
+        assert stage.retry("s1", "a", 6.0, True) == (0, (), 0.0)
+        # ... unless the stream was rebuilt by then, which inherits it: a
+        # stream never has two timers.
+        _feed(stage, ("s1", "a", 1, 1, 6.0), ("s1", "a", 3, 1, 6.1))
+        assert stage.arm("s1", "a") == 1.0
+        stage.drop_channel("a")
+        _feed(stage, ("s1", "a", 1, 1, 6.5), ("s1", "a", 3, 1, 6.6))
+        assert stage.arm("s1", "a") == 0.0
+        assert stage.retry("s1", "a", 7.1, True) == (1, (), pytest.approx(0.5))
+        assert stage.retry("s1", "a", 7.6, True) == (1, (2,), 1.0)
 
     def test_stale_seq_drops_on_exactly_once_only(self):
         exactly = SequenceStage(_config(delivery_tier="exactly_once"))
@@ -270,6 +408,129 @@ class TestSequenceStage:
         stage.drop_channel("a")
         assert stage.resume_point("s1", "a") == (-1, -1)
         assert stage.resume_point("s1", "b") == (3, 1)  # other channels untouched
+
+
+# ----------------------------------------------------------------------
+# Gap repair as a property: the stage against a set-based reference
+# ----------------------------------------------------------------------
+class _RepairRun:
+    """One stream over a lossy link, the test playing client and broker.
+
+    The broker publishes ``count`` sequence numbers one ``period`` apart;
+    every message takes ``one_way`` seconds.  ``lost_*`` are consumed one
+    verdict per original delivery / request / replayed delivery and read
+    "arrives" once exhausted -- so arrivals continue, losslessly, after
+    the last drawn loss.  Every verdict and every request is checked
+    against ``seen``, a plain set of the sequence numbers that arrived.
+    """
+
+    def __init__(self, tier, lost_deliveries, lost_requests, lost_replays, period, one_way):
+        self.sim = Simulator()
+        self.stage = SequenceStage(_config(delivery_tier=tier, replay_retry_cooldown_s=0.5))
+        self.drops_stale = tier == "exactly_once"
+        self.lost = {
+            "delivery": list(lost_deliveries),
+            "request": list(lost_requests),
+            "replay": list(lost_replays),
+        }
+        self.one_way = one_way
+        self.seen = set()
+        self.asked_at = {}
+        self.delivered = []
+        self.timers = 0  # retry timers in flight: one while there are holes
+        #: enough lossless tail for every drawn request/replay loss to be
+        #: retried past at the ceiling, one at a time
+        tail = int((len(lost_requests) + len(lost_replays) + 3) * 0.5 / period) + 3
+        self.count = len(lost_deliveries) + tail
+        for index in range(self.count):
+            self.sim.schedule(index * period, self.publish, index + 1)
+        self.sim.run()
+
+    def arrives(self, kind):
+        draws = self.lost[kind]
+        return not (draws and draws.pop(0))
+
+    def publish(self, seq):
+        if self.arrives("delivery"):
+            self.sim.schedule(self.one_way, self.arrive, seq)
+
+    def arrive(self, seq):
+        now = self.sim.now
+        fresh = seq not in self.seen
+        verdict = self.stage.observe("s", "ch", seq, 1, now)
+        self.seen.add(seq)
+        assert (verdict is not False) == (fresh or not self.drops_stale)
+        if verdict is not False:
+            self.delivered.append(seq)
+        if verdict not in (True, False):
+            self.request(verdict)
+            delay = self.stage.arm("s", "ch")
+            if delay:
+                self.timers += 1
+                assert self.timers == 1
+                self.sim.schedule(delay, self.fire)
+
+    def fire(self):
+        epoch, seqs, delay = self.stage.retry("s", "ch", self.sim.now, True)
+        if seqs:
+            assert epoch == 1
+            self.request(seqs)
+        if delay:
+            self.sim.schedule(delay, self.fire)
+        else:
+            self.timers -= 1
+            assert not self.stage._streams[("s", "ch")].missing
+
+    def request(self, seqs):
+        now = self.sim.now
+        timeout = self.stage._links["s"].timeout  # the shortest that can be in force
+        assert seqs and list(seqs) == sorted(set(seqs))
+        for seq in seqs:
+            assert seq not in self.seen and min(self.seen) < seq < max(self.seen)
+            assert self.asked_at.get(seq, float("-inf")) + timeout <= now
+            self.asked_at[seq] = now
+        if self.arrives("request"):
+            self.sim.schedule(self.one_way, self.replay, seqs)
+
+    def replay(self, seqs):
+        for seq in seqs:
+            if self.arrives("replay"):
+                self.sim.schedule(self.one_way, self.arrive, seq)
+
+
+class TestRepairProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        tier=st.sampled_from(["at_least_once", "exactly_once"]),
+        lost_deliveries=st.lists(st.booleans(), max_size=40),
+        lost_requests=st.lists(st.booleans(), max_size=8),
+        lost_replays=st.lists(st.booleans(), max_size=8),
+        period=st.floats(min_value=0.02, max_value=0.3),
+        one_way=st.floats(min_value=0.005, max_value=0.2),
+    )
+    def test_only_holes_are_asked_for_on_the_clock_and_all_are_filled(
+        self, tier, lost_deliveries, lost_requests, lost_replays, period, one_way
+    ):
+        run = _RepairRun(tier, lost_deliveries, lost_requests, lost_replays, period, one_way)
+        joined = min(run.seen)
+        owed = list(range(joined, run.count + 1))
+        # Every hole was filled once arrivals continued ...
+        assert sorted(run.seen) == owed
+        assert not run.stage._streams[("s", "ch")].missing and run.timers == 0
+        assert run.stage.resume_point("s", "ch") == (run.count, 1)
+        # ... and the application saw each number at least / exactly once.
+        assert sorted(set(run.delivered)) == owed
+        if tier == "exactly_once":
+            assert len(run.delivered) == len(owed)
+
+    def test_the_reference_run_exercises_every_loss(self):
+        """The harness itself: a drawn loss of each kind costs a retry."""
+        run = _RepairRun(
+            "exactly_once", [False, True, False, True, False], [True], [False, True], 0.1, 0.04
+        )
+        assert sorted(run.delivered) == [1, 2, 3, 4, 5] + list(range(6, run.count + 1))
+        assert sorted(run.asked_at) == [2, 4]
+        assert not any(run.lost.values())
 
 
 # ----------------------------------------------------------------------

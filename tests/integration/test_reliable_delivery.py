@@ -1,6 +1,6 @@
 """Reliable-delivery tier, end to end: reconnect replay, lossy-link
-repair, truthful eviction, zero-budget degradation, and the dedup-window
-regression.
+repair, the retry timer of a stream gone quiet, truthful eviction,
+zero-budget degradation, and the dedup-window regression.
 
 These tests drive the full broker/client stack (real transport, real
 reconnect path) rather than the unit-level state machines covered by
@@ -12,7 +12,7 @@ gap replay.
 
 from __future__ import annotations
 
-from repro.broker.commands import Delivery
+from repro.broker.commands import Delivery, ReplayRequest
 from repro.check.scenario import Scenario, _planted_bugs
 from repro.core.client import DynamothClient
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
@@ -146,6 +146,78 @@ class TestLossyLink:
             delivered, replayed = _lossy_window_run(tier)
             assert delivered >= lossy
             assert replayed > 0
+
+
+def _quiet_stream_run():
+    """m1 arrives, m2 is lost on the subscriber's link, m3 arrives and
+    finds the hole -- and the ReplayRequest that asks for m2 is lost too.
+    Then nothing is published.  Returns (cluster, subscriber, received
+    bodies, home server id, time the hole was found)."""
+    cluster = _cluster(DynamothConfig(delivery_tier="exactly_once"))
+    home = cluster.plan.ring.lookup("arena")
+    got = []
+    sub = cluster.create_client("sub")
+    sub.subscribe("arena", lambda ch, body, env: got.append(body))
+    pub = cluster.create_client("pub")
+    FaultInjector(
+        cluster, ChaosSchedule((DegradeLink(2.0, "sub", home, loss=1.0, until=2.5),))
+    ).arm()
+    wire_send, dropped = sub.send, []
+
+    def lose_the_first_request(dst, message, size):
+        if isinstance(message, ReplayRequest) and not dropped:
+            dropped.append(message)
+        else:
+            wire_send(dst, message, size)
+
+    vars(sub)["send"] = lose_the_first_request
+    for at, body in ((1.0, "m1"), (2.1, "m2"), (3.0, "m3")):
+        cluster.sim.schedule_at(at, pub.publish, "arena", body, 60)
+    found = []
+    sub.on_wire_delivery = lambda ch, delivery: found.append(cluster.sim.now)
+    cluster.run_until(3.5)
+    assert got == ["m1", "m3"] and dropped == [ReplayRequest("arena", 1, (2,))]
+    assert sub.gap_requests == 1
+    return cluster, sub, got, home, found[-1]
+
+
+class TestQuietStreamRepair:
+    def test_a_lost_request_is_retried_when_nothing_arrives(self):
+        """Regression: the retry used to wait for the stream's next
+        arrival, so a hole on a stream that went quiet stayed open."""
+        cluster, sub, got, home, found_at = _quiet_stream_run()
+        ceiling = cluster.config.replay_retry_cooldown_s
+        cluster.run_until(found_at + ceiling - 0.001)
+        assert got == ["m1", "m3"] and sub.gap_requests == 1
+        cluster.run_until(found_at + ceiling + 0.25)  # one WAN round trip
+        assert got == ["m1", "m3", "m2"]
+        assert sub.gap_requests == 2
+        # Filled: the timer stops, and five quiet seconds ask nothing more.
+        cluster.run_for(5.0)
+        assert sub.gap_requests == 2
+        assert cluster.servers[home].reliability.replayed_messages == 1
+
+    def test_dropping_the_channel_ends_the_retry_timer(self):
+        cluster, sub, got, home, _ = _quiet_stream_run()
+        sub.unsubscribe("arena")
+        cluster.run_for(5.0)
+        assert got == ["m1", "m3"] and sub.gap_requests == 1
+
+    def test_detaching_the_server_ends_the_retry_timer(self):
+        cluster, sub, got, home, _ = _quiet_stream_run()
+        assert sub._detach_server(home) == ["arena"]
+        cluster.run_for(5.0)
+        assert got == ["m1", "m3"] and sub.gap_requests == 1
+        # The hole is still the resume point: a re-SUBSCRIBE fills it.
+        sub.subscribe("arena", sub._subs["arena"].callback)
+        cluster.run_for(1.0)
+        assert got == ["m1", "m3", "m2"] and sub.gap_requests == 1
+
+    def test_a_client_that_left_is_not_woken_by_its_timer(self):
+        cluster, sub, got, home, _ = _quiet_stream_run()
+        sub.disconnect()
+        cluster.run_for(5.0)
+        assert sub.gap_requests == 1
 
 
 class TestEvictionTruthfulness:
