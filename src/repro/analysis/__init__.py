@@ -27,9 +27,8 @@ CFG001    config fields referenced by name must exist
 ========  ===========================================================
 
 The engine caches per-file results keyed on content hash, honours
-``# repro: allow[RULE]`` inline suppressions and a committed baseline of
-grandfathered findings, and emits ruff-style ``path:line:col: RULE
-message`` diagnostics (``--format=json`` for CI artifacts).  It
+``# repro: allow[RULE]`` inline suppressions (the one escape hatch) and
+emits ruff-style ``path:line:col: RULE message`` diagnostics (``--format=json`` for CI artifacts).  It
 self-hosts: the repository must check clean at every merge.
 """
 

@@ -6,10 +6,6 @@ one combination of (engine version, active rule set, config, project
 facts) -- a change to any of those rotates ``context_key`` and the whole
 cache is discarded, which is the simple-and-correct invalidation story
 for a tool whose full run takes single-digit seconds.
-
-Baseline filtering deliberately happens *after* the cache: the baseline
-file can change without touching sources, and cached entries must keep
-yielding the same pre-baseline diagnostics.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from repro.analysis.diagnostics import Diagnostic
 
 #: Bump when diagnostics change shape or rules change semantics in ways
 #: the config/facts keys cannot see.
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 
 def content_hash(source: str) -> str:
@@ -80,7 +76,7 @@ class ResultCache:
     ) -> None:
         self._entries[rel_path] = {
             "hash": source_hash,
-            "diagnostics": [d.cache_dict() for d in diagnostics],
+            "diagnostics": [d.to_dict() for d in diagnostics],
         }
         self._dirty = True
 

@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``check [paths...]``
     Analyze files/directories (default: ``src``).  Exit 0 when clean,
-    1 when findings remain after suppressions and baseline, 2 on usage
+    1 when findings remain after inline suppressions, 2 on usage
     or internal errors.  ``--format=json`` emits a machine-readable
     report (the CI artifact); text output is ruff-shaped
     ``path:line:col: RULE message`` lines.
@@ -12,12 +12,6 @@ Subcommands
 ``explain [RULE]``
     Print the full rationale for one rule, or the catalogue when no rule
     is given.
-
-``baseline [paths...]``
-    Record the current findings as grandfathered.  The committed
-    baseline of this repository is empty -- the tree lint-clean -- and
-    the self-host test keeps it that way; the subcommand exists for
-    adopting new rules on older trees.
 
 ``bisect LEFT.jsonl RIGHT.jsonl`` / ``bisect --seed N``
     Localize the first diverging event between two trace files by
@@ -36,9 +30,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Sequence, Set
+from typing import Optional, Sequence, TextIO
 
-from repro.analysis.baseline import write_baseline
 from repro.analysis.bisect import bisect_traces, format_divergence
 from repro.analysis.config import find_project_root
 from repro.analysis.engine import AnalysisEngine, CheckReport
@@ -71,24 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ignore and do not update the per-file result cache",
     )
     check.add_argument("--root", default=None, help="project root (default: auto)")
-    check.add_argument(
-        "--changed-only",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="only lint files differing from the given git ref "
-        "(default ref: HEAD); untracked files count as changed",
-    )
 
     explain = sub.add_parser("explain", help="explain a rule (or list all)")
     explain.add_argument("rule", nargs="?", default=None, help="rule ID, e.g. DET003")
-
-    baseline = sub.add_parser(
-        "baseline", help="record current findings as grandfathered"
-    )
-    baseline.add_argument("paths", nargs="*", default=["src"])
-    baseline.add_argument("--root", default=None)
 
     bisect = sub.add_parser(
         "bisect", help="localize the first diverging event between two traces"
@@ -127,27 +105,24 @@ def _make_engine(root_arg: Optional[str]) -> AnalysisEngine:
     return AnalysisEngine(root)
 
 
-def _emit_text(report: CheckReport, stream) -> None:
+def _emit_text(report: CheckReport, stream: TextIO) -> None:
     for diagnostic in report.diagnostics:
         print(diagnostic.format(), file=stream)
     summary = (
         f"{len(report.diagnostics)} finding(s) in "
         f"{report.files_analyzed} file(s)"
     )
-    if report.baselined:
-        summary += f"; {report.baselined} baselined"
     if report.cache_hits or report.cache_misses:
         summary += f" [cache {report.cache_hits} hit / {report.cache_misses} miss]"
     print(summary, file=stream)
 
 
-def _emit_json(report: CheckReport, stream) -> None:
+def _emit_json(report: CheckReport, stream: TextIO) -> None:
     payload = {
         "diagnostics": [d.to_dict() for d in report.diagnostics],
         "summary": {
             "files_analyzed": report.files_analyzed,
             "findings": len(report.diagnostics),
-            "baselined": report.baselined,
             "cache": {
                 "hits": report.cache_hits,
                 "misses": report.cache_misses,
@@ -158,53 +133,9 @@ def _emit_json(report: CheckReport, stream) -> None:
     stream.write("\n")
 
 
-def _changed_files(root: Path, ref: str) -> Optional[Set[str]]:
-    """Repo-relative paths differing from ``ref`` (plus untracked files).
-
-    Returns ``None`` when git is unavailable or errors -- the caller
-    then analyzes everything rather than silently skipping files.
-    """
-    changed: Set[str] = set()
-    for argv in (
-        ["git", "-C", str(root), "diff", "--name-only", ref],
-        ["git", "-C", str(root), "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=30
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            return None
-        changed.update(
-            line.strip() for line in proc.stdout.splitlines() if line.strip()
-        )
-    return changed
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     engine = _make_engine(args.root)
-    paths: List[Path] = [Path(p) for p in args.paths]
-    if args.changed_only is not None:
-        changed = _changed_files(engine.root, args.changed_only)
-        if changed is None:
-            print(
-                "warning: --changed-only requires a working git checkout; "
-                "analyzing all paths",
-                file=sys.stderr,
-            )
-        else:
-            discovered = engine.discover(paths)
-            paths = [
-                path
-                for path in discovered
-                if engine._rel(path) in changed
-            ]
-            if not paths:
-                print("0 finding(s) in 0 file(s) [--changed-only]")
-                return EXIT_CLEAN
-    report = engine.check(paths, use_cache=not args.no_cache)
+    report = engine.check([Path(p) for p in args.paths], use_cache=not args.no_cache)
     if args.fmt == "json":
         _emit_json(report, sys.stdout)
     else:
@@ -224,18 +155,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print(f"unknown rule {args.rule!r}; known rules: {known}", file=sys.stderr)
         return EXIT_ERROR
     print(rule_cls.explain())
-    return EXIT_CLEAN
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    engine = _make_engine(args.root)
-    report = engine.check([Path(p) for p in args.paths], use_cache=False)
-    path = engine.root / engine.config.baseline
-    entries = write_baseline(path, report.raw)
-    print(
-        f"baseline: {entries} fingerprint(s) covering "
-        f"{len(report.raw)} finding(s) -> {path}"
-    )
     return EXIT_CLEAN
 
 
@@ -321,7 +240,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {
         "check": _cmd_check,
         "explain": _cmd_explain,
-        "baseline": _cmd_baseline,
         "bisect": _cmd_bisect,
     }
     try:

@@ -140,8 +140,6 @@ class AnalysisConfig:
 
     enable: Tuple[str, ...] = DEFAULT_RULES
     disable: Tuple[str, ...] = ()
-    #: committed file of grandfathered finding fingerprints
-    baseline: str = "analysis-baseline.txt"
     #: per-file result cache keyed on content hash (never committed)
     cache: str = ".repro-analysis-cache.json"
     #: directories skipped during discovery (explicit file arguments are

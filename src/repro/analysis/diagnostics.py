@@ -3,16 +3,11 @@
 A :class:`Diagnostic` is one finding at one source location.  Text output
 follows ruff's ``path:line:col: RULE message`` shape so editors and CI log
 scrapers that already understand ruff pick these up for free; ``to_dict``
-is the JSON-artifact form.
-
-The *fingerprint* identifies a finding independently of its line number
-(the source line text stands in for the position), so a committed baseline
-survives unrelated edits above a grandfathered finding.
+is the JSON-artifact form and what the result cache stores.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict
 
@@ -30,9 +25,6 @@ class Diagnostic:
     #: rule identifier, e.g. ``DET001``
     rule: str
     message: str
-    #: the stripped source line, used for line-number-insensitive
-    #: baseline fingerprints
-    source: str = ""
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -44,7 +36,6 @@ class Diagnostic:
             "col": self.col,
             "rule": self.rule,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
         }
 
     @classmethod
@@ -55,24 +46,7 @@ class Diagnostic:
             col=int(data["col"]),
             rule=str(data["rule"]),
             message=str(data["message"]),
-            source=str(data.get("source", "")),
         )
-
-    def cache_dict(self) -> Dict[str, Any]:
-        """Like :meth:`to_dict` but keeps ``source`` (cache round-trips)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "source": self.source,
-        }
-
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number-free)."""
-        payload = f"{self.path}::{self.rule}::{self.source}".encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def sort_key(diagnostic: Diagnostic) -> tuple:

@@ -1,11 +1,10 @@
-"""Analysis engine: discovery, scoping, suppression, caching, baseline.
+"""Analysis engine: discovery, scoping, suppression, caching.
 
 Pipeline per file::
 
     source --parse--> tree --rules(applies by scope)--> findings
            --inline `# repro: allow[RULE]` filter--> diagnostics
            --cache store--> (on later runs: cache lookup by content hash)
-    all diagnostics --baseline subtraction--> reported findings
 
 Scopes come from the config globs plus ``# repro: scope[TAG]`` pragmas in
 the first :data:`~repro.analysis.config.PRAGMA_SCAN_LINES` lines, so a
@@ -25,12 +24,11 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.cache import ResultCache, content_hash, context_key
 from repro.analysis.config import PRAGMA_SCAN_LINES, AnalysisConfig
 from repro.analysis.diagnostics import Diagnostic, sort_key
@@ -53,13 +51,9 @@ class CheckReport:
     """Everything one ``check`` run learned."""
 
     diagnostics: List[Diagnostic]
-    #: findings hidden by the committed baseline
-    baselined: int = 0
     files_analyzed: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: pre-baseline diagnostics (what ``baseline`` records)
-    raw: List[Diagnostic] = field(default_factory=list)
 
 
 class AnalysisEngine:
@@ -152,7 +146,6 @@ class AnalysisEngine:
                     col=(exc.offset or 1),
                     rule="PARSE",
                     message=f"file does not parse: {exc.msg}",
-                    source="",
                 )
             ]
         lines = source.splitlines()
@@ -171,11 +164,6 @@ class AnalysisEngine:
             for finding in rule.check(ctx):
                 if rule.ID in allows.get(finding.line, frozenset()):
                     continue
-                source_line = (
-                    lines[finding.line - 1].strip()
-                    if 1 <= finding.line <= len(lines)
-                    else ""
-                )
                 diagnostics.append(
                     Diagnostic(
                         path=rel_path,
@@ -183,7 +171,6 @@ class AnalysisEngine:
                         col=finding.col + 1,
                         rule=rule.ID,
                         message=finding.message,
-                        source=source_line,
                     )
                 )
         # de-duplicate (cross-scope rules can re-derive the same hit)
@@ -206,7 +193,7 @@ class AnalysisEngine:
                     self.config.content_hash_parts(), self.facts.cache_key()
                 ),
             )
-        raw: List[Diagnostic] = []
+        found: List[Diagnostic] = []
         for path in files:
             try:
                 source = path.read_text(encoding="utf-8")
@@ -221,19 +208,15 @@ class AnalysisEngine:
                 diagnostics = self.analyze_source(rel, source)
                 if cache is not None:
                     cache.store(rel, digest, diagnostics)
-            raw.extend(diagnostics)
+            found.extend(diagnostics)
         if cache is not None:
             cache.save()
-        baseline = load_baseline(self.root / self.config.baseline)
-        kept, suppressed = apply_baseline(raw, baseline)
-        kept.sort(key=sort_key)
+        found.sort(key=sort_key)
         return CheckReport(
-            diagnostics=kept,
-            baselined=suppressed,
+            diagnostics=found,
             files_analyzed=len(files),
             cache_hits=cache.hits if cache is not None else 0,
             cache_misses=cache.misses if cache is not None else 0,
-            raw=sorted(raw, key=sort_key),
         )
 
 

@@ -34,14 +34,14 @@ from repro.core.messages import (
     ServerSpawned,
 )
 from repro.core.metrics import ClusterLoadView
-from repro.core.plan import Plan
+from repro.core.plan import ChannelMapping, Plan
 from repro.core.policy import (
     PolicyContext,
     RebalancePolicy,
     make_policy,
     repair_mappings,
 )
-from repro.core.stragglers import StragglerTracker
+from repro.core.stragglers import StragglerRegistry
 from repro.obs.trace import (
     NULL_TRACER,
     DecommissionEvent,
@@ -130,7 +130,7 @@ class LoadBalancer(Actor):
         #: MappingNotice broadcasts sent under the eager-push strawman
         self.eager_notices_sent = 0
         #: recently displaced servers per channel, shipped with each push
-        self._stragglers = StragglerTracker(config.plan_entry_timeout_s)
+        self._stragglers = StragglerRegistry(config.plan_entry_timeout_s)
 
         # --- heartbeat failure detection (repro.faults recovery path) ---
         #: servers confirmed dead and not yet resurrected
@@ -276,22 +276,12 @@ class LoadBalancer(Actor):
             self.events.append(BalancerEvent(now, "decommission", server_id))
 
         if decision.mappings or decision.decommission:
-            previous_plan = self.plan
-            self.plan = self.plan.evolve(
-                mappings=decision.mappings, active_servers=tuple(self.active_servers)
-            )
-            self._stragglers.record_plan_change(previous_plan, self.plan, now)
-            self._stragglers.prune(now)
-            self._emit_plan_events(
-                previous_plan,
+            self._adopt(
+                decision.mappings,
                 now,
                 decommissioned=tuple(decision.decommission),
                 spawn_requested=decision.spawn_servers > 0,
             )
-            self._push_plan(extra_recipients=decision.decommission)
-            if self.config.eager_plan_push:
-                self._eager_push(previous_plan)
-            self._last_plan_time = now
             self.events.append(
                 BalancerEvent(
                     now,
@@ -332,42 +322,58 @@ class LoadBalancer(Actor):
             allow_scale_down=allow_scale_down,
         )
 
-    def _emit_plan_events(
+    def _adopt(
         self,
-        previous_plan: Plan,
+        mappings: Dict[str, ChannelMapping],
         now: float,
         *,
         decommissioned: Tuple[str, ...] = (),
         spawn_requested: bool = False,
     ) -> None:
-        """Trace one adopted plan: generation record plus per-channel moves."""
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        changed = previous_plan.diff(self.plan)
-        tracer.emit(
-            PlanGeneratedEvent(
-                now,
-                self.plan.version,
-                tuple(changed),
-                decommissioned,
-                spawn_requested,
-            )
+        """Make ``mappings`` part of the current plan and tell the cluster.
+
+        The one path every plan change takes, rebalance and repair alike:
+        evolve the plan, diff it once, record the displaced servers as
+        stragglers (never a confirmed-dead one), trace the change, push it
+        to every dispatcher (and the ``decommissioned`` ones, which keep
+        forwarding through the grace window) and, under the eager-push
+        strawman, to every client.
+        """
+        previous_plan = self.plan
+        plan = self.plan = previous_plan.evolve(
+            mappings=mappings, active_servers=tuple(self.active_servers)
         )
-        for channel, (old, new) in changed.items():
+        changed = previous_plan.diff(plan)
+        stragglers = self._stragglers
+        stragglers.record(changed, now)
+        if self.failed_servers:
+            stragglers.drop_dead(self.failed_servers)
+        stragglers.prune(now)
+        tracer = self._tracer
+        if tracer.enabled:
             tracer.emit(
-                MigrationStartEvent(
-                    now,
-                    self.plan.version,
-                    channel,
-                    tuple(old.servers),
-                    tuple(new.servers),
-                    new.mode.value,
+                PlanGeneratedEvent(
+                    now, plan.version, tuple(changed), decommissioned, spawn_requested
                 )
             )
-        tracer.metrics.counter("plans_generated_total").inc()
-        tracer.metrics.gauge("plan_version").set(self.plan.version)
-        tracer.metrics.gauge("plan_size").set(len(self.plan.explicit_channels()))
+            for channel, (old, new) in changed.items():
+                tracer.emit(
+                    MigrationStartEvent(
+                        now,
+                        plan.version,
+                        channel,
+                        tuple(old.servers),
+                        tuple(new.servers),
+                        new.mode.value,
+                    )
+                )
+            tracer.metrics.counter("plans_generated_total").inc()
+            tracer.metrics.gauge("plan_version").set(plan.version)
+            tracer.metrics.gauge("plan_size").set(len(plan.explicit_channels()))
+        self._push_plan(extra_recipients=decommissioned)
+        if self.config.eager_plan_push:
+            self._eager_push(changed)
+        self._last_plan_time = now
 
     # ------------------------------------------------------------------
     # Heartbeat failure detection & plan repair (repro.faults subsystem)
@@ -442,17 +448,8 @@ class LoadBalancer(Actor):
         )
         if self._tracer.enabled:
             self._tracer.emit(PlanRepairStartEvent(now, dead_id, tuple(mappings)))
-        previous_plan = self.plan
-        self.plan = previous_plan.evolve(
-            mappings=mappings, active_servers=tuple(self.active_servers)
-        )
-        self._stragglers.record_plan_change(previous_plan, self.plan, now)
-        self._drop_failed_stragglers()
-        self._stragglers.prune(now)
         self.view.forget_server(dead_id)
-        self._emit_plan_events(previous_plan, now)
-        self._push_plan()
-        self._last_plan_time = now
+        self._adopt(mappings, now)
         self.events.append(
             BalancerEvent(
                 now, "repair", f"{dead_id} -> v{self.plan.version}: {len(mappings)} channels"
@@ -460,13 +457,6 @@ class LoadBalancer(Actor):
         )
         if self._tracer.enabled:
             self._tracer.emit(PlanRepairDoneEvent(now, dead_id, self.plan.version))
-
-    def _drop_failed_stragglers(self) -> None:
-        """Forwarding toward a dead server is wasted egress: stop it."""
-        for channel, registry in self._stragglers.snapshot().items():
-            for server_id in registry:
-                if server_id in self.failed_servers:
-                    self._stragglers.drain(channel, server_id)
 
     def _on_server_resurrected(self, server_id: str) -> None:
         now = self.sim.now
@@ -493,7 +483,7 @@ class LoadBalancer(Actor):
             self._tracer.emit(SpawnRequestEvent(self.sim.now))
         self._cloud.request_spawn()
 
-    def _push_plan(self, extra_recipients: List[str] = ()) -> None:
+    def _push_plan(self, extra_recipients: Tuple[str, ...] = ()) -> None:
         if self.plan_history[-1][1] is not self.plan:
             self.plan_history.append((self.sim.now, self.plan))
         push = PlanPush(
@@ -508,13 +498,14 @@ class LoadBalancer(Actor):
                 PlanPushedEvent(self.sim.now, self.plan.version, tuple(recipients))
             )
 
-    def _eager_push(self, previous_plan: Plan) -> None:
+    def _eager_push(
+        self, changed: Dict[str, Tuple[ChannelMapping, ChannelMapping]]
+    ) -> None:
         """Strawman propagation: notify *every* client of every change.
 
         This is what the paper's lazy scheme avoids; the ablation
         benchmark uses it to quantify the message overhead and spikes.
         """
-        changed = previous_plan.diff(self.plan)
         if not changed:
             return
         client_ids = getattr(self._cloud, "all_client_ids", lambda: [])()

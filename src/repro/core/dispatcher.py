@@ -44,6 +44,7 @@ from repro.core.messages import (
     SwitchNotice,
 )
 from repro.core.plan import ChannelMapping, Plan, ReplicationMode
+from repro.core.stragglers import StragglerRegistry
 from repro.obs.trace import (
     NULL_TRACER,
     PlanAppliedEvent,
@@ -118,17 +119,13 @@ class Dispatcher(Actor):
         self._watch: Dict[str, _Watch] = {}
         #: the balancer node id, learned from plan pushes (drain
         #: announcements are copied there so the balancer's own straggler
-        #: tracker stops re-seeding drained entries into future pushes)
+        #: registry stops re-seeding drained entries into future pushes)
         self._balancer_id = None
-        #: straggler registry: channel -> {server: forwarding deadline}.
-        #: A server appears here if a recent plan change made it an *old*
-        #: server for the channel -- it may still hold subscribers that
-        #: have not reconciled.  Every dispatcher maintains this from the
-        #: full plan stream, so forwarding survives *chained* migrations
+        #: servers that may still hold unreconciled subscribers, kept from
+        #: the full plan stream so forwarding survives *chained* migrations
         #: (pub1 -> pub2 -> pub3 while a subscriber is still stuck behind
-        #: pub1's congested downlink).  Entries are dropped on a
-        #: NoMoreSubscribers broadcast or when the deadline passes.
-        self._stragglers: Dict[str, Dict[str, float]] = {}
+        #: pub1's congested downlink)
+        self._stragglers = StragglerRegistry(plan_entry_timeout_s, server.node_id)
         #: channel -> plan version for which a switch notice went out
         self._switch_sent: Dict[str, int] = {}
         #: resolved-mapping cache; cleared on every plan push (avoids a
@@ -177,41 +174,6 @@ class Dispatcher(Actor):
             self._mapping_cache[channel] = cached
         return cached
 
-    def _straggler_targets(self, channel: str, mapping: ChannelMapping) -> list:
-        """Straggler servers that still need forwarded copies (pruned)."""
-        registry = self._stragglers.get(channel)
-        if not registry:
-            return []
-        now = self.sim.now
-        my_id = self.server.node_id
-        targets = []
-        for server, deadline in list(registry.items()):
-            if deadline <= now or server in self._failed:
-                del registry[server]
-                continue
-            if server == my_id:
-                continue
-            if (
-                server in mapping.servers
-                and mapping.mode is not ReplicationMode.ALL_SUBSCRIBERS
-            ):
-                # a mapping member receives the traffic directly
-                continue
-            targets.append(server)
-        if not registry:
-            del self._stragglers[channel]
-        return targets
-
-    def _prune_failed_stragglers(self) -> None:
-        """Forwarding toward a confirmed-dead server is wasted egress."""
-        for channel in list(self._stragglers):
-            registry = self._stragglers[channel]
-            for server in list(registry):
-                if server in self._failed:
-                    del registry[server]
-            if not registry:
-                del self._stragglers[channel]
-
     def _forward_targets(self, mapping: ChannelMapping) -> tuple:
         """Servers a misrouted publication must be forwarded to."""
         if mapping.mode is ReplicationMode.ALL_PUBLISHERS:
@@ -239,9 +201,11 @@ class Dispatcher(Actor):
             ).inc()
 
     def _maybe_switch_notice(self, channel: str, mapping: ChannelMapping) -> None:
-        """Publish a switch notice locally, once per (channel, version)."""
-        if self._switch_sent.get(channel, -1) >= mapping.version:
-            return
+        """Publish a switch notice locally if anyone here still listens.
+
+        Callers test ``_switch_sent`` first: a notice goes out once per
+        (channel, version).
+        """
         if self.server.subscriber_count(channel) == 0:
             return
         self._switch_sent[channel] = mapping.version
@@ -278,14 +242,11 @@ class Dispatcher(Actor):
                 # stop targeting dead servers immediately.
                 self._failed = failed
                 self._mapping_cache.clear()
-                self._prune_failed_stragglers()
+                if failed:
+                    self._stragglers.drop_dead(failed)
             self._handle_plan(message.plan, message.stragglers)
         elif isinstance(message, NoMoreSubscribers):
-            registry = self._stragglers.get(message.channel)
-            if registry is not None:
-                registry.pop(message.server_id, None)
-                if not registry:
-                    del self._stragglers[message.channel]
+            self._stragglers.drain(message.channel, message.server_id)
         else:
             raise TypeError(f"{self.node_id}: unexpected message {type(message).__name__}")
 
@@ -304,35 +265,16 @@ class Dispatcher(Actor):
         if pushed_stragglers:
             # Merge the balancer's plan-history view: it covers moves that
             # happened before this dispatcher existed (chained migrations).
-            my = self.server.node_id
-            for channel, entries in pushed_stragglers.items():
-                registry = self._stragglers.setdefault(channel, {})
-                for server, deadline in entries.items():
-                    if server != my and registry.get(server, 0.0) < deadline:
-                        registry[server] = deadline
+            self._stragglers.merge(pushed_stragglers)
+        # Every dispatcher records the displaced servers, involved or not:
+        # a later plan change may put this server into the channel's
+        # mapping, and it must then keep forwarding toward *all* earlier
+        # homes that still hold unreconciled subscribers.
+        now = self.sim.now
+        self._stragglers.record(changed, now)
 
         my_id = self.server.node_id
-        now = self.sim.now
         for channel, (old, new) in changed.items():  # diff order is sorted
-            # Every dispatcher records the displaced servers as potential
-            # stragglers, regardless of its own involvement: a later plan
-            # change may put this server into the channel's mapping, and
-            # it must then keep forwarding toward *all* earlier homes that
-            # still hold unreconciled subscribers (chained migrations).
-            # Under all-subscribers, old servers that stay in the replica
-            # set are stragglers too -- a subscriber holding only the old
-            # replica misses publications landing on the new ones; under
-            # the other modes publishers cover shared servers directly.
-            sources = set(old.servers)
-            if new.mode is not ReplicationMode.ALL_SUBSCRIBERS:
-                sources -= set(new.servers)
-            if sources:
-                registry = self._stragglers.setdefault(channel, {})
-                deadline = now + self._timeout
-                for server in sorted(sources):
-                    if registry.get(server, 0.0) < deadline:
-                        registry[server] = deadline
-
             if (
                 self._buffer_window > 0.0
                 and self._buffer_max > 0
@@ -396,7 +338,6 @@ class Dispatcher(Actor):
             # Final nudge: the channel went quiet during the whole window,
             # so no publication carried the switch notice.  Emit one now so
             # the remaining subscribers still move over.
-            self._switch_sent.pop(channel, None)
             self._maybe_switch_notice(channel, watch.mapping)
         del self._watch[channel]
 
@@ -417,7 +358,7 @@ class Dispatcher(Actor):
         mapping = self._mapping_cache.get(channel)
         if mapping is None:
             mapping = self._mapping(channel)
-        if watch is not None:
+        if watch is not None and self._switch_sent.get(channel, -1) < mapping.version:
             self._maybe_switch_notice(channel, mapping)
         if self._repair_buffers and self.server.node_id in mapping.servers:
             self._buffer_for_repair(channel, envelope, payload_size)
@@ -428,11 +369,14 @@ class Dispatcher(Actor):
         if my_id not in mapping.servers:
             # Wrong server: Initialization / Publishing-on-old-server cases.
             self._redirect(envelope.sender, channel, mapping)
-            self._maybe_switch_notice(channel, mapping)
+            if self._switch_sent.get(channel, -1) < mapping.version:
+                self._maybe_switch_notice(channel, mapping)
             targets = set(self._forward_targets(mapping))
             # ... and cover straggler servers the correct servers may not
             # know about (their registry merge could still be in flight).
-            targets.update(self._straggler_targets(channel, mapping))
+            targets.update(
+                self._stragglers.targets(channel, mapping, self.sim.now, self._failed)
+            )
             for target in sorted(targets):
                 self._forward(channel, envelope, payload_size, target)
             return
@@ -446,8 +390,9 @@ class Dispatcher(Actor):
                 for server in mapping.servers:
                     if server != my_id:
                         self._forward(channel, envelope, payload_size, server)
-        if channel in self._stragglers:
-            for server in self._straggler_targets(channel, mapping):
+        stragglers = self._stragglers
+        if channel in stragglers.entries:
+            for server in stragglers.targets(channel, mapping, self.sim.now, self._failed):
                 self._forward(channel, envelope, payload_size, server)
 
     def _buffer_for_repair(self, channel: str, envelope: AppEnvelope, payload_size: int) -> None:

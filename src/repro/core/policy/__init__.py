@@ -19,7 +19,6 @@ running each on the same scenario with ``python -m repro.lab compare``
 from repro.core.policy.base import (
     PolicyContext,
     RebalancePolicy,
-    SystemDecision,
     available_policies,
     make_policy,
     policy_class,
@@ -42,7 +41,6 @@ __all__ = [
     "PaperPolicy",
     "PolicyContext",
     "RebalancePolicy",
-    "SystemDecision",
     "available_policies",
     "make_policy",
     "policy_class",

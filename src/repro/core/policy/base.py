@@ -30,7 +30,7 @@ must never touch an RNG, the wall clock, or anything outside the context
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
 
 from repro.core.config import DynamothConfig
@@ -67,16 +67,6 @@ class PolicyContext:
             self.default_nominal_bps,
             cpu_aware=self.config.cpu_aware_balancing,
         )
-
-
-@dataclass
-class SystemDecision:
-    """Outcome of one system-level pass (migrations + elasticity)."""
-
-    mappings: Dict[str, ChannelMapping] = field(default_factory=dict)
-    spawn_servers: int = 0
-    decommission: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
 
 
 def replicated_channels(
@@ -185,7 +175,7 @@ class RebalancePolicy(ABC):
         ctx: PolicyContext,
         estimator: LoadEstimator,
         replicated: set[str],
-    ) -> SystemDecision:
+    ) -> RebalanceDecision:
         """Server-to-server migration and elasticity (Algorithm 2's slot)."""
 
     def place_unknown_channel(
@@ -209,20 +199,14 @@ class RebalancePolicy(ABC):
     # ------------------------------------------------------------------
     def decide(self, ctx: PolicyContext) -> RebalanceDecision:
         """Run channel-level then system-level planning (section III-B)."""
-        decision = RebalanceDecision()
         estimator = ctx.make_estimator()
-
         channel_proposals, notes = self.channel_level(ctx, estimator)
-        decision.mappings.update(channel_proposals)
-        decision.notes.extend(notes)
-
         replicated = replicated_channels(ctx.plan, channel_proposals)
-
-        system = self.system_level(ctx, estimator, replicated)
-        decision.mappings.update(system.mappings)
-        decision.spawn_servers = system.spawn_servers
-        decision.decommission.extend(system.decommission)
-        decision.notes.extend(system.notes)
+        decision = self.system_level(ctx, estimator, replicated)
+        # channel-level proposals first; a system-level move of the same
+        # channel overrides it
+        decision.mappings = {**channel_proposals, **decision.mappings}
+        decision.notes[:0] = notes
         return decision
 
 

@@ -39,11 +39,10 @@ from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.core.policy.base import (
     PolicyContext,
     RebalancePolicy,
-    SystemDecision,
     register_policy,
 )
 from repro.core.policy.greedy import drain_when_idle
-from repro.core.rebalance import LoadEstimator
+from repro.core.rebalance import LoadEstimator, RebalanceDecision
 
 
 @register_policy
@@ -126,8 +125,8 @@ class BoundedLoadPolicy(RebalancePolicy):
         ctx: PolicyContext,
         estimator: LoadEstimator,
         replicated: set[str],
-    ) -> SystemDecision:
-        out = SystemDecision()
+    ) -> RebalanceDecision:
+        out = RebalanceDecision()
         cfg = self.config
         active = list(ctx.active_servers)
         if not active:

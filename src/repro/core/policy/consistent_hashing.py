@@ -24,10 +24,9 @@ from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.core.policy.base import (
     PolicyContext,
     RebalancePolicy,
-    SystemDecision,
     register_policy,
 )
-from repro.core.rebalance import LoadEstimator
+from repro.core.rebalance import LoadEstimator, RebalanceDecision
 
 
 @register_policy
@@ -50,8 +49,8 @@ class ConsistentHashingPolicy(RebalancePolicy):
         ctx: PolicyContext,
         estimator: LoadEstimator,
         replicated: set[str],
-    ) -> SystemDecision:
-        out = SystemDecision()
+    ) -> RebalanceDecision:
+        out = RebalanceDecision()
         active = ctx.active_servers
         if not active:
             return out

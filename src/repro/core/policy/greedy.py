@@ -26,10 +26,9 @@ from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.core.policy.base import (
     PolicyContext,
     RebalancePolicy,
-    SystemDecision,
     register_policy,
 )
-from repro.core.rebalance import LoadEstimator, low_load_rebalance
+from repro.core.rebalance import LoadEstimator, RebalanceDecision, low_load_rebalance
 
 LoadFn = Callable[[str], float]
 ReceiverFn = Callable[[Sequence[str], Tuple[str, ...]], Optional[str]]
@@ -43,7 +42,7 @@ def greedy_relief(
     pick_receiver: ReceiverFn,
     *,
     tag: str,
-) -> SystemDecision:
+) -> RebalanceDecision:
     """Move the busiest channels off hotspots until every server is safe.
 
     Shares the paper's Algorithm-2 skeleton (hotspot selection, skip set,
@@ -53,7 +52,7 @@ def greedy_relief(
     hotspot cannot be brought under ``lr_high`` by migration.
     """
     cfg = ctx.config
-    out = SystemDecision()
+    out = RebalanceDecision()
     active = list(ctx.active_servers)
     exhausted: Set[str] = set()
 
@@ -149,7 +148,7 @@ class _GreedyBase(RebalancePolicy):
         ctx: PolicyContext,
         estimator: LoadEstimator,
         replicated: set[str],
-    ) -> SystemDecision:
+    ) -> RebalanceDecision:
         load = self._load_fn(ctx, estimator)
         decision = greedy_relief(
             ctx,

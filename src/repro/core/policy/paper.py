@@ -18,11 +18,11 @@ from repro.core.plan import ChannelMapping
 from repro.core.policy.base import (
     PolicyContext,
     RebalancePolicy,
-    SystemDecision,
     register_policy,
 )
 from repro.core.rebalance import (
     LoadEstimator,
+    RebalanceDecision,
     channel_level_rebalance,
     high_load_rebalance,
     low_load_rebalance,
@@ -48,8 +48,8 @@ class PaperPolicy(RebalancePolicy):
         ctx: PolicyContext,
         estimator: LoadEstimator,
         replicated: set[str],
-    ) -> SystemDecision:
-        decision = SystemDecision()
+    ) -> RebalanceDecision:
+        decision = RebalanceDecision()
         lr_values = [estimator.load_ratio(s) for s in ctx.active_servers]
         if any(lr >= ctx.config.lr_high for lr in lr_values):
             proposals, spawn, notes = high_load_rebalance(

@@ -1,9 +1,8 @@
-"""Engine mechanics: caching, suppression, baseline, discovery, scopes."""
+"""Engine mechanics: caching, suppression, discovery, scopes."""
 
 from pathlib import Path
 
 from repro.analysis import AnalysisConfig, AnalysisEngine
-from repro.analysis.baseline import load_baseline, write_baseline
 
 VIOLATION = (
     '"""tmp module."""\n'
@@ -102,49 +101,6 @@ class TestSuppression:
             "t = time.sleep(1) or time.time()  # repro: allow[DET001, DET004]\n"
         )
         assert engine.analyze_source("pkg/mod.py", source) == []
-
-
-class TestBaseline:
-    def test_round_trip_suppresses_then_reappears(self, tmp_path):
-        root = make_project(tmp_path)
-        engine = make_engine(root)
-        report = engine.check([Path("pkg")], use_cache=False)
-        assert len(report.diagnostics) == 1
-
-        write_baseline(root / engine.config.baseline, report.raw)
-        clean = make_engine(root).check([Path("pkg")], use_cache=False)
-        assert clean.diagnostics == [] and clean.baselined == 1
-
-        # a *second* copy of the same bad line is NOT grandfathered
-        (root / "pkg" / "mod.py").write_text(
-            VIOLATION + "\ndef stamp2() -> float:\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        again = make_engine(root).check([Path("pkg")], use_cache=False)
-        assert len(again.diagnostics) == 1 and again.baselined == 1
-
-    def test_baseline_survives_line_shifts(self, tmp_path):
-        root = make_project(tmp_path)
-        engine = make_engine(root)
-        report = engine.check([Path("pkg")], use_cache=False)
-        write_baseline(root / engine.config.baseline, report.raw)
-
-        # prepend 5 lines: position changes, fingerprint does not
-        moved = "# pad\n" * 5 + VIOLATION
-        (root / "pkg" / "mod.py").write_text(moved, encoding="utf-8")
-        shifted = make_engine(root).check([Path("pkg")], use_cache=False)
-        assert shifted.diagnostics == [] and shifted.baselined == 1
-
-    def test_loader_tolerates_comments_and_junk(self, tmp_path):
-        path = tmp_path / "baseline.txt"
-        path.write_text(
-            "# header\n\nabcd1234 2 src/x.py:DET001 t = time.time()\nbroken\n",
-            encoding="utf-8",
-        )
-        assert load_baseline(path) == {"abcd1234": 2}
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.txt") == {}
 
 
 class TestDiscoveryAndScopes:

