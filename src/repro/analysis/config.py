@@ -100,6 +100,7 @@ DEFAULT_PROTOCOL: Dict[str, Tuple[str, ...]] = {
     "PingCmd": ("PubSubServer",),
     "Delivery": ("DynamothClient",),
     "MappingNotice": ("DynamothClient",),
+    "FailureNotice": ("DynamothClient",),
     "SubscribeAck": ("DynamothClient",),
     "PongReply": ("DynamothClient",),
     "ReplayGapNotice": ("DynamothClient",),

@@ -154,6 +154,14 @@ class PubSubServer(Actor):
     def connection(self, client_id: str) -> Optional[Connection]:
         return self._connections.get(client_id)
 
+    def connected_clients(self) -> List[str]:
+        """Clients with a live connection holding at least one subscription, sorted."""
+        return sorted(
+            client_id
+            for client_id, conn in self._connections.items()
+            if conn.alive and conn.channels
+        )
+
     def fanout_cache_stats(self) -> Dict[str, int]:
         """Size and hit/build/invalidation counters of the subscriber-array
         cache (``pair_state_count()``-style leak/behaviour diagnostics)."""

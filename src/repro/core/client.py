@@ -12,6 +12,11 @@ Exposes the standard pub/sub API (``subscribe`` / ``unsubscribe`` /
   :class:`~repro.core.messages.SwitchNotice` publications by lazily
   updating its plan and reconciling its subscriptions (subscribe to the
   new servers first, unsubscribe from the old ones after a short grace);
+* never routes to a server named by the last
+  :class:`~repro.core.messages.FailureNotice` (the balancer's
+  confirmed-dead set, relayed by a surviving dispatcher), and loses a
+  server -- confirmed dead or suspected on its own pings -- through one
+  path, ``_server_down``;
 * deduplicates deliveries on globally unique message ids so that overlap
   windows during reconfiguration never surface duplicates to the
   application.
@@ -22,7 +27,7 @@ from __future__ import annotations
 from random import Random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.broker.commands import (
     ConnectionClosed,
@@ -38,19 +43,19 @@ from repro.broker.commands import (
 from repro.core.client_recovery import ClientRecovery
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
-from repro.core.messages import AppEnvelope, MappingNotice, SwitchNotice
+from repro.core.messages import AppEnvelope, FailureNotice, MappingNotice, SwitchNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.core.reliability import CausalGate, ParkTimeout, ReliabilityConfig, SequenceStage
 from repro.obs.trace import (
     NULL_TRACER,
     CausalTimeoutEvent,
+    ClientFailoverEvent,
     DeliveryEvent,
     PlanMissEvent,
     PublishEvent,
     SubscribeEvent,
     Tracer,
     UnsubscribeEvent,
-    channel_class,
 )
 from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
@@ -102,7 +107,7 @@ class DynamothClient(Actor):
     __slots__ = (
         "_ring", "_streams", "_rng", "_config", "_tracer", "_entries", "_ch_cache",
         "_subs", "_reconcile", "_pending_drops", "_seen_ids", "_seen_order",
-        "_dedup_window", "_msg_counter", "_sequence", "_gate", "_recovery",
+        "_dedup_window", "_msg_counter", "_sequence", "_gate", "_recovery", "_down",
         "on_response_time", "on_delivery", "on_wire_delivery",
         "published", "delivered", "duplicates", "redirects", "switches",
         "disconnects", "failovers", "reconnects", "resubscribes",
@@ -131,8 +136,12 @@ class DynamothClient(Actor):
         self._tracer = tracer
 
         self._entries: Dict[str, _PlanEntry] = {}
-        #: consistent-hashing fallback mappings, cached because the
-        #: bootstrap ring never changes (avoids an md5 per publish)
+        #: servers the balancer confirmed dead, as the last
+        #: :class:`FailureNotice` named them: never routed to
+        self._down: FrozenSet[str] = frozenset()
+        #: consistent-hashing fallback mappings past ``_down``, cached
+        #: because the bootstrap ring never changes (avoids an md5 per
+        #: publish); cleared when ``_down`` does
         self._ch_cache: Dict[str, ChannelMapping] = {}
         self._subs: Dict[str, _Subscription] = {}
         self._reconcile: Dict[str, _Reconcile] = {}
@@ -322,7 +331,13 @@ class DynamothClient(Actor):
     # Local plan maintenance
     # ------------------------------------------------------------------
     def _resolve(self, channel: str) -> ChannelMapping:
-        """Current mapping for ``channel``: fresh entry or CH fallback."""
+        """Current mapping for ``channel``: fresh entry or CH fallback.
+
+        Plan entries never name a confirmed-dead server (``_server_down``
+        drops them and ``_apply_mapping`` refuses them), and the fallback
+        cache is built past ``_down``; only the client's own unconfirmed
+        suspicion is checked here.
+        """
         recovery = self._recovery
         failed = ()
         if recovery is not None and recovery.failed:
@@ -341,18 +356,18 @@ class DynamothClient(Actor):
             else:
                 return entry.mapping
         if failed:
-            # Bypass the CH cache: the ring walk must skip dead servers.
-            # Not cached -- the failed set shrinks as TTLs expire.
+            # Bypass the CH cache: the ring walk must skip suspected
+            # servers, and those marks expire on their own.
             return ChannelMapping(
                 ReplicationMode.SINGLE,
-                (self._ring.lookup(channel, exclude=failed),),
+                (self._ring.lookup(channel, exclude=failed | self._down),),
                 0,
             )
         fallback = self._ch_cache.get(channel)
         tracer = self._tracer
         if fallback is None:
             fallback = ChannelMapping(
-                ReplicationMode.SINGLE, (self._ring.lookup(channel),), 0
+                ReplicationMode.SINGLE, (self._ring.lookup(channel, exclude=self._down),), 0
             )
             self._ch_cache[channel] = fallback
             if tracer.enabled:
@@ -362,9 +377,7 @@ class DynamothClient(Actor):
                     )
                 )
         if tracer.enabled:
-            tracer.metrics.counter(
-                "plan_miss_total", channel_class=channel_class(channel)
-            ).inc()
+            tracer.plan_miss_counters[channel].value += 1.0
         return fallback
 
     def _desired_sub_servers(
@@ -397,6 +410,9 @@ class DynamothClient(Actor):
 
     def _apply_mapping(self, channel: str, mapping: ChannelMapping) -> None:
         """Adopt a (possibly newer) mapping and reconcile subscriptions."""
+        down = self._down
+        if down and any(s in down for s in mapping.servers):
+            return  # stale routing info pointing at a confirmed-dead server
         recovery = self._recovery
         if recovery is not None and recovery.failed:
             failed = recovery.live_failed(self.sim.now)
@@ -625,6 +641,8 @@ class DynamothClient(Actor):
                 affected = self._detach_server(message.server_id)
                 if affected:
                     self.sim.schedule(self.RECONNECT_DELAY_S, self._reconnect, affected)
+            elif isinstance(message, FailureNotice):
+                self._on_failure_notice(message.failed_servers)
             else:
                 raise TypeError(f"{self.node_id}: unexpected message {type(message).__name__}")
             return
@@ -679,6 +697,60 @@ class DynamothClient(Actor):
         if self._recovery is not None:
             self._recovery.unack(server_id, affected)
         return affected
+
+    def _on_failure_notice(self, failed_servers: Tuple[str, ...]) -> None:
+        """Adopt the balancer's confirmed-dead set, relayed by a survivor."""
+        down = frozenset(failed_servers)
+        if down == self._down:
+            return  # another survivor already told us
+        newly_down = sorted(down - self._down)
+        # Wholesale: a server that left the set was re-admitted and is
+        # routable again at once.
+        self._down = down
+        self._ch_cache.clear()
+        recovery = self._recovery
+        suspected = recovery.live_failed(self.sim.now) if recovery is not None else ()
+        for server_id in newly_down:
+            if server_id in suspected:
+                # Already failed over on our own pings: the confirmation
+                # turns the expiring suspicion into a lasting exclusion.
+                del recovery.failed[server_id]
+            else:
+                self._server_down(server_id)
+
+    def _server_down(self, server_id: str) -> None:
+        """The one server-loss path, for a confirmed failure and for this
+        client's own suspicion alike: forget every route through
+        ``server_id`` and resubscribe the channels it carried elsewhere."""
+        # Any plan entry routing through the dead server is poison.
+        entries = self._entries
+        for channel in list(entries):
+            if server_id in entries[channel].mapping.servers:
+                del entries[channel]
+        affected = self._detach_server(server_id)
+        for channel in affected:
+            pending = self._reconcile.get(channel)
+            if pending is not None:
+                # A reconcile must not wait forever on a dead server's ack.
+                pending.awaiting.discard(server_id)
+                if server_id in pending.confirm:
+                    pending.confirm.remove(server_id)
+                if server_id in pending.drop:
+                    pending.drop.remove(server_id)
+                if not pending.awaiting:
+                    self._finish_reconcile(channel)
+        self.failovers += 1
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.emit(
+                ClientFailoverEvent(self.sim.now, self.node_id, server_id, tuple(affected))
+            )
+            tracer.metrics.counter("client_failovers_total").inc()
+        if self._recovery is not None:
+            # Probing on: ack-verified recovery rounds with back-off.
+            self._recovery.fail_over(server_id, affected)
+        elif affected:
+            self.sim.schedule(self.RECONNECT_DELAY_S, self._reconnect, affected)
 
     def _reconnect(self, channels: List[str]) -> None:
         if not self.alive or self.transport is None:

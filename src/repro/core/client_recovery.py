@@ -1,22 +1,26 @@
 """Client-side failure detection and failover recovery.
 
 A crashed server never answers (its connection vanished without a FIN in
-this failure model), so consecutive unanswered pings are the only
-client-side liveness signal.  A :class:`DynamothClient` builds a
-:class:`ClientRecovery` only when ``client_ping_interval_s`` is set: off
-by default because pong traffic perturbs measured egress; the sends are
-fully deterministic (no RNG, no jitter), so enabling it changes nothing
-else.  The overload-kill path (``ConnectionClosed`` -> reconnect) runs
-with probing off and stays in the client.
+this failure model), so consecutive unanswered pings are a client's own
+liveness signal; the other is a :class:`~repro.core.messages.FailureNotice`
+from a surviving dispatcher once the balancer confirms the crash.  Both
+reach the client's one server-loss path (``DynamothClient._server_down``),
+which hands the resubscription to :meth:`ClientRecovery.fail_over` when
+probing is on.  A :class:`DynamothClient` builds a :class:`ClientRecovery`
+only when ``client_ping_interval_s`` is set: off by default because pong
+traffic perturbs measured egress; the sends are fully deterministic (no
+RNG, no jitter), so enabling it changes nothing else.  With probing off a
+lost server's channels are resubscribed once, after a short delay, as on
+an overload kill (``ConnectionClosed``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Set
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.broker.commands import PingCmd
 from repro.core.config import DynamothConfig
-from repro.obs.trace import ClientFailoverEvent, ClientReconnectEvent
+from repro.obs.trace import ClientReconnectEvent
 from repro.sim.timers import PeriodicTask
 
 if TYPE_CHECKING:
@@ -24,7 +28,7 @@ if TYPE_CHECKING:
 
 
 class ClientRecovery:
-    """Ping, declare dead, fail over, verify by ack, back off and retry.
+    """Ping, suspect dead, fail over, verify by ack, back off and retry.
 
     ``failed`` and ``publish_targets`` are public because the client's
     per-message paths touch them without a call: ``_resolve`` tests
@@ -34,9 +38,10 @@ class ClientRecovery:
     def __init__(self, client: "DynamothClient", config: DynamothConfig) -> None:
         self._client = client
         self._config = config
-        #: server -> time this client declared it dead; entries expire
-        #: after ``failed_server_ttl_s`` so a restarted server becomes
-        #: routable again without any explicit signal.
+        #: server -> time this client suspected it dead on its own pings or
+        #: acks.  An unconfirmed suspicion expires after
+        #: ``failed_server_ttl_s``; a server the balancer confirms leaves
+        #: this dict for the client's ``_down`` set, which has no TTL.
         self.failed: Dict[str, float] = {}
         #: server -> last time the client published through it.  Pure
         #: publishers have no subscriptions to probe, so liveness checks
@@ -78,7 +83,7 @@ class ClientRecovery:
         self._attempt.pop(channel, None)
 
     def live_failed(self, now: float) -> Set[str]:
-        """Currently-dead servers; expires marks past the TTL."""
+        """Currently-suspected servers; expires marks past the TTL."""
         failed = self.failed
         ttl = self._config.failed_server_ttl_s
         for server in list(failed):
@@ -117,36 +122,19 @@ class ClientRecovery:
             client.send(server, PingCmd(), PingCmd.WIRE_SIZE)
 
     def _on_server_failed(self, server_id: str) -> None:
-        """Declare ``server_id`` dead and fail its subscriptions over."""
+        """Suspect ``server_id`` dead on this client's own evidence."""
         client = self._client
         now = client.sim.now
-        if server_id in self.live_failed(now):
-            return  # already failing over
+        if server_id in client._down or server_id in self.live_failed(now):
+            return  # confirmed dead, or already failing over
         self.failed[server_id] = now
+        client._server_down(server_id)
+
+    def fail_over(self, server_id: str, affected: List[str]) -> None:
+        """Recovery's share of a lost server: stop probing it and resubscribe
+        each of ``affected`` in ack-verified rounds."""
         self._ping_misses.pop(server_id, None)
         self.publish_targets.pop(server_id, None)
-        # Any plan entry routing through the dead server is poison.
-        entries = client._entries
-        for channel in list(entries):
-            if server_id in entries[channel].mapping.servers:
-                del entries[channel]
-        affected = client._detach_server(server_id)
-        for channel in affected:
-            pending = client._reconcile.get(channel)
-            if pending is not None:
-                # A reconcile must not wait forever on a dead server's ack.
-                pending.awaiting.discard(server_id)
-                if server_id in pending.confirm:
-                    pending.confirm.remove(server_id)
-                if server_id in pending.drop:
-                    pending.drop.remove(server_id)
-                if not pending.awaiting:
-                    client._finish_reconcile(channel)
-        client.failovers += 1
-        tracer = client._tracer
-        if tracer.enabled:
-            tracer.emit(ClientFailoverEvent(now, client.node_id, server_id, tuple(affected)))
-            tracer.metrics.counter("client_failovers_total").inc()
         for channel in affected:
             if channel not in self._pending:
                 self._pending.add(channel)
@@ -161,7 +149,7 @@ class ClientRecovery:
         if sub is None or channel not in self._pending:
             return  # unsubscribed, or already recovered: both cleaned up
         self._attempt[channel] = attempt
-        failed = self.live_failed(client.sim.now)
+        failed = self.live_failed(client.sim.now) | client._down
         mapping = client._resolve(channel)
         desired = client._desired_sub_servers(mapping, sub.servers) - failed
         if not desired:

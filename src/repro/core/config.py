@@ -124,9 +124,10 @@ class DynamothConfig:
     #: rent a replacement server after confirming a failure (in addition
     #: to the min_servers floor, which always forces one)
     replace_failed_servers: bool = False
-    #: a confirmed-failed server that resumes reporting (e.g. its LLA was
-    #: only stalled) is re-admitted to the pool; this TTL bounds how long
-    #: clients keep refusing to route to a server they found dead.
+    #: how long a client keeps refusing a server it suspects dead on its
+    #: own pings or acks alone.  A failure the balancer confirmed has no
+    #: TTL: survivors tell their clients, who avoid the server until the
+    #: balancer re-admits it (e.g. its LLA was only stalled).
     failed_server_ttl_s: float = 60.0
     #: client-side liveness probing: PING each subscribed-on server this
     #: often (``None`` disables probing -- the default, because pong

@@ -20,6 +20,10 @@ unsubscriptions -- to implement the transition protocol:
   robustness addition, a draining server with subscribers remaining at
   expiry publishes one final switch notice so no subscriber is stranded on
   a channel that went quiet during the window.
+* **Failure notices**: when a plan push changes the set of servers the
+  balancer confirmed dead, the dispatcher tells every client connected to
+  its server with a :class:`FailureNotice`, and each later subscriber once,
+  so no client's consistent-hashing fallback keeps landing on a dead server.
 
 The dispatcher never modifies the pub/sub server -- it only uses loopback
 subscriptions, plain publishes and direct cloud-internal sends, exactly the
@@ -32,12 +36,13 @@ from __future__ import annotations
 from random import Random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Set, Tuple
+from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from repro.broker.commands import PublishCmd
 from repro.broker.server import PubSubServer
 from repro.core.messages import (
     AppEnvelope,
+    FailureNotice,
     MappingNotice,
     NoMoreSubscribers,
     PlanPush,
@@ -135,6 +140,9 @@ class Dispatcher(Actor):
         #: servers the balancer confirmed dead (from plan pushes): no
         #: forwarding toward them, and CH fallbacks resolve past them
         self._failed: Set[str] = set()
+        #: clients sent a FailureNotice of the current ``_failed``; reset on
+        #: every change of it, ``None`` until the first change (nothing to tell)
+        self._told: Optional[Set[str]] = None
         #: channel -> parked publications awaiting a post-repair subscribe
         self._repair_buffers: Dict[str, _RepairBuffer] = {}
 
@@ -192,6 +200,12 @@ class Dispatcher(Actor):
                 "forwarded_publications_total", server=self.server.node_id
             ).inc()
 
+    def _tell(self, client_id: str) -> None:
+        """Send ``client_id`` the current confirmed-dead set, once per change."""
+        self._told.add(client_id)
+        notice = FailureNotice(tuple(sorted(self._failed)))
+        self.send(client_id, notice, FailureNotice.WIRE_SIZE)
+
     def _redirect(self, client_id: str, channel: str, mapping: ChannelMapping) -> None:
         self.send(client_id, MappingNotice(channel, mapping), MappingNotice.WIRE_SIZE)
         self.redirects_sent += 1
@@ -236,7 +250,8 @@ class Dispatcher(Actor):
         if isinstance(message, PlanPush):
             self._balancer_id = src_id
             failed = set(message.failed_servers)
-            if failed != self._failed:
+            failed_changed = failed != self._failed
+            if failed_changed:
                 # Applied even when the plan itself is stale or a duplicate
                 # (resurrections re-push the same version): routing must
                 # stop targeting dead servers immediately.
@@ -245,6 +260,12 @@ class Dispatcher(Actor):
                 if failed:
                     self._stragglers.drop_dead(failed)
             self._handle_plan(message.plan, message.stragglers)
+            if failed_changed:
+                # Survivors tell their clients, whose consistent-hashing
+                # fallback would otherwise keep landing on a dead server.
+                self._told = set()
+                for client_id in self.server.connected_clients():
+                    self._tell(client_id)
         elif isinstance(message, NoMoreSubscribers):
             self._stragglers.drain(message.channel, message.server_id)
         else:
@@ -431,6 +452,10 @@ class Dispatcher(Actor):
             ).inc(len(buffer.messages))
 
     def _on_subscribe(self, channel: str, client_id: str, plan_version: int) -> None:
+        told = self._told
+        if told is not None and client_id not in told:
+            # A client that connected after the last failure change.
+            self._tell(client_id)
         if self._repair_buffers:
             self._flush_repair_buffer(channel)
         watch = self._watch.get(channel)

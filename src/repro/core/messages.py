@@ -112,6 +112,22 @@ class PlanPush:
 
 
 @dataclass(frozen=True, slots=True)
+class FailureNotice:
+    """Dispatcher-to-client: the servers the balancer confirmed dead.
+
+    Sent by every surviving dispatcher to its connected clients when the
+    failed set of a :class:`PlanPush` differs from the last one, and to a
+    client subscribing later that has not been told yet.  It always carries
+    the whole set, so a client replaces its own copy wholesale: a server
+    that left the set (re-admitted by the balancer) is routable again.
+    """
+
+    failed_servers: Tuple[str, ...]
+
+    WIRE_SIZE = 64
+
+
+@dataclass(frozen=True, slots=True)
 class NoMoreSubscribers:
     """Dispatcher-to-dispatcher: the old server has no subscribers left for
     ``channel``, so forwarding toward it can stop (section IV-A.5)."""

@@ -642,6 +642,8 @@ class Tracer:
         self.delivery_instruments = FirstUse(self._delivery_instruments)
         #: ``channel -> publications_total{channel_class}``
         self.publication_counters = FirstUse(self._publication_counter)
+        #: ``channel -> plan_miss_total{channel_class}``
+        self.plan_miss_counters = FirstUse(self._plan_miss_counter)
         #: ``node -> (messages_sent_total{node}, bytes_sent_total{node})``
         self._tap_counters = FirstUse(self._tap_counter_pair)
         #: Kernel whose event count and clock the registry pulls, and the
@@ -707,6 +709,9 @@ class Tracer:
 
     def _publication_counter(self, channel: str) -> Counter:
         return self.metrics.counter("publications_total", channel_class=channel_class(channel))
+
+    def _plan_miss_counter(self, channel: str) -> Counter:
+        return self.metrics.counter("plan_miss_total", channel_class=channel_class(channel))
 
     def _tap_counter_pair(self, node_id: str) -> Tuple[Counter, Counter]:
         metrics = self.metrics

@@ -10,13 +10,18 @@ guarantees:
   -- is byte-identical across repeated runs of the same seed.
 """
 
+from collections import Counter
 from dataclasses import replace
 
-from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
+import pytest
+
+from repro.experiments.chaos import ChaosScenarioConfig, RecoveryWatch, run_chaos
 from repro.experiments.run import build
 from repro.obs.export import write_trace
 from repro.obs.trace import (
+    ClientFailoverEvent,
     PlanRepairDoneEvent,
+    PublishEvent,
     ServerFailureConfirmedEvent,
     ServerSuspectEvent,
     Tracer,
@@ -94,6 +99,34 @@ class TestCrashRecoveryInvariants:
         names = {type(e).__name__ for e in result.tracer.events}
         assert "ServerRestartEvent" in names
         assert "ServerResurrectedEvent" in names
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_confirmed_crash_is_routed_around_for_good(seed):
+    """Survivors relay the balancer's confirmation, so no client fails over
+    from the victim twice or keeps publishing to it after the repair --
+    even with a client's own suspicion expiring after 10 s."""
+    spec = ChaosScenarioConfig.smoke().spec()
+    spec = replace(spec, config=replace(spec.config, failed_server_ttl_s=10.0))
+    tracer = Tracer()
+    cluster, __ = build(spec, seed, tracer=tracer)
+    watch = RecoveryWatch(spec.faults[0].server)
+    tracer.add_observer(watch, *RecoveryWatch.EVENT_TYPES)
+    cluster.run_until(spec.duration_s)
+
+    victim = watch.victim
+    assert watch.repair_s is not None
+    failovers = Counter(
+        e.client for e in tracer.events
+        if isinstance(e, ClientFailoverEvent) and e.server == victim
+    )
+    assert failovers and max(failovers.values()) == 1
+    deadline = watch.crash_t + watch.repair_s + 4.0
+    late = [
+        e.t for e in tracer.events
+        if isinstance(e, PublishEvent) and victim in e.targets and e.t > deadline
+    ]
+    assert late == []
 
 
 class TestDeterminism:

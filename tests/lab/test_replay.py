@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.config import DynamothConfig
 from repro.core.policy import available_policies
-from repro.experiments.run import RunSpec, build
+from repro.experiments.run import SPECS, RunSpec, build
 from repro.lab.cli import main
 from repro.lab.compare import (
+    DEFAULT_SLA_THRESHOLD_S,
     compare_policies,
     make_report,
     report_json,
@@ -110,6 +111,15 @@ class TestModeledReplay:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown rebalance policy"):
             run_policy(MINI_FLASH, "nope", SEED, 0.25)
+
+    def test_crash_row_keeps_delivering_after_the_failure_is_confirmed(self):
+        """The lab's crash spec runs with probing off: its clients learn of
+        the dead server only from the survivors' failure notices (without
+        them the row reads 0.596).  What is still lost belongs to clients
+        with no subscription on any survivor."""
+        row = run_policy(SPECS["crash"], "paper", 0, DEFAULT_SLA_THRESHOLD_S)
+        assert row["repairs"] == 1
+        assert row["delivery_ratio"] >= 0.80
 
 
 class TestCli:

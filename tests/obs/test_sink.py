@@ -111,7 +111,7 @@ class TestPinnedBytes:
     #: threshold: they see neither the ``sla_*`` events nor the metrics
     #: trailer.  This file has both, so a change to the emit path, the SLA
     #: monitor or an instrument that moves a byte moves this value.
-    SMOKE_TRACE_SHA256 = "1dc831d3138661cf6c25e7f288cc384e7f71ca1eab3c7be2cb2a7353553a62b0"
+    SMOKE_TRACE_SHA256 = "b4ab1a8ef4d42e02c780e5c9382b41be9f5e1ae8950751d56b815d9d73f8be3f"
 
     @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
     def test_chaos_smoke_trace_is_pinned(self, tmp_path, streamed):
