@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Set, Tuple
+from typing import Deque, Set, Tuple
 
 
 class Connection:
@@ -19,12 +19,15 @@ class Connection:
     The buffer is accounted lazily: pending deliveries are kept in a deque
     of ``(completion_time, size)`` and expired entries are popped whenever
     the buffer is consulted, so no extra simulator events are needed.
+
+    ``_busy_until`` is the drain clock under ``per_connection_bps``: the
+    server's fan-out loop advances it, and a connection killed and
+    re-created on resubscribe starts from a fresh one.
     """
 
     __slots__ = (
         "client_id",
         "channels",
-        "per_connection_bps",
         "_pending",
         "_pending_bytes",
         "_busy_until",
@@ -33,10 +36,9 @@ class Connection:
         "bytes_delivered",
     )
 
-    def __init__(self, client_id: str, per_connection_bps: Optional[float] = None):
+    def __init__(self, client_id: str) -> None:
         self.client_id = client_id
         self.channels: Set[str] = set()
-        self.per_connection_bps = per_connection_bps
         self._pending: Deque[Tuple[float, int]] = deque()
         self._pending_bytes: int = 0
         self._busy_until: float = 0.0
@@ -57,17 +59,6 @@ class Connection:
         """Bytes currently sitting in this connection's output buffer."""
         self._expire(now)
         return self._pending_bytes
-
-    def connection_drain_completion(self, now: float, size_bytes: int) -> float:
-        """Completion time imposed by the per-connection rate ceiling.
-
-        Returns ``now`` when the connection has no dedicated ceiling.
-        """
-        if self.per_connection_bps is None:
-            return now
-        start = now if now > self._busy_until else self._busy_until
-        self._busy_until = start + size_bytes / self.per_connection_bps
-        return self._busy_until
 
     def kill(self) -> None:
         """Mark the connection dead and drop its buffered state."""

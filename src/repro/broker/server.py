@@ -255,7 +255,7 @@ class PubSubServer(Actor):
     def _conn_for(self, client_id: str) -> Connection:
         conn = self._connections.get(client_id)
         if conn is None or not conn.alive:
-            conn = Connection(client_id, self.config.per_connection_bps)
+            conn = Connection(client_id)
             self._connections[client_id] = conn
         return conn
 
@@ -394,16 +394,17 @@ class PubSubServer(Actor):
             if dead:
                 self.dropped_deliveries += dead
             if dst_ids:
-                if self.config.per_connection_bps is not None:
-                    # Off the default path (per-connection drain modeling is
-                    # opt-in), and the transport API takes a sequence -- the
-                    # list must exist either way.
-                    min_completions = [  # repro: allow[HOT001]
-                        conn.connection_drain_completion(now, wire_size)
-                        for conn in conns
-                    ]
-                else:
-                    min_completions = None
+                rate = self.config.per_connection_bps
+                min_completions: Optional[List[float]] = None
+                if rate is not None:
+                    # Per-connection drain ceiling: each clock advances by
+                    # size / rate from now or its last completion if later.
+                    min_completions = []
+                    for conn in conns:
+                        busy = conn._busy_until
+                        start = now if now > busy else busy
+                        conn._busy_until = busy = start + wire_size / rate
+                        min_completions.append(busy)
                 completions = self.transport.send_fanout(
                     self.node_id,
                     dst_ids,

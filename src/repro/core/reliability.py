@@ -454,29 +454,46 @@ class CausalGate:
         """One stamped arrival in; the deliveries now due to the app out.
 
         Empty when the arrival parks; otherwise the arrival, then every
-        parked delivery it (transitively) releases.  The delivered vector
-        is advanced for the whole batch here: the caller delivers it
-        unconditionally.
+        parked delivery it (transitively) releases.  One loop tests the
+        arrival (``index`` -1), then the parked list, rescanned from the
+        head after each release; a ready candidate advances the delivered
+        vector on the spot, so the caller delivers the batch unconditionally.
         """
         channel = delivery.channel
         state = self._channels.get(channel) or self._channels.setdefault(channel, _ChannelOrder())
-        parked = state.parked
-        if not self._ready(state, delivery.payload):
-            parked.append(delivery)
-            if len(parked) == 1:
-                self._tokens += 1
-                state.token = self._tokens
-                timeout = ParkTimeout(channel, state.token)
-                self._sim.schedule(self._timeout, self._receive, timeout, self._owner)
-            return ()
-        batch = [delivery]
-        index = 0
-        while index < len(parked):
-            if self._ready(state, parked[index].payload):
-                batch.append(parked.pop(index))
+        parked, delivered = state.parked, state.delivered
+        batch: List[Any] = []
+        candidate, index = delivery, -1
+        while candidate is not None:
+            envelope = candidate.payload
+            sender, pub_seq = envelope.sender, envelope.pub_seq
+            last = delivered.get(sender, 0)
+            # Ready: next in FIFO order from its sender, and every
+            # dependency on another sender already delivered.
+            ready = pub_seq <= last + 1
+            if ready:
+                for dep_sender, dep_seq in envelope.deps:
+                    if dep_sender != sender and delivered.get(dep_sender, 0) < dep_seq:
+                        ready = False
+                        break
+            if ready:
+                if pub_seq > last:
+                    delivered[sender] = pub_seq
+                if index >= 0:
+                    del parked[index]
+                batch.append(candidate)
                 index = 0  # each release restarts the scan at the head
+            elif index < 0:
+                parked.append(delivery)
+                if len(parked) == 1:
+                    self._tokens += 1
+                    state.token = self._tokens
+                    timeout = ParkTimeout(channel, state.token)
+                    self._sim.schedule(self._timeout, self._receive, timeout, self._owner)
+                return ()
             else:
                 index += 1
+            candidate = parked[index] if index < len(parked) else None
         if not parked:
             state.token = 0  # nothing (left) for an armed timer to flush
         return batch
@@ -497,22 +514,6 @@ class CausalGate:
     def drop_channel(self, channel: str) -> None:
         """Clean unsubscribe: forget the channel's causal history."""
         self._channels.pop(channel, None)
-
-    @staticmethod
-    def _ready(state: _ChannelOrder, envelope: Any) -> bool:
-        """FIFO from the sender plus every dependency delivered; a ready
-        envelope is counted as delivered on the spot."""
-        delivered = state.delivered
-        sender = envelope.sender
-        last = delivered.get(sender, 0)
-        if envelope.pub_seq > last + 1:
-            return False
-        for dep_sender, dep_seq in envelope.deps:
-            if dep_sender != sender and delivered.get(dep_sender, 0) < dep_seq:
-                return False
-        if envelope.pub_seq > last:
-            delivered[sender] = envelope.pub_seq
-        return True
 
 
 def reliability_config_from(config: DynamothConfig) -> Optional[ReliabilityConfig]:

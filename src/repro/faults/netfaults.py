@@ -3,10 +3,10 @@
 Implements the :class:`repro.net.transport.FaultPlane` protocol.  The
 plane is consulted while it has rules: the :class:`~repro.faults.FaultInjector`
 puts it on the transport with its first rule and takes it off with its
-last, and from then on every send and fan-out destination asks it once.
-With no active rules it answers ``0.0`` without touching its RNG stream,
-so a plane installed idle (a test's, say) still leaves the simulation
-byte-identical to one with no plane at all.
+last, and in between the transport asks it about each message between
+two nodes in ``nodes``.  A pair without a rule gets ``0.0`` and no RNG
+draw, so a plane installed idle (a test's, say) still leaves the
+simulation byte-identical to one with no plane at all.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Dict, Optional, Set, Tuple
 
 
 class NetworkFaultPlane:
-    """Mutable rule set the transport consults on every send while installed.
+    """Mutable rule set the transport consults while installed.
 
     Rules are symmetric (keyed on the unordered node pair).  Randomness --
     loss sampling and jitter draws -- comes exclusively from the dedicated
@@ -25,12 +25,15 @@ class NetworkFaultPlane:
     usual deterministic course.
     """
 
-    def __init__(self, rng: Random):
+    def __init__(self, rng: Random) -> None:
         self._rng = rng
         #: unordered pairs with all traffic cut
         self._cut: Set[Tuple[str, str]] = set()
         #: unordered pair -> (loss probability, jitter bound seconds)
         self._links: Dict[Tuple[str, str], Tuple[float, float]] = {}
+        #: node -> endpoints it holds among the live rules, kept in step one
+        #: rule at a time (never rebuilt: 600 rules would make that quadratic)
+        self.nodes: Dict[str, int] = {}
         self.messages_cut = 0
         self.messages_lost = 0
 
@@ -38,14 +41,27 @@ class NetworkFaultPlane:
     def _key(a: str, b: str) -> Tuple[str, str]:
         return (a, b) if a <= b else (b, a)
 
+    def _count(self, key: Tuple[str, str], delta: int) -> None:
+        """A rule on ``key`` appeared (+1) or went away (-1)."""
+        for node in key:
+            held = self.nodes[node] = self.nodes.get(node, 0) + delta
+            if not held:
+                del self.nodes[node]
+
     # ------------------------------------------------------------------
     # Rule management (driven by the FaultInjector)
     # ------------------------------------------------------------------
     def partition(self, a: str, b: str) -> None:
-        self._cut.add(self._key(a, b))
+        key = self._key(a, b)
+        if key not in self._cut:
+            self._cut.add(key)
+            self._count(key, 1)
 
     def heal(self, a: str, b: str) -> None:
-        self._cut.discard(self._key(a, b))
+        key = self._key(a, b)
+        if key in self._cut:
+            self._cut.remove(key)
+            self._count(key, -1)
 
     def degrade(self, a: str, b: str, loss: float, jitter_s: float) -> None:
         """Set (or, with both zero, clear) loss/jitter on a link."""
@@ -55,13 +71,17 @@ class NetworkFaultPlane:
             raise ValueError(f"jitter_s must be >= 0, got {jitter_s}")
         key = self._key(a, b)
         if loss <= 0.0 and jitter_s <= 0.0:
-            self._links.pop(key, None)
+            if self._links.pop(key, None) is not None:
+                self._count(key, -1)
         else:
+            if key not in self._links:
+                self._count(key, 1)
             self._links[key] = (loss, jitter_s)
 
     def clear(self) -> None:
         self._cut.clear()
         self._links.clear()
+        self.nodes.clear()
 
     @property
     def active(self) -> bool:

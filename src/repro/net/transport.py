@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from operator import methodcaller
 from random import Random
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Container, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.net.latency import KingLatencyModel, LanLatency, LatencyModel
 from repro.net.link import EgressPort
@@ -56,8 +56,13 @@ class FaultPlane(Protocol):
     link), or ``None`` when the message is lost (partitioned link, or a
     sampled loss event).  Implementations must draw randomness only from
     their own RNG stream so installing a plane with no active faults leaves
-    the simulation byte-identical.
+    the simulation byte-identical.  :attr:`nodes` holds every node a rule
+    names; :meth:`apply` is asked only about pairs with both ends in it,
+    so it must answer ``0.0`` -- no draw, no count -- for any other pair.
     """
+
+    @property
+    def nodes(self) -> Container[str]: ...
 
     def apply(self, src_id: str, dst_id: str) -> Optional[float]: ...
 
@@ -99,10 +104,10 @@ class Transport:
         self.messages_dropped: int = 0
         #: optional network fault plane (installed by
         #: :class:`repro.faults.FaultInjector` while it has rules).
-        #: Consulted per message: may drop it (partition, loss) or add
-        #: delay (jitter).  ``None`` -- the default -- costs one attribute
-        #: check per send, and the plane draws from its own RNG stream, so
-        #: fault-free runs are byte-identical with or without it installed.
+        #: Consulted per message between two of its ``nodes``: may drop it
+        #: (partition, loss) or add delay (jitter).  ``None`` -- the default
+        #: -- costs one attribute check per send, and the plane draws from
+        #: its own RNG stream, so fault-free runs are byte-identical.
         self.fault_plane: Optional["FaultPlane"] = None
 
     # ------------------------------------------------------------------
@@ -173,14 +178,9 @@ class Transport:
         message: Any,
         size_bytes: int,
         *,
-        min_completion: float = 0.0,
         fifo: bool = True,
     ) -> Tuple[float, float]:
         """Send ``message`` from ``src_id`` to ``dst_id``.
-
-        ``min_completion`` lets callers impose an additional completion
-        floor, used by the pub/sub server to model per-connection drain
-        ceilings on top of the shared NIC.
 
         ``fifo=False`` lets a message overtake the connection's queued
         stream -- used for out-of-band connection teardown (a TCP RST is
@@ -195,18 +195,15 @@ class Transport:
         port = self._ports[src_id]
         now = self.sim.now
         completion = port.transmit(now, size_bytes)
-        if min_completion > completion:
-            completion = min_completion
 
         plane = self.fault_plane
-        if plane is not None:
+        extra: Optional[float] = 0.0
+        if plane is not None and src_id in plane.nodes and dst_id in plane.nodes:
             extra = plane.apply(src_id, dst_id)
             if extra is None:
                 # Lost in the network: the bytes still occupied the NIC.
                 self.messages_dropped += 1
                 return completion, completion
-        else:
-            extra = 0.0
 
         key = (src_id, dst_id)
         state = self._pairs.get(key)
@@ -298,7 +295,11 @@ class Transport:
             for index, floor in enumerate(min_completions):
                 if floor > completions[index]:
                     completions[index] = floor
+        # The fault plane only when one of its rules names the source; it is
+        # then asked only about the destinations it also names.
         plane = self.fault_plane
+        if plane is not None and src_id not in plane.nodes:
+            plane = None
         pairs = self._pairs
         rng = self._rng
         #: one propagation sample per latency model ("leg") per batch; the
@@ -313,14 +314,13 @@ class Transport:
         add_time = times.append
         add_args = args_seq.append
         dropped = 0
-        extra = 0.0
         for dst_id, state, completion in zip(dst_ids, states, completions):
-            if plane is not None:
-                verdict = plane.apply(src_id, dst_id)
-                if verdict is None:
+            extra: Optional[float] = 0.0
+            if plane is not None and dst_id in plane.nodes:
+                extra = plane.apply(src_id, dst_id)
+                if extra is None:
                     dropped += 1
                     continue
-                extra = verdict
             if state is None:
                 state = pairs.get((src_id, dst_id))
                 if state is None:
@@ -350,9 +350,9 @@ class Transport:
                     last_model = model
                     last_latency = cached
             # Float order is (completion + latency) + extra, with no add at
-            # all on a healthy network.
+            # all on a healthy pair (x + 0.0 == x).
             delivery_time = completion + latency
-            if plane is not None:
+            if extra:
                 delivery_time += extra
             if delivery_time < state[_P_FIFO]:
                 delivery_time = state[_P_FIFO]

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from repro.broker.commands import PublishCmd, SubscribeCmd
+from repro.broker.commands import Delivery, PublishCmd, SubscribeCmd
 from repro.broker.config import BrokerConfig
 from repro.broker.connection import Connection
 from repro.broker.server import PubSubServer
@@ -16,21 +16,25 @@ from repro.sim.actor import Actor
 class _Client(Actor):
     def __init__(self, sim, node_id):
         super().__init__(sim, node_id, is_infra=False)
+        self.arrivals = []
 
     def receive(self, message, src_id):
-        pass
+        if isinstance(message, Delivery):
+            self.arrivals.append(self.sim.now)
 
 
-def _broker(sim, limit_bytes=1_000_000):
-    """One server, one subscriber on ``ch`` draining at 1 kB/s, one publisher.
+def _broker(sim, limit_bytes=1_000_000, rate=1000.0):
+    """One server, one subscriber on ``ch`` draining at ``rate`` B/s, one
+    publisher.
 
     The output buffer is filled by the broker's publish fan-out (the only
-    writer), so these cases drive real publications: zero CPU cost and
-    zero framing overhead make a ``size``-byte publication occupy the
-    subscriber's buffer for exactly ``size / 1000`` seconds.
+    writer), so these cases drive real publications: zero CPU cost, zero
+    latency and zero framing overhead make a ``size``-byte publication
+    occupy the subscriber's buffer for exactly ``size / rate`` seconds,
+    and arrive when that drain completes.
     """
     config = BrokerConfig(
-        per_connection_bps=1000.0,
+        per_connection_bps=rate,
         output_buffer_limit_bytes=limit_bytes,
         per_message_overhead_bytes=0,
         cpu_per_publish_s=0.0,
@@ -109,21 +113,51 @@ class TestOutputBuffer:
 
 
 class TestPerConnectionRate:
-    def test_no_ceiling_returns_now(self):
-        conn = Connection("c1", per_connection_bps=None)
-        assert conn.connection_drain_completion(5.0, 1000) == 5.0
+    """The per-connection drain clock, advanced by the broker's fan-out."""
 
-    def test_ceiling_imposes_serial_drain(self):
-        conn = Connection("c1", per_connection_bps=1000.0)
-        first = conn.connection_drain_completion(0.0, 500)
-        second = conn.connection_drain_completion(0.0, 500)
-        assert first == pytest.approx(0.5)
-        assert second == pytest.approx(1.0)
+    def test_no_ceiling_returns_now(self, sim):
+        # No ceiling: the delivery completes when the shared NIC sends it.
+        server, __, publish = _broker(sim, rate=None)
+        now = sim.now
+        publish(1000)
+        sim.run_until(5.0)
+        nic_completion = now + 1000 / server.config.actual_egress_bps
+        assert server.transport.actor("sub").arrivals == [pytest.approx(nic_completion)]
 
-    def test_idle_connection_resets(self):
-        conn = Connection("c1", per_connection_bps=1000.0)
-        conn.connection_drain_completion(0.0, 100)
-        assert conn.connection_drain_completion(10.0, 100) == pytest.approx(10.1)
+    def test_ceiling_imposes_serial_drain(self, sim):
+        server, __, publish = _broker(sim)
+        now = sim.now
+        publish(500)
+        publish(500)  # same instant: drains after the first, 0.5 s later
+        sim.run_until(5.0)
+        arrivals = server.transport.actor("sub").arrivals
+        assert arrivals == [pytest.approx(now + 0.5), pytest.approx(now + 1.0)]
+
+    def test_idle_connection_resets(self, sim):
+        server, __, publish = _broker(sim)
+        publish(100)
+        sim.run_until(10.0)
+        publish(100)  # the clock restarts at now, not at the last completion
+        sim.run_until(15.0)
+        arrivals = server.transport.actor("sub").arrivals
+        assert arrivals == [pytest.approx(1.1), pytest.approx(10.1)]
+
+    def test_killed_and_resubscribed_client_starts_on_a_fresh_clock(self, sim):
+        # 250 B limit: three 100 B deliveries at one instant overflow it.
+        # The dead connection's clock had run to +0.3; the connection the
+        # resubscribe creates drains its first delivery in 0.1 s from now.
+        server, conn, publish = _broker(sim, limit_bytes=250)
+        now = sim.now
+        for __ in range(3):
+            publish(100)
+        assert server.killed_connections == 1 and not conn.alive
+        server.transport.actor("sub").send("srv", SubscribeCmd("ch"), 64)
+        sim.run_until(now)
+        fresh = server.connection("sub")
+        assert fresh is not conn and fresh.alive
+        publish(100)
+        assert fresh.buffered_bytes(now + 0.05) == 100
+        assert fresh.buffered_bytes(now + 0.1) == 0
 
 
 class TestKill:

@@ -649,6 +649,106 @@ class TestCausalGate:
         gate.drop_channel("ghost")
 
 
+class _TwoHelperGate:
+    """One channel of the gate as it read when ``admit`` called a separate
+    readiness helper for the arrival and then per parked candidate: the
+    reference the one-loop ``CausalGate.admit`` must match."""
+
+    def __init__(self):
+        self.delivered = {}
+        self.parked = []
+
+    def admit(self, delivery):
+        if not self._ready(delivery.payload):
+            self.parked.append(delivery)
+            return ()
+        batch = [delivery]
+        index = 0
+        while index < len(self.parked):
+            if self._ready(self.parked[index].payload):
+                batch.append(self.parked.pop(index))
+                index = 0
+            else:
+                index += 1
+        return batch
+
+    def expire(self):
+        flushed, self.parked = self.parked, []
+        for delivery in flushed:
+            sender, pub_seq = delivery.payload.sender, delivery.payload.pub_seq
+            self.delivered[sender] = max(pub_seq, self.delivered.get(sender, 0))
+        return flushed
+
+    def _ready(self, envelope):
+        delivered = self.delivered
+        sender = envelope.sender
+        last = delivered.get(sender, 0)
+        if envelope.pub_seq > last + 1:
+            return False
+        for dep_sender, dep_seq in envelope.deps:
+            if dep_sender != sender and delivered.get(dep_sender, 0) < dep_seq:
+                return False
+        if envelope.pub_seq > last:
+            delivered[sender] = envelope.pub_seq
+        return True
+
+
+_SENDERS = ("alice", "bob", "carol")
+
+
+@st.composite
+def _causal_schedules(draw):
+    """Arrival orders over 2-3 senders: each sender's publications 1..n
+    with dependencies on the others (some never published, so their
+    dependents park until a flush), shuffled, repeated at random, with
+    park-timeout flushes (``None``) in between."""
+    senders = _SENDERS[: draw(st.integers(2, 3))]
+    published = []
+    for sender in senders:
+        for pub_seq in range(1, draw(st.integers(1, 5)) + 1):
+            deps = draw(
+                st.lists(
+                    st.tuples(st.sampled_from(senders), st.integers(1, 6)),
+                    max_size=3,
+                    unique_by=lambda dep: dep[0],
+                )
+            )
+            published.append((sender, pub_seq, tuple(sorted(deps))))
+    arrivals = draw(st.permutations(published))
+    arrivals += draw(st.lists(st.sampled_from(published), max_size=4))
+    ops = []
+    for arrival in arrivals:
+        if draw(st.integers(0, 5)) == 0:
+            ops.append(None)
+        ops.append(arrival)
+    ops.append(None)
+    return ops
+
+
+class TestCausalGateEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_causal_schedules())
+    def test_one_loop_admit_matches_the_two_helper_gate(self, ops):
+        sim, gate, timeouts = _gate(park_timeout_s=1.0)
+        reference = _TwoHelperGate()
+        for op in ops:
+            if op is None:
+                # Every timer armed since the last flush fires; only the
+                # newest token of a still-parked set may flush it.
+                fired = len(timeouts)
+                sim.run_until(sim.now + 1.0)
+                flushed = []
+                for timeout in timeouts[fired:]:
+                    flushed.extend(gate.expire(timeout.channel, timeout.token))
+                assert _ids(flushed) == _ids(reference.expire())
+            else:
+                sender, pub_seq, deps = op
+                delivery = _stamped(sender, pub_seq, deps)
+                assert _ids(gate.admit(delivery)) == _ids(reference.admit(delivery))
+            # ``stamp`` reports the delivered vector (the owner "me" never sends).
+            assert gate.stamp("a")[1] == tuple(sorted(reference.delivered.items()))
+
+
 def test_config_validation_rejects_bad_tier_and_budgets():
     with pytest.raises(ValueError, match="delivery_tier"):
         DynamothConfig(delivery_tier="maybe_once")

@@ -14,6 +14,12 @@ almost nothing the client already holds.  A request that names the
 range form replayed 114 for 30 holes, 68 of them dropped on arrival as
 duplicates.  Counts are exact and the same on any machine; there is no
 wall clock here.
+
+The same run also prices the reliable path itself: Python-level calls in
+``repro/core/reliability.py``, ``repro/broker/`` and ``repro/faults/`` per
+application delivery, counted the way the ledger's counting pass counts.
+A change that needs more frames there raises ``BUDGET`` in the same diff,
+on purpose.
 """
 
 from random import Random
@@ -22,8 +28,21 @@ from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
 from repro.faults import ChaosSchedule, DegradeLink, FaultInjector
 from repro.sim.timers import PeriodicTask
+from tests.helpers import python_calls_by_function
 
 CHANNELS, SUBS, PUBS, RATE, DURATION_S, LOSS, DRAIN_S = 4, 5, 2, 5.0, 9.0, 0.2, 3.0
+
+#: reliable-path calls per application delivery: 6.70 while the causal
+#: readiness test and the per-connection drain clock were frames of their
+#: own (1.04 + 1.00 per delivery) and the fault plane was asked about every
+#: pair (0.44; 0.12 now that it is asked only about pairs it names).  The
+#: floor is 3.4: ``SequenceStage.observe`` and ``CausalGate.admit`` per
+#: delivery, plus seven frames per publication (broker arrival and
+#: completion, two stamps, the cache's ``cache_for`` / ``stamp_and_cache`` /
+#: ``add``) shared by its five subscribers.  The rest is gap repair; this
+#: run reads 4.17.
+BUDGET = 4.3
+_RELIABLE_PATH = ("/repro/core/reliability.py", "/repro/broker/", "/repro/faults/")
 
 
 def _lossy_run(seed: int = 0):
@@ -91,3 +110,21 @@ def test_repair_traffic_is_about_one_replay_per_hole():
     assert holes >= 20
     assert holes <= replayed <= 1.5 * holes, (holes, replayed)
     assert duplicates <= 0.05 * replayed, (duplicates, replayed)
+
+
+def test_reliable_path_calls_per_delivery_within_budget():
+    runs = []
+    calls = python_calls_by_function(lambda: runs.append(_lossy_run()))
+    (_cluster, subscribers, owed, _holes), = runs
+    delivered = sum(sub.delivered for sub in subscribers)
+    assert delivered == owed
+    path = {key: n for key, n in calls.items() if any(part in key[0] for part in _RELIABLE_PATH)}
+    per_delivery = sum(path.values()) / delivered
+    top = sorted(path.items(), key=lambda item: -item[1])[:10]
+    assert per_delivery <= BUDGET, (
+        f"{per_delivery:.2f} reliable-path calls per delivery (budget {BUDGET}); top callees:\n"
+        + "\n".join(
+            f"  {n:>7}  {file.rsplit('/repro/', 1)[1]}:{line} {name}"
+            for (file, line, name), n in top
+        )
+    )

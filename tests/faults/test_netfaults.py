@@ -1,8 +1,11 @@
 """Unit tests for the network fault plane."""
 
+from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import NetworkFaultPlane
 
@@ -86,3 +89,46 @@ class TestDegradedLink:
         assert not plane.active
         assert plane.apply("a", "b") == 0.0
         assert plane.apply("c", "d") == 0.0
+
+
+def _rule_endpoints(plane):
+    """``nodes`` recomputed from the live rules: endpoints per node."""
+    return dict(Counter(node for key in (*plane._cut, *plane._links) for node in key))
+
+
+_NODES = st.sampled_from(["a", "b", "c", "d"])
+_RULE_OPS = st.one_of(
+    st.tuples(st.just("partition"), _NODES, _NODES),
+    st.tuples(st.just("heal"), _NODES, _NODES),
+    st.tuples(
+        st.just("degrade"), _NODES, _NODES, st.sampled_from([0.0, 0.3]), st.sampled_from([0.0, 0.01])
+    ),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestNodes:
+    """``nodes`` is kept in step with the rules, one change at a time."""
+
+    def test_rule_changes_edge_cases(self, plane):
+        plane.heal("x", "y")  # never cut
+        assert plane.nodes == {}
+        plane.degrade("a", "b", loss=0.2, jitter_s=0.0)
+        plane.degrade("b", "a", loss=0.5, jitter_s=0.01)  # re-degrade: still one rule
+        assert plane.nodes == {"a": 1, "b": 1}
+        plane.partition("a", "b")  # cut and degraded: two rules
+        plane.partition("b", "a")
+        assert plane.nodes == {"a": 2, "b": 2}
+        plane.degrade("a", "b", loss=0.0, jitter_s=0.0)  # degrade to zero
+        plane.degrade("a", "b", loss=0.0, jitter_s=0.0)
+        assert plane.nodes == {"a": 1, "b": 1}
+        plane.heal("a", "b")
+        assert plane.nodes == {} and not plane.active
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(_RULE_OPS, max_size=30))
+    def test_nodes_equal_the_endpoints_of_the_live_rules(self, ops):
+        plane = NetworkFaultPlane(Random(0))
+        for name, *args in ops:
+            getattr(plane, name)(*args)
+            assert plane.nodes == _rule_endpoints(plane)

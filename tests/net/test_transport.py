@@ -80,15 +80,6 @@ class TestDelivery:
         sim.run_until(1.0)
         assert b.received[0][0] == pytest.approx(0.501)
 
-    def test_min_completion_floor(self, sim, net):
-        a, b = Recorder(sim, "a"), Recorder(sim, "b")
-        net.register(a)
-        net.register(b)
-        completion, delivery = net.send("a", "b", "m", 10, min_completion=2.0)
-        assert completion == pytest.approx(2.0)
-        sim.run_until(5.0)
-        assert b.received[0][0] == pytest.approx(2.001)
-
     def test_messages_to_unknown_destination_dropped(self, sim, net):
         a = Recorder(sim, "a")
         net.register(a)

@@ -2,8 +2,8 @@
 
 Covers the bulk :meth:`Transport.send_fanout` API (ordering, leg sampling,
 completion floors, drop accounting, equivalence with :meth:`Transport.send`
-and across fault-plane presence) and the pruning of per-pair connection
-state on unregister.
+and across fault-plane presence, which pairs consult the plane) and the
+pruning of per-pair connection state on unregister.
 """
 
 from random import Random
@@ -61,10 +61,26 @@ class _Stamper(Recorder):
 
 
 class _HealthyPlane:
-    """A fault plane with no active fault: every verdict is 0.0 extra."""
+    """A fault plane naming ``nodes`` with no active fault: every verdict
+    is 0.0 extra."""
+
+    def __init__(self, nodes):
+        self.nodes = set(nodes)
 
     def apply(self, src_id, dst_id):
         return 0.0
+
+
+class _CuttingPlane:
+    """Names ``nodes``, cuts every pair it is asked about, and records them."""
+
+    def __init__(self, nodes):
+        self.nodes = set(nodes)
+        self.asked = []
+
+    def apply(self, src_id, dst_id):
+        self.asked.append((src_id, dst_id))
+        return None
 
 
 class TestSendFanout:
@@ -194,9 +210,9 @@ class TestSendFanout:
     def test_single_destination_fanout_is_float_identical_to_send(self):
         # The fan-out loop takes n=1 with no dedicated branch, so
         # ``transmit_many(now, size, 1)`` must equal ``transmit(now, size)``
-        # and the latency / floor / FIFO arithmetic must match ``send`` bit
-        # for bit: a sampled latency model, a finite NIC that accumulates
-        # backlog, odd sizes, and completion floors.
+        # and the latency / FIFO arithmetic must match ``send`` bit for
+        # bit: a sampled latency model, a finite NIC that accumulates
+        # backlog, and odd sizes.
         def deliveries(use_fanout: bool):
             sim = Simulator()
             net = _jittery_net(sim)
@@ -206,15 +222,10 @@ class TestSendFanout:
             completions = []
             for k in range(40):
                 size = 13 + 7 * k
-                floor = 0.05 * k if k % 3 == 0 else 0.0
                 if use_fanout:
-                    completions.extend(
-                        _fanout(net, "src", ["dst"], k, size, min_completions=[floor])
-                    )
+                    completions.extend(_fanout(net, "src", ["dst"], k, size))
                 else:
-                    completions.append(
-                        net.send("src", "dst", k, size, min_completion=floor)[0]
-                    )
+                    completions.append(net.send("src", "dst", k, size)[0])
                 sim.run_until(sim.now + 0.01)
             sim.run_until(100.0)
             return completions, stamps, net.port("src").total_bytes
@@ -228,11 +239,11 @@ class TestSendFanout:
         def deliveries(with_plane: bool):
             sim = Simulator()
             net = _jittery_net(sim)
+            ids = [f"d{i}" for i in range(6)]
             if with_plane:
-                net.fault_plane = _HealthyPlane()
+                net.fault_plane = _HealthyPlane(["src", *ids])
             net.register(Recorder(sim, "src"), egress_capacity_bps=9_000.0)
             stamps = []
-            ids = [f"d{i}" for i in range(6)]
             for node_id in ids:
                 net.register(_Stamper(sim, node_id, stamps))
             for k in range(20):
@@ -243,6 +254,25 @@ class TestSendFanout:
             return stamps, net.messages_sent, net.messages_dropped
 
         assert deliveries(True) == deliveries(False)
+
+    def test_plane_is_asked_only_about_pairs_it_names(self, sim):
+        # Both send bodies consult the plane only when both endpoints are
+        # in its ``nodes``; every other pair travels as if no plane were
+        # installed.  Here the plane cuts what it is asked about, so a
+        # pair it was wrongly asked about would also go missing.
+        net = _fixed_net(sim)
+        ids = ["a", "b", "c", "d"]
+        for node_id in ids:
+            net.register(Recorder(sim, node_id))
+        plane = _CuttingPlane(["a", "c", "outsider"])
+        net.fault_plane = plane
+        for src in ids:
+            others = [dst for dst in ids if dst != src]
+            for dst in others:
+                net.send(src, dst, "one", 10)
+            _fanout(net, src, others, "batch", 10)
+        assert plane.asked == [("a", "c"), ("a", "c"), ("c", "a"), ("c", "a")]
+        assert (net.messages_sent, net.messages_dropped) == (20, 4)
 
 
 class TestPairStatePruning:
