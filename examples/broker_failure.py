@@ -34,8 +34,10 @@ def main() -> None:
     config = DynamothConfig(
         max_servers=3,
         t_wait_s=5.0,
-        # Chaos runs turn on client-side ping probing: without it a
-        # subscriber has no way to notice that its server silently died.
+        # Chaos runs turn on client-side ping probing: without it a client
+        # learns that its server silently died only from a survivor's
+        # FailureNotice, once the balancer has confirmed the crash -- and
+        # only if it also holds a subscription on a survivor.
         client_ping_interval_s=1.0,
     )
     cluster = DynamothCluster(seed=42, initial_servers=3, config=config)

@@ -88,22 +88,27 @@ class SubscribeAck:
 
 @dataclass(frozen=True, slots=True)
 class PingCmd:
-    """Client-side liveness probe (Redis ``PING``).
+    """Client-side liveness probe (Redis ``PING message``).
 
     The Dynamoth client library sends these to every server it holds
     subscriptions on; a run of unanswered pings marks the server dead and
-    triggers subscription failover.  A stock broker answers PING, so this
-    needs no broker modification.
+    triggers subscription failover.  The message is ``stamp``, the client's
+    clock when the probe was first sent, and the pong echoes it, so a pong
+    names the probe it answers.  A stock broker answers PING with its
+    message, so this needs no broker modification.
     """
+
+    stamp: float
 
     WIRE_SIZE = 16
 
 
 @dataclass(frozen=True, slots=True)
 class PongReply:
-    """Server's answer to :class:`PingCmd` (Redis ``+PONG``)."""
+    """Server's answer to :class:`PingCmd`: the probe's ``stamp``, echoed."""
 
     server_id: str
+    stamp: float = 0.0
 
     WIRE_SIZE = 16
 

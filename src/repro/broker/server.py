@@ -247,7 +247,7 @@ class PubSubServer(Actor):
                 self._replay_range(src_id, message.channel, message.epoch, message.seqs)
         elif isinstance(message, PingCmd):
             self.transport.send(
-                self.node_id, src_id, PongReply(self.node_id), PongReply.WIRE_SIZE
+                self.node_id, src_id, PongReply(self.node_id, message.stamp), PongReply.WIRE_SIZE
             )
         else:
             raise TypeError(f"{self.node_id}: unexpected message {type(message).__name__}")

@@ -628,7 +628,7 @@ class DynamothClient(Actor):
                         self._finish_reconcile(message.channel)
             elif isinstance(message, PongReply):
                 if self._recovery is not None:
-                    self._recovery.pong(message.server_id)
+                    self._recovery.pong(message.server_id, message.stamp)
             elif isinstance(message, ReplayGapNotice):
                 if self._sequence is not None:
                     self.unrecoverable += self._sequence.forget_through(

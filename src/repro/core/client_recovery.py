@@ -1,30 +1,47 @@
 """Client-side failure detection and failover recovery.
 
 A crashed server never answers (its connection vanished without a FIN in
-this failure model), so consecutive unanswered pings are a client's own
-liveness signal; the other is a :class:`~repro.core.messages.FailureNotice`
-from a surviving dispatcher once the balancer confirms the crash.  Both
-reach the client's one server-loss path (``DynamothClient._server_down``),
-which hands the resubscription to :meth:`ClientRecovery.fail_over` when
-probing is on.  A :class:`DynamothClient` builds a :class:`ClientRecovery`
-only when ``client_ping_interval_s`` is set: off by default because pong
-traffic perturbs measured egress; the sends are fully deterministic (no
-RNG, no jitter), so enabling it changes nothing else.  With probing off a
-lost server's channels are resubscribed once, after a short delay, as on
-an overload kill (``ConnectionClosed``).
+this failure model), so unanswered pings are a client's own liveness
+signal; the other is a :class:`~repro.core.messages.FailureNotice` from a
+surviving dispatcher once the balancer confirms the crash.  Both reach the
+client's one server-loss path (``DynamothClient._server_down``), which
+hands the resubscription to :meth:`ClientRecovery.fail_over` when probing
+is on.
+
+A ping is judged on the link's own round-trip clock
+(:class:`~repro.core.client_link.LinkClock`), fed by the pongs: a probe
+unanswered for the link's retransmission timeout is re-sent at once on a
+doubled clock, capped at ``client_ping_interval_s``, and
+``client_ping_miss_limit`` consecutive unanswered probes make the
+suspicion.  Before a link's first sample the timeout *is* the interval,
+so detection is never later than one ping per interval would make it.
+
+A :class:`DynamothClient` builds a :class:`ClientRecovery` only when
+``client_ping_interval_s`` is set: off by default because pong traffic
+perturbs measured egress; the sends are fully deterministic (no RNG, no
+jitter), so enabling it changes nothing else.  With probing off a lost
+server's channels are resubscribed once, after a short delay, as on an
+overload kill (``ConnectionClosed``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.broker.commands import PingCmd
+from repro.core.client_link import LinkClock
 from repro.core.config import DynamothConfig
 from repro.obs.trace import ClientReconnectEvent
+from repro.sim.kernel import ScheduledEvent
 from repro.sim.timers import PeriodicTask
 
 if TYPE_CHECKING:
     from repro.core.client import DynamothClient
+
+#: one probe round on one server, ``(stamp, misses, timer)``: the time the
+#: probe was first sent (its pong echoes it), how many times it has timed
+#: out, and the timer of its latest send
+_Round = Tuple[float, int, ScheduledEvent]
 
 
 class ClientRecovery:
@@ -36,8 +53,14 @@ class ClientRecovery:
     """
 
     def __init__(self, client: "DynamothClient", config: DynamothConfig) -> None:
+        interval = config.client_ping_interval_s
+        if interval is None:
+            raise ValueError("ClientRecovery needs client_ping_interval_s")
         self._client = client
         self._config = config
+        #: the ping interval: the probe timeout before a link's first
+        #: sample, and its ceiling after
+        self._interval = interval
         #: server -> time this client suspected it dead on its own pings or
         #: acks.  An unconfirmed suspicion expires after
         #: ``failed_server_ttl_s``; a server the balancer confirms leaves
@@ -48,28 +71,40 @@ class ClientRecovery:
         #: must also cover recently-used publish targets -- otherwise a
         #: publisher keeps sending into a dead server forever.
         self.publish_targets: Dict[str, float] = {}
-        #: server -> consecutive unanswered pings
-        self._ping_misses: Dict[str, int] = {}
+        #: server -> round-trip clock of the link to it, fed by pongs
+        self._links: Dict[str, LinkClock] = {}
+        #: server -> the probe round in flight (a pong or a suspicion ends it)
+        self._rounds: Dict[str, _Round] = {}
         #: channel -> servers whose SubscribeAck we have seen
         self._acked: Dict[str, Set[str]] = {}
         #: channels with a failover recovery in flight
         self._pending: Set[str] = set()
         #: channel -> newest recovery attempt number (stale timers ignored)
         self._attempt: Dict[str, int] = {}
-        self._ping_task = PeriodicTask(client.sim, config.client_ping_interval_s, self._ping_tick)
+        self._ping_task = PeriodicTask(client.sim, interval, self._ping_tick)
         self._ping_task.start()
 
     def stop(self) -> None:
         self._ping_task.stop()
+        for server in list(self._rounds):
+            self._end_round(server)
 
-    def pong(self, server_id: str) -> None:
-        self._ping_misses[server_id] = 0
+    def pong(self, server_id: str, stamp: float) -> None:
+        """``server_id`` answered the probe first sent at ``stamp``: the round
+        in flight ends (any pong shows the server alive), and times the link
+        if it answers that round's probe and the probe was never re-sent
+        (Karn's rule: a re-sent probe's pong matches either send)."""
+        probe = self._rounds.pop(server_id, None)
+        if probe is not None:
+            probe[2].cancel()
+            if stamp == probe[0] and not probe[1]:
+                self._links[server_id].sample(self._client.sim.now - stamp)
         self.failed.pop(server_id, None)
 
     def ack(self, channel: str, server_id: str) -> None:
         self._acked.setdefault(channel, set()).add(server_id)
 
-    def unack(self, server_id: str, channels: list) -> None:
+    def unack(self, server_id: str, channels: List[str]) -> None:
         """``server_id`` was detached from ``channels``: its acks are void."""
         for channel in channels:
             acked = self._acked.get(channel)
@@ -92,11 +127,11 @@ class ClientRecovery:
         return set(failed)
 
     def _ping_tick(self, now: float) -> None:
-        """Probe every subscribed server; declare it dead after N misses.
+        """Start a probe round on every subscribed server without one.
 
         Servers this client recently published through are probed as
         well: a pure publisher would otherwise never notice its target
-        died.
+        died.  A round still in flight runs on its own clock.
         """
         client = self._client
         servers: Set[str] = set()
@@ -104,22 +139,46 @@ class ClientRecovery:
             servers |= sub.servers
         targets = self.publish_targets
         if targets:
-            window = 5.0 * self._config.client_ping_interval_s
+            window = 5.0 * self._interval
             for server in list(targets):
                 if now - targets[server] > window:
                     del targets[server]
             servers |= set(targets)
-        misses = self._ping_misses
-        for server in list(misses):
+        rounds = self._rounds
+        for server in list(rounds):
             if server not in servers:
-                del misses[server]
+                self._end_round(server)
+        links = self._links
         for server in sorted(servers):
-            missed = misses.get(server, 0)
-            if missed >= self._config.client_ping_miss_limit:
-                self._on_server_failed(server)
-                continue
-            misses[server] = missed + 1
-            client.send(server, PingCmd(), PingCmd.WIRE_SIZE)
+            if server not in rounds:
+                link = links.get(server) or links.setdefault(server, LinkClock(self._interval))
+                self._probe(server, now, 0, link.timeout)
+
+    def _probe(self, server: str, stamp: float, misses: int, timeout: float) -> None:
+        """PING ``server`` and give it ``timeout`` to answer; a re-send
+        (``misses`` > 0) carries the round's first ``stamp``."""
+        client = self._client
+        timer = client.sim.schedule(timeout, self._probe_timed_out, server)
+        self._rounds[server] = (stamp, misses, timer)
+        client.send(server, PingCmd(stamp), PingCmd.WIRE_SIZE)
+
+    def _probe_timed_out(self, server: str) -> None:
+        """No pong within the timeout: one more miss.  Short of the limit the
+        PING goes again at once, and the link's clock backs off (RFC 6298
+        §5.5) -- up to the interval, where the schedule is one PING per
+        interval again."""
+        stamp, misses, _ = self._rounds[server]
+        misses += 1
+        if misses >= self._config.client_ping_miss_limit:
+            del self._rounds[server]
+            self._on_server_failed(server)
+            return
+        link = self._links[server]
+        link.back_off()
+        self._probe(server, stamp, misses, link.timeout)
+
+    def _end_round(self, server: str) -> None:
+        self._rounds.pop(server)[2].cancel()
 
     def _on_server_failed(self, server_id: str) -> None:
         """Suspect ``server_id`` dead on this client's own evidence."""
@@ -133,7 +192,8 @@ class ClientRecovery:
     def fail_over(self, server_id: str, affected: List[str]) -> None:
         """Recovery's share of a lost server: stop probing it and resubscribe
         each of ``affected`` in ack-verified rounds."""
-        self._ping_misses.pop(server_id, None)
+        if server_id in self._rounds:
+            self._end_round(server_id)
         self.publish_targets.pop(server_id, None)
         for channel in affected:
             if channel not in self._pending:

@@ -43,6 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.client_link import LinkClock
 from repro.core.config import DELIVERY_TIERS, DynamothConfig
 
 __all__ = [
@@ -211,37 +212,12 @@ class BrokerReliability:
 _UNASKED = (float("-inf"), 0)
 
 
-class _Link:
-    """Retry timeout of one client-server link, measured (RFC 6298):
-    ``srtt + max(4 * rttvar, srtt / 2)`` under the configured ceiling, which
-    is also the timeout before the first sample.  The floor keeps a
-    jitter-free link (``rttvar`` -> 0) off the round trip itself."""
-
-    __slots__ = ("ceiling", "srtt", "rttvar", "timeout")
-
-    def __init__(self, ceiling: float) -> None:
-        self.ceiling = ceiling
-        self.srtt = 0.0
-        self.rttvar = 0.0
-        self.timeout = ceiling
-
-    def sample(self, rtt: float) -> None:
-        srtt = self.srtt
-        if srtt:
-            self.rttvar += (abs(srtt - rtt) - self.rttvar) / 4.0
-            self.srtt = srtt = srtt + (rtt - srtt) / 8.0
-        else:
-            self.srtt = srtt = rtt
-            self.rttvar = rtt / 2.0
-        self.timeout = min(self.ceiling, srtt + max(4.0 * self.rttvar, srtt / 2.0))
-
-
 class _Stream:
     """Client-side view of one (server, channel) sequence stream."""
 
     __slots__ = ("epoch", "max_seq", "missing", "link", "backoff")
 
-    def __init__(self, link: _Link) -> None:
+    def __init__(self, link: LinkClock) -> None:
         #: hole -> (time of its latest request, requests so far); ascending,
         #: because holes only ever open above the watermark
         self.missing: Dict[int, Tuple[float, int]] = {}
@@ -281,7 +257,7 @@ class SequenceStage:
         #: (server, channel) -> stream state
         self._streams: Dict[Tuple[str, str], _Stream] = {}
         #: server -> the estimator its streams share
-        self._links: Dict[str, _Link] = {}
+        self._links: Dict[str, LinkClock] = {}
         #: (server, channel) of the retry timers in flight; not on the stream,
         #: so that one dropped and rebuilt inherits its timer
         self._armed: Set[Tuple[str, str]] = set()
@@ -297,7 +273,8 @@ class SequenceStage:
         key = (server, channel)
         stream = self._streams.get(key)
         if stream is None:
-            link = self._links.get(server) or self._links.setdefault(server, _Link(self._ceiling))
+            links = self._links
+            link = links.get(server) or links.setdefault(server, LinkClock(self._ceiling))
             stream = self._streams[key] = _Stream(link)
         if epoch != stream.epoch:
             if epoch < stream.epoch:

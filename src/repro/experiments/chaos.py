@@ -62,8 +62,9 @@ class ChaosScenarioConfig:
     initial_servers: int = 3
     max_servers: int = 4
     t_wait_s: float = 10.0
-    #: chaos runs enable client-side ping probing -- without it a
-    #: subscriber has no way to notice its server silently vanished
+    #: chaos runs enable client-side ping probing: without it a client
+    #: learns of a crash only from a survivor's ``FailureNotice``, after the
+    #: balancer confirms it, and only if it holds a subscription on a survivor
     client_ping_interval_s: float = 1.0
     #: windowed delivery-latency SLA threshold (None disables the monitor)
     sla_threshold_s: Optional[float] = 0.5

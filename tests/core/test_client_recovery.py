@@ -6,7 +6,10 @@ servers by hand, answering (or not answering) pings and SUBSCRIBEs.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.broker.commands import PingCmd, PongReply, SubscribeCmd
+from repro.core.client_recovery import ClientRecovery
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
 from repro.core.plan import ChannelMapping, ReplicationMode
@@ -84,6 +87,129 @@ class TestDetection:
         assert target() == fallback  # mark still live at 13.5 < 4 + 10
         sim.run_until(14.5)
         assert target() == home  # TTL passed: routable again, unprompted
+
+
+def probe_clock(client, server: str):
+    return client._recovery._links[server]
+
+
+class TestProbeClock:
+    """A probe times out on the link's measured clock, not the interval."""
+
+    @pytest.mark.parametrize("rtt", [0.01, 0.2])
+    def test_a_silent_server_is_suspected_after_rto_1_2_4_capped(self, rtt):
+        sim, wire, client = make_client()
+        home = home_of("ch")
+        wire.live, wire.pong_delay = set(SERVERS), rtt
+        client.subscribe("ch", lambda *a: None)
+        sim.run_until(5.5)  # pings 1..5 answered after ``rtt``: five samples
+        rto = probe_clock(client, home).timeout
+        assert rtt < rto < 1.0
+        wire.live.discard(home)
+        sim.run_until(9.5)
+        # The PING at 6 goes again after each timeout, on a doubled clock
+        # capped at the 1 s interval; the tick at 7 leaves the round alone.
+        timeouts = [rto, min(1.0, 2 * rto), min(1.0, 4 * rto)]
+        assert wire.times(PingCmd, home)[-3:] == pytest.approx(
+            [6.0, 6.0 + timeouts[0], 6.0 + sum(timeouts[:2])]
+        )
+        assert client.failovers == 1
+        # The failover resubscribes at once, at 6 + rto * (1 + 2 + 4) when
+        # uncapped -- not at 9, three intervals after the first miss.
+        assert wire.times(SubscribeCmd)[-1] == pytest.approx(6.0 + sum(timeouts))
+        assert wire.times(SubscribeCmd)[-1] < 8.0
+
+    def test_a_pong_to_a_resent_probe_does_not_sample(self):
+        """Karn's rule: the pong may answer either send, so it times nothing;
+        the backed-off clock holds until a probe sent once is answered."""
+        sim, wire, client = make_client()
+        home = home_of("ch")
+        wire.live = set(SERVERS)
+        client.subscribe("ch", lambda *a: None)
+        sim.run_until(3.5)
+        clock = probe_clock(client, home)
+        rto, estimate = clock.timeout, (clock.srtt, clock.rttvar)
+        wire.live.discard(home)
+        sim.run_until(4.0 + 1.5 * rto)  # the PING at 4 timed out and went again
+        pings = wire.messages(PingCmd)
+        assert wire.times(PingCmd, home)[-2:] == pytest.approx([4.0, 4.0 + rto])
+        assert pings[-1].stamp == pings[-2].stamp == 4.0
+        client.receive(PongReply(home, 4.0), home)
+        assert (clock.srtt, clock.rttvar) == estimate
+        assert clock.timeout == 2 * rto
+        wire.live.add(home)
+        sim.run_until(5.5)  # the PING at 5 was sent once: its pong samples
+        assert clock.srtt != estimate[0] or clock.rttvar != estimate[1]
+        assert clock.timeout < 2 * rto
+
+    def test_a_pong_to_an_older_probe_does_not_sample(self):
+        sim, wire, client = make_client()
+        home = home_of("ch")
+        wire.live = set(SERVERS)
+        client.subscribe("ch", lambda *a: None)
+        sim.run_until(3.5)
+        clock = probe_clock(client, home)
+        estimate = (clock.srtt, clock.rttvar)
+        sim.run_until(4.005)  # the PING at 4 is in flight
+        client.receive(PongReply(home, 3.0), home)  # a straggler of the round at 3
+        assert (clock.srtt, clock.rttvar) == estimate
+        assert client.failovers == 0
+
+    def test_a_late_pong_between_timeouts_resets_the_count(self):
+        sim, wire, client = make_client()
+        home = home_of("ch")
+        wire.live = set(SERVERS)
+        client.subscribe("ch", lambda *a: None)
+        sim.run_until(3.5)
+        rto = probe_clock(client, home).timeout
+        wire.live.discard(home)
+        # Two timeouts (at 4 + rto and 4 + 3 rto); the third is 4 rto away.
+        sim.run_until(4.0 + 5 * rto)
+        assert len(wire.times(PingCmd, home)) == 6  # 1..3 answered, 4 sent thrice
+        client.receive(PongReply(home, 4.0), home)  # the first send, answered late
+        wire.live.add(home)
+        sim.run_until(30.0)
+        assert client.failovers == 0
+        assert client.subscription_servers("ch") == {home}
+
+    def test_a_round_trip_jump_to_0_9_interval_keeps_the_server(self):
+        """At 0.1 s round trips the clock reads 0.15 s, so the three
+        timeouts (0.15 + 0.3 + 0.6 s) outlast a jump to 0.9 s and the late
+        pong ends the round.  The backed-off clock is kept until a probe
+        sent once is answered, which happens at the 1 s cap: the clock
+        catches up and the server is never suspected."""
+        sim, wire, client = make_client()
+        home = home_of("ch")
+        wire.live, wire.pong_delay = set(SERVERS), 0.1
+        client.subscribe("ch", lambda *a: None)
+        sim.run_until(10.5)
+        clock = probe_clock(client, home)
+        assert clock.timeout == pytest.approx(0.15, abs=0.001)
+        wire.pong_delay = 0.9
+        sim.run_until(40.0)
+        assert client.failovers == 0
+        assert client.subscription_servers("ch") == {home}
+        assert clock.srtt > 0.5
+        assert clock.timeout == 1.0
+
+    def test_a_healthy_link_never_runs_the_timeout(self, monkeypatch):
+        calls = []
+        original = ClientRecovery._probe_timed_out
+
+        def spy(self, server):
+            calls.append((self._client.sim.now, server))
+            original(self, server)
+
+        monkeypatch.setattr(ClientRecovery, "_probe_timed_out", spy)
+        sim, wire, client = make_client()
+        wire.live = set(SERVERS)
+        client.subscribe("ch", lambda *a: None)
+        sim.run_until(30.0)
+        assert len(wire.times(PingCmd)) == 30
+        assert calls == []
+        # The pong cancelled each timer; the kernel skips cancelled entries.
+        # Ticks 1..30, pongs 1.01..29.01 and the SUBSCRIBE's ack: nothing else.
+        assert sim.events_processed == 30 + 29 + 1
 
 
 class TestRecovery:

@@ -16,7 +16,8 @@ duplicates.  Counts are exact and the same on any machine; there is no
 wall clock here.
 
 The same run also prices the reliable path itself: Python-level calls in
-``repro/core/reliability.py``, ``repro/broker/`` and ``repro/faults/`` per
+``repro/core/reliability.py``, the link clock gap repair times its requests
+with (``repro/core/client_link.py``), ``repro/broker/`` and ``repro/faults/`` per
 application delivery, counted the way the ledger's counting pass counts.
 A change that needs more frames there raises ``BUDGET`` in the same diff,
 on purpose.
@@ -42,7 +43,9 @@ CHANNELS, SUBS, PUBS, RATE, DURATION_S, LOSS, DRAIN_S = 4, 5, 2, 5.0, 9.0, 0.2, 
 #: ``add``) shared by its five subscribers.  The rest is gap repair; this
 #: run reads 4.17.
 BUDGET = 4.3
-_RELIABLE_PATH = ("/repro/core/reliability.py", "/repro/broker/", "/repro/faults/")
+_RELIABLE_PATH = (
+    "/repro/core/reliability.py", "/repro/core/client_link.py", "/repro/broker/", "/repro/faults/",
+)
 
 
 def _lossy_run(seed: int = 0):

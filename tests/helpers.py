@@ -77,7 +77,8 @@ class RecordingWire:
     """Transport stand-in for a bare client: the test plays the servers.
 
     Every send is recorded as ``(time, dst, message)``; servers named in
-    ``live`` answer pings and acknowledge SUBSCRIBEs 10 ms later.
+    ``live`` answer pings ``pong_delay`` later (10 ms unless set) and
+    acknowledge SUBSCRIBEs 10 ms later.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -85,13 +86,15 @@ class RecordingWire:
         self.client: Optional[DynamothClient] = None
         self.sent: List[Tuple[float, str, object]] = []
         self.live: Set[str] = set()
+        self.pong_delay = 0.01
 
     def send(self, src: str, dst: str, message: object, size: int) -> None:
         self.sent.append((self.sim.now, dst, message))
         if dst not in self.live:
             return
         if isinstance(message, PingCmd):
-            self.sim.schedule(0.01, self.client.receive, PongReply(dst), dst)
+            pong = PongReply(dst, message.stamp)
+            self.sim.schedule(self.pong_delay, self.client.receive, pong, dst)
         elif isinstance(message, SubscribeCmd):
             ack = SubscribeAck(message.channel, dst)
             self.sim.schedule(0.01, self.client.receive, ack, dst)

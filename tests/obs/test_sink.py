@@ -111,7 +111,7 @@ class TestPinnedBytes:
     #: threshold: they see neither the ``sla_*`` events nor the metrics
     #: trailer.  This file has both, so a change to the emit path, the SLA
     #: monitor or an instrument that moves a byte moves this value.
-    SMOKE_TRACE_SHA256 = "b4ab1a8ef4d42e02c780e5c9382b41be9f5e1ae8950751d56b815d9d73f8be3f"
+    SMOKE_TRACE_SHA256 = "d272d3006dc582fa50c1e87b88c7825a17290738ffd021fbf912fbf321fdbdbc"
 
     @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
     def test_chaos_smoke_trace_is_pinned(self, tmp_path, streamed):
