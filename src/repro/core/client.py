@@ -17,17 +17,16 @@ Exposes the standard pub/sub API (``subscribe`` / ``unsubscribe`` /
   confirmed-dead set, relayed by a surviving dispatcher), and loses a
   server -- confirmed dead or suspected on its own pings -- through one
   path, ``_server_down``;
-* deduplicates deliveries on globally unique message ids so that overlap
-  windows during reconfiguration never surface duplicates to the
-  application.
+* deduplicates deliveries on one sliding window per sender over its
+  publication numbers, so that overlap windows during reconfiguration
+  never surface duplicates to the application.
 """
 
 from __future__ import annotations
 
 from random import Random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.broker.commands import (
     ConnectionClosed,
@@ -63,6 +62,8 @@ from repro.sim.rng import RngRegistry
 
 #: tunables of a client built bare (tests); a cluster passes its own config
 _DEFAULT_CONFIG = DynamothConfig()
+#: every client's ``_down`` until a FailureNotice (CPython shares no empty frozenset)
+_NOTHING_DOWN: FrozenSet[str] = frozenset()
 
 #: application delivery callback: (channel, body, envelope) -> None
 DeliveryCallback = Callable[[str, Any, AppEnvelope], None]
@@ -89,15 +90,16 @@ class _Reconcile:
 
     version: int
     awaiting: Set[str]
-    confirm: list
-    drop: list
+    confirm: List[str]
+    drop: List[str]
 
 
 class DynamothClient(Actor):
     """A client node speaking the Dynamoth protocol."""
 
-    #: Dedup window size: ids of the most recent deliveries remembered.
+    #: Dedup window size: per sender, the last publication numbers remembered.
     DEDUP_WINDOW = 8192
+    _WINDOW_FULL = (1 << DEDUP_WINDOW) - 1  # its bitmap, built once for every client
     #: Delay before re-establishing subscriptions after a forced disconnect.
     RECONNECT_DELAY_S = 0.5
 
@@ -106,8 +108,8 @@ class DynamothClient(Actor):
     # instances, and every client would carry a private hash table.
     __slots__ = (
         "_ring", "_streams", "_rng", "_config", "_tracer", "_entries", "_ch_cache",
-        "_subs", "_reconcile", "_pending_drops", "_seen_ids", "_seen_order",
-        "_dedup_window", "_msg_counter", "_sequence", "_gate", "_recovery", "_down",
+        "_subs", "_reconcile", "_pending_drops", "_windows",
+        "_msg_counter", "_sequence", "_gate", "_recovery", "_down",
         "on_response_time", "on_delivery", "on_wire_delivery",
         "published", "delivered", "duplicates", "redirects", "switches",
         "disconnects", "failovers", "reconnects", "resubscribes",
@@ -124,7 +126,7 @@ class DynamothClient(Actor):
         config: DynamothConfig = _DEFAULT_CONFIG,
         tracer: Tracer = NULL_TRACER,
         reliability: Optional[ReliabilityConfig] = None,
-    ):
+    ) -> None:
         super().__init__(sim, node_id, is_infra=False)
         self._ring = bootstrap_ring
         #: the ``client:<id>`` stream, opened at the first draw: only a
@@ -138,7 +140,7 @@ class DynamothClient(Actor):
         self._entries: Dict[str, _PlanEntry] = {}
         #: servers the balancer confirmed dead, as the last
         #: :class:`FailureNotice` named them: never routed to
-        self._down: FrozenSet[str] = frozenset()
+        self._down: FrozenSet[str] = _NOTHING_DOWN
         #: consistent-hashing fallback mappings past ``_down``, cached
         #: because the bootstrap ring never changes (avoids an md5 per
         #: publish); cleared when ``_down`` does
@@ -149,11 +151,9 @@ class DynamothClient(Actor):
         #: Tracked so a client that disconnects mid-grace still releases
         #: every server-side subscription it holds.
         self._pending_drops: Dict[str, Set[str]] = {}
-        #: msg id -> occurrences still inside the recency deque; a count,
-        #: not a set, for the reason given at the dedup step of ``receive``
-        self._seen_ids: Dict[str, int] = {}
-        self._seen_order: Deque[str] = deque()
-        self._dedup_window = self.DEDUP_WINDOW  # an instance read is cheaper per message
+        #: dedup state, one window per sender heard: ``[high, mask]``, the
+        #: highest publication number seen and a bitmap, bit i = high - i seen
+        self._windows: Dict[str, List[int]] = {}
         self._msg_counter = 0
 
         # Settled per run, so decided here once: which delivery guarantees
@@ -272,7 +272,8 @@ class DynamothClient(Actor):
         msg_id = f"{self.node_id}:{self._msg_counter}"  # repro: allow[HOT001]
         pub_seq, deps = self._gate.stamp(channel) if self._gate is not None else (0, ())
         envelope = AppEnvelope(
-            msg_id, self.node_id, body, mapping.version, self.sim.now, False, pub_seq, deps
+            msg_id, self.node_id, self._msg_counter, body, mapping.version, self.sim.now,
+            False, pub_seq, deps,
         )
         wire_payload = payload_size + AppEnvelope.WIRE_OVERHEAD
         cmd = PublishCmd(channel, envelope, wire_payload)
@@ -339,7 +340,7 @@ class DynamothClient(Actor):
         suspicion is checked here.
         """
         recovery = self._recovery
-        failed = ()
+        failed: AbstractSet[str] = _NOTHING_DOWN
         if recovery is not None and recovery.failed:
             failed = recovery.live_failed(self.sim.now)
         entry = self._entries.get(channel)
@@ -502,6 +503,7 @@ class DynamothClient(Actor):
         """Retry timer of one sequence stream: the due-check when nothing arrives."""
         sub, live = self._subs.get(channel), self.alive and self.transport is not None
         held = live and sub is not None and server in sub.servers
+        assert self._sequence is not None  # only the stage arms this timer
         epoch, seqs, delay = self._sequence.retry(server, channel, self.sim.now, held)
         if seqs:
             self._request_replay(server, channel, epoch, seqs)
@@ -547,9 +549,7 @@ class DynamothClient(Actor):
                 if verdict is False:
                     # exactly_once: a sequence number already at or below
                     # the stream watermark (and not a known hole) is a
-                    # replayed duplicate -- dropped *before* any msg-id
-                    # bookkeeping so replay traffic can never cycle fresh
-                    # ids out of the dedup window.
+                    # replayed duplicate, known without the sender's window.
                     self.duplicates += 1
                     if tracer.enabled:
                         tracer.metrics.counter("duplicates_total", client=self.node_id).inc()
@@ -562,31 +562,27 @@ class DynamothClient(Actor):
                     if delay:
                         sim.schedule(delay, self._retry_gaps, server_id, channel)
 
-            # Message-id dedup with a count-aware LRU window.  A duplicate
-            # hit re-appends the id (recency refresh): under active replay
-            # the same id keeps arriving, and a FIFO window would eventually
-            # expire it *between* two replays -- double-counting the message
-            # in the delivery ledger.  Counts track how many times an id
-            # sits in the deque so eviction only forgets an id when its
-            # last occurrence leaves the window.
-            msg_id = envelope.msg_id
-            seen = self._seen_ids
-            order = self._seen_order
-            count = seen.get(msg_id)
-            seen[msg_id] = (count + 1) if count is not None else 1
-            order.append(msg_id)
-            if len(order) > self._dedup_window:
-                oldest = order.popleft()
-                remaining = seen[oldest] - 1
-                if remaining:
-                    seen[oldest] = remaining
-                else:
-                    del seen[oldest]
-            if count is not None:
-                self.duplicates += 1
-                if tracer.enabled:
-                    tracer.metrics.counter("duplicates_total", client=self.node_id).inc()
-                return
+            # Dedup: one sliding window per sender over its publication
+            # numbers (the IPsec anti-replay window).  Only the sender's new
+            # numbers move it, so replays cannot cycle a number out of it.
+            number = envelope.number
+            window = self._windows.get(envelope.sender)
+            if window is None:
+                self._windows[envelope.sender] = [number, 1]
+            elif number > window[0]:
+                # Slide; a jump past the window restarts it, with no long temporary.
+                jump, window[0] = number - window[0], number
+                full = self._WINDOW_FULL
+                window[1] = ((window[1] << jump) | 1) & full if jump < self.DEDUP_WINDOW else 1
+            elif window[0] - number < self.DEDUP_WINDOW:
+                bit = 1 << (window[0] - number)
+                if window[1] & bit:
+                    self.duplicates += 1
+                    if tracer.enabled:
+                        tracer.metrics.counter("duplicates_total", client=self.node_id).inc()
+                    return
+                window[1] |= bit
+            # else: older than the window -- delivered, and not recorded
 
             delivery = message
             batch = None
@@ -603,6 +599,7 @@ class DynamothClient(Actor):
             if not self.alive or self.transport is None:
                 return
             channel = message.channel
+            assert self._gate is not None  # only the gate arms this timer
             batch = self._gate.expire(channel, message.token)
             if not batch:
                 return  # the parked set drained (or churned) since scheduling
@@ -709,9 +706,9 @@ class DynamothClient(Actor):
         self._down = down
         self._ch_cache.clear()
         recovery = self._recovery
-        suspected = recovery.live_failed(self.sim.now) if recovery is not None else ()
+        suspected = recovery.live_failed(self.sim.now) if recovery is not None else _NOTHING_DOWN
         for server_id in newly_down:
-            if server_id in suspected:
+            if recovery is not None and server_id in suspected:
                 # Already failed over on our own pings: the confirmation
                 # turns the expiring suspicion into a lasting exclusion.
                 del recovery.failed[server_id]

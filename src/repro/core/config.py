@@ -155,7 +155,7 @@ class DynamothConfig:
     #: (the base semantics -- the reliability layer is entirely inert),
     #: ``at_least_once`` (broker-side sequencing + bounded replay cache +
     #: client gap repair), or ``exactly_once`` (at-least-once with
-    #: replayed duplicates suppressed via seq watermarks and msg-id dedup).
+    #: replayed duplicates suppressed via seq watermarks and per-sender dedup).
     delivery_tier: str = "at_most_once"
     #: per-channel causal ordering (VCube-PS-style): publications carry
     #: publisher FIFO counters + dependency snapshots; clients park

@@ -227,6 +227,7 @@ class Dispatcher(Actor):
         envelope = AppEnvelope(
             msg_id=f"{self.node_id}:{self._msg_counter}",
             sender=self.node_id,
+            number=self._msg_counter,
             body=SwitchNotice(channel, mapping),
             plan_version=mapping.version,
             sent_at=self.sim.now,

@@ -1,8 +1,9 @@
 """Dynamoth control-plane and data-plane message formats.
 
 Application payloads are always wrapped in an :class:`AppEnvelope` before
-being handed to the broker.  The envelope carries the globally unique
-message id used for client-side exactly-once delivery (section IV-A.3), the
+being handed to the broker.  The envelope carries the message's globally
+unique identity -- its sender and the sender's publication number, printed
+as the message id -- on which clients drop duplicates (section IV-A.3), the
 plan version the publisher routed with (how dispatchers detect stale
 publishers), and a ``forwarded`` flag that suppresses dispatcher forwarding
 loops.
@@ -25,6 +26,10 @@ from repro.core.plan import ChannelMapping, Plan
 class AppEnvelope:
     """Wrapper around every application publication.
 
+    ``(sender, number)`` is the message's identity: ``number`` is the
+    sender's publication counter, and ``msg_id`` prints the pair as
+    ``"sender:number"``.  ``number`` has no default -- a defaulted number
+    would make every envelope built without one a duplicate of the others.
     ``sent_at`` is the publisher's timestamp, used by the experiment
     harness to measure response time exactly as the paper does (publisher
     receives its own state update back).
@@ -32,6 +37,7 @@ class AppEnvelope:
 
     msg_id: str
     sender: str
+    number: int
     body: Any
     plan_version: int
     sent_at: float
@@ -45,14 +51,8 @@ class AppEnvelope:
 
     def as_forwarded(self) -> "AppEnvelope":
         return AppEnvelope(
-            self.msg_id,
-            self.sender,
-            self.body,
-            self.plan_version,
-            self.sent_at,
-            True,
-            self.pub_seq,
-            self.deps,
+            self.msg_id, self.sender, self.number, self.body, self.plan_version, self.sent_at,
+            True, self.pub_seq, self.deps,
         )
 
     #: Envelope framing overhead on the wire, bytes.

@@ -279,7 +279,7 @@ class SequenceStage:
         if epoch != stream.epoch:
             if epoch < stream.epoch:
                 # A straggler from an older boot: the live stream's holes
-                # and watermark are not its business (msg-id dedup is).
+                # and watermark are not its business (dedup's is).
                 return True
             # New boot of the server id (or first contact): fresh stream.
             stream.reset(epoch)

@@ -212,7 +212,7 @@ class TestReplicationRouting:
         from repro.broker.commands import PublishCmd
         from repro.core.messages import AppEnvelope
 
-        env = AppEnvelope("dup:1", "rogue", "spam", 1, cluster.sim.now)
+        env = AppEnvelope("rogue:1", "rogue", 1, "spam", 1, cluster.sim.now)
         rogue = cluster.create_client("rogue")
         for server in servers:
             rogue.send(server, PublishCmd("hot", env, 42), 42)

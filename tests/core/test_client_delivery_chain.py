@@ -1,6 +1,6 @@
 """The client's Delivery chain, composed at construction.
 
-sequence/gap stage -> msg-id dedup -> causal gate -> the one delivery
+sequence/gap stage -> per-sender dedup -> causal gate -> the one delivery
 tail.  The stages themselves are unit-tested in test_reliability.py; here
 a bare client (recording wire, no cluster) shows which of them a
 configuration builds and that everything released or flushed reaches the
@@ -28,7 +28,7 @@ def make_client(**kwargs):
 
 def stamped(sender: str, pub_seq: int, deps=(), *, seq=None, server="s1") -> Delivery:
     envelope = AppEnvelope(
-        f"{sender}:{pub_seq}", sender, None, 0, 0.0, False, pub_seq, tuple(deps)
+        f"{sender}:{pub_seq}", sender, pub_seq, None, 0, 0.0, False, pub_seq, tuple(deps)
     )
     return Delivery("ch", envelope, 16, server, seq, 1)
 
@@ -103,19 +103,20 @@ class TestSequenceStageInTheChain:
         assert client.gap_requests == 3
         assert sim.now == 3.0  # the firing that found no hole was the last
 
-    def test_stale_replays_never_cycle_the_dedup_window(self, monkeypatch):
-        """exactly_once drops a below-watermark seq *before* the msg-id
-        bookkeeping: replay traffic must not push fresh ids out."""
-        monkeypatch.setattr(DynamothClient, "DEDUP_WINDOW", 2)
+    def test_stale_replays_never_cycle_the_dedup_window(self):
+        """exactly_once drops a below-watermark seq on the stream alone, and
+        no traffic but a sender's own new numbers moves its window."""
+        window = DynamothClient.DEDUP_WINDOW
         sim, client = make_client(reliability=ReliabilityConfig("exactly_once"))
         client.receive(stamped("a", 1, seq=1), "s1")
         client.receive(stamped("a", 2, seq=2), "s1")
-        for n in range(3, 8):  # stale seq 1, carrying ids the window never saw
+        for n in range(3, window + 8):  # stale seq 1, carrying numbers never heard
             client.receive(stamped("replay", n, seq=1), "s1")
-        assert (client.delivered, client.duplicates) == (2, 5)
+        assert (client.delivered, client.duplicates) == (2, window + 5)
+        assert "replay" not in client._windows
         # a:1 is still remembered: its copy on another stream is a duplicate.
         client.receive(stamped("a", 1, seq=1, server="s2"), "s2")
-        assert (client.delivered, client.duplicates) == (2, 6)
+        assert (client.delivered, client.duplicates) == (2, window + 6)
 
 
 class TestOneTail:

@@ -31,7 +31,9 @@ class TestPublisherOnlyClients:
     def test_switch_notice_updates_plan_even_without_subscription(self, cluster):
         client = cluster.create_client("c")
         mapping = ChannelMapping(ReplicationMode.SINGLE, ("pub2",), version=4)
-        envelope = AppEnvelope("sw:1", "dispatcher@pub1", SwitchNotice("ch", mapping), 4, 0.0)
+        envelope = AppEnvelope(
+            "dispatcher@pub1:1", "dispatcher@pub1", 1, SwitchNotice("ch", mapping), 4, 0.0
+        )
         client.receive(Delivery("ch", envelope, 64, "pub1"), "pub1")
         assert client.known_mapping("ch").servers == ("pub2",)
         assert client.switches == 1
@@ -51,7 +53,7 @@ class TestDeliveryEdgeCases:
         client = cluster.create_client("c")
         client.subscribe("ch", lambda ch, body, env: seen.append(body))
         client.unsubscribe("ch")
-        envelope = AppEnvelope("late:1", "peer", "tail", 0, 0.0)
+        envelope = AppEnvelope("peer:1", "peer", 1, "tail", 0, 0.0)
         client.receive(Delivery("ch", envelope, 10, "pub1"), "pub1")
         assert seen == []
         assert client.delivered == 1  # counted at the transport level

@@ -16,19 +16,19 @@ from repro.core.plan import ChannelMapping, ReplicationMode
 
 class TestAppEnvelope:
     def test_as_forwarded_preserves_identity(self):
-        env = AppEnvelope("id1", "alice", {"k": 1}, 3, 12.5)
+        env = AppEnvelope("alice:1", "alice", 1, {"k": 1}, 3, 12.5)
         fwd = env.as_forwarded()
         assert fwd.forwarded is True
         assert not env.forwarded  # original untouched (frozen)
-        assert (fwd.msg_id, fwd.sender, fwd.body) == ("id1", "alice", {"k": 1})
+        assert (fwd.msg_id, fwd.sender, fwd.number, fwd.body) == ("alice:1", "alice", 1, {"k": 1})
         assert (fwd.plan_version, fwd.sent_at) == (3, 12.5)
 
     def test_forwarding_idempotent(self):
-        env = AppEnvelope("id1", "a", None, 0, 0.0).as_forwarded()
+        env = AppEnvelope("a:1", "a", 1, None, 0, 0.0).as_forwarded()
         assert env.as_forwarded().forwarded is True
 
     def test_envelopes_hashable_for_dedup_sets(self):
-        e1 = AppEnvelope("id1", "a", "x", 0, 0.0)
+        e1 = AppEnvelope("a:1", "a", 1, "x", 0, 0.0)
         assert e1.msg_id in {e1.msg_id}
 
 

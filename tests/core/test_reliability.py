@@ -301,7 +301,7 @@ class TestSequenceStage:
             stage = SequenceStage(_config(delivery_tier=tier))
             _feed(stage, ("s1", "a", 9, 1, 0.0), ("s1", "a", 1, 2, 1.0))
             assert stage.observe("s1", "a", 4, 2, 1.1) == (2, 3)
-            # Handed on to msg-id dedup, whatever its number.
+            # Handed on to dedup, whatever its number.
             assert stage.observe("s1", "a", 10, 1, 1.2) is True
             assert stage.observe("s1", "a", 3, 1, 1.2) is True
             assert stage.resume_point("s1", "a") == (1, 2)
@@ -538,7 +538,7 @@ class TestRepairProperty:
 # ----------------------------------------------------------------------
 def _stamped(sender: str, pub_seq: int, deps=(), channel: str = "a") -> Delivery:
     envelope = AppEnvelope(
-        f"{sender}:{pub_seq}", sender, None, 0, 0.0, False, pub_seq, tuple(deps)
+        f"{sender}:{pub_seq}", sender, pub_seq, None, 0, 0.0, False, pub_seq, tuple(deps)
     )
     return Delivery(channel, envelope, 16, "s1")
 

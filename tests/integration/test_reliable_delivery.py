@@ -289,40 +289,46 @@ class TestPlantedReplayBugIsSilent:
         assert sub.gap_requests >= 1
 
 
-def _arrives_as_duplicate(client: DynamothClient, msg_id: str) -> bool:
-    """Feed one delivery carrying ``msg_id``; was it suppressed as a dup?"""
+def _arrives_as_duplicate(client: DynamothClient, sender: str, number: int) -> bool:
+    """Feed one delivery of ``sender:number``; was it suppressed as a dup?"""
     delivered, duplicates = client.delivered, client.duplicates
-    envelope = AppEnvelope(msg_id, "pub", "body", 0, 0.0)
+    envelope = AppEnvelope(f"{sender}:{number}", sender, number, "body", 0, 0.0)
     client.receive(Delivery("arena", envelope, 10, "s1"), "s1")
     assert (client.delivered - delivered) + (client.duplicates - duplicates) == 1
     return client.duplicates > duplicates
 
 
-def _client_with_window_of_two(monkeypatch) -> DynamothClient:
-    monkeypatch.setattr(DynamothClient, "DEDUP_WINDOW", 2)
+def _bare_client() -> DynamothClient:
     return DynamothClient(Simulator(), "c", ConsistentHashRing(["s1"]), RngRegistry(0))
 
 
-class TestDedupWindowRegression:
-    def test_replay_refreshes_the_dedup_window(self, monkeypatch):
-        """Regression: under active replay the same msg id keeps arriving;
-        a plain FIFO window expires the id *between* two replays and the
-        second replay double-counts.  The count-aware LRU refreshes the
-        id's recency on every duplicate hit instead."""
-        client = _client_with_window_of_two(monkeypatch)
-        assert not _arrives_as_duplicate(client, "m1")
-        assert not _arrives_as_duplicate(client, "x1")
-        # First replay of m1: a duplicate, and its recency is refreshed.
-        assert _arrives_as_duplicate(client, "m1")
-        assert not _arrives_as_duplicate(client, "x2")
-        # Second replay: still recognized.  The old FIFO window held
-        # [x1, x2] at this point and would have let m1 through again.
-        assert _arrives_as_duplicate(client, "m1")
+WINDOW = DynamothClient.DEDUP_WINDOW
 
-    def test_expiry_still_works_once_replays_stop(self, monkeypatch):
-        client = _client_with_window_of_two(monkeypatch)
-        assert not _arrives_as_duplicate(client, "m1")
-        for i in range(4):
-            assert not _arrives_as_duplicate(client, f"x{i}")
-        # m1's last occurrence left the window long ago.
-        assert not _arrives_as_duplicate(client, "m1")
+
+class TestDedupWindowRegression:
+    def test_replay_refreshes_the_dedup_window(self):
+        """Regression: under active replay the same message keeps arriving,
+        and a window that other traffic moves expires it *between* two
+        replays -- the second replay double-counts.  The per-sender window
+        needs no refresh: only its sender's new numbers move it, so other
+        senders' traffic, replays included, never ages the message out."""
+        client = _bare_client()
+        assert not _arrives_as_duplicate(client, "pub", 1)
+        for burst in range(3):
+            for n in range(1, WINDOW + 1):
+                assert not _arrives_as_duplicate(client, f"other{burst}", n)
+            assert _arrives_as_duplicate(client, "other0", 1)
+            # Each replay of pub:1 is still recognized.
+            assert _arrives_as_duplicate(client, "pub", 1)
+        # pub's own numbers keep it in until it is WINDOW below the highest.
+        assert not _arrives_as_duplicate(client, "pub", WINDOW)
+        assert _arrives_as_duplicate(client, "pub", 1)
+
+    def test_expiry_still_works_once_replays_stop(self):
+        client = _bare_client()
+        assert not _arrives_as_duplicate(client, "pub", 1)
+        assert not _arrives_as_duplicate(client, "pub", WINDOW)
+        assert _arrives_as_duplicate(client, "pub", 1)
+        assert not _arrives_as_duplicate(client, "pub", WINDOW + 1)
+        # pub:1 is now WINDOW below the highest: it left the window.
+        assert not _arrives_as_duplicate(client, "pub", 1)
