@@ -2,10 +2,12 @@
 
 Models a stock Redis instance doing channel pub/sub:
 
+* commands take effect in arrival order, as on Redis's single thread;
 * ``SUBSCRIBE`` / ``UNSUBSCRIBE`` maintain per-channel subscriber sets;
 * ``PUBLISH`` costs CPU (a base cost plus a per-subscriber delivery cost on
-  a single core), then the deliveries are queued on the node's egress NIC
-  and on each subscriber's connection;
+  a single core, a FIFO clock like the NIC's).  Its fan-out is decided on
+  arrival, and its deliveries are queued on the egress NIC and on each
+  subscriber's connection from the instant the CPU finishes it;
 * a subscriber connection whose output buffer exceeds the hard limit is
   killed, Redis-style;
 * co-located processes (LLA, dispatcher) attach as *local* subscribers and
@@ -19,7 +21,7 @@ plans or replication exist.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.broker.commands import (
     ConnectionClosed,
@@ -52,6 +54,8 @@ if TYPE_CHECKING:
     # the control plane at runtime (ARCH001); the reliability sidecar is
     # injected by repro.core wiring and used duck-typed here.
     from repro.core.reliability import BrokerReliability
+    from repro.net.transport import Transport
+    from repro.obs.metrics import Counter, Gauge, Histogram
 
 #: signature: (channel, publisher_id, payload, payload_size) -> None
 LocalSubscriber = Callable[[str, str, Any, int], None]
@@ -59,10 +63,20 @@ LocalSubscriber = Callable[[str, str, Any, int], None]
 SubscribeListener = Callable[[str, str, int], None]
 #: signature: (channel, client_id) -> None
 UnsubscribeListener = Callable[[str, str], None]
+#: a channel's compiled fan-out: (dst_ids, conns, pair_states, dead_count, pair_epoch)
+FanoutEntry = Tuple[Tuple[str, ...], Tuple[Connection, ...], List[Optional[List[Any]]], int, int]
 
 
 class PubSubServer(Actor):
     """A single Redis-like pub/sub server node."""
+
+    #: a server is driven only while registered, so never ``None`` here
+    transport: Transport
+    #: traced runs only, set in ``__init__``.  channel -> ``(publishes_total,
+    #: deliveries_total, egress_bytes_total{server},
+    #: fanout_size{channel_class})``, bound on the channel's first
+    #: publication here: a server that never publishes registers none.
+    _publish_instruments: FirstUse
 
     def __init__(
         self,
@@ -72,7 +86,7 @@ class PubSubServer(Actor):
         *,
         tracer: Tracer = NULL_TRACER,
         reliability: Optional[BrokerReliability] = None,
-    ):
+    ) -> None:
         super().__init__(sim, node_id, is_infra=True)
         self.config = config if config is not None else BrokerConfig()
         self.tracer = tracer
@@ -106,25 +120,22 @@ class PubSubServer(Actor):
         #: transport pair resolution done once, reused across publications
         #: until a subscribe/unsubscribe/kill/disconnect touches the
         #: channel (or the transport prunes pair state: ``pair_epoch``).
-        self._fanout_cache: Dict[str, tuple] = {}
+        self._fanout_cache: Dict[str, FanoutEntry] = {}
         # --- fan-out cache diagnostics (obs summary renders these) ---
         self.fanout_cache_hits: int = 0
         self.fanout_cache_builds: int = 0
         self.fanout_cache_invalidations: int = 0
         #: channel -> ``[publications, publishers, messages_out,
-        #: bytes_out]`` accumulated inline at publish completion and
+        #: bytes_out]`` accumulated inline as each publication arrives and
         #: drained by the co-located LLA at its window flush -- the
         #: per-publication observer callback the LLA used to pay is gone.
         self._channel_stats: Dict[str, List[Any]] = {}
         #: sequence stamping resolved once per boot: the at_most_once
         #: fast path is a single attribute test per publication.
-        self._stamping = reliability is not None and reliability.config.replay_active
-        #: traced runs only.  channel -> ``(publishes_total, deliveries_total,
-        #: egress_bytes_total{server}, fanout_size{channel_class})``, bound
-        #: on the channel's first publication here: a server that never
-        #: publishes registers none of them.
-        self._publish_instruments: Optional[FirstUse] = None
-        self._cache_gauges: Optional[tuple] = None
+        self._stamper: Optional[BrokerReliability] = None
+        if reliability is not None and reliability.config.replay_active:
+            self._stamper = reliability
+        self._cache_gauges: Optional[Tuple[Gauge, Gauge, Gauge, Gauge]] = None
         if tracer.enabled:
             metrics = tracer.metrics
             self._cache_gauges = (
@@ -217,7 +228,8 @@ class PubSubServer(Actor):
     # repro: scope[hot]
     def receive(self, message: Any, src_id: str) -> None:
         if isinstance(message, PublishCmd):
-            # Queue the publish on the CPU; deliveries happen at completion.
+            # Queue the publish on the CPU clock; the fan-out is decided now,
+            # in command order, and its departures wait for ``done``.
             now = self.sim.now
             config = self.config
             fanout = len(self._channels.get(message.channel, ()))
@@ -227,11 +239,7 @@ class PubSubServer(Actor):
             done = start + cost
             self._cpu_busy_until = done
             self.publish_count += 1
-            if done <= now:
-                self._complete_publish(message, src_id)
-            else:
-                # Never cancelled, so no handle: a fire-and-forget entry.
-                self.sim.schedule_batch(self._complete_publish, (done,), ((message, src_id),))
+            self._complete_publish(message, src_id, done)
         elif isinstance(message, SubscribeCmd):
             self._handle_subscribe(
                 message.channel,
@@ -243,8 +251,7 @@ class PubSubServer(Actor):
         elif isinstance(message, UnsubscribeCmd):
             self._handle_unsubscribe(message.channel, src_id)
         elif isinstance(message, ReplayRequest):
-            if self.reliability is not None:
-                self._replay_range(src_id, message.channel, message.epoch, message.seqs)
+            self._replay_range(src_id, message.channel, message.epoch, message.seqs)
         elif isinstance(message, PingCmd):
             self.transport.send(
                 self.node_id, src_id, PongReply(self.node_id, message.stamp), PongReply.WIRE_SIZE
@@ -308,8 +315,11 @@ class PubSubServer(Actor):
     def _replay_range(self, client_id: str, channel: str, epoch: int, seqs: Sequence[int]) -> None:
         """Resend the cached publications among ``seqs`` -- the holes a
         :class:`ReplayRequest` names, or everything past a resume point.
-        Evicted ones produce a truthful :class:`ReplayGapNotice`."""
+        Evicted ones produce a truthful :class:`ReplayGapNotice`; a broker
+        without reliable delivery keeps no cache and ignores the request."""
         rel = self.reliability
+        if rel is None:
+            return
         replay = rel.replay_slice(channel, epoch, seqs)
         if replay is None:
             return
@@ -348,13 +358,13 @@ class PubSubServer(Actor):
                 profiler.count("reliability", "replay.messages", len(entries))
 
     # repro: scope[hot]
-    def _complete_publish(self, cmd: PublishCmd, publisher_id: str) -> None:
-        """Fan a processed publication out to all subscribers."""
-        if not self.alive or self.transport is None:
-            # The server crashed between accepting the publish and the CPU
-            # finishing it; the already-scheduled completion must die with
-            # the process instead of touching a transport it left.
-            return
+    def _complete_publish(self, cmd: PublishCmd, publisher_id: str, done: float) -> None:
+        """Fan a publication out to all subscribers, on its arrival.
+
+        Who receives it, its sequence number, the load accounting and the
+        loopback callbacks are decided now; every clock it advances (NIC,
+        drain clocks, output-buffer expiry) starts at ``done``, the CPU's.
+        """
         now = self.sim.now
         channel = cmd.channel
         wire_size = cmd.payload_size + self.config.per_message_overhead_bytes
@@ -366,8 +376,8 @@ class PubSubServer(Actor):
         # fabricate gaps no one can observe being filled.
         seq: Optional[int] = None
         epoch = 0
-        if self._stamping and not cmd.control:
-            rel = self.reliability
+        rel = self._stamper
+        if rel is not None and not cmd.control:
             seq = rel.stamp_and_cache(channel, cmd.payload, cmd.payload_size, wire_size)
             epoch = rel.epoch
         # One immutable payload envelope shared by every subscriber's
@@ -398,11 +408,11 @@ class PubSubServer(Actor):
                 min_completions: Optional[List[float]] = None
                 if rate is not None:
                     # Per-connection drain ceiling: each clock advances by
-                    # size / rate from now or its last completion if later.
+                    # size / rate from done or its last completion if later.
                     min_completions = []
                     for conn in conns:
                         busy = conn._busy_until
-                        start = now if now > busy else busy
+                        start = done if done > busy else busy
                         conn._busy_until = busy = start + wire_size / rate
                         min_completions.append(busy)
                 completions = self.transport.send_fanout(
@@ -411,21 +421,22 @@ class PubSubServer(Actor):
                     states,
                     delivery,
                     wire_size,
+                    start=done,
                     min_completions=min_completions,
                 )
                 delivered = len(dst_ids)
                 limit = self.config.output_buffer_limit_bytes
-                kills: List[tuple] = []
+                kills: List[Tuple[str, Connection]] = []
                 # Output-buffer accounting, inline (a method call per
                 # delivery would be a quarter of a wide fan-out's calls):
                 # each delivery occupies its connection's buffer until its
-                # transmit completion; expired entries are popped first, and
-                # the occupancy *after* the enqueue is what the hard limit
-                # is compared against.
+                # transmit completion; entries expired by ``done`` are popped
+                # first, and the occupancy *after* the enqueue is what the
+                # hard limit is compared against.
                 for dst_id, conn, completion in zip(dst_ids, conns, completions):
                     pending = conn._pending
                     pending_bytes = conn._pending_bytes
-                    while pending and pending[0][0] <= now:
+                    while pending and pending[0][0] <= done:
                         pending_bytes -= pending.popleft()[1]
                     pending.append((completion, wire_size))
                     pending_bytes += wire_size
@@ -492,7 +503,7 @@ class PubSubServer(Actor):
         for callback in self._observers:
             callback(channel, publisher_id, cmd.payload, cmd.payload_size)
 
-    def _bind_publish_instruments(self, channel: str) -> tuple:
+    def _bind_publish_instruments(self, channel: str) -> Tuple[Counter, Counter, Counter, Histogram]:
         metrics = self.tracer.metrics
         return (
             metrics.counter("publishes_total", server=self.node_id),
@@ -501,7 +512,7 @@ class PubSubServer(Actor):
             metrics.histogram("fanout_size", channel_class=channel_class(channel)),
         )
 
-    def _build_fanout_entry(self, subs: Dict[str, None]) -> tuple:
+    def _build_fanout_entry(self, subs: Dict[str, None]) -> FanoutEntry:
         """Compile a channel's subscriber dict into flat fan-out arrays.
 
         Dead or missing connections are excluded and counted in ``dead``
@@ -532,14 +543,7 @@ class PubSubServer(Actor):
     def _kill_connection(self, client_id: str, conn: Connection) -> None:
         """Enforce the output-buffer hard limit: disconnect the client."""
         for channel in sorted(conn.channels):
-            subs = self._channels.get(channel)
-            if subs is not None:
-                subs.pop(client_id, None)
-                if not subs:
-                    del self._channels[channel]
-            self._invalidate_fanout(channel)
-            for listener in self._unsubscribe_listeners:
-                listener(channel, client_id)
+            self._handle_unsubscribe(channel, client_id)
         conn.kill()
         self.killed_connections += 1
         if self.tracer.enabled:
@@ -577,12 +581,5 @@ class PubSubServer(Actor):
         if conn is None:
             return
         for channel in sorted(conn.channels):
-            subs = self._channels.get(channel)
-            if subs is not None:
-                subs.pop(client_id, None)
-                if not subs:
-                    del self._channels[channel]
-            self._invalidate_fanout(channel)
-            for listener in self._unsubscribe_listeners:
-                listener(channel, client_id)
+            self._handle_unsubscribe(channel, client_id)
         conn.kill()

@@ -264,6 +264,7 @@ class Transport:
         message: Any,
         size_bytes: int,
         *,
+        start: float,
         min_completions: Optional[Sequence[float]] = None,
     ) -> List[float]:
         """Fan one ``message`` out along pre-resolved pair states.
@@ -279,18 +280,18 @@ class Transport:
         against earlier and later sends is preserved through the same
         ``(src, dst)`` clamp as :meth:`send`.
 
-        ``min_completions``, when given, is a parallel sequence of
-        per-destination completion floors (the pub/sub server's
-        per-connection drain ceilings).
+        ``start`` is when the batch is handed to the NIC (the broker's CPU
+        completion, never before ``sim.now``).  ``min_completions``, when
+        given, is a parallel sequence of per-destination completion floors
+        (the pub/sub server's per-connection drain ceilings).
 
         Returns the transmit-completion time per destination, in order.
         Destinations that are dead or lose the message to the fault plane
         are skipped and counted in :attr:`messages_dropped`; their bytes
         still occupied the NIC.
         """
-        sim = self.sim
         port = self._ports[src_id]
-        completions = port.transmit_many(sim.now, size_bytes, len(dst_ids))
+        completions = port.transmit_many(start, size_bytes, len(dst_ids))
         if min_completions is not None:
             for index, floor in enumerate(min_completions):
                 if floor > completions[index]:
@@ -361,7 +362,7 @@ class Transport:
             add_args(state[_P_ARGS])
         if times:
             # One C callable for the whole batch, no tuple per destination.
-            sim.schedule_batch(methodcaller("receive", message, src_id), times, args_seq)
+            self.sim.schedule_batch(methodcaller("receive", message, src_id), times, args_seq)
             self.messages_sent += len(times)
         if dropped:
             self.messages_dropped += dropped

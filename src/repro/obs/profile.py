@@ -37,8 +37,8 @@ def classify_callable(fn: Callable[..., Any]) -> SiteKey:
     """Map a scheduled callable to ``(subsystem, site)``.
 
     Subsystem is the second package component of the defining module
-    (``repro.broker.server`` -> ``broker``); site is the qualified name
-    (``PubSubServer._complete_publish``).
+    (``repro.core.dispatcher`` -> ``core``); site is the qualified name
+    (``Dispatcher._expire_watch``).
     """
     func = getattr(fn, "__func__", fn)
     module = getattr(func, "__module__", "") or ""

@@ -60,15 +60,15 @@ def build(sim, rng: Random, config=None, clients=4):
 def force_rebuilds(server: PubSubServer) -> None:
     """Make ``server`` recompile the fan-out arrays on every publication.
 
-    Drops every compiled entry just before each publication completes, so
+    Drops every compiled entry just before each publication fans out, so
     the arrays are rebuilt through the production code path -- the
     reference the cached runs are compared against.
     """
     complete = server._complete_publish
 
-    def rebuilding(cmd, publisher_id):
+    def rebuilding(cmd, publisher_id, done):
         server._fanout_cache.clear()
-        complete(cmd, publisher_id)
+        complete(cmd, publisher_id, done)
 
     server._complete_publish = rebuilding
 

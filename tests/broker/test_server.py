@@ -135,6 +135,83 @@ class TestPublish:
         gaps = [round(b - a, 6) for a, b in zip(times, times[1:])]
         assert gaps == [0.01] * 4
 
+    # Commands take effect in arrival order, as on Redis's single thread: a
+    # PUBLISH arrives at 1.01 and holds the CPU until 1.02; the SUBSCRIBE or
+    # UNSUBSCRIBE below arrives at 1.015, while it is still being processed.
+    def test_subscribe_behind_a_busy_publish_misses_it(self, sim, rng: Random):
+        config = BrokerConfig(cpu_per_publish_s=0.010, cpu_per_delivery_s=0.0)
+        net, server, clients = build(sim, rng, config)
+        sim.run_until(1.0)
+        clients[1].send("srv", PublishCmd("ch", "x", 10), 10)
+        sim.schedule_at(1.005, clients[0].send, "srv", SubscribeCmd("ch"), 64)
+        sim.run_until(2.0)
+        assert server.is_subscribed("ch", "c0")
+        assert clients[0].deliveries() == []
+
+    def test_unsubscribe_behind_a_busy_publish_still_receives_it(self, sim, rng: Random):
+        config = BrokerConfig(cpu_per_publish_s=0.010, cpu_per_delivery_s=0.0)
+        net, server, clients = build(sim, rng, config)
+        clients[0].send("srv", SubscribeCmd("ch"), 64)
+        sim.run_until(1.0)
+        clients[1].send("srv", PublishCmd("ch", "x", 10), 10)
+        sim.schedule_at(1.005, clients[0].send, "srv", UnsubscribeCmd("ch"), 64)
+        sim.run_until(2.0)
+        assert not server.is_subscribed("ch", "c0")
+        assert [d.payload for d in clients[0].deliveries()] == ["x"]
+
+    def test_publish_schedules_its_deliveries_on_arrival(self, sim, rng: Random):
+        config = BrokerConfig(cpu_per_publish_s=0.010, cpu_per_delivery_s=0.0)
+        net, server, clients = build(sim, rng, config)
+        clients[0].send("srv", SubscribeCmd("ch"), 64)
+        sim.run_until(1.0)
+        arrivals, departures = [], []
+        receive, send_fanout = server.receive, net.send_fanout
+
+        def recording_receive(message, src_id):
+            if isinstance(message, PublishCmd):
+                arrivals.append(sim.events_processed)
+            receive(message, src_id)
+
+        def recording_send_fanout(*args, **kwargs):
+            departures.append(sim.events_processed)
+            return send_fanout(*args, **kwargs)
+
+        server.receive = recording_receive
+        net.send_fanout = recording_send_fanout
+        clients[1].send("srv", PublishCmd("ch", "x", 10), 10)
+        sim.run_until(2.0)
+        assert len(clients[0].deliveries()) == 1
+        assert arrivals == departures and len(arrivals) == 1
+
+    def test_cpu_completion_starts_the_nic_clock(self, sim, rng: Random):
+        # No drain clock: the NIC alone holds the delivery until the CPU is done.
+        config = BrokerConfig(
+            cpu_per_publish_s=0.010, cpu_per_delivery_s=0.0, per_connection_bps=None
+        )
+        net, server, clients = build(sim, rng, config)
+        clients[0].send("srv", SubscribeCmd("ch"), 64)
+        sim.run_until(1.0)
+        clients[1].send("srv", PublishCmd("ch", "x", 10), 10)
+        sim.run_until(2.0)
+        # arrives at 1.01, CPU until 1.02, ~0 on the NIC, 0.01 WAN out
+        assert clients[0].received[-1][0] == pytest.approx(1.03, abs=1e-4)
+
+    def test_cpu_completion_starts_the_drain_clock(self, sim, rng: Random):
+        config = BrokerConfig(
+            cpu_per_publish_s=0.010,
+            cpu_per_delivery_s=0.0,
+            per_connection_bps=1000.0,
+            per_message_overhead_bytes=0,
+        )
+        net, server, clients = build(sim, rng, config)
+        clients[0].send("srv", SubscribeCmd("ch"), 64)
+        sim.run_until(1.0)
+        clients[1].send("srv", PublishCmd("ch", "x", 100), 100)
+        sim.run_until(2.0)
+        # arrives at 1.01, CPU until 1.02, 0.1 s to drain 100 B at 1 KB/s,
+        # 0.01 WAN out
+        assert clients[0].received[-1][0] == pytest.approx(1.13, abs=1e-4)
+
     def test_observer_sees_every_publication(self, sim, rng: Random):
         net, server, clients = build(sim, rng)
         seen = []
@@ -199,6 +276,26 @@ class TestOutputBufferKill:
         assert server.subscriber_count("flood") == 0
         closed = [m for __, m in clients[0].received if isinstance(m, ConnectionClosed)]
         assert closed and closed[0].reason == "output-buffer-overflow"
+
+    def test_buffer_expires_what_left_before_the_cpu_finished(self, sim, rng: Random):
+        # "a" arrives at 1.01 and leaves the NIC at ~1.0202.  "b" arrives at
+        # 1.015 but waits on the CPU until 1.03, when "a" is gone: the buffer
+        # holds one 1000 B entry, not two, and the 1500 B limit is not hit.
+        config = BrokerConfig(
+            cpu_per_publish_s=0.010,
+            cpu_per_delivery_s=0.0,
+            per_connection_bps=None,
+            per_message_overhead_bytes=0,
+            output_buffer_limit_bytes=1500,
+        )
+        net, server, clients = build(sim, rng, config)
+        clients[0].send("srv", SubscribeCmd("ch"), 64)
+        sim.run_until(1.0)
+        clients[1].send("srv", PublishCmd("ch", "a", 1000), 1000)
+        sim.schedule_at(1.005, clients[2].send, "srv", PublishCmd("ch", "b", 1000), 1000)
+        sim.run_until(2.0)
+        assert server.killed_connections == 0
+        assert [d.payload for d in clients[0].deliveries()] == ["a", "b"]
 
     def test_slow_flow_does_not_kill(self, sim, rng: Random):
         config = BrokerConfig(per_connection_bps=100_000.0, output_buffer_limit_bytes=10_000)

@@ -5,17 +5,18 @@ application's callback.  The kernel's run loop calls ``receive`` through a
 C callable with no transport frame in between, and reading the clock is an
 attribute load.  The perf ledger measures this on 10 000 subscribers; the
 first test holds it on 200, so a frame that creeps back fails tier-1.  (Wide
-enough that the 15 calls a *publication* costs stay under a tenth of a call
+enough that the 14 calls a *publication* costs stay under a tenth of a call
 per delivery; a per-delivery frame adds a whole one.)
 
-A publication costs three kernel events, one stage function each: publish
+A publication costs two kernel events, one stage function each: publish
 to the wire (``publish``, ``_resolve``, ``Actor.send``, ``Transport.send``,
-``transmit``, ``sample``, ``schedule_batch``: 7), the command's arrival at
-the broker (``receive``, ``schedule_batch``: 2) and the CPU completion
-(``_complete_publish``, ``send_fanout``, ``transmit_many``, ``sample``,
-``schedule_batch``, the dispatcher's ``_on_publication``: 6).  On small
-channels -- RGame's tiles hold ~5 subscribers -- that fixed chain, not the
-delivery, is what a run costs; the second test holds it on one subscriber.
+``transmit``, ``sample``, ``schedule_batch``: 7) and the command's arrival
+at the broker, which charges the CPU and fans out at once, the departures
+starting when the CPU finishes (``receive``, ``_complete_publish``,
+``send_fanout``, ``transmit_many``, ``sample``, ``schedule_batch``, the
+dispatcher's ``_on_publication``: 7).  On small channels -- RGame's tiles
+hold ~5 subscribers -- that fixed chain, not the delivery, is what a run
+costs; the second test holds it on one subscriber.
 """
 
 from repro.broker.config import BrokerConfig
@@ -70,11 +71,15 @@ def test_a_publication_costs_at_most_eighteen_frames():
     for i in range(publications):
         sim.schedule(0.1 * i, publisher.publish, "tile", i, 100)
 
+    events_before = sim.events_processed
     calls = python_calls_by_file(lambda: cluster.run_for(0.1 * publications + 1.0))
 
     assert received == list(range(publications))
+    # The scheduled publish, the command's arrival at the broker and the
+    # delivery: the static cluster runs no timers, so nothing else fires.
+    assert sim.events_processed - events_before == 3 * publications
     total = sum(calls.values())
-    # 7 + 2 + 6 for the publication and 2 for its one delivery; the rest of
-    # the allowance is the run's own frames (``run_for``, the first fan-out
+    # 7 + 7 for the publication and 2 for its one delivery; the rest of the
+    # allowance is the run's own frames (``run_for``, the first fan-out
     # entry being built).
-    assert total / publications <= 18, total
+    assert total / publications <= 17, total

@@ -101,7 +101,8 @@ class TestDelivery:
         a, b, c = Recorder(sim, "a"), Recorder(sim, "b"), Recorder(sim, "c")
         for actor in (a, b, c):
             net.register(actor)
-        net.send_fanout("a", ["b", "c"], net.fanout_states("a", ["b", "c"]), "m", 10)
+        states = net.fanout_states("a", ["b", "c"])
+        net.send_fanout("a", ["b", "c"], states, "m", 10, start=sim.now)
         b.shutdown()
         sim.run_until(1.0)
         assert b.received == [] and [m for _, m, _ in c.received] == ["m"]

@@ -44,9 +44,12 @@ def _fixed_net(sim):
 
 
 def _fanout(net, src_id, dst_ids, message, size_bytes, **kwargs):
-    """Fan out the way the broker does: resolve the states, then send."""
+    """Fan out the way the broker does: resolve the states, then send
+    with the batch handed to the NIC now."""
     states = net.fanout_states(src_id, dst_ids)
-    return net.send_fanout(src_id, dst_ids, states, message, size_bytes, **kwargs)
+    return net.send_fanout(
+        src_id, dst_ids, states, message, size_bytes, start=net.sim.now, **kwargs
+    )
 
 
 class _Stamper(Recorder):
@@ -101,7 +104,7 @@ class TestSendFanout:
     def test_unknown_sender_rejected(self, sim):
         net = _fixed_net(sim)
         with pytest.raises(KeyError):
-            net.send_fanout("ghost", ["a"], [None], "x", 10)
+            net.send_fanout("ghost", ["a"], [None], "x", 10, start=sim.now)
 
     def test_fifo_order_preserved_under_jitter(self, sim):
         # Interleave single sends and batch sends on the same connections:
@@ -177,10 +180,10 @@ class TestSendFanout:
         net.register(Recorder(sim, "src"))
         states = net.fanout_states("src", ["late"])
         assert states == [None]
-        net.send_fanout("src", ["late"], states, "early", 10)
+        net.send_fanout("src", ["late"], states, "early", 10, start=sim.now)
         late = Recorder(sim, "late")
         net.register(late)
-        net.send_fanout("src", ["late"], states, "now", 10)
+        net.send_fanout("src", ["late"], states, "now", 10, start=sim.now)
         sim.run_until(1.0)
         assert late.inbox == [("now", "src")]
         assert (net.messages_sent, net.messages_dropped) == (1, 1)

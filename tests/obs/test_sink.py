@@ -110,8 +110,12 @@ class TestPinnedBytes:
     #: (``tests/check``) hash ``tracer.events`` of runs without an SLA
     #: threshold: they see neither the ``sla_*`` events nor the metrics
     #: trailer.  This file has both, so a change to the emit path, the SLA
-    #: monitor or an instrument that moves a byte moves this value.
-    SMOKE_TRACE_SHA256 = "d272d3006dc582fa50c1e87b88c7825a17290738ffd021fbf912fbf321fdbdbc"
+    #: monitor or an instrument that moves a byte moves this value.  So does
+    #: a change to the simulation itself: it moved when the broker began
+    #: fanning a publication out on its arrival, which draws the fan-out's
+    #: WAN latency and emits its ``fanout`` event there, not at the CPU's
+    #: completion.
+    SMOKE_TRACE_SHA256 = "55c7cb263564f316365431fe7a4d2c3a30b5753493f8d579e72b3dbed41bcd26"
 
     @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
     def test_chaos_smoke_trace_is_pinned(self, tmp_path, streamed):
