@@ -153,19 +153,5 @@ class ImportMap:
         return None
 
 
-def iter_calls(tree: ast.Module) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
-
-
-def iter_scopes(tree: ast.Module) -> Iterator[Tuple[ast.AST, List[ast.stmt]]]:
-    """Yield ``(scope_node, body)`` for the module and every function."""
-    yield tree, tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.body
-
-
 #: Convenience for rules/__init__ registration.
 RuleType = Type[Rule]

@@ -211,6 +211,7 @@ class DynamothClient(Actor):
         resume = (-1, -1)  # SubscribeCmd's own defaults: no resume point
         if self._sequence is not None:
             resume = self._sequence.resume_point(server, channel)
+            self._sequence.sent_subscribe(server, channel, version, self.sim.now)
         self.send(server, SubscribeCmd(channel, version, *resume), SubscribeCmd.WIRE_SIZE)
 
     def subscribe(self, channel: str, callback: DeliveryCallback) -> None:
@@ -618,6 +619,8 @@ class DynamothClient(Actor):
             elif isinstance(message, SubscribeAck):
                 if self._recovery is not None:
                     self._recovery.ack(message.channel, message.server_id)
+                if self._sequence is not None:
+                    self._sequence.subscribe_acked(message.server_id, message.channel, self.sim.now)
                 pending = self._reconcile.get(message.channel)
                 if pending is not None:
                     pending.awaiting.discard(message.server_id)
@@ -693,6 +696,8 @@ class DynamothClient(Actor):
             affected.append(channel)
         if self._recovery is not None:
             self._recovery.unack(server_id, affected)
+        if self._sequence is not None:
+            self._sequence.drop_server(server_id)
         return affected
 
     def _on_failure_notice(self, failed_servers: Tuple[str, ...]) -> None:

@@ -4,7 +4,8 @@ A client times two things against its links: gap repair re-asks a broker
 for a hole (:class:`~repro.core.reliability.SequenceStage`) and liveness
 probing gives a PING up (:class:`~repro.core.client_recovery.ClientRecovery`).
 Both wait the link's retransmission timeout, measured here from the round
-trips each of them feeds in.  Each owner keeps its own clock per server,
+trips each feeds in (gap repair: each SUBSCRIBE->ack, and fills of holes
+asked once; probing: its pongs).  Each owner keeps its own clock per server,
 under its own ceiling; gap repair backs off per stream instead of calling
 :meth:`LinkClock.back_off`.
 

@@ -131,9 +131,17 @@ class ClientRecovery:
 
         Servers this client recently published through are probed as
         well: a pure publisher would otherwise never notice its target
-        died.  A round still in flight runs on its own clock.
+        died.  A round still in flight runs on its own clock.  On the
+        reliable tiers the tick also re-sends a SUBSCRIBE unacked for gap
+        repair's ceiling: one lost on a lossy link (or its ack) would
+        otherwise leave the stream unstarted for good.
         """
         client = self._client
+        if client._sequence is not None:
+            for server, channel, version in client._sequence.unacked(now):
+                sub = client._subs.get(channel)
+                if sub is not None and server in sub.servers:
+                    client._send_subscribe(channel, version, server)
         servers: Set[str] = set()
         for sub in client._subs.values():
             servers |= sub.servers

@@ -340,12 +340,6 @@ class DynamothCluster:
         return total
 
     @property
-    def active_server_ids(self) -> List[str]:
-        if self.balancer is not None:
-            return list(self.balancer.active_servers)
-        return list(self.servers)
-
-    @property
     def server_count(self) -> int:
         return len(self.servers)
 

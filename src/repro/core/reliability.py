@@ -245,7 +245,7 @@ class SequenceStage:
     (``ReliabilityConfig.replay_active``).
     """
 
-    __slots__ = ("_ceiling", "_drop_stale", "_streams", "_links", "_armed")
+    __slots__ = ("_ceiling", "_drop_stale", "_streams", "_links", "_armed", "_handshakes")
 
     def __init__(self, config: ReliabilityConfig) -> None:
         #: retry timeout before a link's first sample, and its ceiling after
@@ -261,6 +261,28 @@ class SequenceStage:
         #: (server, channel) of the retry timers in flight; not on the stream,
         #: so that one dropped and rebuilt inherits its timer
         self._armed: Set[Tuple[str, str]] = set()
+        #: (server, channel) -> (latest send, sends, plan version) of the
+        #: SUBSCRIBE awaiting its ack
+        self._handshakes: Dict[Tuple[str, str], Tuple[float, int, int]] = {}
+
+    def sent_subscribe(self, server: str, channel: str, version: int, now: float) -> None:
+        """A SUBSCRIBE left for ``server``: time the round trip to its ack."""
+        sends = self._handshakes.get((server, channel), (0.0, 0, 0))[1] + 1
+        self._handshakes[(server, channel)] = (now, sends, version)
+
+    def unacked(self, now: float) -> List[Tuple[str, str, int]]:
+        """``(server, channel, version)`` of the SUBSCRIBEs unacked for the ceiling."""
+        due = now - self._ceiling
+        return [(s, c, v) for (s, c), (t, _, v) in self._handshakes.items() if t <= due]
+
+    def subscribe_acked(self, server: str, channel: str, now: float) -> None:
+        """A once-sent SUBSCRIBE's round trip samples the link before any hole
+        needs timing (TCP's SYN/SYN-ACK): it crosses the legs, FIFO clamps and
+        broker NIC a gap fill does, and the broker acks before any replay.
+        An ack of a re-sent one matches neither send (Karn's rule)."""
+        sent = self._handshakes.pop((server, channel), None)
+        if sent is not None and sent[1] == 1:
+            self._links.setdefault(server, LinkClock(self._ceiling)).sample(now - sent[0])
 
     def observe(
         self, server: str, channel: str, seq: int, epoch: int, now: float
@@ -368,6 +390,13 @@ class SequenceStage:
         """Clean unsubscribe: the stream position is no longer meaningful."""
         for key in [k for k in self._streams if k[1] == channel]:
             del self._streams[key]
+        for key in [k for k in self._handshakes if k[1] == channel]:
+            del self._handshakes[key]
+
+    def drop_server(self, server: str) -> None:
+        """The link to ``server`` is lost: no ack of it will come."""
+        for key in [k for k in self._handshakes if k[0] == server]:
+            del self._handshakes[key]
 
 
 @dataclass(frozen=True, slots=True)

@@ -33,7 +33,7 @@ import zlib
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
-from typing import IO, Any, Callable, Dict, Iterable, Iterator, List, Tuple, Type, Union
+from typing import IO, Callable, Iterable, Iterator, List, Tuple, Type, Union
 
 from repro.obs.trace import (
     EVENT_TYPES,
@@ -132,13 +132,6 @@ def event_to_json(event: TraceEvent) -> str:
 def header_json() -> str:
     """The schema header line (shared by buffered and streaming writers)."""
     return json.dumps({"type": HEADER_TYPE, "schema": SCHEMA_VERSION})
-
-
-def event_from_dict(data: Dict[str, Any]) -> TraceEvent:
-    cls = EVENT_TYPES.get(data.get("type", ""))
-    if cls is None:
-        raise ValueError(f"unknown trace event type: {data.get('type')!r}")
-    return cls.from_dict(data)
 
 
 def write_trace(path: Union[str, Path], events: Iterable[TraceEvent]) -> int:

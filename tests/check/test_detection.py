@@ -189,8 +189,12 @@ def test_soak_seed_52_subscription_stranded_on_a_decommissioned_server():
     assert violations == []
 
 
-@pytest.mark.parametrize("seed", [58, 84, 86])
+@pytest.mark.parametrize("seed", [58, 84, 86, 170])
 def test_soak_seed_passes(seed):
     """58 and 84 (churny + crash-restart) failed plan-consistency like 52;
-    86 (churny + client-loss) failed loss-free on the sampled tiers."""
+    86 (churny + client-loss) failed loss-free on the sampled tiers.  On 170
+    (churny + client-loss, exactly_once) reader4's room:1 re-SUBSCRIBE at
+    10.0 can be lost on its 33 % link, and nothing re-sent it: red while
+    only the RNG's draws spared it, green once the ping tick re-sends an
+    unacked SUBSCRIBE.  Its at_most_once run stays red: no stage, no table."""
     assert check_result(run_scenario(generate_scenario(seed))) == []

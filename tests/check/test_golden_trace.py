@@ -29,12 +29,36 @@ scenario passes every oracle.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
+
+import pytest
 
 from repro.sweep.workers import CheckTask, check_worker
 
 GOLDEN = Path(__file__).with_name("golden_trace_sha256.json")
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+class GoldenFileError(ValueError):
+    """A digest file that cannot be read; one line naming the file and where."""
+
+
+def load_golden(path: Path = GOLDEN) -> Dict[str, str]:
+    """The pinned digests, or a :class:`GoldenFileError` locating the damage."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise GoldenFileError(f"{path}:{exc.lineno}:{exc.colno}: not JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise GoldenFileError(f"{path}: top level is {type(data).__name__}, not an object")
+    for name, digest in data.items():
+        if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+            raise GoldenFileError(
+                f"{path}: key {name!r}: {digest!r} is not 64 lowercase hex characters"
+            )
+    return data
 
 TIERS = ("at_most_once", "at_least_once", "exactly_once")
 #: seeds whose fault profile is crash / client-partition / client-loss,
@@ -71,8 +95,27 @@ def compute() -> Dict[str, str]:
     }
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{\n  "0": "' + "a" * 64 + '",\n  "1": "ab', ":3:8: not JSON"),
+        ('["' + "a" * 64 + '"]', ": top level is list"),
+        ('{"0": "' + "a" * 64 + '", "7": "' + "A" * 64 + '"}', ": key '7'"),
+        ('{"3": "' + "a" * 63 + '"}', ": key '3'"),
+        ('{"3": 12}', ": key '3'"),
+    ],
+    ids=["truncated", "not-an-object", "uppercase-digest", "short-digest", "not-a-string"],
+)
+def test_a_damaged_digest_file_is_one_located_error(tmp_path, text, where):
+    path = tmp_path / "golden.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(GoldenFileError) as caught:
+        load_golden(path)
+    assert str(caught.value).startswith(f"{path}{where}")
+
+
 def test_pinned_seeds_match_golden_trace_digests():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    golden = load_golden()
     assert sorted(golden) == sorted(key(case) for case in cases())
     computed = compute()
     changed = sorted(k for k in golden if computed[k] != golden[k])

@@ -4,10 +4,14 @@ from random import Random
 
 import pytest
 
+from repro.broker.commands import SubscribeCmd
+from repro.core.config import DynamothConfig
 from repro.core.messages import MappingNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
+from repro.core.reliability import ReliabilityConfig
 from repro.sim.rng import derive_seed
 from tests.conftest import make_static_cluster
+from tests.helpers import make_bare_client
 
 
 @pytest.fixture
@@ -302,3 +306,64 @@ class TestPerClientStateOnFirstUse:
         client.publish("ch", "x", 10)
         drain(cluster)
         assert seen == ["ch"] and client.delivered == 1
+
+
+class TestSubscribeHandshake:
+    """The SUBSCRIBE round trips gap repair is timed from."""
+
+    def test_an_at_most_once_client_without_probing_holds_no_table(self):
+        _, wire, client = make_bare_client()
+        wire.live.add("s1")
+        client.subscribe("a", lambda *a: None)
+        assert client._sequence is None and client._recovery is None
+
+    def test_an_acked_subscribe_samples_its_link(self):
+        sim, wire, client = make_bare_client(
+            reliability=ReliabilityConfig(delivery_tier="exactly_once")
+        )
+        wire.live.add("s1")
+        client.subscribe("a", lambda *a: None)
+        sim.run()
+        stage = client._sequence
+        assert stage._handshakes == {} and stage._links["s1"].srtt == pytest.approx(0.01)
+
+    def test_an_unacked_subscribe_leaves_no_entry_once_detached_or_unsubscribed(self):
+        _, _, client = make_bare_client(
+            reliability=ReliabilityConfig(delivery_tier="exactly_once")
+        )
+        stage = client._sequence
+        client.subscribe("a", lambda *a: None)  # s1 never acks
+        assert stage._handshakes == {("s1", "a"): (0.0, 1, 0)}
+        assert client._detach_server("s1") == ["a"]
+        assert stage._handshakes == {}
+        client.subscribe("a", lambda *a: None)
+        assert stage._handshakes == {("s1", "a"): (0.0, 1, 0)}
+        client.unsubscribe("a")
+        assert stage._handshakes == {}
+
+    def test_a_lost_subscribe_is_resent_on_the_ping_tick_and_its_ack_is_no_sample(self):
+        """A SUBSCRIBE lost on a lossy link used to strand a reliable stream
+        for good.  The tick re-sends it once it is a ceiling old; the ack of
+        a re-sent SUBSCRIBE matches either send (Karn), so it samples nothing."""
+        sim, wire, client = make_bare_client(
+            config=DynamothConfig(client_ping_interval_s=1.0),
+            reliability=ReliabilityConfig(delivery_tier="exactly_once"),
+        )
+        wire.live.add("s1")
+        send = wire.send
+
+        def lose_the_first_subscribe(src, dst, message, size):
+            if isinstance(message, SubscribeCmd) and not wire.messages(SubscribeCmd):
+                wire.sent.append((sim.now, dst, message))
+            else:
+                send(src, dst, message, size)
+
+        wire.send = lose_the_first_subscribe
+        client.subscribe("a", lambda *a: None)
+        sim.run_until(0.99)
+        assert wire.times(SubscribeCmd) == [0.0]
+        sim.run_until(5.5)
+        assert wire.times(SubscribeCmd) == [0.0, 1.0]  # acked at 1.01: no more
+        stage = client._sequence
+        assert stage._handshakes == {} and "s1" not in stage._links  # never sampled
+        assert client.subscription_servers("a") == {"s1"}

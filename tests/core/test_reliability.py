@@ -410,6 +410,74 @@ class TestSequenceStage:
         assert stage.resume_point("s1", "b") == (3, 1)  # other channels untouched
 
 
+class TestSubscribeHandshake:
+    """A SUBSCRIBE and its ack are the link's first round trip (TCP's
+    SYN/SYN-ACK): gap repair's clock is measured before any hole."""
+
+    def test_a_clean_handshake_samples_the_link(self):
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage.sent_subscribe("s1", "a", 0, 1.0)
+        stage.subscribe_acked("s1", "a", 1.08)
+        link = stage._links["s1"]
+        assert link.srtt == pytest.approx(0.08) and link.rttvar == pytest.approx(0.04)
+        assert link.timeout == pytest.approx(0.24)
+        # A later clean handshake (a reconcile, a resubscribe) samples too.
+        stage.sent_subscribe("s1", "b", 0, 5.0)
+        stage.subscribe_acked("s1", "b", 5.16)
+        assert link.srtt == pytest.approx(0.09)
+
+    def test_a_subscribe_resent_before_its_ack_leaves_the_clock_unsampled(self):
+        """Karn's rule: the ack matches neither SUBSCRIBE."""
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage.sent_subscribe("s1", "a", 0, 1.0)
+        stage.sent_subscribe("s1", "a", 0, 1.5)
+        stage.subscribe_acked("s1", "a", 1.58)
+        assert stage._handshakes == {}
+        _feed(stage, ("s1", "a", 1, 1, 2.0), ("s1", "a", 3, 1, 2.1))
+        link = stage._links["s1"]
+        assert (link.srtt, link.timeout) == (0.0, 1.0)
+        # The ack closed the ambiguous entry: the next SUBSCRIBE is clean.
+        stage.sent_subscribe("s1", "a", 0, 3.0)
+        stage.subscribe_acked("s1", "a", 3.1)
+        assert link.srtt == pytest.approx(0.1)
+
+    def test_an_ack_with_no_pending_subscribe_samples_nothing(self):
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage.subscribe_acked("s1", "a", 1.0)
+        # Nor one whose entry left with its channel or its server.
+        stage.sent_subscribe("s1", "a", 0, 2.0)
+        stage.sent_subscribe("s2", "b", 0, 2.0)
+        stage.drop_channel("a")
+        stage.drop_server("s2")
+        assert stage._handshakes == {}
+        stage.subscribe_acked("s1", "a", 2.1)
+        stage.subscribe_acked("s2", "b", 2.1)
+        assert all(link.srtt == 0.0 for link in stage._links.values())
+
+    def test_a_subscribe_unacked_for_the_ceiling_is_due_again(self):
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage.sent_subscribe("s1", "a", 3, 0.0)
+        stage.sent_subscribe("s2", "a", 4, 0.5)
+        assert stage.unacked(0.99) == []
+        assert stage.unacked(1.0) == [("s1", "a", 3)]
+        stage.sent_subscribe("s1", "a", 3, 1.0)  # the re-send restarts its clock
+        assert stage.unacked(1.5) == [("s2", "a", 4)]
+        stage.subscribe_acked("s2", "a", 1.6)
+        assert stage.unacked(9.0) == [("s1", "a", 3)]
+
+    def test_a_hole_after_a_handshake_is_reasked_on_the_measured_timeout(self):
+        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage.sent_subscribe("s1", "a", 0, 0.0)
+        stage.subscribe_acked("s1", "a", 0.1)
+        link = stage._links["s1"]
+        timeout = link.srtt + max(4 * link.rttvar, link.srtt / 2)
+        assert timeout == pytest.approx(0.3) and link.timeout == timeout
+        assert _feed(stage, ("s1", "a", 1, 1, 1.0), ("s1", "a", 3, 1, 1.1)) == [True, (2,)]
+        assert stage.arm("s1", "a") == timeout
+        assert stage.observe("s1", "a", 4, 1, 1.1 + timeout - 0.01) is True
+        assert stage.observe("s1", "a", 5, 1, 1.1 + timeout) == (2,)
+
+
 # ----------------------------------------------------------------------
 # Gap repair as a property: the stage against a set-based reference
 # ----------------------------------------------------------------------

@@ -175,7 +175,9 @@ def _quiet_stream_run():
         cluster.sim.schedule_at(at, pub.publish, "arena", body, 60)
     found = []
     sub.on_wire_delivery = lambda ch, delivery: found.append(cluster.sim.now)
-    cluster.run_until(3.5)
+    cluster.run_until(3.0)
+    while len(found) < 2:  # step to m3's arrival: the hole is found and asked for
+        cluster.sim.step()
     assert got == ["m1", "m3"] and dropped == [ReplayRequest("arena", 1, (2,))]
     assert sub.gap_requests == 1
     return cluster, sub, got, home, found[-1]
@@ -184,12 +186,15 @@ def _quiet_stream_run():
 class TestQuietStreamRepair:
     def test_a_lost_request_is_retried_when_nothing_arrives(self):
         """Regression: the retry used to wait for the stream's next
-        arrival, so a hole on a stream that went quiet stayed open."""
+        arrival, so a hole on a stream that went quiet stayed open.  It
+        waits the link's timeout, measured from the SUBSCRIBE's round
+        trip before any hole needed timing -- not the ceiling."""
         cluster, sub, got, home, found_at = _quiet_stream_run()
-        ceiling = cluster.config.replay_retry_cooldown_s
-        cluster.run_until(found_at + ceiling - 0.001)
+        timeout = sub._sequence._links[home].timeout
+        assert timeout < cluster.config.replay_retry_cooldown_s
+        cluster.run_until(found_at + timeout - 0.001)
         assert got == ["m1", "m3"] and sub.gap_requests == 1
-        cluster.run_until(found_at + ceiling + 0.25)  # one WAN round trip
+        cluster.run_until(found_at + timeout + 0.25)  # one WAN round trip
         assert got == ["m1", "m3", "m2"]
         assert sub.gap_requests == 2
         # Filled: the timer stops, and five quiet seconds ask nothing more.
