@@ -133,7 +133,7 @@ class PubSubServer(Actor):
         #: sequence stamping resolved once per boot: the at_most_once
         #: fast path is a single attribute test per publication.
         self._stamper: Optional[BrokerReliability] = None
-        if reliability is not None and reliability.config.replay_active:
+        if reliability is not None and reliability.config.reliable:
             self._stamper = reliability
         self._cache_gauges: Optional[Tuple[Gauge, Gauge, Gauge, Gauge]] = None
         if tracer.enabled:

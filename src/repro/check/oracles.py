@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.scenario import RunResult
-from repro.core.dispatcher import dispatcher_id
+from repro.core.dispatcher import REPAIR_BUFFER_MAX_MSGS, REPAIR_BUFFER_S, dispatcher_id
 from repro.core.plan import ReplicationMode
 from repro.core.policy import policy_class
 from repro.faults.schedule import (
@@ -199,11 +199,6 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
     """
     violations: List[Violation] = []
     ledger = result.ledger
-    cluster = result.cluster
-    config = cluster.config
-    if config.repair_buffer_s <= 0.0 or config.repair_buffer_max_msgs <= 0:
-        return violations
-
     crash_times = {
         e.server: e.t for e in result.tracer.events_of(ServerCrashEvent)
     }
@@ -261,7 +256,7 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
                     continue  # no recovering subscriber showed up
                 attach_t, client = attach
                 window_end = attach_t
-                if attach_t - applied_t > config.repair_buffer_s - REPAIR_WINDOW_SLACK_S:
+                if attach_t - applied_t > REPAIR_BUFFER_S - REPAIR_WINDOW_SLACK_S:
                     continue  # buffer legitimately expired first
                 # Any other fault firing inside the window muddies causality.
                 if any(
@@ -282,7 +277,7 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
                     and e.msg_id in app_msg_ids
                     and applied_t < e.t <= attach_t - 0.01
                 ]
-                if len(parked) > config.repair_buffer_max_msgs:
+                if len(parked) > REPAIR_BUFFER_MAX_MSGS:
                     continue  # overflow drops oldest: not guaranteed
                 violations.extend(
                     Violation(

@@ -64,6 +64,14 @@ from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTask
 
+#: Heartbeat failure detection: a monitored server (one that has reported
+#: at least once) silent for this long is *suspected*...
+HEARTBEAT_SUSPECT_S = 3.0
+#: ...and a suspect silent for this much longer is *confirmed* failed,
+#: triggering plan repair.  Detection only ever acts when reports stop
+#: arriving, so failure-free runs are unaffected.
+HEARTBEAT_CONFIRM_S = 2.0
+
 
 class CloudOperations(Protocol):
     """What the balancer needs from the hosting cloud (the cluster)."""
@@ -103,7 +111,7 @@ class LoadBalancer(Actor):
         rng: Random,
         *,
         tracer: Tracer = NULL_TRACER,
-    ):
+    ) -> None:
         super().__init__(sim, node_id, is_infra=True)
         self.config = config
         self.plan = initial_plan
@@ -381,15 +389,12 @@ class LoadBalancer(Actor):
     def _check_heartbeats(self, now: float) -> None:
         """Suspect, then confirm, servers whose LLA reports stopped.
 
-        A monitored server silent for ``heartbeat_suspect_s`` becomes a
-        suspect; one silent for ``heartbeat_confirm_s`` longer is confirmed
+        A monitored server silent for ``HEARTBEAT_SUSPECT_S`` becomes a
+        suspect; one silent for ``HEARTBEAT_CONFIRM_S`` longer is confirmed
         dead and its channels are re-homed.  Detection never acts while
         reports keep arriving, so failure-free runs are unaffected.
         """
-        if not self.config.failure_detection:
-            return
-        suspect_after = self.config.heartbeat_suspect_s
-        confirm_after = suspect_after + self.config.heartbeat_confirm_s
+        confirm_after = HEARTBEAT_SUSPECT_S + HEARTBEAT_CONFIRM_S
         for server_id in list(self.active_servers):
             last = self._last_report_at.get(server_id)
             if last is None:
@@ -397,7 +402,7 @@ class LoadBalancer(Actor):
             silence = now - last
             if silence >= confirm_after:
                 self._confirm_failure(server_id, now, silence)
-            elif silence >= suspect_after and server_id not in self._suspect_since:
+            elif silence >= HEARTBEAT_SUSPECT_S and server_id not in self._suspect_since:
                 self._suspect_since[server_id] = now
                 self.events.append(BalancerEvent(now, "server-suspect", server_id))
                 if self._tracer.enabled:
@@ -417,10 +422,7 @@ class LoadBalancer(Actor):
             tracer.emit(ServerFailureConfirmedEvent(now, server_id, silence))
             tracer.metrics.counter("server_failures_total").inc()
         self._repair_plan(server_id, now)
-        if (
-            self.config.replace_failed_servers
-            or len(self.active_servers) < self.config.min_servers
-        ):
+        if len(self.active_servers) < self.config.min_servers:
             self._maybe_spawn()
 
     def _repair_plan(self, dead_id: str, now: float) -> None:

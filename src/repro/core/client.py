@@ -62,6 +62,13 @@ from repro.sim.rng import RngRegistry
 
 #: tunables of a client built bare (tests); a cluster passes its own config
 _DEFAULT_CONFIG = DynamothConfig()
+#: After subscribing on a channel's new server, a client waits this long
+#: before unsubscribing from the old one.  (Robustness addition over the
+#: paper's "subscribe then unsubscribe immediately": it closes the race
+#: where a publication processed on the new server after forwarding stopped
+#: would miss the still-moving subscriber; duplicates this may cause are
+#: absorbed by message-id dedup.)
+RESUBSCRIBE_GRACE_S = 0.25
 #: every client's ``_down`` until a FailureNotice (CPython shares no empty frozenset)
 _NOTHING_DOWN: FrozenSet[str] = frozenset()
 
@@ -163,10 +170,10 @@ class DynamothClient(Actor):
         #: causal gate; present only under ``causal_order``
         self._gate: Optional[CausalGate] = None
         if reliability is not None:
-            if reliability.replay_active:
+            if reliability.reliable:
                 self._sequence = SequenceStage(reliability)
             if reliability.causal_order:
-                self._gate = CausalGate(self, reliability)
+                self._gate = CausalGate(self)
         #: failure detection & failover; present only when probing is on
         self._recovery: Optional[ClientRecovery] = None
         if config.client_ping_interval_s is not None:
@@ -478,9 +485,7 @@ class DynamothClient(Actor):
             self._send_subscribe(channel, pending.version, server)
         for server in pending.drop:
             self._pending_drops.setdefault(channel, set()).add(server)
-            self.sim.schedule(
-                self._config.resubscribe_grace_s, self._grace_unsubscribe, channel, server
-            )
+            self.sim.schedule(RESUBSCRIBE_GRACE_S, self._grace_unsubscribe, channel, server)
 
     def _grace_unsubscribe(self, channel: str, server: str) -> None:
         drops = self._pending_drops.get(channel)

@@ -12,7 +12,7 @@ A ping is judged on the link's own round-trip clock
 (:class:`~repro.core.client_link.LinkClock`), fed by the pongs: a probe
 unanswered for the link's retransmission timeout is re-sent at once on a
 doubled clock, capped at ``client_ping_interval_s``, and
-``client_ping_miss_limit`` consecutive unanswered probes make the
+``PING_MISS_LIMIT`` consecutive unanswered probes make the
 suspicion.  Before a link's first sample the timeout *is* the interval,
 so detection is never later than one ping per interval would make it.
 
@@ -37,6 +37,16 @@ from repro.sim.timers import PeriodicTask
 
 if TYPE_CHECKING:
     from repro.core.client import DynamothClient
+
+#: consecutive unanswered pings before the client declares the server dead
+#: and fails over its subscriptions
+PING_MISS_LIMIT = 3
+#: seconds a recovering client waits for a SubscribeAck before treating the
+#: target server as dead too and retrying elsewhere
+SUBSCRIBE_ACK_TIMEOUT_S = 2.0
+#: exponential resubscribe backoff: base * 2^attempt, capped
+RECONNECT_BACKOFF_BASE_S = 0.5
+RECONNECT_BACKOFF_MAX_S = 10.0
 
 #: one probe round on one server, ``(stamp, misses, timer)``: the time the
 #: probe was first sent (its pong echoes it), how many times it has timed
@@ -177,7 +187,7 @@ class ClientRecovery:
         interval again."""
         stamp, misses, _ = self._rounds[server]
         misses += 1
-        if misses >= self._config.client_ping_miss_limit:
+        if misses >= PING_MISS_LIMIT:
             del self._rounds[server]
             self._on_server_failed(server)
             return
@@ -235,9 +245,7 @@ class ClientRecovery:
             client._send_subscribe(channel, mapping.version, server)
             client.resubscribes += 1
         sub.servers |= desired
-        client.sim.schedule(
-            self._config.subscribe_ack_timeout_s, self._verify_recovery, channel, attempt
-        )
+        client.sim.schedule(SUBSCRIBE_ACK_TIMEOUT_S, self._verify_recovery, channel, attempt)
 
     def _verify_recovery(self, channel: str, attempt: int) -> None:
         """Ack check: recovery is done only when every server confirmed."""
@@ -272,8 +280,5 @@ class ClientRecovery:
         self._schedule_retry(channel, attempt)
 
     def _schedule_retry(self, channel: str, attempt: int) -> None:
-        delay = min(
-            self._config.reconnect_backoff_base_s * (2.0 ** attempt),
-            self._config.reconnect_backoff_max_s,
-        )
+        delay = min(RECONNECT_BACKOFF_BASE_S * (2.0 ** attempt), RECONNECT_BACKOFF_MAX_S)
         self._client.sim.schedule(delay, self._try_recover, channel, attempt + 1)

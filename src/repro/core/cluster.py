@@ -37,7 +37,7 @@ from repro.core.plan import ChannelMapping, Plan
 from repro.core.reliability import BrokerReliability, reliability_config_from
 from repro.net.latency import LatencyModel
 from repro.net.transport import Transport
-from repro.obs.sla import SlaConfig, SlaMonitor
+from repro.obs.sla import SlaMonitor
 from repro.obs.trace import (
     NULL_TRACER,
     DeliveryEvent,
@@ -95,15 +95,7 @@ class DynamothCluster:
         #: hook, called for every DeliveryEvent as it is emitted.
         self.sla_monitor: Optional[SlaMonitor] = None
         if self.tracer.enabled and self.config.sla_threshold_s is not None:
-            self.sla_monitor = SlaMonitor(
-                self.tracer,
-                SlaConfig(
-                    threshold_s=self.config.sla_threshold_s,
-                    quantile=self.config.sla_quantile,
-                    window_s=self.config.sla_window_s,
-                    slices=self.config.sla_window_slices,
-                ),
-            )
+            self.sla_monitor = SlaMonitor(self.tracer, self.config.sla_threshold_s)
             self.tracer.add_observer(self.sla_monitor.on_delivery, DeliveryEvent)
         self.transport = Transport(
             self.sim,
@@ -128,7 +120,7 @@ class DynamothCluster:
         self._server_closed_seconds = 0.0
 
         bootstrap_ids = [self._next_server_id() for __ in range(initial_servers)]
-        self.plan = Plan.bootstrap(bootstrap_ids, vnodes=self.config.vnodes_per_server)
+        self.plan = Plan.bootstrap(bootstrap_ids)
 
         self.balancer_kind = balancer
         self.balancer: Optional[LoadBalancer] = None
@@ -177,7 +169,7 @@ class DynamothCluster:
         boot = self._boot_counts.get(server_id, 0) + 1
         self._boot_counts[server_id] = boot
         reliability = None
-        if self.reliability_config is not None and self.reliability_config.replay_active:
+        if self.reliability_config is not None and self.reliability_config.reliable:
             reliability = BrokerReliability(self.reliability_config, epoch=boot)
         server = PubSubServer(
             self.sim,
@@ -197,8 +189,6 @@ class DynamothCluster:
             current_plan,
             self.rng.stream(f"dispatcher:{server_id}"),
             plan_entry_timeout_s=self.config.plan_entry_timeout_s,
-            repair_buffer_s=self.config.repair_buffer_s,
-            repair_buffer_max_msgs=self.config.repair_buffer_max_msgs,
             tracer=self.tracer,
         )
         self.transport.register(dispatcher)

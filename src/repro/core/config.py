@@ -1,4 +1,4 @@
-"""All Dynamoth tunables in one place.
+"""The Dynamoth options a run can set, in one place.
 
 The paper states that "the values of the various threshold parameters were
 determined empirically based on the capabilities of the machines at our
@@ -64,13 +64,6 @@ class DynamothConfig:
         The client/dispatcher timer of section IV-A.5: a client drops idle
         plan entries, and a dispatcher stops forwarding for a moved
         channel, after this long without traffic.
-    resubscribe_grace_s:
-        After subscribing on a channel's new server, a client waits this
-        long before unsubscribing from the old one.  (Robustness addition
-        over the paper's "subscribe then unsubscribe immediately": it
-        closes the race where a publication processed on the new server
-        after forwarding stopped would miss the still-moving subscriber.
-        Duplicates this may cause are absorbed by message-id dedup.)
     spawn_delay_s:
         Time for the cloud to boot a newly rented pub/sub server.
     max_servers:
@@ -78,8 +71,15 @@ class DynamothConfig:
     min_servers:
         Never scale below this many servers (the bootstrap set, which also
         forms the consistent-hashing fallback ring, is never despawned).
-    vnodes_per_server:
-        Virtual identifiers per server on the consistent-hashing ring.
+
+    Values no run varies are constants beside their one reader: heartbeat
+    timeouts in :mod:`repro.core.balancer`, the resubscribe grace in
+    :mod:`repro.core.client`, recovery timings in
+    :mod:`repro.core.client_recovery`, the repair buffer in
+    :mod:`repro.core.dispatcher`, replay budgets and timeouts in
+    :mod:`repro.core.reliability`, ring vnodes in :mod:`repro.core.hashing`,
+    the SLA window in :mod:`repro.obs.sla` and each policy's own
+    parameters on its class.
     """
 
     # --- load ratio thresholds (eq. 1) ---
@@ -103,27 +103,13 @@ class DynamothConfig:
 
     # --- reconfiguration ---
     plan_entry_timeout_s: float = 30.0
-    resubscribe_grace_s: float = 0.25
 
     # --- elasticity ---
     spawn_delay_s: float = 5.0
     max_servers: int = 8
     min_servers: int = 1
 
-    # --- failure detection & recovery (repro.faults subsystem) ---
-    #: heartbeat-based failure detection in the load balancer: a monitored
-    #: server (one that has reported at least once) silent for this long is
-    #: *suspected*...
-    heartbeat_suspect_s: float = 3.0
-    #: ...and a suspect silent for this much longer is *confirmed* failed,
-    #: triggering plan repair.  Detection only ever acts when reports stop
-    #: arriving, so it is safe to leave on for failure-free runs.
-    heartbeat_confirm_s: float = 2.0
-    #: whether the balancer runs heartbeat detection at all
-    failure_detection: bool = True
-    #: rent a replacement server after confirming a failure (in addition
-    #: to the min_servers floor, which always forces one)
-    replace_failed_servers: bool = False
+    # --- failure recovery (repro.faults subsystem) ---
     #: how long a client keeps refusing a server it suspects dead on its
     #: own pings or acks alone.  A failure the balancer confirmed has no
     #: TTL: survivors tell their clients, who avoid the server until the
@@ -134,21 +120,6 @@ class DynamothConfig:
     #: traffic changes measured egress and therefore plans in runs that
     #: do not exercise failures).
     client_ping_interval_s: Optional[float] = None
-    #: consecutive unanswered pings before the client declares the server
-    #: dead and fails over its subscriptions
-    client_ping_miss_limit: int = 3
-    #: seconds a recovering client waits for a SubscribeAck before
-    #: treating the target server as dead too and retrying elsewhere
-    subscribe_ack_timeout_s: float = 2.0
-    #: exponential resubscribe backoff: base * 2^attempt, capped
-    reconnect_backoff_base_s: float = 0.5
-    reconnect_backoff_max_s: float = 10.0
-    #: dispatcher-side repair buffering: a repaired channel's new home
-    #: holds publications for this long (and at most this many) after the
-    #: repair plan arrives, replaying them when the first recovering
-    #: subscriber resubscribes.
-    repair_buffer_s: float = 5.0
-    repair_buffer_max_msgs: int = 64
 
     # --- reliable delivery tier (repro.core.reliability) ---
     #: delivery guarantee for application publications: ``at_most_once``
@@ -161,19 +132,6 @@ class DynamothConfig:
     #: publisher FIFO counters + dependency snapshots; clients park
     #: deliveries until their causal dependencies have been delivered.
     causal_order: bool = False
-    #: replay cache budgets per (server, channel): max cached messages and
-    #: max cached payload bytes.  Either at zero degrades a reliable tier
-    #: to plain at-most-once (nothing is stamped or cached).
-    replay_cache_max_msgs: int = 256
-    replay_cache_max_bytes: int = 262144
-    #: gap repair's retry-timeout ceiling, and its timeout until a link's first SUBSCRIBE->ack
-    replay_retry_cooldown_s: float = 1.0
-    #: causal mode: how long an out-of-order delivery may stay parked
-    #: before the channel is force-flushed in arrival order
-    causal_park_timeout_s: float = 2.0
-
-    # --- consistent hashing ---
-    vnodes_per_server: int = 64
 
     # --- extensions (the paper's future-work directions) ---
     #: factor CPU utilization into load ratios: a server is as loaded as
@@ -194,17 +152,6 @@ class DynamothConfig:
     #: Validated against the registry when the policy is instantiated
     #: (``make_policy``), not here, to keep config import-light.
     rebalance_policy: str = "paper"
-    #: CHBL's epsilon: each server's egress is bounded by ``(1 + eps)``
-    #: times its capacity-weighted fair share (Mirrokni et al.).
-    chbl_epsilon: float = 0.25
-    #: EWMA smoothing factor for the ``ewma_predictive`` policy (weight of
-    #: the newest load-ratio sample).
-    policy_ewma_alpha: float = 0.30
-    #: How far (seconds) ``ewma_predictive`` extrapolates the load trend.
-    policy_ewma_horizon_s: float = 5.0
-    #: ``headroom_pace`` look-ahead: seconds of measured load growth added
-    #: to a server's effective load when scoring it as a receiver.
-    policy_pace_weight: float = 3.0
 
     # --- live SLA monitoring (repro.obs.sla; observability only) ---
     #: Windowed delivery-latency threshold in seconds.  ``None`` (the
@@ -214,11 +161,6 @@ class DynamothConfig:
     #: ``sla_violation_start``/``sla_violation_end`` trace events.  Purely
     #: observational: plan decisions never read SLA state.
     sla_threshold_s: Optional[float] = None
-    #: Quantile the SLA is judged on (the paper uses the 95th percentile).
-    sla_quantile: float = 95.0
-    #: Sliding-window span (sim seconds) and its slice count.
-    sla_window_s: float = 10.0
-    sla_window_slices: int = 10
 
     def __post_init__(self) -> None:
         if not (0 < self.lr_safe <= self.lr_high):
@@ -239,44 +181,16 @@ class DynamothConfig:
             raise ValueError("need 1 <= min_servers <= max_servers")
         if self.plan_entry_timeout_s <= 0:
             raise ValueError("plan_entry_timeout_s must be positive")
-        if self.heartbeat_suspect_s <= 0 or self.heartbeat_confirm_s <= 0:
-            raise ValueError("heartbeat timeouts must be positive")
         if self.client_ping_interval_s is not None and self.client_ping_interval_s <= 0:
             raise ValueError("client_ping_interval_s must be positive or None")
-        if self.client_ping_miss_limit < 1:
-            raise ValueError("client_ping_miss_limit must be >= 1")
-        if self.subscribe_ack_timeout_s <= 0:
-            raise ValueError("subscribe_ack_timeout_s must be positive")
-        if not (0 < self.reconnect_backoff_base_s <= self.reconnect_backoff_max_s):
-            raise ValueError("need 0 < reconnect_backoff_base_s <= reconnect_backoff_max_s")
         if self.failed_server_ttl_s <= 0:
             raise ValueError("failed_server_ttl_s must be positive")
-        if self.repair_buffer_s < 0 or self.repair_buffer_max_msgs < 0:
-            raise ValueError("repair buffer settings must be non-negative")
         if self.delivery_tier not in DELIVERY_TIERS:
             raise ValueError(
                 f"delivery_tier must be one of {DELIVERY_TIERS}, "
                 f"got {self.delivery_tier!r}"
             )
-        if self.replay_cache_max_msgs < 0 or self.replay_cache_max_bytes < 0:
-            raise ValueError("replay cache budgets must be non-negative")
-        if self.replay_retry_cooldown_s <= 0:
-            raise ValueError("replay_retry_cooldown_s must be positive")
-        if self.causal_park_timeout_s <= 0:
-            raise ValueError("causal_park_timeout_s must be positive")
-        if self.vnodes_per_server < 1:
-            raise ValueError("vnodes_per_server must be >= 1")
         if not self.rebalance_policy:
             raise ValueError("rebalance_policy must name a registered policy")
-        if self.chbl_epsilon <= 0:
-            raise ValueError("chbl_epsilon must be positive")
-        if not (0 < self.policy_ewma_alpha <= 1):
-            raise ValueError("policy_ewma_alpha must be in (0, 1]")
-        if self.policy_ewma_horizon_s < 0 or self.policy_pace_weight < 0:
-            raise ValueError("policy horizons must be non-negative")
         if self.sla_threshold_s is not None and self.sla_threshold_s <= 0:
             raise ValueError("sla_threshold_s must be positive or None")
-        if not (0 < self.sla_quantile <= 100):
-            raise ValueError("sla_quantile must be in (0, 100]")
-        if self.sla_window_s <= 0 or self.sla_window_slices < 1:
-            raise ValueError("need sla_window_s > 0 and sla_window_slices >= 1")

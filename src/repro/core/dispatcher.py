@@ -36,7 +36,7 @@ from __future__ import annotations
 from random import Random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Mapping, Optional, Set, Tuple
 
 from repro.broker.commands import PublishCmd
 from repro.broker.server import PubSubServer
@@ -58,6 +58,13 @@ from repro.obs.trace import (
 )
 from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
+
+
+#: Repair buffering: a repaired channel's new home holds publications for
+#: this long (and at most this many) after the repair plan arrives,
+#: replaying them when the first recovering subscriber resubscribes.
+REPAIR_BUFFER_S = 5.0
+REPAIR_BUFFER_MAX_MSGS = 64
 
 
 def dispatcher_id(server_id: str) -> str:
@@ -108,24 +115,20 @@ class Dispatcher(Actor):
         rng: Random,
         *,
         plan_entry_timeout_s: float = 30.0,
-        repair_buffer_s: float = 5.0,
-        repair_buffer_max_msgs: int = 64,
         tracer: Tracer = NULL_TRACER,
-    ):
+    ) -> None:
         super().__init__(sim, dispatcher_id(server.node_id), is_infra=True)
         self.server = server
         self.plan = initial_plan
         self._rng = rng
         self._timeout = plan_entry_timeout_s
-        self._buffer_window = repair_buffer_s
-        self._buffer_max = repair_buffer_max_msgs
         self._tracer = tracer
 
         self._watch: Dict[str, _Watch] = {}
         #: the balancer node id, learned from plan pushes (drain
         #: announcements are copied there so the balancer's own straggler
         #: registry stops re-seeding drained entries into future pushes)
-        self._balancer_id = None
+        self._balancer_id: Optional[str] = None
         #: servers that may still hold unreconciled subscribers, kept from
         #: the full plan stream so forwarding survives *chained* migrations
         #: (pub1 -> pub2 -> pub3 while a subscriber is still stuck behind
@@ -182,10 +185,8 @@ class Dispatcher(Actor):
             self._mapping_cache[channel] = cached
         return cached
 
-    def _forward_targets(self, mapping: ChannelMapping) -> tuple:
+    def _forward_targets(self, mapping: ChannelMapping) -> Tuple[str, ...]:
         """Servers a misrouted publication must be forwarded to."""
-        if mapping.mode is ReplicationMode.ALL_PUBLISHERS:
-            return mapping.servers
         if mapping.mode is ReplicationMode.ALL_SUBSCRIBERS:
             return (self._rng.choice(mapping.servers),)
         return mapping.servers
@@ -200,9 +201,9 @@ class Dispatcher(Actor):
                 "forwarded_publications_total", server=self.server.node_id
             ).inc()
 
-    def _tell(self, client_id: str) -> None:
+    def _tell(self, client_id: str, told: Set[str]) -> None:
         """Send ``client_id`` the current confirmed-dead set, once per change."""
-        self._told.add(client_id)
+        told.add(client_id)
         notice = FailureNotice(tuple(sorted(self._failed)))
         self.send(client_id, notice, FailureNotice.WIRE_SIZE)
 
@@ -264,15 +265,20 @@ class Dispatcher(Actor):
             if failed_changed:
                 # Survivors tell their clients, whose consistent-hashing
                 # fallback would otherwise keep landing on a dead server.
-                self._told = set()
+                told: Set[str] = set()
+                self._told = told
                 for client_id in self.server.connected_clients():
-                    self._tell(client_id)
+                    self._tell(client_id, told)
         elif isinstance(message, NoMoreSubscribers):
             self._stragglers.drain(message.channel, message.server_id)
         else:
             raise TypeError(f"{self.node_id}: unexpected message {type(message).__name__}")
 
-    def _handle_plan(self, new_plan: Plan, pushed_stragglers=None) -> None:
+    def _handle_plan(
+        self,
+        new_plan: Plan,
+        pushed_stragglers: Optional[Mapping[str, Mapping[str, float]]] = None,
+    ) -> None:
         if new_plan.version <= self.plan.version:
             return  # stale or duplicate push
         changed = self.plan.diff(new_plan)
@@ -297,18 +303,13 @@ class Dispatcher(Actor):
 
         my_id = self.server.node_id
         for channel, (old, new) in changed.items():  # diff order is sorted
-            if (
-                self._buffer_window > 0.0
-                and self._buffer_max > 0
-                and my_id in new.servers
-                and set(old.servers) & self._failed
-            ):
+            if my_id in new.servers and set(old.servers) & self._failed:
                 # This server inherited the channel from a dead one: park
                 # incoming publications until a failed-over subscriber's
                 # resubscribe lands, then replay them (at-most-once).
                 self._repair_buffers[channel] = _RepairBuffer(
-                    deadline=now + self._buffer_window,
-                    messages=deque(maxlen=self._buffer_max),
+                    deadline=now + REPAIR_BUFFER_S,
+                    messages=deque(maxlen=REPAIR_BUFFER_MAX_MSGS),
                 )
 
             involved = my_id in old.servers or my_id in new.servers
@@ -456,7 +457,7 @@ class Dispatcher(Actor):
         told = self._told
         if told is not None and client_id not in told:
             # A client that connected after the last failure change.
-            self._tell(client_id)
+            self._tell(client_id, told)
         if self._repair_buffers:
             self._flush_repair_buffer(channel)
         watch = self._watch.get(channel)

@@ -8,7 +8,8 @@ Dynamoth uses consistent hashing in two roles:
 * as the *baseline* load-distribution scheme the paper compares against
   (:mod:`repro.core.policy.consistent_hashing`).
 
-Each server owns ``vnodes`` virtual identifiers; a channel maps to the
+Each server owns ``vnodes`` virtual identifiers (``VNODES_PER_SERVER``
+unless a caller says otherwise); a channel maps to the
 server owning the first identifier clockwise of the channel's hash.  Adding
 or removing a server therefore only remaps ~1/N of the channels.
 """
@@ -19,6 +20,9 @@ import bisect
 import hashlib
 from typing import Collection, Dict, List, Sequence, Tuple
 
+#: Virtual identifiers per server on every ring the middleware builds.
+VNODES_PER_SERVER = 64
+
 
 def _hash64(key: str) -> int:
     """Stable 64-bit hash (Python's ``hash()`` is process-randomized)."""
@@ -28,7 +32,7 @@ def _hash64(key: str) -> int:
 class ConsistentHashRing:
     """A consistent-hashing ring with virtual nodes."""
 
-    def __init__(self, servers: Sequence[str] = (), vnodes: int = 64):
+    def __init__(self, servers: Sequence[str] = (), vnodes: int = VNODES_PER_SERVER):
         if vnodes < 1:
             raise ValueError(f"vnodes must be >= 1: {vnodes!r}")
         self.vnodes = vnodes

@@ -18,7 +18,7 @@ from random import Random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.hashing import ConsistentHashRing
+from repro.core.hashing import VNODES_PER_SERVER, ConsistentHashRing
 
 
 class ReplicationMode(enum.Enum):
@@ -139,7 +139,7 @@ class Plan:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def bootstrap(cls, servers: Iterable[str], vnodes: int = 64) -> "Plan":
+    def bootstrap(cls, servers: Iterable[str], vnodes: int = VNODES_PER_SERVER) -> "Plan":
         """"Plan 0": no explicit mappings, pure consistent hashing."""
         servers = tuple(servers)
         ring = ConsistentHashRing(servers, vnodes=vnodes)

@@ -41,8 +41,7 @@ from repro.core.policy.base import (
     RebalancePolicy,
     register_policy,
 )
-from repro.core.policy.greedy import drain_when_idle
-from repro.core.rebalance import LoadEstimator, RebalanceDecision
+from repro.core.rebalance import LoadEstimator, RebalanceDecision, drain_when_idle
 
 
 @register_policy
@@ -50,6 +49,10 @@ class BoundedLoadPolicy(RebalancePolicy):
     """epsilon-bounded consistent-hashing placement and rebalancing."""
 
     name: ClassVar[str] = "chbl"
+
+    #: epsilon: each server's egress is bounded by ``(1 + EPSILON)`` times
+    #: its capacity-weighted fair share (Mirrokni et al.).
+    EPSILON: ClassVar[float] = 0.25
 
     def __init__(self, config: DynamothConfig) -> None:
         super().__init__(config)
@@ -69,9 +72,7 @@ class BoundedLoadPolicy(RebalancePolicy):
         """
         members = frozenset(active_servers)
         if self._ring is None or members != self._ring_members:
-            self._ring = ConsistentHashRing(
-                sorted(members), vnodes=self.config.vnodes_per_server
-            )
+            self._ring = ConsistentHashRing(sorted(members))
             self._ring_members = members
         return self._ring
 
@@ -82,7 +83,7 @@ class BoundedLoadPolicy(RebalancePolicy):
         self, estimator: LoadEstimator, active_servers: Sequence[str]
     ) -> Dict[str, float]:
         """Per-server egress bound: (1 + eps) * capacity-weighted share."""
-        eps = self.config.chbl_epsilon
+        eps = self.EPSILON
         total = sum(
             estimator.load_ratio(s) * estimator.nominal(s) for s in active_servers
         )
@@ -142,10 +143,10 @@ class BoundedLoadPolicy(RebalancePolicy):
         )
         if over_high and len(active) > 0:
             avg_lr = sum(estimator.load_ratio(s) for s in active) / len(active)
-            if avg_lr * (1.0 + cfg.chbl_epsilon) >= cfg.lr_high:
+            if avg_lr * (1.0 + self.EPSILON) >= cfg.lr_high:
                 out.spawn_servers = 1
                 out.notes.append(
-                    f"chbl: bound ((1+{cfg.chbl_epsilon:g}) x fair share) "
+                    f"chbl: bound ((1+{self.EPSILON:g}) x fair share) "
                     "exceeds LR^high; requesting spawn"
                 )
 

@@ -56,7 +56,7 @@ class ConsistentHashingPolicy(RebalancePolicy):
             return out
         ring = self.ring if self.ring is not None else ctx.plan.ring
         if set(ring.servers) != set(active):
-            ring = ConsistentHashRing(sorted(active), vnodes=self.config.vnodes_per_server)
+            ring = ConsistentHashRing(sorted(active))
             channels = set(ctx.plan.explicit_channels())
             for server_id in active:
                 channels.update(ctx.view.channel_loads(server_id))

@@ -1,10 +1,10 @@
 """EWMA-predictive policy: act on where load is *going*, not where it is.
 
 Per server the policy keeps an exponentially-weighted moving average of
-the load ratio (``policy_ewma_alpha``) plus a trend term (the EWMA's own
+the load ratio (``ALPHA``) plus a trend term (the EWMA's own
 rate of change).  The effective load used for every threshold test is
 
-    predicted_LR = ewma + trend * policy_ewma_horizon_s
+    predicted_LR = ewma + trend * HORIZON_S
 
 so a server that is ramping toward overload is relieved *before* it
 crosses ``LR^high``, and a momentary spike that the EWMA smooths away
@@ -29,6 +29,11 @@ class EwmaPredictivePolicy(_GreedyBase):
 
     name: ClassVar[str] = "ewma_predictive"
 
+    #: smoothing factor (weight of the newest load-ratio sample)
+    ALPHA: ClassVar[float] = 0.30
+    #: how far (seconds) the load trend is extrapolated
+    HORIZON_S: ClassVar[float] = 5.0
+
     def __init__(self, config: DynamothConfig) -> None:
         super().__init__(config)
         self._ewma: Dict[str, float] = {}
@@ -52,8 +57,8 @@ class EwmaPredictivePolicy(_GreedyBase):
         live estimator ratio, so hypothetical migrations during the pass
         shift predicted loads exactly as they shift measured ones.
         """
-        alpha = ctx.config.policy_ewma_alpha
-        horizon = ctx.config.policy_ewma_horizon_s
+        alpha = self.ALPHA
+        horizon = self.HORIZON_S
         now = ctx.now
         if self._last_t is not None and now == self._last_t:
             # Repair and decide can both run at the same sim time; the

@@ -8,7 +8,7 @@ channels.  They differ in how a receiver is chosen:
   load ratio -- the textbook greedy baseline.
 * ``headroom_pace`` scores receivers by *projected* headroom: how much
   spare capacity a server will still have after its recent load growth
-  rate (an EWMA of ``dLR/dt``) has run for ``policy_pace_weight`` more
+  rate (an EWMA of ``dLR/dt``) has run for ``PACE_WEIGHT`` more
   seconds.  A near-idle server whose load is ramping fast scores worse
   than a busier but flat one, which matters under flash crowds where the
   least-loaded server this tick is everyone's favourite target next tick.
@@ -28,7 +28,7 @@ from repro.core.policy.base import (
     RebalancePolicy,
     register_policy,
 )
-from repro.core.rebalance import LoadEstimator, RebalanceDecision, low_load_rebalance
+from repro.core.rebalance import LoadEstimator, RebalanceDecision, drain_when_idle
 
 LoadFn = Callable[[str], float]
 ReceiverFn = Callable[[Sequence[str], Tuple[str, ...]], Optional[str]]
@@ -97,30 +97,6 @@ def greedy_relief(
     return out
 
 
-def drain_when_idle(
-    ctx: PolicyContext,
-    estimator: LoadEstimator,
-    replicated: Set[str],
-    load: Optional[LoadFn] = None,
-) -> Tuple[Dict[str, ChannelMapping], List[str], List[str]]:
-    """The paper's low-load drain, gated on mean effective load < LR^low."""
-    effective = load if load is not None else estimator.load_ratio
-    values = [effective(s) for s in ctx.active_servers]
-    if not values or not ctx.allow_scale_down:
-        return {}, [], []
-    if sum(values) / len(values) >= ctx.config.lr_low:
-        return {}, [], []
-    return low_load_rebalance(
-        ctx.plan,
-        ctx.view,
-        ctx.config,
-        ctx.active_servers,
-        set(ctx.bootstrap_servers),
-        estimator,
-        replicated,
-    )
-
-
 class _GreedyBase(RebalancePolicy):
     """Shared skeleton: no channel-level proposals, relief then drain."""
 
@@ -181,15 +157,18 @@ class HeadroomPacePolicy(_GreedyBase):
 
     Keeps an EWMA of each server's load-ratio growth rate (its *pace*,
     in LR/s) across decide calls.  Effective load is the measured ratio
-    plus ``pace * policy_pace_weight`` (only positive pace penalises --
+    plus ``pace * PACE_WEIGHT`` (only positive pace penalises --
     cooling servers are judged by their measured load), so a fast-ramping
     server is treated as already carrying the load it is about to have.
     """
 
     name: ClassVar[str] = "headroom_pace"
 
-    #: smoothing for the pace EWMA (fixed; the *horizon* is the knob)
+    #: smoothing for the pace EWMA
     PACE_ALPHA: ClassVar[float] = 0.5
+    #: look-ahead: seconds of measured load growth added to a server's
+    #: effective load when scoring it as a receiver
+    PACE_WEIGHT: ClassVar[float] = 3.0
 
     def __init__(self, config: DynamothConfig) -> None:
         super().__init__(config)
@@ -199,7 +178,7 @@ class HeadroomPacePolicy(_GreedyBase):
 
     def _load_fn(self, ctx: PolicyContext, estimator: LoadEstimator) -> LoadFn:
         self._update_pace(ctx, estimator)
-        weight = ctx.config.policy_pace_weight
+        weight = self.PACE_WEIGHT
         pace = self._pace
 
         def load(server: str) -> float:

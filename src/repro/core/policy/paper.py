@@ -24,8 +24,8 @@ from repro.core.rebalance import (
     LoadEstimator,
     RebalanceDecision,
     channel_level_rebalance,
+    drain_when_idle,
     high_load_rebalance,
-    low_load_rebalance,
 )
 
 
@@ -58,20 +58,8 @@ class PaperPolicy(RebalancePolicy):
             decision.mappings.update(proposals)
             decision.spawn_servers = spawn
             decision.notes.extend(notes)
-        elif ctx.allow_scale_down and (
-            sum(lr_values) / len(lr_values) < ctx.config.lr_low
-            if lr_values
-            else False
-        ):
-            proposals, decommission, notes = low_load_rebalance(
-                ctx.plan,
-                ctx.view,
-                ctx.config,
-                ctx.active_servers,
-                set(ctx.bootstrap_servers),
-                estimator,
-                replicated,
-            )
+        else:
+            proposals, decommission, notes = drain_when_idle(ctx, estimator, replicated)
             decision.mappings.update(proposals)
             decision.decommission.extend(decommission)
             decision.notes.extend(notes)

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import DynamothConfig
 from repro.core.metrics import ClusterLoadView
 from repro.core.plan import ChannelMapping, Plan, ReplicationMode
+
+if TYPE_CHECKING:
+    from repro.core.policy.base import PolicyContext
 
 
 @dataclass
@@ -64,7 +67,7 @@ class LoadEstimator:
         default_nominal_bps: float,
         *,
         cpu_aware: bool = False,
-    ):
+    ) -> None:
         self.cpu_aware = cpu_aware
         self._egress: Dict[str, float] = {}
         self._nominal: Dict[str, float] = {}
@@ -478,6 +481,30 @@ def low_load_rebalance(
         decommission.append(victim)
         notes.append(f"server {victim} drained; decommissioning")
     return proposals, decommission, notes
+
+
+def drain_when_idle(
+    ctx: PolicyContext,
+    estimator: LoadEstimator,
+    replicated: Set[str],
+    load: Optional[Callable[[str], float]] = None,
+) -> Tuple[Dict[str, ChannelMapping], List[str], List[str]]:
+    """The low-load drain, gated on mean effective load < LR^low."""
+    effective = load if load is not None else estimator.load_ratio
+    values = [effective(s) for s in ctx.active_servers]
+    if not values or not ctx.allow_scale_down:
+        return {}, [], []
+    if sum(values) / len(values) >= ctx.config.lr_low:
+        return {}, [], []
+    return low_load_rebalance(
+        ctx.plan,
+        ctx.view,
+        ctx.config,
+        ctx.active_servers,
+        set(ctx.bootstrap_servers),
+        estimator,
+        replicated,
+    )
 
 
 # ----------------------------------------------------------------------

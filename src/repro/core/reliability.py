@@ -59,6 +59,17 @@ __all__ = [
     "reliability_config_from",
 ]
 
+#: Replay cache budgets per (server, channel): cached messages and cached
+#: payload bytes; the oldest entry is evicted past either.
+REPLAY_CACHE_MAX_MSGS = 256
+REPLAY_CACHE_MAX_BYTES = 262144
+#: Gap repair's retry-timeout ceiling, and its timeout until a link's
+#: first SUBSCRIBE->ack.
+REPLAY_RETRY_COOLDOWN_S = 1.0
+#: Causal mode: how long an out-of-order delivery may stay parked before
+#: the channel is force-flushed in arrival order.
+CAUSAL_PARK_TIMEOUT_S = 2.0
+
 
 @dataclass(frozen=True, slots=True)
 class ReliabilityConfig:
@@ -66,28 +77,15 @@ class ReliabilityConfig:
 
     delivery_tier: str = "at_most_once"
     causal_order: bool = False
-    cache_max_msgs: int = 256
-    cache_max_bytes: int = 262144
-    replay_retry_cooldown_s: float = 1.0
-    causal_park_timeout_s: float = 2.0
 
     @property
     def reliable(self) -> bool:
+        """Whether brokers stamp sequences and cache for replay."""
         return self.delivery_tier != "at_most_once"
 
     @property
     def exactly_once(self) -> bool:
         return self.delivery_tier == "exactly_once"
-
-    @property
-    def replay_active(self) -> bool:
-        """Whether sequencing/caching runs at all.
-
-        A zero count *or* byte budget degrades the tier to plain
-        at-most-once by construction: nothing is stamped, so the wire
-        traffic is byte-identical to an ``at_most_once`` run.
-        """
-        return self.reliable and self.cache_max_msgs > 0 and self.cache_max_bytes > 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,8 +184,8 @@ class BrokerReliability:
         seq = cache.stamp()
         cache.add(
             CacheEntry(seq, payload, payload_size, wire_size),
-            self.config.cache_max_msgs,
-            self.config.cache_max_bytes,
+            REPLAY_CACHE_MAX_MSGS,
+            REPLAY_CACHE_MAX_BYTES,
         )
         return seq
 
@@ -242,14 +240,12 @@ class SequenceStage:
     on every arrival (:meth:`observe`) and from the stream's retry timer
     (:meth:`retry`), which the owning client schedules.  The client builds
     a stage only when the run stamps sequence numbers
-    (``ReliabilityConfig.replay_active``).
+    (``ReliabilityConfig.reliable``).
     """
 
-    __slots__ = ("_ceiling", "_drop_stale", "_streams", "_links", "_armed", "_handshakes")
+    __slots__ = ("_drop_stale", "_streams", "_links", "_armed", "_handshakes")
 
     def __init__(self, config: ReliabilityConfig) -> None:
-        #: retry timeout before a link's first sample, and its ceiling after
-        self._ceiling = config.replay_retry_cooldown_s
         #: the tier's one per-message question, answered once: exactly_once
         #: drops a replayed duplicate, at_least_once lets it through (the
         #: app may see it again -- that tier's contract)
@@ -272,7 +268,7 @@ class SequenceStage:
 
     def unacked(self, now: float) -> List[Tuple[str, str, int]]:
         """``(server, channel, version)`` of the SUBSCRIBEs unacked for the ceiling."""
-        due = now - self._ceiling
+        due = now - REPLAY_RETRY_COOLDOWN_S
         return [(s, c, v) for (s, c), (t, _, v) in self._handshakes.items() if t <= due]
 
     def subscribe_acked(self, server: str, channel: str, now: float) -> None:
@@ -282,7 +278,7 @@ class SequenceStage:
         An ack of a re-sent one matches neither send (Karn's rule)."""
         sent = self._handshakes.pop((server, channel), None)
         if sent is not None and sent[1] == 1:
-            self._links.setdefault(server, LinkClock(self._ceiling)).sample(now - sent[0])
+            self._links.setdefault(server, LinkClock(REPLAY_RETRY_COOLDOWN_S)).sample(now - sent[0])
 
     def observe(
         self, server: str, channel: str, seq: int, epoch: int, now: float
@@ -296,7 +292,7 @@ class SequenceStage:
         stream = self._streams.get(key)
         if stream is None:
             links = self._links
-            link = links.get(server) or links.setdefault(server, LinkClock(self._ceiling))
+            link = links.get(server) or links.setdefault(server, LinkClock(REPLAY_RETRY_COOLDOWN_S))
             stream = self._streams[key] = _Stream(link)
         if epoch != stream.epoch:
             if epoch < stream.epoch:
@@ -360,7 +356,7 @@ class SequenceStage:
         if stream is None or not stream.missing or not held:
             self._armed.discard((server, channel))
             return 0, (), 0.0
-        ceiling, base = self._ceiling, stream.link.timeout
+        ceiling, base = REPLAY_RETRY_COOLDOWN_S, stream.link.timeout
         due = self._due(stream, now, min(ceiling, base * (stream.backoff or 1)))
         stream.backoff = stream.backoff * 2 or 1
         # Next firing: when the hole asked longest ago comes due again.
@@ -432,15 +428,14 @@ class CausalGate:
     a channel whose dependency is lost for good.
     """
 
-    __slots__ = ("_sim", "_owner", "_timeout", "_receive", "_channels", "_tokens")
+    __slots__ = ("_sim", "_owner", "_receive", "_channels", "_tokens")
 
-    def __init__(self, owner: Any, config: ReliabilityConfig) -> None:
+    def __init__(self, owner: Any) -> None:
         #: the client actor: its ``sim`` runs the park timer, its ``node_id``
         #: stamps publications, its ``receive`` gets the :class:`ParkTimeout`
         self._sim = owner.sim
         self._owner = owner.node_id
         self._receive = owner.receive
-        self._timeout = config.causal_park_timeout_s
         self._channels: Dict[str, _ChannelOrder] = {}
         #: tokens are unique per gate, so a timer armed before the channel
         #: drained or was dropped can never flush what parks after it
@@ -495,7 +490,7 @@ class CausalGate:
                     self._tokens += 1
                     state.token = self._tokens
                     timeout = ParkTimeout(channel, state.token)
-                    self._sim.schedule(self._timeout, self._receive, timeout, self._owner)
+                    self._sim.schedule(CAUSAL_PARK_TIMEOUT_S, self._receive, timeout, self._owner)
                 return ()
             else:
                 index += 1
@@ -526,11 +521,4 @@ def reliability_config_from(config: DynamothConfig) -> Optional[ReliabilityConfi
     """Build the cluster's reliability snapshot; ``None`` when inert."""
     if config.delivery_tier == "at_most_once" and not config.causal_order:
         return None
-    return ReliabilityConfig(
-        delivery_tier=config.delivery_tier,
-        causal_order=config.causal_order,
-        cache_max_msgs=config.replay_cache_max_msgs,
-        cache_max_bytes=config.replay_cache_max_bytes,
-        replay_retry_cooldown_s=config.replay_retry_cooldown_s,
-        causal_park_timeout_s=config.causal_park_timeout_s,
-    )
+    return ReliabilityConfig(config.delivery_tier, config.causal_order)

@@ -68,7 +68,6 @@ class ChaosScenarioConfig:
     client_ping_interval_s: float = 1.0
     #: windowed delivery-latency SLA threshold (None disables the monitor)
     sla_threshold_s: Optional[float] = 0.5
-    sla_window_s: float = 10.0
     #: reliability layer (repro.core.reliability): at_most_once |
     #: at_least_once | exactly_once
     delivery_tier: str = "at_most_once"
@@ -107,7 +106,6 @@ class ChaosScenarioConfig:
                 t_wait_s=self.t_wait_s,
                 client_ping_interval_s=self.client_ping_interval_s,
                 sla_threshold_s=self.sla_threshold_s,
-                sla_window_s=self.sla_window_s,
                 delivery_tier=self.delivery_tier,
             ),
             initial_servers=self.initial_servers,

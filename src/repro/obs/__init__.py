@@ -27,7 +27,7 @@ from repro.obs.export import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import SimProfiler, render_profile
 from repro.obs.sink import StreamingJsonlSink, TraceSink
-from repro.obs.sla import SlaConfig, SlaMonitor, SlidingHistogram
+from repro.obs.sla import SlaMonitor, SlidingHistogram
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, channel_class
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "SimProfiler",
-    "SlaConfig",
     "SlaMonitor",
     "SlidingHistogram",
     "StreamingJsonlSink",

@@ -10,7 +10,7 @@ Design -- a sample is recorded once, at the leaf; everything coarser is
 merged when someone reads it:
 
 * :class:`SlidingHistogram` -- a ring of K log-bucket
-  :class:`~repro.obs.metrics.Histogram` slices covering ``window_s``
+  :class:`~repro.obs.metrics.Histogram` slices covering ``SLA_WINDOW_S``
   seconds of sim time, one ring per ``(channel class, server)`` *leaf*.
   A sample lands in the slice owning its timestamp; slices age out as the
   window advances.  Memory is O(leaves * K * buckets), independent of
@@ -56,6 +56,17 @@ from repro.obs.trace import (
 
 #: Scope label for the cluster-wide window.
 OVERALL_SCOPE = "overall"
+#: The quantile the SLA is judged on (the paper uses the 95th percentile).
+SLA_QUANTILE = 95.0
+#: Sliding-window span (sim seconds) and its slice count.
+SLA_WINDOW_S = 10.0
+SLA_WINDOW_SLICES = 10
+#: Bucket layout of the window slices.  Finer than the run-level metrics
+#: default (factor 2.0) because an SLA judgment needs to resolve latency
+#: to ~12%, not to a power of two.
+SLA_BUCKET_MIN_S = 1e-4
+SLA_BUCKET_FACTOR = 1.25
+SLA_BUCKET_COUNT = 64
 
 
 class SlidingHistogram:
@@ -83,35 +94,6 @@ class SlidingHistogram:
             for slot, slot_epoch in enumerate(self._epochs)
             if slot_epoch is not None and horizon <= slot_epoch <= epoch
         ]
-
-
-@dataclass(frozen=True)
-class SlaConfig:
-    """Static parameters of the live SLA monitor."""
-
-    threshold_s: float
-    quantile: float = 95.0
-    window_s: float = 10.0
-    slices: int = 10
-    per_channel: bool = True
-    per_server: bool = True
-    emit_window_stats: bool = True
-    #: Bucket layout of the window slices.  Finer than the run-level
-    #: metrics default (factor 2.0) because an SLA judgment needs to
-    #: resolve latency to ~12%, not to a power of two.
-    bucket_min_s: float = 1e-4
-    bucket_factor: float = 1.25
-    bucket_count: int = 64
-
-    def __post_init__(self) -> None:
-        if self.threshold_s <= 0:
-            raise ValueError(f"sla threshold must be positive: {self.threshold_s!r}")
-        if not 0 < self.quantile <= 100:
-            raise ValueError(f"sla quantile out of (0, 100]: {self.quantile!r}")
-        if self.window_s <= 0 or self.slices < 1:
-            raise ValueError("need window_s > 0 and slices >= 1")
-        if self.bucket_min_s <= 0 or self.bucket_factor <= 1 or self.bucket_count < 1:
-            raise ValueError("need bucket_min_s > 0, bucket_factor > 1, buckets >= 1")
 
 
 @dataclass
@@ -145,9 +127,11 @@ class SlaMonitor:
     deliveries stop.
     """
 
-    def __init__(self, tracer: Tracer, config: SlaConfig) -> None:
+    def __init__(self, tracer: Tracer, threshold_s: float) -> None:
+        if threshold_s <= 0:
+            raise ValueError(f"sla threshold must be positive: {threshold_s!r}")
         self._tracer = tracer
-        self.config = config
+        self.threshold_s = threshold_s
         self._scopes: Dict[str, _Scope] = {}
         #: (channel class, server) -> the one window a delivery there feeds.
         self._leaves: Dict[Tuple[str, str], SlidingHistogram] = {}
@@ -155,7 +139,7 @@ class SlaMonitor:
         #: out once per pair, not once per delivery.
         self._feeds = FirstUse(self._leaf_of)
         self._epoch: Optional[int] = None
-        self.slice_s = config.window_s / config.slices
+        self.slice_s = SLA_WINDOW_S / SLA_WINDOW_SLICES
         #: Closed + active violation episodes, in start order.
         self.violations: List[SlaViolation] = []
 
@@ -202,7 +186,7 @@ class SlaMonitor:
         """Current windowed SLA-quantile value for ``scope`` (None if empty)."""
         entry = self._scopes.get(scope)
         merged = self._window(entry) if entry is not None else None
-        return None if merged is None else merged.percentile(self.config.quantile)
+        return None if merged is None else merged.percentile(SLA_QUANTILE)
 
     def report(self) -> Dict[str, Any]:
         """JSON-able summary: config, per-scope window stats, timeline."""
@@ -212,9 +196,7 @@ class SlaMonitor:
             merged = self._window(entry)
             scopes[name] = {
                 "window_count": merged.count if merged else 0,
-                "value_s": (
-                    merged.percentile(self.config.quantile) if merged else None
-                ),
+                "value_s": merged.percentile(SLA_QUANTILE) if merged else None,
                 "violating": entry.active is not None,
             }
         violations = [
@@ -228,9 +210,9 @@ class SlaMonitor:
             for v in self.violations
         ]
         return {
-            "threshold_s": self.config.threshold_s,
-            "quantile": self.config.quantile,
-            "window_s": self.config.window_s,
+            "threshold_s": self.threshold_s,
+            "quantile": SLA_QUANTILE,
+            "window_s": SLA_WINDOW_S,
             "scopes": scopes,
             "violations": violations,
             "violation_count": len(violations),
@@ -244,17 +226,14 @@ class SlaMonitor:
         """First delivery on ``(channel, server)``: find its leaf, or grow
         one and list it under the scopes that read it."""
         channel, server = pair
-        config = self.config
         key = (channel_class(channel), server)
         leaf = self._leaves.get(key)
         if leaf is None:
             leaf = self._leaves[key] = SlidingHistogram(
-                config.slices, config.bucket_min_s, config.bucket_factor, config.bucket_count
+                SLA_WINDOW_SLICES, SLA_BUCKET_MIN_S, SLA_BUCKET_FACTOR, SLA_BUCKET_COUNT
             )
-            names = [OVERALL_SCOPE]
-            if config.per_channel:
-                names.append(f"channel:{key[0]}")
-            if config.per_server and server:
+            names = [OVERALL_SCOPE, f"channel:{key[0]}"]
+            if server:
                 names.append(f"server:{server}")
             for name in names:
                 self._scopes.setdefault(name, _Scope()).leaves.append(leaf)
@@ -281,15 +260,15 @@ class SlaMonitor:
     def _evaluate(self, epoch: int) -> None:
         """Re-judge every scope at a slice boundary."""
         boundary_t = epoch * self.slice_s
-        config = self.config
+        threshold_s = self.threshold_s
         tracer = self._tracer
         for name in sorted(self._scopes):
             entry = self._scopes[name]
             merged = self._window(entry)
-            value = merged.percentile(config.quantile) if merged else None
+            value = merged.percentile(SLA_QUANTILE) if merged else None
             count = merged.count if merged else 0
             # Strict crossing: value == threshold still meets the SLA.
-            violating = value is not None and value > config.threshold_s
+            violating = value is not None and value > threshold_s
             if violating and entry.active is None:
                 assert value is not None
                 entry.active = SlaViolation(name, boundary_t, value)
@@ -297,8 +276,8 @@ class SlaMonitor:
                 if tracer.enabled:
                     tracer.emit(
                         SlaViolationStartEvent(
-                            boundary_t, name, config.quantile,
-                            config.threshold_s, value, count,
+                            boundary_t, name, SLA_QUANTILE,
+                            threshold_s, value, count,
                         )
                     )
             elif violating and entry.active is not None:
@@ -316,7 +295,7 @@ class SlaMonitor:
                             boundary_t - episode.start_t, episode.peak_s,
                         )
                     )
-            if config.emit_window_stats and count and tracer.enabled:
+            if count and tracer.enabled:
                 tracer.emit(
                     SlaWindowEvent(
                         boundary_t, name, count,

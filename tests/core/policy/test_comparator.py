@@ -13,12 +13,9 @@ from repro.core.policy.consistent_hashing import ConsistentHashingPolicy
 from repro.sim.timers import PeriodicTask
 from tests.core.policy.test_policies import config, context, snap, view_from
 
-VNODES = 8
-
-
 def policy_and_plan(servers):
-    cfg = config(vnodes_per_server=VNODES)
-    return ConsistentHashingPolicy(cfg), cfg, Plan.bootstrap(servers, vnodes=VNODES)
+    cfg = config()
+    return ConsistentHashingPolicy(cfg), cfg, Plan.bootstrap(servers)
 
 
 class TestPlacementRule:
@@ -59,7 +56,7 @@ class TestPlacementRule:
         assert policy.decide(context(plan, view, cfg, ["a"])).is_noop
 
         joined = policy.decide(context(plan, view, cfg, ["a", "b"]))
-        ring = ConsistentHashRing(["a", "b"], vnodes=VNODES)
+        ring = ConsistentHashRing(["a", "b"])
         assert list(joined.mappings) == sorted(channels)  # every known channel
         for channel, mapping in joined.mappings.items():
             assert mapping.servers == (ring.lookup(channel),)
@@ -84,7 +81,7 @@ class TestPlacementRule:
 
         ctx = context(plan, view, cfg, ["a", "b", "c", "d"])
         policy.decide(ctx)  # the ring grows to four members
-        ring = ConsistentHashRing(["a", "b", "c", "d"], vnodes=VNODES)
+        ring = ConsistentHashRing(["a", "b", "c", "d"])
         homes = set()
         for channel in channels:
             target = policy.place_unknown_channel(

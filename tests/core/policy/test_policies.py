@@ -127,7 +127,7 @@ class TestLeastLoaded:
 
 class TestHeadroomPace:
     def test_avoids_fast_ramping_receiver(self):
-        cfg = config(policy_pace_weight=3.0)
+        cfg = config()
         plan = Plan.bootstrap(["a", "b", "c"], vnodes=8)
         policy = HeadroomPacePolicy(cfg)
 
@@ -165,8 +165,10 @@ class TestHeadroomPace:
 
 
 class TestEwmaPredictive:
-    def test_bias_predicts_rising_load(self):
-        cfg = config(policy_ewma_alpha=0.5, policy_ewma_horizon_s=20.0)
+    def test_bias_predicts_rising_load(self, monkeypatch):
+        monkeypatch.setattr(EwmaPredictivePolicy, "ALPHA", 0.5)
+        monkeypatch.setattr(EwmaPredictivePolicy, "HORIZON_S", 20.0)
+        cfg = config()
         plan = Plan.bootstrap(["a", "b"], vnodes=8)
         policy = EwmaPredictivePolicy(cfg)
 
@@ -196,7 +198,7 @@ class TestEwmaPredictive:
 
 class TestBoundedLoad:
     def test_within_bound_channels_never_move(self):
-        cfg = config(chbl_epsilon=0.5)
+        cfg = config()
         plan = Plan.bootstrap(["a", "b"], vnodes=8)
         # Perfectly even: everyone is within (1 + eps) * fair share.
         view = view_from(
@@ -207,7 +209,7 @@ class TestBoundedLoad:
         assert decision.spawn_servers == 0
 
     def test_rebinds_over_bound_server(self):
-        cfg = config(chbl_epsilon=0.25)
+        cfg = config()
         plan = Plan.bootstrap(["a", "b", "c"], vnodes=8)
         # "a" carries everything: way over (1.25 x fair-share) bound.
         view = view_from(
@@ -224,7 +226,7 @@ class TestBoundedLoad:
             assert mapping.servers[0] in {"b", "c"}
 
     def test_spawns_when_bound_itself_unsafe(self):
-        cfg = config(chbl_epsilon=0.25)
+        cfg = config()
         plan = Plan.bootstrap(["a", "b"], vnodes=8)
         view = view_from(
             {"a": [snap("x", out=900.0)], "b": [snap("y", out=880.0)]}
@@ -233,7 +235,7 @@ class TestBoundedLoad:
         assert decision.spawn_servers == 1
 
     def test_placement_walks_past_full_server(self):
-        cfg = config(chbl_epsilon=0.25)
+        cfg = config()
         plan = Plan.bootstrap(["a", "b"], vnodes=8)
         view = view_from(
             {"a": [snap("x", out=700.0)], "b": [snap("y", out=100.0)]}
@@ -247,7 +249,7 @@ class TestBoundedLoad:
             assert policy.place_unknown_channel(ctx, estimator, channel, ["a", "b"]) == "b"
 
     def test_placement_falls_back_when_everything_full(self):
-        cfg = config(chbl_epsilon=0.25)
+        cfg = config()
         plan = Plan.bootstrap(["a", "b"], vnodes=8)
         # "big" alone (2000 B/s) dwarfs every server's bound
         # (1.25 * 2100 / 2 = 1312 B/s), so the walk finds no fit anywhere.
@@ -273,7 +275,7 @@ class TestBoundedLoad:
         assert ring3 is not ring2
 
     def test_keeps_existing_replication_untouched(self):
-        cfg = config(chbl_epsilon=0.25)
+        cfg = config()
         base = Plan.bootstrap(["a", "b", "c"], vnodes=8)
         plan = base.evolve(
             mappings={"rep": ChannelMapping(ReplicationMode.ALL_SUBSCRIBERS, ("a", "b"))}

@@ -55,8 +55,6 @@ class TestComposition:
             (DynamothConfig(delivery_tier="at_least_once"), True, False, False),
             (DynamothConfig(delivery_tier="exactly_once", causal_order=True), True, True, False),
             (DynamothConfig(causal_order=True), False, True, False),
-            # A zero replay budget stamps nothing: no sequence stage either.
-            (DynamothConfig(delivery_tier="exactly_once", replay_cache_max_msgs=0), False, False, False),
             (DynamothConfig(client_ping_interval_s=1.0), False, False, True),
         ],
     )
@@ -124,7 +122,7 @@ class TestOneTail:
         tracer = Tracer()
         sim, client = make_client(
             tracer=tracer,
-            reliability=ReliabilityConfig(causal_order=True, causal_park_timeout_s=2.0),
+            reliability=ReliabilityConfig(causal_order=True),
         )
         seen = []
         client.on_delivery = lambda ch, env, delivery: seen.append(("hook", env.msg_id))

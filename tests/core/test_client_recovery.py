@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.broker.commands import PingCmd, PongReply, SubscribeCmd
+from repro.core import client_recovery
 from repro.core.client_recovery import ClientRecovery
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
@@ -30,7 +31,7 @@ def home_of(channel: str, servers=SERVERS) -> str:
 
 class TestDetection:
     def test_server_is_declared_dead_after_the_miss_limit(self):
-        sim, wire, client = make_client(client_ping_miss_limit=3)
+        sim, wire, client = make_client()
         home = home_of("ch")
         client.subscribe("ch", lambda *a: None)
         sim.run_until(3.5)
@@ -44,7 +45,7 @@ class TestDetection:
         assert home not in client.subscription_servers("ch")
 
     def test_a_pong_resets_the_miss_count(self):
-        sim, wire, client = make_client(client_ping_miss_limit=3)
+        sim, wire, client = make_client()
         home = home_of("ch")
         client.subscribe("ch", lambda *a: None)
         sim.run_until(3.5)  # three misses ...
@@ -216,13 +217,7 @@ class TestRecovery:
     def test_backoff_doubles_and_is_capped(self):
         """Nobody ever acks.  Marks expire at once (tiny TTL), so every
         retry re-sends its SUBSCRIBE: the send times show the back-off."""
-        sim, wire, client = make_client(
-            servers=["s1"],
-            failed_server_ttl_s=0.25,
-            subscribe_ack_timeout_s=2.0,
-            reconnect_backoff_base_s=0.5,
-            reconnect_backoff_max_s=10.0,
-        )
+        sim, wire, client = make_client(servers=["s1"], failed_server_ttl_s=0.25)
         client.subscribe("ch", lambda *a: None)
         sim.run_until(80.0)
         sends = wire.times(SubscribeCmd)
@@ -246,11 +241,12 @@ class TestRecovery:
         assert client.reconnects == 1
         assert client.subscription_servers("ch") <= wire.live
 
-    def test_empty_server_set_is_not_a_recovered_subscription(self):
+    def test_empty_server_set_is_not_a_recovered_subscription(self, monkeypatch):
         """The failover target dies before the ack check: with nothing
         left in the server set "no ack missing" is vacuously true, and
         must not count as recovered."""
-        sim, wire, client = make_client(subscribe_ack_timeout_s=10.0)
+        monkeypatch.setattr(client_recovery, "SUBSCRIBE_ACK_TIMEOUT_S", 10.0)
+        sim, wire, client = make_client()
         home = home_of("ch")
         client.subscribe("ch", lambda *a: None)
         sim.run_until(4.5)  # home declared dead at t=4; SUBSCRIBE to a second

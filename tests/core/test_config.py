@@ -27,7 +27,6 @@ class TestDynamothConfig:
             {"min_servers": 0},
             {"min_servers": 9, "max_servers": 8},
             {"plan_entry_timeout_s": 0},
-            {"vnodes_per_server": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

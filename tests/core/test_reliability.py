@@ -18,6 +18,8 @@ from repro.broker.commands import Delivery
 from repro.core.config import DynamothConfig
 from repro.core.messages import AppEnvelope
 from repro.core.reliability import (
+    CAUSAL_PARK_TIMEOUT_S,
+    REPLAY_RETRY_COOLDOWN_S,
     BrokerReliability,
     CacheEntry,
     CausalGate,
@@ -50,31 +52,15 @@ class TestReliabilityConfig:
         assert not ReliabilityConfig(delivery_tier="at_least_once").exactly_once
         assert ReliabilityConfig(delivery_tier="exactly_once").exactly_once
 
-    def test_zero_budget_deactivates_replay(self):
-        """A zero count or byte budget degrades to plain at-most-once."""
-        assert _config().replay_active
-        assert not _config(cache_max_msgs=0).replay_active
-        assert not _config(cache_max_bytes=0).replay_active
-        assert not ReliabilityConfig(delivery_tier="at_most_once").replay_active
-
 
 class TestConfigFrom:
     def test_inert_config_maps_to_none(self):
         assert reliability_config_from(DynamothConfig()) is None
 
     def test_knobs_thread_through(self):
-        config = DynamothConfig(
-            delivery_tier="at_least_once",
-            causal_order=True,
-            replay_cache_max_msgs=7,
-            replay_cache_max_bytes=900,
-        )
+        config = DynamothConfig(delivery_tier="at_least_once", causal_order=True)
         rel = reliability_config_from(config)
-        assert rel is not None
-        assert rel.delivery_tier == "at_least_once"
-        assert rel.causal_order
-        assert rel.cache_max_msgs == 7
-        assert rel.cache_max_bytes == 900
+        assert rel == ReliabilityConfig("at_least_once", causal_order=True)
 
     def test_causal_alone_is_not_inert(self):
         rel = reliability_config_from(DynamothConfig(causal_order=True))
@@ -248,7 +234,7 @@ class TestSequenceStage:
     def test_cooldown_suppresses_request_storms(self):
         """The retry clock is per hole: one already asked for waits out its
         own timeout, one found meanwhile is asked for at once."""
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         assert _feed(
             stage,
             ("s1", "a", 1, 1, 0.0),
@@ -261,7 +247,7 @@ class TestSequenceStage:
         ) == [True, (2,), True, (5,), True, (2,), (5,)]
 
     def test_timeout_is_measured_from_holes_asked_exactly_once(self):
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 4, 1, 1.0))  # asks 2, 3
         link = stage._links["s1"]
         assert (link.srtt, link.timeout) == (0.0, 1.0)  # the ceiling, until a sample
@@ -288,10 +274,11 @@ class TestSequenceStage:
         assert stage._links["s2"].timeout == 1.0
 
     def test_measured_timeout_never_exceeds_the_configured_ceiling(self):
-        stage = SequenceStage(_config(replay_retry_cooldown_s=0.5))
+        stage = SequenceStage(_config())
+        # One 0.4 s sample: srtt + 4 * rttvar is 1.2 s, above the 1 s ceiling.
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 3, 1, 1.0), ("s1", "a", 2, 1, 1.4))
         assert stage._links["s1"].srtt == pytest.approx(0.4)
-        assert stage._links["s1"].timeout == 0.5
+        assert stage._links["s1"].timeout == REPLAY_RETRY_COOLDOWN_S
 
     def test_straggler_from_an_older_boot_leaves_the_stream_alone(self):
         """Regression: an epoch-1 delivery landing after epoch 2 began used
@@ -309,7 +296,7 @@ class TestSequenceStage:
             assert stage.observe("s1", "a", 5, 2, 1.3) is True  # no reset, no re-ask
 
     def test_retry_timer_asks_again_when_nothing_arrives(self):
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 3, 1, 2.0))
         assert stage.arm("s1", "a") == 1.0
         assert stage.arm("s1", "a") == 0.0  # one timer per stream
@@ -322,7 +309,7 @@ class TestSequenceStage:
         assert stage.arm("s1", "a") == 1.0  # a later hole starts a new one
 
     def test_retry_timer_backs_off_on_silence_and_any_arrival_resets_it(self):
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 4, 1, 1.0), ("s1", "a", 2, 1, 1.08))
         assert stage._links["s1"].timeout == pytest.approx(0.24)
         delay = stage.arm("s1", "a")
@@ -415,7 +402,7 @@ class TestSubscribeHandshake:
     SYN/SYN-ACK): gap repair's clock is measured before any hole."""
 
     def test_a_clean_handshake_samples_the_link(self):
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         stage.sent_subscribe("s1", "a", 0, 1.0)
         stage.subscribe_acked("s1", "a", 1.08)
         link = stage._links["s1"]
@@ -428,7 +415,7 @@ class TestSubscribeHandshake:
 
     def test_a_subscribe_resent_before_its_ack_leaves_the_clock_unsampled(self):
         """Karn's rule: the ack matches neither SUBSCRIBE."""
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         stage.sent_subscribe("s1", "a", 0, 1.0)
         stage.sent_subscribe("s1", "a", 0, 1.5)
         stage.subscribe_acked("s1", "a", 1.58)
@@ -442,7 +429,7 @@ class TestSubscribeHandshake:
         assert link.srtt == pytest.approx(0.1)
 
     def test_an_ack_with_no_pending_subscribe_samples_nothing(self):
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         stage.subscribe_acked("s1", "a", 1.0)
         # Nor one whose entry left with its channel or its server.
         stage.sent_subscribe("s1", "a", 0, 2.0)
@@ -455,7 +442,7 @@ class TestSubscribeHandshake:
         assert all(link.srtt == 0.0 for link in stage._links.values())
 
     def test_a_subscribe_unacked_for_the_ceiling_is_due_again(self):
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         stage.sent_subscribe("s1", "a", 3, 0.0)
         stage.sent_subscribe("s2", "a", 4, 0.5)
         assert stage.unacked(0.99) == []
@@ -466,7 +453,7 @@ class TestSubscribeHandshake:
         assert stage.unacked(9.0) == [("s1", "a", 3)]
 
     def test_a_hole_after_a_handshake_is_reasked_on_the_measured_timeout(self):
-        stage = SequenceStage(_config(replay_retry_cooldown_s=1.0))
+        stage = SequenceStage(_config())
         stage.sent_subscribe("s1", "a", 0, 0.0)
         stage.subscribe_acked("s1", "a", 0.1)
         link = stage._links["s1"]
@@ -494,7 +481,7 @@ class _RepairRun:
 
     def __init__(self, tier, lost_deliveries, lost_requests, lost_replays, period, one_way):
         self.sim = Simulator()
-        self.stage = SequenceStage(_config(delivery_tier=tier, replay_retry_cooldown_s=0.5))
+        self.stage = SequenceStage(_config(delivery_tier=tier))
         self.drops_stale = tier == "exactly_once"
         self.lost = {
             "delivery": list(lost_deliveries),
@@ -508,7 +495,8 @@ class _RepairRun:
         self.timers = 0  # retry timers in flight: one while there are holes
         #: enough lossless tail for every drawn request/replay loss to be
         #: retried past at the ceiling, one at a time
-        tail = int((len(lost_requests) + len(lost_replays) + 3) * 0.5 / period) + 3
+        ceiling = REPLAY_RETRY_COOLDOWN_S
+        tail = int((len(lost_requests) + len(lost_replays) + 3) * ceiling / period) + 3
         self.count = len(lost_deliveries) + tail
         for index in range(self.count):
             self.sim.schedule(index * period, self.publish, index + 1)
@@ -611,15 +599,15 @@ def _stamped(sender: str, pub_seq: int, deps=(), channel: str = "a") -> Delivery
     return Delivery(channel, envelope, 16, "s1")
 
 
-def _gate(park_timeout_s: float = 2.0):
-    """A gate on a bare simulator whose timeouts land in ``timeouts``."""
+def _gate():
+    """A gate on a bare simulator whose timeouts land in ``timeouts``; it
+    parks for the shipped 2 s."""
     sim = Simulator()
     timeouts = []
     owner = SimpleNamespace(
         sim=sim, node_id="me", receive=lambda message, src: timeouts.append(message)
     )
-    config = _config(causal_order=True, causal_park_timeout_s=park_timeout_s)
-    return sim, CausalGate(owner, config), timeouts
+    return sim, CausalGate(owner), timeouts
 
 
 def _ids(batch) -> list:
@@ -669,7 +657,7 @@ class TestCausalGate:
         ]
 
     def test_timeout_flushes_in_arrival_order_and_advances_the_vector(self):
-        sim, gate, timeouts = _gate(park_timeout_s=2.0)
+        sim, gate, timeouts = _gate()
         gate.admit(_stamped("alice", 3))
         gate.admit(_stamped("bob", 1, [("alice", 2)]))
         sim.run_until(1.9)
@@ -685,7 +673,7 @@ class TestCausalGate:
         assert gate.expire("a", timeout.token) == ()
 
     def test_token_is_stale_once_the_channel_drained_and_reparked(self):
-        sim, gate, timeouts = _gate(park_timeout_s=2.0)
+        sim, gate, timeouts = _gate()
         gate.admit(_stamped("alice", 2))  # parks at t=0, timer due t=2
         sim.run_until(1.0)
         assert _ids(gate.admit(_stamped("alice", 1))) == ["alice:1", "alice:2"]
@@ -697,7 +685,7 @@ class TestCausalGate:
         assert _ids(gate.expire("a", timeouts[1].token)) == ["alice:4"]
 
     def test_drop_channel_mid_park_forgets_everything(self):
-        sim, gate, timeouts = _gate(park_timeout_s=2.0)
+        sim, gate, timeouts = _gate()
         gate.stamp("a")
         gate.admit(_stamped("alice", 1))
         gate.admit(_stamped("alice", 3))
@@ -797,14 +785,14 @@ class TestCausalGateEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(ops=_causal_schedules())
     def test_one_loop_admit_matches_the_two_helper_gate(self, ops):
-        sim, gate, timeouts = _gate(park_timeout_s=1.0)
+        sim, gate, timeouts = _gate()
         reference = _TwoHelperGate()
         for op in ops:
             if op is None:
                 # Every timer armed since the last flush fires; only the
                 # newest token of a still-parked set may flush it.
                 fired = len(timeouts)
-                sim.run_until(sim.now + 1.0)
+                sim.run_until(sim.now + CAUSAL_PARK_TIMEOUT_S)
                 flushed = []
                 for timeout in timeouts[fired:]:
                     flushed.extend(gate.expire(timeout.channel, timeout.token))
@@ -817,8 +805,6 @@ class TestCausalGateEquivalence:
             assert gate.stamp("a")[1] == tuple(sorted(reference.delivered.items()))
 
 
-def test_config_validation_rejects_bad_tier_and_budgets():
+def test_config_validation_rejects_bad_tier():
     with pytest.raises(ValueError, match="delivery_tier"):
         DynamothConfig(delivery_tier="maybe_once")
-    with pytest.raises(ValueError):
-        DynamothConfig(replay_cache_max_msgs=-1)

@@ -1,6 +1,6 @@
 """Reliable-delivery tier, end to end: reconnect replay, lossy-link
 repair, the retry timer of a stream gone quiet, truthful eviction,
-zero-budget degradation, and the dedup-window regression.
+and the dedup-window regression.
 
 These tests drive the full broker/client stack (real transport, real
 reconnect path) rather than the unit-level state machines covered by
@@ -19,9 +19,8 @@ from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
 from repro.core.messages import AppEnvelope
-from repro.core.reliability import BrokerReliability
+from repro.core.reliability import REPLAY_CACHE_MAX_MSGS, REPLAY_RETRY_COOLDOWN_S, BrokerReliability
 from repro.faults import ChaosSchedule, DegradeLink, FaultInjector
-from repro.obs.export import event_to_json
 from repro.obs.trace import ReplayEvent, ReplayGapEvent, Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
@@ -191,7 +190,7 @@ class TestQuietStreamRepair:
         trip before any hole needed timing -- not the ceiling."""
         cluster, sub, got, home, found_at = _quiet_stream_run()
         timeout = sub._sequence._links[home].timeout
-        assert timeout < cluster.config.replay_retry_cooldown_s
+        assert timeout < REPLAY_RETRY_COOLDOWN_S
         cluster.run_until(found_at + timeout - 0.001)
         assert got == ["m1", "m3"] and sub.gap_requests == 1
         cluster.run_until(found_at + timeout + 0.25)  # one WAN round trip
@@ -228,14 +227,15 @@ class TestQuietStreamRepair:
 class TestEvictionTruthfulness:
     def test_replay_after_eviction_reports_the_gap(self):
         """An evicted prefix yields a truthful gap notice, not silence:
-        the client is told which seqs are gone and stops chasing them."""
+        the client is told which seqs are gone and stops chasing them.
+        The outage overflows the shipped cache budget by four messages."""
         tracer = Tracer()
-        config = DynamothConfig(
-            delivery_tier="at_least_once", replay_cache_max_msgs=2
-        )
-        cluster, sub, got, server = _outage_run(config, away=6, tracer=tracer)
-        # Only the newest two outage messages survived the cache.
-        assert set(got) == {"live0", "live1", "live2", "away4", "away5"}
+        config = DynamothConfig(delivery_tier="at_least_once")
+        away = REPLAY_CACHE_MAX_MSGS + 4
+        cluster, sub, got, server = _outage_run(config, away=away, tracer=tracer)
+        # Only the newest budget's worth of the stream survived the cache.
+        live = {"live0", "live1", "live2"}
+        assert set(got) == live | {f"away{i}" for i in range(4, away)}
         gaps = [e for e in tracer.events if isinstance(e, ReplayGapEvent)]
         assert gaps, "eviction produced no gap event"
         assert server.reliability.unrecoverable_gaps >= 1
@@ -247,22 +247,6 @@ class TestEvictionTruthfulness:
         cluster.run_for(3.0)
         assert got[-1] == "later"
         assert sub.gap_requests == asked
-
-    def test_zero_budget_cache_degrades_to_plain_at_most_once(self):
-        """cache budget 0 => no stamping, no replay: the run's trace is
-        byte-identical to an at_most_once run of the same seed."""
-
-        def run(config: DynamothConfig) -> bytes:
-            tracer = Tracer()
-            cluster, sub, got, server = _outage_run(config, tracer=tracer)
-            body = "\n".join(event_to_json(e) for e in tracer.events)
-            return body.encode("utf-8")
-
-        reliable_zero = run(
-            DynamothConfig(delivery_tier="exactly_once", replay_cache_max_msgs=0)
-        )
-        plain = run(DynamothConfig(delivery_tier="at_most_once"))
-        assert reliable_zero == plain
 
 
 class TestPlantedReplayBugIsSilent:

@@ -12,7 +12,7 @@ from repro.obs.export import (
     trace_segments,
 )
 from repro.obs.sink import StreamingJsonlSink
-from repro.obs.sla import SlaConfig, SlaMonitor
+from repro.obs.sla import SlaMonitor
 from repro.obs.trace import (
     DeliveryEvent,
     MetricsEvent,
@@ -60,7 +60,7 @@ class TestByteEquivalence:
         emitted one."""
 
         def run(tracer):
-            tracer.add_observer(SlaMonitor(tracer, SlaConfig(threshold_s=0.15)))  # 1 s slices
+            tracer.add_observer(SlaMonitor(tracer, 0.15))  # 1 s slices
             for t in (0.5, 1.2):
                 tracer.emit(DeliveryEvent(t, "bob", "tile:1:1", f"m{t}", "alice", 0.01, 2, "pub1"))
 

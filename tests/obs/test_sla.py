@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.obs.export import event_to_json
 from repro.obs.metrics import Histogram
-from repro.obs.sla import OVERALL_SCOPE, SlaConfig, SlaMonitor, SlidingHistogram
+from repro.obs import sla
+from repro.obs.sla import OVERALL_SCOPE, SlaMonitor, SlidingHistogram
 from repro.obs.trace import (
     DeliveryEvent,
     SlaViolationEndEvent,
@@ -17,11 +18,10 @@ from repro.obs.trace import (
 )
 
 
-def _monitor(tracer=None, **overrides):
+def _monitor(tracer=None, threshold_s=0.1):
+    """A monitor on the shipped window: 10 s in ten 1 s slices."""
     tracer = tracer if tracer is not None else Tracer()
-    kwargs = dict(threshold_s=0.1, window_s=10.0, slices=10)
-    kwargs.update(overrides)
-    monitor = SlaMonitor(tracer, SlaConfig(**kwargs))
+    monitor = SlaMonitor(tracer, threshold_s)
     tracer.add_observer(monitor)
     return tracer, monitor
 
@@ -120,8 +120,7 @@ class TestEdgeCases:
         # land in, so the windowed percentile == threshold exactly.
         from repro.obs.metrics import Histogram
 
-        probe = SlaConfig(threshold_s=0.1)
-        hist = Histogram(probe.bucket_min_s, probe.bucket_factor, probe.bucket_count)
+        hist = Histogram(sla.SLA_BUCKET_MIN_S, sla.SLA_BUCKET_FACTOR, sla.SLA_BUCKET_COUNT)
         hist.observe(0.09)
         edge = hist.percentile(95.0)
         tracer2, monitor2 = _monitor(threshold_s=edge)
@@ -148,21 +147,15 @@ class TestEdgeCases:
         open_episodes = [v for v in monitor.violations if v.end_t is None]
         assert open_episodes and open_episodes[0].duration_s is None
 
-    def test_window_stats_can_be_disabled(self):
-        tracer, monitor = _monitor(emit_window_stats=False)
-        _deliver(tracer, 0.5, 0.5)
-        monitor.poll(5.0)
-        assert not [e for e in tracer.events if type(e) is SlaWindowEvent]
-
 
 class _PerScopeReference:
     """The monitor before leaves: every scope keeps a window of its own and
     a sample is recorded into each scope it belongs to.  A window is a plain
     ``(epoch, latency)`` list, re-bucketed on every read."""
 
-    def __init__(self, tracer, config):
-        self.tracer, self.config = tracer, config
-        self.slice_s = config.window_s / config.slices
+    def __init__(self, tracer, threshold_s):
+        self.tracer, self.threshold_s = tracer, threshold_s
+        self.slice_s = sla.SLA_WINDOW_S / sla.SLA_WINDOW_SLICES
         self.samples = {}  # scope -> [(epoch, latency)]
         self.active = {}  # scope -> its open episode, as report() renders it
         self.violations = []
@@ -172,10 +165,8 @@ class _PerScopeReference:
         if type(event) is not DeliveryEvent:
             return
         self.poll(event.t)
-        names = [OVERALL_SCOPE]
-        if self.config.per_channel:
-            names.append(f"channel:{channel_class(event.channel)}")
-        if self.config.per_server and event.server:
+        names = [OVERALL_SCOPE, f"channel:{channel_class(event.channel)}"]
+        if event.server:
             names.append(f"server:{event.server}")
         for name in names:
             self.samples.setdefault(name, []).append((self.epoch, event.latency_s))
@@ -189,19 +180,18 @@ class _PerScopeReference:
             self.evaluate(self.epoch * self.slice_s)
 
     def window(self, name):
-        config = self.config
-        hist = Histogram(config.bucket_min_s, config.bucket_factor, config.bucket_count)
+        hist = Histogram(sla.SLA_BUCKET_MIN_S, sla.SLA_BUCKET_FACTOR, sla.SLA_BUCKET_COUNT)
         for epoch, latency in self.samples[name]:
-            if self.epoch - config.slices < epoch <= self.epoch:
+            if self.epoch - sla.SLA_WINDOW_SLICES < epoch <= self.epoch:
                 hist.observe(latency)
         return hist
 
     def evaluate(self, t):
-        config, emit = self.config, self.tracer.emit
+        threshold_s, emit = self.threshold_s, self.tracer.emit
         for name in sorted(self.samples):
             hist = self.window(name)
-            value = hist.percentile(config.quantile)  # None when empty
-            violating = value is not None and value > config.threshold_s
+            value = hist.percentile(sla.SLA_QUANTILE)  # None when empty
+            violating = value is not None and value > threshold_s
             episode = self.active.get(name)
             if violating and episode is None:
                 episode = self.active[name] = dict(
@@ -209,7 +199,7 @@ class _PerScopeReference:
                 )
                 self.violations.append(episode)
                 emit(SlaViolationStartEvent(
-                    t, name, config.quantile, config.threshold_s, value, hist.count
+                    t, name, sla.SLA_QUANTILE, threshold_s, value, hist.count
                 ))
             elif violating:
                 episode["peak_s"] = max(episode["peak_s"], value)
@@ -217,7 +207,7 @@ class _PerScopeReference:
                 del self.active[name]
                 episode.update(end_t=t, duration_s=t - episode["start_t"])
                 emit(SlaViolationEndEvent(t, name, episode["duration_s"], episode["peak_s"]))
-            if config.emit_window_stats and hist.count:
+            if hist.count:
                 emit(SlaWindowEvent(
                     t, name, hist.count, hist.percentile(50), value, hist.max, violating
                 ))
@@ -228,13 +218,13 @@ class _PerScopeReference:
             hist = self.window(name)
             scopes[name] = {
                 "window_count": hist.count,
-                "value_s": hist.percentile(self.config.quantile),
+                "value_s": hist.percentile(sla.SLA_QUANTILE),
                 "violating": name in self.active,
             }
         return {
-            "threshold_s": self.config.threshold_s,
-            "quantile": self.config.quantile,
-            "window_s": self.config.window_s,
+            "threshold_s": self.threshold_s,
+            "quantile": sla.SLA_QUANTILE,
+            "window_s": sla.SLA_WINDOW_S,
             "scopes": scopes,
             "violations": self.violations,
             "violation_count": len(self.violations),
@@ -257,18 +247,20 @@ _DELIVERIES = st.lists(
 
 class TestLeafMergeEqualsPerScopeWindows:
     @settings(max_examples=150, deadline=None)
-    @given(_DELIVERIES, st.booleans(), st.booleans(), st.floats(min_value=0.0, max_value=5.0))
-    def test_events_and_report_match_the_reference(
-        self, deliveries, per_channel, per_server, drain_s
-    ):
-        config = SlaConfig(
-            threshold_s=0.1, window_s=2.0, slices=4,
-            per_channel=per_channel, per_server=per_server,
-        )
+    @given(_DELIVERIES, st.floats(min_value=0.0, max_value=5.0))
+    def test_events_and_report_match_the_reference(self, deliveries, drain_s):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sla, "SLA_WINDOW_S", 2.0)
+            patch.setattr(sla, "SLA_WINDOW_SLICES", 4)
+            outcomes = self._run_both(deliveries, drain_s)
+        assert outcomes[0] == outcomes[1]
+
+    @staticmethod
+    def _run_both(deliveries, drain_s):
         outcomes = []
         for build in (SlaMonitor, _PerScopeReference):
             tracer = Tracer()
-            monitor = build(tracer, config)
+            monitor = build(tracer, 0.1)
             tracer.add_observer(monitor)
             t = 0.0
             for gap, latency_s, channel, server in deliveries:
@@ -279,7 +271,7 @@ class TestLeafMergeEqualsPerScopeWindows:
                 event_to_json(e) for e in tracer.events if type(e) is not DeliveryEvent
             ]
             outcomes.append((lines, monitor.report()))
-        assert outcomes[0] == outcomes[1]
+        return outcomes
 
 
 class TestDeterminism:

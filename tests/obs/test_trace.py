@@ -6,7 +6,7 @@ from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.obs.export import dump_tracer, read_trace
 from repro.obs.profile import SimProfiler
 from repro.obs.sink import StreamingJsonlSink
-from repro.obs.sla import SlaConfig, SlaMonitor
+from repro.obs.sla import SlaMonitor
 from repro.obs.trace import (
     NULL_TRACER,
     DeliveryEvent,
@@ -247,7 +247,7 @@ class TestObserverDispatch:
         path = tmp_path / "t.jsonl"
         sink = StreamingJsonlSink(str(path)) if streamed else None
         tracer = Tracer(sink=sink)
-        monitor = SlaMonitor(tracer, SlaConfig(threshold_s=0.15))  # 1 s slices
+        monitor = SlaMonitor(tracer, 0.15)  # 1 s slices
         tracer.add_observer(monitor.on_delivery, DeliveryEvent)
         tracer.emit(_delivery(0.5))
         tracer.emit(_delivery(1.2))  # crosses the t=1 boundary
