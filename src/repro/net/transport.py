@@ -225,9 +225,10 @@ class Transport:
             if delivery_time < state[_P_FIFO]:
                 delivery_time = state[_P_FIFO]  # FIFO: never overtake
             state[_P_FIFO] = delivery_time
-        # No caller cancels a message in flight, so it rides the kernel's
-        # fire-and-forget entry instead of a ScheduledEvent handle, and the
-        # entry calls ``dst.receive(message, src_id)`` with no frame here.
+        # No caller cancels a message in flight, so it rides the kernel as
+        # a fire-and-forget batch of one instead of a ScheduledEvent handle,
+        # and the cursor calls ``dst.receive(message, src_id)`` with no
+        # frame here.  The kernel keeps the two fresh one-tuples.
         self.sim.schedule_batch(
             methodcaller("receive", message, src_id), (delivery_time,), (state[_P_ARGS],)
         )
@@ -362,6 +363,9 @@ class Transport:
             add_args(state[_P_ARGS])
         if times:
             # One C callable for the whole batch, no tuple per destination.
+            # The batch waits in the kernel as one cursor entry that keeps
+            # both lists, so they are built fresh here and never touched
+            # again.
             self.sim.schedule_batch(methodcaller("receive", message, src_id), times, args_seq)
             self.messages_sent += len(times)
         if dropped:

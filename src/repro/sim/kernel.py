@@ -8,15 +8,18 @@ deterministic for a fixed seed.
 
 The queue is a binary heap of tuple entries (see ``_Entry``), so every
 comparison stays inside C.  Callers that never need a cancel handle (the
-transport) enqueue *fire-and-forget* entries through
+transport) enqueue *fire-and-forget* batches through
 :meth:`Simulator.schedule_batch`: no ``ScheduledEvent`` is allocated per
-message and the run loop skips all handle bookkeeping for them.
+message, a whole batch waits in the heap as one cursor entry, and the run
+loop skips all handle bookkeeping for it.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+from itertools import islice
+from operator import le
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 _NEVER = float("inf")
@@ -25,8 +28,10 @@ _NEVER = float("inf")
 #:
 #: * ``(time, seq, event)`` -- a cancellable :class:`ScheduledEvent` handle
 #:   created by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
-#: * ``(time, seq, None, fn, args)`` -- a *fire-and-forget* entry created by
-#:   :meth:`Simulator.schedule_batch`; no handle object exists at all.
+#: * ``(time, seq, None, fn, args_seq, times, j)`` -- a *batch cursor*
+#:   created by :meth:`Simulator.schedule_batch`: it stands for the batch's
+#:   item ``j`` (``fn(*args_seq[j])`` at ``times[j]``) and every item after
+#:   it.  No handle object exists at all.
 #:
 #: The ``(time, seq)`` prefix is unique, so tuple comparison never falls
 #: through to the third element and the two shapes order consistently.
@@ -40,8 +45,8 @@ class ScheduledEvent:
     the callback from firing (cancellation is O(1) -- the event stays in the
     queue but is skipped when popped).
 
-    :meth:`Simulator.schedule_batch` never creates these at all: batch
-    events are enqueued as plain fire-and-forget tuples with no handle.
+    :meth:`Simulator.schedule_batch` never creates these at all: a batch
+    is enqueued as one fire-and-forget cursor tuple with no handle.
     """
 
     # No ``__init__``: :meth:`Simulator.schedule` / ``schedule_at``, the only
@@ -107,6 +112,9 @@ class Simulator:
         self._compactions: int = 0
         self._running = False
         self._heap: List[_Entry] = []
+        #: Queued batch items beyond the one each cursor in the heap stands
+        #: for: :attr:`pending_count` is ``len(self._heap)`` plus this.
+        self._batched: int = 0
         self._gc_next: int = self.GC_MAINTENANCE_EVENTS
         self._last_event_time: float = 0.0
         #: Optional sim-profiler (``repro.obs.profile.SimProfiler``-shaped:
@@ -144,8 +152,12 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Number of events still queued, including cancelled ones."""
-        return len(self._heap)
+        """Number of events still queued, including cancelled ones.
+
+        Every undelivered item of a batch counts, not the one heap entry
+        its cursor occupies.
+        """
+        return len(self._heap) + self._batched
 
     @property
     def cancelled_pending(self) -> int:
@@ -210,27 +222,50 @@ class Simulator:
     ) -> int:
         """Bulk-schedule ``fn(*args)`` at many absolute times.
 
-        ``times`` and ``args_seq`` are parallel sequences (kept separate so
-        bulk callers need not build a pair tuple per event).  Batch events
-        are enqueued as fire-and-forget ``(time, seq, None, fn, args)``
-        tuples: no :class:`ScheduledEvent` is allocated, no handle is
-        returned, and batch events cannot be cancelled by callers -- in
-        exchange the run loop pays zero handle bookkeeping for them.
+        ``times`` and ``args_seq`` are parallel sequences of equal length
+        (kept separate so bulk callers need not build a pair tuple per
+        event).  The batch waits in the queue as *one* fire-and-forget
+        cursor entry, ``(time, seq, None, fn, args_seq, times, j)``, that
+        the run loop moves along the batch item by item: no
+        :class:`ScheduledEvent` is allocated, no handle is returned, and
+        batch events cannot be cancelled by callers -- in exchange the run
+        loop pays zero handle bookkeeping for them, and a queued item costs
+        the kernel nothing beyond its slots in the caller's two sequences.
         Returns the number of events scheduled.
+
+        The kernel keeps ``times`` and ``args_seq`` (unless it had to sort
+        them) until the batch's last item has run, so a caller must hand
+        over fresh sequences and never mutate them afterwards.
+
+        The batch owns the sequence numbers ``[first, first + n)``.  If
+        ``times`` is not non-decreasing the items are stable-sorted by time
+        first, and take those numbers in sorted order.  No other event's
+        number falls inside the range, so it orders against every item
+        exactly as it would against that item scheduled alone, and ties
+        inside the batch keep their index order: the global ``(time, seq)``
+        order is the one ``n`` separate entries would have had.
 
         The batch is atomic: a timestamp in the past raises before anything
         is queued, so a rejected batch consumes no sequence numbers.
         """
-        if times and min(times) < self.now:
-            raise ValueError(f"cannot schedule in the past: {min(times)} < {self.now}")
-        first = seq = self._seq
-        heap = self._heap
-        push = heapq.heappush
-        for time, args in zip(times, args_seq):
-            push(heap, (time, seq, None, fn, args))
-            seq += 1
-        self._seq = seq
-        return seq - first
+        n = len(times)
+        if len(args_seq) != n:
+            raise ValueError(f"batch has {n} times but {len(args_seq)} argument tuples")
+        if not n:
+            return 0
+        # C-level calls only: before Python 3.12 a comprehension here would
+        # run in a frame of its own, once per batch.
+        if n > 1 and not all(map(le, times, islice(times, 1, None))):
+            order = sorted(range(n), key=times.__getitem__)
+            times = list(map(times.__getitem__, order))
+            args_seq = list(map(args_seq.__getitem__, order))
+        if times[0] < self.now:
+            raise ValueError(f"cannot schedule in the past: {times[0]} < {self.now}")
+        seq = self._seq
+        self._seq = seq + n
+        self._batched += n - 1
+        heapq.heappush(self._heap, (times[0], seq, None, fn, args_seq, times, 0))
+        return n
 
     # ------------------------------------------------------------------
     # Queue compaction
@@ -242,12 +277,14 @@ class Simulator:
         backoffs); without compaction those tombstones accumulate until
         they are popped, which for far-future deadlines can take the whole
         run.  Once cancelled events outnumber live ones (and the queue is
-        big enough to matter), rebuild the queue without them.
+        big enough to matter), rebuild the queue without them.  Live events
+        are counted as :attr:`pending_count` counts them, every queued batch
+        item included, not by the heap slots their cursors occupy.
         """
         self._cancelled_pending += 1
         if (
             self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > len(self._heap)
+            and self._cancelled_pending * 2 > len(self._heap) + self._batched
         ):
             self._compact()
 
@@ -255,8 +292,8 @@ class Simulator:
         live_entries = []
         for entry in self._heap:
             event = entry[2]
-            # Fire-and-forget entries (event is None) cannot be cancelled;
-            # only ScheduledEvent tombstones are dropped.
+            # Batch cursors (event is None) cannot be cancelled; only
+            # ScheduledEvent tombstones are dropped.
             if event is None or not event.cancelled:
                 live_entries.append(entry)
         self._heap = live_entries
@@ -330,6 +367,7 @@ class Simulator:
             pause_next = min(self._sample_next, gc_next, stop_at)
             heap = self._heap
             pop = heapq.heappop
+            replace = heapq.heapreplace
             while heap:
                 entry = heap[0]
                 event = entry[2]
@@ -339,14 +377,26 @@ class Simulator:
                     continue
                 if entry[0] > limit:
                     break
-                pop(heap)
                 self.now = entry[0]
                 if event is None:
-                    # Fire-and-forget batch entry: no handle state to
-                    # release, cannot be cancelled.
+                    # Batch cursor: no handle state to release, cannot be
+                    # cancelled.  It moves to the batch's next item (the
+                    # next seq of the batch's range) or leaves the queue
+                    # *before* the item runs, so the queue is exact at
+                    # every stop and inside the callback.
                     fn = entry[3]
-                    args = entry[4]
+                    args_seq = entry[4]
+                    j = entry[6]
+                    args = args_seq[j]
+                    j += 1
+                    times = entry[5]
+                    if j < len(times):
+                        replace(heap, (times[j], entry[1] + 1, None, fn, args_seq, times, j))
+                        self._batched -= 1
+                    else:
+                        pop(heap)
                 else:
+                    pop(heap)
                     # Handle state is released *before* running, so an
                     # event rescheduling itself does not grow memory.
                     fn = event.fn
