@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Set, Tuple
+from array import array
+from typing import Set
+
+#: Expired output-buffer entries are deleted from the front of the arrays
+#: once at least this many have accumulated and they are at least half of
+#: what is stored, so an idle connection keeps at most ``COMPACT_MIN - 1``
+#: stale entries and each entry is moved O(1) times on average.
+COMPACT_MIN = 16
 
 
 class Connection:
@@ -16,9 +22,16 @@ class Connection:
     semantics of Redis' ``client-output-buffer-limit pubsub`` policy, and
     the failure mode the paper observes in Experiment 1b.
 
-    The buffer is accounted lazily: pending deliveries are kept in a deque
-    of ``(completion_time, size)`` and expired entries are popped whenever
-    the buffer is consulted, so no extra simulator events are needed.
+    The buffer is accounted lazily, with no simulator event per delivery
+    and no Python object per delivery: queued deliveries are two parallel
+    packed arrays, ``_done_at`` (completion times, ``array("d")``) and
+    ``_sizes`` (wire sizes, ``array("q")``), in FIFO order of completion.
+    Entries before ``_head`` have expired; whenever the buffer is
+    consulted, the entries completed by then are skipped by moving
+    ``_head`` forward, and the expired prefix is deleted once it is at
+    least :data:`COMPACT_MIN` entries and half the arrays.
+    ``_pending_bytes`` is the sum of the live sizes.  The server's fan-out
+    loop works on these fields inline.
 
     ``_busy_until`` is the drain clock under ``per_connection_bps``: the
     server's fan-out loop advances it, and a connection killed and
@@ -28,7 +41,9 @@ class Connection:
     __slots__ = (
         "client_id",
         "channels",
-        "_pending",
+        "_done_at",
+        "_sizes",
+        "_head",
         "_pending_bytes",
         "_busy_until",
         "alive",
@@ -39,7 +54,9 @@ class Connection:
     def __init__(self, client_id: str) -> None:
         self.client_id = client_id
         self.channels: Set[str] = set()
-        self._pending: Deque[Tuple[float, int]] = deque()
+        self._done_at = array("d")
+        self._sizes = array("q")
+        self._head: int = 0
         self._pending_bytes: int = 0
         self._busy_until: float = 0.0
         self.alive = True
@@ -50,10 +67,21 @@ class Connection:
     # Output buffer model
     # ------------------------------------------------------------------
     def _expire(self, now: float) -> None:
-        pending = self._pending
-        while pending and pending[0][0] <= now:
-            __, size = pending.popleft()
-            self._pending_bytes -= size
+        done_at = self._done_at
+        head = self._head
+        n = len(done_at)
+        if head < n and done_at[head] <= now:
+            sizes = self._sizes
+            pending_bytes = self._pending_bytes
+            while head < n and done_at[head] <= now:
+                pending_bytes -= sizes[head]
+                head += 1
+            self._pending_bytes = pending_bytes
+            if head >= COMPACT_MIN and 2 * head >= n:
+                del done_at[:head]
+                del sizes[:head]
+                head = 0
+            self._head = head
 
     def buffered_bytes(self, now: float) -> int:
         """Bytes currently sitting in this connection's output buffer."""
@@ -63,7 +91,9 @@ class Connection:
     def kill(self) -> None:
         """Mark the connection dead and drop its buffered state."""
         self.alive = False
-        self._pending.clear()
+        self._done_at = array("d")
+        self._sizes = array("q")
+        self._head = 0
         self._pending_bytes = 0
         self.channels.clear()
 

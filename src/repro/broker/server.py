@@ -36,7 +36,7 @@ from repro.broker.commands import (
     UnsubscribeCmd,
 )
 from repro.broker.config import BrokerConfig
-from repro.broker.connection import Connection
+from repro.broker.connection import COMPACT_MIN, Connection
 from repro.obs.trace import (
     NULL_TRACER,
     FanoutEvent,
@@ -430,15 +430,27 @@ class PubSubServer(Actor):
                 # Output-buffer accounting, inline (a method call per
                 # delivery would be a quarter of a wide fan-out's calls):
                 # each delivery occupies its connection's buffer until its
-                # transmit completion; entries expired by ``done`` are popped
-                # first, and the occupancy *after* the enqueue is what the
-                # hard limit is compared against.
+                # transmit completion; entries expired by ``done`` are
+                # skipped first (``Connection._expire``, unrolled), and the
+                # occupancy *after* the enqueue is what the hard limit is
+                # compared against.
                 for dst_id, conn, completion in zip(dst_ids, conns, completions):
-                    pending = conn._pending
+                    done_at = conn._done_at
                     pending_bytes = conn._pending_bytes
-                    while pending and pending[0][0] <= done:
-                        pending_bytes -= pending.popleft()[1]
-                    pending.append((completion, wire_size))
+                    head = conn._head
+                    n = len(done_at)
+                    if head < n and done_at[head] <= done:
+                        sizes = conn._sizes
+                        while head < n and done_at[head] <= done:
+                            pending_bytes -= sizes[head]
+                            head += 1
+                        if head >= COMPACT_MIN and 2 * head >= n:
+                            del done_at[:head]
+                            del sizes[:head]
+                            head = 0
+                        conn._head = head
+                    done_at.append(completion)
+                    conn._sizes.append(wire_size)
                     pending_bytes += wire_size
                     conn._pending_bytes = pending_bytes
                     conn.deliveries += 1
