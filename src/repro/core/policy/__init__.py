@@ -1,9 +1,8 @@
 """Pluggable rebalancing policies (the balancer's decision seam).
 
-Importing this package registers the built-in policies:
+The built-in policies, one table keyed by ``DynamothConfig.rebalance_policy``:
 
-* ``paper`` -- Dynamoth's Algorithms 1 & 2 (byte-identical to the
-  pre-seam balancer),
+* ``paper`` -- Dynamoth's Algorithms 1 & 2 plus the low-load drain,
 * ``least_loaded`` -- greedy busiest-channel-to-least-loaded migration,
 * ``ewma_predictive`` -- trend-extrapolated load, acts before overload,
 * ``headroom_pace`` -- receivers scored by projected spare capacity,
@@ -16,13 +15,12 @@ running each on the same scenario with ``python -m repro.lab compare``
 (see :mod:`repro.lab`).
 """
 
+from typing import Dict, List, Type
+
+from repro.core.config import DynamothConfig
 from repro.core.policy.base import (
     PolicyContext,
     RebalancePolicy,
-    available_policies,
-    make_policy,
-    policy_class,
-    register_policy,
     repair_mappings,
     replicated_channels,
 )
@@ -31,6 +29,39 @@ from repro.core.policy.consistent_hashing import ConsistentHashingPolicy
 from repro.core.policy.ewma import EwmaPredictivePolicy
 from repro.core.policy.greedy import HeadroomPacePolicy, LeastLoadedPolicy
 from repro.core.policy.paper import PaperPolicy
+
+_POLICIES: Dict[str, Type[RebalancePolicy]] = {
+    cls.name: cls
+    for cls in (
+        PaperPolicy,
+        LeastLoadedPolicy,
+        EwmaPredictivePolicy,
+        HeadroomPacePolicy,
+        BoundedLoadPolicy,
+        ConsistentHashingPolicy,
+    )
+}
+
+
+def policy_class(name: str) -> Type[RebalancePolicy]:
+    cls = _POLICIES.get(name)
+    if cls is None:
+        raise ValueError(
+            f"unknown rebalance policy {name!r}; "
+            f"registered: {', '.join(available_policies())}"
+        )
+    return cls
+
+
+def make_policy(config: DynamothConfig) -> RebalancePolicy:
+    """Instantiate the policy named by ``config.rebalance_policy``."""
+    return policy_class(config.rebalance_policy)(config)
+
+
+def available_policies() -> List[str]:
+    """Policy names, sorted for stable CLI/report output."""
+    return sorted(_POLICIES)
+
 
 __all__ = [
     "BoundedLoadPolicy",
@@ -44,7 +75,6 @@ __all__ = [
     "available_policies",
     "make_policy",
     "policy_class",
-    "register_policy",
     "repair_mappings",
     "replicated_channels",
 ]

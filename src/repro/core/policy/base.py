@@ -21,17 +21,18 @@ only through this interface, and is the interface's only caller: the lab
 
 Policies are *pure* with respect to the simulation: they read a
 :class:`PolicyContext` and return a
-:class:`~repro.core.rebalance.RebalanceDecision`.  A policy may keep
-internal prediction state across calls (EWMA trackers, hash rings), but it
-must never touch an RNG, the wall clock, or anything outside the context
--- determinism of the balancer depends on it.
+:class:`~repro.core.rebalance.RebalanceDecision` -- mappings, a spawn
+count and decommissions, exactly what the balancer acts on.  A policy may
+keep internal prediction state across calls (EWMA trackers, hash rings),
+but it must never touch an RNG, the wall clock, or anything outside the
+context -- determinism of the balancer depends on it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
+from typing import ClassVar, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.config import DynamothConfig
 from repro.core.metrics import ClusterLoadView
@@ -75,8 +76,7 @@ def replicated_channels(
     """Channels whose load is managed by channel-level replication.
 
     System-level passes must skip these: moving a replica around would
-    fight the channel-level scheme.  Mirrors the set construction of the
-    pre-seam ``generate_decision`` exactly.
+    fight the channel-level scheme.
     """
     replicated = {
         c
@@ -139,13 +139,13 @@ class RebalancePolicy(ABC):
     """One rebalancing strategy behind the policy seam.
 
     Subclasses implement the two planning hooks and (optionally) override
-    unknown-channel placement; :meth:`decide` composes them in the same
-    two-step structure as the paper's plan generation (section III-B), so
-    the ``paper`` policy is byte-identical to the pre-seam balancer and
-    every other policy slots into the identical control flow.
+    unknown-channel placement; :meth:`decide` composes them in the
+    two-step structure of the paper's plan generation (section III-B), the
+    one place that composition is written, so every policy runs the same
+    control flow.
     """
 
-    #: Registry key (``DynamothConfig.rebalance_policy`` value).
+    #: Policy table key (``DynamothConfig.rebalance_policy`` value).
     name: ClassVar[str] = ""
     #: Whether channel-level replication follows Algorithm 1's thresholds.
     #: The ``repro.check`` replication-soundness oracle only asserts the
@@ -161,12 +161,12 @@ class RebalancePolicy(ABC):
     @abstractmethod
     def channel_level(
         self, ctx: PolicyContext, estimator: LoadEstimator
-    ) -> Tuple[Dict[str, ChannelMapping], List[str]]:
+    ) -> Dict[str, ChannelMapping]:
         """Per-channel replication decisions (Algorithm 1's slot).
 
-        Returns proposed mappings plus trace notes, and must update the
-        estimator in place so the system-level pass sees the
-        post-replication load distribution.
+        Returns proposed mappings, and must update the estimator in place
+        so the system-level pass sees the post-replication load
+        distribution.
         """
 
     @abstractmethod
@@ -200,47 +200,11 @@ class RebalancePolicy(ABC):
     def decide(self, ctx: PolicyContext) -> RebalanceDecision:
         """Run channel-level then system-level planning (section III-B)."""
         estimator = ctx.make_estimator()
-        channel_proposals, notes = self.channel_level(ctx, estimator)
+        channel_proposals = self.channel_level(ctx, estimator)
         replicated = replicated_channels(ctx.plan, channel_proposals)
         decision = self.system_level(ctx, estimator, replicated)
         # channel-level proposals first; a system-level move of the same
         # channel overrides it
         decision.mappings = {**channel_proposals, **decision.mappings}
-        decision.notes[:0] = notes
         return decision
 
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, Type[RebalancePolicy]] = {}
-
-
-def register_policy(cls: Type[RebalancePolicy]) -> Type[RebalancePolicy]:
-    """Class decorator adding a policy to the registry (keyed by ``name``)."""
-    if not cls.name:
-        raise ValueError(f"policy class {cls.__name__} has no name")
-    if cls.name in _REGISTRY:
-        raise ValueError(f"duplicate policy name: {cls.name!r}")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def policy_class(name: str) -> Type[RebalancePolicy]:
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown rebalance policy {name!r}; "
-            f"registered: {', '.join(available_policies())}"
-        )
-    return cls
-
-
-def make_policy(config: DynamothConfig) -> RebalancePolicy:
-    """Instantiate the policy named by ``config.rebalance_policy``."""
-    return policy_class(config.rebalance_policy)(config)
-
-
-def available_policies() -> List[str]:
-    """Registered policy names, sorted for stable CLI/report output."""
-    return sorted(_REGISTRY)

@@ -31,20 +31,15 @@ created them, exactly like the other non-paper policies.
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, List, Optional, Sequence, Set, Tuple
+from typing import ClassVar, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
 from repro.core.plan import ChannelMapping, ReplicationMode
-from repro.core.policy.base import (
-    PolicyContext,
-    RebalancePolicy,
-    register_policy,
-)
+from repro.core.policy.base import PolicyContext, RebalancePolicy
 from repro.core.rebalance import LoadEstimator, RebalanceDecision, drain_when_idle
 
 
-@register_policy
 class BoundedLoadPolicy(RebalancePolicy):
     """epsilon-bounded consistent-hashing placement and rebalancing."""
 
@@ -118,8 +113,8 @@ class BoundedLoadPolicy(RebalancePolicy):
     # ------------------------------------------------------------------
     def channel_level(
         self, ctx: PolicyContext, estimator: LoadEstimator
-    ) -> Tuple[Dict[str, ChannelMapping], List[str]]:
-        return {}, []
+    ) -> Dict[str, ChannelMapping]:
+        return {}
 
     def system_level(
         self,
@@ -145,10 +140,6 @@ class BoundedLoadPolicy(RebalancePolicy):
             avg_lr = sum(estimator.load_ratio(s) for s in active) / len(active)
             if avg_lr * (1.0 + self.EPSILON) >= cfg.lr_high:
                 out.spawn_servers = 1
-                out.notes.append(
-                    f"chbl: bound ((1+{self.EPSILON:g}) x fair share) "
-                    "exceeds LR^high; requesting spawn"
-                )
 
         # Relocate channels off over-bound servers, busiest first.
         overloaded = [
@@ -184,27 +175,13 @@ class BoundedLoadPolicy(RebalancePolicy):
                     ReplicationMode.SINGLE, (target,)
                 )
                 skip.add(channel)
-                out.notes.append(
-                    f"chbl: rebound {channel}: {server} -> {target} "
-                    f"({amount:.0f} B/s)"
-                )
         if unplaceable and not out.spawn_servers:
             out.spawn_servers = 1
-            out.notes.append(
-                "chbl: over-bound channel with no in-bound target; "
-                "requesting spawn"
-            )
 
         if out.mappings or out.spawn_servers:
             return out
-
-        proposals, decommission, notes = drain_when_idle(
-            ctx, estimator, replicated
-        )
-        out.mappings.update(proposals)
-        out.decommission.extend(decommission)
-        out.notes.extend(notes)
-        return out
+        mappings, decommission = drain_when_idle(ctx, estimator, replicated)
+        return RebalanceDecision(mappings, decommission=decommission)
 
     def place_unknown_channel(
         self,

@@ -17,19 +17,14 @@ systems run on the same middleware.
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Optional, Sequence
 
 from repro.core.hashing import ConsistentHashRing
 from repro.core.plan import ChannelMapping, ReplicationMode
-from repro.core.policy.base import (
-    PolicyContext,
-    RebalancePolicy,
-    register_policy,
-)
+from repro.core.policy.base import PolicyContext, RebalancePolicy
 from repro.core.rebalance import LoadEstimator, RebalanceDecision
 
 
-@register_policy
 class ConsistentHashingPolicy(RebalancePolicy):
     """Re-hash when the pool changes; rent a server when one overloads."""
 
@@ -41,8 +36,8 @@ class ConsistentHashingPolicy(RebalancePolicy):
 
     def channel_level(
         self, ctx: PolicyContext, estimator: LoadEstimator
-    ) -> Tuple[Dict[str, ChannelMapping], List[str]]:
-        return {}, []
+    ) -> Dict[str, ChannelMapping]:
+        return {}
 
     def system_level(
         self,

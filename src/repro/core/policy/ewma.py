@@ -15,15 +15,14 @@ lens differs.
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, Optional, Sequence
+from typing import ClassVar, Dict, Optional
 
 from repro.core.config import DynamothConfig
-from repro.core.policy.base import PolicyContext, register_policy
+from repro.core.policy.base import PolicyContext
 from repro.core.policy.greedy import LoadFn, _GreedyBase
 from repro.core.rebalance import LoadEstimator
 
 
-@register_policy
 class EwmaPredictivePolicy(_GreedyBase):
     """Trend-extrapolating variant of the greedy migration policy."""
 
@@ -97,16 +96,3 @@ class EwmaPredictivePolicy(_GreedyBase):
         self._trend = next_trend
         self._last_t = now
         return bias
-
-    def place_unknown_channel(
-        self,
-        ctx: PolicyContext,
-        estimator: LoadEstimator,
-        channel: str,
-        candidates: Sequence[str],
-    ) -> Optional[str]:
-        load = self._load_fn(ctx, estimator)
-        pool = list(candidates)
-        if not pool:
-            return None
-        return min(pool, key=load)

@@ -19,15 +19,11 @@ accounting stays comparable across policies.
 
 from __future__ import annotations
 
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.config import DynamothConfig
 from repro.core.plan import ChannelMapping, ReplicationMode
-from repro.core.policy.base import (
-    PolicyContext,
-    RebalancePolicy,
-    register_policy,
-)
+from repro.core.policy.base import PolicyContext, RebalancePolicy
 from repro.core.rebalance import LoadEstimator, RebalanceDecision, drain_when_idle
 
 LoadFn = Callable[[str], float]
@@ -40,8 +36,6 @@ def greedy_relief(
     replicated: Set[str],
     load: LoadFn,
     pick_receiver: ReceiverFn,
-    *,
-    tag: str,
 ) -> RebalanceDecision:
     """Move the busiest channels off hotspots until every server is safe.
 
@@ -80,18 +74,10 @@ def greedy_relief(
                 continue
             estimator.migrate(c_max, src, dst)
             out.mappings[c_max] = ChannelMapping(ReplicationMode.SINGLE, (dst,))
-            out.notes.append(
-                f"{tag}: migrate {c_max}: {src} -> {dst} "
-                f"({contribution:.0f} B/s, est LR[{src}]={load(src):.2f})"
-            )
 
         if load(src) >= cfg.lr_high:
             exhausted.add(src)
             out.spawn_servers = 1
-            out.notes.append(
-                f"{tag}: server {src} still over LR^high after migration; "
-                "requesting spawn"
-            )
         elif load(src) >= cfg.lr_safe:
             exhausted.add(src)
     return out
@@ -102,8 +88,8 @@ class _GreedyBase(RebalancePolicy):
 
     def channel_level(
         self, ctx: PolicyContext, estimator: LoadEstimator
-    ) -> Tuple[Dict[str, ChannelMapping], List[str]]:
-        return {}, []
+    ) -> Dict[str, ChannelMapping]:
+        return {}
 
     def _load_fn(self, ctx: PolicyContext, estimator: LoadEstimator) -> LoadFn:
         return estimator.load_ratio
@@ -132,26 +118,30 @@ class _GreedyBase(RebalancePolicy):
             replicated,
             load,
             self._receiver_fn(ctx, estimator, load),
-            tag=self.name,
         )
-        if not decision.mappings and not decision.spawn_servers:
-            proposals, decommission, notes = drain_when_idle(
-                ctx, estimator, replicated, load
-            )
-            decision.mappings.update(proposals)
-            decision.decommission.extend(decommission)
-            decision.notes.extend(notes)
-        return decision
+        if decision.mappings or decision.spawn_servers:
+            return decision
+        mappings, decommission = drain_when_idle(ctx, estimator, replicated, load)
+        return RebalanceDecision(mappings, decommission=decommission)
+
+    def place_unknown_channel(
+        self,
+        ctx: PolicyContext,
+        estimator: LoadEstimator,
+        channel: str,
+        candidates: Sequence[str],
+    ) -> Optional[str]:
+        """The candidate with the lowest effective load (``_load_fn``)."""
+        load = self._load_fn(ctx, estimator)
+        return self._receiver_fn(ctx, estimator, load)(candidates, ())
 
 
-@register_policy
 class LeastLoadedPolicy(_GreedyBase):
     """Greedy baseline: busiest channel moves to the least-loaded server."""
 
     name: ClassVar[str] = "least_loaded"
 
 
-@register_policy
 class HeadroomPacePolicy(_GreedyBase):
     """Headroom/pace scoring: prefer receivers with spare *future* capacity.
 
@@ -205,16 +195,3 @@ class HeadroomPacePolicy(_GreedyBase):
         self._last_lr = current
         self._pace = {s: self._pace.get(s, 0.0) for s in ctx.active_servers}
         self._last_t = now
-
-    def place_unknown_channel(
-        self,
-        ctx: PolicyContext,
-        estimator: LoadEstimator,
-        channel: str,
-        candidates: Sequence[str],
-    ) -> Optional[str]:
-        load = self._load_fn(ctx, estimator)
-        pool = list(candidates)
-        if not pool:
-            return None
-        return min(pool, key=load)

@@ -3,15 +3,18 @@
 All functions here are *pure* with respect to the simulation: they consume
 the current :class:`~repro.core.plan.Plan`, the aggregated
 :class:`~repro.core.metrics.ClusterLoadView` and a
-:class:`~repro.core.config.DynamothConfig`, and produce a
-:class:`RebalanceDecision` describing mapping changes, servers to rent and
-servers to drain.  The :class:`~repro.core.balancer.LoadBalancer` actor
-turns decisions into plan pushes and cloud API calls.
+:class:`~repro.core.config.DynamothConfig`, and propose mapping changes,
+servers to rent and servers to drain.  The
+:class:`~repro.core.balancer.LoadBalancer` actor turns the resulting
+:class:`RebalanceDecision` into plan pushes and cloud API calls.
 
 Plan generation is a two-step process (section III-B): (1) channel-level
 rebalancing decides replication schemes per channel (Algorithm 1); (2)
 system-level rebalancing migrates channels between servers (Algorithm 2
-for high load, a symmetric draining pass for low load).
+for high load, a symmetric draining pass for low load).  The two steps
+are composed in one place, :meth:`repro.core.policy.base.RebalancePolicy.decide`;
+the ``paper`` policy (:mod:`repro.core.policy.paper`) plugs these
+functions into it.
 """
 
 from __future__ import annotations
@@ -39,12 +42,6 @@ class RebalanceDecision:
     spawn_servers: int = 0
     #: servers that are fully drained and can be decommissioned
     decommission: List[str] = field(default_factory=list)
-    #: human-readable trace of what was decided and why
-    notes: List[str] = field(default_factory=list)
-
-    @property
-    def changes_plan(self) -> bool:
-        return bool(self.mappings)
 
     @property
     def is_noop(self) -> bool:
@@ -102,15 +99,6 @@ class LoadEstimator:
     # ------------------------------------------------------------------
     def servers(self) -> List[str]:
         return list(self._egress)
-
-    def add_server(self, server_id: str, nominal_bps: float) -> None:
-        if server_id in self._egress:
-            return
-        self._egress[server_id] = 0.0
-        self._nominal[server_id] = nominal_bps
-        self._contrib[server_id] = {}
-        self._cpu[server_id] = 0.0
-        self._cpu_contrib[server_id] = {}
 
     def load_ratio(self, server_id: str) -> float:
         egress_ratio = self._egress[server_id] / self._nominal[server_id]
@@ -208,16 +196,15 @@ def channel_level_rebalance(
     config: DynamothConfig,
     active_servers: Sequence[str],
     estimator: LoadEstimator,
-) -> Tuple[Dict[str, ChannelMapping], List[str]]:
+) -> Dict[str, ChannelMapping]:
     """Decide per-channel replication (Algorithm 1).
 
-    Returns proposed mappings (only for channels whose scheme or replica
-    count should change) and trace notes.  The estimator is updated in
-    place so the subsequent system-level pass sees the post-replication
-    load distribution.
+    Returns proposed mappings, only for channels whose scheme or replica
+    count should change.  The estimator is updated in place so the
+    subsequent system-level pass sees the post-replication load
+    distribution.
     """
     proposals: Dict[str, ChannelMapping] = {}
-    notes: List[str] = []
 
     seen: Set[str] = set()
     for server in active_servers:
@@ -274,12 +261,7 @@ def channel_level_rebalance(
         proposal = ChannelMapping(mode, tuple(new_servers))
         proposals[channel] = proposal
         estimator.set_replicas(channel, current.servers, new_servers)
-        notes.append(
-            f"channel {channel}: {current.mode.value}x{len(current.servers)} -> "
-            f"{mode.value}x{len(new_servers)} "
-            f"(pubs/s={pubs:.0f}, subs={subs}, P={p_ratio:.1f}, S={s_ratio:.1f})"
-        )
-    return proposals, notes
+    return proposals
 
 
 def _exceeds_single_server(
@@ -322,20 +304,17 @@ def _select_replica_servers(
 # Step 2a: system-level high-load rebalancing (Algorithm 2)
 # ----------------------------------------------------------------------
 def high_load_rebalance(
-    plan: Plan,
     config: DynamothConfig,
     active_servers: Sequence[str],
     estimator: LoadEstimator,
     replicated: Set[str],
-) -> Tuple[Dict[str, ChannelMapping], int, List[str]]:
+) -> Tuple[Dict[str, ChannelMapping], int]:
     """Algorithm 2: migrate busiest channels off overloaded servers.
 
     ``replicated`` channels are skipped -- their load is managed by the
-    channel-level pass.  Returns (mapping proposals, servers to spawn,
-    notes).
+    channel-level pass.  Returns (mapping proposals, servers to spawn).
     """
     proposals: Dict[str, ChannelMapping] = {}
-    notes: List[str] = []
     spawn = 0
     exhausted: Set[str] = set()  # servers we could not fix by migration
 
@@ -387,16 +366,11 @@ def high_load_rebalance(
             proposals[c_max] = ChannelMapping(ReplicationMode.SINGLE, (h_min,))
             skip.add(c_max)
             moved_any = True
-            notes.append(
-                f"migrate {c_max}: {h_max} -> {h_min} "
-                f"({contribution:.0f} B/s, est LR[{h_max}]={estimator.load_ratio(h_max):.2f})"
-            )
 
         if estimator.load_ratio(h_max) >= config.lr_high and not moved_any:
             # Migration cannot relieve this server; rent capacity.
             exhausted.add(h_max)
             spawn = 1
-            notes.append(f"server {h_max} overloaded and unfixable by migration; requesting spawn")
         elif estimator.load_ratio(h_max) >= config.lr_safe:
             # Partial relief only -- also worth renting a server.
             exhausted.add(h_max)
@@ -404,7 +378,7 @@ def high_load_rebalance(
                 spawn = 1
         # else: fixed; loop continues with next-busiest server
 
-    return proposals, spawn, notes
+    return proposals, spawn
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +392,7 @@ def low_load_rebalance(
     bootstrap_servers: Set[str],
     estimator: LoadEstimator,
     replicated: Set[str],
-) -> Tuple[Dict[str, ChannelMapping], List[str], List[str]]:
+) -> Tuple[Dict[str, ChannelMapping], List[str]]:
     """Drain the least-loaded removable server when the cluster is idle.
 
     Channels are migrated to other servers as long as the receivers stay
@@ -427,14 +401,13 @@ def low_load_rebalance(
     ring) are never removed.  Mirrors section III-B.4.
     """
     proposals: Dict[str, ChannelMapping] = {}
-    notes: List[str] = []
     decommission: List[str] = []
 
     removable = [s for s in active_servers if s not in bootstrap_servers]
     if not removable or len(active_servers) <= config.min_servers:
-        return proposals, decommission, notes
+        return proposals, decommission
     if estimator.busiest(active_servers)[1] >= config.lr_low_target:
-        return proposals, decommission, notes
+        return proposals, decommission
 
     # Pick the least-loaded removable server that no replicated channel
     # depends on (replica shrinking is the channel-level pass's job).
@@ -450,7 +423,7 @@ def low_load_rebalance(
             victim = server
             break
     if victim is None:
-        return proposals, decommission, notes
+        return proposals, decommission
 
     remaining = [s for s in active_servers if s != victim]
     # Channels living on the victim: explicit mappings plus anything the
@@ -468,19 +441,13 @@ def low_load_rebalance(
         projected = estimator.load_ratio(target) + contribution / estimator.nominal(target)
         if projected > config.lr_low_target:
             moved_all = False
-            notes.append(
-                f"low-load drain of {victim} paused: {channel} would push "
-                f"{target} to {projected:.2f}"
-            )
             break
         estimator.migrate(channel, victim, target)
         proposals[channel] = ChannelMapping(ReplicationMode.SINGLE, (target,))
-        notes.append(f"drain {channel}: {victim} -> {target}")
 
     if moved_all:
         decommission.append(victim)
-        notes.append(f"server {victim} drained; decommissioning")
-    return proposals, decommission, notes
+    return proposals, decommission
 
 
 def drain_when_idle(
@@ -488,14 +455,14 @@ def drain_when_idle(
     estimator: LoadEstimator,
     replicated: Set[str],
     load: Optional[Callable[[str], float]] = None,
-) -> Tuple[Dict[str, ChannelMapping], List[str], List[str]]:
+) -> Tuple[Dict[str, ChannelMapping], List[str]]:
     """The low-load drain, gated on mean effective load < LR^low."""
     effective = load if load is not None else estimator.load_ratio
     values = [effective(s) for s in ctx.active_servers]
     if not values or not ctx.allow_scale_down:
-        return {}, [], []
+        return {}, []
     if sum(values) / len(values) >= ctx.config.lr_low:
-        return {}, [], []
+        return {}, []
     return low_load_rebalance(
         ctx.plan,
         ctx.view,
@@ -506,65 +473,3 @@ def drain_when_idle(
         replicated,
     )
 
-
-# ----------------------------------------------------------------------
-# Full two-step plan generation
-# ----------------------------------------------------------------------
-def generate_decision(
-    plan: Plan,
-    view: ClusterLoadView,
-    config: DynamothConfig,
-    active_servers: Sequence[str],
-    bootstrap_servers: Set[str],
-    default_nominal_bps: float,
-    *,
-    allow_scale_down: bool = True,
-) -> RebalanceDecision:
-    """Run channel-level then system-level rebalancing (section III-B)."""
-    decision = RebalanceDecision()
-    estimator = LoadEstimator(
-        view, active_servers, default_nominal_bps, cpu_aware=config.cpu_aware_balancing
-    )
-
-    # Step 1: channel-level (Algorithm 1)
-    channel_proposals, notes = channel_level_rebalance(
-        plan, view, config, active_servers, estimator
-    )
-    decision.mappings.update(channel_proposals)
-    decision.notes.extend(notes)
-
-    replicated: Set[str] = {
-        c for c, m in channel_proposals.items() if m.mode is not ReplicationMode.SINGLE
-    }
-    for channel in plan.explicit_channels():
-        if channel in channel_proposals:
-            continue
-        if plan.mapping(channel).mode is not ReplicationMode.SINGLE:
-            replicated.add(channel)
-
-    # Step 2: system-level
-    lr_values = [estimator.load_ratio(s) for s in active_servers]
-    if any(lr >= config.lr_high for lr in lr_values):
-        proposals, spawn, notes = high_load_rebalance(
-            plan, config, active_servers, estimator, replicated
-        )
-        decision.mappings.update(proposals)
-        decision.spawn_servers = spawn
-        decision.notes.extend(notes)
-    elif allow_scale_down and (
-        sum(lr_values) / len(lr_values) < config.lr_low if lr_values else False
-    ):
-        proposals, decommission, notes = low_load_rebalance(
-            plan,
-            view,
-            config,
-            active_servers,
-            bootstrap_servers,
-            estimator,
-            replicated,
-        )
-        decision.mappings.update(proposals)
-        decision.decommission.extend(decommission)
-        decision.notes.extend(notes)
-
-    return decision

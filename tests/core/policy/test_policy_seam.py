@@ -1,10 +1,11 @@
-"""The policy seam: registry behaviour and paper-policy equivalence.
+"""The policy seam: the policy table and the paper policy's pinned decisions.
 
 The critical property: for every scenario in the grid below, the ``paper``
-policy called through the seam (``RebalancePolicy.decide``) produces a
-decision *identical* to the pre-seam ``generate_decision`` -- mappings,
-spawn count, decommission list and notes all equal.  The seam is pure
-plumbing; Algorithms 1 & 2 must not change underneath it.
+policy called through the seam (``RebalancePolicy.decide``) produces the
+pinned decision -- mappings, spawn count and decommission list -- that
+the paper's two-step plan generation produced when it was still written
+out beside the seam as ``rebalance.generate_decision``.  Algorithms 1 & 2
+must not change underneath the seam.
 """
 
 import pytest
@@ -19,10 +20,9 @@ from repro.core.policy import (
     available_policies,
     make_policy,
     policy_class,
-    register_policy,
 )
 from repro.core.policy.paper import PaperPolicy
-from repro.core.rebalance import generate_decision
+from tests.helpers import paper_decision
 
 NOMINAL = 1000.0
 
@@ -89,19 +89,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="no-such-policy"):
             make_policy(config(rebalance_policy="no-such-policy"))
 
-    def test_duplicate_and_nameless_registration_rejected(self):
-        class Nameless(PaperPolicy):
-            name = ""
-
-        with pytest.raises(ValueError, match="no name"):
-            register_policy(Nameless)
-
-        class Duplicate(PaperPolicy):
-            name = "paper"
-
-        with pytest.raises(ValueError, match="duplicate"):
-            register_policy(Duplicate)
-
     def test_only_paper_claims_algorithm1(self):
         claims = {
             name: policy_class(name).algorithm1_replication
@@ -112,7 +99,7 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Byte-identical equivalence: seam vs pre-seam generate_decision
+# The paper policy's decisions, pinned
 # ----------------------------------------------------------------------
 def scenario_grid():
     """(name, plan, view, config, active, bootstrap, allow_scale_down)."""
@@ -196,6 +183,23 @@ def scenario_grid():
     return grid
 
 
+SINGLE = ReplicationMode.SINGLE
+
+#: name -> (mappings as {channel: (mode, servers)}, spawn, decommission):
+#: what ``rebalance.generate_decision``, the two-step composition written
+#: out beside the seam until it was deleted, returned on each grid row.
+PINNED_DECISIONS = {
+    "balanced-noop": ({}, 0, []),
+    "hot-migrate": ({"y": (SINGLE, ("b",))}, 0, []),
+    "all-hot-spawn": ({}, 1, []),
+    "idle-drain": ({"z": (SINGLE, ("b",))}, 0, ["c"]),
+    "idle-no-scale-down": ({}, 0, []),
+    "all-subs-worthy": ({"hot": (ReplicationMode.ALL_SUBSCRIBERS, ("b", "a"))}, 0, []),
+    "all-pubs-worthy": ({"crowd": (ReplicationMode.ALL_PUBLISHERS, ("b", "c"))}, 0, []),
+    "de-replicate": ({"cool": (SINGLE, ("a",))}, 0, []),
+}
+
+
 @pytest.mark.parametrize(
     "name,plan,view,cfg,active,bootstrap,allow_scale_down",
     scenario_grid(),
@@ -204,31 +208,24 @@ def scenario_grid():
 def test_paper_policy_matches_generate_decision(
     name, plan, view, cfg, active, bootstrap, allow_scale_down
 ):
-    ctx = context(
-        plan, view, cfg, active, bootstrap=bootstrap, allow_scale_down=allow_scale_down
+    decision = paper_decision(
+        plan, view, cfg, active, bootstrap, NOMINAL, allow_scale_down=allow_scale_down
     )
-    seam = PaperPolicy(cfg).decide(ctx)
-    direct = generate_decision(
-        plan,
-        view,
-        cfg,
-        active,
-        set(bootstrap),
-        NOMINAL,
-        allow_scale_down=allow_scale_down,
-    )
-    assert seam.mappings == direct.mappings
-    assert seam.spawn_servers == direct.spawn_servers
-    assert seam.decommission == direct.decommission
-    assert seam.notes == direct.notes
+    mappings, spawn, decommission = PINNED_DECISIONS[name]
+    assert decision.mappings == {
+        channel: ChannelMapping(mode, servers)
+        for channel, (mode, servers) in mappings.items()
+    }
+    assert decision.spawn_servers == spawn
+    assert decision.decommission == decommission
 
 
 def test_grid_exercises_every_decision_shape():
     """The grid is only meaningful if it covers all outcome kinds."""
     shapes = set()
     for name, plan, view, cfg, active, bootstrap, allow in scenario_grid():
-        decision = generate_decision(
-            plan, view, cfg, active, set(bootstrap), NOMINAL, allow_scale_down=allow
+        decision = paper_decision(
+            plan, view, cfg, active, bootstrap, NOMINAL, allow_scale_down=allow
         )
         if decision.is_noop:
             shapes.add("noop")

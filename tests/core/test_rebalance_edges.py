@@ -15,10 +15,10 @@ from repro.core.policy import PolicyContext
 from repro.core.policy.paper import PaperPolicy
 from repro.core.rebalance import (
     LoadEstimator,
-    generate_decision,
     high_load_rebalance,
     low_load_rebalance,
 )
+from tests.helpers import paper_decision
 
 NOMINAL = 1000.0
 
@@ -55,7 +55,7 @@ class TestEmptyServerPool:
 
     def test_generate_decision_with_no_servers_is_noop(self):
         plan = Plan.bootstrap(["a"], vnodes=8)
-        decision = generate_decision(
+        decision = paper_decision(
             plan, ClusterLoadView(5.0), config(), [], {"a"}, NOMINAL
         )
         assert decision.is_noop
@@ -78,7 +78,7 @@ class TestEmptyServerPool:
         plan = Plan.bootstrap(["a"], vnodes=8)
         view = ClusterLoadView(5.0)
         estimator = LoadEstimator(view, [], NOMINAL)
-        proposals, decommission, __ = low_load_rebalance(
+        proposals, decommission = low_load_rebalance(
             plan, view, config(), [], {"a"}, estimator, set()
         )
         assert proposals == {}
@@ -115,12 +115,9 @@ class TestSingleServerPool:
     """One server: migration is impossible, draining is forbidden."""
 
     def test_high_load_with_single_server_requests_spawn(self):
-        plan = Plan.bootstrap(["a"], vnodes=8)
         view = view_from({"a": [snap("x", out=600.0), snap("y", out=380.0)]})
         estimator = LoadEstimator(view, ["a"], NOMINAL)
-        proposals, spawn, __ = high_load_rebalance(
-            plan, config(), ["a"], estimator, set()
-        )
+        proposals, spawn = high_load_rebalance(config(), ["a"], estimator, set())
         assert proposals == {}  # nowhere to migrate: mappings unchanged
         assert spawn == 1
 
@@ -128,7 +125,7 @@ class TestSingleServerPool:
         plan = Plan.bootstrap(["a"], vnodes=8)
         view = view_from({"a": [snap("x", out=10.0)]})
         estimator = LoadEstimator(view, ["a"], NOMINAL)
-        proposals, decommission, __ = low_load_rebalance(
+        proposals, decommission = low_load_rebalance(
             plan, view, config(), ["a"], {"a"}, estimator, set()
         )
         assert proposals == {}
@@ -137,5 +134,5 @@ class TestSingleServerPool:
     def test_generate_decision_single_idle_server_is_noop(self):
         plan = Plan.bootstrap(["a"], vnodes=8)
         view = view_from({"a": [snap("x", out=10.0)]})
-        decision = generate_decision(plan, view, config(), ["a"], {"a"}, NOMINAL)
+        decision = paper_decision(plan, view, config(), ["a"], {"a"}, NOMINAL)
         assert decision.is_noop

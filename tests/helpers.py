@@ -11,7 +11,7 @@ from __future__ import annotations
 import cProfile
 import os
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.broker.commands import PingCmd, PongReply, SubscribeAck, SubscribeCmd
 from repro.broker.config import BrokerConfig
@@ -19,6 +19,10 @@ from repro.core.client import DynamothClient
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
+from repro.core.metrics import ClusterLoadView
+from repro.core.plan import Plan
+from repro.core.policy import PaperPolicy, PolicyContext
+from repro.core.rebalance import RebalanceDecision
 from repro.net.latency import FixedLatency
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
@@ -162,6 +166,31 @@ def make_fixed_transport(
         lan_model=FixedLatency(lan_s),
         wan_model=FixedLatency(wan_s),
     )
+
+
+def paper_decision(
+    plan: Plan,
+    view: ClusterLoadView,
+    config: DynamothConfig,
+    active_servers: Sequence[str],
+    bootstrap_servers: Iterable[str],
+    default_nominal_bps: float,
+    *,
+    allow_scale_down: bool = True,
+) -> RebalanceDecision:
+    """The ``paper`` policy's decision (Algorithm 1 then Algorithm 2 or
+    the low-load drain) on one hand-built load picture."""
+    ctx = PolicyContext(
+        now=0.0,
+        plan=plan,
+        view=view,
+        config=config,
+        active_servers=tuple(active_servers),
+        bootstrap_servers=frozenset(bootstrap_servers),
+        default_nominal_bps=default_nominal_bps,
+        allow_scale_down=allow_scale_down,
+    )
+    return PaperPolicy(config).decide(ctx)
 
 
 def run_once(benchmark, fn):

@@ -1,12 +1,13 @@
 """The live policy lab: rows read off real runs, determinism, report, CLI."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.core.config import DynamothConfig
 from repro.core.policy import available_policies
-from repro.experiments.run import SPECS, RunSpec, build
+from repro.experiments.run import SPECS, RunSpec, build, with_policy
 from repro.lab.cli import main
 from repro.lab.compare import (
     DEFAULT_SLA_THRESHOLD_S,
@@ -68,6 +69,44 @@ class TestLiveRows:
         assert row["sla_violation_seconds"] == (
             MINI_FLASH.duration_s - overall[0]["start_t"]
         )
+
+
+def plan_digest(policy):
+    """sha256 of what ``policy``'s balancer did on the mini flash crowd:
+    every plan's version and sorted explicit mappings, then the balancer's
+    event kinds in order."""
+    cluster, workload = build(with_policy(MINI_FLASH, policy), SEED)
+    cluster.run_until(MINI_FLASH.duration_s)
+    workload.stop()
+    lb = cluster.balancer
+    plans = [
+        [plan.version, plan.to_dict()["mappings"]] for __, plan in lb.plan_history
+    ]
+    blob = json.dumps([plans, [e.kind for e in lb.events]], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: ``plan_digest`` of every policy; the golden trace digests run only
+#: ``paper``, so these are what pins the alternatives' decisions.  They
+#: must read the same under ``PYTHONHASHSEED`` 0, 1 and 3 (``chbl`` walks
+#: a hash ring).
+POLICY_PLAN_DIGESTS = {
+    "chbl": "8bf9844879d3f6b5110e6910f69911cc09e8f4c83e09c783bfd2ec9dddcf6bb0",
+    "consistent_hashing": "9899df8f7a24935e0bb20a5d4d82a25658d73954a701cb643145115a88127326",
+    "ewma_predictive": "7d032fcf11e9e41e85cd74e5966763b920ba8ecfae2ce48aa3f35db20d402e41",
+    "headroom_pace": "0290b31e759cd7febc3073a0697917c097474cf215661a25d245890e15165764",
+    "least_loaded": "9b205482ed436e7b9b931fe02e423210b28ecc07ea75ad5a4af7b7163a2d83df",
+    "paper": "586583453eefad5c197587f9371535c1336a01f626214be3f004ea03d7f20b56",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_PLAN_DIGESTS))
+def test_policy_plan_digest_is_pinned(policy):
+    assert plan_digest(policy) == POLICY_PLAN_DIGESTS[policy]
+
+
+def test_every_policy_has_a_pinned_digest():
+    assert sorted(POLICY_PLAN_DIGESTS) == available_policies()
 
 
 class TestDeterminism:
