@@ -23,7 +23,9 @@ attributed to its emitting subsystem via the static table below, which
 mirrors where each event class is emitted in the source tree.  Traces
 may be plain or gzip JSONL (the ``repro.obs.export`` format); the
 ``trace_header`` line is skipped on both sides so schema-identical
-bodies compare clean even across header tweaks.
+bodies compare clean even across header tweaks.  A gzip stream cut short
+(a run killed mid-write) or not gzip at all raises :class:`TraceReadError`
+naming the file and line -- an unreadable input, never a divergence.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
@@ -117,19 +120,29 @@ def _open_trace(path: Path) -> IO[bytes]:
     return open(path, "rb")
 
 
+class TraceReadError(ValueError):
+    """A trace file that cannot be read to its end (``path:line: ...``)."""
+
+
 def _event_lines(path: Path) -> Iterator[bytes]:
     """Event lines of one trace, header skipped, newline stripped."""
+    line_no = 0
+    first = True
     with _open_trace(path) as handle:
-        first = True
-        for raw in handle:
-            line = raw.rstrip(b"\n")
-            if not line:
-                continue
-            if first:
-                first = False
-                if b'"trace_header"' in line:
+        try:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.rstrip(b"\n")
+                if not line:
                     continue
-            yield line
+                if first:
+                    first = False
+                    if b'"trace_header"' in line:
+                        continue
+                yield line
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise TraceReadError(
+                f"{path}:{line_no + 1}: malformed gzip stream: {exc}"
+            ) from exc
 
 
 def _checkpoints(path: Path, chunk: int) -> Tuple[List[str], int]:

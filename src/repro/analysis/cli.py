@@ -7,15 +7,13 @@ Subcommands
     1 when findings remain after inline suppressions, 2 on usage
     or internal errors.  ``--format=json`` emits a machine-readable
     report (the CI artifact); text output is ruff-shaped
-    ``path:line:col: RULE message`` lines.
-
-``explain [RULE]``
-    Print the full rationale for one rule, or the catalogue when no rule
-    is given.
+    ``path:line:col: RULE message`` lines.  Each rule's rationale is its
+    class docstring under ``repro/analysis/rules/``.
 
 ``bisect LEFT.jsonl RIGHT.jsonl`` / ``bisect --seed N``
     Localize the first diverging event between two trace files by
-    prefix-hash bisection (exit 0: identical, 1: divergence found).
+    prefix-hash bisection (exit 0: identical, 1: divergence found,
+    2: a trace could not be read, e.g. a gzip stream cut short).
     With ``--seed``, run the property-check scenario twice under
     different ``PYTHONHASHSEED`` values as a hash-order divergence
     probe and bisect the resulting traces.
@@ -32,10 +30,8 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
-from repro.analysis.bisect import bisect_traces, format_divergence
-from repro.analysis.config import find_project_root
+from repro.analysis.bisect import TraceReadError, bisect_traces, format_divergence
 from repro.analysis.engine import AnalysisEngine, CheckReport
-from repro.analysis.rules import ALL_RULES, get_rule
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -58,15 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="fmt",
         help="output format (default: text)",
     )
-    check.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the per-file result cache",
-    )
     check.add_argument("--root", default=None, help="project root (default: auto)")
-
-    explain = sub.add_parser("explain", help="explain a rule (or list all)")
-    explain.add_argument("rule", nargs="?", default=None, help="rule ID, e.g. DET003")
 
     bisect = sub.add_parser(
         "bisect", help="localize the first diverging event between two traces"
@@ -85,12 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "different PYTHONHASHSEED values and bisect the traces",
     )
     bisect.add_argument(
-        "--chunk",
-        type=int,
-        default=4096,
-        help="events per prefix-hash checkpoint (default: 4096)",
-    )
-    bisect.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
@@ -100,21 +82,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_engine(root_arg: Optional[str]) -> AnalysisEngine:
-    root = Path(root_arg).resolve() if root_arg else find_project_root()
-    return AnalysisEngine(root)
+def find_project_root(start: Optional[Path] = None) -> Path:
+    """Walk up from ``start`` (default: cwd) to the nearest pyproject.toml."""
+    current = (start or Path.cwd()).resolve()
+    for candidate in (current, *current.parents):
+        if (candidate / "pyproject.toml").is_file():
+            return candidate
+    return current
 
 
 def _emit_text(report: CheckReport, stream: TextIO) -> None:
     for diagnostic in report.diagnostics:
         print(diagnostic.format(), file=stream)
-    summary = (
+    print(
         f"{len(report.diagnostics)} finding(s) in "
-        f"{report.files_analyzed} file(s)"
+        f"{report.files_analyzed} file(s)",
+        file=stream,
     )
-    if report.cache_hits or report.cache_misses:
-        summary += f" [cache {report.cache_hits} hit / {report.cache_misses} miss]"
-    print(summary, file=stream)
 
 
 def _emit_json(report: CheckReport, stream: TextIO) -> None:
@@ -123,10 +107,6 @@ def _emit_json(report: CheckReport, stream: TextIO) -> None:
         "summary": {
             "files_analyzed": report.files_analyzed,
             "findings": len(report.diagnostics),
-            "cache": {
-                "hits": report.cache_hits,
-                "misses": report.cache_misses,
-            },
         },
     }
     json.dump(payload, stream, indent=2, sort_keys=True)
@@ -134,28 +114,13 @@ def _emit_json(report: CheckReport, stream: TextIO) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    engine = _make_engine(args.root)
-    report = engine.check([Path(p) for p in args.paths], use_cache=not args.no_cache)
+    root = Path(args.root).resolve() if args.root else find_project_root()
+    report = AnalysisEngine(root).check([Path(p) for p in args.paths])
     if args.fmt == "json":
         _emit_json(report, sys.stdout)
     else:
         _emit_text(report, sys.stdout)
     return EXIT_FINDINGS if report.diagnostics else EXIT_CLEAN
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    if args.rule is None:
-        for rule_cls in ALL_RULES:
-            print(f"{rule_cls.ID:8s} {rule_cls.SUMMARY}")
-        return EXIT_CLEAN
-    try:
-        rule_cls = get_rule(args.rule.upper())
-    except KeyError:
-        known = ", ".join(rule.ID for rule in ALL_RULES)
-        print(f"unknown rule {args.rule!r}; known rules: {known}", file=sys.stderr)
-        return EXIT_ERROR
-    print(rule_cls.explain())
-    return EXIT_CLEAN
 
 
 def _record_seed_trace(seed: int, out: Path, hash_seed: str) -> bool:
@@ -216,7 +181,11 @@ def _cmd_bisect(args: argparse.Namespace) -> int:
 
 
 def _emit_bisect(left: Path, right: Path, args: argparse.Namespace) -> int:
-    divergence = bisect_traces(left, right, chunk=max(1, args.chunk))
+    try:
+        divergence = bisect_traces(left, right)
+    except TraceReadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     if args.fmt == "json":
         payload = {
             "identical": divergence is None,
@@ -237,11 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_ERROR
-    handlers = {
-        "check": _cmd_check,
-        "explain": _cmd_explain,
-        "bisect": _cmd_bisect,
-    }
+    handlers = {"check": _cmd_check, "bisect": _cmd_bisect}
     try:
         return handlers[args.command](args)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
@@ -250,7 +215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_ERROR
-
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,7 +3,7 @@
 A :class:`Diagnostic` is one finding at one source location.  Text output
 follows ruff's ``path:line:col: RULE message`` shape so editors and CI log
 scrapers that already understand ruff pick these up for free; ``to_dict``
-is the JSON-artifact form and what the result cache stores.
+is the JSON-artifact form.
 """
 
 from __future__ import annotations
@@ -37,16 +37,6 @@ class Diagnostic:
             "rule": self.rule,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Diagnostic":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            rule=str(data["rule"]),
-            message=str(data["message"]),
-        )
 
 
 def sort_key(diagnostic: Diagnostic) -> tuple:

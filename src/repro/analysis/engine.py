@@ -1,18 +1,16 @@
-"""Analysis engine: discovery, scoping, suppression, caching.
+"""Analysis engine: discovery, scoping, suppression.
 
 Pipeline per file::
 
     source --parse--> tree --rules(applies by scope)--> findings
            --inline `# repro: allow[RULE]` filter--> diagnostics
-           --cache store--> (on later runs: cache lookup by content hash)
 
-Scopes come from the config globs plus ``# repro: scope[TAG]`` pragmas in
-the first :data:`~repro.analysis.config.PRAGMA_SCAN_LINES` lines, so a
-file outside the configured trees (a test fixture, a new subsystem) can
-opt itself into ``hot-path`` / ``no-io`` / ``wire-messages`` semantics;
-``wallclock-ok`` has no glob and can only be claimed by pragma.
+Scopes come from :data:`SIMULATION_GLOBS` plus ``# repro: scope[TAG]``
+pragmas in the first :data:`PRAGMA_SCAN_LINES` lines, so a file outside
+the simulation packages (a test fixture, a new subsystem) can opt itself
+into ``hot-path`` / ``no-io`` / ``layer-<pkg>`` semantics.
 
-Discovery skips ``exclude`` directories, but paths given explicitly on
+Discovery skips :data:`EXCLUDE` directories, but paths given explicitly on
 the command line are always analyzed -- the ruff convention, and what
 makes ``python -m repro.analysis check tests/analysis/fixtures/x.py``
 usable as a fixture smoke test while ``check src tests`` stays clean.
@@ -29,21 +27,28 @@ from fnmatch import fnmatch
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cache import ResultCache, content_hash, context_key
-from repro.analysis.config import PRAGMA_SCAN_LINES, AnalysisConfig
 from repro.analysis.diagnostics import Diagnostic, sort_key
 from repro.analysis.project import ProjectFacts, collect_facts
-from repro.analysis.rules import ALL_RULES, Rule, RuleContext
+from repro.analysis.rules import ALL_RULES, RuleContext
+
+#: How many leading lines are searched for ``# repro: scope[...]`` pragmas.
+PRAGMA_SCAN_LINES = 15
+
+#: The simulation packages: DET003 (unordered set iteration, scope
+#: ``hot-path``) and DET004 (blocking I/O, scope ``no-io``) are on here.
+SIMULATION_GLOBS: Tuple[str, ...] = (
+    "src/repro/broker/*",
+    "src/repro/net/*",
+    "src/repro/sim/*",
+    "src/repro/core/*",
+)
+
+#: Directories skipped during discovery (explicit file arguments are
+#: always analyzed, so fixture violations stay directly checkable).
+EXCLUDE: Tuple[str, ...] = ("tests/analysis/fixtures",)
 
 _PRAGMA_RE = re.compile(r"#\s*repro:\s*scope\[([a-z0-9_,\s-]+)\]")
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Z0-9_,\s]+)\]")
-
-#: scope tag -> config attribute holding its globs
-_SCOPE_GLOBS: Tuple[Tuple[str, str], ...] = (
-    ("hot-path", "hot_paths"),
-    ("no-io", "no_io"),
-    ("wire-messages", "wire_messages"),
-)
 
 
 @dataclass
@@ -51,33 +56,21 @@ class CheckReport:
     """Everything one ``check`` run learned."""
 
     diagnostics: List[Diagnostic]
-    files_analyzed: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    files_analyzed: int
 
 
 class AnalysisEngine:
-    """One configured analyzer over one project root."""
+    """The analyzer over one project root."""
 
-    def __init__(
-        self,
-        root: Path,
-        config: Optional[AnalysisConfig] = None,
-        facts: Optional[ProjectFacts] = None,
-    ) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = root.resolve()
-        self.config = config if config is not None else AnalysisConfig()
-        self._facts = facts
-        self._rules: List[Rule] = [
-            rule_cls()
-            for rule_cls in ALL_RULES
-            if rule_cls.ID in self.config.active_rules()
-        ]
+        self._facts: Optional[ProjectFacts] = None
+        self._rules = [rule_cls() for rule_cls in ALL_RULES]
 
     @property
     def facts(self) -> ProjectFacts:
         if self._facts is None:
-            self._facts = collect_facts(self.root, self.config)
+            self._facts = collect_facts(self.root)
         return self._facts
 
     # ------------------------------------------------------------------
@@ -89,7 +82,7 @@ class AnalysisEngine:
         for raw in paths:
             path = (self.root / raw).resolve() if not raw.is_absolute() else raw
             if path.is_file():
-                found.add(path)  # explicit files bypass `exclude`
+                found.add(path)  # explicit files bypass EXCLUDE
             elif path.is_dir():
                 for candidate in path.rglob("*.py"):
                     rel = self._rel(candidate)
@@ -98,14 +91,11 @@ class AnalysisEngine:
                     found.add(candidate)
         return sorted(found)
 
-    def _excluded(self, rel: str, path: Path) -> bool:
+    @staticmethod
+    def _excluded(rel: str, path: Path) -> bool:
         if any(part.startswith(".") or part == "__pycache__" for part in path.parts):
             return True
-        for prefix in self.config.exclude:
-            prefix = prefix.rstrip("/")
-            if rel == prefix or rel.startswith(prefix + "/") or fnmatch(rel, prefix):
-                return True
-        return False
+        return any(rel == prefix or rel.startswith(prefix + "/") for prefix in EXCLUDE)
 
     def _rel(self, path: Path) -> str:
         try:
@@ -116,12 +106,11 @@ class AnalysisEngine:
     # ------------------------------------------------------------------
     # Scopes
     # ------------------------------------------------------------------
-    def scopes_for(self, rel_path: str, source: str) -> FrozenSet[str]:
+    @staticmethod
+    def scopes_for(rel_path: str, source: str) -> FrozenSet[str]:
         tags: Set[str] = set()
-        for tag, attr in _SCOPE_GLOBS:
-            globs: Tuple[str, ...] = getattr(self.config, attr)
-            if any(fnmatch(rel_path, pattern) for pattern in globs):
-                tags.add(tag)
+        if any(fnmatch(rel_path, pattern) for pattern in SIMULATION_GLOBS):
+            tags.update(("hot-path", "no-io"))
         for line in source.splitlines()[:PRAGMA_SCAN_LINES]:
             match = _PRAGMA_RE.search(line)
             if match:
@@ -148,76 +137,52 @@ class AnalysisEngine:
                     message=f"file does not parse: {exc.msg}",
                 )
             ]
-        lines = source.splitlines()
         ctx = RuleContext(
             path=rel_path,
             tree=tree,
-            lines=lines,
             scopes=self.scopes_for(rel_path, source),
             facts=self.facts,
         )
+        diagnostics = [
+            Diagnostic(
+                path=rel_path,
+                line=finding.line,
+                col=finding.col + 1,
+                rule=rule.ID,
+                message=finding.message,
+            )
+            for rule in self._rules
+            if rule.applies(ctx)
+            for finding in rule.check(ctx)
+        ]
+        if not diagnostics:
+            return []
+        # Tokenizing for suppressions is the slow part; only pay for it
+        # in a file where some rule found something.
         allows = _inline_allows(source)
-        diagnostics: List[Diagnostic] = []
-        for rule in self._rules:
-            if not rule.applies(ctx):
-                continue
-            for finding in rule.check(ctx):
-                if rule.ID in allows.get(finding.line, frozenset()):
-                    continue
-                diagnostics.append(
-                    Diagnostic(
-                        path=rel_path,
-                        line=finding.line,
-                        col=finding.col + 1,
-                        rule=rule.ID,
-                        message=finding.message,
-                    )
-                )
         # de-duplicate (cross-scope rules can re-derive the same hit)
-        unique = list(dict.fromkeys(diagnostics))
+        unique = [
+            d
+            for d in dict.fromkeys(diagnostics)
+            if d.rule not in allows.get(d.line, frozenset())
+        ]
         unique.sort(key=sort_key)
         return unique
 
     # ------------------------------------------------------------------
     # Full runs
     # ------------------------------------------------------------------
-    def check(
-        self, paths: Sequence[Path], use_cache: bool = True
-    ) -> CheckReport:
+    def check(self, paths: Sequence[Path]) -> CheckReport:
         files = self.discover(paths)
-        cache: Optional[ResultCache] = None
-        if use_cache:
-            cache = ResultCache(
-                self.root / self.config.cache,
-                context_key(
-                    self.config.content_hash_parts(), self.facts.cache_key()
-                ),
-            )
         found: List[Diagnostic] = []
         for path in files:
             try:
                 source = path.read_text(encoding="utf-8")
             except OSError:
                 continue
-            rel = self._rel(path)
-            digest = content_hash(source)
-            diagnostics: Optional[List[Diagnostic]] = None
-            if cache is not None:
-                diagnostics = cache.lookup(rel, digest)
-            if diagnostics is None:
-                diagnostics = self.analyze_source(rel, source)
-                if cache is not None:
-                    cache.store(rel, digest, diagnostics)
-            found.extend(diagnostics)
-        if cache is not None:
-            cache.save()
+            found.extend(self.analyze_source(self._rel(path), source))
         found.sort(key=sort_key)
-        return CheckReport(
-            diagnostics=found,
-            files_analyzed=len(files),
-            cache_hits=cache.hits if cache is not None else 0,
-            cache_misses=cache.misses if cache is not None else 0,
-        )
+        return CheckReport(diagnostics=found, files_analyzed=len(files))
 
 
 def _inline_allows(source: str) -> Dict[int, FrozenSet[str]]:

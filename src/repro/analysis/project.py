@@ -1,144 +1,51 @@
 """Cross-file project facts for the whole-program rules (pass 1 of 2).
 
-The v1 sanitizer collected just enough cross-file knowledge for TRC001
-(the trace-event registry) and CFG001 (config dataclass members).  The
-v2 rule family is interprocedural, so pass 1 now also collects:
+Two rules need to know about files other than the one they check:
 
-* **wire messages** -- every dataclass defined in the configured
-  ``wire-messages`` files, with its defining location (MSG001's universe
-  of routable message types, MUT001's escape-tracking targets);
-* **handler maps** -- for every actor class in the ``msg-actors`` files,
-  the ``isinstance`` dispatch branches of its ``receive`` method
-  (MSG001 checks them against the declared ``protocol`` routing table);
-* **event field schemas** -- ordered ``(field, has_default)`` tuples per
-  registered trace-event class, including the inherited ``t`` timestamp
-  (TRC002 validates constructor call sites field-for-field);
-* **the package import graph** -- module-level ``repro.<pkg>`` imports
-  per top-level package (ARCH001's layer-DAG evidence, and what the
-  facts unit tests pin);
+* **wire messages** -- every dataclass defined in the
+  :data:`WIRE_MESSAGES` files, with its defining location (MSG001's
+  universe of wire types that must be routed or declared unrouted);
 * **config field reads** -- every attribute name read anywhere under
   ``src/``, *excluding* ``self.<field>`` reads inside a tracked config
   class's own body (CFG002 calls a field dead when nothing outside the
   class ever reads it -- ``__post_init__`` validation must not count).
 
-Facts are collected once per run by parsing the configured source files --
-never by importing them, so the analyzer works on broken trees too.  The
-full facts digest is part of the result-cache context key: edit the
-message protocol and every cached per-file verdict is invalidated.
+Facts are collected once per run by parsing source files -- never by
+importing them, so the analyzer works on broken trees too.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
-from repro.analysis.config import AnalysisConfig
+#: Files whose dataclasses are wire messages (MSG001's universe).
+WIRE_MESSAGES: Tuple[str, ...] = (
+    "src/repro/core/messages.py",
+    "src/repro/broker/commands.py",
+    "src/repro/core/reliability.py",
+)
 
-
-@dataclass(frozen=True)
-class ClassFacts:
-    """Field and method names of one tracked config dataclass."""
-
-    fields: FrozenSet[str]
-    methods: FrozenSet[str]
-
-    @property
-    def members(self) -> FrozenSet[str]:
-        return self.fields | self.methods
-
-
-@dataclass(frozen=True)
-class EventFacts:
-    """Constructor schema of one registered trace-event class."""
-
-    #: ``(field name, has default)`` in declaration order, ``t`` first.
-    fields: Tuple[Tuple[str, bool], ...]
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self.fields)
-
-    @property
-    def required(self) -> Tuple[str, ...]:
-        return tuple(name for name, has_default in self.fields if not has_default)
-
-
-@dataclass(frozen=True)
-class HandlerFacts:
-    """One actor class's ``receive`` dispatch map."""
-
-    #: project-relative path of the defining file
-    path: str
-    #: line of the ``receive`` def
-    line: int
-    #: ``(message class name, isinstance branch line)`` in source order
-    dispatch: Tuple[Tuple[str, int], ...]
-
-    @property
-    def handled(self) -> FrozenSet[str]:
-        return frozenset(name for name, _ in self.dispatch)
+#: Config dataclasses whose fields CFG002 holds to "read somewhere".
+CONFIG_CLASSES: FrozenSet[str] = frozenset(
+    {"DynamothConfig", "ChaosScenarioConfig", "RunSpec"}
+)
 
 
 @dataclass(frozen=True)
 class ProjectFacts:
     """Everything the cross-file rules know about the project.
 
-    ``trace_events`` is ``None`` when the schema file could not be read --
-    TRC001/TRC002 then silently skip (the analyzer may legitimately run
-    on a subtree that does not contain the repository).  The same applies
-    to absent entries of the other maps.
+    Both are empty when the analyzer runs on a root that does not contain
+    the repository; the rules then check the analyzed file alone.
     """
 
-    trace_events: Optional[FrozenSet[str]]
-    config_classes: Dict[str, ClassFacts]
-    event_fields: Dict[str, EventFacts] = field(default_factory=dict)
     #: wire dataclass name -> (defining path, line)
-    wire_messages: Dict[str, Tuple[str, int]] = field(default_factory=dict)
-    #: actor class name -> receive dispatch facts
-    handlers: Dict[str, HandlerFacts] = field(default_factory=dict)
-    #: top-level package -> packages it imports at module level
-    import_graph: Dict[str, FrozenSet[str]] = field(default_factory=dict)
+    wire_messages: Dict[str, Tuple[str, int]]
     #: attribute names read anywhere under src/ (CFG002 evidence)
-    config_field_reads: FrozenSet[str] = frozenset()
-    #: message class -> actor classes that must dispatch it (from config)
-    protocol: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: wire types deliberately outside actor routing (from config)
-    unrouted: FrozenSet[str] = frozenset()
-    #: declared layer DAG: package -> import allow-list (from config)
-    layers: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    def cache_key(self) -> str:
-        events = sorted(self.trace_events) if self.trace_events is not None else None
-        classes = {
-            name: (sorted(facts.fields), sorted(facts.methods))
-            for name, facts in sorted(self.config_classes.items())
-        }
-        schemas = {
-            name: facts.fields for name, facts in sorted(self.event_fields.items())
-        }
-        handlers = {
-            name: (facts.path, facts.line, facts.dispatch)
-            for name, facts in sorted(self.handlers.items())
-        }
-        graph = {
-            pkg: sorted(deps) for pkg, deps in sorted(self.import_graph.items())
-        }
-        return repr(
-            (
-                events,
-                classes,
-                schemas,
-                sorted(self.wire_messages.items()),
-                handlers,
-                graph,
-                sorted(self.config_field_reads),
-                sorted(self.protocol.items()),
-                sorted(self.unrouted),
-                sorted(self.layers.items()),
-            )
-        )
+    config_field_reads: FrozenSet[str]
 
 
 def _parse(path: Path) -> Optional[ast.Module]:
@@ -146,103 +53,6 @@ def _parse(path: Path) -> Optional[ast.Module]:
         return ast.parse(path.read_text(encoding="utf-8"))
     except (OSError, SyntaxError):
         return None
-
-
-def _registered_event_names(tree: ast.Module) -> Optional[FrozenSet[str]]:
-    """Class names listed in the ``EVENT_TYPES`` registry literal.
-
-    The registry is a dict comprehension over a tuple of classes::
-
-        EVENT_TYPES = {cls.TYPE: cls for cls in (PublishEvent, ...)}
-
-    Reading the *registry* rather than the class definitions is the point:
-    an event class that exists but was never registered is exactly the
-    schema drift TRC001 must catch.
-    """
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        named = any(
-            isinstance(t, ast.Name) and t.id == "EVENT_TYPES" for t in targets
-        )
-        if not named:
-            continue
-        if isinstance(value, ast.DictComp):
-            iterable = value.generators[0].iter
-            if isinstance(iterable, (ast.Tuple, ast.List)):
-                names = [
-                    e.id for e in iterable.elts if isinstance(e, ast.Name)
-                ]
-                return frozenset(names)
-        if isinstance(value, ast.Dict):
-            names = [v.id for v in value.values if isinstance(v, ast.Name)]
-            return frozenset(names)
-    return None
-
-
-def _class_facts(tree: ast.Module, class_name: str) -> Optional[ClassFacts]:
-    """Field/method names of dataclass ``class_name`` in ``tree``."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef) or node.name != class_name:
-            continue
-        fields: Set[str] = set()
-        methods: Set[str] = set()
-        for item in node.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                fields.add(item.target.id)
-            elif isinstance(item, ast.Assign):
-                for target in item.targets:
-                    if isinstance(target, ast.Name):
-                        # class-level constant (e.g. WIRE_SIZE); readable
-                        fields.add(target.id)
-            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.add(item.name)
-        return ClassFacts(frozenset(fields), frozenset(methods))
-    return None
-
-
-def _ann_fields(node: ast.ClassDef) -> List[Tuple[str, bool]]:
-    """Dataclass fields of one class body: ``(name, has_default)``."""
-    out: List[Tuple[str, bool]] = []
-    for item in node.body:
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            annotation = ast.unparse(item.annotation)
-            if "ClassVar" in annotation:
-                continue
-            out.append((item.target.id, item.value is not None))
-    return out
-
-
-def _event_schemas(tree: ast.Module) -> Dict[str, EventFacts]:
-    """Per-event constructor schemas: inherited base fields + own fields.
-
-    Every event subclasses ``TraceEvent`` directly, so inheritance is one
-    level: the base's fields (the ``t`` timestamp) come first, matching
-    dataclass field order at runtime.
-    """
-    base: List[Tuple[str, bool]] = []
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "TraceEvent":
-            base = _ann_fields(node)
-            break
-    schemas: Dict[str, EventFacts] = {}
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        inherits = any(
-            isinstance(b, ast.Name) and b.id == "TraceEvent" for b in node.bases
-        )
-        if not inherits:
-            continue
-        schemas[node.name] = EventFacts(tuple(base + _ann_fields(node)))
-    return schemas
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -260,153 +70,45 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def dispatch_map(fn: ast.FunctionDef) -> List[Tuple[str, int]]:
-    """``isinstance`` branches of an actor ``receive`` method.
+def attribute_reads(tree: ast.Module) -> Set[str]:
+    """Attribute names ``tree`` reads, minus ``self.<x>`` inside config classes.
 
-    Only tests against the *message parameter* (the first argument after
-    ``self``) count -- ``isinstance`` checks on payloads or locals are
-    not dispatch.  Tuple second arguments contribute every named class.
+    A read is an attribute load or a ``getattr(obj, "name")`` literal.
     """
-    params = [a.arg for a in fn.args.args if a.arg != "self"]
-    if not params:
-        return []
-    message = params[0]
-    out: List[Tuple[str, int]] = []
-    for node in ast.walk(fn):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            continue
-        if node.func.id != "isinstance" or len(node.args) != 2:
-            continue
-        subject, types = node.args
-        if not (isinstance(subject, ast.Name) and subject.id == message):
-            continue
-        if isinstance(types, ast.Name):
-            out.append((types.id, node.lineno))
-        elif isinstance(types, ast.Tuple):
-            for element in types.elts:
-                if isinstance(element, ast.Name):
-                    out.append((element.id, node.lineno))
-    return out
-
-
-def _handler_facts(tree: ast.Module, rel_path: str) -> Dict[str, HandlerFacts]:
-    out: Dict[str, HandlerFacts] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for item in node.body:
-            if isinstance(item, ast.FunctionDef) and item.name == "receive":
-                out[node.name] = HandlerFacts(
-                    path=rel_path,
-                    line=item.lineno,
-                    dispatch=tuple(dispatch_map(item)),
-                )
-    return out
-
-
-def module_level_repro_imports(tree: ast.Module) -> Iterator[Tuple[str, int]]:
-    """``(subpackage, line)`` for each top-level ``repro.<pkg>`` import.
-
-    Only statements directly in the module body count: imports inside
-    ``if TYPE_CHECKING:`` blocks, functions, or ``try`` fallbacks are
-    deliberate cycle-breakers and never create a runtime layering edge.
-    """
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                parts = alias.name.split(".")
-                if parts[0] == "repro" and len(parts) > 1:
-                    yield parts[1], stmt.lineno
-        elif isinstance(stmt, ast.ImportFrom) and stmt.module and not stmt.level:
-            parts = stmt.module.split(".")
-            if parts[0] != "repro":
-                continue
-            if len(parts) > 1:
-                yield parts[1], stmt.lineno
-            else:
-                # ``from repro import core`` names packages directly
-                for alias in stmt.names:
-                    yield alias.name, stmt.lineno
-
-
-def _tracked_self_reads(tree: ast.Module, tracked: FrozenSet[str]) -> Set[int]:
-    """``id()`` of ``self.<x>`` nodes inside tracked config class bodies."""
     skip: Set[int] = set()
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef) and node.name in tracked):
-            continue
-        for inner in ast.walk(node):
-            if (
-                isinstance(inner, ast.Attribute)
-                and isinstance(inner.value, ast.Name)
-                and inner.value.id == "self"
-            ):
-                skip.add(id(inner))
-    return skip
-
-
-def _scan_src(
-    root: Path, config: AnalysisConfig
-) -> Tuple[Dict[str, FrozenSet[str]], FrozenSet[str]]:
-    """One pass over ``src/``: the import graph and the attribute-read set."""
-    graph: Dict[str, Set[str]] = {}
+        if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+            for inner in ast.walk(node):
+                if (
+                    isinstance(inner, ast.Attribute)
+                    and isinstance(inner.value, ast.Name)
+                    and inner.value.id == "self"
+                ):
+                    skip.add(id(inner))
     reads: Set[str] = set()
-    tracked = frozenset(config.config_classes)
-    pkg_root = root / "src" / "repro"
-    if not pkg_root.is_dir():
-        return {}, frozenset()
-    for path in sorted(pkg_root.rglob("*.py")):
-        tree = _parse(path)
-        if tree is None:
-            continue
-        rel_parts = path.relative_to(pkg_root).parts
-        if len(rel_parts) > 1:
-            pkg = rel_parts[0]
-            edges = graph.setdefault(pkg, set())
-            for target, _line in module_level_repro_imports(tree):
-                if target != pkg:
-                    edges.add(target)
-        skip = _tracked_self_reads(tree, tracked)
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and id(node) not in skip
-            ):
-                reads.add(node.attr)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str)
-            ):
-                reads.add(node.args[1].value)
-    frozen_graph = {pkg: frozenset(deps) for pkg, deps in graph.items()}
-    return frozen_graph, frozenset(reads)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in skip
+        ):
+            reads.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            reads.add(node.args[1].value)
+    return reads
 
 
-def collect_facts(root: Path, config: AnalysisConfig) -> ProjectFacts:
-    """Parse the configured schema/config/protocol files under ``root``."""
-    trace_events: Optional[FrozenSet[str]] = None
-    event_fields: Dict[str, EventFacts] = {}
-    schema_tree = _parse(root / config.trace_schema)
-    if schema_tree is not None:
-        trace_events = _registered_event_names(schema_tree)
-        event_fields = _event_schemas(schema_tree)
-
-    config_classes: Dict[str, ClassFacts] = {}
-    for class_name, rel_path in sorted(config.config_classes.items()):
-        tree = _parse(root / rel_path)
-        if tree is None:
-            continue
-        facts = _class_facts(tree, class_name)
-        if facts is not None:
-            config_classes[class_name] = facts
-
+def collect_facts(root: Path) -> ProjectFacts:
+    """Parse the wire-message files and every module under ``src/repro``."""
     wire_messages: Dict[str, Tuple[str, int]] = {}
-    for rel_path in config.wire_messages:
+    for rel_path in WIRE_MESSAGES:
         tree = _parse(root / rel_path)
         if tree is None:
             continue
@@ -414,23 +116,13 @@ def collect_facts(root: Path, config: AnalysisConfig) -> ProjectFacts:
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 wire_messages[node.name] = (rel_path, node.lineno)
 
-    handlers: Dict[str, HandlerFacts] = {}
-    for rel_path in config.msg_actors:
-        tree = _parse(root / rel_path)
-        if tree is None:
-            continue
-        handlers.update(_handler_facts(tree, rel_path))
-
-    import_graph, config_field_reads = _scan_src(root, config)
+    reads: Set[str] = set()
+    pkg_root = root / "src" / "repro"
+    if pkg_root.is_dir():
+        for path in sorted(pkg_root.rglob("*.py")):
+            tree = _parse(path)
+            if tree is not None:
+                reads |= attribute_reads(tree)
     return ProjectFacts(
-        trace_events=trace_events,
-        config_classes=config_classes,
-        event_fields=event_fields,
-        wire_messages=wire_messages,
-        handlers=handlers,
-        import_graph=import_graph,
-        config_field_reads=config_field_reads,
-        protocol={k: tuple(v) for k, v in sorted(config.protocol.items())},
-        unrouted=frozenset(config.unrouted_messages),
-        layers={k: tuple(v) for k, v in sorted(config.layers.items())},
+        wire_messages=wire_messages, config_field_reads=frozenset(reads)
     )

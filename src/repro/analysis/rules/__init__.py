@@ -1,54 +1,31 @@
 """Rule registry for the determinism sanitizer.
 
-Rules register here in ID order; the engine instantiates each once per
-run.  ``get_rule`` is the lookup used by ``explain`` and by config
-validation (unknown IDs are a usage error, not a silent no-op).
+Rules register here in catalogue order; the engine instantiates each
+once per run.  A rule's class docstring is its rationale.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+from typing import Tuple, Type
 
 from repro.analysis.rules.arch001_layering import LayeringRule
 from repro.analysis.rules.base import Finding, ImportMap, Rule, RuleContext
-from repro.analysis.rules.cfg001_config_fields import ConfigFieldsRule
 from repro.analysis.rules.cfg002_dead_config import DeadConfigFieldRule
 from repro.analysis.rules.det001_wallclock import WallClockRule
 from repro.analysis.rules.det002_global_rng import GlobalRngRule
 from repro.analysis.rules.det003_set_iteration import SetIterationRule
 from repro.analysis.rules.det004_blocking_io import BlockingIoRule
-from repro.analysis.rules.hot001_hot_alloc import HotAllocationRule
 from repro.analysis.rules.msg001_protocol import MessageProtocolRule
-from repro.analysis.rules.mut001_message_mutation import MessageMutationRule
-from repro.analysis.rules.rng001_rng_discipline import RngDisciplineRule
-from repro.analysis.rules.slot001_wire_dataclasses import WireDataclassRule
-from repro.analysis.rules.trc001_trace_schema import TraceSchemaRule
-from repro.analysis.rules.trc002_emit_schema import EmitSchemaRule
 
 ALL_RULES: Tuple[Type[Rule], ...] = (
     WallClockRule,
     GlobalRngRule,
     SetIterationRule,
     BlockingIoRule,
-    WireDataclassRule,
-    TraceSchemaRule,
-    EmitSchemaRule,
-    RngDisciplineRule,
-    ConfigFieldsRule,
     DeadConfigFieldRule,
     MessageProtocolRule,
-    MessageMutationRule,
     LayeringRule,
-    HotAllocationRule,
 )
-
-_BY_ID: Dict[str, Type[Rule]] = {rule.ID: rule for rule in ALL_RULES}
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    """Look up a rule class by ID; raises ``KeyError`` for unknown IDs."""
-    return _BY_ID[rule_id]
-
 
 __all__ = [
     "ALL_RULES",
@@ -56,5 +33,4 @@ __all__ = [
     "ImportMap",
     "Rule",
     "RuleContext",
-    "get_rule",
 ]

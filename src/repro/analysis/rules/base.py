@@ -1,11 +1,10 @@
 """Rule plumbing: context objects and shared AST utilities.
 
 Each rule is a class with an ``ID``, a one-line ``SUMMARY``, a docstring
-that doubles as the ``explain`` text, and a ``check`` method yielding
-:class:`Finding` tuples.  Rules never read files themselves -- the engine
-hands them a :class:`RuleContext` with the parsed tree, the source lines,
-the file's scope set and the cross-file :class:`~repro.analysis.project.
-ProjectFacts`.
+that holds its rationale, and a ``check`` method yielding :class:`Finding`
+tuples.  Rules never read files themselves -- the engine hands them a
+:class:`RuleContext` with the parsed tree, the file's scope set and the
+cross-file :class:`~repro.analysis.project.ProjectFacts`.
 
 The :class:`ImportMap` utility resolves call names the way most rules need
 them: ``time.time()`` with ``import time``, ``choice(...)`` with ``from
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Type
+from typing import Dict, FrozenSet, Iterator, NamedTuple, Optional, Tuple
 
 from repro.analysis.project import ProjectFacts
 
@@ -37,8 +36,6 @@ class RuleContext:
     #: project-root-relative posix path
     path: str
     tree: ast.Module
-    #: raw source split into lines (1-based access via ``line - 1``)
-    lines: List[str]
     #: scope tags active for this file (``hot-path``, ``no-io``, ...)
     scopes: FrozenSet[str]
     facts: ProjectFacts
@@ -58,23 +55,12 @@ class Rule:
     SUMMARY: str = ""
     #: scope tag required for the rule to run on a file; ``None`` = always.
     SCOPE: Optional[str] = None
-    #: scope tag that *exempts* a file (used by DET001's allow-list).
-    EXEMPT_SCOPE: Optional[str] = None
 
     def applies(self, ctx: RuleContext) -> bool:
-        if self.EXEMPT_SCOPE is not None and self.EXEMPT_SCOPE in ctx.scopes:
-            return False
-        if self.SCOPE is not None:
-            return self.SCOPE in ctx.scopes
-        return True
+        return self.SCOPE is None or self.SCOPE in ctx.scopes
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         raise NotImplementedError
-
-    @classmethod
-    def explain(cls) -> str:
-        doc = cls.__doc__ or cls.SUMMARY
-        return f"{cls.ID}: {cls.SUMMARY}\n\n{doc.strip()}"
 
 
 class ImportMap:
@@ -151,7 +137,3 @@ class ImportMap:
                 return None
             return ".".join(reversed(parts))
         return None
-
-
-#: Convenience for rules/__init__ registration.
-RuleType = Type[Rule]

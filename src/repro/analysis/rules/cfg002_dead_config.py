@@ -3,28 +3,28 @@
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Set
+from typing import Iterator
 
-from repro.analysis.project import _tracked_self_reads
+from repro.analysis.project import CONFIG_CLASSES, attribute_reads
 from repro.analysis.rules.base import Finding, Rule, RuleContext
 
 
 class DeadConfigFieldRule(Rule):
-    """CFG001 catches references to fields that *don't* exist; this rule
-    catches fields that exist but nothing *reads* -- the knob someone
-    added for an experiment, wired into ``__post_init__`` validation,
-    and then never actually consulted.  Dead config fields are worse
-    than dead code: sweep configs keep setting them, reviewers keep
-    reasoning about them, and the behaviour they promise silently never
-    happens.
+    """This rule catches config fields that exist but nothing *reads* --
+    the knob someone added for an experiment, wired into
+    ``__post_init__`` validation, and then never actually consulted.
+    Dead config fields are worse than dead code: sweep configs keep
+    setting them, reviewers keep reasoning about them, and the behaviour
+    they promise silently never happens.
 
-    The rule runs on files defining a tracked config class (the
-    ``config-classes`` table) and flags any public field whose name is
-    read nowhere.  Evidence of a read is any attribute load or
-    ``getattr(obj, "name")`` literal, collected in pass 1 across all of
-    ``src/`` plus this file -- *except* ``self.<field>`` reads inside
-    the config class's own body, so ``__post_init__`` validation (which
-    touches every field by design) cannot keep a dead knob alive.
+    The rule runs on files defining a tracked config class
+    (:data:`~repro.analysis.project.CONFIG_CLASSES`) and flags any public
+    field whose name is read nowhere.  Evidence of a read is any
+    attribute load or ``getattr(obj, "name")`` literal, collected in
+    pass 1 across all of ``src/`` plus this file -- *except*
+    ``self.<field>`` reads inside the config class's own body, so
+    ``__post_init__`` validation (which touches every field by design)
+    cannot keep a dead knob alive.
 
     A same-named attribute read on an unrelated object does count as
     evidence: the rule trades false negatives for zero false positives,
@@ -35,16 +35,14 @@ class DeadConfigFieldRule(Rule):
     SUMMARY = "config dataclass field that is never read (dead knob)"
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        tracked = frozenset(ctx.facts.config_classes)
         defined = [
             node
             for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.ClassDef) and node.name in tracked
+            if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES
         ]
         if not defined:
             return
-        reads = set(ctx.facts.config_field_reads)
-        reads |= self._local_reads(ctx, tracked)
+        reads = ctx.facts.config_field_reads | attribute_reads(ctx.tree)
         for node in defined:
             for item in node.body:
                 if not (
@@ -64,26 +62,3 @@ class DeadConfigFieldRule(Rule):
                         f"`{node.name}.{name}` is never read outside its own "
                         "class body (dead config knob)",
                     )
-
-    @staticmethod
-    def _local_reads(ctx: RuleContext, tracked: FrozenSet[str]) -> Set[str]:
-        """Reads in the analyzed file itself, minus in-class self reads."""
-        skip = _tracked_self_reads(ctx.tree, tracked)
-        reads: Set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and id(node) not in skip
-            ):
-                reads.add(node.attr)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str)
-            ):
-                reads.add(node.args[1].value)
-        return reads

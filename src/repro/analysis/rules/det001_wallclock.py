@@ -42,13 +42,12 @@ class WallClockRule(Rule):
 
     No path is exempt: nothing under ``src/repro`` reads host time, and
     host-time measurement lives in ``benchmarks/ledger/`` and nowhere
-    else.  A single file (a fixture, an out-of-tree script) can opt out
-    only in plain sight, with a ``# repro: scope[wallclock-ok]`` pragma.
+    else.  A line that must read the host clock says so in plain sight
+    with ``# repro: allow[DET001]``.
     """
 
     ID = "DET001"
     SUMMARY = "wall-clock read on a simulated code path"
-    EXEMPT_SCOPE = "wallclock-ok"
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         imports = ctx.imports

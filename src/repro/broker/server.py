@@ -225,7 +225,6 @@ class PubSubServer(Actor):
     # ------------------------------------------------------------------
     # Command handling
     # ------------------------------------------------------------------
-    # repro: scope[hot]
     def receive(self, message: Any, src_id: str) -> None:
         if isinstance(message, PublishCmd):
             # Queue the publish on the CPU clock; the fan-out is decided now,
@@ -357,7 +356,6 @@ class PubSubServer(Actor):
             if profiler is not None:
                 profiler.count("reliability", "replay.messages", len(entries))
 
-    # repro: scope[hot]
     def _complete_publish(self, cmd: PublishCmd, publisher_id: str, done: float) -> None:
         """Fan a publication out to all subscribers, on its arrival.
 

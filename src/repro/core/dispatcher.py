@@ -367,7 +367,6 @@ class Dispatcher(Actor):
     # ------------------------------------------------------------------
     # Local traffic observation (loopback)
     # ------------------------------------------------------------------
-    # repro: scope[hot]
     def _on_publication(
         self, channel: str, publisher_id: str, payload: Any, payload_size: int
     ) -> None:

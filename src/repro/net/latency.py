@@ -116,7 +116,6 @@ class KingLatencyModel:
         self.ceiling = ceiling
         self._mu = math.log(median)
 
-    # repro: scope[hot]
     def sample(self, rng: Random) -> float:
         # What ``rng.lognormvariate(mu, sigma)`` does, minus its frame and
         # ``normalvariate``'s: the Kinderman-Monahan ratio-of-uniforms loop

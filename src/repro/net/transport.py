@@ -171,7 +171,6 @@ class Transport:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    # repro: scope[hot]
     def send(
         self,
         src_id: str,
@@ -257,7 +256,6 @@ class Transport:
             states.append(state)
         return states
 
-    # repro: scope[hot]
     def send_fanout(
         self,
         src_id: str,

@@ -284,7 +284,6 @@ class MetricsRegistry:
             self._memo[raw] = instrument
         return instrument
 
-    # repro: scope[hot]
     def counter(self, name: str, **labels: object) -> Counter:
         raw = ("counter", name, *labels.items())
         instrument = self._memo.get(raw)
@@ -292,7 +291,6 @@ class MetricsRegistry:
             instrument = self._resolve(raw, self._counters, labels, Counter)
         return instrument
 
-    # repro: scope[hot]
     def gauge(self, name: str, **labels: object) -> Gauge:
         raw = ("gauge", name, *labels.items())
         instrument = self._memo.get(raw)
@@ -300,7 +298,6 @@ class MetricsRegistry:
             instrument = self._resolve(raw, self._gauges, labels, Gauge)
         return instrument
 
-    # repro: scope[hot]
     def histogram(
         self,
         name: str,

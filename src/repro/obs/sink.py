@@ -81,7 +81,6 @@ class StreamingJsonlSink:
     # ------------------------------------------------------------------
     # TraceSink interface
     # ------------------------------------------------------------------
-    # repro: scope[hot]
     def emit(self, event: TraceEvent) -> None:
         if self._fh is None:
             raise ValueError(f"{self.path}: sink is closed")

@@ -151,7 +151,6 @@ class SlaMonitor:
         if type(event) is DeliveryEvent:
             self.on_delivery(event)
 
-    # repro: scope[hot]
     def on_delivery(self, event: DeliveryEvent) -> None:
         """Record one delivery, in its leaf (the ``DeliveryEvent`` observer)."""
         epoch = int(event.t / self.slice_s)

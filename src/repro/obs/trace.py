@@ -671,7 +671,6 @@ class Tracer:
             observer for observer, types in self._observers if not types or cls in types
         )
 
-    # repro: scope[hot]
     def emit(self, event: TraceEvent) -> None:
         if event.t > self.last_t:
             self.last_t = event.t

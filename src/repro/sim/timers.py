@@ -112,7 +112,6 @@ class PeriodicTask:
             self._event.cancel()
             self._event = None
 
-    # repro: scope[hot]
     def _tick(self) -> None:
         if not self._running:
             return

@@ -152,7 +152,6 @@ class Player:
         self.client.subscribe(channel, self._on_delivery)
         self.current_channel = channel
 
-    # repro: scope[hot]
     def _tick(self, now: float) -> None:
         config = self.config
         if now >= self._paused_until:

@@ -10,4 +10,4 @@ class DynamothConfig:
 
 
 def tune(config: DynamothConfig) -> float:
-    return config.lr_ceiling  # repro: allow[CFG001] - fixture class shadows the real config
+    return config.lr_ceiling

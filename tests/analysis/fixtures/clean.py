@@ -19,10 +19,3 @@ class Dispatcher:
 
     def _apply(self, message) -> None:
         pass
-
-
-def sum_sizes(sizes) -> int:  # repro: scope[hot]
-    total = 0
-    for size in sizes:
-        total += size
-    return total

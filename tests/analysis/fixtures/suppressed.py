@@ -1,10 +1,9 @@
 """Violations silenced by inline ``# repro: allow[RULE]`` suppressions."""
-# repro: scope[hot-path,no-io,layer-broker,wire-messages]
+# repro: scope[hot-path,no-io,layer-broker]
 
 import time
 
 from repro.core.plan import Plan  # repro: allow[ARCH001]
-from repro.obs.trace import PublishEvent
 
 
 def export_checkpoint(path: str, payload: bytes) -> float:
@@ -25,16 +24,5 @@ class LoadBalancer:
         raise NotImplementedError(type(message).__name__)
 
 
-def rebroadcast(net, channel, plan: Plan):
-    notice = MappingNotice(channel=channel)  # noqa: F821 - parse-only fixture
-    net.send(notice)
-    notice.channel = "redacted"  # repro: allow[MUT001]
-    return notice
-
-
-def record(tracer, t):
-    tracer.emit(PublishEvent(t=t, origin="c1"))  # repro: allow[TRC002]
-
-
-def format_batch(dst_ids) -> str:  # repro: scope[hot]
-    return f"batch-{len(dst_ids)}"  # repro: allow[HOT001]
+def current_version(plan: Plan) -> int:
+    return plan.version

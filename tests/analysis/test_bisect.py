@@ -96,6 +96,13 @@ class TestBisect:
         # (client) depending on decode order; both map to a subsystem.
         assert divergence.subsystem == SUBSYSTEMS[divergence.event_type]
 
+    def test_truncated_gzip_raises_value_error_with_line(self, tmp_path):
+        left, broken = tmp_path / "a.jsonl", tmp_path / "b.jsonl.gz"
+        _write_trace(left, 300)
+        broken.write_bytes(gzip.compress(left.read_bytes())[:-12])
+        with pytest.raises(ValueError, match=r"b\.jsonl\.gz:\d+: malformed gzip stream"):
+            bisect_traces(left, broken)
+
     def test_format_divergence_mentions_index(self, tmp_path):
         left, right = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         _write_trace(left, 10)
@@ -146,6 +153,23 @@ class TestBisectCli:
         _write_trace(left, 10)
         proc = self._run(str(left))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_broken_gzip_exits_two_with_location(self, tmp_path, damage):
+        # A run killed mid-write leaves a gzip stream without its trailer;
+        # that is an unreadable input (exit 2), never a divergence (exit 1).
+        left, broken = tmp_path / "a.jsonl", tmp_path / "b.jsonl.gz"
+        _write_trace(left, 100)
+        packed = gzip.compress(left.read_bytes())
+        if damage == "truncated":
+            broken.write_bytes(packed[:-12])
+        else:
+            broken.write_bytes(b"\x1f\x8b" + b"not a deflate stream" * 4)
+        proc = self._run(str(left), str(broken))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{broken}:" in proc.stderr
+        assert "malformed gzip stream" in proc.stderr
 
 
 class TestSubsystemTable:

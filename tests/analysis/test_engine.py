@@ -1,8 +1,9 @@
-"""Engine mechanics: caching, suppression, discovery, scopes."""
+"""Engine mechanics: suppression, discovery, scopes."""
 
 from pathlib import Path
 
-from repro.analysis import AnalysisConfig, AnalysisEngine
+from repro.analysis import AnalysisEngine
+from repro.analysis import engine as engine_module
 
 VIOLATION = (
     '"""tmp module."""\n'
@@ -13,62 +14,49 @@ VIOLATION = (
 )
 
 
+FIXTURES = Path("tests/analysis/fixtures")
+
+
 def make_project(tmp_path: Path) -> Path:
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "mod.py").write_text(VIOLATION, encoding="utf-8")
     return tmp_path
 
 
-def make_engine(root: Path, **config_kwargs) -> AnalysisEngine:
-    config = AnalysisConfig(**config_kwargs)
-    return AnalysisEngine(root, config)
+def make_fixtures(tmp_path: Path) -> Path:
+    """A project whose only module sits in the excluded fixtures directory."""
+    (tmp_path / FIXTURES).mkdir(parents=True)
+    (tmp_path / FIXTURES / "mod.py").write_text(VIOLATION, encoding="utf-8")
+    return tmp_path
 
 
 class TestCache:
-    def test_second_run_hits_cache(self, tmp_path):
-        root = make_project(tmp_path)
-        first = make_engine(root).check([Path("pkg")])
-        assert first.cache_misses == 1 and first.cache_hits == 0
-        second = make_engine(root).check([Path("pkg")])
-        assert second.cache_hits == 1 and second.cache_misses == 0
-        assert [d.format() for d in second.diagnostics] == [
-            d.format() for d in first.diagnostics
-        ]
+    """There is no result cache: every run analyzes every file afresh."""
 
     def test_edit_invalidates_entry(self, tmp_path):
         root = make_project(tmp_path)
-        make_engine(root).check([Path("pkg")])
-        (root / "pkg" / "mod.py").write_text(
-            VIOLATION + "\n# touched\n", encoding="utf-8"
-        )
-        report = make_engine(root).check([Path("pkg")])
-        assert report.cache_misses == 1
-        assert len(report.diagnostics) == 1  # still the same finding
-
-    def test_config_change_rotates_cache(self, tmp_path):
-        root = make_project(tmp_path)
-        make_engine(root).check([Path("pkg")])
-        report = make_engine(root, disable=("DET002",)).check([Path("pkg")])
-        assert report.cache_hits == 0  # different context key
+        assert len(AnalysisEngine(root).check([Path("pkg")]).diagnostics) == 1
+        (root / "pkg" / "mod.py").write_text("x = 1\n", encoding="utf-8")
+        assert AnalysisEngine(root).check([Path("pkg")]).diagnostics == []
 
     def test_no_cache_mode_writes_nothing(self, tmp_path):
         root = make_project(tmp_path)
-        engine = make_engine(root)
-        engine.check([Path("pkg")], use_cache=False)
-        assert not (root / engine.config.cache).exists()
+        before = sorted(root.rglob("*"))
+        AnalysisEngine(root).check([Path("pkg")])
+        assert sorted(root.rglob("*")) == before
 
     def test_corrupt_cache_is_ignored(self, tmp_path):
+        # a cache file an older analyzer left behind is never read
         root = make_project(tmp_path)
-        engine = make_engine(root)
-        (root / engine.config.cache).write_text("{not json", encoding="utf-8")
-        report = engine.check([Path("pkg")])
+        (root / ".repro-analysis-cache.json").write_text("{not json", encoding="utf-8")
+        report = AnalysisEngine(root).check([Path("pkg")])
         assert len(report.diagnostics) == 1
 
 
 class TestSuppression:
     def test_inline_allow_hides_finding(self, tmp_path):
         root = make_project(tmp_path)
-        engine = make_engine(root)
+        engine = AnalysisEngine(root)
         source = VIOLATION.replace(
             "return time.time()",
             "return time.time()  # repro: allow[DET001]",
@@ -76,7 +64,7 @@ class TestSuppression:
         assert engine.analyze_source("pkg/mod.py", source) == []
 
     def test_allow_is_rule_specific(self, tmp_path):
-        engine = make_engine(make_project(tmp_path))
+        engine = AnalysisEngine(make_project(tmp_path))
         source = VIOLATION.replace(
             "return time.time()",
             "return time.time()  # repro: allow[DET002]",
@@ -84,7 +72,7 @@ class TestSuppression:
         assert len(engine.analyze_source("pkg/mod.py", source)) == 1
 
     def test_allow_inside_string_is_not_a_suppression(self, tmp_path):
-        engine = make_engine(make_project(tmp_path))
+        engine = AnalysisEngine(make_project(tmp_path))
         source = (
             "import time\n"
             'NOTE = "use # repro: allow[DET001] to suppress"\n'
@@ -93,8 +81,16 @@ class TestSuppression:
         diagnostics = engine.analyze_source("pkg/mod.py", source)
         assert [d.rule for d in diagnostics] == ["DET001"]
 
+    def test_clean_file_is_not_tokenized(self, tmp_path, monkeypatch):
+        def fail(source):
+            raise AssertionError("tokenized a file without findings")
+
+        monkeypatch.setattr(engine_module, "_inline_allows", fail)
+        engine = AnalysisEngine(make_project(tmp_path))
+        assert engine.analyze_source("pkg/mod.py", "x = 1  # repro: allow[DET001]\n") == []
+
     def test_multiple_rules_in_one_allow(self, tmp_path):
-        engine = make_engine(make_project(tmp_path))
+        engine = AnalysisEngine(make_project(tmp_path))
         source = (
             "# repro: scope[no-io]\n"
             "import time\n"
@@ -105,14 +101,12 @@ class TestSuppression:
 
 class TestDiscoveryAndScopes:
     def test_exclude_skips_directory_walk(self, tmp_path):
-        root = make_project(tmp_path)
-        engine = make_engine(root, exclude=("pkg",))
-        assert engine.discover([Path("pkg")]) == []
+        root = make_fixtures(tmp_path)
+        assert AnalysisEngine(root).discover([Path("tests")]) == []
 
     def test_explicit_file_beats_exclude(self, tmp_path):
-        root = make_project(tmp_path)
-        engine = make_engine(root, exclude=("pkg",))
-        found = engine.discover([Path("pkg") / "mod.py"])
+        root = make_fixtures(tmp_path)
+        found = AnalysisEngine(root).discover([FIXTURES / "mod.py"])
         assert [p.name for p in found] == ["mod.py"]
 
     def test_pycache_and_hidden_dirs_skipped(self, tmp_path):
@@ -121,28 +115,26 @@ class TestDiscoveryAndScopes:
         (root / "pkg" / "__pycache__" / "junk.py").write_text("x = 1\n")
         (root / ".hidden").mkdir()
         (root / ".hidden" / "h.py").write_text("x = 1\n")
-        found = make_engine(root).discover([Path(".")])
+        found = AnalysisEngine(root).discover([Path(".")])
         assert [p.name for p in found] == ["mod.py"]
 
     def test_glob_scope_assignment(self, tmp_path):
-        engine = make_engine(
-            make_project(tmp_path), hot_paths=("pkg/*",), no_io=()
-        )
-        assert "hot-path" in engine.scopes_for("pkg/mod.py", "")
-        assert "no-io" not in engine.scopes_for("pkg/mod.py", "")
+        engine = AnalysisEngine(make_project(tmp_path))
+        assert engine.scopes_for("src/repro/net/mod.py", "") == {"hot-path", "no-io"}
+        assert engine.scopes_for("src/repro/obs/mod.py", "") == frozenset()
         assert engine.scopes_for("other/mod.py", "") == frozenset()
 
     def test_pragma_opts_file_into_scope(self, tmp_path):
-        engine = make_engine(make_project(tmp_path), hot_paths=())
+        engine = AnalysisEngine(make_project(tmp_path))
         source = "# repro: scope[hot-path]\n"
-        assert "hot-path" in engine.scopes_for("anywhere.py", source)
+        assert engine.scopes_for("anywhere.py", source) == {"hot-path"}
 
     def test_pragma_outside_header_ignored(self, tmp_path):
-        engine = make_engine(make_project(tmp_path), hot_paths=())
+        engine = AnalysisEngine(make_project(tmp_path))
         source = "\n" * 20 + "# repro: scope[hot-path]\n"
         assert engine.scopes_for("anywhere.py", source) == frozenset()
 
     def test_syntax_error_reports_parse_diagnostic(self, tmp_path):
-        engine = make_engine(make_project(tmp_path))
+        engine = AnalysisEngine(make_project(tmp_path))
         diagnostics = engine.analyze_source("pkg/bad.py", "def broken(:\n")
         assert [d.rule for d in diagnostics] == ["PARSE"]

@@ -1,75 +1,63 @@
-"""collect_facts over the real repository tree."""
+"""collect_facts and the rule tables over the real repository tree."""
 
 from pathlib import Path
 
+import ast
 import pytest
 
-from repro.analysis import AnalysisConfig, collect_facts
-from repro.analysis.project import _registered_event_names, _class_facts
-import ast
+from repro.analysis import collect_facts
+from repro.analysis.project import CONFIG_CLASSES
+from repro.analysis.rules.arch001_layering import LAYERS, module_level_repro_imports
+from repro.analysis.rules.msg001_protocol import PROTOCOL, actors, dispatch_map
 
 ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
 def facts():
-    return collect_facts(ROOT, AnalysisConfig())
+    return collect_facts(ROOT)
 
 
-class TestTraceRegistry:
-    def test_known_events_registered(self, facts):
-        assert facts.trace_events is not None
-        for name in ("PublishEvent", "DeliveryEvent", "MetricsEvent"):
-            assert name in facts.trace_events
-
-    def test_base_class_not_registered(self, facts):
-        # TraceEvent is the abstract base; emitting it is the bug TRC001
-        # exists to catch, so it must not appear in the registry facts.
-        assert "TraceEvent" not in facts.trace_events
-
-    def test_registry_is_large(self, facts):
-        assert len(facts.trace_events) >= 25
+@pytest.fixture(scope="module")
+def handlers():
+    """Actor class name -> (defining path, ``receive`` dispatch map)."""
+    out = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rel = path.relative_to(ROOT).as_posix()
+        out.update(
+            {node.name: (rel, dispatch_map(receive)) for node, receive in actors(tree)}
+        )
+    return out
 
 
 class TestConfigClasses:
-    def test_both_tracked_classes_found(self, facts):
-        assert set(facts.config_classes) == {
-            "DynamothConfig",
-            "ChaosScenarioConfig",
-            "RunSpec",
-        }
-        assert "population" in facts.config_classes["RunSpec"].fields
+    def test_both_tracked_classes_found(self):
+        defined = set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defined |= {
+                node.name for node in tree.body if isinstance(node, ast.ClassDef)
+            }
+        assert CONFIG_CLASSES == {"DynamothConfig", "ChaosScenarioConfig", "RunSpec"}
+        assert CONFIG_CLASSES <= defined
 
-    def test_dynamoth_fields_present(self, facts):
-        fields = facts.config_classes["DynamothConfig"].fields
-        assert "max_servers" in fields
-        assert "lr_celing" not in fields  # the golden-fixture typo
-
-    def test_methods_are_members_not_fields(self, facts):
-        cf = facts.config_classes["DynamothConfig"]
-        assert cf.methods.isdisjoint(cf.fields)
-        assert cf.members == cf.fields | cf.methods
-
-
-class TestCacheKey:
-    def test_stable_across_collections(self, facts):
-        again = collect_facts(ROOT, AnalysisConfig())
-        assert facts.cache_key() == again.cache_key()
-
-    def test_key_reflects_registry(self, facts):
-        assert "PublishEvent" in facts.cache_key()
+    def test_config_reads_collected(self, facts):
+        assert "max_servers" in facts.config_field_reads
 
 
 class TestHandlerMap:
-    def test_all_protocol_actors_have_handlers(self, facts):
-        for actors in AnalysisConfig().protocol.values():
-            for actor in actors:
-                assert actor in facts.handlers, actor
+    def test_all_protocol_actors_have_handlers(self, handlers):
+        # MSG001 checks the actors it finds; a renamed actor class would
+        # silently drop out of its view, so the table must name real ones.
+        for routed_to in PROTOCOL.values():
+            for actor in routed_to:
+                assert actor in handlers, actor
 
-    def test_broker_dispatch_branches(self, facts):
-        server = facts.handlers["PubSubServer"]
-        assert server.path == "src/repro/broker/server.py"
-        assert server.handled == {
+    def test_broker_dispatch_branches(self, handlers):
+        path, dispatch = handlers["PubSubServer"]
+        assert path == "src/repro/broker/server.py"
+        assert {name for name, _ in dispatch} == {
             "PublishCmd",
             "SubscribeCmd",
             "UnsubscribeCmd",
@@ -77,37 +65,50 @@ class TestHandlerMap:
             "PingCmd",
         }
 
-    def test_dispatch_records_branch_lines(self, facts):
-        dispatch = dict(facts.handlers["Dispatcher"].dispatch)
+    def test_dispatch_records_branch_lines(self, handlers):
+        dispatch = dict(handlers["Dispatcher"][1])
         assert set(dispatch) == {"PlanPush", "NoMoreSubscribers"}
         assert all(line > 0 for line in dispatch.values())
 
 
 class TestImportGraph:
-    def test_leaf_layers_import_nothing(self, facts):
-        assert facts.import_graph["sim"] == frozenset()
-        assert facts.import_graph["obs"] == frozenset()
-
-    def test_net_depends_only_on_sim(self, facts):
-        assert facts.import_graph["net"] == frozenset({"sim"})
-
-    def test_broker_never_imports_control_plane(self, facts):
-        # The data plane must not reach up into repro.core at module
-        # level; ARCH001 enforces this and the facts must agree.
-        assert "core" not in facts.import_graph["broker"]
-
-    def test_graph_respects_declared_dag(self, facts):
-        layers = AnalysisConfig().layers
-        for pkg, imported in facts.import_graph.items():
-            if pkg not in layers:
+    @pytest.fixture(scope="class")
+    def import_graph(self):
+        """Top-level package -> packages it imports at module level."""
+        graph = {}
+        pkg_root = ROOT / "src" / "repro"
+        for path in sorted(pkg_root.rglob("*.py")):
+            parts = path.relative_to(pkg_root).parts
+            if len(parts) < 2:
                 continue
-            allowed = set(layers[pkg])
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            edges = graph.setdefault(parts[0], set())
+            edges.update(t for t, _ in module_level_repro_imports(tree) if t != parts[0])
+        return graph
+
+    def test_leaf_layers_import_nothing(self, import_graph):
+        assert import_graph["sim"] == set()
+        assert import_graph["obs"] == set()
+
+    def test_net_depends_only_on_sim(self, import_graph):
+        assert import_graph["net"] == {"sim"}
+
+    def test_broker_never_imports_control_plane(self, import_graph):
+        # The data plane must not reach up into repro.core at module
+        # level; ARCH001 enforces this and the tree must agree.
+        assert "core" not in import_graph["broker"]
+
+    def test_graph_respects_declared_dag(self, import_graph):
+        for pkg, imported in import_graph.items():
+            if pkg not in LAYERS:
+                continue
+            allowed = set(LAYERS[pkg])
             assert imported <= allowed, (pkg, imported - allowed)
 
 
 class TestLayerDag:
     def test_declared_layers_are_acyclic(self):
-        layers = {k: set(v) for k, v in AnalysisConfig().layers.items()}
+        layers = {k: set(v) for k, v in LAYERS.items()}
         order = []
         while layers:
             ready = [k for k, deps in layers.items() if not deps & set(layers)]
@@ -125,53 +126,5 @@ class TestWireMessages:
         assert line > 0
 
     def test_every_routed_message_is_a_known_wire_type(self, facts):
-        for message in AnalysisConfig().protocol:
+        for message in PROTOCOL:
             assert message in facts.wire_messages, message
-
-
-class TestEventFields:
-    def test_publish_event_schema(self, facts):
-        ev = facts.event_fields["PublishEvent"]
-        assert ev.names == (
-            "t",
-            "msg_id",
-            "channel",
-            "sender",
-            "plan_version",
-            "targets",
-            "payload_size",
-        )
-        assert "t" in ev.required
-
-    def test_config_reads_collected(self, facts):
-        assert "max_servers" in facts.config_field_reads
-
-
-class TestParsers:
-    def test_dict_comp_registry_form(self):
-        tree = ast.parse(
-            "EVENT_TYPES = {cls.TYPE: cls for cls in (A, B)}\n"
-        )
-        assert _registered_event_names(tree) == frozenset({"A", "B"})
-
-    def test_plain_dict_registry_form(self):
-        tree = ast.parse('EVENT_TYPES = {"a": A, "b": B}\n')
-        assert _registered_event_names(tree) == frozenset({"A", "B"})
-
-    def test_missing_registry_is_none(self):
-        assert _registered_event_names(ast.parse("x = 1\n")) is None
-
-    def test_class_facts_split(self):
-        tree = ast.parse(
-            "class C:\n"
-            "    a: int\n"
-            "    B = 3\n"
-            "    def m(self):\n"
-            "        pass\n"
-        )
-        cf = _class_facts(tree, "C")
-        assert cf.fields == frozenset({"a", "B"})
-        assert cf.methods == frozenset({"m"})
-
-    def test_class_facts_missing_class(self):
-        assert _class_facts(ast.parse("x = 1\n"), "C") is None

@@ -6,28 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisConfig, AnalysisEngine
-from repro.analysis.project import ClassFacts, ProjectFacts
-from repro.analysis.rules import get_rule
+from repro.analysis import ALL_RULES, AnalysisEngine
 from repro.analysis.rules.base import ImportMap
 
-FACTS = ProjectFacts(
-    trace_events=frozenset({"PublishEvent", "DeliveryEvent"}),
-    config_classes={
-        "DynamothConfig": ClassFacts(
-            fields=frozenset({"max_servers", "lr_high"}),
-            methods=frozenset({"validate"}),
-        )
-    },
-)
+#: a module under the simulation globs (DET003 and DET004 are on)
+HOT = "src/repro/net/a.py"
 
 
 @pytest.fixture()
 def engine(tmp_path):
-    config = AnalysisConfig(
-        hot_paths=("hot/*",), no_io=("hot/*",), wire_messages=("wire.py",)
-    )
-    return AnalysisEngine(tmp_path, config, facts=FACTS)
+    return AnalysisEngine(tmp_path)
 
 
 def rules_of(engine, path, source):
@@ -65,10 +53,6 @@ class TestImportMap:
 
 
 class TestDet001:
-    def test_wallclock_ok_scope_exempts(self, engine):
-        source = "# repro: scope[wallclock-ok]\nimport time\nt = time.time()\n"
-        assert rules_of(engine, "hot/x.py", source) == []
-
     def test_perf_counter_flagged(self, engine):
         source = "import time\nt = time.perf_counter()\n"
         assert rules_of(engine, "x.py", source) == [("DET001", 2)]
@@ -92,187 +76,59 @@ class TestDet003:
     def test_only_on_hot_path(self, engine):
         source = "for x in {1, 2}:\n    pass\n"
         assert rules_of(engine, "cold.py", source) == []
-        assert rules_of(engine, "hot/a.py", source) == [("DET003", 1)]
+        assert rules_of(engine, HOT, source) == [("DET003", 1)]
 
     def test_sorted_wrapping_ok(self, engine):
         source = "s = {1, 2}\nfor x in sorted(s):\n    pass\n"
-        assert rules_of(engine, "hot/a.py", source) == []
+        assert rules_of(engine, HOT, source) == []
 
     def test_reassignment_clears_tracking(self, engine):
         source = "s = {1, 2}\ns = [1, 2]\nfor x in s:\n    pass\n"
-        assert rules_of(engine, "hot/a.py", source) == []
+        assert rules_of(engine, HOT, source) == []
 
     def test_augassign_union_tracks(self, engine):
         source = "s = set()\ns |= {1}\nfor x in s:\n    pass\n"
-        assert rules_of(engine, "hot/a.py", source) == [("DET003", 3)]
+        assert rules_of(engine, HOT, source) == [("DET003", 3)]
 
     def test_list_materialization_flagged(self, engine):
         source = "order = list({1, 2})\n"
-        assert rules_of(engine, "hot/a.py", source) == [("DET003", 1)]
+        assert rules_of(engine, HOT, source) == [("DET003", 1)]
 
     def test_set_typed_parameter_tracked(self, engine):
         source = "def f(s: set) -> None:\n    for x in s:\n        pass\n"
-        assert rules_of(engine, "hot/a.py", source) == [("DET003", 2)]
+        assert rules_of(engine, HOT, source) == [("DET003", 2)]
 
     def test_set_method_chain_flagged(self, engine):
         source = "a = {1}\nfor x in a.union({2}):\n    pass\n"
-        assert rules_of(engine, "hot/a.py", source) == [("DET003", 2)]
+        assert rules_of(engine, HOT, source) == [("DET003", 2)]
 
     def test_dict_iteration_ok(self, engine):
         source = "d = {1: 2}\nfor x in d:\n    pass\n"
-        assert rules_of(engine, "hot/a.py", source) == []
+        assert rules_of(engine, HOT, source) == []
 
 
 class TestDet004:
     def test_socket_prefix(self, engine):
         source = "import socket\ns = socket.create_connection(('h', 1))\n"
-        assert rules_of(engine, "hot/a.py", source) == [("DET004", 2)]
+        assert rules_of(engine, HOT, source) == [("DET004", 2)]
 
     def test_off_scope_untouched(self, engine):
         source = "import socket\ns = socket.create_connection(('h', 1))\n"
         assert rules_of(engine, "cold.py", source) == []
 
 
-class TestSlot001:
-    def test_attribute_decorator_form(self, engine):
-        source = (
-            "import dataclasses\n"
-            "@dataclasses.dataclass\n"
-            "class M:\n"
-            "    x: int\n"
-        )
-        assert rules_of(engine, "wire.py", source) == [("SLOT001", 2)]
-
-    def test_non_dataclass_ignored(self, engine):
-        source = "class Plain:\n    pass\n"
-        assert rules_of(engine, "wire.py", source) == []
-
-
-class TestTrc001:
-    def test_registered_event_ok(self, engine):
-        source = (
-            "from repro.obs.trace import PublishEvent\n"
-            "def f(tr):\n"
-            "    tr.emit(PublishEvent(0.0))\n"
-        )
-        assert rules_of(engine, "x.py", source) == []
-
-    def test_unregistered_event_flagged(self, engine):
-        source = (
-            "from repro.obs.trace import TraceEvent\n"
-            "def f(tr):\n"
-            "    tr.emit(TraceEvent(0.0))\n"
-        )
-        assert rules_of(engine, "x.py", source) == [("TRC001", 3)]
-
-    def test_no_registry_means_silent(self, tmp_path):
-        config = AnalysisConfig()
-        engine = AnalysisEngine(
-            tmp_path, config, facts=ProjectFacts(None, {})
-        )
-        source = (
-            "from repro.obs.trace import TraceEvent\n"
-            "def f(tr):\n"
-            "    tr.emit(TraceEvent(0.0))\n"
-        )
-        assert engine.analyze_source("x.py", source) == []
-
-    def test_local_class_ignored(self, engine):
-        source = (
-            "class Local:\n"
-            "    pass\n"
-            "def f(tr):\n"
-            "    tr.emit(Local())\n"
-        )
-        assert rules_of(engine, "x.py", source) == []
-
-
-class TestRng001:
-    def test_typed_random_param_ok(self, engine):
-        source = (
-            "from random import Random\n"
-            "def f(rng: Random) -> float:\n"
-            "    return rng.random()\n"
-        )
-        assert rules_of(engine, "x.py", source) == []
-
-    def test_optional_random_ok(self, engine):
-        source = (
-            "from random import Random\n"
-            "from typing import Optional\n"
-            "def f(rng: Optional[Random] = None) -> None:\n"
-            "    pass\n"
-        )
-        assert rules_of(engine, "x.py", source) == []
-
-    def test_any_typed_param_flagged(self, engine):
-        source = (
-            "from typing import Any\n"
-            "def f(rng: Any) -> None:\n"
-            "    pass\n"
-        )
-        assert rules_of(engine, "x.py", source) == [("RNG001", 2)]
-
-    def test_broad_import_with_function_use_untouched(self, engine):
-        # random.shuffle is a *call-site* problem (DET002), not an import
-        # narrowing candidate.
-        source = "import random\nrandom.shuffle([1, 2])\n"
-        assert rules_of(engine, "x.py", source) == [("DET002", 2)]
-
-
-class TestCfg001:
-    def test_constructor_keyword_checked(self, engine):
-        source = (
-            "from repro.core.config import DynamothConfig\n"
-            "c = DynamothConfig(max_servers=4, bogus=1)\n"
-        )
-        assert rules_of(engine, "x.py", source) == [("CFG001", 2)]
-
-    def test_method_and_field_access_ok(self, engine):
-        source = (
-            "from repro.core.config import DynamothConfig\n"
-            "def f(c: DynamothConfig):\n"
-            "    c.validate()\n"
-            "    return c.lr_high\n"
-        )
-        assert rules_of(engine, "x.py", source) == []
-
-    def test_attribute_typo_flagged(self, engine):
-        source = (
-            "from repro.core.config import DynamothConfig\n"
-            "def f(c: DynamothConfig):\n"
-            "    return c.lr_hgih\n"
-        )
-        assert rules_of(engine, "x.py", source) == [("CFG001", 3)]
-
-    def test_replace_keywords_checked(self, engine):
-        source = (
-            "from dataclasses import replace\n"
-            "from repro.core.config import DynamothConfig\n"
-            "def f(c: DynamothConfig):\n"
-            "    return replace(c, max_servres=2)\n"
-        )
-        assert rules_of(engine, "x.py", source) == [("CFG001", 4)]
-
-    def test_private_attribute_ignored(self, engine):
-        source = (
-            "from repro.core.config import DynamothConfig\n"
-            "def f(c: DynamothConfig):\n"
-            "    return c._cached\n"
-        )
-        assert rules_of(engine, "x.py", source) == []
-
-
 class TestExplain:
     def test_every_rule_has_explanation(self):
-        for rule_id in AnalysisConfig().active_rules():
-            text = get_rule(rule_id).explain()
-            assert rule_id in text and len(text) > 100
+        # A rule's class docstring is its rationale; check names the fix.
+        assert [rule.ID for rule in ALL_RULES] == [
+            "DET001", "DET002", "DET003", "DET004", "CFG002", "MSG001", "ARCH001",
+        ]
+        for rule in ALL_RULES:
+            assert rule.SUMMARY and len(rule.__doc__ or "") > 100, rule.ID
 
 
 def test_fixture_directory_is_excluded_by_default():
     root = Path(__file__).resolve().parents[2]
-    config = AnalysisConfig()
-    engine = AnalysisEngine(root, config)
+    engine = AnalysisEngine(root)
     discovered = engine.discover([Path("tests/analysis")])
     assert all("fixtures" not in p.parts for p in discovered)

@@ -1,7 +1,11 @@
 """Unit tests for message formats."""
 
+import dataclasses
+
 import pytest
 
+from repro.broker import commands
+from repro.core import messages, reliability
 from repro.core.messages import (
     AppEnvelope,
     ChannelMetricsSnapshot,
@@ -12,6 +16,24 @@ from repro.core.messages import (
     SwitchNotice,
 )
 from repro.core.plan import ChannelMapping, ReplicationMode
+
+WIRE_DATACLASSES = sorted(
+    (
+        cls
+        for module in (messages, commands, reliability)
+        for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    ),
+    key=lambda cls: f"{cls.__module__}.{cls.__name__}",
+)
+
+
+@pytest.mark.parametrize("cls", WIRE_DATACLASSES, ids=lambda cls: cls.__name__)
+def test_wire_dataclass_is_frozen_and_slotted(cls):
+    # Fan-out hands one message object to every receiver: a mutable or
+    # dict-backed message would let one receiver change what the next sees.
+    assert cls.__dataclass_params__.frozen, cls.__name__
+    assert "__slots__" in vars(cls), cls.__name__
 
 
 class TestAppEnvelope:

@@ -1,12 +1,15 @@
 """JSONL export round-trip tests: every event type survives write -> read."""
 
+import importlib
 import json
+import pkgutil
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.obs.export import (
     HEADER_TYPE,
     SCHEMA_VERSION,
@@ -55,6 +58,7 @@ from repro.obs.trace import (
     SpawnRequestEvent,
     SubscribeEvent,
     SwitchNoticeEvent,
+    TraceEvent,
     Tracer,
     UnsubscribeEvent,
     field_names,
@@ -111,6 +115,20 @@ SAMPLE_EVENTS = [
 
 def test_sample_covers_every_event_type():
     assert {type(e).TYPE for e in SAMPLE_EVENTS} == set(EVENT_TYPES)
+    # Every event class anywhere in the package is registered, so nothing
+    # the simulator can emit is dropped on read-back.
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
+    pending, defined = [TraceEvent], set()
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            if sub.__module__.startswith("repro."):
+                defined.add(sub)
+    assert defined <= set(EVENT_TYPES.values()), sorted(
+        cls.__name__ for cls in defined - set(EVENT_TYPES.values())
+    )
 
 
 class TestRoundTrip:
