@@ -39,7 +39,7 @@ from repro.faults.schedule import (
     action_from_dict,
     action_to_dict,
 )
-from repro.obs.export import event_to_json
+from repro.obs.export import render
 from repro.obs.trace import Tracer
 
 #: grace before the end of the run during which nothing publishes, so the
@@ -299,8 +299,7 @@ class RunResult:
 
     def trace_bytes(self) -> bytes:
         """The schema-2 JSONL body; byte-identical across replays."""
-        lines = [event_to_json(e) for e in self.tracer.events]
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return ("\n".join(render(self.tracer.events)) + "\n").encode("utf-8")
 
 
 # ----------------------------------------------------------------------

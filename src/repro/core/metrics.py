@@ -54,9 +54,12 @@ class ServerLoadView:
         self._reports: Deque[LoadReport] = deque()
         self.nominal_egress_bps: float = 0.0
         self.last_report_at: float = 0.0
+        #: :meth:`channel_loads` of the current window, until it changes
+        self._channel_loads: Optional[Dict[str, ChannelLoad]] = None
 
     def add(self, report: LoadReport) -> None:
         self._reports.append(report)
+        self._channel_loads = None
         self.nominal_egress_bps = report.nominal_egress_bps
         self.last_report_at = report.window_end
 
@@ -65,6 +68,7 @@ class ServerLoadView:
         reports = self._reports
         while reports and reports[0].window_end < horizon:
             reports.popleft()
+            self._channel_loads = None
 
     @property
     def report_count(self) -> int:
@@ -90,7 +94,17 @@ class ServerLoadView:
         return sum(r.cpu_utilization for r in self._reports) / len(self._reports)
 
     def channel_loads(self) -> Dict[str, ChannelLoad]:
-        """Per-channel averages over the window."""
+        """Per-channel averages over the window.
+
+        Worked out once per window: the dict is shared by every caller
+        until the next :meth:`add` or a :meth:`prune` that drops a report,
+        so it must not be modified.
+        """
+        if self._channel_loads is None:
+            self._channel_loads = self._average_channels()
+        return self._channel_loads
+
+    def _average_channels(self) -> Dict[str, ChannelLoad]:
         if not self._reports:
             return {}
         n = len(self._reports)

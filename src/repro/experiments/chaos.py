@@ -118,21 +118,25 @@ class ChaosScenarioConfig:
 class RecoveryWatch:
     """Tracer observer computing recovery milestones as events stream by.
 
-    Registered via :meth:`Tracer.add_observer` before the run starts, so
-    the milestones are available even when the tracer writes through a
-    streaming sink and keeps no event buffer.  Events arrive in virtual
-    time order, which lets every milestone be resolved online:
+    Attached with :meth:`attach` before the run starts, so the milestones
+    are available even when the tracer writes through a streaming sink and
+    keeps no event buffer.  Events arrive in virtual time order, which lets
+    every milestone be resolved online:
 
     * crash / detection / repair: first matching event for the victim;
     * recovery: each :class:`ClientFailoverEvent` opens a pending entry
       for that client, closed by its first strictly-later delivery; the
       recovery time is the slowest such close.
+
+    Deliveries matter only while an entry is open, so :meth:`on_delivery`
+    is registered for :class:`DeliveryEvent` when the first entry opens
+    and removed when the last one closes.
     """
 
     #: The event classes :meth:`__call__` acts on.
     EVENT_TYPES = (
-        DeliveryEvent, ServerCrashEvent, ClientReconnectEvent,
-        ServerFailureConfirmedEvent, PlanRepairDoneEvent, ClientFailoverEvent,
+        ServerCrashEvent, ClientReconnectEvent, ServerFailureConfirmedEvent,
+        PlanRepairDoneEvent, ClientFailoverEvent,
     )
 
     def __init__(self, victim: str):
@@ -145,18 +149,16 @@ class RecoveryWatch:
         #: client -> failover time, unresolved until a later delivery
         self._awaiting: Dict[str, float] = {}
         self._recovered_t: Optional[float] = None
+        self._tracer: Optional[Tracer] = None
+
+    def attach(self, tracer: Tracer) -> None:
+        """Observe ``tracer``'s milestone events from its next emit on."""
+        self._tracer = tracer
+        tracer.add_observer(self, *self.EVENT_TYPES)
 
     def __call__(self, event: TraceEvent) -> None:
         et = type(event)
-        if et is DeliveryEvent:
-            awaiting = self._awaiting
-            if awaiting:
-                failed_at = awaiting.get(event.client)  # type: ignore[attr-defined]
-                if failed_at is not None and event.t > failed_at:
-                    del awaiting[event.client]  # type: ignore[attr-defined]
-                    if self._recovered_t is None or event.t > self._recovered_t:
-                        self._recovered_t = event.t
-        elif et is ServerCrashEvent:
+        if et is ServerCrashEvent:
             if event.server == self.victim and self.crash_t is None:  # type: ignore[attr-defined]
                 self.crash_t = event.t
         elif et is ClientReconnectEvent:
@@ -171,8 +173,24 @@ class RecoveryWatch:
             elif et is ClientFailoverEvent and event.server == self.victim:  # type: ignore[attr-defined]
                 self.failover_count += 1
                 client = event.client  # type: ignore[attr-defined]
-                if client not in self._awaiting:
-                    self._awaiting[client] = event.t
+                awaiting = self._awaiting
+                if client not in awaiting:
+                    if not awaiting:
+                        assert self._tracer is not None, "attach() the watch first"
+                        self._tracer.add_observer(self.on_delivery, DeliveryEvent)
+                    awaiting[client] = event.t
+
+    def on_delivery(self, event: DeliveryEvent) -> None:
+        """Close the receiving client's entry, if it failed over earlier."""
+        awaiting = self._awaiting
+        failed_at = awaiting.get(event.client)
+        if failed_at is not None and event.t > failed_at:
+            del awaiting[event.client]
+            if self._recovered_t is None or event.t > self._recovered_t:
+                self._recovered_t = event.t
+            if not awaiting:
+                assert self._tracer is not None
+                self._tracer.remove_observer(self.on_delivery)
 
     @property
     def detection_s(self) -> Optional[float]:
@@ -249,7 +267,7 @@ def run_chaos(
     # Registered after ``build`` so the cluster's SLA monitor observes
     # first; ``faults[0]`` is the crash (a restart may follow it).
     watch = RecoveryWatch(spec.faults[0].server)
-    tracer.add_observer(watch, *RecoveryWatch.EVENT_TYPES)
+    watch.attach(tracer)
     cluster.run_until(spec.duration_s)
 
     if watch.crash_t is None:  # pragma: no cover - the schedule always fires

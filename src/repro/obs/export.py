@@ -13,8 +13,10 @@ Schema (one JSON object per line):
 
 An event line is ``json.dumps(event.to_dict(), sort_keys=True,
 separators=(",", ":"))`` byte for byte, but the writer never builds that
-dict: :func:`line_encoder` compiles, once per event class, a function that
-joins the class's pre-rendered ``"key":`` fragments with the field values.
+dict: :func:`render` turns a batch of events into lines in one pass,
+joining each class's pre-rendered ``"key":`` fragments (worked out once per
+class) with the field values.  Every writer -- :func:`write_trace`, the
+streaming sink -- goes through it, :data:`RENDER_SLICE` events at a time.
 
 The loader reconstructs typed event objects, so a write/read cycle is
 lossless (``loaded == original`` field for field); unknown event types in
@@ -26,17 +28,18 @@ written by :class:`repro.obs.sink.StreamingJsonlSink`.
 
 from __future__ import annotations
 
-import functools
 import gzip
 import json
 import zlib
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, List, Tuple, Type, Union
+from typing import IO, Iterable, Iterator, List, Tuple, Type, Union
 
 from repro.obs.trace import (
     EVENT_TYPES,
+    FirstUse,
     MetricsEvent,
     ProfileEvent,
     TraceEvent,
@@ -58,29 +61,21 @@ HEADER_TYPE = "trace_header"
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
-#: The one general-purpose encoder, for values the line encoders do not
-#: render themselves (``json.dumps`` with these arguments builds a fresh
+#: The one general-purpose encoder, for values :func:`render` does not
+#: render itself (``json.dumps`` with these arguments builds a fresh
 #: encoder object on every call).
 _encode_other = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-#: The item types of a tuple the line encoders render themselves.
+#: The item types of a tuple :func:`render` renders itself.
 _STR_ONLY = frozenset({str})
 
 
-@functools.cache
-def line_encoder(cls: Type[TraceEvent]) -> Callable[[TraceEvent], str]:
-    """The compiled ``event -> JSON line`` function of one event class.
+def _plan(cls: Type[TraceEvent]) -> Tuple[Tuple[Tuple[str, str], ...], str]:
+    """An event class's ``(text before the value, field name)`` pairs and
+    the closing text.
 
-    Everything static is worked out here, once: the sorted key order (the
-    constant ``"type"`` member sorts in among the field names) and the
-    escaped ``,"key":`` text in front of each value.  Per event, the
-    returned function renders the values and joins.  A value is rendered
-    by its *exact* type -- ``bool`` is an ``int`` to ``isinstance`` but
-    ``true`` to JSON -- with the same C primitives the json module uses for
-    ``str``, ``int`` and finite ``float``, and a tuple of nothing but
-    ``str`` (publish targets, subscription servers) as the array of them;
-    any other value (mixed or nested tuples, dict payloads, non-finite
-    floats, subclasses) goes to the shared encoder, which is byte-exact by
-    construction.
+    Everything static is worked out here, once per class: the sorted key
+    order (the constant ``"type"`` member sorts in among the field names)
+    and the escaped ``,"key":`` text in front of each value.
     """
     plan: List[Tuple[str, str]] = []
     static = "{"
@@ -91,11 +86,33 @@ def line_encoder(cls: Type[TraceEvent]) -> Callable[[TraceEvent], str]:
         else:
             plan.append((static, name))
             static = ""
-    tail = static + "}"
+    return tuple(plan), static + "}"
+
+
+#: event class -> its :func:`_plan`, worked out on the class's first event.
+_PLANS = FirstUse(_plan)
+#: Events :func:`write_events` renders per pass.
+RENDER_SLICE = 4096
+
+
+def render(events: Iterable[TraceEvent]) -> List[str]:
+    """One JSON line (no newline) per event, in one pass.
+
+    Per event, the values are rendered and joined with the class's cached
+    fragments.  A value is rendered by its *exact* type -- ``bool`` is an
+    ``int`` to ``isinstance`` but ``true`` to JSON -- with the same C
+    primitives the json module uses for ``str``, ``int`` and finite
+    ``float``, and a tuple of nothing but ``str`` (publish targets,
+    subscription servers) as the array of them; any other value (mixed or
+    nested tuples, dict payloads, non-finite floats, subclasses) goes to
+    the shared encoder, which is byte-exact by construction.
+    """
+    plans = _PLANS
     float_repr = float.__repr__
     int_repr = int.__repr__
-
-    def encode(event: TraceEvent) -> str:
+    lines: List[str] = []
+    for event in events:
+        plan, tail = plans[type(event)]
         parts: List[str] = []
         for fragment, name in plan:
             value = getattr(event, name)
@@ -119,14 +136,13 @@ def line_encoder(cls: Type[TraceEvent]) -> Callable[[TraceEvent], str]:
             parts.append(fragment)
             parts.append(text)
         parts.append(tail)
-        return "".join(parts)
-
-    return encode
+        lines.append("".join(parts))
+    return lines
 
 
 def event_to_json(event: TraceEvent) -> str:
     """One trace line (no newline) for ``event``."""
-    return line_encoder(type(event))(event)
+    return render((event,))[0]
 
 
 def header_json() -> str:
@@ -134,15 +150,30 @@ def header_json() -> str:
     return json.dumps({"type": HEADER_TYPE, "schema": SCHEMA_VERSION})
 
 
+def write_events(fh: IO[str], events: Iterable[TraceEvent]) -> int:
+    """Write one line per event to ``fh``; returns how many.
+
+    Rendered :data:`RENDER_SLICE` events at a time and written line by
+    line, so neither every line of a long buffered run nor one joined
+    string of them is ever held at once.
+    """
+    count = 0
+    remaining = iter(events)
+    write = fh.write
+    while True:
+        lines = render(islice(remaining, RENDER_SLICE))
+        if not lines:
+            return count
+        for line in lines:
+            write(line + "\n")
+        count += len(lines)
+
+
 def write_trace(path: Union[str, Path], events: Iterable[TraceEvent]) -> int:
     """Write ``events`` as JSONL; returns the number of events written."""
-    count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header_json() + "\n")
-        for event in events:
-            fh.write(event_to_json(event) + "\n")
-            count += 1
-    return count
+        return write_events(fh, events)
 
 
 def trailer_events(tracer: Tracer) -> List[TraceEvent]:

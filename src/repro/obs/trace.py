@@ -57,8 +57,8 @@ class TraceEvent:
     def to_dict(self) -> Dict[str, Any]:
         """The event as a JSON-ready dict: what a reader gets back.
 
-        The writer does not come through here (it uses the per-class line
-        encoders of :mod:`repro.obs.export`); tests hold the two equal.
+        The writer does not come through here (it uses
+        :func:`repro.obs.export.render`); tests hold the two equal.
         """
         out: Dict[str, Any] = {"type": self.TYPE}
         for name in field_names(type(self)):
@@ -593,11 +593,13 @@ class Tracer:
 
     Three optional attachments extend the buffered default:
 
-    * ``sink`` -- a :class:`repro.obs.sink.TraceSink` receiving every event
-      as it is emitted.  When a sink is set, in-memory buffering defaults
-      to *off* (``keep_events=False``) so multi-million-event runs hold
-      O(sink chunk) events rather than the whole timeline; pass
-      ``keep_events=True`` to tee (stream *and* buffer, e.g. for oracles).
+    * ``sink`` -- a :class:`repro.obs.sink.TraceSink`: every event is
+      appended to its ``pending`` chunk as it is emitted, and the sink is
+      flushed when the chunk is full.  When a sink is set, in-memory
+      buffering defaults to *off* (``keep_events=False``) so
+      multi-million-event runs hold O(sink chunk) events rather than the
+      whole timeline; pass ``keep_events=True`` to tee (stream *and*
+      buffer, e.g. for oracles).
     * observers -- live per-event callbacks (:meth:`add_observer`), used by
       the SLA monitor and the chaos recovery watcher, each called for the
       event classes it asked for.  Observers run after the event is
@@ -664,7 +666,33 @@ class Tracer:
         emit.
         """
         self._observers.append((observer, event_types))
-        self._observers_of.clear()
+        self._unresolve(event_types)
+
+    def remove_observer(self, observer: Observer) -> None:
+        """Undo :meth:`add_observer`: ``observer`` is not called from the
+        next emit on.
+
+        Observers compare with ``==``, so a bound method re-made from the
+        same object and function is found.  Removing one mid-dispatch is
+        safe: the dispatch in progress finishes over the observers it
+        started with.  An observer that is not registered is ignored.
+        """
+        kept: List[Tuple[Observer, Tuple[Type[TraceEvent], ...]]] = []
+        for entry in self._observers:
+            if entry[0] == observer:
+                self._unresolve(entry[1])
+            else:
+                kept.append(entry)
+        self._observers = kept
+
+    def _unresolve(self, event_types: Tuple[Type[TraceEvent], ...]) -> None:
+        """Forget the resolved observers of ``event_types`` (of every
+        class, for an observer of every event)."""
+        resolved = self._observers_of
+        if not event_types:
+            resolved.clear()
+        for cls in event_types:
+            resolved.pop(cls, None)
 
     def _resolve_observers(self, cls: Type[TraceEvent]) -> Tuple[Observer, ...]:
         return tuple(
@@ -678,7 +706,10 @@ class Tracer:
             self.events.append(event)
         sink = self.sink
         if sink is not None:
-            sink.emit(event)
+            pending = sink.pending
+            pending.append(event)
+            if len(pending) >= sink.chunk_events:
+                sink.flush()
         for observer in self._observers_of[type(event)]:
             observer(event)
 

@@ -111,6 +111,22 @@ class TestChannelLoads:
         view.add_report(report("s1", 2.0, 0, channels=[snap("ch", subs=9)]))
         assert view.channel_loads("s1")["ch"].subscriber_count == 9
 
+    def test_answered_once_per_window(self):
+        view = ServerLoadView(window_s=3.0)
+        view.add(report("s1", 1.0, 0, channels=[snap("ch", pubs=10)]))
+        first = view.channel_loads()
+        assert view.channel_loads() is first
+        view.add(report("s1", 2.0, 0, channels=[snap("ch", pubs=30)]))
+        second = view.channel_loads()
+        assert second is not first
+        assert second["ch"].publications_per_s == pytest.approx(20.0)
+        view.prune(3.5)  # horizon 0.5: both reports stay
+        assert view.channel_loads() is second
+        view.prune(4.5)  # horizon 1.5: the t=1 report goes
+        third = view.channel_loads()
+        assert third is not second
+        assert third["ch"].publications_per_s == pytest.approx(30.0)
+
 
 class TestChannelTotals:
     def test_single_sums(self):

@@ -20,8 +20,11 @@ from repro.experiments.run import build
 from repro.obs.export import write_trace
 from repro.obs.trace import (
     ClientFailoverEvent,
+    ClientReconnectEvent,
+    DeliveryEvent,
     PlanRepairDoneEvent,
     PublishEvent,
+    ServerCrashEvent,
     ServerFailureConfirmedEvent,
     ServerSuspectEvent,
     Tracer,
@@ -111,7 +114,7 @@ def test_a_confirmed_crash_is_routed_around_for_good(seed):
     tracer = Tracer()
     cluster, __ = build(spec, seed, tracer=tracer)
     watch = RecoveryWatch(spec.faults[0].server)
-    tracer.add_observer(watch, *RecoveryWatch.EVENT_TYPES)
+    watch.attach(tracer)
     cluster.run_until(spec.duration_s)
 
     victim = watch.victim
@@ -127,6 +130,54 @@ def test_a_confirmed_crash_is_routed_around_for_good(seed):
         if isinstance(e, PublishEvent) and victim in e.targets and e.t > deadline
     ]
     assert late == []
+
+
+def _milestones_hearing_every_delivery(events, victim):
+    """``(recovery_s, failover_count, reconnects)`` read by a watch that
+    hears every event: the reference for the watch that hears deliveries
+    only while a client is cut off."""
+    crash_t, recovered_t, failovers, reconnects = None, None, 0, 0
+    awaiting = {}
+    for e in events:
+        if isinstance(e, ServerCrashEvent) and e.server == victim and crash_t is None:
+            crash_t = e.t
+        elif isinstance(e, ClientReconnectEvent):
+            reconnects += 1
+        elif isinstance(e, ClientFailoverEvent) and crash_t is not None and e.server == victim:
+            failovers += 1
+            awaiting.setdefault(e.client, e.t)
+        elif isinstance(e, DeliveryEvent) and e.t > awaiting.get(e.client, e.t):
+            del awaiting[e.client]
+            recovered_t = e.t if recovered_t is None else max(recovered_t, e.t)
+    recovery_s = None if awaiting or recovered_t is None else recovered_t - crash_t
+    return recovery_s, failovers, reconnects
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_watch_hears_deliveries_only_while_a_client_is_cut_off(seed, monkeypatch):
+    heard = []
+    on_delivery = RecoveryWatch.on_delivery
+
+    def recording(watch, event):
+        heard.append(event.t)
+        on_delivery(watch, event)
+
+    monkeypatch.setattr(RecoveryWatch, "on_delivery", recording)
+    tracer = Tracer()
+    result = run_chaos(replace(ChaosScenarioConfig.smoke(), seed=seed), tracer=tracer)
+
+    assert (result.recovery_s, result.failover_count, result.reconnects) == (
+        _milestones_hearing_every_delivery(tracer.events, result.victim)
+    )
+    assert result.recovery_s is not None
+    first_failover = min(
+        e.t for e in tracer.events
+        if isinstance(e, ClientFailoverEvent) and e.server == result.victim
+    )
+    deliveries = [e.t for e in tracer.events if isinstance(e, DeliveryEvent)]
+    assert heard[0] >= first_failover
+    assert heard[-1] == pytest.approx(result.crash_t + result.recovery_s)
+    assert len(heard) < len(deliveries) / 2
 
 
 class TestDeterminism:

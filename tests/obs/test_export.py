@@ -17,6 +17,7 @@ from repro.obs.export import (
     event_to_json,
     header_json,
     read_trace,
+    render,
     write_trace,
 )
 from repro.obs.trace import (
@@ -206,6 +207,10 @@ class TestCompiledEncoder:
             for value in TRICKY_VALUES:
                 mutated = replace(event, **{name: value})
                 assert event_to_json(mutated) == reference_json(mutated), (name, value)
+
+    def test_one_pass_over_mixed_classes_matches_the_reference(self):
+        events = SAMPLE_EVENTS + SAMPLE_EVENTS[::-1]
+        assert render(events) == [reference_json(event) for event in events]
 
     def test_bool_in_an_int_field_is_not_an_int(self):
         event = ReplayEvent(1.0, "pub1", "tile:1:1", "bob", True, False, 1, 0, 0)

@@ -151,6 +151,22 @@ class TestRotation:
         dump_tracer(reference, ref_path)
         assert events == read_trace(ref_path)
 
+    def test_a_chunk_larger_than_the_rotation_splits_at_exact_boundaries(self, tmp_path):
+        expected = _buffered_bytes(tmp_path)
+        path = tmp_path / "rot.jsonl"
+        sink = StreamingJsonlSink(str(path), chunk_events=50, rotate_events=7)
+        tracer = Tracer(sink=sink)
+        _emit_sample_run(tracer)
+        written = sink.finalize(tracer)
+
+        assert written == 102  # 101 events + the metrics trailer
+        segments = trace_segments(path)
+        assert sink.segments == segments
+        assert len(segments) == 15  # ceil(102 / 7)
+        header, *body = expected.splitlines(keepends=True)
+        for index, segment in enumerate(segments):
+            assert segment.read_bytes() == header + b"".join(body[7 * index : 7 * index + 7])
+
     def test_each_segment_standalone_readable(self, tmp_path):
         path = tmp_path / "rot.jsonl"
         sink = StreamingJsonlSink(str(path), rotate_events=25)
@@ -177,6 +193,18 @@ class TestBoundedMemory:
             assert sink.pending_events < 8
         sink.finalize(tracer)
 
+    def test_events_written_counts_pending_events(self, tmp_path):
+        sink = StreamingJsonlSink(str(tmp_path / "t.jsonl"), chunk_events=8)
+        tracer = Tracer(sink=sink)
+        for i in range(5):
+            tracer.emit(ServerReadyEvent(float(i), f"s{i}"))
+        assert (sink.events_written, sink.pending_events) == (5, 5)
+        for i in range(5, 10):
+            tracer.emit(ServerReadyEvent(float(i), f"s{i}"))
+        assert (sink.events_written, sink.pending_events) == (10, 2)
+        sink.close()
+        assert sink.events_written == 10
+
     def test_tee_mode_keeps_events_too(self, tmp_path):
         sink = StreamingJsonlSink(str(tmp_path / "t.jsonl"))
         tracer = Tracer(sink=sink, keep_events=True)
@@ -191,8 +219,8 @@ class TestLifecycle:
         tracer = Tracer(sink=sink)
         tracer.emit(ServerReadyEvent(0.0, "pub1"))
         sink.finalize(tracer)
-        with pytest.raises(ValueError):
-            sink.emit(ServerReadyEvent(1.0, "pub2"))
+        with pytest.raises(ValueError, match="closed"):
+            tracer.emit(ServerReadyEvent(1.0, "pub2"))
 
     def test_bufferless_tracer_without_sink_rejected(self):
         with pytest.raises(ValueError):
@@ -201,5 +229,5 @@ class TestLifecycle:
     def test_context_manager_closes(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with StreamingJsonlSink(str(path)) as sink:
-            sink.emit(ServerReadyEvent(0.0, "pub1"))
+            Tracer(sink=sink).emit(ServerReadyEvent(0.0, "pub1"))
         assert read_trace(path) == [ServerReadyEvent(0.0, "pub1")]

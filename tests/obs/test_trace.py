@@ -240,6 +240,52 @@ class TestObserverDispatch:
         tracer.emit(second)
         assert late == [second]
 
+    def test_removed_observer_is_not_called_and_the_rest_keep_their_order(self):
+        tracer = Tracer()
+        order = []
+
+        class Recorder:
+            def __init__(self, name):
+                self.name = name
+
+            def hear(self, event):
+                order.append(self.name)
+
+        first, middle, last = Recorder("first"), Recorder("middle"), Recorder("last")
+        tracer.add_observer(first.hear, DeliveryEvent)
+        tracer.add_observer(middle.hear)
+        tracer.add_observer(last.hear, DeliveryEvent)
+        tracer.emit(_delivery(0.5))  # resolves DeliveryEvent's observers
+        # A bound method made afresh is ``==`` to the registered one, not ``is``.
+        tracer.remove_observer(middle.hear)
+        tracer.emit(_delivery(0.6))
+        tracer.emit(ServerReadyEvent(0.7, "pub1"))
+        assert order == ["first", "middle", "last", "first", "last"]
+
+    def test_an_observer_can_remove_itself_during_its_own_dispatch(self):
+        tracer = Tracer()
+        seen, after = [], []
+
+        def once(event):
+            seen.append(event)
+            tracer.remove_observer(once)
+
+        tracer.add_observer(once, DeliveryEvent)
+        tracer.add_observer(after.append, DeliveryEvent)
+        first, second = _delivery(0.5), _delivery(0.6)
+        tracer.emit(first)
+        tracer.emit(second)
+        assert seen == [first]
+        assert after == [first, second]  # the dispatch in progress finished
+
+    def test_removing_an_unregistered_observer_changes_nothing(self):
+        tracer = Tracer()
+        seen = []
+        tracer.add_observer(seen.append, DeliveryEvent)
+        tracer.remove_observer(print)
+        tracer.emit(_delivery(0.5))
+        assert len(seen) == 1
+
     @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
     def test_reentrant_sla_event_lands_after_the_delivery_that_triggered_it(
         self, tmp_path, streamed
