@@ -547,24 +547,37 @@ class DynamothClient(Actor):
                 self.on_wire_delivery(channel, message)
             sequence = self._sequence
             if sequence is not None and message.seq is not None:
-                verdict = sequence.observe(
-                    message.server_id, channel, message.seq, message.epoch, sim.now
-                )
-                if verdict is False:
-                    # exactly_once: a sequence number already at or below
-                    # the stream watermark (and not a known hole) is a
-                    # replayed duplicate, known without the sender's window.
-                    self.duplicates += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("duplicates_total", client=self.node_id).inc()
-                    return
-                if verdict is not True:
-                    # Holes are due: ask, and have the stream's retry timer running.
-                    server_id = message.server_id
-                    self._request_replay(server_id, channel, message.epoch, verdict)
-                    delay = sequence.arm(server_id, channel)
-                    if delay:
-                        sim.schedule(delay, self._retry_gaps, server_id, channel)
+                # Predicted (TCP header prediction): the next number of a
+                # known stream in the same epoch with no holes moves the
+                # watermark here, as ``observe`` would; anything else is
+                # the stage's to judge.
+                seq = message.seq
+                stream = sequence.streams.get((message.server_id, channel))
+                if (
+                    stream is not None and seq == stream.max_seq + 1
+                    and stream.epoch == message.epoch and not stream.missing
+                ):
+                    stream.max_seq = seq
+                    stream.backoff = 0
+                else:
+                    verdict = sequence.observe(
+                        message.server_id, channel, seq, message.epoch, sim.now
+                    )
+                    if verdict is False:
+                        # exactly_once: a sequence number already at or below
+                        # the stream watermark (and not a known hole) is a
+                        # replayed duplicate, known without the sender's window.
+                        self.duplicates += 1
+                        if tracer.enabled:
+                            tracer.metrics.counter("duplicates_total", client=self.node_id).inc()
+                        return
+                    if verdict is not True:
+                        # Holes are due: ask, and have the stream's retry timer running.
+                        server_id = message.server_id
+                        self._request_replay(server_id, channel, message.epoch, verdict)
+                        delay = sequence.arm(server_id, channel)
+                        if delay:
+                            sim.schedule(delay, self._retry_gaps, server_id, channel)
 
             # Dedup: one sliding window per sender over its publication
             # numbers (the IPsec anti-replay window).  Only the sender's new
@@ -590,12 +603,30 @@ class DynamothClient(Actor):
 
             delivery = message
             batch = None
-            if self._gate is not None and envelope.pub_seq > 0:
-                # The arrival, then whatever it releases, in the gate's
-                # scan order; empty when the arrival parks.
-                batch = self._gate.admit(message)
-                if not batch:
-                    return
+            gate = self._gate
+            if gate is not None and envelope.pub_seq > 0:
+                # Predicted: on a channel with nothing parked, an arrival
+                # that is causally ready (``admit``'s test) releases nothing
+                # else, so it is delivered alone from here.
+                state = gate.channels.get(channel)
+                ready = False
+                if state is not None and not state.parked:
+                    delivered, sender, pub_seq = state.delivered, envelope.sender, envelope.pub_seq
+                    last = delivered.get(sender, 0)
+                    ready = pub_seq <= last + 1
+                    if ready:
+                        for dep_sender, dep_seq in envelope.deps:
+                            if dep_sender != sender and delivered.get(dep_sender, 0) < dep_seq:
+                                ready = False
+                                break
+                    if ready and pub_seq > last:
+                        delivered[sender] = pub_seq
+                if not ready:
+                    # The arrival, then whatever it releases, in the gate's
+                    # scan order; empty when the arrival parks.
+                    batch = gate.admit(message)
+                    if not batch:
+                        return
         elif isinstance(message, ParkTimeout):
             # Local, from the causal gate's park timer: a dependency is
             # apparently lost for good, so the channel is force-flushed in

@@ -14,8 +14,8 @@ tier selected by :attr:`~repro.core.config.DynamothConfig.delivery_tier`:
   ask for exactly those -- when a hole is found, and again once its own
   request is older than the link's measured retry timeout; on resubscribe
   the resume point rides the SUBSCRIBE command, MigratoryData-style;
-* ``exactly_once`` -- at-least-once plus the client's existing message-id
-  dedup, and replayed-but-already-seen sequence numbers are dropped
+* ``exactly_once`` -- at-least-once plus the client's per-sender dedup
+  window, and replayed-but-already-seen sequence numbers are dropped
   *before* the dedup bookkeeping so replay can never recycle the window.
 
 Epochs make broker restarts explicit: a restarted server id starts a new
@@ -237,21 +237,29 @@ class SequenceStage:
     Gap repair is selective repeat on one clock: every hole carries the
     time of its own latest request, and the one due-check (:meth:`_due`)
     names the holes never asked for or asked a retry timeout ago.  It runs
-    on every arrival (:meth:`observe`) and from the stream's retry timer
-    (:meth:`retry`), which the owning client schedules.  The client builds
+    in :meth:`observe` while the stream has holes and from the stream's
+    retry timer (:meth:`retry`), which the owning client schedules.  The client builds
     a stage only when the run stamps sequence numbers
     (``ReliabilityConfig.reliable``).
+
+    The client predicts the common arrival -- ``max_seq + 1`` of a known
+    stream, same epoch, no holes -- and settles it on :attr:`streams`
+    itself, so :meth:`observe` sees only the exceptions: first contact, a
+    new or older epoch, an arrival that opens a hole, one on a stream with
+    holes (a fill, or the next number past them), and a replayed duplicate.
     """
 
-    __slots__ = ("_drop_stale", "_streams", "_links", "_armed", "_handshakes")
+    __slots__ = ("_drop_stale", "streams", "_links", "_armed", "_handshakes")
 
     def __init__(self, config: ReliabilityConfig) -> None:
         #: the tier's one per-message question, answered once: exactly_once
         #: drops a replayed duplicate, at_least_once lets it through (the
         #: app may see it again -- that tier's contract)
         self._drop_stale = config.exactly_once
-        #: (server, channel) -> stream state
-        self._streams: Dict[Tuple[str, str], _Stream] = {}
+        #: (server, channel) -> stream state.  Public because
+        #: ``DynamothClient.receive`` reads it without a call: it settles
+        #: the next number of a hole-free stream in its epoch itself.
+        self.streams: Dict[Tuple[str, str], _Stream] = {}
         #: server -> the estimator its streams share
         self._links: Dict[str, LinkClock] = {}
         #: (server, channel) of the retry timers in flight; not on the stream,
@@ -289,11 +297,11 @@ class SequenceStage:
         *and* names the sequence numbers to ask the server for now.
         """
         key = (server, channel)
-        stream = self._streams.get(key)
+        stream = self.streams.get(key)
         if stream is None:
             links = self._links
             link = links.get(server) or links.setdefault(server, LinkClock(REPLAY_RETRY_COOLDOWN_S))
-            stream = self._streams[key] = _Stream(link)
+            stream = self.streams[key] = _Stream(link)
         if epoch != stream.epoch:
             if epoch < stream.epoch:
                 # A straggler from an older boot: the live stream's holes
@@ -341,7 +349,7 @@ class SequenceStage:
         if key in self._armed:
             return 0.0
         self._armed.add(key)
-        return self._streams[key].link.timeout
+        return self.streams[key].link.timeout
 
     def retry(
         self, server: str, channel: str, now: float, held: bool
@@ -352,7 +360,7 @@ class SequenceStage:
         Each firing that no arrival preceded doubles the timeout, up to the
         ceiling, and any arrival resets it -- per stream, not per hole: a
         third attempt at one hole on a doubled clock parks the channel."""
-        stream = self._streams.get((server, channel))
+        stream = self.streams.get((server, channel))
         if stream is None or not stream.missing or not held:
             self._armed.discard((server, channel))
             return 0, (), 0.0
@@ -366,7 +374,7 @@ class SequenceStage:
     def forget_through(self, server: str, channel: str, epoch: int, through_seq: int) -> int:
         """Broker said seqs <= through_seq are evicted: stop chasing them.
         Returns how many holes were written off."""
-        stream = self._streams.get((server, channel))
+        stream = self.streams.get((server, channel))
         if stream is None or stream.epoch != epoch:
             return 0
         lost = [seq for seq in stream.missing if seq <= through_seq]
@@ -376,7 +384,7 @@ class SequenceStage:
 
     def resume_point(self, server: str, channel: str) -> Tuple[int, int]:
         """(resume_after, resume_epoch) for a SUBSCRIBE on this stream."""
-        stream = self._streams.get((server, channel))
+        stream = self.streams.get((server, channel))
         if stream is None or stream.epoch < 0:
             return (-1, -1)
         after = min(stream.missing) - 1 if stream.missing else stream.max_seq
@@ -384,8 +392,8 @@ class SequenceStage:
 
     def drop_channel(self, channel: str) -> None:
         """Clean unsubscribe: the stream position is no longer meaningful."""
-        for key in [k for k in self._streams if k[1] == channel]:
-            del self._streams[key]
+        for key in [k for k in self.streams if k[1] == channel]:
+            del self.streams[key]
         for key in [k for k in self._handshakes if k[1] == channel]:
             del self._handshakes[key]
 
@@ -426,9 +434,15 @@ class CausalGate:
     causal state, keyed per channel: the counters that stamp outgoing
     envelopes, the parked deliveries, and the park timer that force-flushes
     a channel whose dependency is lost for good.
+
+    The client predicts the common arrival -- causally ready on a known
+    channel with nothing parked -- and advances ``delivered`` itself, so
+    :meth:`admit` sees only the exceptions: a channel's first arrival, an
+    arrival that is not ready (it parks), and any arrival on a channel with
+    deliveries parked (it may release them).
     """
 
-    __slots__ = ("_sim", "_owner", "_receive", "_channels", "_tokens")
+    __slots__ = ("_sim", "_owner", "_receive", "channels", "_tokens")
 
     def __init__(self, owner: Any) -> None:
         #: the client actor: its ``sim`` runs the park timer, its ``node_id``
@@ -436,14 +450,17 @@ class CausalGate:
         self._sim = owner.sim
         self._owner = owner.node_id
         self._receive = owner.receive
-        self._channels: Dict[str, _ChannelOrder] = {}
+        #: channel -> causal state.  Public because ``DynamothClient.receive``
+        #: reads a channel's ``parked`` and ``delivered`` without a call: it
+        #: delivers a ready arrival on a channel with nothing parked itself.
+        self.channels: Dict[str, _ChannelOrder] = {}
         #: tokens are unique per gate, so a timer armed before the channel
         #: drained or was dropped can never flush what parks after it
         self._tokens = 0
 
     def stamp(self, channel: str) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
         """(pub_seq, deps) metadata for the owner's next publication."""
-        state = self._channels.get(channel) or self._channels.setdefault(channel, _ChannelOrder())
+        state = self.channels.get(channel) or self.channels.setdefault(channel, _ChannelOrder())
         state.published += 1
         deps = sorted(state.delivered.items())
         own = state.delivered.get(self._owner)
@@ -461,7 +478,7 @@ class CausalGate:
         vector on the spot, so the caller delivers the batch unconditionally.
         """
         channel = delivery.channel
-        state = self._channels.get(channel) or self._channels.setdefault(channel, _ChannelOrder())
+        state = self.channels.get(channel) or self.channels.setdefault(channel, _ChannelOrder())
         parked, delivered = state.parked, state.delivered
         batch: List[Any] = []
         candidate, index = delivery, -1
@@ -502,7 +519,7 @@ class CausalGate:
     def expire(self, channel: str, token: int) -> Sequence[Any]:
         """Park timeout: everything parked on ``channel``, in arrival order.
         Empty when ``token`` is stale."""
-        state = self._channels.get(channel)
+        state = self.channels.get(channel)
         if state is None or state.token != token:
             return ()
         flushed, state.parked, state.token = state.parked, [], 0
@@ -514,7 +531,7 @@ class CausalGate:
 
     def drop_channel(self, channel: str) -> None:
         """Clean unsubscribe: forget the channel's causal history."""
-        self._channels.pop(channel, None)
+        self.channels.pop(channel, None)
 
 
 def reliability_config_from(config: DynamothConfig) -> Optional[ReliabilityConfig]:

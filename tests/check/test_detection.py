@@ -198,3 +198,29 @@ def test_soak_seed_passes(seed):
     only the RNG's draws spared it, green once the ping tick re-sends an
     unacked SUBSCRIBE.  Its at_most_once run stays red: no stage, no table."""
     assert check_result(run_scenario(generate_scenario(seed))) == []
+
+
+#: Liveness item (b): an at_most_once client never re-sends an unacked
+#: SUBSCRIBE.  Red today; the change that fixes it flips these.
+_UNACKED_SUBSCRIBE_LOSS = {
+    86: "4 loss-free violations: reader6 misses room:2 publications writer0..3:58 "
+        "sent to pub1 at t ~ 23.5",
+    170: "2 loss-free violations: reader4 misses room:1 publications writer1:60 and "
+         "writer2:62 sent to pub1 at t ~ 24.8",
+}
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(
+            seed, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+        )
+        for seed, reason in _UNACKED_SUBSCRIBE_LOSS.items()
+    ],
+)
+def test_soak_seed_passes_at_most_once(seed):
+    """``--tier at_most_once --no-causal``: the same churny + client-loss
+    seeds with neither reliable stage nor a ping tick to re-send."""
+    scenario = generate_scenario(seed, delivery_tier="at_most_once", causal_order=False)
+    assert check_result(run_scenario(scenario)) == []

@@ -18,7 +18,7 @@ from repro.core.config import DynamothConfig
 from repro.core.messages import AppEnvelope
 from repro.core.reliability import ReliabilityConfig
 from repro.obs.trace import CausalTimeoutEvent, DeliveryEvent, Tracer
-from tests.helpers import make_bare_client, make_static_cluster
+from tests.helpers import make_bare_client, make_static_cluster, python_calls_by_function
 
 
 def make_client(**kwargs):
@@ -115,6 +115,61 @@ class TestSequenceStageInTheChain:
         # a:1 is still remembered: its copy on another stream is a duplicate.
         client.receive(stamped("a", 1, seq=1, server="s2"), "s2")
         assert (client.delivered, client.duplicates) == (2, window + 6)
+
+
+class TestPredictedDelivery:
+    """An in-order, causally ready arrival is settled in ``receive``'s own
+    frame; a hole or a park still reaches the stage that owns it."""
+
+    def make_reliable_client(self):
+        sim, client = make_client(reliability=ReliabilityConfig("exactly_once", causal_order=True))
+        seen = []
+        client.subscribe("ch", lambda ch, body, env: seen.append(env.msg_id))
+        client.receive(stamped("a", 1, seq=1), "s1")  # first contact: both stages
+        return client, seen
+
+    @staticmethod
+    def reliability_calls(client, delivery):
+        calls = python_calls_by_function(lambda: client.receive(delivery, delivery.server_id))
+        return sorted(name for path, _, name in calls if path.endswith("/core/reliability.py"))
+
+    def test_in_order_ready_delivery_makes_no_reliability_call(self):
+        client, seen = self.make_reliable_client()
+        assert self.reliability_calls(client, stamped("a", 2, seq=2)) == []
+        assert self.reliability_calls(client, stamped("b", 1, [("a", 2)], seq=3)) == []
+        assert seen == ["a:1", "a:2", "b:1"]
+        stream = client._sequence.streams["s1", "ch"]
+        assert (stream.max_seq, stream.missing) == (3, {})
+        assert client._gate.channels["ch"].delivered == {"a": 2, "b": 1}
+
+    def test_predicted_arrival_resets_the_retry_backoff_as_observe_does(self):
+        sim, client = make_client(reliability=ReliabilityConfig("at_least_once"))
+        client.subscribe("ch", lambda ch, body, env: None)
+        client.receive(stamped("a", 1, seq=1), "s1")
+        client.receive(stamped("a", 3, seq=3), "s1")
+        sim.run_until(1.5)  # the retry timer fired once with the hole open
+        stream = client._sequence.streams["s1", "ch"]
+        client.receive(ReplayGapNotice("s1", "ch", 1, 2), "s1")  # written off
+        assert (stream.missing, stream.backoff) == ({}, 1)
+        assert self.reliability_calls(client, stamped("a", 4, seq=4)) == []
+        assert (stream.max_seq, stream.backoff) == (4, 0)
+
+    def test_a_hole_still_reaches_the_sequence_stage(self):
+        client, seen = self.make_reliable_client()
+        assert "observe" in self.reliability_calls(client, stamped("a", 2, seq=3))
+        assert client.transport.messages(ReplayRequest) == [ReplayRequest("ch", 1, (2,))]
+        # The fill, and the next arrival while a hole is open, are observed too.
+        assert "observe" in self.reliability_calls(client, stamped("b", 1, seq=2))
+        assert seen == ["a:1", "a:2", "b:1"]
+
+    def test_a_park_still_reaches_the_causal_gate(self):
+        client, seen = self.make_reliable_client()
+        assert self.reliability_calls(client, stamped("b", 1, [("a", 2)], seq=2)) == ["admit"]
+        assert seen == ["a:1"]
+        # With a delivery parked, the next arrival is the gate's: it releases.
+        assert self.reliability_calls(client, stamped("a", 2, seq=3)) == ["admit"]
+        assert seen == ["a:1", "a:2", "b:1"]
+        assert not client._gate.channels["ch"].parked
 
 
 class TestOneTail:

@@ -292,7 +292,7 @@ class TestSequenceStage:
             assert stage.observe("s1", "a", 10, 1, 1.2) is True
             assert stage.observe("s1", "a", 3, 1, 1.2) is True
             assert stage.resume_point("s1", "a") == (1, 2)
-            assert sorted(stage._streams[("s1", "a")].missing) == [2, 3]
+            assert sorted(stage.streams[("s1", "a")].missing) == [2, 3]
             assert stage.observe("s1", "a", 5, 2, 1.3) is True  # no reset, no re-ask
 
     def test_retry_timer_asks_again_when_nothing_arrives(self):
@@ -535,7 +535,7 @@ class _RepairRun:
             self.sim.schedule(delay, self.fire)
         else:
             self.timers -= 1
-            assert not self.stage._streams[("s", "ch")].missing
+            assert not self.stage.streams[("s", "ch")].missing
 
     def request(self, seqs):
         now = self.sim.now
@@ -572,7 +572,7 @@ class TestRepairProperty:
         owed = list(range(joined, run.count + 1))
         # Every hole was filled once arrivals continued ...
         assert sorted(run.seen) == owed
-        assert not run.stage._streams[("s", "ch")].missing and run.timers == 0
+        assert not run.stage.streams[("s", "ch")].missing and run.timers == 0
         assert run.stage.resume_point("s", "ch") == (run.count, 1)
         # ... and the application saw each number at least / exactly once.
         assert sorted(set(run.delivered)) == owed
