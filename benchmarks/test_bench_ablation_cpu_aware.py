@@ -53,7 +53,7 @@ def run_policy(cpu_aware: bool, seed: int = 4):
             s = cluster.create_client(f"{prefix}-s{i}")
             s.subscribe(channel, lambda *a: None)
         pub = cluster.create_client(f"{prefix}-pub")
-        pub.on_response_time = lambda ch, value, now: rtt.add(now, value)
+        pub.on_response_time = lambda value, now: rtt.add(now, value)
         pub.subscribe(channel, lambda *a: None)
         task = PeriodicTask(
             cluster.sim, 0.01, lambda now, p=pub, c=channel: p.publish(c, "x", 50)

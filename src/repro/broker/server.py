@@ -5,9 +5,10 @@ Models a stock Redis instance doing channel pub/sub:
 * commands take effect in arrival order, as on Redis's single thread;
 * ``SUBSCRIBE`` / ``UNSUBSCRIBE`` maintain per-channel subscriber sets;
 * ``PUBLISH`` costs CPU (a base cost plus a per-subscriber delivery cost on
-  a single core, a FIFO clock like the NIC's).  Its fan-out is decided on
-  arrival, and its deliveries are queued on the egress NIC and on each
-  subscriber's connection from the instant the CPU finishes it;
+  a single core, a FIFO clock like the NIC's).  ``receive`` fans it out in
+  its own frame, on arrival, and its deliveries are queued on the egress
+  NIC and on each subscriber's connection from the instant the CPU
+  finishes it;
 * a subscriber connection whose output buffer exceeds the hard limit is
   killed, Redis-style;
 * co-located processes (LLA, dispatcher) attach as *local* subscribers and
@@ -226,37 +227,193 @@ class PubSubServer(Actor):
     # Command handling
     # ------------------------------------------------------------------
     def receive(self, message: Any, src_id: str) -> None:
-        if isinstance(message, PublishCmd):
-            # Queue the publish on the CPU clock; the fan-out is decided now,
-            # in command order, and its departures wait for ``done``.
-            now = self.sim.now
-            config = self.config
-            fanout = len(self._channels.get(message.channel, ()))
-            cost = config.cpu_per_publish_s + fanout * config.cpu_per_delivery_s
-            self.cpu_time_total += cost
-            start = now if now > self._cpu_busy_until else self._cpu_busy_until
-            done = start + cost
-            self._cpu_busy_until = done
-            self.publish_count += 1
-            self._complete_publish(message, src_id, done)
-        elif isinstance(message, SubscribeCmd):
-            self._handle_subscribe(
-                message.channel,
-                src_id,
-                message.plan_version,
-                message.resume_after,
-                message.resume_epoch,
+        """Execute one command, in arrival order.
+
+        A ``PUBLISH`` is charged on the CPU clock and fanned out in this
+        frame: who receives it, its sequence number, the load accounting
+        and the loopback callbacks are decided on arrival, and every clock
+        it advances (NIC, drain clocks, output-buffer expiry) starts at
+        ``done``, the CPU's completion.
+        """
+        if not isinstance(message, PublishCmd):
+            if isinstance(message, SubscribeCmd):
+                self._handle_subscribe(
+                    message.channel,
+                    src_id,
+                    message.plan_version,
+                    message.resume_after,
+                    message.resume_epoch,
+                )
+            elif isinstance(message, UnsubscribeCmd):
+                self._handle_unsubscribe(message.channel, src_id)
+            elif isinstance(message, ReplayRequest):
+                self._replay_range(src_id, message.channel, message.epoch, message.seqs)
+            elif isinstance(message, PingCmd):
+                self.transport.send(
+                    self.node_id, src_id, PongReply(self.node_id, message.stamp), PongReply.WIRE_SIZE
+                )
+            else:
+                raise TypeError(f"{self.node_id}: unexpected message {type(message).__name__}")
+            return
+        # Queue the publish on the CPU clock; the fan-out is decided now, in
+        # command order, and its departures wait for ``done``.
+        now = self.sim.now
+        config = self.config
+        channel = message.channel
+        subs = self._channels.get(channel)
+        fanout = len(subs) if subs else 0
+        cost = config.cpu_per_publish_s + fanout * config.cpu_per_delivery_s
+        self.cpu_time_total += cost
+        start = now if now > self._cpu_busy_until else self._cpu_busy_until
+        done = start + cost
+        self._cpu_busy_until = done
+        self.publish_count += 1
+        wire_size = message.payload_size + config.per_message_overhead_bytes
+        # Reliable tiers: stamp the publication's sequence number and cache
+        # it for replay -- even with zero live subscribers, because a
+        # disconnected subscriber will ask for exactly these on resume.
+        # Control publications (switch notices) are never sequenced: they
+        # are invisible to the application, so stamping them would
+        # fabricate gaps no one can observe being filled.
+        seq: Optional[int] = None
+        epoch = 0
+        rel = self._stamper
+        if rel is not None and not message.control:
+            seq = rel.stamp_and_cache(channel, message.payload, message.payload_size, wire_size)
+            epoch = rel.epoch
+        # One immutable payload envelope shared by every subscriber's
+        # delivery -- the whole fan-out references the same object.
+        delivery = Delivery(channel, message.payload, message.payload_size, self.node_id, seq, epoch)
+
+        delivered = 0
+        if subs:
+            # Precompiled subscriber arrays: the per-subscriber connection
+            # walk and transport pair resolution run only when topology
+            # changed since the last publication on this channel, not per
+            # publication.  ``pair_epoch`` guards against the transport
+            # pruning pair state underneath us (node unregistration).
+            entry = self._fanout_cache.get(channel)
+            if entry is not None and entry[4] == self.transport.pair_epoch:
+                self.fanout_cache_hits += 1
+            else:
+                if entry is not None:
+                    self.fanout_cache_invalidations += 1
+                entry = self._build_fanout_entry(subs)
+                self._fanout_cache[channel] = entry
+            dst_ids, conns, states, dead, _ = entry
+            if dead:
+                self.dropped_deliveries += dead
+            if dst_ids:
+                rate = config.per_connection_bps
+                min_completions: Optional[List[float]] = None
+                if rate is not None:
+                    # Per-connection drain ceiling: each clock advances by
+                    # size / rate from done or its last completion if later.
+                    min_completions = []
+                    for conn in conns:
+                        busy = conn._busy_until
+                        start = done if done > busy else busy
+                        conn._busy_until = busy = start + wire_size / rate
+                        min_completions.append(busy)
+                completions = self.transport.send_fanout(
+                    self.node_id,
+                    dst_ids,
+                    states,
+                    delivery,
+                    wire_size,
+                    start=done,
+                    min_completions=min_completions,
+                )
+                delivered = len(dst_ids)
+                limit = config.output_buffer_limit_bytes
+                kills: List[Tuple[str, Connection]] = []
+                # Output-buffer accounting, inline (a method call per
+                # delivery would be a quarter of a wide fan-out's calls):
+                # each delivery occupies its connection's buffer until its
+                # transmit completion; entries expired by ``done`` are
+                # skipped first (``Connection._expire``, unrolled), and the
+                # occupancy *after* the enqueue is what the hard limit is
+                # compared against.
+                for dst_id, conn, completion in zip(dst_ids, conns, completions):
+                    done_at = conn._done_at
+                    pending_bytes = conn._pending_bytes
+                    head = conn._head
+                    n = len(done_at)
+                    if head < n and done_at[head] <= done:
+                        sizes = conn._sizes
+                        while head < n and done_at[head] <= done:
+                            pending_bytes -= sizes[head]
+                            head += 1
+                        if head >= COMPACT_MIN and 2 * head >= n:
+                            del done_at[:head]
+                            del sizes[:head]
+                            head = 0
+                        conn._head = head
+                    done_at.append(completion)
+                    conn._sizes.append(wire_size)
+                    pending_bytes += wire_size
+                    conn._pending_bytes = pending_bytes
+                    conn.deliveries += 1
+                    conn.bytes_delivered += wire_size
+                    if pending_bytes > limit:
+                        kills.append((dst_id, conn))
+                for client_id, conn in kills:
+                    self._kill_connection(client_id, conn)
+        self.delivery_count += delivered
+        # Observers need the fan-out of *this* publication to attribute
+        # egress bytes; expose it before invoking them.
+        self.last_fanout = delivered
+        # Per-channel load accounting, drained by the LLA at window flush.
+        stats = self._channel_stats.get(channel)
+        if stats is None:
+            self._channel_stats[channel] = stats = [0, set(), 0, 0]
+        stats[0] += 1
+        stats[1].add(src_id)
+        stats[2] += delivered
+        stats[3] += delivered * wire_size
+
+        tracer = self.tracer
+        if tracer.enabled:
+            # The broker stays payload-agnostic: the message id is read
+            # duck-typed off whatever envelope the payload happens to be.
+            tracer.emit(
+                FanoutEvent(
+                    now,
+                    self.node_id,
+                    channel,
+                    getattr(message.payload, "msg_id", None),
+                    delivered,
+                    wire_size,
+                )
             )
-        elif isinstance(message, UnsubscribeCmd):
-            self._handle_unsubscribe(message.channel, src_id)
-        elif isinstance(message, ReplayRequest):
-            self._replay_range(src_id, message.channel, message.epoch, message.seqs)
-        elif isinstance(message, PingCmd):
-            self.transport.send(
-                self.node_id, src_id, PongReply(self.node_id, message.stamp), PongReply.WIRE_SIZE
-            )
-        else:
-            raise TypeError(f"{self.node_id}: unexpected message {type(message).__name__}")
+            publishes, deliveries, egress_bytes, fanout_size = self._publish_instruments[channel]
+            # Written in place: a frame per instrument is seven per
+            # publication, and none of the amounts can be negative.
+            publishes.value += 1.0
+            deliveries.value += delivered
+            egress_bytes.value += delivered * wire_size
+            fanout_size.observe(float(delivered))
+            gauges = self._cache_gauges
+            if gauges is not None:
+                gauges[0].value = float(len(self._fanout_cache))
+                gauges[1].value = float(self.fanout_cache_hits)
+                gauges[2].value = float(self.fanout_cache_builds)
+                gauges[3].value = float(self.fanout_cache_invalidations)
+            profiler = tracer.profiler
+            if profiler is not None:
+                profiler.count("broker", "fanout.deliveries", delivered)
+                profiler.count("broker", "fanout.publications", 1)
+                if seq is not None:
+                    # Attributed only when a reliable tier actually
+                    # stamped -- at_most_once runs must show a zero
+                    # reliability row in the profile.
+                    profiler.count("reliability", "stamp.sequenced", 1)
+
+        # Loopback deliveries: dispatcher subscriptions and LLA observation.
+        for callback in list(self._local_subs.get(channel, ())):
+            callback(channel, src_id, message.payload, message.payload_size)
+        for callback in self._observers:
+            callback(channel, src_id, message.payload, message.payload_size)
 
     def _conn_for(self, client_id: str) -> Connection:
         conn = self._connections.get(client_id)
@@ -355,163 +512,6 @@ class PubSubServer(Actor):
             profiler = tracer.profiler
             if profiler is not None:
                 profiler.count("reliability", "replay.messages", len(entries))
-
-    def _complete_publish(self, cmd: PublishCmd, publisher_id: str, done: float) -> None:
-        """Fan a publication out to all subscribers, on its arrival.
-
-        Who receives it, its sequence number, the load accounting and the
-        loopback callbacks are decided now; every clock it advances (NIC,
-        drain clocks, output-buffer expiry) starts at ``done``, the CPU's.
-        """
-        now = self.sim.now
-        channel = cmd.channel
-        wire_size = cmd.payload_size + self.config.per_message_overhead_bytes
-        # Reliable tiers: stamp the publication's sequence number and cache
-        # it for replay -- even with zero live subscribers, because a
-        # disconnected subscriber will ask for exactly these on resume.
-        # Control publications (switch notices) are never sequenced: they
-        # are invisible to the application, so stamping them would
-        # fabricate gaps no one can observe being filled.
-        seq: Optional[int] = None
-        epoch = 0
-        rel = self._stamper
-        if rel is not None and not cmd.control:
-            seq = rel.stamp_and_cache(channel, cmd.payload, cmd.payload_size, wire_size)
-            epoch = rel.epoch
-        # One immutable payload envelope shared by every subscriber's
-        # delivery -- the whole fan-out references the same object.
-        delivery = Delivery(channel, cmd.payload, cmd.payload_size, self.node_id, seq, epoch)
-
-        delivered = 0
-        subs = self._channels.get(channel)
-        if subs:
-            # Precompiled subscriber arrays: the per-subscriber connection
-            # walk and transport pair resolution run only when topology
-            # changed since the last publication on this channel, not per
-            # publication.  ``pair_epoch`` guards against the transport
-            # pruning pair state underneath us (node unregistration).
-            entry = self._fanout_cache.get(channel)
-            if entry is not None and entry[4] == self.transport.pair_epoch:
-                self.fanout_cache_hits += 1
-            else:
-                if entry is not None:
-                    self.fanout_cache_invalidations += 1
-                entry = self._build_fanout_entry(subs)
-                self._fanout_cache[channel] = entry
-            dst_ids, conns, states, dead, _ = entry
-            if dead:
-                self.dropped_deliveries += dead
-            if dst_ids:
-                rate = self.config.per_connection_bps
-                min_completions: Optional[List[float]] = None
-                if rate is not None:
-                    # Per-connection drain ceiling: each clock advances by
-                    # size / rate from done or its last completion if later.
-                    min_completions = []
-                    for conn in conns:
-                        busy = conn._busy_until
-                        start = done if done > busy else busy
-                        conn._busy_until = busy = start + wire_size / rate
-                        min_completions.append(busy)
-                completions = self.transport.send_fanout(
-                    self.node_id,
-                    dst_ids,
-                    states,
-                    delivery,
-                    wire_size,
-                    start=done,
-                    min_completions=min_completions,
-                )
-                delivered = len(dst_ids)
-                limit = self.config.output_buffer_limit_bytes
-                kills: List[Tuple[str, Connection]] = []
-                # Output-buffer accounting, inline (a method call per
-                # delivery would be a quarter of a wide fan-out's calls):
-                # each delivery occupies its connection's buffer until its
-                # transmit completion; entries expired by ``done`` are
-                # skipped first (``Connection._expire``, unrolled), and the
-                # occupancy *after* the enqueue is what the hard limit is
-                # compared against.
-                for dst_id, conn, completion in zip(dst_ids, conns, completions):
-                    done_at = conn._done_at
-                    pending_bytes = conn._pending_bytes
-                    head = conn._head
-                    n = len(done_at)
-                    if head < n and done_at[head] <= done:
-                        sizes = conn._sizes
-                        while head < n and done_at[head] <= done:
-                            pending_bytes -= sizes[head]
-                            head += 1
-                        if head >= COMPACT_MIN and 2 * head >= n:
-                            del done_at[:head]
-                            del sizes[:head]
-                            head = 0
-                        conn._head = head
-                    done_at.append(completion)
-                    conn._sizes.append(wire_size)
-                    pending_bytes += wire_size
-                    conn._pending_bytes = pending_bytes
-                    conn.deliveries += 1
-                    conn.bytes_delivered += wire_size
-                    if pending_bytes > limit:
-                        kills.append((dst_id, conn))
-                for client_id, conn in kills:
-                    self._kill_connection(client_id, conn)
-        self.delivery_count += delivered
-        # Observers need the fan-out of *this* publication to attribute
-        # egress bytes; expose it before invoking them.
-        self.last_fanout = delivered
-        # Per-channel load accounting, drained by the LLA at window flush.
-        stats = self._channel_stats.get(channel)
-        if stats is None:
-            self._channel_stats[channel] = stats = [0, set(), 0, 0]
-        stats[0] += 1
-        stats[1].add(publisher_id)
-        stats[2] += delivered
-        stats[3] += delivered * wire_size
-
-        tracer = self.tracer
-        if tracer.enabled:
-            # The broker stays payload-agnostic: the message id is read
-            # duck-typed off whatever envelope the payload happens to be.
-            tracer.emit(
-                FanoutEvent(
-                    now,
-                    self.node_id,
-                    channel,
-                    getattr(cmd.payload, "msg_id", None),
-                    delivered,
-                    wire_size,
-                )
-            )
-            publishes, deliveries, egress_bytes, fanout_size = self._publish_instruments[channel]
-            # Written in place: a frame per instrument is seven per
-            # publication, and none of the amounts can be negative.
-            publishes.value += 1.0
-            deliveries.value += delivered
-            egress_bytes.value += delivered * wire_size
-            fanout_size.observe(float(delivered))
-            gauges = self._cache_gauges
-            if gauges is not None:
-                gauges[0].value = float(len(self._fanout_cache))
-                gauges[1].value = float(self.fanout_cache_hits)
-                gauges[2].value = float(self.fanout_cache_builds)
-                gauges[3].value = float(self.fanout_cache_invalidations)
-            profiler = tracer.profiler
-            if profiler is not None:
-                profiler.count("broker", "fanout.deliveries", delivered)
-                profiler.count("broker", "fanout.publications", 1)
-                if seq is not None:
-                    # Attributed only when a reliable tier actually
-                    # stamped -- at_most_once runs must show a zero
-                    # reliability row in the profile.
-                    profiler.count("reliability", "stamp.sequenced", 1)
-
-        # Loopback deliveries: dispatcher subscriptions and LLA observation.
-        for callback in list(self._local_subs.get(channel, ())):
-            callback(channel, publisher_id, cmd.payload, cmd.payload_size)
-        for callback in self._observers:
-            callback(channel, publisher_id, cmd.payload, cmd.payload_size)
 
     def _bind_publish_instruments(self, channel: str) -> Tuple[Counter, Counter, Counter, Histogram]:
         metrics = self.tracer.metrics

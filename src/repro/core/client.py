@@ -74,8 +74,8 @@ _NOTHING_DOWN: FrozenSet[str] = frozenset()
 
 #: application delivery callback: (channel, body, envelope) -> None
 DeliveryCallback = Callable[[str, Any, AppEnvelope], None]
-#: response-time hook: (channel, rtt_seconds, now) -> None
-ResponseTimeHook = Callable[[str, float, float], None]
+#: response-time hook: (rtt_seconds, now) -> None
+ResponseTimeHook = Callable[[float, float], None]
 
 
 @dataclass(slots=True)
@@ -703,7 +703,7 @@ class DynamothClient(Actor):
             if self.on_delivery is not None:
                 self.on_delivery(channel, envelope, delivery)
             if envelope.sender == self.node_id and self.on_response_time is not None:
-                self.on_response_time(channel, sim.now - envelope.sent_at, sim.now)
+                self.on_response_time(sim.now - envelope.sent_at, sim.now)
             sub = self._subs.get(channel)
             if sub is not None:
                 sub.callback(channel, envelope.body, envelope)

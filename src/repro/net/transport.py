@@ -3,9 +3,10 @@
 :class:`Transport` is the glue between the actor layer and the network
 model.  Sending a message involves, in order:
 
-1. queuing on the sender's :class:`~repro.net.link.EgressPort` (transmission
-   delay = backlog + size/capacity) -- a FIFO queue clock and two totals,
-   and the one owner of NIC accounting: nothing here repeats its arithmetic;
+1. queuing on the sender's NIC (transmission delay = backlog +
+   size/capacity).  The transport owns that arithmetic and runs it in its
+   own send frames; the :class:`~repro.net.link.EgressPort` is its state
+   -- a FIFO queue clock and two totals the LLAs read;
 2. one-way propagation delay sampled from the LAN model (both endpoints are
    infrastructure) or the WAN model (one endpoint is a client), mirroring
    the paper's latency-injection rules in section V-B;
@@ -23,10 +24,10 @@ the ``(dst_actor,)`` tuple every delivery event of the pair shares as its
 arguments.  One dict lookup per message covers all five.  There are two
 send bodies:
 :meth:`Transport.send` for one message (control plane, client publishes)
-and :meth:`Transport.send_fanout`, the bulk fan-out API: it computes the
-NIC drain incrementally, samples propagation once per *leg* (latency
-model) per batch, and schedules all deliveries through the kernel's batch
-interface.
+and :meth:`Transport.send_fanout`, the bulk fan-out API: it advances the
+NIC clock once per message, float-identical to back-to-back single sends,
+samples propagation once per *leg* (latency model) per batch, and
+schedules all deliveries through the kernel's batch interface.
 """
 
 from __future__ import annotations
@@ -194,7 +195,17 @@ class Transport:
             raise KeyError(f"unknown sender: {src_id}")
         port = self._ports[src_id]
         now = self.sim.now
-        completion = port.transmit(now, size_bytes)
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes!r}")
+        capacity = port.capacity_bps
+        if capacity is None:
+            completion = now
+        else:
+            busy = port.busy_until
+            completion = (now if now > busy else busy) + size_bytes / capacity
+            port.busy_until = completion
+        port.total_bytes += size_bytes
+        port.total_messages += 1
 
         plane = self.fault_plane
         extra: Optional[float] = 0.0
@@ -291,7 +302,28 @@ class Transport:
         still occupied the NIC.
         """
         port = self._ports[src_id]
-        completions = port.transmit_many(start, size_bytes, len(dst_ids))
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes!r}")
+        count = len(dst_ids)
+        capacity = port.capacity_bps
+        if capacity is None:
+            completions = [start] * count
+        elif count:
+            # Back to back from when the port is free, one addition per
+            # message: the floats of ``count`` sequential single sends.
+            per = size_bytes / capacity
+            busy = port.busy_until
+            c = start if start > busy else busy
+            completions = []
+            append = completions.append
+            for _ in range(count):
+                c += per
+                append(c)
+            port.busy_until = c
+        else:
+            completions = []
+        port.total_bytes += size_bytes * count
+        port.total_messages += count
         if min_completions is not None:
             for index, floor in enumerate(min_completions):
                 if floor > completions[index]:

@@ -18,7 +18,7 @@ harness turns into the curves of Figure 4.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from repro.core.client import DynamothClient
 from repro.core.cluster import DynamothCluster
@@ -29,7 +29,7 @@ from repro.sim.timers import PeriodicTask
 class _LatencyCollector:
     """Collects one-way delivery latency samples after a warmup cutoff."""
 
-    def __init__(self, cluster: DynamothCluster):
+    def __init__(self, cluster: DynamothCluster) -> None:
         self._cluster = cluster
         self.samples: List[Tuple[float, float]] = []
         self.measure_from = 0.0
@@ -55,7 +55,7 @@ class FanOutWorkload:
         n_subscribers: int,
         publications_per_s: float = 10.0,
         payload_size: int = 250,
-    ):
+    ) -> None:
         self.cluster = cluster
         self.channel = channel
         self.payload_size = payload_size
@@ -98,7 +98,7 @@ class FanInWorkload:
         n_publishers: int,
         publications_per_s: float = 10.0,
         payload_size: int = 250,
-    ):
+    ) -> None:
         self.cluster = cluster
         self.channel = channel
         self.payload_size = payload_size
@@ -127,7 +127,7 @@ class FanInWorkload:
         self._measure_from = 0.0
         self._stagger_rng = rng
 
-    def _make_tick(self, client: DynamothClient):
+    def _make_tick(self, client: DynamothClient) -> Callable[[float], None]:
         def tick(now: float) -> None:
             client.publish(self.channel, ("update", client.node_id), self.payload_size)
             self.published += 1

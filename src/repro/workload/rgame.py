@@ -18,15 +18,15 @@ from __future__ import annotations
 import math
 from random import Random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.client import DynamothClient
+from repro.core.client import DynamothClient, ResponseTimeHook
 from repro.core.cluster import DynamothCluster
 from repro.sim.timers import PeriodicTask
 from repro.workload.schedules import PopulationSchedule
 
-#: hook: (rtt_seconds, now) -> None
-RttSink = Callable[[float, float], None]
+#: hook: (rtt_seconds, now) -> None, the client's own response-time hook
+RttSink = ResponseTimeHook
 
 
 @dataclass
@@ -58,7 +58,7 @@ class RGameConfig:
 class TileWorld:
     """The square game map split into a grid of tiles."""
 
-    def __init__(self, world_size: float, tiles_per_side: int):
+    def __init__(self, world_size: float, tiles_per_side: int) -> None:
         self.world_size = world_size
         self.tiles_per_side = tiles_per_side
         self.tile_size = world_size / tiles_per_side
@@ -101,7 +101,7 @@ class Player:
         config: RGameConfig,
         rng: Random,
         rtt_sink: Optional[RttSink] = None,
-    ):
+    ) -> None:
         self.client = client
         self.world = world
         self.config = config
@@ -114,7 +114,7 @@ class Player:
         self.updates_received = 0
 
         if rtt_sink is not None:
-            client.on_response_time = lambda ch, rtt, now: rtt_sink(rtt, now)
+            client.on_response_time = rtt_sink
 
         sim = client.sim
         self._task = PeriodicTask(
@@ -197,7 +197,7 @@ class RGameWorkload:
         config: Optional[RGameConfig] = None,
         *,
         rtt_sink: Optional[RttSink] = None,
-    ):
+    ) -> None:
         self.cluster = cluster
         self.config = config if config is not None else RGameConfig()
         self.world = TileWorld(self.config.world_size, self.config.tiles_per_side)

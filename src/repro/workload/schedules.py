@@ -20,7 +20,7 @@ class PopulationSchedule:
     interpolated between breakpoints and clamped at the ends.
     """
 
-    def __init__(self, breakpoints: Sequence[Tuple[float, int]]):
+    def __init__(self, breakpoints: Sequence[Tuple[float, int]]) -> None:
         if not breakpoints:
             raise ValueError("schedule needs at least one breakpoint")
         times = [t for t, __ in breakpoints]

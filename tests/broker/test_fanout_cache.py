@@ -60,17 +60,19 @@ def build(sim, rng: Random, config=None, clients=4):
 def force_rebuilds(server: PubSubServer) -> None:
     """Make ``server`` recompile the fan-out arrays on every publication.
 
-    Drops every compiled entry just before each publication fans out, so
-    the arrays are rebuilt through the production code path -- the
-    reference the cached runs are compared against.
+    Drops the channel's compiled entry just before each ``PublishCmd``
+    reaches ``receive``, which fans it out in the same frame, so the
+    arrays are rebuilt through the production code path -- the reference
+    the cached runs are compared against.
     """
-    complete = server._complete_publish
+    receive = server.receive
 
-    def rebuilding(cmd, publisher_id, done):
-        server._fanout_cache.clear()
-        complete(cmd, publisher_id, done)
+    def rebuilding(message, src_id):
+        if isinstance(message, PublishCmd):
+            server._fanout_cache.pop(message.channel, None)
+        receive(message, src_id)
 
-    server._complete_publish = rebuilding
+    server.receive = rebuilding
 
 
 class TestChurnInvalidation:

@@ -71,7 +71,7 @@ class TestBasicApi:
     def test_own_message_response_time_hook(self, cluster):
         rtts = []
         client = cluster.create_client("c")
-        client.on_response_time = lambda ch, rtt, now: rtts.append(rtt)
+        client.on_response_time = lambda rtt, now: rtts.append(rtt)
         client.subscribe("room", lambda *a: None)
         drain(cluster)
         client.publish("room", "echo", 10)
@@ -300,7 +300,7 @@ class TestPerClientStateOnFirstUse:
         # ... and the hooks tests and harnesses assign still assign.
         seen = []
         client.on_delivery = lambda channel, envelope, delivery: seen.append(channel)
-        client.on_response_time = lambda channel, rtt, now: None
+        client.on_response_time = lambda rtt, now: None
         client.subscribe("ch", lambda *a: None)
         drain(cluster)
         client.publish("ch", "x", 10)

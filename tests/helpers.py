@@ -25,6 +25,7 @@ from repro.core.policy import PaperPolicy, PolicyContext
 from repro.core.rebalance import RebalanceDecision
 from repro.net.latency import FixedLatency
 from repro.net.transport import Transport
+from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -166,6 +167,28 @@ def make_fixed_transport(
         lan_model=FixedLatency(lan_s),
         wan_model=FixedLatency(wan_s),
     )
+
+
+class SenderNic:
+    """One sender's NIC clock, driven through ``Transport.send`` as a
+    node's messages drive it.  The destination is shut down, so a send
+    charges the NIC and schedules nothing."""
+
+    def __init__(self, capacity_bps: Optional[float]) -> None:
+        self.sim = Simulator()
+        self.net = make_fixed_transport(self.sim)
+        self.net.register(Actor(self.sim, "src", is_infra=True), capacity_bps)
+        sink = Actor(self.sim, "sink", is_infra=True)
+        self.net.register(sink)
+        sink.shutdown()
+        self.port = self.net.port("src")
+
+    def send_at(self, at: float, size_bytes: int) -> float:
+        """Hand ``size_bytes`` to the NIC at ``at`` (or now, if the clock
+        is past it) and return the transmit completion."""
+        if at > self.sim.now:
+            self.sim.run_until(at)
+        return self.net.send("src", "sink", None, size_bytes)[0]
 
 
 def paper_decision(

@@ -112,7 +112,7 @@ class TestOverloadRecovery:
         cluster = make_static_cluster(broker_config=broker)
         rtts = []
         client = cluster.create_client("c")
-        client.on_response_time = lambda ch, rtt, now: rtts.append((now, rtt))
+        client.on_response_time = lambda rtt, now: rtts.append((now, rtt))
         client.subscribe("room", lambda *a: None)
         cluster.run_for(1.0)
         # burst: 100 x 2kB instantly = 200 kB on a 24 kB/s NIC (~8 s backlog)

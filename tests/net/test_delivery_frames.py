@@ -5,18 +5,19 @@ application's callback.  The kernel's run loop calls ``receive`` through a
 C callable with no transport frame in between, and reading the clock is an
 attribute load.  The perf ledger measures this on 10 000 subscribers; the
 first test holds it on 200, so a frame that creeps back fails tier-1.  (Wide
-enough that the 14 calls a *publication* costs stay under a tenth of a call
+enough that the 11 calls a *publication* costs stay under a tenth of a call
 per delivery; a per-delivery frame adds a whole one.)
 
 A publication costs two kernel events, one stage function each: publish
 to the wire (``publish``, ``_resolve``, ``Actor.send``, ``Transport.send``,
-``transmit``, ``sample``, ``schedule_batch``: 7) and the command's arrival
-at the broker, which charges the CPU and fans out at once, the departures
-starting when the CPU finishes (``receive``, ``_complete_publish``,
-``send_fanout``, ``transmit_many``, ``sample``, ``schedule_batch``, the
-dispatcher's ``_on_publication``: 7).  On small channels -- RGame's tiles
-hold ~5 subscribers -- that fixed chain, not the delivery, is what a run
-costs; the second test holds it on one subscriber.
+``sample``, ``schedule_batch``: 6) and the command's arrival at the broker,
+which charges the CPU and fans out in ``receive``'s own frame, the
+departures starting when the CPU finishes (``receive``, ``send_fanout``,
+``sample``, ``schedule_batch``, the dispatcher's ``_on_publication``: 5).
+The transport advances the NIC clock in its send frames, so nothing in
+``net/link.py`` runs.  On small channels -- RGame's tiles hold ~5
+subscribers -- that fixed chain, not the delivery, is what a run costs;
+the second test holds it on one subscriber.
 """
 
 from repro.broker.config import BrokerConfig
@@ -58,7 +59,7 @@ def test_a_delivery_costs_two_python_frames():
     assert total / deliveries < 2.2, total
 
 
-def test_a_publication_costs_at_most_eighteen_frames():
+def test_a_publication_costs_at_most_fourteen_frames():
     cluster = make_static_cluster(
         initial_servers=1, broker_config=BrokerConfig(per_connection_bps=None)
     )
@@ -78,8 +79,9 @@ def test_a_publication_costs_at_most_eighteen_frames():
     # The scheduled publish, the command's arrival at the broker and the
     # delivery: the static cluster runs no timers, so nothing else fires.
     assert sim.events_processed - events_before == 3 * publications
+    assert not [path for path in calls if path.endswith("/repro/net/link.py")]
     total = sum(calls.values())
-    # 7 + 7 for the publication and 2 for its one delivery; the rest of the
+    # 6 + 5 for the publication and 2 for its one delivery; the rest of the
     # allowance is the run's own frames (``run_for``, the first fan-out
-    # entry being built).
-    assert total / publications <= 17, total
+    # entry being built).  Reads 13.2.
+    assert total / publications <= 14, total

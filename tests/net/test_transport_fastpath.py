@@ -211,11 +211,12 @@ class TestSendFanout:
         assert deliveries(True) == deliveries(False)
 
     def test_single_destination_fanout_is_float_identical_to_send(self):
-        # The fan-out loop takes n=1 with no dedicated branch, so
-        # ``transmit_many(now, size, 1)`` must equal ``transmit(now, size)``
-        # and the latency / FIFO arithmetic must match ``send`` bit for
-        # bit: a sampled latency model, a finite NIC that accumulates
-        # backlog, and odd sizes.
+        # The fan-out loop takes n=1 with no dedicated branch, so its NIC
+        # clock must advance as ``send``'s does and the latency / FIFO
+        # arithmetic must match ``send`` bit for bit: a sampled latency
+        # model, a finite NIC that accumulates backlog, and odd sizes.
+        # (tests/properties/test_nic_clock_properties.py holds both bodies
+        # to the port arithmetic they replaced.)
         def deliveries(use_fanout: bool):
             sim = Simulator()
             net = _jittery_net(sim)

@@ -3,8 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.link import EgressPort
 from repro.sim.kernel import Simulator
+from tests.helpers import SenderNic
 
 
 class TestKernelProperties:
@@ -68,8 +68,8 @@ class TestEgressPortProperties:
     )
     def test_completions_are_monotonic(self, sizes, capacity):
         """FIFO invariant: a later transmission never completes earlier."""
-        port = EgressPort(capacity)
-        completions = [port.transmit(0.0, size) for size in sizes]
+        nic = SenderNic(capacity)
+        completions = [nic.send_at(0.0, size) for size in sizes]
         assert completions == sorted(completions)
 
     @given(
@@ -77,10 +77,10 @@ class TestEgressPortProperties:
         capacity=st.floats(min_value=10.0, max_value=1e6, allow_nan=False),
     )
     def test_total_busy_time_equals_bytes_over_capacity(self, sizes, capacity):
-        port = EgressPort(capacity)
+        nic = SenderNic(capacity)
         last = 0.0
         for size in sizes:
-            last = port.transmit(0.0, size)
+            last = nic.send_at(0.0, size)
         assert last * capacity == sum(sizes) or abs(last - sum(sizes) / capacity) < 1e-6
 
     @given(
@@ -94,6 +94,6 @@ class TestEgressPortProperties:
         )
     )
     def test_completion_never_before_submission(self, schedule):
-        port = EgressPort(2000.0)
+        nic = SenderNic(2000.0)
         for at, size in sorted(schedule):
-            assert port.transmit(at, size) >= at
+            assert nic.send_at(at, size) >= at

@@ -130,13 +130,10 @@ class TestPlayer:
         cluster.run_for(5.0)
         assert samples and all(0 < s < 2.0 for s in samples)
 
-    def test_a_tick_costs_three_workload_frames(self):
-        """The timer's ``_tick``, the player's ``_tick`` and the player's own
-        update coming back through ``_on_delivery``: nothing else in the
-        workload or the timer layer runs per tick (moving and the tile
-        lookup happen in the tick's own frame)."""
+    @staticmethod
+    def _workload_frames_per_tick(rtt_sink=None):
         cluster = make_static_cluster()
-        workload = RGameWorkload(cluster, RGameConfig())
+        workload = RGameWorkload(cluster, RGameConfig(), rtt_sink=rtt_sink)
         (player,) = workload.add_players(1)
         cluster.run_for(1.0)
         sent = player.updates_sent
@@ -148,8 +145,23 @@ class TestPlayer:
             for path, n in by_file.items()
             if "/repro/workload/" in path or path.endswith("/repro/sim/timers.py")
         )
+        return calls / ticks
+
+    def test_a_tick_costs_three_workload_frames(self):
+        """The timer's ``_tick``, the player's ``_tick`` and the player's own
+        update coming back through ``_on_delivery``: nothing else in the
+        workload or the timer layer runs per tick (moving and the tile
+        lookup happen in the tick's own frame)."""
         # Waypoint arrivals and tile crossings (a handful in 30 s) are the slack.
-        assert calls / ticks <= 3.2, calls
+        assert self._workload_frames_per_tick() <= 3.2
+
+    def test_an_rtt_sink_adds_no_workload_frame(self):
+        """The client calls the sink itself: ``Player`` puts no adapter
+        between ``on_response_time`` and it.  Reads 3.09; 4.09 with one."""
+        samples = []
+        per_tick = self._workload_frames_per_tick(lambda rtt, now: samples.append(rtt))
+        assert len(samples) > 80
+        assert per_tick <= 3.2
 
     def test_leave_stops_everything(self):
         cluster = make_static_cluster()
