@@ -38,6 +38,7 @@ from repro.broker.commands import (
 )
 from repro.broker.config import BrokerConfig
 from repro.broker.connection import COMPACT_MIN, Connection
+from repro.obs.metrics import FOLD_AT
 from repro.obs.trace import (
     NULL_TRACER,
     FanoutEvent,
@@ -388,11 +389,15 @@ class PubSubServer(Actor):
             )
             publishes, deliveries, egress_bytes, fanout_size = self._publish_instruments[channel]
             # Written in place: a frame per instrument is seven per
-            # publication, and none of the amounts can be negative.
+            # publication, and none of the amounts can be negative; the
+            # fan-out size is one append, bucketed in bulk.
             publishes.value += 1.0
             deliveries.value += delivered
             egress_bytes.value += delivered * wire_size
-            fanout_size.observe(float(delivered))
+            pending = fanout_size.pending
+            pending.append(delivered)
+            if len(pending) >= FOLD_AT:
+                fanout_size.fold()
             gauges = self._cache_gauges
             if gauges is not None:
                 gauges[0].value = float(len(self._fanout_cache))

@@ -45,6 +45,7 @@ from repro.core.hashing import ConsistentHashRing
 from repro.core.messages import AppEnvelope, FailureNotice, MappingNotice, SwitchNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.core.reliability import CausalGate, ParkTimeout, ReliabilityConfig, SequenceStage
+from repro.obs.metrics import FOLD_AT
 from repro.obs.trace import (
     NULL_TRACER,
     CausalTimeoutEvent,
@@ -698,7 +699,10 @@ class DynamothClient(Actor):
                     )
                 )
                 latency_hist, received = tracer.delivery_instruments[channel]
-                latency_hist.observe(latency)
+                pending = latency_hist.pending
+                pending.append(latency)
+                if len(pending) >= FOLD_AT:
+                    latency_hist.fold()
                 received.value += 1.0
             if self.on_delivery is not None:
                 self.on_delivery(channel, envelope, delivery)

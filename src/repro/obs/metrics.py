@@ -8,9 +8,12 @@ lazily on first use and identified by a name plus an optional label set::
     registry.histogram("delivery_latency_s", channel_class="tile").observe(0.012)
 
 Histograms are HDR-style: a fixed array of geometrically growing buckets,
-so memory stays constant no matter how many samples are recorded and
+so memory stays bounded no matter how many samples are recorded (the
+buckets plus at most :data:`FOLD_AT` samples not bucketed yet) and
 percentile queries are deterministic (no reservoir sampling).  The relative
 error of a percentile estimate is bounded by the bucket growth factor.
+A hot site records a sample as one append to the histogram's ``pending``
+array, and the samples are bucketed in bulk (see :class:`Histogram`).
 
 :meth:`MetricsRegistry.snapshot` renders everything into plain dicts with
 stable, sorted ``name{label=value,...}`` keys -- suitable for JSON export,
@@ -20,7 +23,12 @@ assertions in tests, and per-sim-second sampling by the experiment harness.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+#: A per-message site folds a histogram once its ``pending`` holds this
+#: many samples (32 KiB of doubles), so memory stays bounded between reads.
+FOLD_AT = 4096
 
 #: Canonical instrument key: (name, sorted (label, value) pairs).
 InstrumentKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -79,13 +87,32 @@ class Histogram:
 
     Bucket ``i >= 1`` covers ``(min_value * factor**(i-1), min_value * factor**i]``;
     bucket 0 catches everything at or below ``min_value``; the last bucket
-    absorbs overflow.  With the defaults (1 microsecond lower bound, factor
-    2, 64 buckets) the range extends far past any simulated latency while
-    keeping percentile estimates within 2x -- tightened further by clamping
-    to the exact observed min/max.
+    absorbs overflow, ``inf`` included.  With the defaults (1 microsecond
+    lower bound, factor 2, 64 buckets) the range extends far past any
+    simulated latency while keeping percentile estimates within 2x --
+    tightened further by clamping to the exact observed min/max.
+
+    A sample is bucketed in bulk.  ``pending`` holds the samples not
+    bucketed yet, in arrival order; :meth:`fold` buckets them and empties
+    it in place, so a reference to ``pending`` stays valid.  A per-message
+    site appends to ``pending`` and folds at :data:`FOLD_AT`::
+
+        pending = hist.pending
+        pending.append(value)
+        if len(pending) >= FOLD_AT:
+            hist.fold()
+
+    which costs it no Python frame; :meth:`observe` is the same in one
+    call.  Every read (``count``, ``sum``, ``min``, ``max``,
+    :meth:`percentile`, :meth:`to_dict`, :meth:`merge`) folds first, and
+    folding adds to ``sum`` in arrival order, so the state read is bit for
+    bit what bucketing each sample as it came would hold.
     """
 
-    __slots__ = ("_counts", "count", "sum", "min", "max", "_min_value", "_inv_log_factor", "_factor")
+    __slots__ = (
+        "_counts", "_count", "_sum", "_min", "_max", "pending",
+        "_min_value", "_inv_log_factor", "_factor",
+    )
 
     DEFAULT_MIN = 1e-6
     DEFAULT_FACTOR = 2.0
@@ -103,23 +130,50 @@ class Histogram:
         if min_value <= 0 or factor <= 1 or buckets < 2:
             raise ValueError("need min_value > 0, factor > 1, buckets >= 2")
         self._counts: List[int] = [0] * buckets
-        self.count: int = 0
-        self.sum: float = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
+        self._count: int = 0
+        self._sum: float = 0.0
+        self._min: Optional[float] = None
+        self._max: Optional[float] = None
+        #: Samples not bucketed yet, in arrival order (see the class docstring).
+        self.pending = array("d")
         self._min_value = min_value
         self._factor = factor
         self._inv_log_factor = 1.0 / math.log(factor)
 
+    @property
+    def count(self) -> int:
+        if self.pending:
+            self.fold()
+        return self._count
+
+    @property
+    def sum(self) -> float:
+        if self.pending:
+            self.fold()
+        return self._sum
+
+    @property
+    def min(self) -> Optional[float]:
+        if self.pending:
+            self.fold()
+        return self._min
+
+    @property
+    def max(self) -> Optional[float]:
+        if self.pending:
+            self.fold()
+        return self._max
+
     def reset(self) -> None:
-        """Forget every sample, keeping the bucket layout."""
+        """Forget every sample, pending ones too, keeping the bucket layout."""
+        del self.pending[:]
         counts = self._counts
         for index in range(len(counts)):
             counts[index] = 0
-        self.count = 0
-        self.sum = 0.0
-        self.min = None
-        self.max = None
+        self._count = 0
+        self._sum = 0.0
+        self._min = None
+        self._max = None
 
     def layout(self) -> Tuple[float, float, int]:
         """``(min_value, factor, buckets)`` -- mergeable iff layouts match."""
@@ -136,55 +190,100 @@ class Histogram:
             raise ValueError(
                 f"histogram layouts differ: {self.layout()} vs {other.layout()}"
             )
+        if self.pending:
+            self.fold()
+        if other.pending:
+            other.fold()
         for index, bucket_count in enumerate(other._counts):
             counts[index] += bucket_count
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
+        self._count += other._count
+        self._sum += other._sum
+        if other._min is not None and (self._min is None or other._min < self._min):
+            self._min = other._min
+        if other._max is not None and (self._max is None or other._max > self._max):
+            self._max = other._max
 
     def observe(self, value: float) -> None:
-        if value <= self._min_value:
-            index = 0
-        else:
-            index = 1 + int(math.log(value / self._min_value) * self._inv_log_factor)
-            last = len(self._counts) - 1
-            if index > last:
-                index = last
-        self._counts[index] += 1
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        """Record one sample (a NaN raises ``ValueError``)."""
+        self.pending.append(value)
+        self.fold()
+
+    def fold(self) -> None:
+        """Bucket the pending samples, in arrival order, and empty ``pending``.
+
+        A NaN sample raises ``ValueError``: the samples before it are
+        bucketed, it is dropped, and the ones after it stay pending.
+        """
+        pending = self.pending
+        counts = self._counts
+        last = len(counts) - 1
+        min_value = self._min_value
+        scale = self._inv_log_factor
+        log = math.log
+        total = self._sum
+        # +-inf stand in for "no sample yet": the first sample replaces
+        # both (an inf sample leaves the bound it equals), and they are
+        # written back only once a sample has been counted.
+        low = math.inf if self._min is None else self._min
+        high = -math.inf if self._max is None else self._max
+        folded = len(pending)
+        for position, value in enumerate(pending):
+            if value <= min_value:
+                index = 0
+            else:
+                # Clamp before int(): an inf sample has an inf exponent.
+                exponent = log(value / min_value) * scale
+                if exponent < last:
+                    index = 1 + int(exponent)
+                elif exponent >= last:
+                    index = last
+                else:  # NaN compares false both ways
+                    folded = position
+                    break
+            counts[index] += 1
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self._count += folded
+        self._sum = total
+        if self._count:
+            self._min = low
+            self._max = high
+        rejected = folded < len(pending)
+        del pending[: folded + 1]
+        if rejected:
+            raise ValueError("histogram sample is NaN")
 
     def mean(self) -> Optional[float]:
-        return self.sum / self.count if self.count else None
+        if self.pending:
+            self.fold()
+        return self._sum / self._count if self._count else None
 
     def percentile(self, q: float) -> Optional[float]:
         """Estimated value at percentile ``q`` (0..100)."""
-        if not self.count:
-            return None
         if not 0 <= q <= 100:
             raise ValueError(f"percentile out of range: {q!r}")
+        if self.pending:
+            self.fold()
+        if not self._count:
+            return None
         # The extremes are tracked exactly; don't pay the bucket error there.
         if q == 0:
-            return self.min
+            return self._min
         if q == 100:
-            return self.max
-        rank = q / 100.0 * (self.count - 1)
+            return self._max
+        rank = q / 100.0 * (self._count - 1)
         cumulative = 0
         for index, bucket_count in enumerate(self._counts):
             cumulative += bucket_count
             if cumulative > rank:
                 estimate = self._bucket_midpoint(index)
                 # Exact extremes beat the bucket estimate at the edges.
-                assert self.min is not None and self.max is not None
-                return min(self.max, max(self.min, estimate))
-        return self.max  # pragma: no cover - unreachable (counts sum to count)
+                assert self._min is not None and self._max is not None
+                return min(self._max, max(self._min, estimate))
+        return self._max  # pragma: no cover - unreachable (counts sum to count)
 
     def _bucket_midpoint(self, index: int) -> float:
         if index == 0:
@@ -195,11 +294,13 @@ class Histogram:
     def to_dict(self, quantiles: Optional[Sequence[float]] = None) -> Dict[str, object]:
         if quantiles is None:
             quantiles = self.DEFAULT_QUANTILES
+        if self.pending:
+            self.fold()
         out: Dict[str, object] = {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
+            "count": self._count,
+            "sum": self._sum,
+            "min": self._min,
+            "max": self._max,
             "mean": self.mean(),
         }
         for q in quantiles:

@@ -13,10 +13,12 @@ merged when someone reads it:
   :class:`~repro.obs.metrics.Histogram` slices covering ``SLA_WINDOW_S``
   seconds of sim time, one ring per ``(channel class, server)`` *leaf*.
   A sample lands in the slice owning its timestamp; slices age out as the
-  window advances.  Memory is O(leaves * K * buckets), independent of
-  delivery rate.
+  window advances.  Memory is O(leaves * K * (buckets + FOLD_AT)),
+  independent of delivery rate.
 * :class:`SlaMonitor` -- fed every :class:`~repro.obs.trace.DeliveryEvent`
-  by the tracer.  A delivery is one ``Histogram.observe``, into its leaf.
+  by the tracer.  A delivery is one append to its leaf slice's
+  ``pending`` samples, bucketed in bulk at ``FOLD_AT`` or when the slice
+  is read.
   A scope ("overall", ``channel:<class>``, ``server:<id>``) holds no
   samples: it is the list of leaves it reads, and its windowed percentile
   is a percentile of their merged live slices.  Merging is exact for
@@ -42,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import Histogram, merge_histograms
+from repro.obs.metrics import FOLD_AT, Histogram, merge_histograms
 from repro.obs.trace import (
     DeliveryEvent,
     FirstUse,
@@ -73,8 +75,9 @@ class SlidingHistogram:
     """A sim-time sliding window: a ring of ``slices`` latency histograms,
     one per slice of sim time (an *epoch*).
 
-    :meth:`SlaMonitor.on_delivery` writes the slices in place -- a write
-    method here would be a second frame per delivery.
+    :meth:`SlaMonitor.on_delivery` appends to the slices' ``pending``
+    samples in place -- a write method here would be a second frame per
+    delivery.
     """
 
     def __init__(self, slices: int, min_value: float, factor: float, buckets: int) -> None:
@@ -162,7 +165,10 @@ class SlaMonitor:
         if leaf._epochs[slot] != epoch:
             hist.reset()
             leaf._epochs[slot] = epoch
-        hist.observe(event.latency_s)
+        pending = hist.pending
+        pending.append(event.latency_s)
+        if len(pending) >= FOLD_AT:
+            hist.fold()
 
     def poll(self, now: float) -> None:
         """Advance windows on sim time without recording a sample."""

@@ -1,8 +1,13 @@
 """Unit tests for the metrics registry (counters, gauges, histograms)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
+    FOLD_AT,
     Counter,
     Gauge,
     Histogram,
@@ -73,6 +78,51 @@ class TestHistogram:
         h.observe(1.0)
         with pytest.raises(ValueError):
             h.percentile(101)
+
+    def test_percentile_out_of_range_raises_when_empty(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Histogram().percentile(150)
+        with pytest.raises(ValueError, match="out of range"):
+            Histogram().percentile(-1)
+
+    def test_inf_lands_in_the_overflow_bucket(self):
+        h = Histogram(min_value=1e-3, factor=2.0, buckets=4)
+        h.observe(0.0015)
+        h.observe(math.inf)
+        assert h.count == 2
+        assert h._counts == [0, 1, 0, 1]
+        assert h.max == math.inf
+        assert h.percentile(100) == math.inf
+
+    def test_nan_is_rejected_by_name(self):
+        h = Histogram()
+        h.observe(0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            h.observe(math.nan)
+        assert h.count == 1 and h.max == 0.5 and not h.pending
+
+    def test_nan_among_pending_samples_keeps_the_others(self):
+        """The samples before a NaN are bucketed, the NaN is dropped, and
+        the ones after it stay pending for the next fold."""
+        h = Histogram()
+        h.pending.extend([0.25, math.nan, 0.75])
+        with pytest.raises(ValueError, match="NaN"):
+            h.fold()
+        assert list(h.pending) == [0.75]
+        assert h.count == 2
+        assert (h.min, h.max, h.sum) == (0.25, 0.75, 1.0)
+
+    def test_pending_samples_are_seen_by_every_read(self):
+        h = Histogram()
+        pending = h.pending
+        pending.extend([0.5, 0.25])
+        assert (h.count, h.min, h.max, h.sum) == (2, 0.25, 0.5, 0.75)
+        assert h.pending is pending and not pending  # emptied in place
+        pending.append(1.0)
+        assert h.to_dict()["count"] == 3
+        pending.append(2.0)
+        h.reset()
+        assert h.count == 0 and not pending
 
     def test_underflow_and_overflow_buckets(self):
         h = Histogram(min_value=1e-3, factor=2.0, buckets=4)
@@ -287,3 +337,210 @@ class TestQuantiles:
         h.reset()
         assert h.count == 0
         assert h.to_dict()["count"] == 0
+
+
+class _EagerHistogram:
+    """The histogram before bulk bucketing: every sample is bucketed as it
+    arrives (the old ``observe``, clamping ``inf`` into the last bucket),
+    and reads need no fold."""
+
+    def __init__(self, min_value, factor, buckets):
+        self._counts = [0] * buckets
+        self.count, self.sum, self.min, self.max = 0, 0.0, None, None
+        self.min_value, self.factor = min_value, factor
+        self.inv_log_factor = 1.0 / math.log(factor)
+
+    def observe(self, value):
+        if value <= self.min_value:
+            index = 0
+        elif math.isinf(value):
+            index = len(self._counts) - 1
+        else:
+            index = 1 + int(math.log(value / self.min_value) * self.inv_log_factor)
+            index = min(index, len(self._counts) - 1)
+        self._counts[index] += 1
+        self.count += 1
+        self.sum += value
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+
+    def merge(self, other):
+        for index, bucket_count in enumerate(other._counts):
+            self._counts[index] += bucket_count
+        self.count += other.count
+        self.sum += other.sum
+        if other.min is not None and (self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None or other.max > self.max):
+            self.max = other.max
+
+    def reset(self):
+        self.__init__(self.min_value, self.factor, len(self._counts))
+
+    def percentile(self, q):
+        if not self.count:
+            return None
+        if q == 0:
+            return self.min
+        if q == 100:
+            return self.max
+        rank = q / 100.0 * (self.count - 1)
+        cumulative = 0
+        for index, bucket_count in enumerate(self._counts):
+            cumulative += bucket_count
+            if cumulative > rank:
+                if index == 0:
+                    estimate = self.min_value
+                else:
+                    lower = self.min_value * self.factor ** (index - 1)
+                    estimate = lower * math.sqrt(self.factor)
+                return min(self.max, max(self.min, estimate))
+
+    def to_dict(self):
+        out = {
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+            "mean": self.sum / self.count if self.count else None,
+        }
+        for q in Histogram.DEFAULT_QUANTILES:
+            out[quantile_label(q)] = self.percentile(q)
+        return out
+
+
+_LAYOUTS = [(1e-6, 2.0, 64), (1e-3, 2.0, 8), (1e-4, 1.25, 64)]
+
+
+@st.composite
+def _histogram_scripts(draw):
+    """A layout, and a script of operations over samples that sit on its
+    bucket edges, below its minimum, past its last bucket and in between."""
+    min_value, factor, buckets = layout = draw(st.sampled_from(_LAYOUTS))
+    edges = [min_value * factor**k for k in range(buckets + 2)]
+    samples = st.one_of(
+        st.sampled_from(
+            [0.0, min_value / 2, min_value, 1e300, math.inf]
+            + edges
+            + [math.nextafter(edge, math.inf) for edge in edges]
+        ),
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    )
+    batches = st.lists(samples, max_size=6)
+    operation = st.one_of(
+        st.tuples(st.just("observe"), samples),
+        st.tuples(st.just("append"), samples),
+        st.tuples(st.just("read"), st.sampled_from(["count", "sum", "min", "max"])),
+        st.tuples(st.just("to_dict"), st.none()),
+        st.tuples(st.just("percentile"), st.floats(min_value=0.0, max_value=100.0)),
+        st.tuples(st.just("merge_in"), batches),
+        st.tuples(st.just("merge_out"), batches),
+        st.tuples(st.just("reset"), st.none()),
+    )
+    return layout, draw(st.lists(operation, max_size=40))
+
+
+def _state(h):
+    """Everything a histogram reports, floats by bit pattern."""
+    return repr((h.to_dict(), h._counts))
+
+
+class TestBulkBucketing:
+    @settings(max_examples=300, deadline=None)
+    @given(_histogram_scripts())
+    def test_matches_the_eager_reference(self, script):
+        """Appending to ``pending`` and folding on read or at ``FOLD_AT``
+        holds, after every step, exactly what bucketing each sample as it
+        came would hold -- ``sum`` bit for bit."""
+        layout, operations = script
+        h, ref = Histogram(*layout), _EagerHistogram(*layout)
+        for op, arg in operations:
+            if op == "observe":
+                h.observe(arg)
+                ref.observe(arg)
+            elif op == "append":
+                pending = h.pending
+                pending.append(arg)
+                if len(pending) >= FOLD_AT:
+                    h.fold()
+                ref.observe(arg)
+            elif op == "read":
+                assert repr(getattr(h, arg)) == repr(getattr(ref, arg))
+            elif op == "to_dict":
+                assert _state(h) == _state(ref)
+            elif op == "percentile":
+                assert repr(h.percentile(arg)) == repr(ref.percentile(arg))
+            elif op in ("merge_in", "merge_out"):
+                other, other_ref = Histogram(*layout), _EagerHistogram(*layout)
+                other.pending.extend(arg)
+                for value in arg:
+                    other_ref.observe(value)
+                if op == "merge_in":
+                    h.merge(other)
+                    ref.merge(other_ref)
+                else:  # ``h`` is the source: its pending samples must come along
+                    other.merge(h)
+                    other_ref.merge(ref)
+                    assert _state(other) == _state(other_ref)
+            else:
+                h.reset()
+                ref.reset()
+        assert h.count == ref.count
+        assert (h.min, h.max) == (ref.min, ref.max)
+        assert h.sum.hex() == ref.sum.hex()
+        assert _state(h) == _state(ref)
+        assert not h.pending
+
+
+class TestFoldBound:
+    """3 x ``FOLD_AT`` samples at each per-message site: every sample is
+    taken, and no ``pending`` array ever holds more than ``FOLD_AT``."""
+
+    SAMPLES = 3 * FOLD_AT
+
+    def test_client_and_broker_sites(self):
+        from repro.core.cluster import BALANCER_NONE, DynamothCluster
+        from repro.obs.trace import DeliveryEvent, Tracer
+
+        tracer = Tracer()
+        cluster = DynamothCluster(
+            seed=0, initial_servers=1, balancer=BALANCER_NONE, tracer=tracer
+        )
+        sim = cluster.sim
+        cluster.create_client("sub").subscribe("tile:0:0", lambda channel, body, envelope: None)
+        publisher = cluster.create_client("pub")
+        cluster.run_for(1.0)
+        hists = tracer.metrics._histograms
+        peak = [0]
+
+        def sample(event):
+            peak[0] = max(peak[0], *(len(h.pending) for h in hists.values()))
+
+        tracer.add_observer(sample, DeliveryEvent)
+        for i in range(self.SAMPLES):
+            sim.schedule(i * 1e-3, publisher.publish, "tile:0:0", i, 100)
+        cluster.run_for(self.SAMPLES * 1e-3 + 1.0)
+
+        latency = tracer.metrics.histogram("delivery_latency_s", channel_class="tile")
+        fanout = tracer.metrics.histogram("fanout_size", channel_class="tile")
+        assert peak[0] <= FOLD_AT
+        assert max(len(latency.pending), len(fanout.pending)) <= FOLD_AT
+        assert latency.count == fanout.count == self.SAMPLES
+
+    def test_sla_leaf_slice(self):
+        from repro.obs.sla import SlaMonitor
+        from repro.obs.trace import DeliveryEvent, Tracer
+
+        monitor = SlaMonitor(Tracer(), threshold_s=0.1)
+        peak = 0
+        for i in range(self.SAMPLES):
+            # One slice of sim time: no slice-boundary read folds the leaf.
+            monitor.on_delivery(
+                DeliveryEvent(0.5, "sub", "tile:0:0", i, "pub", 0.01, 0, "pub1")
+            )
+            (leaf,) = monitor._leaves.values()
+            peak = max(peak, *(len(h.pending) for h in leaf._hists))
+        assert peak <= FOLD_AT
+        assert sum(h.count for h in leaf._hists) == self.SAMPLES
