@@ -77,7 +77,6 @@ SUBSYSTEMS: Dict[str, str] = {
     "sla_violation_start": "sla-monitor",
     "sla_violation_end": "sla-monitor",
     "sla_window": "sla-monitor",
-    "profile": "obs",
     "metrics": "obs",
 }
 

@@ -404,15 +404,6 @@ class PubSubServer(Actor):
                 gauges[1].value = float(self.fanout_cache_hits)
                 gauges[2].value = float(self.fanout_cache_builds)
                 gauges[3].value = float(self.fanout_cache_invalidations)
-            profiler = tracer.profiler
-            if profiler is not None:
-                profiler.count("broker", "fanout.deliveries", delivered)
-                profiler.count("broker", "fanout.publications", 1)
-                if seq is not None:
-                    # Attributed only when a reliable tier actually
-                    # stamped -- at_most_once runs must show a zero
-                    # reliability row in the profile.
-                    profiler.count("reliability", "stamp.sequenced", 1)
 
         # Loopback deliveries: dispatcher subscriptions and LLA observation.
         for callback in list(self._local_subs.get(channel, ())):
@@ -514,9 +505,6 @@ class PubSubServer(Actor):
             metrics = tracer.metrics
             metrics.counter("replayed_messages_total", server=node_id).inc(len(entries))
             metrics.counter("replayed_bytes_total", server=node_id).inc(total_bytes)
-            profiler = tracer.profiler
-            if profiler is not None:
-                profiler.count("reliability", "replay.messages", len(entries))
 
     def _bind_publish_instruments(self, channel: str) -> Tuple[Counter, Counter, Counter, Histogram]:
         metrics = self.tracer.metrics

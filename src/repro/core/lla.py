@@ -130,10 +130,6 @@ class LocalLoadAnalyzer(Actor):
             metrics.gauge("cpu_utilization", server=self.server.node_id).set(
                 report.cpu_utilization
             )
-            profiler = tracer.profiler
-            if profiler is not None:
-                profiler.count("core", "lla.reports", 1)
-                profiler.count("core", "lla.channel_snapshots", len(snapshots))
 
         self._window_start = now
         self._bytes_at_window_start = self._port.total_bytes

@@ -34,7 +34,6 @@ from repro.core.config import DELIVERY_TIERS
 from repro.experiments import chaos, experiment1, report
 from repro.experiments.run import SPECS, RunSpec, run, with_policy
 from repro.obs.export import dump_tracer
-from repro.obs.profile import SimProfiler, render_profile
 from repro.obs.sink import StreamingJsonlSink
 from repro.obs.trace import Tracer
 
@@ -69,13 +68,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="rotate the streamed trace into PATH, PATH.1, ... every N "
         "events (requires --stream-trace)",
-    )
-    parser.add_argument(
-        "--sim-profile",
-        action="store_true",
-        help="attribute executed events and virtual time per subsystem "
-        "with the deterministic sim-profiler; prints a ranking and, with "
-        "--trace, embeds the profile in the trace trailer",
     )
     parser.add_argument(
         "-v",
@@ -161,47 +153,40 @@ def _make_tracer(args) -> Optional[Tracer]:
     stream = args.stream_trace
     compress = args.trace_gzip
     rotate = args.trace_rotate
-    profile = args.sim_profile
     if stream and not trace:
         raise SystemExit("error: --stream-trace requires --trace PATH")
     if (compress or rotate is not None) and not stream:
         raise SystemExit(
             "error: --trace-gzip/--trace-rotate require --stream-trace"
         )
-    if not trace and not profile:
+    if not trace:
         return None
-    profiler = SimProfiler() if profile else None
-    if trace and stream:
+    if stream:
         try:
             sink = StreamingJsonlSink(
                 trace, compress=compress, rotate_events=rotate
             )
         except OSError as exc:
             raise SystemExit(f"error: cannot write trace file: {exc}")
-        return Tracer(sink=sink, profiler=profiler)
-    if trace:
-        # Fail before the (long) simulation, not at dump time afterwards.
-        try:
-            with open(trace, "w", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write trace file: {exc}")
-    return Tracer(profiler=profiler)
+        return Tracer(sink=sink)
+    # Fail before the (long) simulation, not at dump time afterwards.
+    try:
+        with open(trace, "w", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write trace file: {exc}")
+    return Tracer()
 
 
 def _dump(tracer: Optional[Tracer], args) -> None:
     if tracer is None:
         return
-    if args.trace:
-        sink = tracer.sink
-        if sink is not None:
-            count = sink.finalize(tracer)
-        else:
-            count = dump_tracer(tracer, args.trace)
-        logger.info("wrote %d trace events to %s", count, args.trace)
-    if tracer.profiler is not None:
-        print()
-        print(render_profile(tracer.profiler.snapshot()))
+    sink = tracer.sink
+    if sink is not None:
+        count = sink.finalize(tracer)
+    else:
+        count = dump_tracer(tracer, args.trace)
+    logger.info("wrote %d trace events to %s", count, args.trace)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -282,8 +267,8 @@ def _run_command(args, tracer: Optional[Tracer]) -> int:
             config.crash_at_s,
         )
         result = chaos.run_chaos(config, tracer=tracer)
-        # run_chaos always traces internally; dump/profile only when the
-        # user asked for a tracer of their own.
+        # run_chaos always traces internally; dump only when the user
+        # asked for a trace of their own.
         _dump(tracer, args)
         print(chaos.render_chaos(result))
         if args.max_recovery_s is not None and not result.within_bound(

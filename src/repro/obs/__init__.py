@@ -1,6 +1,6 @@
 """Observability: the flight recorder every component can emit into.
 
-Six pieces:
+Five pieces:
 
 * :mod:`repro.obs.trace` -- typed, timestamped trace events and the
   :class:`~repro.obs.trace.Tracer` / :class:`~repro.obs.trace.NullTracer`
@@ -10,11 +10,12 @@ Six pieces:
 * :mod:`repro.obs.sink` -- bounded-memory streaming trace sinks (chunked
   JSONL, optional gzip and rotation), byte-equivalent to buffered export;
 * :mod:`repro.obs.sla` -- the live sliding-window SLA monitor;
-* :mod:`repro.obs.profile` -- the deterministic sim-profiler (event counts
-  and virtual-time attribution, never wall clock);
 * :mod:`repro.obs.export` + :mod:`repro.obs.cli` -- JSONL export with a
-  stable schema and the ``python -m repro.obs summary|sla|profile``
-  analysis commands.
+  stable schema and the ``python -m repro.obs summary|sla`` analysis
+  commands.
+
+What a run costs is read from the registry's counters and, per Python
+call, from the perf ledger's counting pass (``benchmarks/ledger/run.py``).
 """
 
 from repro.obs.export import (
@@ -25,7 +26,6 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import SimProfiler, render_profile
 from repro.obs.sink import StreamingJsonlSink, TraceSink
 from repro.obs.sla import SlaMonitor, SlidingHistogram
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, channel_class
@@ -37,7 +37,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "SimProfiler",
     "SlaMonitor",
     "SlidingHistogram",
     "StreamingJsonlSink",
@@ -48,6 +47,5 @@ __all__ = [
     "iter_trace",
     "read_trace",
     "read_trace_segments",
-    "render_profile",
     "write_trace",
 ]

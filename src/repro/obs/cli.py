@@ -9,9 +9,10 @@ or streamed, plain or gzipped, rotated segments included):
   violation timeline, per-server load-ratio sparklines and the hottest
   channels;
 * ``sla`` -- just the SLA-violation timeline, optionally as JSON (the CI
-  chaos job uploads this as an artifact);
-* ``profile`` -- the deterministic sim-profiler's hot-path ranking, read
-  from the ``profile`` trailer event of a run traced with profiling on.
+  chaos job uploads this as an artifact).
+
+What a run costs per delivery is not in the trace: the perf ledger's
+counting pass (``benchmarks/ledger/run.py``) reads it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import read_trace_segments
-from repro.obs.profile import render_profile
 from repro.obs.trace import (
     ClientFailoverEvent,
     ClientReconnectEvent,
@@ -41,7 +41,6 @@ from repro.obs.trace import (
     PlanGeneratedEvent,
     PlanRepairDoneEvent,
     PlanRepairStartEvent,
-    ProfileEvent,
     ServerCrashEvent,
     ServerFailureConfirmedEvent,
     ServerReadyEvent,
@@ -561,9 +560,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sla", help="print the SLA-violation timeline")
     p.add_argument("trace", help="path to a trace.jsonl file")
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p = sub.add_parser("profile", help="rank hot paths from the profiler snapshot")
-    p.add_argument("trace", help="path to a trace.jsonl file")
-    p.add_argument("--top", type=int, default=20, help="sites to list per ranking")
     return parser
 
 
@@ -587,16 +583,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(json.dumps(episodes, indent=2, sort_keys=True))
             else:
                 print(render_sla_timeline(episodes))
-        elif args.command == "profile":
-            profiles = [e for e in events if isinstance(e, ProfileEvent)]
-            if not profiles:
-                print(
-                    f"error: {args.trace}: no profiler snapshot in trace "
-                    "(run with profiling enabled, e.g. --sim-profile)",
-                    file=sys.stderr,
-                )
-                return 1
-            print(render_profile(profiles[-1].data, top=args.top))
     except BrokenPipeError:  # e.g. piped into head; not an error
         return 0
     return 0

@@ -8,8 +8,10 @@ Schema (one JSON object per line):
   remaining keys are that event dataclass's fields (tuples serialized as
   JSON arrays).
 * When exported through :func:`dump_tracer` (or a streaming sink finalized
-  with :func:`trailer_events`), the trace ends with an optional ``profile``
-  event and a ``metrics`` event embedding a full registry snapshot.
+  with :func:`trailer_events`), the trace ends with a ``metrics`` event
+  embedding a full registry snapshot.  Older traces may carry a
+  ``profile`` event (the retired event profiler's snapshot) just before
+  it; it is an unknown type now and is skipped like any other.
 
 An event line is ``json.dumps(event.to_dict(), sort_keys=True,
 separators=(",", ":"))`` byte for byte, but the writer never builds that
@@ -41,7 +43,6 @@ from repro.obs.trace import (
     EVENT_TYPES,
     FirstUse,
     MetricsEvent,
-    ProfileEvent,
     TraceEvent,
     Tracer,
     field_names,
@@ -49,7 +50,8 @@ from repro.obs.trace import (
 
 #: Current writer schema.  v2 added the fault/recovery event types of the
 #: ``repro.faults`` subsystem; v3 adds the live-SLA events (sla_violation_*,
-#: sla_window), the profiler snapshot event and DeliveryEvent.server.
+#: sla_window), the (since retired) ``profile`` snapshot event and
+#: DeliveryEvent.server.
 SCHEMA_VERSION = 3
 #: Schemas this reader accepts.  v1/v2 traces contain a strict subset of
 #: the v3 event types (and v3-grown fields have defaults), so they load
@@ -179,19 +181,13 @@ def write_trace(path: Union[str, Path], events: Iterable[TraceEvent]) -> int:
 def trailer_events(tracer: Tracer) -> List[TraceEvent]:
     """End-of-run events appended after the timeline.
 
-    A ``profile`` snapshot (when a profiler is attached) followed by the
-    ``metrics`` registry snapshot, both stamped with the latest event time
+    The ``metrics`` registry snapshot, stamped with the latest event time
     (``tracer.last_t``, not the last *emitted* event's: an SLA boundary
     event is emitted after the delivery that crossed the boundary, with the
     earlier boundary time).  Shared by :func:`dump_tracer` and
     streaming-sink finalization so both produce byte-identical output.
     """
-    t = tracer.last_t
-    trailer: List[TraceEvent] = []
-    if tracer.profiler is not None:
-        trailer.append(ProfileEvent(t=t, data=tracer.profiler.snapshot()))
-    trailer.append(MetricsEvent(t=t, data=tracer.metrics.snapshot()))
-    return trailer
+    return [MetricsEvent(t=tracer.last_t, data=tracer.metrics.snapshot())]
 
 
 def dump_tracer(tracer: Tracer, path: Union[str, Path]) -> int:

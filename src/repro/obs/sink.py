@@ -152,7 +152,7 @@ class StreamingJsonlSink:
         return len(self.pending)
 
     def finalize(self, tracer: Tracer) -> int:
-        """Append the end-of-run trailer (profile + metrics) and close.
+        """Append the end-of-run trailer (the metrics snapshot) and close.
 
         Returns the total number of events written across all segments.
         The trailer comes from :func:`repro.obs.export.trailer_events`, the

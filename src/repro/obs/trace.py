@@ -491,17 +491,8 @@ class SlaWindowEvent(TraceEvent):
 
 
 # ----------------------------------------------------------------------
-# Deterministic sim-profiler events (schema 3, repro.obs.profile)
+# End-of-run trailer (repro.obs.export.trailer_events)
 # ----------------------------------------------------------------------
-@dataclass
-class ProfileEvent(TraceEvent):
-    """End-of-run profiler snapshot: per-subsystem/site counts + sim time."""
-
-    TYPE = "profile"
-
-    data: Dict[str, Any] = field(default_factory=dict)
-
-
 @dataclass
 class MetricsEvent(TraceEvent):
     """A metrics-registry snapshot embedded in the trace (usually last)."""
@@ -551,7 +542,6 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         SlaViolationStartEvent,
         SlaViolationEndEvent,
         SlaWindowEvent,
-        ProfileEvent,
         MetricsEvent,
     )
 }
@@ -605,8 +595,6 @@ class Tracer:
       event classes it asked for.  Observers run after the event is
       recorded, so anything they emit re-entrantly lands after the
       triggering event in both buffered and streamed output.
-    * ``profiler`` -- a :class:`repro.obs.profile.SimProfiler`; attached to
-      the kernel by :meth:`attach_kernel` and fed by the message tap.
     """
 
     #: Hot paths check this before constructing any event.
@@ -618,7 +606,6 @@ class Tracer:
         *,
         sink: Optional[Any] = None,
         keep_events: Optional[bool] = None,
-        profiler: Optional[Any] = None,
     ) -> None:
         if keep_events is None:
             keep_events = sink is None
@@ -627,7 +614,6 @@ class Tracer:
         self.events: List[TraceEvent] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.sink = sink
-        self.profiler = profiler
         #: Timestamp of the most recently emitted event (streaming-safe
         #: replacement for ``events[-1].t`` when buffering is off).
         self.last_t: float = 0.0
@@ -724,9 +710,6 @@ class Tracer:
         messages, sent_bytes = self._tap_counters[src_id]
         messages.value += 1.0
         sent_bytes.value += size_bytes
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.count_message(type(message).__name__, size_bytes)
 
     def _delivery_instruments(self, channel: str) -> Tuple[Histogram, Counter]:
         metrics = self.metrics
@@ -766,8 +749,6 @@ class Tracer:
             self._collect_kernel()
         self._kernel = sim
         self._kernel_counted = sim.events_processed
-        if self.profiler is not None:
-            sim.profiler = self.profiler
 
     def _collect_kernel(self) -> None:
         """Registry collector: count the kernel events executed since the

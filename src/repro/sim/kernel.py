@@ -117,18 +117,9 @@ class Simulator:
         self._batched: int = 0
         self._gc_next: int = self.GC_MAINTENANCE_EVENTS
         self._last_event_time: float = 0.0
-        #: Optional sim-profiler (``repro.obs.profile.SimProfiler``-shaped:
-        #: anything with ``record_event(fn, now, args)``).  Fed the executed
-        #: callback after each event.  Hoisted into a local at run entry
-        #: (``None`` then costs nothing per event), so it must be installed
-        #: *before* entering a run loop, never from inside an executing
-        #: event; it must not schedule events or touch any RNG (counts and
-        #: virtual time only, no wall clock) so instrumented runs stay
-        #: deterministic.
-        self.profiler: Optional[Any] = None
-        #: Low-frequency sampling hook installed via :meth:`set_sample_hook`:
-        #: it fires only every ``sample_every`` executed events, so
-        #: per-event cost is one integer compare.
+        #: Sampling hook installed via :meth:`set_sample_hook`: it fires
+        #: only every ``sample_every`` executed events, so per-event cost is
+        #: one integer compare.
         self.sample_hook: Optional[Callable[[float, int], None]] = None
         self.sample_every: int = 0
         self._sample_next: float = _NEVER
@@ -311,8 +302,12 @@ class Simulator:
 
         ``fn(now, events_processed)`` fires after every ``every`` executed
         events -- the perf ledger's probe (``benchmarks/ledger/``) samples
-        through it.  The hook must follow the :attr:`profiler` determinism
-        contract.
+        through it; ``every=1`` makes it a per-event hook.  The run loop
+        reads the threshold once at entry, so install the hook *before*
+        entering a run, never from inside an executing event.  Determinism
+        contract: the hook observes only -- it schedules no event and
+        touches no RNG and no wall clock -- so a sampled run is
+        byte-identical to an unsampled one.
         """
         if fn is None:
             self.sample_hook = None
@@ -356,12 +351,6 @@ class Simulator:
         was_running = self._running
         self._running = True
         try:
-            # The profiler is hoisted into a local once per run entry: None
-            # costs nothing per event instead of an attribute load + test.
-            # It must therefore be installed before the run loop starts
-            # (Tracer.attach_kernel does), never from inside an executing
-            # event.
-            profiler = self.profiler
             # Combined threshold: one compare per event covers the sampling
             # hook, GC maintenance and the event budget.
             pause_next = min(self._sample_next, gc_next, stop_at)
@@ -409,8 +398,6 @@ class Simulator:
                     event.args = ()
                 self._events_processed += 1
                 fn(*args)
-                if profiler is not None:
-                    profiler.record_event(fn, self.now, args)
                 if heap is not self._heap:
                     heap = self._heap  # compaction rebuilt it
                 if self._events_processed >= pause_next:

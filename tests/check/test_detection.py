@@ -18,11 +18,15 @@ class level (``repro.check.scenario._PLANTABLE_BUGS``).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check import check_result, generate_scenario, run_scenario, shrink
 from repro.check.cli import main
 from repro.check.scenario import Scenario
+from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
+from repro.obs.trace import ReplayEvent, UnsubscribeEvent
 
 #: a generated scenario (churny + double-crash) whose timing lands a
 #: publication in the repair window; found by an 800-seed sweep and
@@ -224,3 +228,37 @@ def test_soak_seed_passes_at_most_once(seed):
     seeds with neither reliable stage nor a ping tick to re-send."""
     scenario = generate_scenario(seed, delivery_tier="at_most_once", causal_order=False)
     assert check_result(run_scenario(scenario)) == []
+
+
+#: ROADMAP item 1: a straggler ``Delivery`` that reaches a reliable-tier
+#: client after it unsubscribed goes through the sequence stage and
+#: re-creates the stream ``unsubscribe`` dropped, so the next SUBSCRIBE
+#: resumes from it and the broker replays everything published while the
+#: client was away.  Red today; the change that fixes ``receive`` flips it.
+_REPLAY_AFTER_UNSUBSCRIBE = {
+    0: "13 of 13 replays (841 messages) follow the client's own unsubscribe",
+    3: "16 of 16 replays (1 557 messages) follow the client's own unsubscribe",
+}
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(
+            seed, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+        )
+        for seed, reason in _REPLAY_AFTER_UNSUBSCRIBE.items()
+    ],
+)
+def test_resubscribe_replays_no_history_exactly_once(seed):
+    """Chaos smoke on ``exactly_once``: no broker replays a channel's
+    history to a client that left that channel earlier in the run."""
+    config = replace(ChaosScenarioConfig.smoke(), seed=seed, delivery_tier="exactly_once")
+    left = set()
+    stale = []
+    for event in run_chaos(config).tracer.events:
+        if type(event) is UnsubscribeEvent:
+            left.add((event.client, event.channel))
+        elif type(event) is ReplayEvent and (event.client, event.channel) in left:
+            stale.append(event)
+    assert stale == []

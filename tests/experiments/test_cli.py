@@ -75,9 +75,3 @@ class TestStreamingFlags:
         assert len(events) == seen["emitted"] > 0
         assert events[-1].t <= 2.0
         assert not any(type(e) is MetricsEvent for e in events)
-
-    def test_chaos_sim_profile_prints_ranking(self, capsys):
-        assert main(["chaos", "--smoke", "--sim-profile"]) == 0
-        out = capsys.readouterr().out
-        assert "sim-profiler hot paths" in out
-        assert "verdict: RECOVERED" in out

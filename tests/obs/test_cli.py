@@ -185,34 +185,3 @@ class TestSlaAndProfileSubcommands:
         write_trace(path, self._sla_events())
         assert main(["summary", str(path)]) == 0
         assert "SLA violations" in capsys.readouterr().out
-
-    def test_profile_subcommand(self, tmp_path, capsys):
-        from repro.obs.trace import ProfileEvent
-
-        path = tmp_path / "run.jsonl"
-        write_trace(
-            path,
-            [
-                _delivery(1.0, 0.01),
-                ProfileEvent(
-                    9.0,
-                    {
-                        "version": 1,
-                        "total_events": 5,
-                        "total_sim_s": 9.0,
-                        "events": {"sim:Task._tick": {"count": 5, "sim_s": 9.0}},
-                        "messages": {},
-                        "counters": {},
-                    },
-                ),
-            ],
-        )
-        assert main(["profile", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "sim-profiler hot paths" in out
-        assert "Task._tick" in out
-
-    def test_profile_without_profile_event_fails(self, tmp_path, capsys):
-        path = tmp_path / "run.jsonl"
-        write_trace(path, [_delivery(1.0, 0.01)])
-        assert main(["profile", str(path)]) == 1

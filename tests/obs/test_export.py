@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.obs.cli import main as obs_main
 from repro.obs.export import (
     HEADER_TYPE,
     SCHEMA_VERSION,
@@ -43,7 +44,6 @@ from repro.obs.trace import (
     PlanPushedEvent,
     PlanRepairDoneEvent,
     PlanRepairStartEvent,
-    ProfileEvent,
     PublishEvent,
     ServerCrashEvent,
     ServerFailureConfirmedEvent,
@@ -109,7 +109,6 @@ SAMPLE_EVENTS = [
     SlaWindowEvent(38.0, "server:pub1", 400, 0.08, 0.21, 0.4, True),
     SlaWindowEvent(38.0, "channel:tile", 0, None, None, None, False),  # empty window
     SlaViolationEndEvent(39.0, "overall", 2.0, 0.21),
-    ProfileEvent(60.0, {"version": 1, "total_events": 9, "subsystems": {}}),
     MetricsEvent(13.0, {"counters": {"x": 1.0}, "gauges": {}, "histograms": {}}),
 ]
 
@@ -269,15 +268,38 @@ class TestReaderRobustness:
         with pytest.raises(ValueError, match="schema"):
             read_trace(path)
 
-    def test_unknown_event_types_skipped(self, tmp_path):
-        path = tmp_path / "forward.jsonl"
-        path.write_text(
-            '{"type": "trace_header", "schema": 1}\n'
-            '{"type": "hologram", "t": 1.0, "payload": "?"}\n'
-            '{"type": "server_ready", "t": 2.0, "server": "pub1"}\n'
+    def test_unknown_event_types_skipped(self, tmp_path, capsys):
+        ready = '{"type": "server_ready", "t": 2.0, "server": "pub1"}\n'
+        metrics = (
+            '{"type": "metrics", "t": 2.0, "data": '
+            '{"counters": {}, "gauges": {}, "histograms": {}}}\n'
         )
-        loaded = read_trace(path)
-        assert loaded == [ServerReadyEvent(2.0, "pub1")]
+        cases = {
+            # A type from a newer writer.
+            "forward": (
+                '{"type": "trace_header", "schema": 1}\n'
+                '{"type": "hologram", "t": 1.0, "payload": "?"}\n' + ready,
+                [ServerReadyEvent(2.0, "pub1")],
+            ),
+            # A retired type: schema-3 traces of profiled runs carry a
+            # ``profile`` snapshot before the metrics.
+            "profile-trailer": (
+                '{"type": "trace_header", "schema": 3}\n' + ready
+                + '{"type": "profile", "t": 2.0, "data": {"version": 1, '
+                '"total_events": 9, "events": {}, "messages": {}, "counters": {}}}\n'
+                + metrics,
+                [
+                    ServerReadyEvent(2.0, "pub1"),
+                    MetricsEvent(2.0, {"counters": {}, "gauges": {}, "histograms": {}}),
+                ],
+            ),
+        }
+        for name, (text, expected) in cases.items():
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(text)
+            assert read_trace(path) == expected, name
+            assert obs_main(["summary", str(path)]) == 0, name
+            assert "error" not in capsys.readouterr().err, name
 
     def test_malformed_event_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "broken.jsonl"

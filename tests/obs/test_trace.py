@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.obs.export import dump_tracer, read_trace
-from repro.obs.profile import SimProfiler
 from repro.obs.sink import StreamingJsonlSink
 from repro.obs.sla import SlaMonitor
 from repro.obs.trace import (
@@ -121,24 +120,23 @@ class TestTracedRun:
 
     def test_kernel_metrics_equal_a_per_event_hook(self):
         """The pulled metrics must be what a hook run after every kernel
-        event would have pushed (the profiler seam is such a hook)."""
+        event would have pushed (a sample hook at ``every=1`` is such a
+        hook)."""
+        seen = {"events": 0, "clock": 0.0}
 
-        class PerEventHook(SimProfiler):
-            events = 0
-            clock = 0.0
+        def hook(now, events_processed):
+            seen["events"] += 1
+            seen["clock"] = now
+            assert events_processed == seen["events"]
 
-            def record_event(self, fn, now, args):
-                self.events += 1
-                self.clock = now
-
-        hook = PerEventHook()
-        tracer = Tracer(profiler=hook)
+        tracer = Tracer()
         cluster = DynamothCluster(seed=0, initial_servers=1, tracer=tracer)
+        cluster.sim.set_sample_hook(hook, every=1)
         cluster.create_client("c").subscribe("x", lambda *a: None)
         cluster.run_for(3.0)
         snap = tracer.metrics.snapshot()
-        assert snap["counters"]["sim_events_total"] == hook.events > 0
-        assert snap["gauges"]["sim_clock_s"] == hook.clock
+        assert snap["counters"]["sim_events_total"] == seen["events"] > 0
+        assert snap["gauges"]["sim_clock_s"] == seen["clock"]
         assert type(snap["counters"]["sim_events_total"]) is float
 
     def test_kernel_clock_is_the_last_event_not_the_horizon(self):
