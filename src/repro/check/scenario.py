@@ -324,7 +324,7 @@ class _Workload:
     # --- subscription bookkeeping -------------------------------------
     def subscribe(self, client_id: str, channel: str) -> None:
         client = self.cluster.clients[client_id]
-        client.subscribe(channel, _noop_callback)
+        client.subscribe(channel)  # ``on_delivery`` records what arrives
         self.ledger.open_interval(self.sim.now, client_id, channel)
 
     def unsubscribe(self, client_id: str, channel: str) -> None:
@@ -394,10 +394,6 @@ class _Workload:
         client = self.cluster.clients.get(reader_id)
         if client is not None and not client.is_subscribed(channel):
             self.subscribe(reader_id, channel)
-
-
-def _noop_callback(channel: str, body: object, envelope: object) -> None:
-    pass
 
 
 #: ``Scenario`` flag -> (class, method, broken stand-in): the real loss

@@ -11,7 +11,9 @@ comparison stays inside C.  Callers that never need a cancel handle (the
 transport) enqueue *fire-and-forget* batches through
 :meth:`Simulator.schedule_batch`: no ``ScheduledEvent`` is allocated per
 message, a whole batch waits in the heap as one cursor entry, and the run
-loop skips all handle bookkeeping for it.
+loop skips all handle bookkeeping for it.  Periodic work is queued once
+through :meth:`Simulator.schedule_every`: the run loop re-queues its handle
+on every fire, so a tick costs no frame beyond its callback.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from __future__ import annotations
 import gc
 import heapq
 from itertools import islice
+from math import isnan
 from operator import le
+from random import Random
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 _NEVER = float("inf")
@@ -28,13 +32,17 @@ _NEVER = float("inf")
 #:
 #: * ``(time, seq, event)`` -- a cancellable :class:`ScheduledEvent` handle
 #:   created by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
+#: * ``(time, seq, event)`` with a :class:`PeriodicEvent` handle, created by
+#:   :meth:`Simulator.schedule_every`: the run loop re-queues it (next time,
+#:   next seq) with ``heapreplace`` before calling ``fn(now)``, so one
+#:   handle stands for every tick and no frame re-arms it.
 #: * ``(time, seq, None, fn, args_seq, times, j)`` -- a *batch cursor*
 #:   created by :meth:`Simulator.schedule_batch`: it stands for the batch's
 #:   item ``j`` (``fn(*args_seq[j])`` at ``times[j]``) and every item after
 #:   it.  No handle object exists at all.
 #:
 #: The ``(time, seq)`` prefix is unique, so tuple comparison never falls
-#: through to the third element and the two shapes order consistently.
+#: through to the third element and the shapes order consistently.
 _Entry = Tuple[Any, ...]
 
 
@@ -49,9 +57,14 @@ class ScheduledEvent:
     is enqueued as one fire-and-forget cursor tuple with no handle.
     """
 
-    # No ``__init__``: :meth:`Simulator.schedule` / ``schedule_at``, the only
-    # makers, fill the six slots in their own frame.
+    # No ``__init__``: :meth:`Simulator.schedule` / ``schedule_at`` /
+    # ``schedule_every``, the only makers, fill the slots in their own frame.
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+
+    #: ``None`` for a one-shot event: a class attribute, so the run loop
+    #: tells the two handle kinds apart with one attribute read.
+    #: :class:`PeriodicEvent` shadows it with a slot.
+    period: Optional[float] = None
 
     time: float
     seq: int
@@ -79,6 +92,22 @@ class ScheduledEvent:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<ScheduledEvent t={self.time:.6f} seq={self.seq} {state}>"
+
+
+class PeriodicEvent(ScheduledEvent):
+    """Handle for a periodic callback, returned by :meth:`Simulator.schedule_every`.
+
+    The handle stays in the queue for the whole schedule: the run loop
+    moves it to its next fire time (and next sequence number) before each
+    call, and :meth:`cancel` ends the schedule.
+    """
+
+    __slots__ = ("period", "jitter", "rng")
+
+    period: float
+    #: half-width of the uniform offset added to each period (0: none)
+    jitter: float
+    rng: Optional[Random]
 
 
 class Simulator:
@@ -174,8 +203,8 @@ class Simulator:
         ``delay`` must be non-negative; a zero delay runs the callback after
         all events already scheduled for the current instant.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay!r}")
+        if not delay >= 0:  # a NaN fails it too
+            raise ValueError(f"delay must be a non-negative number: {delay!r}")
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -191,7 +220,7 @@ class Simulator:
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> ScheduledEvent:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # a NaN fails it too
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         seq = self._seq
         self._seq = seq + 1
@@ -202,6 +231,50 @@ class Simulator:
         event.args = args
         event.cancelled = False
         event._sim = self
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
+
+    def schedule_every(
+        self,
+        delay: float,
+        period: float,
+        fn: Callable[[float], None],
+        *,
+        jitter: float = 0.0,
+        rng: Optional[Random] = None,
+    ) -> PeriodicEvent:
+        """Run ``fn(now)`` ``delay`` seconds from now, then periodically
+        until the returned handle is cancelled.
+
+        Each fire re-queues the handle *before* ``fn`` runs: the next fire
+        is ``period`` seconds later, plus ``rng.uniform(-jitter, jitter)``
+        (the same float expression on the same draw) when ``jitter`` is
+        positive, and it takes the next sequence number at that point.  So
+        the schedule orders against other events exactly as a callback
+        that re-armed itself with :meth:`schedule` first thing would, and
+        ``fn`` may cancel the handle (or schedule anything) freely.
+        """
+        if not delay >= 0:  # a NaN fails it too
+            raise ValueError(f"delay must be a non-negative number: {delay!r}")
+        if not period > 0:
+            raise ValueError(f"period must be positive: {period!r}")
+        if not 0 <= jitter < period:
+            raise ValueError(f"jitter must be in [0, period): {jitter!r}")
+        if jitter > 0 and rng is None:
+            raise ValueError("jitter requires an rng")
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        event = PeriodicEvent()
+        event.time = time
+        event.seq = seq
+        event.fn = fn
+        event.args = ()
+        event.cancelled = False
+        event._sim = self
+        event.period = period
+        event.jitter = jitter
+        event.rng = rng
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
@@ -236,8 +309,8 @@ class Simulator:
         inside the batch keep their index order: the global ``(time, seq)``
         order is the one ``n`` separate entries would have had.
 
-        The batch is atomic: a timestamp in the past raises before anything
-        is queued, so a rejected batch consumes no sequence numbers.
+        The batch is atomic: a timestamp in the past or a NaN raises before
+        anything is queued, so a rejected batch consumes no sequence numbers.
         """
         n = len(times)
         if len(args_seq) != n:
@@ -247,10 +320,13 @@ class Simulator:
         # C-level calls only: before Python 3.12 a comprehension here would
         # run in a frame of its own, once per batch.
         if n > 1 and not all(map(le, times, islice(times, 1, None))):
+            # A NaN anywhere fails that scan, so only this branch looks for one.
+            if any(map(isnan, times)):
+                raise ValueError("cannot schedule at a NaN time")
             order = sorted(range(n), key=times.__getitem__)
             times = list(map(times.__getitem__, order))
             args_seq = list(map(args_seq.__getitem__, order))
-        if times[0] < self.now:
+        if not times[0] >= self.now:
             raise ValueError(f"cannot schedule in the past: {times[0]} < {self.now}")
         seq = self._seq
         self._seq = seq + n
@@ -385,17 +461,35 @@ class Simulator:
                     else:
                         pop(heap)
                 else:
-                    pop(heap)
-                    # Handle state is released *before* running, so an
-                    # event rescheduling itself does not grow memory.
                     fn = event.fn
-                    args = event.args
-                    # Already out of the queue: the self-cancel marker
-                    # must not count toward the compaction trigger.
-                    event._sim = None
-                    event.cancelled = True
-                    event.fn = None
-                    event.args = ()
+                    period = event.period
+                    if period is None:
+                        pop(heap)
+                        # Handle state is released *before* running, so an
+                        # event rescheduling itself does not grow memory.
+                        args = event.args
+                        # Already out of the queue: the self-cancel marker
+                        # must not count toward the compaction trigger.
+                        event._sim = None
+                        event.cancelled = True
+                        event.fn = None
+                        event.args = ()
+                    else:
+                        # Periodic: the handle moves to its next fire time
+                        # under the next seq before ``fn`` runs, so ``fn``
+                        # sees the queue it leaves (and may cancel it).
+                        jitter = event.jitter
+                        if jitter > 0:
+                            # ``rng.uniform(-jitter, jitter)``: the same float
+                            # expression on the same draw, minus its frame.
+                            period += -jitter + (jitter - -jitter) * event.rng.random()
+                        time = self.now + period
+                        seq = self._seq
+                        self._seq = seq + 1
+                        event.time = time
+                        event.seq = seq
+                        replace(heap, (time, seq, event))
+                        args = (self.now,)
                 self._events_processed += 1
                 fn(*args)
                 if heap is not self._heap:

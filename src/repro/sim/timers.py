@@ -9,7 +9,9 @@ Dynamoth relies on timers in two places (paper section IV-A.5):
 
 :class:`Timer` models exactly that resettable one-shot behaviour, and
 :class:`PeriodicTask` drives recurring work such as LLA reports, load
-balancer evaluations and player position updates.
+balancer evaluations and player position updates.  A periodic task is a
+start/stop handle over :meth:`Simulator.schedule_every`: the kernel's run
+loop re-arms it, so a tick runs the callback and no frame of this module.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class Timer:
     """
 
     def __init__(self, sim: Simulator, interval: float, callback: Callable[[], None]) -> None:
-        if interval <= 0:
+        if not interval > 0:  # a NaN fails it too
             raise ValueError(f"timer interval must be positive: {interval!r}")
         self._sim = sim
         self.interval = interval
@@ -67,7 +69,9 @@ class PeriodicTask:
 
     The first invocation happens at ``start_delay`` (default: one full
     period) after :meth:`start`.  The callback receives the current virtual
-    time; returning is all it must do -- rescheduling is automatic.
+    time; returning is all it must do -- rescheduling is automatic.  With
+    ``jitter``, each later period is offset by ``rng.uniform(-jitter,
+    jitter)``, drawn when the tick fires and before the callback runs.
     """
 
     def __init__(
@@ -79,9 +83,11 @@ class PeriodicTask:
         jitter: float = 0.0,
         rng: Optional[Random] = None,
     ) -> None:
-        if period <= 0:
+        # The kernel checks the same again at each start; checked here too
+        # so a bad task fails where it is built.  NaNs fail every compare.
+        if not period > 0:
             raise ValueError(f"period must be positive: {period!r}")
-        if jitter < 0 or jitter >= period:
+        if not 0 <= jitter < period:
             raise ValueError(f"jitter must be in [0, period): {jitter!r}")
         if jitter > 0 and rng is None:
             raise ValueError("jitter requires an rng")
@@ -91,36 +97,22 @@ class PeriodicTask:
         self._jitter = jitter
         self._rng = rng
         self._event: Optional[ScheduledEvent] = None
-        self._running = False
 
     @property
     def running(self) -> bool:
-        return self._running
+        return self._event is not None
 
     def start(self, start_delay: Optional[float] = None) -> None:
         """Begin the periodic schedule.  Idempotent while running."""
-        if self._running:
+        if self._event is not None:
             return
-        self._running = True
         delay = self.period if start_delay is None else start_delay
-        self._event = self._sim.schedule(delay, self._tick)
+        self._event = self._sim.schedule_every(
+            delay, self.period, self._callback, jitter=self._jitter, rng=self._rng
+        )
 
     def stop(self) -> None:
         """Stop future invocations.  Idempotent."""
-        self._running = False
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        delay = self.period
-        jitter = self._jitter
-        if jitter > 0:
-            assert self._rng is not None  # enforced by __init__
-            # ``rng.uniform(-jitter, jitter)``: the same float expression on
-            # the same draw, minus its frame.
-            delay += -jitter + (jitter - -jitter) * self._rng.random()
-        self._event = self._sim.schedule(delay, self._tick)
-        self._callback(self._sim.now)

@@ -111,7 +111,6 @@ class Player:
         self._paused_until = 0.0
         self.current_channel: Optional[str] = None
         self.updates_sent = 0
-        self.updates_received = 0
 
         if rtt_sink is not None:
             client.on_response_time = rtt_sink
@@ -142,14 +141,13 @@ class Player:
         self.client.disconnect()
 
     # ------------------------------------------------------------------
-    def _on_delivery(self, channel: str, body: object, envelope: object) -> None:
-        self.updates_received += 1
-
     def _enter_tile(self, channel: str) -> None:
         """Move the subscription to ``channel``, a tile other than the current."""
         if self.current_channel is not None:
             self.client.unsubscribe(self.current_channel)
-        self.client.subscribe(channel, self._on_delivery)
+        # No callback: the client counts what comes back (``delivered``,
+        # and the response time through ``on_response_time``).
+        self.client.subscribe(channel)
         self.current_channel = channel
 
     def _tick(self, now: float) -> None:

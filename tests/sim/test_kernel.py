@@ -3,9 +3,14 @@
 import ast
 from pathlib import Path
 
+from random import Random
+
 import pytest
 
 from repro.sim.kernel import Simulator
+from repro.sim.timers import PeriodicTask, Timer
+
+NAN = float("nan")
 
 
 class TestScheduling:
@@ -61,6 +66,63 @@ class TestScheduling:
         sim.schedule_at(4.0, lambda: seen.append(sim.now))
         sim.run_until(10.0)
         assert seen == [4.0]
+
+
+class TestNaNRejected:
+    """A NaN time fails every ordering compare, so unchecked it would sit in
+    the heap wherever it landed (it ran before events at t = 1 and t = 2).
+    Every entry point rejects it and leaves the queue as it found it."""
+
+    @staticmethod
+    def _queued(sim):
+        sim.schedule(1.0, lambda: None)
+        sim.schedule_batch(lambda: None, [2.0, 3.0], [(), ()])
+        return sim.pending_count, list(sim._heap), sim._seq
+
+    def _rejects(self, sim, make):
+        before = self._queued(sim)
+        with pytest.raises(ValueError):
+            make()
+        assert (sim.pending_count, list(sim._heap), sim._seq) == before
+
+    def test_schedule(self, sim):
+        self._rejects(sim, lambda: sim.schedule(NAN, lambda: None))
+
+    def test_schedule_at(self, sim):
+        self._rejects(sim, lambda: sim.schedule_at(NAN, lambda: None))
+
+    def test_schedule_every_delay(self, sim):
+        self._rejects(sim, lambda: sim.schedule_every(NAN, 1.0, lambda now: None))
+
+    def test_schedule_every_period(self, sim):
+        self._rejects(sim, lambda: sim.schedule_every(0.0, NAN, lambda now: None))
+
+    def test_schedule_every_jitter(self, sim):
+        self._rejects(
+            sim, lambda: sim.schedule_every(0.0, 1.0, lambda now: None, jitter=NAN, rng=Random(0))
+        )
+
+    @pytest.mark.parametrize(
+        "times", [[NAN], [NAN, 1.0], [1.0, NAN], [1.0, NAN, 2.0], [2.0, 1.0, NAN]]
+    )
+    def test_schedule_batch(self, sim, times):
+        self._rejects(sim, lambda: sim.schedule_batch(lambda: None, times, [()] * len(times)))
+
+    def test_timer(self, sim):
+        self._rejects(sim, lambda: Timer(sim, NAN, lambda: None))
+
+    def test_periodic_task_period(self, sim):
+        self._rejects(sim, lambda: PeriodicTask(sim, NAN, lambda now: None))
+
+    def test_periodic_task_jitter(self, sim):
+        self._rejects(
+            sim, lambda: PeriodicTask(sim, 1.0, lambda now: None, jitter=NAN, rng=Random(0))
+        )
+
+    def test_periodic_task_start_delay(self, sim):
+        task = PeriodicTask(sim, 1.0, lambda now: None)
+        self._rejects(sim, lambda: task.start(start_delay=NAN))
+        assert not task.running
 
 
 class TestCancellation:

@@ -7,7 +7,7 @@ import pytest
 from repro.workload.rgame import RGameConfig, RGameWorkload, TileWorld
 from repro.workload.schedules import steps
 from tests.conftest import make_static_cluster
-from tests.helpers import python_calls_by_file
+from tests.helpers import python_calls_by_function
 
 
 class TestTileWorld:
@@ -86,7 +86,7 @@ class TestPlayer:
         workload = RGameWorkload(cluster, RGameConfig())
         (player,) = workload.add_players(1)
         cluster.run_for(5.0)
-        assert player.updates_received >= player.updates_sent - 3
+        assert player.client.delivered >= player.updates_sent - 3
 
     def test_players_in_same_tile_see_each_other(self):
         cluster = make_static_cluster()
@@ -94,8 +94,8 @@ class TestPlayer:
         p1, p2 = workload.add_players(2)
         cluster.run_for(5.0)
         # each receives own + other's updates
-        assert p1.updates_received > p1.updates_sent
-        assert p2.updates_received > p2.updates_sent
+        assert p1.client.delivered > p1.updates_sent
+        assert p2.client.delivered > p2.updates_sent
 
     def test_movement_changes_position(self):
         cluster = make_static_cluster()
@@ -131,37 +131,49 @@ class TestPlayer:
         assert samples and all(0 < s < 2.0 for s in samples)
 
     @staticmethod
-    def _workload_frames_per_tick(rtt_sink=None):
+    def _calls_per_tick(rtt_sink=None):
+        """Python calls per player tick over 30 s, per ``(file, line, name)``."""
         cluster = make_static_cluster()
         workload = RGameWorkload(cluster, RGameConfig(), rtt_sink=rtt_sink)
         (player,) = workload.add_players(1)
         cluster.run_for(1.0)
         sent = player.updates_sent
-        by_file = python_calls_by_file(lambda: cluster.run_for(30.0))
+        calls = python_calls_by_function(lambda: cluster.run_for(30.0))
         ticks = player.updates_sent - sent
         assert ticks > 80
-        calls = sum(
+        return {key: n / ticks for key, n in calls.items()}
+
+    @staticmethod
+    def _workload_frames(per_tick):
+        return sum(
             n
-            for path, n in by_file.items()
+            for (path, _line, _name), n in per_tick.items()
             if "/repro/workload/" in path or path.endswith("/repro/sim/timers.py")
         )
-        return calls / ticks
 
-    def test_a_tick_costs_three_workload_frames(self):
-        """The timer's ``_tick``, the player's ``_tick`` and the player's own
-        update coming back through ``_on_delivery``: nothing else in the
-        workload or the timer layer runs per tick (moving and the tile
-        lookup happen in the tick's own frame)."""
+    def test_a_tick_costs_one_workload_frame(self):
+        """The player's ``_tick`` is the one workload frame a tick runs: the
+        kernel re-arms the periodic task, and the player's own update comes
+        back to a subscription with no callback (moving and the tile lookup
+        happen in the tick's own frame).  Reads 1.09."""
+        per_tick = self._calls_per_tick()
         # Waypoint arrivals and tile crossings (a handful in 30 s) are the slack.
-        assert self._workload_frames_per_tick() <= 3.2
+        assert self._workload_frames(per_tick) <= 1.2
+        rearm = {
+            f"{path.rsplit('/', 1)[-1]}:{name}": n
+            for (path, _line, name), n in per_tick.items()
+            if (path.endswith("/repro/sim/kernel.py") and name == "schedule")
+            or path.endswith("/repro/sim/timers.py")
+        }
+        assert rearm == {}, f"a tick re-arms through {rearm}"
 
     def test_an_rtt_sink_adds_no_workload_frame(self):
         """The client calls the sink itself: ``Player`` puts no adapter
-        between ``on_response_time`` and it.  Reads 3.09; 4.09 with one."""
+        between ``on_response_time`` and it.  Reads 1.09; 2.09 with one."""
         samples = []
-        per_tick = self._workload_frames_per_tick(lambda rtt, now: samples.append(rtt))
+        per_tick = self._calls_per_tick(lambda rtt, now: samples.append(rtt))
         assert len(samples) > 80
-        assert per_tick <= 3.2
+        assert self._workload_frames(per_tick) <= 1.2
 
     def test_leave_stops_everything(self):
         cluster = make_static_cluster()
