@@ -296,8 +296,13 @@ class DynamothClient(Actor):
             targets = mapping.publish_targets(self._rng or self._open_stream())
         else:
             targets = mapping.servers  # no draw: the stream stays unopened
+        transport, tap = self.transport, self.tap  # ``Actor.send``, inlined
+        if transport is None:
+            raise RuntimeError(f"actor {self.node_id} is not attached to a transport")
         for server in targets:
-            self.send(server, cmd, wire_payload)
+            if tap is not None:
+                tap(self.node_id, server, cmd, wire_payload)
+            transport.send(self.node_id, server, cmd, wire_payload)
         if self._recovery is not None:
             probed = self._recovery.publish_targets
             for server in targets:

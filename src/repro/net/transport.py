@@ -27,13 +27,16 @@ send bodies:
 and :meth:`Transport.send_fanout`, the bulk fan-out API: it advances the
 NIC clock once per message, float-identical to back-to-back single sends,
 samples propagation once per *leg* (latency model) per batch, and
-schedules all deliveries through the kernel's batch interface.
+queues all deliveries as one batch cursor.  Both push their cursor onto the
+kernel's heap themselves, on the contract :mod:`repro.sim.kernel` states.
 """
 
 from __future__ import annotations
 
 from array import array
-from operator import methodcaller
+from heapq import heappush
+from itertools import islice
+from operator import le, methodcaller
 from random import Random
 from typing import Any, Container, Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -194,8 +197,9 @@ class Transport:
         if src_id not in self._actors:
             raise KeyError(f"unknown sender: {src_id}")
         port = self._ports[src_id]
-        now = self.sim.now
-        if size_bytes < 0:
+        sim = self.sim
+        now = sim.now
+        if not size_bytes >= 0:  # a NaN fails it too, before the port moves
             raise ValueError(f"negative message size: {size_bytes!r}")
         capacity = port.capacity_bps
         if capacity is None:
@@ -240,9 +244,12 @@ class Transport:
         # a fire-and-forget batch of one instead of a ScheduledEvent handle,
         # and the cursor calls ``dst.receive(message, src_id)`` with no
         # frame here.  The kernel keeps the two fresh one-tuples.
-        self.sim.schedule_batch(
-            methodcaller("receive", message, src_id), (delivery_time,), (state[_P_ARGS],)
-        )
+        if not delivery_time >= now:  # a NaN fails it too
+            raise ValueError(f"cannot schedule in the past: {delivery_time} < {now}")
+        seq = sim._seq
+        sim._seq = seq + 1
+        fn = methodcaller("receive", message, src_id)
+        heappush(sim._heap, (delivery_time, seq, None, fn, (state[_P_ARGS],), (delivery_time,), 0))
         self.messages_sent += 1
         return completion, delivery_time
 
@@ -302,7 +309,7 @@ class Transport:
         still occupied the NIC.
         """
         port = self._ports[src_id]
-        if size_bytes < 0:
+        if not size_bytes >= 0:  # a NaN fails it too, before the port moves
             raise ValueError(f"negative message size: {size_bytes!r}")
         count = len(dst_ids)
         capacity = port.capacity_bps
@@ -392,7 +399,8 @@ class Transport:
             state[_P_FIFO] = delivery_time
             add_time(delivery_time)
             add_args(state[_P_ARGS])
-        if times:
+        n = len(times)
+        if n:
             # One C callable for the whole batch, no tuple per destination.
             # The batch waits in the kernel as one cursor entry that keeps
             # ``times`` and ``args_seq``, so they are built fresh here and
@@ -400,8 +408,18 @@ class Transport:
             # delivery's time costs the kernel 8 bytes, not a list slot and
             # a float object, and ``completions`` is garbage once the
             # broker's buffer loop has copied it.
-            self.sim.schedule_batch(methodcaller("receive", message, src_id), times, args_seq)
-            self.messages_sent += len(times)
+            fn = methodcaller("receive", message, src_id)
+            sim = self.sim
+            if n > 1 and not all(map(le, times, islice(times, 1, None))):
+                sim.schedule_batch(fn, times, args_seq)  # sorts (or finds a NaN)
+            else:
+                if not times[0] >= sim.now:
+                    raise ValueError(f"cannot schedule in the past: {times[0]} < {sim.now}")
+                seq = sim._seq
+                sim._seq = seq + n
+                sim._batched += n - 1
+                heappush(sim._heap, (times[0], seq, None, fn, args_seq, times, 0))
+            self.messages_sent += n
         if dropped:
             self.messages_dropped += dropped
         return completions

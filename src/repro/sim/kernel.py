@@ -7,13 +7,16 @@ them.  Ties are broken by insertion order, which makes runs fully
 deterministic for a fixed seed.
 
 The queue is a binary heap of tuple entries (see ``_Entry``), so every
-comparison stays inside C.  Callers that never need a cancel handle (the
-transport) enqueue *fire-and-forget* batches through
-:meth:`Simulator.schedule_batch`: no ``ScheduledEvent`` is allocated per
-message, a whole batch waits in the heap as one cursor entry, and the run
-loop skips all handle bookkeeping for it.  Periodic work is queued once
-through :meth:`Simulator.schedule_every`: the run loop re-queues its handle
-on every fire, so a tick costs no frame beyond its callback.
+comparison stays inside C.  Work that needs no cancel handle waits as one
+*fire-and-forget* cursor per batch, ``(time, seq, None, fn, args_seq,
+times, 0)``: no ``ScheduledEvent`` per item, no handle bookkeeping in the
+run loop.  :meth:`Simulator.schedule_batch` queues one; the transport, the
+one writer outside this module, pushes its own onto ``_heap`` when its
+``times`` are non-decreasing, raising on ``not times[0] >= now``, taking
+``n`` numbers from ``_seq`` and adding ``n - 1`` to ``_batched``.
+``_heap`` is never rebound.  Periodic work is queued once through
+:meth:`Simulator.schedule_every`: the run loop re-queues its handle on
+every fire, so a tick costs no frame beyond its callback.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ _NEVER = float("inf")
 #:   next seq) with ``heapreplace`` before calling ``fn(now)``, so one
 #:   handle stands for every tick and no frame re-arms it.
 #: * ``(time, seq, None, fn, args_seq, times, j)`` -- a *batch cursor*
-#:   created by :meth:`Simulator.schedule_batch`: it stands for the batch's
-#:   item ``j`` (``fn(*args_seq[j])`` at ``times[j]``) and every item after
-#:   it.  No handle object exists at all.
+#:   queued by :meth:`Simulator.schedule_batch` or the transport: it stands
+#:   for the batch's item ``j`` (``fn(*args_seq[j])`` at ``times[j]``) and
+#:   every item after it.  No handle object exists at all.
 #:
 #: The ``(time, seq)`` prefix is unique, so tuple comparison never falls
 #: through to the third element and the shapes order consistently.
@@ -87,7 +90,15 @@ class ScheduledEvent:
         sim = self._sim
         self._sim = None
         if sim is not None:
-            sim._note_cancelled()
+            # A queued tombstone: once they outnumber the live events (each
+            # batch item counted), the queue is compacted.
+            cancelled = sim._cancelled_pending + 1
+            sim._cancelled_pending = cancelled
+            if (
+                cancelled >= sim.COMPACT_MIN_CANCELLED
+                and cancelled * 2 > len(sim._heap) + sim._batched
+            ):
+                sim._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -337,25 +348,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Queue compaction
     # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`ScheduledEvent.cancel` while the event is queued.
-
-        Long chaos runs cancel timers constantly (heartbeats, retry
-        backoffs); without compaction those tombstones accumulate until
-        they are popped, which for far-future deadlines can take the whole
-        run.  Once cancelled events outnumber live ones (and the queue is
-        big enough to matter), rebuild the queue without them.  Live events
-        are counted as :attr:`pending_count` counts them, every queued batch
-        item included, not by the heap slots their cursors occupy.
-        """
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 > len(self._heap) + self._batched
-        ):
-            self._compact()
-
     def _compact(self) -> None:
+        """Drop the tombstones, in place: the run loop holds the list."""
         live_entries = []
         for entry in self._heap:
             event = entry[2]
@@ -363,7 +357,7 @@ class Simulator:
             # ScheduledEvent tombstones are dropped.
             if event is None or not event.cancelled:
                 live_entries.append(entry)
-        self._heap = live_entries
+        self._heap[:] = live_entries
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
         self._compactions += 1
@@ -492,8 +486,6 @@ class Simulator:
                         args = (self.now,)
                 self._events_processed += 1
                 fn(*args)
-                if heap is not self._heap:
-                    heap = self._heap  # compaction rebuilt it
                 if self._events_processed >= pause_next:
                     if self._events_processed >= self._sample_next:
                         self._sample_next = self._events_processed + self.sample_every

@@ -17,9 +17,14 @@ delivery:
   two array slots and the shared ``Delivery`` envelope); a deque of
   ``(completion, size)`` tuples, each keeping its completion float alive,
   read about 99 B.
-* ``repro/net/transport.py``: about 46.4 B (the batch's ``times`` array,
-  its ``args_seq`` list and its one ``methodcaller``); a list of float
-  delivery times read about 67 B.
+* ``repro/net/transport.py`` plus ``repro/sim/kernel.py``: about 66.5 B
+  (the batch's ``times`` array, its ``args_seq`` list, its one
+  ``methodcaller`` and the cursor tuple queued for it).  The transport
+  pushes that cursor onto the kernel's heap itself, so the tuple is
+  allocated in ``transport.py``; the two files are budgeted together so
+  the figure does not depend on which side of that seam allocates it.  A
+  list of float delivery times in place of the array read about 67 B in
+  ``transport.py`` alone.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from random import Random
 import repro.broker as broker_package
 import repro.net.link as link_module
 import repro.net.transport as transport_module
+import repro.sim.kernel as kernel_module
 from repro.broker.commands import PublishCmd, SubscribeCmd
 from repro.broker.config import BrokerConfig
 from repro.broker.server import PubSubServer
@@ -45,8 +51,8 @@ PUBLICATIONS = 2_500
 SIZE = 100
 #: bytes of broker and link allocations held per queued delivery
 BROKER_BUDGET_BYTES = 32
-#: bytes of transport allocations held per queued delivery
-TRANSPORT_BUDGET_BYTES = 52
+#: bytes of transport and kernel allocations held per queued delivery
+TRANSPORT_BUDGET_BYTES = 72
 
 
 class _Idle(Actor):
@@ -118,8 +124,10 @@ def test_queued_delivery_bytes_stay_in_budget():
         f"{per_delivery:.1f} B per queued delivery held by repro/broker + link.py "
         f"(budget {BROKER_BUDGET_BYTES}); top allocation lines:\n{top}"
     )
-    per_delivery, top = _per_delivery(snapshot, (transport_module.__file__,), queued)
+    per_delivery, top = _per_delivery(
+        snapshot, (transport_module.__file__, kernel_module.__file__), queued
+    )
     assert per_delivery <= TRANSPORT_BUDGET_BYTES, (
-        f"{per_delivery:.1f} B per queued delivery held by transport.py "
+        f"{per_delivery:.1f} B per queued delivery held by transport.py + kernel.py "
         f"(budget {TRANSPORT_BUDGET_BYTES}); top allocation lines:\n{top}"
     )

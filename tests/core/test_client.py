@@ -4,9 +4,9 @@ from random import Random
 
 import pytest
 
-from repro.broker.commands import SubscribeCmd
+from repro.broker.commands import PublishCmd, SubscribeCmd
 from repro.core.config import DynamothConfig
-from repro.core.messages import MappingNotice
+from repro.core.messages import AppEnvelope, MappingNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.core.reliability import ReliabilityConfig
 from repro.sim.rng import derive_seed
@@ -99,6 +99,37 @@ class TestBasicApi:
         sub.disconnect()
         drain(cluster)
         assert cluster.servers[home].subscriber_count("ch") == 0
+
+
+class TestPublishSend:
+    """``publish`` calls the transport itself, with ``Actor.send``'s checks."""
+
+    def test_publish_on_a_detached_client_raises(self, cluster):
+        pub = cluster.create_client("pub")
+        cluster.transport.unregister("pub")
+        with pytest.raises(RuntimeError, match="not attached"):
+            pub.publish("news", "x", 10)
+
+    def test_a_tap_set_after_registration_sees_every_publication(self, cluster):
+        servers = tuple(sorted(cluster.servers))
+        cluster.set_static_mapping(
+            "hot", ChannelMapping(ReplicationMode.ALL_PUBLISHERS, servers)
+        )
+        pub = cluster.create_client("pub")
+        pub.publish("hot", "warm-up", 10)  # learns the mapping via redirect
+        drain(cluster, 3.0)
+        seen = []
+        pub.tap = lambda src, dst, message, size: seen.append((src, dst, message, size))
+        for body in range(3):
+            pub.publish("hot", body, 10)
+        drain(cluster)
+        published = [
+            (dst, message.payload.body, size)
+            for src, dst, message, size in seen
+            if src == "pub" and isinstance(message, PublishCmd)
+        ]
+        size = 10 + AppEnvelope.WIRE_OVERHEAD
+        assert published == [(s, body, size) for body in range(3) for s in servers]
 
 
 class TestLocalPlan:

@@ -180,3 +180,46 @@ class TestDelivery:
         lone = Recorder(sim, "x")
         with pytest.raises(RuntimeError):
             lone.send("y", "m", 1)
+
+
+class _NanLatency:
+    """A latency model whose sample is NaN (no ``fixed_delay``)."""
+
+    def sample(self, rng):
+        return float("nan")
+
+
+class TestRejectedSends:
+    """A send the transport rejects leaves the sender able to send."""
+
+    @pytest.mark.parametrize("size", [float("nan"), -1])
+    @pytest.mark.parametrize("kind", ["send", "send_fanout"])
+    def test_a_bad_size_leaves_the_port_untouched(self, sim, net, kind, size):
+        a, b = Recorder(sim, "a"), Recorder(sim, "b")
+        port = net.register(a, egress_capacity_bps=1000.0)
+        net.register(b)
+        a.send("b", "first", 500)
+        before = (port.busy_until, port.total_bytes, port.total_messages, sim.pending_count)
+        with pytest.raises(ValueError, match="negative message size"):
+            if kind == "send":
+                net.send("a", "b", "bad", size)
+            else:
+                net.send_fanout(
+                    "a", ["b"], net.fanout_states("a", ["b"]), "bad", size, start=sim.now
+                )
+        assert (port.busy_until, port.total_bytes, port.total_messages, sim.pending_count) == before
+        a.send("b", "next", 500)
+        sim.run_until(2.0)
+        assert b.received == [(0.501, "first", "a"), (1.001, "next", "a")]
+
+    def test_a_nan_delivery_time_is_rejected_before_it_is_queued(self, sim, rng):
+        net = Transport(sim, rng, lan_model=_NanLatency())
+        a, b = Recorder(sim, "a"), Recorder(sim, "b")
+        net.register(a)
+        net.register(b)
+        with pytest.raises(ValueError, match="cannot schedule in the past"):
+            net.send("a", "b", "m", 10)
+        for dsts, match in ((["b"], "cannot schedule in the past"), (["b", "a"], "NaN")):
+            with pytest.raises(ValueError, match=match):
+                net.send_fanout("a", dsts, net.fanout_states("a", dsts), "m", 10, start=0.0)
+        assert sim.pending_count == 0 and net.messages_sent == 0

@@ -71,9 +71,10 @@ class TestOneLoop:
 
     @pytest.mark.parametrize("drive", ["run_until", "run", "step"])
     def test_compaction_inside_a_callback_is_picked_up(self, drive):
-        # The loop holds the heap in a local; a compaction triggered by an
-        # executing event rebuilds ``sim._heap`` and must be re-read.
+        # The loop (and the transport) hold the heap list; a compaction
+        # triggered by an executing event rebuilds it in place.
         sim = Simulator()
+        heap = sim._heap
         fired = []
         doomed = [sim.schedule_at(50.0 + i, fired.append, "never") for i in range(200)]
         sim.schedule_at(1.0, lambda: [h.cancel() for h in doomed])
@@ -82,6 +83,7 @@ class TestOneLoop:
         assert sim.compactions >= 1
         assert fired == ["after"]
         assert sim.pending_count == 0
+        assert sim._heap is heap
 
     def test_idle_insert_before_the_pending_remainder_runs_first(self):
         sim = Simulator()
