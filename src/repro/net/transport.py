@@ -27,8 +27,7 @@ send bodies:
 and :meth:`Transport.send_fanout`, the bulk fan-out API: it advances the
 NIC clock once per message, float-identical to back-to-back single sends,
 samples propagation once per *leg* (latency model) per batch, and
-queues all deliveries as one batch cursor.  Both push their cursor onto the
-kernel's heap themselves, on the contract :mod:`repro.sim.kernel` states.
+queues all deliveries as one cursor on the kernel's heap (:mod:`repro.sim.kernel`).
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import Any, Container, Dict, List, Optional, Protocol, Sequence, Tup
 from repro.net.latency import KingLatencyModel, LanLatency, LatencyModel
 from repro.net.link import EgressPort
 from repro.sim.actor import Actor
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import KERNEL_SCHEDULE_BATCH, Simulator
 
 # Indices into a per-pair state list (a mutable list rather than a small
 # object: one allocation per pair for the lifetime of the pair).
@@ -114,6 +113,9 @@ class Transport:
         #: -- costs one attribute check per send, and the plane draws from
         #: its own RNG stream, so fault-free runs are byte-identical.
         self.fault_plane: Optional["FaultPlane"] = None
+        #: where deliveries are pushed, or ``None``: an overridden
+        #: ``schedule_batch`` (a subclass, a profiler) is called for each.
+        self._heap = sim._heap if type(sim).schedule_batch is KERNEL_SCHEDULE_BATCH else None
 
     # ------------------------------------------------------------------
     # Registration
@@ -240,16 +242,16 @@ class Transport:
             if delivery_time < state[_P_FIFO]:
                 delivery_time = state[_P_FIFO]  # FIFO: never overtake
             state[_P_FIFO] = delivery_time
-        # No caller cancels a message in flight, so it rides the kernel as
-        # a fire-and-forget batch of one instead of a ScheduledEvent handle,
-        # and the cursor calls ``dst.receive(message, src_id)`` with no
-        # frame here.  The kernel keeps the two fresh one-tuples.
-        if not delivery_time >= now:  # a NaN fails it too
-            raise ValueError(f"cannot schedule in the past: {delivery_time} < {now}")
-        seq = sim._seq
-        sim._seq = seq + 1
+        # No caller cancels a message in flight: it rides the kernel as a
+        # cursor of one, which keeps the two fresh one-tuples.
         fn = methodcaller("receive", message, src_id)
-        heappush(sim._heap, (delivery_time, seq, None, fn, (state[_P_ARGS],), (delivery_time,), 0))
+        heap = self._heap
+        if heap is None or not delivery_time >= now:  # a NaN fails it too
+            sim.schedule_batch(fn, (delivery_time,), (state[_P_ARGS],))  # overridden, or raises
+        else:
+            seq = sim._seq
+            sim._seq = seq + 1
+            heappush(heap, (delivery_time, seq, None, fn, (state[_P_ARGS],), (delivery_time,), 0))
         self.messages_sent += 1
         return completion, delivery_time
 
@@ -409,16 +411,14 @@ class Transport:
             # a float object, and ``completions`` is garbage once the
             # broker's buffer loop has copied it.
             fn = methodcaller("receive", message, src_id)
-            sim = self.sim
-            if n > 1 and not all(map(le, times, islice(times, 1, None))):
-                sim.schedule_batch(fn, times, args_seq)  # sorts (or finds a NaN)
+            sim, heap, ordered = self.sim, self._heap, all(map(le, times, islice(times, 1, None)))
+            if heap is None or not ordered or not times[0] >= sim.now:
+                sim.schedule_batch(fn, times, args_seq)  # overridden, sorts or raises
             else:
-                if not times[0] >= sim.now:
-                    raise ValueError(f"cannot schedule in the past: {times[0]} < {sim.now}")
                 seq = sim._seq
                 sim._seq = seq + n
                 sim._batched += n - 1
-                heappush(sim._heap, (times[0], seq, None, fn, args_seq, times, 0))
+                heappush(heap, (times[0], seq, None, fn, args_seq, times, 0))
             self.messages_sent += n
         if dropped:
             self.messages_dropped += dropped

@@ -8,15 +8,13 @@ deterministic for a fixed seed.
 
 The queue is a binary heap of tuple entries (see ``_Entry``), so every
 comparison stays inside C.  Work that needs no cancel handle waits as one
-*fire-and-forget* cursor per batch, ``(time, seq, None, fn, args_seq,
-times, 0)``: no ``ScheduledEvent`` per item, no handle bookkeeping in the
-run loop.  :meth:`Simulator.schedule_batch` queues one; the transport, the
-one writer outside this module, pushes its own onto ``_heap`` when its
-``times`` are non-decreasing, raising on ``not times[0] >= now``, taking
-``n`` numbers from ``_seq`` and adding ``n - 1`` to ``_batched``.
-``_heap`` is never rebound.  Periodic work is queued once through
-:meth:`Simulator.schedule_every`: the run loop re-queues its handle on
-every fire, so a tick costs no frame beyond its callback.
+*fire-and-forget* cursor per batch: no ``ScheduledEvent`` per item, no
+handle bookkeeping in the run loop.  :meth:`Simulator.schedule_batch`
+queues one; the transport, the one writer outside this module, pushes its
+own onto ``_heap`` (never rebound) with the same guard and numbering,
+unless a simulator overrides ``schedule_batch``.  Periodic work is queued
+once through :meth:`Simulator.schedule_every`: the run loop re-queues its
+handle on every fire, so a tick costs no frame beyond its callback.
 """
 
 from __future__ import annotations
@@ -90,10 +88,8 @@ class ScheduledEvent:
         sim = self._sim
         self._sim = None
         if sim is not None:
-            # A queued tombstone: once they outnumber the live events (each
-            # batch item counted), the queue is compacted.
-            cancelled = sim._cancelled_pending + 1
-            sim._cancelled_pending = cancelled
+            # A queued tombstone: compact once they outnumber live events.
+            sim._cancelled_pending = cancelled = sim._cancelled_pending + 1
             if (
                 cancelled >= sim.COMPACT_MIN_CANCELLED
                 and cancelled * 2 > len(sim._heap) + sim._batched
@@ -339,6 +335,7 @@ class Simulator:
             args_seq = list(map(args_seq.__getitem__, order))
         if not times[0] >= self.now:
             raise ValueError(f"cannot schedule in the past: {times[0]} < {self.now}")
+        # ``Transport.send`` and ``send_fanout`` copy these four lines.
         seq = self._seq
         self._seq = seq + n
         self._batched += n - 1
@@ -349,7 +346,6 @@ class Simulator:
     # Queue compaction
     # ------------------------------------------------------------------
     def _compact(self) -> None:
-        """Drop the tombstones, in place: the run loop holds the list."""
         live_entries = []
         for entry in self._heap:
             event = entry[2]
@@ -357,7 +353,7 @@ class Simulator:
             # ScheduledEvent tombstones are dropped.
             if event is None or not event.cancelled:
                 live_entries.append(entry)
-        self._heap[:] = live_entries
+        self._heap[:] = live_entries  # in place: the run loop and transport hold it
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
         self._compactions += 1
@@ -544,3 +540,7 @@ class Simulator:
                 f"simulation exceeded max_events={max_events}; "
                 "likely a runaway periodic process"
             )
+
+
+#: The transport pushes cursors itself only where ``schedule_batch`` is this.
+KERNEL_SCHEDULE_BATCH = Simulator.schedule_batch

@@ -16,9 +16,10 @@ finishes (``receive``, ``send_fanout``, ``sample``, the dispatcher's
 ``_on_publication``: 4).  ``publish`` calls the transport itself, and the
 transport advances the NIC clock and pushes the delivery's cursor onto
 the kernel's heap in its send frames, so nothing in ``net/link.py`` runs
-and no kernel frame sits between a sender and the queue.  On small channels -- RGame's tiles hold ~5
-subscribers -- that fixed chain, not the delivery, is what a run costs;
-the second test holds it on one subscriber.
+and no kernel frame sits between a sender and the queue.  On small
+channels -- RGame's tiles hold ~5 subscribers -- that fixed chain, not
+the delivery, is what a run costs; the second test holds it on one
+subscriber.
 """
 
 from repro.broker.config import BrokerConfig

@@ -6,6 +6,7 @@ import pytest
 from repro.net.latency import FixedLatency
 from repro.net.transport import Transport
 from repro.sim.actor import Actor
+from repro.sim.kernel import Simulator
 
 
 class Recorder(Actor):
@@ -223,3 +224,29 @@ class TestRejectedSends:
             with pytest.raises(ValueError, match=match):
                 net.send_fanout("a", dsts, net.fanout_states("a", dsts), "m", 10, start=0.0)
         assert sim.pending_count == 0 and net.messages_sent == 0
+
+
+class TestOverriddenScheduleBatch:
+    """A simulator that overrides ``schedule_batch`` -- a subclass, or a
+    profiler patching the class -- sees every delivery go through it."""
+
+    def test_every_delivery_goes_through_the_override(self, rng):
+        batches = []
+
+        class Watched(Simulator):
+            def schedule_batch(self, fn, times, args_seq):
+                batches.append(list(times))
+                return super().schedule_batch(fn, times, args_seq)
+
+        sim = Watched()
+        net = Transport(sim, rng, lan_model=FixedLatency(0.001), wan_model=FixedLatency(0.050))
+        a, b, c = Recorder(sim, "a"), Recorder(sim, "b"), Recorder(sim, "c", is_infra=False)
+        for actor in (a, b, c):
+            net.register(actor)
+        a.send("b", "one", 10)
+        for dsts in (["b", "c"], ["c", "b"]):  # sorted, then not
+            net.send_fanout("a", dsts, net.fanout_states("a", dsts), "fan", 10, start=0.0)
+        sim.run()
+        assert batches == [[0.001], [0.001, 0.05], [0.05, 0.001]]
+        assert [m for _, m, _ in b.received] == ["one", "fan", "fan"]
+        assert len(c.received) == 2 and net.messages_sent == 5
