@@ -45,7 +45,6 @@ from repro.core.hashing import ConsistentHashRing
 from repro.core.messages import AppEnvelope, FailureNotice, MappingNotice, SwitchNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.core.reliability import CausalGate, ParkTimeout, ReliabilityConfig, SequenceStage
-from repro.obs.metrics import FOLD_AT
 from repro.obs.trace import (
     NULL_TRACER,
     CausalTimeoutEvent,
@@ -703,19 +702,12 @@ class DynamothClient(Actor):
         while True:
             self.delivered += 1
             if tracer.enabled:
-                latency = sim.now - envelope.sent_at
                 tracer.emit(
                     DeliveryEvent(
                         sim.now, self.node_id, channel, envelope.msg_id, envelope.sender,
-                        latency, envelope.plan_version, delivery.server_id,
+                        sim.now - envelope.sent_at, envelope.plan_version, delivery.server_id,
                     )
                 )
-                latency_hist, received = tracer.delivery_instruments[channel]
-                pending = latency_hist.pending
-                pending.append(latency)
-                if len(pending) >= FOLD_AT:
-                    latency_hist.fold()
-                received.value += 1.0
             if self.on_delivery is not None:
                 self.on_delivery(channel, envelope, delivery)
             if envelope.sender == self.node_id and self.on_response_time is not None:

@@ -40,7 +40,6 @@ from repro.net.transport import Transport
 from repro.obs.sla import SlaMonitor
 from repro.obs.trace import (
     NULL_TRACER,
-    DeliveryEvent,
     LlaStallEvent,
     ServerCrashEvent,
     ServerRestartEvent,
@@ -91,12 +90,12 @@ class DynamothCluster:
         if self.tracer.enabled:
             self.tracer.attach_kernel(self.sim)
         #: Live SLA monitor (observability only); built when tracing is on
-        #: and the config sets a threshold.  It rides the tracer's observer
-        #: hook, called for every DeliveryEvent as it is emitted.
+        #: and the config sets a threshold.  The tracer's ``emit`` records
+        #: every DeliveryEvent in it, in the emit's own frame.
         self.sla_monitor: Optional[SlaMonitor] = None
         if self.tracer.enabled and self.config.sla_threshold_s is not None:
             self.sla_monitor = SlaMonitor(self.tracer, self.config.sla_threshold_s)
-            self.tracer.add_observer(self.sla_monitor.on_delivery, DeliveryEvent)
+            self.tracer.attach_sla(self.sla_monitor)
         self.transport = Transport(
             self.sim,
             self.rng.stream("net"),

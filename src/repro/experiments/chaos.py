@@ -264,8 +264,7 @@ def run_chaos(
     tracer = tracer if tracer is not None else Tracer()
     spec = config.spec()
     cluster, __ = build(spec, config.seed, tracer=tracer)
-    # Registered after ``build`` so the cluster's SLA monitor observes
-    # first; ``faults[0]`` is the crash (a restart may follow it).
+    # ``faults[0]`` is the crash (a restart may follow it).
     watch = RecoveryWatch(spec.faults[0].server)
     watch.attach(tracer)
     cluster.run_until(spec.duration_s)
@@ -331,7 +330,8 @@ def render_chaos(result: ChaosResult) -> str:
         out(
             f"    violations                           "
             f"{sla['violation_count']} "
-            f"({sla['violation_seconds']:.1f}s total)"
+            f"({sla['violation_seconds']:.1f}s total"
+            + (f", {sla['open_count']} still open)" if sla["open_count"] else ")")
         )
         overall = sla["scopes"].get("overall", {}).get("value_s")
         if overall is not None:

@@ -16,9 +16,10 @@ merged when someone reads it:
   window advances.  Memory is O(leaves * K * (buckets + FOLD_AT)),
   independent of delivery rate.
 * :class:`SlaMonitor` -- fed every :class:`~repro.obs.trace.DeliveryEvent`
-  by the tracer.  A delivery is one append to its leaf slice's
-  ``pending`` samples, bucketed in bulk at ``FOLD_AT`` or when the slice
-  is read.
+  by ``Tracer.emit`` once ``tracer.attach_sla(monitor)``: no frame here,
+  emit appends the latency to its leaf slice's ``pending`` samples,
+  bucketed in bulk at ``FOLD_AT`` or when the slice is read, and calls
+  :meth:`SlaMonitor.advance` only at a slice boundary.
   A scope ("overall", ``channel:<class>``, ``server:<id>``) holds no
   samples: it is the list of leaves it reads, and its windowed percentile
   is a percentile of their merged live slices.  Merging is exact for
@@ -44,14 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import FOLD_AT, Histogram, merge_histograms
+from repro.obs.metrics import Histogram, merge_histograms
 from repro.obs.trace import (
-    DeliveryEvent,
     FirstUse,
     SlaViolationEndEvent,
     SlaViolationStartEvent,
     SlaWindowEvent,
-    TraceEvent,
     Tracer,
     channel_class,
 )
@@ -75,26 +74,26 @@ class SlidingHistogram:
     """A sim-time sliding window: a ring of ``slices`` latency histograms,
     one per slice of sim time (an *epoch*).
 
-    :meth:`SlaMonitor.on_delivery` appends to the slices' ``pending``
-    samples in place -- a write method here would be a second frame per
-    delivery.
+    It has no write method: :meth:`Tracer.emit
+    <repro.obs.trace.Tracer.emit>` appends to the slices' ``pending``
+    samples in place, so a delivery costs the window no frame.
     """
 
     def __init__(self, slices: int, min_value: float, factor: float, buckets: int) -> None:
         if slices < 1:
             raise ValueError(f"need slices >= 1: {slices!r}")
-        self._hists = [Histogram(min_value, factor, buckets) for _ in range(slices)]
+        self.hists = [Histogram(min_value, factor, buckets) for _ in range(slices)]
         #: Epoch (slice index since t=0) owning each slot, or None if empty.
         #: A slot keeps an aged-out epoch's samples until the ring comes
         #: round to it; readers go by the epoch, not by the counts.
-        self._epochs: List[Optional[int]] = [None] * slices
+        self.epochs: List[Optional[int]] = [None] * slices
 
     def live_slices(self, epoch: int) -> List[Histogram]:
         """Slices within the window ending at ``epoch`` (each holds a sample)."""
-        horizon = epoch - len(self._hists) + 1
+        horizon = epoch - len(self.hists) + 1
         return [
-            self._hists[slot]
-            for slot, slot_epoch in enumerate(self._epochs)
+            self.hists[slot]
+            for slot, slot_epoch in enumerate(self.epochs)
             if slot_epoch is not None and horizon <= slot_epoch <= epoch
         ]
 
@@ -123,11 +122,11 @@ class _Scope:
 class SlaMonitor:
     """Windowed delivery-latency quantiles per scope, judged live.
 
-    Attach with ``tracer.add_observer(monitor.on_delivery, DeliveryEvent)``
-    (or a bare ``tracer.add_observer(monitor)``, which looks at every
-    event); optionally call :meth:`poll` from a periodic control-plane tick
-    (the balancer's evaluation loop does) so windows drain even when
-    deliveries stop.
+    Attach with ``tracer.attach_sla(monitor)``: ``emit`` then records each
+    delivery in its leaf through :attr:`feeds`, :attr:`epoch`, ``slice_s``
+    and :meth:`advance`.  Optionally call :meth:`poll` from a periodic
+    control-plane tick (the balancer's evaluation loop does) so windows
+    drain even when deliveries stop.
     """
 
     def __init__(self, tracer: Tracer, threshold_s: float) -> None:
@@ -140,39 +139,19 @@ class SlaMonitor:
         self._leaves: Dict[Tuple[str, str], SlidingHistogram] = {}
         #: (channel, server) -> its leaf, so a channel's class is worked
         #: out once per pair, not once per delivery.
-        self._feeds = FirstUse(self._leaf_of)
-        self._epoch: Optional[int] = None
+        self.feeds = FirstUse(self._leaf_of)
+        #: The slice the windows were last judged at (None before any).
+        self.epoch: Optional[int] = None
         self.slice_s = SLA_WINDOW_S / SLA_WINDOW_SLICES
         #: Closed + active violation episodes, in start order.
         self.violations: List[SlaViolation] = []
 
     # ------------------------------------------------------------------
-    # Feeding
+    # Feeding (Tracer.emit records each sample in its leaf)
     # ------------------------------------------------------------------
-    def __call__(self, event: TraceEvent) -> None:
-        """Every-event observer entry point."""
-        if type(event) is DeliveryEvent:
-            self.on_delivery(event)
-
-    def on_delivery(self, event: DeliveryEvent) -> None:
-        """Record one delivery, in its leaf (the ``DeliveryEvent`` observer)."""
-        epoch = int(event.t / self.slice_s)
-        if epoch != self._epoch:
-            self._advance(epoch)
-        leaf = self._feeds[event.channel, event.server]
-        slot = epoch % len(leaf._hists)
-        hist = leaf._hists[slot]
-        if leaf._epochs[slot] != epoch:
-            hist.reset()
-            leaf._epochs[slot] = epoch
-        pending = hist.pending
-        pending.append(event.latency_s)
-        if len(pending) >= FOLD_AT:
-            hist.fold()
-
     def poll(self, now: float) -> None:
         """Advance windows on sim time without recording a sample."""
-        self._advance(int(now / self.slice_s))
+        self.advance(int(now / self.slice_s))
 
     # ------------------------------------------------------------------
     # Reading (balancer signal / reports)
@@ -222,6 +201,7 @@ class SlaMonitor:
             "violations": violations,
             "violation_count": len(violations),
             "violation_seconds": sum(v.duration_s or 0.0 for v in self.violations),
+            "open_count": sum(1 for v in self.violations if v.end_t is None),
         }
 
     # ------------------------------------------------------------------
@@ -246,27 +226,29 @@ class SlaMonitor:
 
     def _window(self, entry: _Scope) -> Optional[Histogram]:
         """The scope's live samples, merged on read (None if empty)."""
-        if self._epoch is None:
+        if self.epoch is None:
             return None
-        slices = [h for leaf in entry.leaves for h in leaf.live_slices(self._epoch)]
+        slices = [h for leaf in entry.leaves for h in leaf.live_slices(self.epoch)]
         return merge_histograms(slices) if slices else None
 
-    def _advance(self, epoch: int) -> None:
-        if self._epoch is None:
-            self._epoch = epoch
+    def advance(self, epoch: int) -> None:
+        """Move the window clock to slice ``epoch``."""
+        if self.epoch is None:
+            self.epoch = epoch
             return
         # Evaluate each completed slice boundary in order: a gap longer
         # than the window still walks every boundary, so violation
         # timestamps stay slice-aligned.
-        while self._epoch < epoch:
-            self._epoch += 1
-            self._evaluate(self._epoch)
+        while self.epoch < epoch:
+            self.epoch += 1
+            self._evaluate(self.epoch)
 
     def _evaluate(self, epoch: int) -> None:
         """Re-judge every scope at a slice boundary."""
         boundary_t = epoch * self.slice_s
         threshold_s = self.threshold_s
-        tracer = self._tracer
+        # Only an enabled tracer's ``emit`` feeds a monitor, so no guard.
+        emit = self._tracer.emit
         for name in sorted(self._scopes):
             entry = self._scopes[name]
             merged = self._window(entry)
@@ -278,13 +260,9 @@ class SlaMonitor:
                 assert value is not None
                 entry.active = SlaViolation(name, boundary_t, value)
                 self.violations.append(entry.active)
-                if tracer.enabled:
-                    tracer.emit(
-                        SlaViolationStartEvent(
-                            boundary_t, name, SLA_QUANTILE,
-                            threshold_s, value, count,
-                        )
-                    )
+                emit(SlaViolationStartEvent(
+                    boundary_t, name, SLA_QUANTILE, threshold_s, value, count
+                ))
             elif violating and entry.active is not None:
                 assert value is not None
                 if value > entry.active.peak_s:
@@ -293,20 +271,11 @@ class SlaMonitor:
                 episode = entry.active
                 episode.end_t = boundary_t
                 entry.active = None
-                if tracer.enabled:
-                    tracer.emit(
-                        SlaViolationEndEvent(
-                            boundary_t, name,
-                            boundary_t - episode.start_t, episode.peak_s,
-                        )
-                    )
-            if count and tracer.enabled:
-                tracer.emit(
-                    SlaWindowEvent(
-                        boundary_t, name, count,
-                        merged.percentile(50) if merged else None,
-                        value,
-                        merged.max if merged else None,
-                        violating,
-                    )
-                )
+                emit(SlaViolationEndEvent(
+                    boundary_t, name, boundary_t - episode.start_t, episode.peak_s
+                ))
+            if count:
+                assert merged is not None
+                emit(SlaWindowEvent(
+                    boundary_t, name, count, merged.percentile(50), value, merged.max, violating
+                ))

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import FOLD_AT, Counter, Histogram, MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.obs.sla import SlaMonitor
 
 
 def channel_class(channel: str) -> str:
@@ -591,10 +594,12 @@ class Tracer:
       whole timeline; pass ``keep_events=True`` to tee (stream *and*
       buffer, e.g. for oracles).
     * observers -- live per-event callbacks (:meth:`add_observer`), used by
-      the SLA monitor and the chaos recovery watcher, each called for the
-      event classes it asked for.  Observers run after the event is
-      recorded, so anything they emit re-entrantly lands after the
-      triggering event in both buffered and streamed output.
+      the chaos recovery watcher, each called for the event classes it
+      asked for.  Observers run after the event is recorded, so anything
+      they emit re-entrantly lands after the triggering event in both
+      buffered and streamed output.
+    * an SLA monitor (:meth:`attach_sla`) -- fed every ``DeliveryEvent``
+      by :meth:`emit` itself, after the observers.
     """
 
     #: Hot paths check this before constructing any event.
@@ -623,11 +628,11 @@ class Tracer:
         self._observers: List[Tuple[Observer, Tuple[Type[TraceEvent], ...]]] = []
         #: event class -> the observers it goes to, in registration order.
         self._observers_of = FirstUse(self._resolve_observers)
-        #: Instruments of the client-side hot paths, bound on first use.
+        #: Instruments of the traced hot paths, bound on first use.
         #: Held here, not by the clients that feed them: one dict per run,
         #: not one per client.
         #: ``channel -> (delivery_latency_s{channel_class}, deliveries_received_total)``
-        self.delivery_instruments = FirstUse(self._delivery_instruments)
+        self._delivery_instruments = FirstUse(self._delivery_instrument_pair)
         #: ``channel -> publications_total{channel_class}``
         self.publication_counters = FirstUse(self._publication_counter)
         #: ``channel -> plan_miss_total{channel_class}``
@@ -638,6 +643,8 @@ class Tracer:
         #: part of its ``events_processed`` already counted.
         self._kernel: Optional[Any] = None
         self._kernel_counted = 0
+        #: The SLA monitor :meth:`emit` feeds each delivery's latency to.
+        self._sla: Optional[SlaMonitor] = None
 
     @property
     def events_kept(self) -> bool:
@@ -686,6 +693,11 @@ class Tracer:
         )
 
     def emit(self, event: TraceEvent) -> None:
+        """Record ``event`` and feed its live readers, all in this frame, in
+        order: ``last_t``, the buffer, the sink, the event class's observers;
+        then, for a :class:`DeliveryEvent`, its run-level latency histogram
+        and counter, and last the leaf slot of the :meth:`attach_sla` monitor.
+        """
         if event.t > self.last_t:
             self.last_t = event.t
         if self._keep:
@@ -698,6 +710,30 @@ class Tracer:
                 sink.flush()
         for observer in self._observers_of[type(event)]:
             observer(event)
+        if type(event) is not DeliveryEvent:
+            return
+        hist, received = self._delivery_instruments[event.channel]
+        samples = hist.pending
+        samples.append(event.latency_s)
+        if len(samples) >= FOLD_AT:
+            hist.fold()
+        received.value += 1.0
+        sla = self._sla
+        if sla is None:
+            return
+        epoch = int(event.t / sla.slice_s)
+        if epoch != sla.epoch:
+            sla.advance(epoch)
+        leaf = sla.feeds[event.channel, event.server]
+        slot = epoch % len(leaf.hists)
+        hist = leaf.hists[slot]
+        if leaf.epochs[slot] != epoch:
+            hist.reset()
+            leaf.epochs[slot] = epoch
+        samples = hist.pending
+        samples.append(event.latency_s)
+        if len(samples) >= FOLD_AT:
+            hist.fold()
 
     def events_of(self, event_type: Type[TraceEvent]) -> List[TraceEvent]:
         return [e for e in self.events if type(e) is event_type]
@@ -711,7 +747,7 @@ class Tracer:
         messages.value += 1.0
         sent_bytes.value += size_bytes
 
-    def _delivery_instruments(self, channel: str) -> Tuple[Histogram, Counter]:
+    def _delivery_instrument_pair(self, channel: str) -> Tuple[Histogram, Counter]:
         metrics = self.metrics
         return (
             metrics.histogram("delivery_latency_s", channel_class=channel_class(channel)),
@@ -732,6 +768,10 @@ class Tracer:
             metrics.counter("messages_sent_total", node=node_id),
             metrics.counter("bytes_sent_total", node=node_id),
         )
+
+    def attach_sla(self, monitor: SlaMonitor) -> None:
+        """Have :meth:`emit` feed every delivery to ``monitor``, replacing any."""
+        self._sla = monitor
 
     def attach_kernel(self, sim: Any) -> None:
         """Follow ``sim``: its events count into ``sim_events_total`` and

@@ -533,14 +533,14 @@ class TestFoldBound:
         from repro.obs.sla import SlaMonitor
         from repro.obs.trace import DeliveryEvent, Tracer
 
-        monitor = SlaMonitor(Tracer(), threshold_s=0.1)
+        tracer = Tracer()
+        monitor = SlaMonitor(tracer, threshold_s=0.1)
+        tracer.attach_sla(monitor)
         peak = 0
         for i in range(self.SAMPLES):
             # One slice of sim time: no slice-boundary read folds the leaf.
-            monitor.on_delivery(
-                DeliveryEvent(0.5, "sub", "tile:0:0", i, "pub", 0.01, 0, "pub1")
-            )
+            tracer.emit(DeliveryEvent(0.5, "sub", "tile:0:0", i, "pub", 0.01, 0, "pub1"))
             (leaf,) = monitor._leaves.values()
-            peak = max(peak, *(len(h.pending) for h in leaf._hists))
+            peak = max(peak, *(len(h.pending) for h in leaf.hists))
         assert peak <= FOLD_AT
-        assert sum(h.count for h in leaf._hists) == self.SAMPLES
+        assert sum(h.count for h in leaf.hists) == self.SAMPLES

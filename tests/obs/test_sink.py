@@ -60,7 +60,7 @@ class TestByteEquivalence:
         emitted one."""
 
         def run(tracer):
-            tracer.add_observer(SlaMonitor(tracer, 0.15))  # 1 s slices
+            tracer.attach_sla(SlaMonitor(tracer, 0.15))  # 1 s slices
             for t in (0.5, 1.2):
                 tracer.emit(DeliveryEvent(t, "bob", "tile:1:1", f"m{t}", "alice", 0.01, 2, "pub1"))
 

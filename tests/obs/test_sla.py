@@ -22,7 +22,7 @@ def _monitor(tracer=None, threshold_s=0.1):
     """A monitor on the shipped window: 10 s in ten 1 s slices."""
     tracer = tracer if tracer is not None else Tracer()
     monitor = SlaMonitor(tracer, threshold_s)
-    tracer.add_observer(monitor)
+    tracer.attach_sla(monitor)
     return tracer, monitor
 
 
@@ -147,6 +147,29 @@ class TestEdgeCases:
         open_episodes = [v for v in monitor.violations if v.end_t is None]
         assert open_episodes and open_episodes[0].duration_s is None
 
+    def test_the_report_counts_open_episodes(self):
+        """An open episode has no duration, so ``violation_seconds`` reads 0
+        for it; ``open_count`` says it is there, and the chaos summary
+        prints it beside the total."""
+        tracer, monitor = _monitor(threshold_s=0.1)
+        for i in range(60):
+            _deliver(tracer, i * 0.1, 0.5)
+        monitor.poll(6.0)
+        report = monitor.report()
+        assert report["violation_count"] == 3
+        assert [v["end_t"] for v in report["violations"]] == [None, None, None]
+        assert report["violation_seconds"] == 0.0
+        assert report["open_count"] == 3
+
+        from repro.experiments.chaos import ChaosResult, ChaosScenarioConfig, render_chaos
+
+        result = ChaosResult(
+            ChaosScenarioConfig.smoke(), "pub1", 10.0, None, None, 0, None, 0, tracer, report
+        )
+        assert "violations                           3 (0.0s total, 3 still open)" in (
+            render_chaos(result)
+        )
+
 
 class _PerScopeReference:
     """The monitor before leaves: every scope keeps a window of its own and
@@ -229,6 +252,7 @@ class _PerScopeReference:
             "violations": self.violations,
             "violation_count": len(self.violations),
             "violation_seconds": sum(v["duration_s"] or 0.0 for v in self.violations),
+            "open_count": sum(1 for v in self.violations if v["end_t"] is None),
         }
 
 
@@ -261,7 +285,10 @@ class TestLeafMergeEqualsPerScopeWindows:
         for build in (SlaMonitor, _PerScopeReference):
             tracer = Tracer()
             monitor = build(tracer, 0.1)
-            tracer.add_observer(monitor)
+            if build is SlaMonitor:
+                tracer.attach_sla(monitor)
+            else:
+                tracer.add_observer(monitor)
             t = 0.0
             for gap, latency_s, channel, server in deliveries:
                 t += gap

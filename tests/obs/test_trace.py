@@ -10,6 +10,7 @@ from repro.obs.trace import (
     NULL_TRACER,
     DeliveryEvent,
     FanoutEvent,
+    MetricsEvent,
     NullTracer,
     PublishEvent,
     ServerReadyEvent,
@@ -20,6 +21,7 @@ from repro.obs.trace import (
     channel_class,
 )
 from repro.sim.kernel import Simulator
+from tests.helpers import python_calls_by_file
 
 
 class TestChannelClass:
@@ -291,8 +293,7 @@ class TestObserverDispatch:
         path = tmp_path / "t.jsonl"
         sink = StreamingJsonlSink(str(path)) if streamed else None
         tracer = Tracer(sink=sink)
-        monitor = SlaMonitor(tracer, 0.15)  # 1 s slices
-        tracer.add_observer(monitor.on_delivery, DeliveryEvent)
+        tracer.attach_sla(SlaMonitor(tracer, 0.15))  # 1 s slices
         tracer.emit(_delivery(0.5))
         tracer.emit(_delivery(1.2))  # crosses the t=1 boundary
         if sink is not None:
@@ -302,3 +303,103 @@ class TestObserverDispatch:
         body = read_trace(path)[:-1]  # minus the metrics trailer
         assert [type(e) for e in body[:3]] == [DeliveryEvent, DeliveryEvent, SlaWindowEvent]
         assert [e.t for e in body[:3]] == [0.5, 1.2, 1.0]
+
+
+def _slow_deliveries():
+    """Deliveries over 0-6 s, 0.5 s late until t = 3 and on time after:
+    every 1 s slice boundary they cross emits window events, the first
+    also violation starts."""
+    return [
+        DeliveryEvent(
+            t, "bob", "tile:1:1" if i % 2 else "room7", f"m{i}", "alice",
+            0.5 if t < 3.0 else 0.01, 2, "pub1" if i % 3 else "pub2",
+        )
+        for i, t in enumerate(0.25 * k + 0.1 for k in range(24))
+    ]
+
+
+class TestDeliveryFeed:
+    """``Tracer.emit`` alone feeds a delivery to the run-level metrics and
+    to the monitor attached with ``attach_sla``."""
+
+    def test_an_observer_added_after_the_attach_sees_every_delivery(self):
+        tracer = Tracer()
+        monitor = SlaMonitor(tracer, 0.15)
+        tracer.attach_sla(monitor)
+        seen = []
+        tracer.add_observer(seen.append, DeliveryEvent)
+        deliveries = _slow_deliveries()
+        for event in deliveries:
+            tracer.emit(event)
+        assert seen == deliveries
+        assert monitor.violations  # the monitor was fed too
+
+    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
+    def test_each_delivery_precedes_the_boundary_events_it_triggers(self, tmp_path, streamed):
+        path = tmp_path / "t.jsonl"
+        sink = StreamingJsonlSink(str(path), chunk_events=5) if streamed else None
+        tracer = Tracer(sink=sink)
+        tracer.attach_sla(SlaMonitor(tracer, 0.15))  # 1 s slices
+        for event in _slow_deliveries():
+            tracer.emit(event)
+        if sink is not None:
+            sink.finalize(tracer)
+        else:
+            dump_tracer(tracer, path)
+        body = read_trace(path)[:-1]  # minus the metrics trailer
+        boundary_events = 0
+        last_delivery, before_it = None, None
+        for event in body:
+            if type(event) is DeliveryEvent:
+                before_it, last_delivery = last_delivery, event
+                continue
+            # Stamped with its boundary; written right after the first
+            # delivery at or past that boundary, never before it.
+            boundary_events += 1
+            assert last_delivery is not None and last_delivery.t >= event.t
+            assert before_it is None or before_it.t < event.t
+        assert boundary_events > 0
+
+    def test_the_trailer_counts_every_emitted_delivery(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        sink = StreamingJsonlSink(str(path), chunk_events=5)
+        tracer = Tracer(sink=sink)
+        tracer.attach_sla(SlaMonitor(tracer, 0.15))
+        deliveries = _slow_deliveries()
+        for event in deliveries:
+            tracer.emit(event)
+        sink.finalize(tracer)
+        trailer = read_trace(path)[-1]
+        assert type(trailer) is MetricsEvent
+        assert trailer.data["counters"]["deliveries_received_total"] == len(deliveries)
+        latency = {
+            key: hist["count"]
+            for key, hist in trailer.data["histograms"].items()
+            if key.startswith("delivery_latency_s")
+        }
+        assert latency == {
+            "delivery_latency_s{channel_class=room}": 12,
+            "delivery_latency_s{channel_class=tile}": 12,
+        }
+
+    def test_a_second_attach_replaces_the_first(self):
+        tracer = Tracer()
+        first, second = SlaMonitor(tracer, 0.15), SlaMonitor(tracer, 0.15)
+        tracer.attach_sla(first)
+        tracer.attach_sla(second)
+        tracer.emit(_delivery(0.5))
+        assert first.report()["scopes"] == {}
+        assert second.report()["scopes"]["overall"]["window_count"] == 1
+
+    def test_a_delivery_calls_no_sla_function_without_a_monitor(self):
+        def calls_in_sla(tracer):
+            deliveries = [_delivery(0.1 + i * 1e-3) for i in range(50)]
+            tracer.emit(deliveries[0])  # binds the instruments and the leaf
+            calls = python_calls_by_file(lambda: [tracer.emit(e) for e in deliveries[1:]])
+            return sum(n for path, n in calls.items() if path.endswith("/repro/obs/sla.py"))
+
+        assert calls_in_sla(Tracer()) == 0
+        monitored = Tracer()
+        monitored.attach_sla(SlaMonitor(monitored, 0.15))
+        # Inside one slice a monitored delivery is no sla.py frame either.
+        assert calls_in_sla(monitored) == 0
