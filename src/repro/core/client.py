@@ -280,7 +280,26 @@ class DynamothClient(Actor):
 
     def publish(self, channel: str, body: Any, payload_size: int) -> str:
         """Publish ``body`` on ``channel``; returns the message id."""
-        mapping = self._resolve(channel)
+        # ``_resolve``'s answer, predicted where it decides nothing: with no
+        # server suspected, a subscribed entry never expires and a cached
+        # fallback is final.  The rest -- an unsubscribed entry (the expiry
+        # rule), a first miss, a suspicion -- goes through ``_resolve``.
+        tracer = self._tracer
+        recovery = self._recovery
+        if recovery is not None and recovery.failed:
+            mapping = self._resolve(channel)
+        else:
+            entry = self._entries.get(channel)
+            if entry is not None:
+                mapping = entry.mapping if channel in self._subs else self._resolve(channel)
+            else:
+                fallback = self._ch_cache.get(channel)
+                if fallback is None:
+                    mapping = self._resolve(channel)
+                else:
+                    mapping = fallback
+                    if tracer.enabled:
+                        tracer.plan_miss_counters[channel].value += 1.0
         self._msg_counter += 1
         # The globally unique id is the message's identity on the wire.
         msg_id = f"{self.node_id}:{self._msg_counter}"
@@ -310,7 +329,6 @@ class DynamothClient(Actor):
         entry = self._entries.get(channel)
         if entry is not None:
             entry.last_activity = self.sim.now
-        tracer = self._tracer
         if tracer.enabled:
             tracer.emit(
                 PublishEvent(

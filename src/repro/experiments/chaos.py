@@ -284,7 +284,7 @@ def run_chaos(
         recovery_s=watch.recovery_s,
         reconnects=watch.reconnects,
         tracer=tracer,
-        sla=monitor.report() if monitor is not None else None,
+        sla=monitor.report(cluster.sim.now) if monitor is not None else None,
     )
 
 

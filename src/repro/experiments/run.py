@@ -242,7 +242,7 @@ def run(spec: RunSpec, seed: int = 0, *, tracer: Optional[Tracer] = None) -> Run
         server_seconds=cluster.server_seconds(),
         updates_sent=workload.total_updates_sent(),
         # not polled first: the report is the monitor's state as the run left it
-        sla=monitor.report() if monitor is not None else None,
+        sla=monitor.report(cluster.sim.now) if monitor is not None else None,
     )
 
 

@@ -57,10 +57,10 @@ def read_row(record: RunRecord) -> Dict[str, Any]:
     kinds = Counter(kind for __, kind, __ in record.balancer_events)
     ratios = [lr for __, sample in record.load_history for lr in sample.values()]
     # Headline counts use the cluster-wide scope only (the per-channel and
-    # per-server episodes stay in the full report); an episode still open
-    # when the run stops has lasted until then.
+    # per-server episodes stay in the full report); the report measures an
+    # episode still open when the run stops until then.
     overall = [v for v in sla["violations"] if v["scope"] == OVERALL_SCOPE]
-    end_t = record.end_t
+    overall_scope = sla["scopes"].get(OVERALL_SCOPE)
     return {
         "policy": record.policy,
         "ticks": len(record.load_history),
@@ -76,9 +76,8 @@ def read_row(record: RunRecord) -> Dict[str, Any]:
         "final_plan_version": record.final_plan_version,
         "final_server_count": record.final_server_count,
         "sla_violations": len(overall),
-        "sla_violation_seconds": sum(
-            ((end_t if v["end_t"] is None else v["end_t"]) - v["start_t"] for v in overall),
-            0.0,
+        "sla_violation_seconds": (
+            overall_scope["violation_seconds"] if overall_scope is not None else 0.0
         ),
         # own updates that came back / updates published: what a policy
         # lost is invisible to the SLA columns (silence violates nothing)

@@ -7,9 +7,13 @@ model.  Sending a message involves, in order:
    size/capacity).  The transport owns that arithmetic and runs it in its
    own send frames; the :class:`~repro.net.link.EgressPort` is its state
    -- a FIFO queue clock and two totals the LLAs read;
-2. one-way propagation delay sampled from the LAN model (both endpoints are
+2. one-way propagation delay drawn from the LAN model (both endpoints are
    infrastructure) or the WAN model (one endpoint is a client), mirroring
-   the paper's latency-injection rules in section V-B;
+   the paper's latency-injection rules in section V-B.  A model declares
+   its law as data (:class:`~repro.net.latency.LatencyModel`), and the
+   transport draws it in its own send frames, on the same RNG draws and
+   float expressions as the model's ``sample``; a model that declares no
+   law is asked ``sample``;
 3. delivery via ``dst.receive(message, src_id)``, straight from the
    kernel's run loop -- unless the destination has shut down or left in
    the meantime: its ``receive`` is :meth:`Transport.dead_letter` by then,
@@ -19,14 +23,14 @@ Hot-path notes: all per-connection state lives in one flat table keyed by
 ``(src, dst)`` tuples -- the resolved destination actor, which latency
 model the pair uses (it never changes while both endpoints stay
 registered), the model's constant sample when it declares a
-``fixed_delay`` (constant models never touch the RNG), the FIFO clamp, and
+``fixed_delay`` (constant models never touch the RNG), the FIFO clamp,
 the ``(dst_actor,)`` tuple every delivery event of the pair shares as its
-arguments.  One dict lookup per message covers all five.  There are two
-send bodies:
+arguments, and the model's declared ``law``.  One dict lookup per message
+covers all six.  There are two send bodies:
 :meth:`Transport.send` for one message (control plane, client publishes)
 and :meth:`Transport.send_fanout`, the bulk fan-out API: it advances the
 NIC clock once per message, float-identical to back-to-back single sends,
-samples propagation once per *leg* (latency model) per batch, and
+draws propagation once per *leg* (latency model) per batch, and
 queues all deliveries as one cursor on the kernel's heap (:mod:`repro.sim.kernel`).
 """
 
@@ -35,11 +39,19 @@ from __future__ import annotations
 from array import array
 from heapq import heappush
 from itertools import islice
+from math import exp, log
 from operator import le, methodcaller
 from random import Random
 from typing import Any, Container, Dict, List, Optional, Protocol, Sequence, Tuple
 
-from repro.net.latency import KingLatencyModel, LanLatency, LatencyModel
+from repro.net.latency import (
+    AFFINE_UNIFORM,
+    CLAMPED_LOGNORMAL,
+    NV_MAGICCONST,
+    KingLatencyModel,
+    LanLatency,
+    LatencyModel,
+)
 from repro.net.link import EgressPort
 from repro.sim.actor import Actor
 from repro.sim.kernel import KERNEL_SCHEDULE_BATCH, Simulator
@@ -51,6 +63,7 @@ _P_MODEL = 1  # LatencyModel, or None for loopback
 _P_FIXED = 2  # constant sample when the model declares one, else None
 _P_FIFO = 3  # last scheduled delivery time on this connection
 _P_ARGS = 4  # ``(dst_actor,)``: the args of every delivery event of the pair
+_P_LAW = 5  # the model's declared ``law``, else None (then ``sample`` is called)
 
 
 class FaultPlane(Protocol):
@@ -88,7 +101,7 @@ class Transport:
         self._actors: Dict[str, Actor] = {}
         self._ports: Dict[str, EgressPort] = {}
         #: per (src, dst) connection state: ``[dst_actor, model, fixed_delay,
-        #: fifo_time, (dst_actor,)]``.  The FIFO clamp enforces the ordering
+        #: fifo_time, (dst_actor,), law]``.  The FIFO clamp enforces the ordering
         #: a TCP connection provides -- without it, two messages on the
         #: same logical connection could reorder (each samples its own
         #: propagation delay), breaking protocols that rely on in-order
@@ -236,7 +249,26 @@ class Transport:
         if fixed is not None:
             latency = fixed
         else:
-            latency = state[_P_MODEL].sample(self._rng)
+            law = state[_P_LAW]
+            if law is None:
+                latency = state[_P_MODEL].sample(self._rng)
+            elif law[0] == AFFINE_UNIFORM:
+                latency = law[1] + self._rng.random() * law[2]
+            else:
+                # ``KingLatencyModel.sample``'s draw, on the law's parameters.
+                __, mu, sigma, floor, ceiling = law
+                random = self._rng.random
+                while True:
+                    u1 = random()
+                    u2 = 1.0 - random()
+                    z = NV_MAGICCONST * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        break
+                latency = exp(mu + z * sigma)
+                if latency < floor:
+                    latency = floor
+                elif latency > ceiling:
+                    latency = ceiling
         delivery_time = completion + latency + extra
         if fifo:
             if delivery_time < state[_P_FIFO]:
@@ -386,7 +418,26 @@ class Transport:
                     leg = id(model)
                     cached = leg_samples.get(leg)
                     if cached is None:
-                        cached = model.sample(rng)
+                        law = state[_P_LAW]
+                        if law is None:
+                            cached = model.sample(rng)
+                        elif law[0] == AFFINE_UNIFORM:
+                            cached = law[1] + rng.random() * law[2]
+                        else:
+                            # ``KingLatencyModel.sample``'s draw, as in ``send``.
+                            __, mu, sigma, floor, ceiling = law
+                            random = rng.random
+                            while True:
+                                u1 = random()
+                                u2 = 1.0 - random()
+                                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                                if z * z / 4.0 <= -log(u2):
+                                    break
+                            cached = exp(mu + z * sigma)
+                            if cached < floor:
+                                cached = floor
+                            elif cached > ceiling:
+                                cached = ceiling
                         leg_samples[leg] = cached
                     latency = cached
                     last_model = model
@@ -435,7 +486,7 @@ class Transport:
         if dst is None:
             return None
         if src_id == dst_id:
-            state: List[Any] = [dst, None, 0.0, 0.0, (dst,)]
+            state: List[Any] = [dst, None, 0.0, 0.0, (dst,), None]
         else:
             if self._actors[src_id].is_infra and dst.is_infra:
                 model: LatencyModel = self.lan_model
@@ -445,6 +496,9 @@ class Transport:
                 # client direct messages do not occur in Dynamoth's two-hop
                 # architecture.)
                 model = self.wan_model
-            state = [dst, model, getattr(model, "fixed_delay", None), 0.0, (dst,)]
+            law = getattr(model, "law", None)
+            if law is not None and law[0] not in (AFFINE_UNIFORM, CLAMPED_LOGNORMAL):
+                raise ValueError(f"unknown latency law: {law[0]!r}")
+            state = [dst, model, getattr(model, "fixed_delay", None), 0.0, (dst,), law]
         self._pairs[key] = state
         return state

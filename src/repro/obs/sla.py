@@ -172,8 +172,19 @@ class SlaMonitor:
         merged = self._window(entry) if entry is not None else None
         return None if merged is None else merged.percentile(SLA_QUANTILE)
 
-    def report(self) -> Dict[str, Any]:
-        """JSON-able summary: config, per-scope window stats, timeline."""
+    def report(self, end_t: float) -> Dict[str, Any]:
+        """JSON-able summary: config, per-scope window stats, timeline.
+
+        ``end_t`` is when the run stopped: an episode still open then has
+        lasted until then, in ``violation_seconds`` (the whole run's, and
+        each scope's own).  Its ``end_t`` and ``duration_s`` stay ``None``,
+        and ``open_count`` counts it.
+        """
+        seconds: Dict[str, float] = {}
+        for v in self.violations:
+            seconds[v.scope] = seconds.get(v.scope, 0.0) + (
+                (end_t if v.end_t is None else v.end_t) - v.start_t
+            )
         scopes: Dict[str, Any] = {}
         for name in sorted(self._scopes):
             entry = self._scopes[name]
@@ -182,6 +193,7 @@ class SlaMonitor:
                 "window_count": merged.count if merged else 0,
                 "value_s": merged.percentile(SLA_QUANTILE) if merged else None,
                 "violating": entry.active is not None,
+                "violation_seconds": seconds.get(name, 0.0),
             }
         violations = [
             {
@@ -200,7 +212,10 @@ class SlaMonitor:
             "scopes": scopes,
             "violations": violations,
             "violation_count": len(violations),
-            "violation_seconds": sum(v.duration_s or 0.0 for v in self.violations),
+            "violation_seconds": sum(
+                ((end_t if v.end_t is None else v.end_t) - v.start_t for v in self.violations),
+                0.0,
+            ),
             "open_count": sum(1 for v in self.violations if v.end_t is None),
         }
 

@@ -61,7 +61,7 @@ def test_the_readers_only_read():
     assert count > 10_000
     assert (count, digest) == body_sha256(bare)
     # ... and ``run`` reports the monitor as the run left it, unpolled
-    assert record.sla == cluster.sla_monitor.report()
+    assert record.sla == cluster.sla_monitor.report(cluster.sim.now)
     assert pickle.loads(pickle.dumps(record)).sla == record.sla
 
 

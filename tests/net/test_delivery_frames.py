@@ -5,18 +5,19 @@ application's callback.  The kernel's run loop calls ``receive`` through a
 C callable with no transport frame in between, and reading the clock is an
 attribute load.  The perf ledger measures this on 10 000 subscribers; the
 first test holds it on 200, so a frame that creeps back fails tier-1.  (Wide
-enough that the 8 calls a *publication* costs stay under a tenth of a call
+enough that the 5 calls a *publication* costs stay under a tenth of a call
 per delivery; a per-delivery frame adds a whole one.)
 
 A publication costs two kernel events, one stage function each: publish
-to the wire (``publish``, ``_resolve``, ``Transport.send``, ``sample``: 4)
-and the command's arrival at the broker, which charges the CPU and fans
-out in ``receive``'s own frame, the departures starting when the CPU
-finishes (``receive``, ``send_fanout``, ``sample``, the dispatcher's
-``_on_publication``: 4).  ``publish`` calls the transport itself, and the
-transport advances the NIC clock and pushes the delivery's cursor onto
-the kernel's heap in its send frames, so nothing in ``net/link.py`` runs
-and no kernel frame sits between a sender and the queue.  On small
+to the wire (``publish``, ``Transport.send``: 2) and the command's arrival
+at the broker, which charges the CPU and fans out in ``receive``'s own
+frame, the departures starting when the CPU finishes (``receive``,
+``send_fanout``, the dispatcher's ``_on_publication``: 3).  ``publish``
+predicts its route where ``_resolve`` would decide nothing and calls the
+transport itself; the transport draws the propagation delay, advances the
+NIC clock and pushes the delivery's cursor onto the kernel's heap in its
+send frames, so nothing in ``net/link.py`` or ``net/latency.py`` runs and
+no kernel frame sits between a sender and the queue.  On small
 channels -- RGame's tiles hold ~5 subscribers -- that fixed chain, not
 the delivery, is what a run costs; the second test holds it on one
 subscriber.
@@ -61,7 +62,7 @@ def test_a_delivery_costs_two_python_frames():
     assert total / deliveries < 2.2, total
 
 
-def test_a_publication_costs_at_most_eleven_frames():
+def test_a_publication_costs_at_most_eight_frames():
     cluster = make_static_cluster(
         initial_servers=1, broker_config=BrokerConfig(per_connection_bps=None)
     )
@@ -83,8 +84,9 @@ def test_a_publication_costs_at_most_eleven_frames():
     assert sim.events_processed - events_before == 3 * publications
     assert not [path for path in calls if path.endswith("/repro/net/link.py")]
     assert not [path for path in calls if path.endswith("/repro/sim/actor.py")]
+    assert not [path for path in calls if path.endswith("/repro/net/latency.py")]
     total = sum(calls.values())
-    # 4 + 4 for the publication and 2 for its one delivery; the rest of the
+    # 2 + 3 for the publication and 2 for its one delivery; the rest of the
     # allowance is the run's own frames (``run_for``, the first fan-out
-    # entry being built).  Reads 10.2.
-    assert total / publications <= 11, total
+    # entry being built).  Reads 7.2.
+    assert total / publications <= 8, total

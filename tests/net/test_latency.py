@@ -5,7 +5,14 @@ from random import Random
 
 import pytest
 
-from repro.net.latency import FixedLatency, KingLatencyModel, LanLatency, UniformLatency
+from repro.net.latency import (
+    AFFINE_UNIFORM,
+    CLAMPED_LOGNORMAL,
+    FixedLatency,
+    KingLatencyModel,
+    LanLatency,
+    UniformLatency,
+)
 
 
 class TestFixedLatency:
@@ -89,3 +96,42 @@ class TestKingLatencyModel:
             KingLatencyModel(sigma=0)
         with pytest.raises(ValueError):
             KingLatencyModel(floor=0.1, ceiling=0.05)
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("delay", lambda v: FixedLatency(v)),
+        ("low", lambda v: UniformLatency(v, 0.05)),
+        ("high", lambda v: UniformLatency(0.01, v)),
+        ("base", lambda v: LanLatency(base=v)),
+        ("jitter", lambda v: LanLatency(jitter=v)),
+        ("median", lambda v: KingLatencyModel(median=v)),
+        ("sigma", lambda v: KingLatencyModel(sigma=v)),
+        ("floor", lambda v: KingLatencyModel(floor=v)),
+        ("ceiling", lambda v: KingLatencyModel(ceiling=v)),
+    ],
+)
+def test_a_non_finite_parameter_is_rejected(name, build, value):
+    """A range check that is a comparison lets NaN through (every comparison
+    with it is false) and inf past an upper bound; a NaN ``ceiling`` or
+    ``floor`` would switch King's clamp off without a word."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(value)
+
+
+class TestDeclaredLaws:
+    """The law a model declares is what its ``sample`` draws (the transport's
+    draw from it is held to ``sample`` in
+    ``tests/properties/test_latency_law_properties.py``)."""
+
+    def test_each_model_declares_its_law(self):
+        king = KingLatencyModel(median=0.03, sigma=0.4, floor=0.001, ceiling=0.3)
+        assert king.law == (CLAMPED_LOGNORMAL, math.log(0.03), 0.4, 0.001, 0.3)
+        assert LanLatency(0.001, 0.002).law == (AFFINE_UNIFORM, 0.001, 0.002)
+        assert UniformLatency(0.01, 0.03).law == (AFFINE_UNIFORM, 0.01, 0.03 - 0.01)
+        assert FixedLatency(0.05).law is None and FixedLatency(0.05).fixed_delay == 0.05

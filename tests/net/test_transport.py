@@ -190,6 +190,15 @@ class _NanLatency:
         return float("nan")
 
 
+class _ParetoLatency:
+    """A latency model declaring a law the transport does not know."""
+
+    law = ("pareto", 1.0, 2.0)
+
+    def sample(self, rng):
+        return 1.0
+
+
 class TestRejectedSends:
     """A send the transport rejects leaves the sender able to send."""
 
@@ -223,6 +232,15 @@ class TestRejectedSends:
         for dsts, match in ((["b"], "cannot schedule in the past"), (["b", "a"], "NaN")):
             with pytest.raises(ValueError, match=match):
                 net.send_fanout("a", dsts, net.fanout_states("a", dsts), "m", 10, start=0.0)
+        assert sim.pending_count == 0 and net.messages_sent == 0
+
+    def test_a_law_of_unknown_kind_is_rejected_when_the_pair_resolves(self, sim, rng):
+        """The send bodies know two laws; a third must not be drawn as one."""
+        net = Transport(sim, rng, lan_model=_ParetoLatency())
+        net.register(Recorder(sim, "a"))
+        net.register(Recorder(sim, "b"))
+        with pytest.raises(ValueError, match="unknown latency law: 'pareto'"):
+            net.send("a", "b", "m", 10)
         assert sim.pending_count == 0 and net.messages_sent == 0
 
 

@@ -33,7 +33,7 @@ def _deliver(tracer, t, latency_s, channel="tile:1:1", server="pub1"):
 
 
 def _window_count(monitor, scope=OVERALL_SCOPE):
-    return monitor.report()["scopes"][scope]["window_count"]
+    return monitor.report(monitor.epoch * monitor.slice_s)["scopes"][scope]["window_count"]
 
 
 class TestSlidingHistogram:
@@ -58,7 +58,8 @@ class TestSlidingHistogram:
         _deliver(tracer, 1.0, 0.2, channel="tile:1:1", server="pub1")
         _deliver(tracer, 2.0, 0.3, channel="tile:2:2", server="pub2")
         _deliver(tracer, 3.0, 0.4, channel="room:7", server="pub1")
-        counts = {name: row["window_count"] for name, row in monitor.report()["scopes"].items()}
+        report = monitor.report(3.0)
+        counts = {name: row["window_count"] for name, row in report["scopes"].items()}
         assert counts == {
             "overall": 3, "channel:tile": 2, "channel:room": 1, "server:pub1": 2, "server:pub2": 1,
         }
@@ -83,7 +84,7 @@ class TestViolationLifecycle:
         overall_end = next(e for e in ends if e.scope == OVERALL_SCOPE)
         assert overall_start.t < overall_end.t
         assert overall_end.duration_s == overall_end.t - overall_start.t
-        assert monitor.report()["violation_count"] == len(monitor.violations)
+        assert monitor.report(30.0)["violation_count"] == len(monitor.violations)
 
     def test_violation_timestamps_slice_aligned(self):
         tracer, monitor = _monitor()
@@ -112,7 +113,7 @@ class TestEdgeCases:
         tracer, monitor = _monitor()
         monitor.poll(50.0)  # windows advance with zero samples
         assert monitor.active_scopes() == ()
-        assert monitor.report()["violation_count"] == 0
+        assert monitor.report(50.0)["violation_count"] == 0
         assert monitor.windowed_percentile() is None
 
     def test_threshold_exactly_met_is_not_a_violation(self):
@@ -148,17 +149,23 @@ class TestEdgeCases:
         assert open_episodes and open_episodes[0].duration_s is None
 
     def test_the_report_counts_open_episodes(self):
-        """An open episode has no duration, so ``violation_seconds`` reads 0
-        for it; ``open_count`` says it is there, and the chaos summary
-        prints it beside the total."""
+        """An open episode has no duration of its own, but it has lasted
+        until the run stopped: ``violation_seconds`` -- the run's and each
+        scope's -- counts it to the end time the report is given (the policy
+        lab's definition).  ``open_count`` says it is still open, and the
+        chaos summary prints both."""
         tracer, monitor = _monitor(threshold_s=0.1)
         for i in range(60):
             _deliver(tracer, i * 0.1, 0.5)
         monitor.poll(6.0)
-        report = monitor.report()
+        report = monitor.report(6.5)
         assert report["violation_count"] == 3
         assert [v["end_t"] for v in report["violations"]] == [None, None, None]
-        assert report["violation_seconds"] == 0.0
+        assert [v["duration_s"] for v in report["violations"]] == [None, None, None]
+        starts = [v["start_t"] for v in report["violations"]]
+        assert report["violation_seconds"] == sum(6.5 - t for t in starts) > 0
+        for v in report["violations"]:
+            assert report["scopes"][v["scope"]]["violation_seconds"] == 6.5 - v["start_t"]
         assert report["open_count"] == 3
 
         from repro.experiments.chaos import ChaosResult, ChaosScenarioConfig, render_chaos
@@ -166,7 +173,7 @@ class TestEdgeCases:
         result = ChaosResult(
             ChaosScenarioConfig.smoke(), "pub1", 10.0, None, None, 0, None, 0, tracer, report
         )
-        assert "violations                           3 (0.0s total, 3 still open)" in (
+        assert "violations                           3 (16.5s total, 3 still open)" in (
             render_chaos(result)
         )
 
@@ -235,7 +242,10 @@ class _PerScopeReference:
                     t, name, hist.count, hist.percentile(50), value, hist.max, violating
                 ))
 
-    def report(self):
+    def report(self, end_t):
+        def lasted(v):
+            return (end_t if v["end_t"] is None else v["end_t"]) - v["start_t"]
+
         scopes = {}
         for name in sorted(self.samples):
             hist = self.window(name)
@@ -243,6 +253,9 @@ class _PerScopeReference:
                 "window_count": hist.count,
                 "value_s": hist.percentile(sla.SLA_QUANTILE),
                 "violating": name in self.active,
+                "violation_seconds": sum(
+                    (lasted(v) for v in self.violations if v["scope"] == name), 0.0
+                ),
             }
         return {
             "threshold_s": self.threshold_s,
@@ -251,7 +264,7 @@ class _PerScopeReference:
             "scopes": scopes,
             "violations": self.violations,
             "violation_count": len(self.violations),
-            "violation_seconds": sum(v["duration_s"] or 0.0 for v in self.violations),
+            "violation_seconds": sum((lasted(v) for v in self.violations), 0.0),
             "open_count": sum(1 for v in self.violations if v["end_t"] is None),
         }
 
@@ -297,7 +310,7 @@ class TestLeafMergeEqualsPerScopeWindows:
             lines = [
                 event_to_json(e) for e in tracer.events if type(e) is not DeliveryEvent
             ]
-            outcomes.append((lines, monitor.report()))
+            outcomes.append((lines, monitor.report(t + drain_s)))
         return outcomes
 
 

@@ -388,8 +388,8 @@ class TestDeliveryFeed:
         tracer.attach_sla(first)
         tracer.attach_sla(second)
         tracer.emit(_delivery(0.5))
-        assert first.report()["scopes"] == {}
-        assert second.report()["scopes"]["overall"]["window_count"] == 1
+        assert first.report(0.5)["scopes"] == {}
+        assert second.report(0.5)["scopes"]["overall"]["window_count"] == 1
 
     def test_a_delivery_calls_no_sla_function_without_a_monitor(self):
         def calls_in_sla(tracer):
