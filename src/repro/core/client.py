@@ -117,7 +117,7 @@ class DynamothClient(Actor):
     __slots__ = (
         "_ring", "_streams", "_rng", "_config", "_tracer", "_entries", "_ch_cache",
         "_subs", "_reconcile", "_pending_drops", "_windows",
-        "_msg_counter", "_sequence", "_gate", "_recovery", "_down",
+        "_msg_counter", "_sequence", "_gate", "_recovery", "_handshakes", "_down",
         "on_response_time", "on_delivery", "on_wire_delivery",
         "published", "delivered", "duplicates", "redirects", "switches",
         "disconnects", "failovers", "reconnects", "resubscribes",
@@ -179,6 +179,11 @@ class DynamothClient(Actor):
         self._recovery: Optional[ClientRecovery] = None
         if config.client_ping_interval_s is not None:
             self._recovery = ClientRecovery(self, config)
+        #: SUBSCRIBEs awaiting their ack, (server, channel) -> (first send,
+        #: latest send, plan version); only where probing or gap repair reads it
+        self._handshakes: Optional[Dict[Tuple[str, str], Tuple[float, float, int]]] = (
+            {} if self._recovery is not None or self._sequence is not None else None
+        )
 
         #: optional hook fired when the client receives its own publication
         #: back (the paper's response-time metric).
@@ -219,7 +224,10 @@ class DynamothClient(Actor):
         resume = (-1, -1)  # SubscribeCmd's own defaults: no resume point
         if self._sequence is not None:
             resume = self._sequence.resume_point(server, channel)
-            self._sequence.sent_subscribe(server, channel, version, self.sim.now)
+        handshakes = self._handshakes
+        if handshakes is not None:  # a re-send keeps its first send
+            now, key = self.sim.now, (server, channel)
+            handshakes[key] = (handshakes.get(key, (now,))[0], now, version)
         self.send(server, SubscribeCmd(channel, version, *resume), SubscribeCmd.WIRE_SIZE)
 
     def subscribe(self, channel: str, callback: Optional[DeliveryCallback] = None) -> None:
@@ -260,6 +268,11 @@ class DynamothClient(Actor):
         sub = self._subs.pop(channel, None)
         if self._recovery is not None:
             self._recovery.forget(channel)
+        handshakes = self._handshakes
+        if handshakes is not None:
+            for key in list(handshakes):
+                if key[1] == channel:
+                    del handshakes[key]
         # A clean unsubscribe ends the stream position and the causal
         # history: a later resubscribe starts fresh rather than replaying
         # the time away.
@@ -589,7 +602,9 @@ class DynamothClient(Actor):
                 ):
                     stream.max_seq = seq
                     stream.backoff = 0
-                else:
+                elif channel in self._subs:
+                    # (A straggler on a left channel must not rebuild the
+                    # stream ``unsubscribe`` dropped: it would be resumed.)
                     verdict = sequence.observe(
                         message.server_id, channel, seq, message.epoch, sim.now
                     )
@@ -651,9 +666,10 @@ class DynamothClient(Actor):
                                 break
                     if ready and pub_seq > last:
                         delivered[sender] = pub_seq
-                if not ready:
+                if not ready and channel in self._subs:
                     # The arrival, then whatever it releases, in the gate's
-                    # scan order; empty when the arrival parks.
+                    # scan order; empty when the arrival parks.  (Not for a
+                    # straggler on a left channel: it is delivered as is.)
                     batch = gate.admit(message)
                     if not batch:
                         return
@@ -681,10 +697,11 @@ class DynamothClient(Actor):
                 self.redirects += 1
                 self._apply_mapping(message.channel, message.mapping)
             elif isinstance(message, SubscribeAck):
-                if self._recovery is not None:
-                    self._recovery.ack(message.channel, message.server_id)
-                if self._sequence is not None:
-                    self._sequence.subscribe_acked(message.server_id, message.channel, self.sim.now)
+                if self._handshakes is not None:
+                    sent = self._handshakes.pop((message.server_id, message.channel), None)
+                    # Karn's rule: the ack of a re-sent SUBSCRIBE matches either send.
+                    if sent is not None and sent[0] == sent[1] and self._sequence is not None:
+                        self._sequence.sample_link(message.server_id, self.sim.now - sent[0])
                 pending = self._reconcile.get(message.channel)
                 if pending is not None:
                     pending.awaiting.discard(message.server_id)
@@ -741,7 +758,7 @@ class DynamothClient(Actor):
 
     def _detach_server(self, server_id: str) -> List[str]:
         """The one place a lost server (closed connection, or declared dead)
-        leaves subscriptions, acks and plan entries; returns its channels."""
+        leaves subscriptions, handshakes and plan entries; returns its channels."""
         affected = []
         for channel, sub in self._subs.items():
             if server_id not in sub.servers:
@@ -754,10 +771,11 @@ class DynamothClient(Actor):
             if entry is not None and server_id in entry.mapping.servers:
                 del self._entries[channel]
             affected.append(channel)
-        if self._recovery is not None:
-            self._recovery.unack(server_id, affected)
-        if self._sequence is not None:
-            self._sequence.drop_server(server_id)
+        handshakes = self._handshakes
+        if handshakes is not None:
+            for key in list(handshakes):
+                if key[0] == server_id:
+                    del handshakes[key]
         return affected
 
     def _on_failure_notice(self, failed_servers: Tuple[str, ...]) -> None:

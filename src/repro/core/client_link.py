@@ -4,10 +4,10 @@ A client times two things against its links: gap repair re-asks a broker
 for a hole (:class:`~repro.core.reliability.SequenceStage`) and liveness
 probing gives a PING up (:class:`~repro.core.client_recovery.ClientRecovery`).
 Both wait the link's retransmission timeout, measured here from the round
-trips each feeds in (gap repair: each SUBSCRIBE->ack, and fills of holes
-asked once; probing: its pongs).  Each owner keeps its own clock per server,
-under its own ceiling; gap repair backs off per stream instead of calling
-:meth:`LinkClock.back_off`.
+trips each feeds in (gap repair: each SUBSCRIBE->ack the client's handshake
+table saw sent once, and fills of holes asked once; probing: its pongs).
+Each owner keeps its own clock per server, under its own ceiling; gap
+repair backs off per stream instead of calling :meth:`LinkClock.back_off`.
 
 The module name puts the estimator's calls in the ``core.client`` layer of
 the perf ledger: it runs on every pong of a probing client, and the

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 from repro.broker.commands import PingCmd
 from repro.core.client_link import LinkClock
 from repro.core.config import DynamothConfig
+from repro.core.reliability import REPLAY_RETRY_COOLDOWN_S
 from repro.obs.trace import ClientReconnectEvent
 from repro.sim.kernel import ScheduledEvent
 from repro.sim.timers import PeriodicTask
@@ -85,8 +86,6 @@ class ClientRecovery:
         self._links: Dict[str, LinkClock] = {}
         #: server -> the probe round in flight (a pong or a suspicion ends it)
         self._rounds: Dict[str, _Round] = {}
-        #: channel -> servers whose SubscribeAck we have seen
-        self._acked: Dict[str, Set[str]] = {}
         #: channels with a failover recovery in flight
         self._pending: Set[str] = set()
         #: channel -> newest recovery attempt number (stale timers ignored)
@@ -111,19 +110,8 @@ class ClientRecovery:
                 self._links[server_id].sample(self._client.sim.now - stamp)
         self.failed.pop(server_id, None)
 
-    def ack(self, channel: str, server_id: str) -> None:
-        self._acked.setdefault(channel, set()).add(server_id)
-
-    def unack(self, server_id: str, channels: List[str]) -> None:
-        """``server_id`` was detached from ``channels``: its acks are void."""
-        for channel in channels:
-            acked = self._acked.get(channel)
-            if acked is not None:
-                acked.discard(server_id)
-
     def forget(self, channel: str) -> None:
         """The client unsubscribed: nothing left to recover on ``channel``."""
-        self._acked.pop(channel, None)
         self._pending.discard(channel)
         self._attempt.pop(channel, None)
 
@@ -141,17 +129,18 @@ class ClientRecovery:
 
         Servers this client recently published through are probed as
         well: a pure publisher would otherwise never notice its target
-        died.  A round still in flight runs on its own clock.  On the
-        reliable tiers the tick also re-sends a SUBSCRIBE unacked for gap
-        repair's ceiling: one lost on a lossy link (or its ack) would
-        otherwise leave the stream unstarted for good.
+        died.  A round still in flight runs on its own clock.  On every
+        tier the tick also re-sends a SUBSCRIBE the client's handshake table
+        holds unacked for ``REPLAY_RETRY_COOLDOWN_S``: one lost on a lossy
+        link (or its ack) would otherwise leave the subscription unstarted.
         """
         client = self._client
-        if client._sequence is not None:
-            for server, channel, version in client._sequence.unacked(now):
-                sub = client._subs.get(channel)
-                if sub is not None and server in sub.servers:
-                    client._send_subscribe(channel, version, server)
+        assert client._handshakes is not None  # a probing client keeps the table
+        due = now - REPLAY_RETRY_COOLDOWN_S
+        for (server, channel), (_, latest, version) in list(client._handshakes.items()):
+            sub = client._subs.get(channel)
+            if latest <= due and sub is not None and server in sub.servers:
+                client._send_subscribe(channel, version, server)
         servers: Set[str] = set()
         for sub in client._subs.values():
             servers |= sub.servers
@@ -227,7 +216,8 @@ class ClientRecovery:
         if sub is None or channel not in self._pending:
             return  # unsubscribed, or already recovered: both cleaned up
         self._attempt[channel] = attempt
-        failed = self.live_failed(client.sim.now) | client._down
+        now = client.sim.now
+        failed = self.live_failed(now) | client._down
         mapping = client._resolve(channel)
         desired = client._desired_sub_servers(mapping, sub.servers) - failed
         if not desired:
@@ -235,27 +225,28 @@ class ClientRecovery:
             # (marks expire, and repair notices may arrive meanwhile).
             self._schedule_retry(channel, attempt)
             return
-        acked = self._acked.get(channel)
         for server in sorted(desired - sub.servers):
-            # Only an ack of *this* SUBSCRIBE may confirm the recovery: one
-            # left over from before a migration moved us off ``server``
-            # would let _verify_recovery vouch for a server that is gone.
-            if acked is not None:
-                acked.discard(server)
             client._send_subscribe(channel, mapping.version, server)
             client.resubscribes += 1
         sub.servers |= desired
-        client.sim.schedule(SUBSCRIBE_ACK_TIMEOUT_S, self._verify_recovery, channel, attempt)
+        client.sim.schedule(SUBSCRIBE_ACK_TIMEOUT_S, self._verify_recovery, channel, attempt, now)
 
-    def _verify_recovery(self, channel: str, attempt: int) -> None:
-        """Ack check: recovery is done only when every server confirmed."""
+    def _verify_recovery(self, channel: str, attempt: int, sent: float) -> None:
+        """Ack check: recovery is done only when no server still awaits a
+        SUBSCRIBE first sent at or before this round's own (``sent``); one
+        first sent later (a reconcile's confirm) is not this round's."""
         client = self._client
         if not client.alive or client.transport is None:
             return
         if self._attempt.get(channel) != attempt:
             return  # superseded by a newer recovery round
         sub = client._subs[channel]  # a matching attempt means still subscribed
-        missing = sub.servers.difference(self._acked.get(channel, ()))
+        assert client._handshakes is not None  # a probing client keeps the table
+        missing: List[str] = []
+        for server in sub.servers:
+            awaited = client._handshakes.get((server, channel))
+            if awaited is not None and awaited[0] <= sent:
+                missing.append(server)
         # An empty server set is NOT a recovered subscription: a concurrent
         # failover for another channel may have discarded our only target
         # between _try_recover and this check, making "nothing missing"

@@ -24,6 +24,7 @@ from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import read_trace_segments
+from repro.obs.sla import OVERALL_SCOPE
 from repro.obs.trace import (
     ClientFailoverEvent,
     ClientReconnectEvent,
@@ -466,7 +467,7 @@ def render_summary(summary: TraceSummary, top: int = 5) -> str:
     episodes = summary.sla_timeline()
     if episodes:
         out("")
-        out(render_sla_timeline(episodes))
+        out(render_sla_timeline(episodes, summary.duration))
 
     # --- per-server load ratios ---
     out("")
@@ -517,8 +518,9 @@ def render_summary(summary: TraceSummary, top: int = 5) -> str:
     return "\n".join(lines)
 
 
-def render_sla_timeline(episodes: List[Dict[str, Any]]) -> str:
-    """Human-readable SLA violation timeline (also used by ``sla``)."""
+def render_sla_timeline(episodes: List[Dict[str, Any]], end_t: float) -> str:
+    """Human-readable SLA violation timeline (also used by ``sla``); the
+    header is the overall scope's, an episode open at ``end_t`` lasting to it."""
     lines: List[str] = []
     out = lines.append
     if not episodes:
@@ -526,11 +528,12 @@ def render_sla_timeline(episodes: List[Dict[str, Any]]) -> str:
         return "\n".join(lines)
     threshold = episodes[0]["threshold_s"]
     quantile = episodes[0]["quantile"]
-    total = sum(e["duration_s"] or 0.0 for e in episodes)
-    open_count = sum(1 for e in episodes if e["end_t"] is None)
+    overall = [e for e in episodes if e["scope"] == OVERALL_SCOPE]
+    total = sum((end_t if e["end_t"] is None else e["end_t"]) - e["start_t"] for e in overall)
+    open_count = sum(1 for e in overall if e["end_t"] is None)
     out(
         f"SLA violations (windowed p{quantile:g} > {threshold * 1000:.0f}ms): "
-        f"{len(episodes)} episode(s), {total:.1f}s total"
+        f"{len(overall)} overall episode(s), {total:.1f}s total"
         + (f", {open_count} still open" if open_count else "")
     )
     for episode in episodes:
@@ -578,11 +581,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "summary":
             print(render_summary(TraceSummary(events), top=args.top))
         elif args.command == "sla":
-            episodes = TraceSummary(events).sla_timeline()
+            summary = TraceSummary(events)
+            episodes = summary.sla_timeline()
             if args.json:
                 print(json.dumps(episodes, indent=2, sort_keys=True))
             else:
-                print(render_sla_timeline(episodes))
+                print(render_sla_timeline(episodes, summary.duration))
     except BrokenPipeError:  # e.g. piped into head; not an error
         return 0
     return 0

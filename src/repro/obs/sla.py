@@ -175,10 +175,13 @@ class SlaMonitor:
     def report(self, end_t: float) -> Dict[str, Any]:
         """JSON-able summary: config, per-scope window stats, timeline.
 
-        ``end_t`` is when the run stopped: an episode still open then has
-        lasted until then, in ``violation_seconds`` (the whole run's, and
-        each scope's own).  Its ``end_t`` and ``duration_s`` stay ``None``,
-        and ``open_count`` counts it.
+        The headline ``violation_count``, ``violation_seconds`` and
+        ``open_count`` are the overall scope's; ``scopes`` and
+        ``violations`` hold every scope's.  ``end_t`` is when the run
+        stopped: an episode still open then has lasted until then, in
+        ``violation_seconds`` (the headline's, and each scope's own).  Its
+        ``end_t`` and ``duration_s`` stay ``None``, and ``open_count``
+        counts it.
         """
         seconds: Dict[str, float] = {}
         for v in self.violations:
@@ -211,12 +214,11 @@ class SlaMonitor:
             "window_s": SLA_WINDOW_S,
             "scopes": scopes,
             "violations": violations,
-            "violation_count": len(violations),
-            "violation_seconds": sum(
-                ((end_t if v.end_t is None else v.end_t) - v.start_t for v in self.violations),
-                0.0,
+            "violation_count": sum(1 for v in self.violations if v.scope == OVERALL_SCOPE),
+            "violation_seconds": seconds.get(OVERALL_SCOPE, 0.0),
+            "open_count": sum(
+                1 for v in self.violations if v.scope == OVERALL_SCOPE and v.end_t is None
             ),
-            "open_count": sum(1 for v in self.violations if v.end_t is None),
         }
 
     # ------------------------------------------------------------------

@@ -19,11 +19,14 @@ The digests must not depend on the hash seed: run this test under
 ``PYTHONHASHSEED`` 0, 1 and 3 (3 is where the full-size fig 7 diverges
 from 0 and 1).
 
-Last re-pinned when the broker began deciding a publication's fan-out on
-its arrival instead of at its CPU completion: the fan-out's WAN latency
-draw and its ``fanout`` event moved from the completion to the arrival,
-so the shared transport RNG interleaves differently.  Every re-pinned
-scenario passes every oracle.
+Last re-pinned when a ``Delivery`` on a channel the client had left
+stopped reaching the sequence stage and the causal gate: such a straggler
+no longer re-creates a dropped stream (whose resume point made the next
+SUBSCRIBE replay history) or parks behind a dropped channel's causal
+state.  Eight digests moved -- seeds 4, 12 and 15, and seed 12 on every
+pinned (tier, causal) pair but at_most_once plain, which has neither
+stage -- and every re-pinned scenario passes every oracle.  Moving the SUBSCRIBE handshake into the client's one
+table moved none.
 """
 
 from __future__ import annotations

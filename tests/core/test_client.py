@@ -340,13 +340,15 @@ class TestPerClientStateOnFirstUse:
 
 
 class TestSubscribeHandshake:
-    """The SUBSCRIBE round trips gap repair is timed from."""
+    """The client's one table of SUBSCRIBEs awaiting their ack: what the
+    ping tick re-sends, the recovery check reads and gap repair is timed from."""
 
     def test_an_at_most_once_client_without_probing_holds_no_table(self):
         _, wire, client = make_bare_client()
         wire.live.add("s1")
         client.subscribe("a", lambda *a: None)
         assert client._sequence is None and client._recovery is None
+        assert client._handshakes is None
 
     def test_an_acked_subscribe_samples_its_link(self):
         sim, wire, client = make_bare_client(
@@ -355,30 +357,26 @@ class TestSubscribeHandshake:
         wire.live.add("s1")
         client.subscribe("a", lambda *a: None)
         sim.run()
-        stage = client._sequence
-        assert stage._handshakes == {} and stage._links["s1"].srtt == pytest.approx(0.01)
+        assert client._handshakes == {}
+        assert client._sequence._links["s1"].srtt == pytest.approx(0.01)
 
     def test_an_unacked_subscribe_leaves_no_entry_once_detached_or_unsubscribed(self):
         _, _, client = make_bare_client(
             reliability=ReliabilityConfig(delivery_tier="exactly_once")
         )
-        stage = client._sequence
         client.subscribe("a", lambda *a: None)  # s1 never acks
-        assert stage._handshakes == {("s1", "a"): (0.0, 1, 0)}
+        assert client._handshakes == {("s1", "a"): (0.0, 0.0, 0)}
         assert client._detach_server("s1") == ["a"]
-        assert stage._handshakes == {}
+        assert client._handshakes == {}
         client.subscribe("a", lambda *a: None)
-        assert stage._handshakes == {("s1", "a"): (0.0, 1, 0)}
+        assert client._handshakes == {("s1", "a"): (0.0, 0.0, 0)}
         client.unsubscribe("a")
-        assert stage._handshakes == {}
+        assert client._handshakes == {}
 
-    def test_a_lost_subscribe_is_resent_on_the_ping_tick_and_its_ack_is_no_sample(self):
-        """A SUBSCRIBE lost on a lossy link used to strand a reliable stream
-        for good.  The tick re-sends it once it is a ceiling old; the ack of
-        a re-sent SUBSCRIBE matches either send (Karn), so it samples nothing."""
+    @staticmethod
+    def _lose_the_first_subscribe(**kwargs):
         sim, wire, client = make_bare_client(
-            config=DynamothConfig(client_ping_interval_s=1.0),
-            reliability=ReliabilityConfig(delivery_tier="exactly_once"),
+            config=DynamothConfig(client_ping_interval_s=1.0), **kwargs
         )
         wire.live.add("s1")
         send = wire.send
@@ -395,6 +393,21 @@ class TestSubscribeHandshake:
         assert wire.times(SubscribeCmd) == [0.0]
         sim.run_until(5.5)
         assert wire.times(SubscribeCmd) == [0.0, 1.0]  # acked at 1.01: no more
-        stage = client._sequence
-        assert stage._handshakes == {} and "s1" not in stage._links  # never sampled
+        assert client._handshakes == {}
         assert client.subscription_servers("a") == {"s1"}
+        return client
+
+    def test_a_lost_subscribe_is_resent_on_the_ping_tick_and_its_ack_is_no_sample(self):
+        """A SUBSCRIBE lost on a lossy link used to strand a reliable stream
+        for good.  The tick re-sends it once it is a ceiling old; the ack of
+        a re-sent SUBSCRIBE matches either send (Karn), so it samples nothing."""
+        client = self._lose_the_first_subscribe(
+            reliability=ReliabilityConfig(delivery_tier="exactly_once")
+        )
+        assert "s1" not in client._sequence._links  # never sampled
+
+    def test_an_at_most_once_probing_client_resends_a_lost_subscribe(self):
+        """The re-send is the ping tick's on every tier: a probing client
+        with no sequence stage keeps the table too."""
+        client = self._lose_the_first_subscribe()
+        assert client._sequence is None and client._recovery is not None

@@ -12,7 +12,13 @@ from __future__ import annotations
 import pytest
 
 import repro.core.client as client_module
-from repro.broker.commands import Delivery, PublishCmd, ReplayGapNotice, ReplayRequest
+from repro.broker.commands import (
+    Delivery,
+    PublishCmd,
+    ReplayGapNotice,
+    ReplayRequest,
+    SubscribeCmd,
+)
 from repro.core.client import DynamothClient
 from repro.core.config import DynamothConfig
 from repro.core.messages import AppEnvelope
@@ -106,6 +112,7 @@ class TestSequenceStageInTheChain:
         no traffic but a sender's own new numbers moves its window."""
         window = DynamothClient.DEDUP_WINDOW
         sim, client = make_client(reliability=ReliabilityConfig("exactly_once"))
+        client.subscribe("ch")
         client.receive(stamped("a", 1, seq=1), "s1")
         client.receive(stamped("a", 2, seq=2), "s1")
         for n in range(3, window + 8):  # stale seq 1, carrying numbers never heard
@@ -115,6 +122,32 @@ class TestSequenceStageInTheChain:
         # a:1 is still remembered: its copy on another stream is a duplicate.
         client.receive(stamped("a", 1, seq=1, server="s2"), "s2")
         assert (client.delivered, client.duplicates) == (2, window + 6)
+
+
+class TestStragglerAfterUnsubscribe:
+    @pytest.mark.parametrize("tier", ["at_least_once", "exactly_once"])
+    def test_a_straggler_leaves_no_state_for_the_next_subscribe(self, tier):
+        """A delivery in flight when the client unsubscribed is delivered
+        (and counted), but reaches neither stage: it rebuilds no stream,
+        asks for no replay and leaves no causal history, so the next
+        SUBSCRIBE starts fresh instead of replaying the time away."""
+        sim, client = make_client(
+            reliability=ReliabilityConfig(tier, causal_order=True)
+        )
+        client.subscribe("ch")
+        client.receive(stamped("a", 1, seq=1), "s1")
+        assert client._sequence.resume_point("s1", "ch") == (1, 1)
+        client.unsubscribe("ch")
+        # In flight: a sequence hole (2) and a causal dependency never seen.
+        client.receive(stamped("a", 3, [("b", 4)], seq=3), "s1")
+        assert client.delivered == 2
+        assert client._sequence.resume_point("s1", "ch") == (-1, -1)
+        assert "ch" not in client._gate.channels
+        client.subscribe("ch")
+        subscribes = client.transport.messages(SubscribeCmd)
+        assert (subscribes[-1].resume_after, subscribes[-1].resume_epoch) == (-1, -1)
+        sim.run()
+        assert client.transport.messages(ReplayRequest) == []
 
 
 class TestPredictedDelivery:

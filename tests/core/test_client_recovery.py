@@ -13,6 +13,7 @@ from repro.core import client_recovery
 from repro.core.client_recovery import ClientRecovery
 from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
+from repro.core.messages import MappingNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
 from tests.helpers import make_bare_client, make_static_cluster
 
@@ -216,18 +217,27 @@ class TestProbeClock:
 class TestRecovery:
     def test_backoff_doubles_and_is_capped(self):
         """Nobody ever acks.  Marks expire at once (tiny TTL), so every
-        retry re-sends its SUBSCRIBE: the send times show the back-off."""
+        retry re-sends its SUBSCRIBE: the send times show the back-off.
+        The ping tick (whole seconds) also re-sends a SUBSCRIBE unacked for
+        a second, on every tier: the rounds' sends fall between its."""
         sim, wire, client = make_client(servers=["s1"], failed_server_ttl_s=0.25)
         client.subscribe("ch", lambda *a: None)
         sim.run_until(80.0)
         sends = wire.times(SubscribeCmd)
-        assert sends[0] == 0.0  # the application's subscribe
+        # The application's subscribe, re-sent by every tick up to the one
+        # at t=4 that runs just before the suspicion.
+        assert sends[:5] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        rounds, resends = sends[5::2], sends[6::2]
         # Declared dead at t=4: attempt 0 finds its only candidate marked
-        # and backs off 0.5 s, so attempt 1 makes the first re-send.
-        assert sends[1] == 4.5
+        # and backs off 0.5 s, so attempt 1 makes the first round's send.
+        assert rounds[0] == 4.5
         # Attempt k+1 follows k's ack timeout (2 s) by min(0.5 * 2^k, 10).
-        gaps = [round(b - a, 6) for a, b in zip(sends[1:], sends[2:])]
+        gaps = [round(b - a, 6) for a, b in zip(rounds, rounds[1:])]
         assert gaps[:7] == [3.0, 4.0, 6.0, 10.0, 12.0, 12.0, 12.0]
+        # Each round's SUBSCRIBE is re-sent once, by the first tick a
+        # second after it; the re-send keeps the round's first send, so
+        # the ack check still finds the server missing.
+        assert [r - s for s, r in zip(rounds, resends)] == [1.5] * len(resends)
         assert client.reconnects == 0
 
     def test_recovery_completes_only_on_a_fresh_ack(self):
@@ -260,6 +270,35 @@ class TestRecovery:
         sim.run_until(30.0)  # the retry reaches the last live server
         assert client.reconnects == 1
         assert client.subscription_servers("ch") == wire.live
+
+    def test_a_later_subscribe_in_flight_does_not_undo_a_verified_recovery(self):
+        """The round's server acked its SUBSCRIBE; a reconcile's confirm to
+        the same server is still in flight at the ack check.  That later
+        round trip is not this round's: the recovery completes, and the
+        server is not suspected (reading "any SUBSCRIBE in flight" as
+        missing left a client holding no server at all)."""
+        sim, wire, client = make_client()
+        home = home_of("ch")
+        wire.live = set(SERVERS) - {home}
+        client.subscribe("ch", lambda *a: None)
+        sim.run_until(4.5)  # home declared dead at t=4; SUBSCRIBE to a second
+        (second,) = client.subscription_servers("ch")
+        assert client.failovers == 1 and client._handshakes == {}  # acked at 4.01
+        send = wire.send
+
+        def hold_the_confirm(src, dst, message, size):
+            if isinstance(message, SubscribeCmd) and message.plan_version == 1:
+                wire.sent.append((sim.now, dst, message))  # its ack is late
+            else:
+                send(src, dst, message, size)
+
+        wire.send = hold_the_confirm
+        mapping = ChannelMapping(ReplicationMode.SINGLE, (second,), 1)
+        client.receive(MappingNotice("ch", mapping), second)  # kept: confirm at once
+        assert client._handshakes == {(second, "ch"): (4.5, 4.5, 1)}
+        sim.run_until(6.5)  # the ack check of the failover's round ran at t=6
+        assert client.reconnects == 1 and client.failovers == 1
+        assert client.subscription_servers("ch") == {second}
 
     def test_unsubscribe_abandons_the_recovery(self):
         sim, wire, client = make_client()

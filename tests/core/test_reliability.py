@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker.commands import Delivery
+from repro.broker.commands import Delivery, SubscribeAck, SubscribeCmd
 from repro.core.config import DynamothConfig
 from repro.core.messages import AppEnvelope
 from repro.core.reliability import (
@@ -31,6 +31,7 @@ from repro.core.reliability import (
     reliability_config_from,
 )
 from repro.sim.kernel import Simulator
+from tests.helpers import make_bare_client
 
 
 def _entry(seq: int, size: int = 100) -> CacheEntry:
@@ -399,63 +400,107 @@ class TestSequenceStage:
 
 class TestSubscribeHandshake:
     """A SUBSCRIBE and its ack are the link's first round trip (TCP's
-    SYN/SYN-ACK): gap repair's clock is measured before any hole."""
+    SYN/SYN-ACK): gap repair's clock is measured before any hole.  The
+    client's handshake table times it; the stage's link takes the sample."""
+
+    @staticmethod
+    def _client():
+        """A bare exactly_once client whose servers never ack: the test does."""
+        sim, _, client = make_bare_client(
+            servers=("s1", "s2"), reliability=ReliabilityConfig(delivery_tier="exactly_once")
+        )
+        return sim, client
+
+    @staticmethod
+    def _subscribe(sim, client, at, server, channel, version=0):
+        sim.run_until(at)
+        client._send_subscribe(channel, version, server)
+
+    @staticmethod
+    def _ack(sim, client, at, server, channel):
+        sim.run_until(at)
+        client.receive(SubscribeAck(channel, server), server)
 
     def test_a_clean_handshake_samples_the_link(self):
-        stage = SequenceStage(_config())
-        stage.sent_subscribe("s1", "a", 0, 1.0)
-        stage.subscribe_acked("s1", "a", 1.08)
-        link = stage._links["s1"]
+        sim, client = self._client()
+        self._subscribe(sim, client, 1.0, "s1", "a")
+        self._ack(sim, client, 1.08, "s1", "a")
+        link = client._sequence._links["s1"]
         assert link.srtt == pytest.approx(0.08) and link.rttvar == pytest.approx(0.04)
         assert link.timeout == pytest.approx(0.24)
         # A later clean handshake (a reconcile, a resubscribe) samples too.
-        stage.sent_subscribe("s1", "b", 0, 5.0)
-        stage.subscribe_acked("s1", "b", 5.16)
+        self._subscribe(sim, client, 5.0, "s1", "b")
+        self._ack(sim, client, 5.16, "s1", "b")
         assert link.srtt == pytest.approx(0.09)
 
     def test_a_subscribe_resent_before_its_ack_leaves_the_clock_unsampled(self):
         """Karn's rule: the ack matches neither SUBSCRIBE."""
-        stage = SequenceStage(_config())
-        stage.sent_subscribe("s1", "a", 0, 1.0)
-        stage.sent_subscribe("s1", "a", 0, 1.5)
-        stage.subscribe_acked("s1", "a", 1.58)
-        assert stage._handshakes == {}
+        sim, client = self._client()
+        self._subscribe(sim, client, 1.0, "s1", "a")
+        self._subscribe(sim, client, 1.5, "s1", "a")
+        assert client._handshakes == {("s1", "a"): (1.0, 1.5, 0)}  # first send kept
+        self._ack(sim, client, 1.58, "s1", "a")
+        assert client._handshakes == {}
+        stage = client._sequence
         _feed(stage, ("s1", "a", 1, 1, 2.0), ("s1", "a", 3, 1, 2.1))
         link = stage._links["s1"]
         assert (link.srtt, link.timeout) == (0.0, 1.0)
         # The ack closed the ambiguous entry: the next SUBSCRIBE is clean.
-        stage.sent_subscribe("s1", "a", 0, 3.0)
-        stage.subscribe_acked("s1", "a", 3.1)
+        self._subscribe(sim, client, 3.0, "s1", "a")
+        self._ack(sim, client, 3.1, "s1", "a")
         assert link.srtt == pytest.approx(0.1)
 
     def test_an_ack_with_no_pending_subscribe_samples_nothing(self):
-        stage = SequenceStage(_config())
-        stage.subscribe_acked("s1", "a", 1.0)
+        sim, client = self._client()
+        self._ack(sim, client, 1.0, "s1", "a")
         # Nor one whose entry left with its channel or its server.
-        stage.sent_subscribe("s1", "a", 0, 2.0)
-        stage.sent_subscribe("s2", "b", 0, 2.0)
-        stage.drop_channel("a")
-        stage.drop_server("s2")
-        assert stage._handshakes == {}
-        stage.subscribe_acked("s1", "a", 2.1)
-        stage.subscribe_acked("s2", "b", 2.1)
-        assert all(link.srtt == 0.0 for link in stage._links.values())
+        self._subscribe(sim, client, 2.0, "s1", "a")
+        self._subscribe(sim, client, 2.0, "s2", "b")
+        client.unsubscribe("a")
+        client._detach_server("s2")
+        assert client._handshakes == {}
+        self._ack(sim, client, 2.1, "s1", "a")
+        self._ack(sim, client, 2.1, "s2", "b")
+        assert all(link.srtt == 0.0 for link in client._sequence._links.values())
 
     def test_a_subscribe_unacked_for_the_ceiling_is_due_again(self):
-        stage = SequenceStage(_config())
-        stage.sent_subscribe("s1", "a", 3, 0.0)
-        stage.sent_subscribe("s2", "a", 4, 0.5)
-        assert stage.unacked(0.99) == []
-        assert stage.unacked(1.0) == [("s1", "a", 3)]
-        stage.sent_subscribe("s1", "a", 3, 1.0)  # the re-send restarts its clock
-        assert stage.unacked(1.5) == [("s2", "a", 4)]
-        stage.subscribe_acked("s2", "a", 1.6)
-        assert stage.unacked(9.0) == [("s1", "a", 3)]
+        """The ping tick re-sends a SUBSCRIBE whose latest send is the
+        ceiling old; a re-send restarts that clock, an ack ends it."""
+        sim, wire, client = make_bare_client(
+            config=DynamothConfig(client_ping_interval_s=REPLAY_RETRY_COOLDOWN_S),
+            reliability=ReliabilityConfig(delivery_tier="exactly_once"),
+        )
+        wire.live.add("s1")
+        send = wire.send
+
+        def never_ack(src, dst, message, size):
+            if isinstance(message, SubscribeCmd):
+                wire.sent.append((sim.now, dst, message))
+            else:
+                send(src, dst, message, size)
+
+        wire.send = never_ack
+        client.subscribe("a")
+        sim.run_until(0.5)
+        client.subscribe("b")
+
+        def sends():
+            return [(t, m.channel) for t, _, m in wire.sent if isinstance(m, SubscribeCmd)]
+
+        sim.run_until(1.5)  # tick 1.0: only a is a ceiling old
+        assert sends() == [(0.0, "a"), (0.5, "b"), (1.0, "a")]
+        assert client._handshakes == {("s1", "a"): (0.0, 1.0, 0), ("s1", "b"): (0.5, 0.5, 0)}
+        sim.run_until(2.5)  # tick 2.0: the re-send restarted a's clock
+        assert sends()[3:] == [(2.0, "a"), (2.0, "b")]
+        client.receive(SubscribeAck("b", "s1"), "s1")
+        sim.run_until(9.5)
+        assert sends()[5:] == [(float(t), "a") for t in range(3, 10)]
 
     def test_a_hole_after_a_handshake_is_reasked_on_the_measured_timeout(self):
-        stage = SequenceStage(_config())
-        stage.sent_subscribe("s1", "a", 0, 0.0)
-        stage.subscribe_acked("s1", "a", 0.1)
+        sim, client = self._client()
+        self._subscribe(sim, client, 0.0, "s1", "a")
+        self._ack(sim, client, 0.1, "s1", "a")
+        stage = client._sequence
         link = stage._links["s1"]
         timeout = link.srtt + max(4 * link.rttvar, link.srtt / 2)
         assert timeout == pytest.approx(0.3) and link.timeout == timeout

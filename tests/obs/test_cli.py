@@ -166,8 +166,23 @@ class TestSlaAndProfileSubcommands:
         write_trace(path, self._sla_events())
         assert main(["sla", str(path)]) == 0
         out = capsys.readouterr().out
+        # The header is the overall scope's, as SlaMonitor.report's is; the
+        # list below it names every scope's episodes.
+        assert "1 overall episode(s), 3.0s total\n" in out
         assert "overall" in out
         assert "server:pub1" in out
+
+    def test_sla_header_runs_an_open_overall_episode_to_the_last_event(self, tmp_path, capsys):
+        from repro.obs.trace import SlaViolationStartEvent
+
+        path = tmp_path / "run.jsonl"
+        events = self._sla_events() + [
+            SlaViolationStartEvent(8.0, "overall", 95.0, 0.1, 0.4, 40),
+            _delivery(9.5, 0.4),
+        ]
+        write_trace(path, events)
+        assert main(["sla", str(path)]) == 0
+        assert "2 overall episode(s), 4.5s total, 1 still open\n" in capsys.readouterr().out
 
     def test_sla_json_includes_open_episode(self, tmp_path, capsys):
         import json

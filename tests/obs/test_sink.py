@@ -111,11 +111,12 @@ class TestPinnedBytes:
     #: threshold: they see neither the ``sla_*`` events nor the metrics
     #: trailer.  This file has both, so a change to the emit path, the SLA
     #: monitor or an instrument that moves a byte moves this value.  So does
-    #: a change to the simulation itself: it moved when the broker began
-    #: fanning a publication out on its arrival, which draws the fan-out's
-    #: WAN latency and emits its ``fanout`` event there, not at the CPU's
-    #: completion.
-    SMOKE_TRACE_SHA256 = "55c7cb263564f316365431fe7a4d2c3a30b5753493f8d579e72b3dbed41bcd26"
+    #: a change to the simulation itself.  It last moved when the ping tick
+    #: began re-sending an unacked SUBSCRIBE on every tier: the events are
+    #: byte-identical, and only the trailer's ``messages_sent_total`` /
+    #: ``bytes_sent_total`` of player18 (+2 SUBSCRIBEs) and player20 (+3),
+    #: re-sent to the crashed broker, moved.
+    SMOKE_TRACE_SHA256 = "54c716b32f4bcf45ec8ce4e5c9c6522a5d3abceec4fe0e8a0c0cd9d8d19f6ce4"
 
     @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
     def test_chaos_smoke_trace_is_pinned(self, tmp_path, streamed):

@@ -84,7 +84,9 @@ class TestViolationLifecycle:
         overall_end = next(e for e in ends if e.scope == OVERALL_SCOPE)
         assert overall_start.t < overall_end.t
         assert overall_end.duration_s == overall_end.t - overall_start.t
-        assert monitor.report(30.0)["violation_count"] == len(monitor.violations)
+        # One breach, seen by three scopes: the headline counts it once.
+        assert len(monitor.violations) == 3
+        assert monitor.report(30.0)["violation_count"] == 1
 
     def test_violation_timestamps_slice_aligned(self):
         tracer, monitor = _monitor()
@@ -150,30 +152,33 @@ class TestEdgeCases:
 
     def test_the_report_counts_open_episodes(self):
         """An open episode has no duration of its own, but it has lasted
-        until the run stopped: ``violation_seconds`` -- the run's and each
-        scope's -- counts it to the end time the report is given (the policy
-        lab's definition).  ``open_count`` says it is still open, and the
-        chaos summary prints both."""
+        until the run stopped: ``violation_seconds`` -- the headline's and
+        each scope's -- counts it to the end time the report is given (the
+        policy lab's definition).  ``open_count`` says it is still open, and
+        the chaos summary prints both.  The headline figures are the overall
+        scope's: the same breach in its channel and server scopes is not
+        counted three times."""
         tracer, monitor = _monitor(threshold_s=0.1)
         for i in range(60):
             _deliver(tracer, i * 0.1, 0.5)
         monitor.poll(6.0)
         report = monitor.report(6.5)
-        assert report["violation_count"] == 3
+        assert len(report["violations"]) == 3
         assert [v["end_t"] for v in report["violations"]] == [None, None, None]
         assert [v["duration_s"] for v in report["violations"]] == [None, None, None]
-        starts = [v["start_t"] for v in report["violations"]]
-        assert report["violation_seconds"] == sum(6.5 - t for t in starts) > 0
         for v in report["violations"]:
             assert report["scopes"][v["scope"]]["violation_seconds"] == 6.5 - v["start_t"]
-        assert report["open_count"] == 3
+        (overall,) = [v for v in report["violations"] if v["scope"] == OVERALL_SCOPE]
+        assert report["violation_count"] == 1
+        assert report["violation_seconds"] == 6.5 - overall["start_t"] == 5.5
+        assert report["open_count"] == 1
 
         from repro.experiments.chaos import ChaosResult, ChaosScenarioConfig, render_chaos
 
         result = ChaosResult(
             ChaosScenarioConfig.smoke(), "pub1", 10.0, None, None, 0, None, 0, tracer, report
         )
-        assert "violations                           3 (16.5s total, 3 still open)" in (
+        assert "violations                           1 (5.5s total, 1 still open)" in (
             render_chaos(result)
         )
 
@@ -246,6 +251,7 @@ class _PerScopeReference:
         def lasted(v):
             return (end_t if v["end_t"] is None else v["end_t"]) - v["start_t"]
 
+        overall = [v for v in self.violations if v["scope"] == OVERALL_SCOPE]
         scopes = {}
         for name in sorted(self.samples):
             hist = self.window(name)
@@ -263,9 +269,9 @@ class _PerScopeReference:
             "window_s": sla.SLA_WINDOW_S,
             "scopes": scopes,
             "violations": self.violations,
-            "violation_count": len(self.violations),
-            "violation_seconds": sum((lasted(v) for v in self.violations), 0.0),
-            "open_count": sum(1 for v in self.violations if v["end_t"] is None),
+            "violation_count": len(overall),
+            "violation_seconds": sum((lasted(v) for v in overall), 0.0),
+            "open_count": sum(1 for v in overall if v["end_t"] is None),
         }
 
 
