@@ -36,7 +36,6 @@ UNROUTED: FrozenSet[str] = frozenset(
         "AppEnvelope",
         "SwitchNotice",
         "ChannelMetricsSnapshot",
-        "ReliabilityConfig",
         "CacheEntry",
         "ReplaySlice",
     }

@@ -11,8 +11,8 @@ Models a stock Redis instance doing channel pub/sub:
   finishes it;
 * a subscriber connection whose output buffer exceeds the hard limit is
   killed, Redis-style;
-* co-located processes (LLA, dispatcher) attach as *local* subscribers and
-  observers -- loopback traffic that costs neither NIC bandwidth nor WAN
+* co-located processes (the dispatcher) attach as loopback observers of
+  every publication -- traffic that costs neither NIC bandwidth nor WAN
   latency, matching the paper's observation that local monitoring "does not
   use any local bandwidth".
 
@@ -92,24 +92,20 @@ class PubSubServer(Actor):
         super().__init__(sim, node_id, is_infra=True)
         self.config = config if config is not None else BrokerConfig()
         self.tracer = tracer
-        #: opt-in reliable-delivery state (sequencing + replay cache);
-        #: ``None`` keeps the broker byte-identical to the base semantics.
+        #: reliable tiers' sequencing + replay cache; ``None`` (at_most_once)
+        #: keeps the broker byte-identical to the base semantics.
         self.reliability = reliability
         self._connections: Dict[str, Connection] = {}
         #: channel -> client node ids subscribed remotely.  An
         #: insertion-ordered dict (used as an ordered set) so fan-out
         #: order is deterministic regardless of the process hash seed.
         self._channels: Dict[str, Dict[str, None]] = {}
-        #: channel -> local (loopback) subscriber callbacks
-        self._local_subs: Dict[str, List[LocalSubscriber]] = {}
         #: callbacks observing *every* publication (wildcard loopback
         #: subscription, as the LLA registers itself in the paper)
         self._observers: List[LocalSubscriber] = []
         self._subscribe_listeners: List[SubscribeListener] = []
         self._unsubscribe_listeners: List[UnsubscribeListener] = []
         self._cpu_busy_until: float = 0.0
-        #: fan-out (remote deliveries) of the most recent publication
-        self.last_fanout: int = 0
         #: cumulative CPU seconds consumed by publish processing
         self.cpu_time_total: float = 0.0
         # --- counters (diagnostics / metrics) ---
@@ -132,11 +128,6 @@ class PubSubServer(Actor):
         #: drained by the co-located LLA at its window flush -- the
         #: per-publication observer callback the LLA used to pay is gone.
         self._channel_stats: Dict[str, List[Any]] = {}
-        #: sequence stamping resolved once per boot: the at_most_once
-        #: fast path is a single attribute test per publication.
-        self._stamper: Optional[BrokerReliability] = None
-        if reliability is not None and reliability.config.reliable:
-            self._stamper = reliability
         self._cache_gauges: Optional[Tuple[Gauge, Gauge, Gauge, Gauge]] = None
         if tracer.enabled:
             metrics = tracer.metrics
@@ -206,17 +197,6 @@ class PubSubServer(Actor):
         """Attach a wildcard loopback subscriber seeing every publication."""
         self._observers.append(callback)
 
-    def subscribe_local(self, channel: str, callback: LocalSubscriber) -> None:
-        """Attach a loopback subscriber to one channel (dispatcher use)."""
-        self._local_subs.setdefault(channel, []).append(callback)
-
-    def unsubscribe_local(self, channel: str, callback: LocalSubscriber) -> None:
-        callbacks = self._local_subs.get(channel)
-        if callbacks and callback in callbacks:
-            callbacks.remove(callback)
-            if not callbacks:
-                del self._local_subs[channel]
-
     def add_subscribe_listener(self, callback: SubscribeListener) -> None:
         """Observe remote SUBSCRIBE commands (LLA / dispatcher intercept)."""
         self._subscribe_listeners.append(callback)
@@ -278,7 +258,7 @@ class PubSubServer(Actor):
         # fabricate gaps no one can observe being filled.
         seq: Optional[int] = None
         epoch = 0
-        rel = self._stamper
+        rel = self.reliability
         if rel is not None and not message.control:
             seq = rel.stamp_and_cache(channel, message.payload, message.payload_size, wire_size)
             epoch = rel.epoch
@@ -361,9 +341,6 @@ class PubSubServer(Actor):
                 for client_id, conn in kills:
                     self._kill_connection(client_id, conn)
         self.delivery_count += delivered
-        # Observers need the fan-out of *this* publication to attribute
-        # egress bytes; expose it before invoking them.
-        self.last_fanout = delivered
         # Per-channel load accounting, drained by the LLA at window flush.
         stats = self._channel_stats.get(channel)
         if stats is None:
@@ -405,9 +382,7 @@ class PubSubServer(Actor):
                 gauges[2].value = float(self.fanout_cache_builds)
                 gauges[3].value = float(self.fanout_cache_invalidations)
 
-        # Loopback deliveries: dispatcher subscriptions and LLA observation.
-        for callback in list(self._local_subs.get(channel, ())):
-            callback(channel, src_id, message.payload, message.payload_size)
+        # Loopback deliveries: the co-located observers.
         for callback in self._observers:
             callback(channel, src_id, message.payload, message.payload_size)
 

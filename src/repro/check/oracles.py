@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.check.scenario import RunResult
 from repro.core.dispatcher import REPAIR_BUFFER_MAX_MSGS, REPAIR_BUFFER_S, dispatcher_id
 from repro.core.plan import ReplicationMode
+from repro.core.rebalance import MAX_REPLICATION_SERVERS
 from repro.core.policy import policy_class
 from repro.faults.schedule import (
     CrashServer,
@@ -439,13 +440,13 @@ def oracle_replication_soundness(result: RunResult) -> List[Violation]:
     for t, plan in result.plan_history:
         for channel in plan.explicit_channels():
             mapping = plan.explicit_mapping(channel)
-            if len(mapping.servers) > config.max_replication_servers:
+            if len(mapping.servers) > MAX_REPLICATION_SERVERS:
                 violations.append(
                     Violation(
                         "replication-soundness",
                         f"plan v{plan.version} replicates {channel} on "
                         f"{len(mapping.servers)} servers "
-                        f"(cap {config.max_replication_servers})",
+                        f"(cap {MAX_REPLICATION_SERVERS})",
                         t=t,
                     )
                 )

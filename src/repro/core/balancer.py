@@ -64,6 +64,8 @@ from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTask
 
+#: How often the balancer re-evaluates the cluster state.
+EVAL_INTERVAL_S = 1.0
 #: Heartbeat failure detection: a monitored server (one that has reported
 #: at least once) silent for this long is *suspected*...
 HEARTBEAT_SUSPECT_S = 3.0
@@ -165,7 +167,7 @@ class LoadBalancer(Actor):
         #: (``config.rebalance_policy``; see :mod:`repro.core.policy`).
         self.policy: RebalancePolicy = make_policy(config)
 
-        self._task = PeriodicTask(sim, config.lb_eval_interval_s, self._evaluate)
+        self._task = PeriodicTask(sim, EVAL_INTERVAL_S, self._evaluate)
 
     # ------------------------------------------------------------------
     # Lifecycle

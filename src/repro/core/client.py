@@ -44,7 +44,7 @@ from repro.core.config import DynamothConfig
 from repro.core.hashing import ConsistentHashRing
 from repro.core.messages import AppEnvelope, FailureNotice, MappingNotice, SwitchNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
-from repro.core.reliability import CausalGate, ParkTimeout, ReliabilityConfig, SequenceStage
+from repro.core.reliability import CausalGate, ParkTimeout, SequenceStage
 from repro.obs.trace import (
     NULL_TRACER,
     CausalTimeoutEvent,
@@ -133,7 +133,6 @@ class DynamothClient(Actor):
         *,
         config: DynamothConfig = _DEFAULT_CONFIG,
         tracer: Tracer = NULL_TRACER,
-        reliability: Optional[ReliabilityConfig] = None,
     ) -> None:
         super().__init__(sim, node_id, is_infra=False)
         self._ring = bootstrap_ring
@@ -170,11 +169,10 @@ class DynamothClient(Actor):
         self._sequence: Optional[SequenceStage] = None
         #: causal gate; present only under ``causal_order``
         self._gate: Optional[CausalGate] = None
-        if reliability is not None:
-            if reliability.reliable:
-                self._sequence = SequenceStage(reliability)
-            if reliability.causal_order:
-                self._gate = CausalGate(self)
+        if config.delivery_tier != "at_most_once":
+            self._sequence = SequenceStage(config.delivery_tier == "exactly_once")
+        if config.causal_order:
+            self._gate = CausalGate(self)
         #: failure detection & failover; present only when probing is on
         self._recovery: Optional[ClientRecovery] = None
         if config.client_ping_interval_s is not None:
@@ -327,12 +325,10 @@ class DynamothClient(Actor):
             targets = mapping.publish_targets(self._rng or self._open_stream())
         else:
             targets = mapping.servers  # no draw: the stream stays unopened
-        transport, tap = self.transport, self.tap  # ``Actor.send``, inlined
+        transport = self.transport  # ``Actor.send``, inlined
         if transport is None:
             raise RuntimeError(f"actor {self.node_id} is not attached to a transport")
         for server in targets:
-            if tap is not None:
-                tap(self.node_id, server, cmd, wire_payload)
             transport.send(self.node_id, server, cmd, wire_payload)
         if self._recovery is not None:
             probed = self._recovery.publish_targets

@@ -34,7 +34,7 @@ from repro.core.dispatcher import Dispatcher, dispatcher_id
 from repro.core.lla import LocalLoadAnalyzer
 from repro.core.messages import PlanPush, ServerSpawned
 from repro.core.plan import ChannelMapping, Plan
-from repro.core.reliability import BrokerReliability, reliability_config_from
+from repro.core.reliability import BrokerReliability
 from repro.net.latency import LatencyModel
 from repro.net.transport import Transport
 from repro.obs.sla import SlaMonitor
@@ -45,7 +45,6 @@ from repro.obs.trace import (
     ServerRestartEvent,
     Tracer,
 )
-from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -76,9 +75,6 @@ class DynamothCluster:
             raise ValueError("initial_servers must be >= 1")
         self.config = config if config is not None else DynamothConfig()
         self.broker_config = broker_config if broker_config is not None else BrokerConfig()
-        #: reliability-layer snapshot shared by all brokers and clients;
-        #: ``None`` (plain at_most_once) keeps every component inert.
-        self.reliability_config = reliability_config_from(self.config)
         #: server id -> boot count: a restarted id gets a new epoch so its
         #: fresh sequence stream is never mistaken for a regression.
         self._boot_counts: Dict[str, int] = {}
@@ -139,7 +135,6 @@ class DynamothCluster:
 
         if self.balancer is not None:
             self.transport.register(self.balancer)
-            self._wire_tap(self.balancer)
             self.balancer.sla_monitor = self.sla_monitor
 
         for server_id in bootstrap_ids:
@@ -147,14 +142,6 @@ class DynamothCluster:
 
         if self.balancer is not None:
             self.balancer.start()
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def _wire_tap(self, actor: Actor) -> None:
-        """Attach the tracer's per-message tap when tracing is enabled."""
-        if self.tracer.enabled:
-            actor.tap = self.tracer.message_tap
 
     # ------------------------------------------------------------------
     # Server pool
@@ -167,9 +154,10 @@ class DynamothCluster:
         """Create and wire a pub/sub server node plus its LLA/dispatcher."""
         boot = self._boot_counts.get(server_id, 0) + 1
         self._boot_counts[server_id] = boot
+        # Only the reliable tiers stamp and cache; ``None`` keeps the base semantics.
         reliability = None
-        if self.reliability_config is not None and self.reliability_config.reliable:
-            reliability = BrokerReliability(self.reliability_config, epoch=boot)
+        if self.config.delivery_tier != "at_most_once":
+            reliability = BrokerReliability(epoch=boot)
         server = PubSubServer(
             self.sim,
             server_id,
@@ -179,7 +167,6 @@ class DynamothCluster:
         )
         port = self.transport.register(server, self.broker_config.actual_egress_bps)
         self.servers[server_id] = server
-        self._wire_tap(server)
 
         current_plan = self.balancer.plan if self.balancer is not None else self.plan
         dispatcher = Dispatcher(
@@ -192,19 +179,16 @@ class DynamothCluster:
         )
         self.transport.register(dispatcher)
         self.dispatchers[server_id] = dispatcher
-        self._wire_tap(dispatcher)
 
         lla = LocalLoadAnalyzer(
             self.sim,
             server,
             port,
             LB_NODE_ID,
-            report_interval_s=self.config.lla_report_interval_s,
             tracer=self.tracer,
         )
         self.transport.register(lla)
         self.llas[server_id] = lla
-        self._wire_tap(lla)
         self._server_started[server_id] = self.sim.now
         if self.balancer is not None:
             lla.start()
@@ -343,11 +327,9 @@ class DynamothCluster:
             self.rng,
             config=self.config,
             tracer=self.tracer,
-            reliability=self.reliability_config,
         )
         self.transport.register(client)
         self.clients[client_id] = client
-        self._wire_tap(client)
         return client
 
     def remove_client(self, client_id: str) -> None:

@@ -38,28 +38,19 @@ class DynamothConfig:
     t_wait_s:
         ``T_wait`` -- minimum seconds between two plan generations, so the
         configuration overhead of one change settles before the next.
-    lla_report_interval_s:
-        How often each Local Load Analyzer ships its aggregate metrics to
-        the load balancer (the paper's time unit ``t`` is one second).
-    lb_eval_interval_s:
-        How often the load balancer re-evaluates the cluster state.
     load_window_s:
         Sliding window over which the LB averages reported loads before
-        deciding (smooths out per-second noise).
+        deciding (smooths out per-second noise); at least one LLA report
+        interval long.
     all_subs_threshold:
         ``AllSubs_threshold`` of Algorithm 1 -- publications-per-subscriber
         ratio beyond which the *all-subscribers* scheme activates.
     publication_threshold:
         Minimum publications/second before all-subscribers replication is
         considered at all.
-    all_pubs_threshold:
-        ``AllPubs_threshold`` -- subscribers-per-publication ratio beyond
-        which the *all-publishers* scheme activates.
     subscriber_threshold:
         Minimum subscriber count before all-publishers replication is
         considered.
-    max_replication_servers:
-        Upper bound on ``N_servers`` for one channel.
     plan_entry_timeout_s:
         The client/dispatcher timer of section IV-A.5: a client drops idle
         plan entries, and a dispatcher stops forwarding for a moved
@@ -72,8 +63,11 @@ class DynamothConfig:
         Never scale below this many servers (the bootstrap set, which also
         forms the consistent-hashing fallback ring, is never despawned).
 
-    Values no run varies are constants beside their one reader: heartbeat
-    timeouts in :mod:`repro.core.balancer`, the resubscribe grace in
+    Values no run varies are constants beside their one reader: the
+    evaluation interval and heartbeat timeouts in
+    :mod:`repro.core.balancer`, the report interval in
+    :mod:`repro.core.lla`, ``AllPubs_threshold`` and the replica cap in
+    :mod:`repro.core.rebalance`, the resubscribe grace in
     :mod:`repro.core.client`, recovery timings in
     :mod:`repro.core.client_recovery`, the repair buffer in
     :mod:`repro.core.dispatcher`, replay budgets and timeouts in
@@ -90,16 +84,12 @@ class DynamothConfig:
 
     # --- timing ---
     t_wait_s: float = 10.0
-    lla_report_interval_s: float = 1.0
-    lb_eval_interval_s: float = 1.0
     load_window_s: float = 5.0
 
     # --- channel-level replication (Algorithm 1) ---
     all_subs_threshold: float = 2000.0
     publication_threshold: float = 1000.0
-    all_pubs_threshold: float = 25.0
     subscriber_threshold: float = 300.0
-    max_replication_servers: int = 8
 
     # --- reconfiguration ---
     plan_entry_timeout_s: float = 30.0
@@ -169,14 +159,14 @@ class DynamothConfig:
             raise ValueError("need lr_low <= lr_low_target <= lr_high")
         if self.t_wait_s < 0 or self.spawn_delay_s < 0:
             raise ValueError("timings must be non-negative")
-        if self.lla_report_interval_s <= 0 or self.lb_eval_interval_s <= 0:
-            raise ValueError("intervals must be positive")
-        if self.load_window_s < self.lla_report_interval_s:
+        # Imported here, not at module level, to keep config import-light:
+        # the LLA pulls in the broker.
+        from repro.core.lla import REPORT_INTERVAL_S
+
+        if self.load_window_s < REPORT_INTERVAL_S:
             raise ValueError("load_window_s must cover at least one report interval")
-        if min(self.all_subs_threshold, self.all_pubs_threshold) <= 0:
-            raise ValueError("replication ratio thresholds must be positive")
-        if self.max_replication_servers < 2:
-            raise ValueError("max_replication_servers must be >= 2")
+        if self.all_subs_threshold <= 0:
+            raise ValueError("all_subs_threshold must be positive")
         if not (1 <= self.min_servers <= self.max_servers):
             raise ValueError("need 1 <= min_servers <= max_servers")
         if self.plan_entry_timeout_s <= 0:

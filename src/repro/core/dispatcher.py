@@ -185,12 +185,6 @@ class Dispatcher(Actor):
             self._mapping_cache[channel] = cached
         return cached
 
-    def _forward_targets(self, mapping: ChannelMapping) -> Tuple[str, ...]:
-        """Servers a misrouted publication must be forwarded to."""
-        if mapping.mode is ReplicationMode.ALL_SUBSCRIBERS:
-            return (self._rng.choice(mapping.servers),)
-        return mapping.servers
-
     def _forward(self, channel: str, envelope: AppEnvelope, payload_size: int, dst: str) -> None:
         """Ship a publication to another pub/sub server inside the cloud."""
         forwarded = envelope.as_forwarded()
@@ -393,7 +387,7 @@ class Dispatcher(Actor):
             self._redirect(envelope.sender, channel, mapping)
             if self._switch_sent.get(channel, -1) < mapping.version:
                 self._maybe_switch_notice(channel, mapping)
-            targets = set(self._forward_targets(mapping))
+            targets = set(mapping.publish_targets(self._rng))
             # ... and cover straggler servers the correct servers may not
             # know about (their registry merge could still be in flight).
             targets.update(

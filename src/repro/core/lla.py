@@ -28,6 +28,10 @@ from repro.sim.actor import Actor
 from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTask
 
+#: How often each LLA ships its aggregate metrics to the load balancer
+#: (the paper's time unit ``t`` is one second).
+REPORT_INTERVAL_S = 1.0
+
 
 class LocalLoadAnalyzer(Actor):
     """Per-node load monitor feeding the central load balancer."""
@@ -39,14 +43,12 @@ class LocalLoadAnalyzer(Actor):
         egress_port: EgressPort,
         balancer_id: str,
         *,
-        report_interval_s: float = 1.0,
         tracer: Tracer = NULL_TRACER,
     ):
         super().__init__(sim, f"lla@{server.node_id}", is_infra=True)
         self.server = server
         self._port = egress_port
         self._balancer_id = balancer_id
-        self.report_interval_s = report_interval_s
         self._tracer = tracer
 
         self._window_start = sim.now
@@ -58,7 +60,7 @@ class LocalLoadAnalyzer(Actor):
         # publish-completion path (``PubSubServer._channel_stats``); the
         # LLA only drains the accumulated window at each report flush
         # instead of paying an observer callback per publication.
-        self._task = PeriodicTask(sim, report_interval_s, self._report)
+        self._task = PeriodicTask(sim, REPORT_INTERVAL_S, self._report)
 
     def start(self) -> None:
         self._task.start()

@@ -67,14 +67,6 @@ class ChannelMapping:
             return (rng.choice(self.servers),)
         return self.servers  # SINGLE: the one server
 
-    def subscribe_targets(self, rng: Random) -> Tuple[str, ...]:
-        """Servers a subscriber must hold subscriptions on."""
-        if self.mode is ReplicationMode.ALL_SUBSCRIBERS:
-            return self.servers
-        if self.mode is ReplicationMode.ALL_PUBLISHERS:
-            return (rng.choice(self.servers),)
-        return self.servers
-
     def is_valid_subscription_set(self, subscribed: Iterable[str]) -> bool:
         """Whether a subscriber holding ``subscribed`` needs no change."""
         held = set(subscribed)
@@ -186,9 +178,6 @@ class Plan:
 
     def explicit_channels(self) -> List[str]:
         return list(self._mappings)
-
-    def servers_for(self, channel: str) -> Tuple[str, ...]:
-        return self.mapping(channel).servers
 
     def channels_on(self, server_id: str) -> List[str]:
         """Explicitly mapped channels that involve ``server_id``."""

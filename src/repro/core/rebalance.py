@@ -30,6 +30,12 @@ from repro.core.plan import ChannelMapping, Plan, ReplicationMode
 if TYPE_CHECKING:
     from repro.core.policy.base import PolicyContext
 
+#: ``AllPubs_threshold`` of Algorithm 1: the subscribers-per-publication
+#: ratio beyond which the *all-publishers* scheme activates.
+ALL_PUBS_THRESHOLD = 25.0
+#: Upper bound on ``N_servers``, the replicas of one channel.
+MAX_REPLICATION_SERVERS = 8
+
 
 @dataclass
 class RebalanceDecision:
@@ -225,9 +231,9 @@ def channel_level_rebalance(
         if p_ratio > config.all_subs_threshold and pubs > config.publication_threshold:
             mode = ReplicationMode.ALL_SUBSCRIBERS
             n_servers = math.ceil(p_ratio / config.all_subs_threshold)
-        elif s_ratio > config.all_pubs_threshold and subs > config.subscriber_threshold:
+        elif s_ratio > ALL_PUBS_THRESHOLD and subs > config.subscriber_threshold:
             mode = ReplicationMode.ALL_PUBLISHERS
-            n_servers = math.ceil(s_ratio / config.all_pubs_threshold)
+            n_servers = math.ceil(s_ratio / ALL_PUBS_THRESHOLD)
         elif (
             pubs > config.publication_threshold
             and subs > config.subscriber_threshold
@@ -246,7 +252,7 @@ def channel_level_rebalance(
             mode = ReplicationMode.SINGLE
             n_servers = 1
 
-        n_servers = max(1, min(n_servers, config.max_replication_servers, len(active_servers)))
+        n_servers = max(1, min(n_servers, MAX_REPLICATION_SERVERS, len(active_servers)))
         if mode is not ReplicationMode.SINGLE:
             n_servers = max(n_servers, 2)
 

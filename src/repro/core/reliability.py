@@ -44,11 +44,8 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.client_link import LinkClock
-from repro.core.config import DELIVERY_TIERS, DynamothConfig
 
 __all__ = [
-    "DELIVERY_TIERS",
-    "ReliabilityConfig",
     "CacheEntry",
     "ReplaySlice",
     "ChannelReplayCache",
@@ -56,7 +53,6 @@ __all__ = [
     "SequenceStage",
     "ParkTimeout",
     "CausalGate",
-    "reliability_config_from",
 ]
 
 #: Replay cache budgets per (server, channel): cached messages and cached
@@ -69,23 +65,6 @@ REPLAY_RETRY_COOLDOWN_S = 1.0
 #: Causal mode: how long an out-of-order delivery may stay parked before
 #: the channel is force-flushed in arrival order.
 CAUSAL_PARK_TIMEOUT_S = 2.0
-
-
-@dataclass(frozen=True, slots=True)
-class ReliabilityConfig:
-    """Immutable snapshot of the reliability knobs one cluster runs with."""
-
-    delivery_tier: str = "at_most_once"
-    causal_order: bool = False
-
-    @property
-    def reliable(self) -> bool:
-        """Whether brokers stamp sequences and cache for replay."""
-        return self.delivery_tier != "at_most_once"
-
-    @property
-    def exactly_once(self) -> bool:
-        return self.delivery_tier == "exactly_once"
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,13 +132,13 @@ class ChannelReplayCache:
 
 
 class BrokerReliability:
-    """Per-broker sequencing + replay-cache state (one per server boot)."""
+    """Per-broker sequencing + replay-cache state (one per server boot);
+    the cluster builds one only on the reliable tiers."""
 
-    __slots__ = ("config", "epoch", "_caches", "replayed_messages",
+    __slots__ = ("epoch", "_caches", "replayed_messages",
                  "replayed_bytes", "unrecoverable_gaps")
 
-    def __init__(self, config: ReliabilityConfig, epoch: int) -> None:
-        self.config = config
+    def __init__(self, epoch: int) -> None:
         #: boot count of this server id; restarts bump it so clients can
         #: tell a fresh stream from a sequence regression.
         self.epoch = epoch
@@ -239,8 +218,8 @@ class SequenceStage:
     names the holes never asked for or asked a retry timeout ago.  It runs
     in :meth:`observe` while the stream has holes and from the stream's
     retry timer (:meth:`retry`), which the owning client schedules.  The client builds
-    a stage only when the run stamps sequence numbers
-    (``ReliabilityConfig.reliable``).
+    a stage only when the run stamps sequence numbers (a tier other than
+    ``at_most_once``).
 
     The client predicts the common arrival -- ``max_seq + 1`` of a known
     stream, same epoch, no holes -- and settles it on :attr:`streams`
@@ -251,11 +230,11 @@ class SequenceStage:
 
     __slots__ = ("_drop_stale", "streams", "_links", "_armed")
 
-    def __init__(self, config: ReliabilityConfig) -> None:
+    def __init__(self, exactly_once: bool) -> None:
         #: the tier's one per-message question, answered once: exactly_once
         #: drops a replayed duplicate, at_least_once lets it through (the
         #: app may see it again -- that tier's contract)
-        self._drop_stale = config.exactly_once
+        self._drop_stale = exactly_once
         #: (server, channel) -> stream state.  Public because
         #: ``DynamothClient.receive`` reads it without a call: it settles
         #: the next number of a hole-free stream in its epoch itself.
@@ -508,10 +487,3 @@ class CausalGate:
     def drop_channel(self, channel: str) -> None:
         """Clean unsubscribe: forget the channel's causal history."""
         self.channels.pop(channel, None)
-
-
-def reliability_config_from(config: DynamothConfig) -> Optional[ReliabilityConfig]:
-    """Build the cluster's reliability snapshot; ``None`` when inert."""
-    if config.delivery_tier == "at_most_once" and not config.causal_order:
-        return None
-    return ReliabilityConfig(config.delivery_tier, config.causal_order)

@@ -1,6 +1,6 @@
 """Observability: the flight recorder every component can emit into.
 
-Five pieces:
+Six pieces:
 
 * :mod:`repro.obs.trace` -- typed, timestamped trace events and the
   :class:`~repro.obs.trace.Tracer` / :class:`~repro.obs.trace.NullTracer`
@@ -10,6 +10,8 @@ Five pieces:
 * :mod:`repro.obs.sink` -- bounded-memory streaming trace sinks (chunked
   JSONL, optional gzip and rotation), byte-equivalent to buffered export;
 * :mod:`repro.obs.sla` -- the live sliding-window SLA monitor;
+* :mod:`repro.obs.recovery` -- a crash's time-to-recover, read live by
+  the chaos scenario and offline by ``summary``;
 * :mod:`repro.obs.export` + :mod:`repro.obs.cli` -- JSONL export with a
   stable schema and the ``python -m repro.obs summary|sla`` analysis
   commands.

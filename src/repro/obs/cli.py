@@ -24,6 +24,7 @@ from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.export import read_trace_segments
+from repro.obs.recovery import RecoveryWatch
 from repro.obs.sla import OVERALL_SCOPE
 from repro.obs.trace import (
     ClientFailoverEvent,
@@ -219,63 +220,14 @@ class TraceSummary:
     # ------------------------------------------------------------------
     # Failure & recovery
     # ------------------------------------------------------------------
-    def crash_recovery(
-        self, crash: ServerCrashEvent
-    ) -> Tuple[Optional[float], Optional[float], int, Optional[float]]:
-        """Per-crash recovery milestones, all relative to the crash time.
-
-        Returns ``(detection_s, repair_s, failover_count, recovered_s)``
-        where ``recovered_s`` is when the *slowest* affected client
-        received an application publication again (``None`` while any of
-        them never did -- the invariant the chaos smoke test enforces).
-        """
-        detect = next(
-            (
-                e.t
-                for e in self.fault_events
-                if isinstance(e, ServerFailureConfirmedEvent)
-                and e.server == crash.server
-                and e.t >= crash.t
-            ),
-            None,
-        )
-        repair = next(
-            (
-                e.t
-                for e in self.fault_events
-                if isinstance(e, PlanRepairDoneEvent)
-                and e.server == crash.server
-                and e.t >= crash.t
-            ),
-            None,
-        )
-        failovers = [
-            e
-            for e in self.fault_events
-            if isinstance(e, ClientFailoverEvent)
-            and e.server == crash.server
-            and e.t >= crash.t
+    def recoveries(self) -> List[RecoveryWatch]:
+        """Each server crash's milestones, in crash order: a
+        :class:`RecoveryWatch` fed the trace from that crash on."""
+        return [
+            RecoveryWatch(event.server).replay(self.events[index:])
+            for index, event in enumerate(self.events)
+            if isinstance(event, ServerCrashEvent)
         ]
-        recovered: Optional[float] = None
-        for failover in failovers:
-            first = next(
-                (d.t for d in self.deliveries if d.client == failover.client and d.t > failover.t),
-                None,
-            )
-            if first is None:
-                return (
-                    None if detect is None else detect - crash.t,
-                    None if repair is None else repair - crash.t,
-                    len(failovers),
-                    None,
-                )
-            recovered = first if recovered is None else max(recovered, first)
-        return (
-            None if detect is None else detect - crash.t,
-            None if repair is None else repair - crash.t,
-            len(failovers),
-            None if recovered is None else recovered - crash.t,
-        )
 
     def load_series(self) -> Dict[str, List[Tuple[float, float]]]:
         series: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
@@ -443,23 +395,21 @@ def render_summary(summary: TraceSummary, top: int = 5) -> str:
         out(f"failure & recovery timeline ({len(summary.fault_events)} fault events)")
         for event in summary.fault_events:
             out(f"  t={event.t:8.2f}s  {_fault_line(event)}")
-        for crash in summary.fault_events:
-            if not isinstance(crash, ServerCrashEvent):
-                continue
-            detect, repair, failovers, recovered = summary.crash_recovery(crash)
+        for watch in summary.recoveries():
+            detect, repair, recovered = watch.detection_s, watch.repair_s, watch.recovery_s
             milestones = [
                 f"detected +{detect:.2f}s" if detect is not None else "never detected",
                 f"repaired +{repair:.2f}s" if repair is not None else "never repaired",
-                f"{failovers} client failover(s)",
+                f"{watch.failover_count} client failover(s)",
             ]
-            if failovers:
+            if watch.failover_count:
                 milestones.append(
                     f"slowest client delivering again +{recovered:.2f}s"
                     if recovered is not None
                     else "some client NEVER recovered"
                 )
             out(
-                f"  recovery of {crash.server} (crashed t={crash.t:.2f}s): "
+                f"  recovery of {watch.victim} (crashed t={watch.crash_t:.2f}s): "
                 + ", ".join(milestones)
             )
 

@@ -146,11 +146,6 @@ class StreamingJsonlSink:
         included, headers excluded)."""
         return self._flushed + len(self.pending)
 
-    @property
-    def pending_events(self) -> int:
-        """Events currently held in memory (bounded by ``chunk_events``)."""
-        return len(self.pending)
-
     def finalize(self, tracer: Tracer) -> int:
         """Append the end-of-run trailer (the metrics snapshot) and close.
 

@@ -162,16 +162,6 @@ class SlaMonitor:
             sorted(name for name, s in self._scopes.items() if s.active is not None)
         )
 
-    def in_violation(self, scope: str = OVERALL_SCOPE) -> bool:
-        entry = self._scopes.get(scope)
-        return entry is not None and entry.active is not None
-
-    def windowed_percentile(self, scope: str = OVERALL_SCOPE) -> Optional[float]:
-        """Current windowed SLA-quantile value for ``scope`` (None if empty)."""
-        entry = self._scopes.get(scope)
-        merged = self._window(entry) if entry is not None else None
-        return None if merged is None else merged.percentile(SLA_QUANTILE)
-
     def report(self, end_t: float) -> Dict[str, Any]:
         """JSON-able summary: config, per-scope window stats, timeline.
 

@@ -557,10 +557,10 @@ Observer = Callable[[TraceEvent], None]
 class FirstUse(Dict[Any, Any]):
     """``key -> value``, resolved by ``resolve(key)`` on the key's first use.
 
-    The traced hot paths (a delivery, a publication, a tapped send) look
+    The traced hot paths (a delivery, a publication, a fan-out) look
     their instruments up here: a hit is one C dict probe, so
-    :func:`channel_class` and the registry lookups run once per channel or
-    node, not once per message -- and a key that is never used still
+    :func:`channel_class` and the registry lookups run once per channel,
+    not once per message -- and a key that is never used still
     registers nothing, so the metrics trailer is what per-call lookups
     would have written.  :meth:`Tracer.emit` finds an event class's
     observers the same way.
@@ -637,8 +637,6 @@ class Tracer:
         self.publication_counters = FirstUse(self._publication_counter)
         #: ``channel -> plan_miss_total{channel_class}``
         self.plan_miss_counters = FirstUse(self._plan_miss_counter)
-        #: ``node -> (messages_sent_total{node}, bytes_sent_total{node})``
-        self._tap_counters = FirstUse(self._tap_counter_pair)
         #: Kernel whose event count and clock the registry pulls, and the
         #: part of its ``events_processed`` already counted.
         self._kernel: Optional[Any] = None
@@ -738,15 +736,6 @@ class Tracer:
     def events_of(self, event_type: Type[TraceEvent]) -> List[TraceEvent]:
         return [e for e in self.events if type(e) is event_type]
 
-    # ------------------------------------------------------------------
-    # Taps (aggregate-only hooks for very hot paths)
-    # ------------------------------------------------------------------
-    def message_tap(self, src_id: str, dst_id: str, message: Any, size_bytes: int) -> None:
-        """Per-message actor tap: counts sends without recording events."""
-        messages, sent_bytes = self._tap_counters[src_id]
-        messages.value += 1.0
-        sent_bytes.value += size_bytes
-
     def _delivery_instrument_pair(self, channel: str) -> Tuple[Histogram, Counter]:
         metrics = self.metrics
         return (
@@ -761,13 +750,6 @@ class Tracer:
 
     def _plan_miss_counter(self, channel: str) -> Counter:
         return self.metrics.counter("plan_miss_total", channel_class=channel_class(channel))
-
-    def _tap_counter_pair(self, node_id: str) -> Tuple[Counter, Counter]:
-        metrics = self.metrics
-        return (
-            metrics.counter("messages_sent_total", node=node_id),
-            metrics.counter("bytes_sent_total", node=node_id),
-        )
 
     def attach_sla(self, monitor: SlaMonitor) -> None:
         """Have :meth:`emit` feed every delivery to ``monitor``, replacing any."""
@@ -810,9 +792,6 @@ class NullTracer(Tracer):
 
     def emit(self, event: TraceEvent) -> None:  # pragma: no cover - guarded out
         pass
-
-    def message_tap(self, src_id: str, dst_id: str, message: Any, size_bytes: int) -> None:
-        pass  # pragma: no cover - never wired up
 
     def attach_kernel(self, sim: Any) -> None:
         pass

@@ -22,12 +22,6 @@ from repro.sim.kernel import Simulator
 class Actor:
     """Base class for all simulated nodes."""
 
-    #: Optional message tap ``(src, dst, message, size_bytes) -> None``,
-    #: fired on every outbound send.  A class-level ``None`` default keeps
-    #: the untapped cost at one attribute check; the cluster assigns the
-    #: tracer's tap per instance when tracing is enabled.
-    tap: Optional[Any] = None
-
     def __init__(self, sim: Simulator, node_id: str, *, is_infra: bool) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -44,8 +38,6 @@ class Actor:
         """Send ``message`` to actor ``dst_id`` through the network."""
         if self.transport is None:
             raise RuntimeError(f"actor {self.node_id} is not attached to a transport")
-        if self.tap is not None:
-            self.tap(self.node_id, dst_id, message, size_bytes)
         self.transport.send(self.node_id, dst_id, message, size_bytes)
 
     def receive(self, message: Any, src_id: str) -> None:

@@ -84,9 +84,6 @@ class TileWorld:
     def tile_channel(i: int, j: int) -> str:
         return f"tile:{i}:{j}"
 
-    def all_channels(self) -> List[str]:
-        return [channel for row in self.grid for channel in row]
-
     def random_point(self, rng: Random) -> Tuple[float, float]:
         return rng.uniform(0, self.world_size), rng.uniform(0, self.world_size)
 

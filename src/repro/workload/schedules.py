@@ -45,10 +45,6 @@ class PopulationSchedule:
         return round(p0 + fraction * (p1 - p0))
 
     @property
-    def end_time(self) -> float:
-        return self._times[-1]
-
-    @property
     def peak(self) -> int:
         return max(self._pops)
 

@@ -231,7 +231,7 @@ class TestClusterInvalidation:
             publisher.publish(CHANNEL, body, 120)
             cluster.run_for(0.25)
         # Move the channel to a different broker mid-stream.
-        old_home = cluster.plan.servers_for(CHANNEL)[0]
+        old_home = cluster.plan.mapping(CHANNEL).servers[0]
         new_home = next(s for s in sorted(cluster.servers) if s != old_home)
         cluster.set_static_mapping(
             CHANNEL, ChannelMapping(ReplicationMode.SINGLE, (new_home,))
@@ -265,7 +265,7 @@ class TestClusterInvalidation:
         for i in range(5):
             publisher.publish(CHANNEL, f"pre{i}", 120)
             cluster.run_for(0.25)
-        home = cluster.current_plan().servers_for(CHANNEL)[0]
+        home = cluster.current_plan().mapping(CHANNEL).servers[0]
         assert cluster.servers[home].fanout_cache_stats()["builds"] >= 1
         cluster.crash_server(home)
         cluster.run_for(15.0)  # detection + plan repair + failover

@@ -224,33 +224,22 @@ class TestPublish:
     def test_local_subscriber_receives_without_network(self, sim, rng: Random):
         net, server, clients = build(sim, rng)
         seen = []
-        server.subscribe_local("ch", lambda *a: seen.append(a))
+        server.add_observer(lambda *a: seen.append(a))
         clients[0].send("srv", PublishCmd("ch", "x", 10), 10)
         sim.run_until(1.0)
         assert len(seen) == 1
         # loopback must not consume NIC egress
         assert net.port("srv").total_bytes == 0
 
-    def test_unsubscribe_local(self, sim, rng: Random):
+    def test_channel_stats_count_each_publications_fanout(self, sim, rng: Random):
         net, server, clients = build(sim, rng)
-        seen = []
-        cb = lambda *a: seen.append(a)
-        server.subscribe_local("ch", cb)
-        server.unsubscribe_local("ch", cb)
-        clients[0].send("srv", PublishCmd("ch", "x", 10), 10)
-        sim.run_until(1.0)
-        assert seen == []
-
-    def test_last_fanout_reflects_delivery_count(self, sim, rng: Random):
-        net, server, clients = build(sim, rng)
-        fanouts = []
-        server.add_observer(lambda *a: fanouts.append(server.last_fanout))
         for c in clients[:2]:
             c.send("srv", SubscribeCmd("ch"), 64)
         sim.run_until(1.0)
         clients[3].send("srv", PublishCmd("ch", "x", 10), 10)
         sim.run_until(2.0)
-        assert fanouts == [2]
+        wire_size = 10 + server.config.per_message_overhead_bytes
+        assert server.drain_channel_stats() == {"ch": [1, {"c3"}, 2, 2 * wire_size]}
 
     def test_unknown_message_type_raises(self, sim, rng: Random):
         net, server, clients = build(sim, rng)

@@ -172,18 +172,17 @@ def single(server):
     return ChannelMapping(ReplicationMode.SINGLE, (server,))
 
 
-def record_pushes(actor):
-    """Every PlanPush ``actor`` sends from now on."""
+def record_pushes(cluster):
+    """Every PlanPush the balancer sends from now on (a spy on the transport)."""
     pushes = []
-    previous = actor.tap
+    send = cluster.transport.send
 
-    def tap(src, dst, message, size):
-        if isinstance(message, PlanPush):
+    def spy(src, dst, message, size):
+        if src == cluster.balancer.node_id and isinstance(message, PlanPush):
             pushes.append(message)
-        if previous is not None:
-            previous(src, dst, message, size)
+        return send(src, dst, message, size)
 
-    actor.tap = tap
+    cluster.transport.send = spy
     return pushes
 
 
@@ -203,7 +202,7 @@ class TestAdoption:
         cluster.run_until(5.0)
         lb = self.strand_straggler(cluster)
         lb.failed_servers.add("pub1")
-        pushes = record_pushes(lb)
+        pushes = record_pushes(cluster)
         lb._adopt({"other": single("pub3")}, cluster.sim.now)
         assert pushes and all(push.failed_servers == ("pub1",) for push in pushes)
         assert all("pub1" not in r for p in pushes for r in p.stragglers.values())
@@ -214,7 +213,7 @@ class TestAdoption:
         lb = self.strand_straggler(cluster)
         # crash before pub1's dispatcher can learn of the move and drain
         cluster.crash_server("pub1")
-        pushes = record_pushes(lb)
+        pushes = record_pushes(cluster)
         cluster.run_until(15.0)
         assert "pub1" in lb.failed_servers
         repairs = [p for p in pushes if "pub1" in p.failed_servers]

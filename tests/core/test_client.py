@@ -8,7 +8,6 @@ from repro.broker.commands import PublishCmd, SubscribeCmd
 from repro.core.config import DynamothConfig
 from repro.core.messages import AppEnvelope, MappingNotice
 from repro.core.plan import ChannelMapping, ReplicationMode
-from repro.core.reliability import ReliabilityConfig
 from repro.sim.rng import derive_seed
 from tests.conftest import make_static_cluster
 from tests.helpers import make_bare_client
@@ -110,7 +109,7 @@ class TestPublishSend:
         with pytest.raises(RuntimeError, match="not attached"):
             pub.publish("news", "x", 10)
 
-    def test_a_tap_set_after_registration_sees_every_publication(self, cluster):
+    def test_publish_sends_one_command_per_target_through_the_transport(self, cluster):
         servers = tuple(sorted(cluster.servers))
         cluster.set_static_mapping(
             "hot", ChannelMapping(ReplicationMode.ALL_PUBLISHERS, servers)
@@ -119,7 +118,13 @@ class TestPublishSend:
         pub.publish("hot", "warm-up", 10)  # learns the mapping via redirect
         drain(cluster, 3.0)
         seen = []
-        pub.tap = lambda src, dst, message, size: seen.append((src, dst, message, size))
+        send = cluster.transport.send
+
+        def spy(src, dst, message, size):
+            seen.append((src, dst, message, size))
+            return send(src, dst, message, size)
+
+        cluster.transport.send = spy
         for body in range(3):
             pub.publish("hot", body, 10)
         drain(cluster)
@@ -351,9 +356,7 @@ class TestSubscribeHandshake:
         assert client._handshakes is None
 
     def test_an_acked_subscribe_samples_its_link(self):
-        sim, wire, client = make_bare_client(
-            reliability=ReliabilityConfig(delivery_tier="exactly_once")
-        )
+        sim, wire, client = make_bare_client(config=DynamothConfig(delivery_tier="exactly_once"))
         wire.live.add("s1")
         client.subscribe("a", lambda *a: None)
         sim.run()
@@ -361,9 +364,7 @@ class TestSubscribeHandshake:
         assert client._sequence._links["s1"].srtt == pytest.approx(0.01)
 
     def test_an_unacked_subscribe_leaves_no_entry_once_detached_or_unsubscribed(self):
-        _, _, client = make_bare_client(
-            reliability=ReliabilityConfig(delivery_tier="exactly_once")
-        )
+        _, _, client = make_bare_client(config=DynamothConfig(delivery_tier="exactly_once"))
         client.subscribe("a", lambda *a: None)  # s1 never acks
         assert client._handshakes == {("s1", "a"): (0.0, 0.0, 0)}
         assert client._detach_server("s1") == ["a"]
@@ -374,9 +375,9 @@ class TestSubscribeHandshake:
         assert client._handshakes == {}
 
     @staticmethod
-    def _lose_the_first_subscribe(**kwargs):
+    def _lose_the_first_subscribe(tier="at_most_once"):
         sim, wire, client = make_bare_client(
-            config=DynamothConfig(client_ping_interval_s=1.0), **kwargs
+            config=DynamothConfig(client_ping_interval_s=1.0, delivery_tier=tier)
         )
         wire.live.add("s1")
         send = wire.send
@@ -401,9 +402,7 @@ class TestSubscribeHandshake:
         """A SUBSCRIBE lost on a lossy link used to strand a reliable stream
         for good.  The tick re-sends it once it is a ceiling old; the ack of
         a re-sent SUBSCRIBE matches either send (Karn), so it samples nothing."""
-        client = self._lose_the_first_subscribe(
-            reliability=ReliabilityConfig(delivery_tier="exactly_once")
-        )
+        client = self._lose_the_first_subscribe("exactly_once")
         assert "s1" not in client._sequence._links  # never sampled
 
     def test_an_at_most_once_probing_client_resends_a_lost_subscribe(self):

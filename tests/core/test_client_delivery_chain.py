@@ -22,7 +22,6 @@ from repro.broker.commands import (
 from repro.core.client import DynamothClient
 from repro.core.config import DynamothConfig
 from repro.core.messages import AppEnvelope
-from repro.core.reliability import ReliabilityConfig
 from repro.obs.trace import CausalTimeoutEvent, DeliveryEvent, Tracer
 from tests.helpers import make_bare_client, make_static_cluster, python_calls_by_function
 
@@ -77,7 +76,7 @@ class TestComposition:
 
 class TestSequenceStageInTheChain:
     def test_gap_sends_one_replay_request_and_counts_it(self):
-        sim, client = make_client(reliability=ReliabilityConfig("at_least_once"))
+        sim, client = make_client(config=DynamothConfig(delivery_tier="at_least_once"))
         client.subscribe("ch", lambda channel, body, envelope: None)
         client.receive(stamped("a", 1, seq=1), "s1")
         client.receive(stamped("a", 4, seq=4), "s1")
@@ -95,7 +94,7 @@ class TestSequenceStageInTheChain:
         assert sim.now == 1.0
 
     def test_retry_timer_asks_again_until_the_hole_is_filled(self):
-        sim, client = make_client(reliability=ReliabilityConfig("at_least_once"))
+        sim, client = make_client(config=DynamothConfig(delivery_tier="at_least_once"))
         client.subscribe("ch", lambda channel, body, envelope: None)
         client.receive(stamped("a", 1, seq=1), "s1")
         client.receive(stamped("a", 3, seq=3), "s1")
@@ -111,7 +110,7 @@ class TestSequenceStageInTheChain:
         """exactly_once drops a below-watermark seq on the stream alone, and
         no traffic but a sender's own new numbers moves its window."""
         window = DynamothClient.DEDUP_WINDOW
-        sim, client = make_client(reliability=ReliabilityConfig("exactly_once"))
+        sim, client = make_client(config=DynamothConfig(delivery_tier="exactly_once"))
         client.subscribe("ch")
         client.receive(stamped("a", 1, seq=1), "s1")
         client.receive(stamped("a", 2, seq=2), "s1")
@@ -132,7 +131,7 @@ class TestStragglerAfterUnsubscribe:
         asks for no replay and leaves no causal history, so the next
         SUBSCRIBE starts fresh instead of replaying the time away."""
         sim, client = make_client(
-            reliability=ReliabilityConfig(tier, causal_order=True)
+            config=DynamothConfig(delivery_tier=tier, causal_order=True)
         )
         client.subscribe("ch")
         client.receive(stamped("a", 1, seq=1), "s1")
@@ -155,7 +154,7 @@ class TestPredictedDelivery:
     frame; a hole or a park still reaches the stage that owns it."""
 
     def make_reliable_client(self):
-        sim, client = make_client(reliability=ReliabilityConfig("exactly_once", causal_order=True))
+        sim, client = make_client(config=DynamothConfig(delivery_tier="exactly_once", causal_order=True))
         seen = []
         client.subscribe("ch", lambda ch, body, env: seen.append(env.msg_id))
         client.receive(stamped("a", 1, seq=1), "s1")  # first contact: both stages
@@ -176,7 +175,7 @@ class TestPredictedDelivery:
         assert client._gate.channels["ch"].delivered == {"a": 2, "b": 1}
 
     def test_predicted_arrival_resets_the_retry_backoff_as_observe_does(self):
-        sim, client = make_client(reliability=ReliabilityConfig("at_least_once"))
+        sim, client = make_client(config=DynamothConfig(delivery_tier="at_least_once"))
         client.subscribe("ch", lambda ch, body, env: None)
         client.receive(stamped("a", 1, seq=1), "s1")
         client.receive(stamped("a", 3, seq=3), "s1")
@@ -210,7 +209,7 @@ class TestOneTail:
         tracer = Tracer()
         sim, client = make_client(
             tracer=tracer,
-            reliability=ReliabilityConfig(causal_order=True),
+            config=DynamothConfig(causal_order=True),
         )
         seen = []
         client.on_delivery = lambda ch, env, delivery: seen.append(("hook", env.msg_id))

@@ -18,12 +18,12 @@ class TestDynamothConfig:
             {"lr_low_target": 0.99, "lr_high": 0.95}, # target above high
             {"t_wait_s": -1},
             {"spawn_delay_s": -1},
-            {"lla_report_interval_s": 0},
-            {"lb_eval_interval_s": 0},
-            {"load_window_s": 0.5, "lla_report_interval_s": 1.0},
+            {"client_ping_interval_s": 0},
+            {"failed_server_ttl_s": 0},
+            {"load_window_s": 0.5},                   # shorter than one LLA report
             {"all_subs_threshold": 0},
-            {"all_pubs_threshold": -5},
-            {"max_replication_servers": 1},
+            {"sla_threshold_s": 0},
+            {"rebalance_policy": ""},
             {"min_servers": 0},
             {"min_servers": 9, "max_servers": 8},
             {"plan_entry_timeout_s": 0},

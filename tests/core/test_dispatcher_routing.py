@@ -1,4 +1,8 @@
-"""Dispatcher forwarding-target selection per replication mode."""
+"""Dispatcher forwarding-target selection per replication mode.
+
+A misrouted publication is forwarded as its publisher should have sent
+it: to ``ChannelMapping.publish_targets``, drawn from the dispatcher's
+own stream."""
 
 import random
 
@@ -20,14 +24,14 @@ class TestForwardTargets:
     def test_single_forwards_to_the_one_server(self, cluster):
         d = self._dispatcher(cluster)
         mapping = ChannelMapping(ReplicationMode.SINGLE, ("pub2",))
-        assert d._forward_targets(mapping) == ("pub2",)
+        assert mapping.publish_targets(d._rng) == ("pub2",)
 
     def test_all_publishers_forwards_to_every_replica(self, cluster):
         """A misrouted publication under all-publishers must reach every
         replica -- each subscriber listens on only one of them."""
         d = self._dispatcher(cluster)
         mapping = ChannelMapping(ReplicationMode.ALL_PUBLISHERS, ("pub1", "pub2", "pub3"))
-        assert set(d._forward_targets(mapping)) == {"pub1", "pub2", "pub3"}
+        assert set(mapping.publish_targets(d._rng)) == {"pub1", "pub2", "pub3"}
 
     def test_all_subscribers_forwards_to_one_random_replica(self, cluster):
         """Under all-subscribers every subscriber covers all replicas, so
@@ -36,9 +40,9 @@ class TestForwardTargets:
         mapping = ChannelMapping(
             ReplicationMode.ALL_SUBSCRIBERS, ("pub1", "pub2", "pub3")
         )
-        picks = {d._forward_targets(mapping)[0] for __ in range(60)}
+        picks = {mapping.publish_targets(d._rng)[0] for __ in range(60)}
         assert picks == {"pub1", "pub2", "pub3"}
-        assert all(len(d._forward_targets(mapping)) == 1 for __ in range(5))
+        assert all(len(mapping.publish_targets(d._rng)) == 1 for __ in range(5))
 
 
 class TestWrongServerEndToEnd:

@@ -39,7 +39,7 @@ def setup(sim, rng: Random):
     port = net.register(server, config.actual_egress_bps)
     lb = FakeBalancer(sim)
     net.register(lb)
-    lla = LocalLoadAnalyzer(sim, server, port, "lb", report_interval_s=1.0)
+    lla = LocalLoadAnalyzer(sim, server, port, "lb")
     net.register(lla)
     lla.start()
     clients = [FakeClient(sim, f"c{i}") for i in range(3)]

@@ -5,6 +5,19 @@ from random import Random
 import pytest
 
 from repro.core.plan import ChannelMapping, Plan, ReplicationMode
+from tests.helpers import make_bare_client
+
+
+def subscriber():
+    """``subscribe_on(mapping, held=(), rebalance=False)``: the servers one
+    fresh client holding ``held`` reconciles to, by its own rule
+    (``DynamothClient._desired_sub_servers``)."""
+    client = make_bare_client()[2]
+
+    def subscribe_on(mapping, held=(), rebalance=False):
+        return client._desired_sub_servers(mapping, set(held), rebalance=rebalance)
+
+    return subscribe_on
 
 
 class TestChannelMapping:
@@ -28,13 +41,17 @@ class TestChannelMapping:
         rng = Random(0)
         mapping = ChannelMapping(ReplicationMode.SINGLE, ("a",))
         assert mapping.publish_targets(rng) == ("a",)
-        assert mapping.subscribe_targets(rng) == ("a",)
+        subscribe_on = subscriber()
+        assert subscribe_on(mapping) == {"a"}
+        assert subscribe_on(mapping, held={"b"}, rebalance=True) == {"a"}
 
     def test_all_subscribers_routing(self):
         """Figure 2b: publish to one random server, subscribe to all."""
         rng = Random(0)
         mapping = ChannelMapping(ReplicationMode.ALL_SUBSCRIBERS, ("a", "b", "c"))
-        assert set(mapping.subscribe_targets(rng)) == {"a", "b", "c"}
+        subscribe_on = subscriber()
+        assert subscribe_on(mapping) == {"a", "b", "c"}
+        assert subscribe_on(mapping, held={"a", "d"}) == {"a", "b", "c"}
         targets = {mapping.publish_targets(rng)[0] for __ in range(100)}
         assert targets == {"a", "b", "c"}  # randomized over all replicas
         assert all(len(mapping.publish_targets(rng)) == 1 for __ in range(10))
@@ -44,8 +61,12 @@ class TestChannelMapping:
         rng = Random(0)
         mapping = ChannelMapping(ReplicationMode.ALL_PUBLISHERS, ("a", "b", "c"))
         assert set(mapping.publish_targets(rng)) == {"a", "b", "c"}
-        picks = {mapping.subscribe_targets(rng)[0] for __ in range(100)}
-        assert picks == {"a", "b", "c"}
+        subscribe_on = subscriber()
+        picks = [subscribe_on(mapping, rebalance=True) for __ in range(100)]
+        assert set().union(*picks) == {"a", "b", "c"}
+        assert all(len(pick) == 1 for pick in picks)
+        # a held replica is kept, unless the subscriber rebalances
+        assert subscribe_on(mapping, held={"b", "d"}) == {"b"}
 
     def test_valid_subscription_sets(self):
         m = ChannelMapping(ReplicationMode.ALL_SUBSCRIBERS, ("a", "b"))

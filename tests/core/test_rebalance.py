@@ -6,6 +6,7 @@ from repro.core.config import DynamothConfig
 from repro.core.messages import ChannelMetricsSnapshot, LoadReport
 from repro.core.metrics import ClusterLoadView
 from repro.core.plan import ChannelMapping, Plan, ReplicationMode
+from repro.core import rebalance
 from repro.core.rebalance import (
     LoadEstimator,
     channel_level_rebalance,
@@ -89,11 +90,14 @@ class TestLoadEstimator:
 class TestAlgorithm1:
     """Channel-level rebalancing: replication scheme selection."""
 
+    @pytest.fixture(autouse=True)
+    def all_pubs_threshold(self, monkeypatch):
+        monkeypatch.setattr(rebalance, "ALL_PUBS_THRESHOLD", 10.0)
+
     def run(self, loads, plan=None, cfg=None, servers=("a", "b", "c", "d")):
         cfg = cfg or config(
             all_subs_threshold=100.0,
             publication_threshold=50.0,
-            all_pubs_threshold=10.0,
             subscriber_threshold=20.0,
         )
         plan = plan or Plan.bootstrap(servers)
@@ -171,13 +175,13 @@ class TestAlgorithm1:
         if home != "b":
             assert "b" not in mapping.servers
 
-    def test_both_large_corner_case_uses_all_subscribers(self):
+    def test_both_large_corner_case_uses_all_subscribers(self, monkeypatch):
         """Huge publications AND huge subscribers -> all-subscribers
         (all-publishers would multiply every publication)."""
+        monkeypatch.setattr(rebalance, "ALL_PUBS_THRESHOLD", 1000.0)
         cfg = config(
             all_subs_threshold=1000.0,
             publication_threshold=50.0,
-            all_pubs_threshold=1000.0,
             subscriber_threshold=20.0,
         )
         # ratios moderate (100/100), but channel egress exceeds a server

@@ -1,5 +1,6 @@
 """Additional rebalancer coverage: interactions and boundary behaviour."""
 
+from repro.core import rebalance
 from repro.core.config import DynamothConfig
 from repro.core.messages import ChannelMetricsSnapshot, LoadReport
 from repro.core.metrics import ClusterLoadView
@@ -33,7 +34,7 @@ def config(**kwargs):
 
 
 class TestDecisionInteractions:
-    def test_replication_and_migration_in_one_pass(self):
+    def test_replication_and_migration_in_one_pass(self, monkeypatch):
         """A hot replicable channel AND an overloaded server of plain
         channels are both handled in a single plan generation."""
         servers = ("a", "b", "c", "d")
@@ -43,9 +44,9 @@ class TestDecisionInteractions:
                   snap("p1", out=400.0), snap("p2", out=350.0)],
             "b": [], "c": [], "d": [],
         }
+        monkeypatch.setattr(rebalance, "ALL_PUBS_THRESHOLD", 1e9)
         cfg = config(
-            all_subs_threshold=100.0, publication_threshold=50.0,
-            all_pubs_threshold=1e9, subscriber_threshold=1e9,
+            all_subs_threshold=100.0, publication_threshold=50.0, subscriber_threshold=1e9,
         )
         decision = paper_decision(plan, view_from(loads), cfg, list(servers), set(servers), NOMINAL)
         assert decision.mappings["fire"].mode is ReplicationMode.ALL_SUBSCRIBERS
@@ -97,13 +98,13 @@ class TestDecisionInteractions:
 
 
 class TestReplicationCountScaling:
-    def test_n_servers_grows_with_ratio(self):
+    def test_n_servers_grows_with_ratio(self, monkeypatch):
         """N_servers = P_ratio / AllSubs_threshold (Algorithm 1, line 5)."""
         servers = tuple(f"s{i}" for i in range(8))
         plan = Plan.bootstrap(servers)
+        monkeypatch.setattr(rebalance, "ALL_PUBS_THRESHOLD", 1e9)
         cfg = config(
-            all_subs_threshold=100.0, publication_threshold=50.0,
-            all_pubs_threshold=1e9, subscriber_threshold=1e9,
+            all_subs_threshold=100.0, publication_threshold=50.0, subscriber_threshold=1e9,
         )
         results = {}
         for pubs in (150.0, 350.0, 750.0):
@@ -116,13 +117,13 @@ class TestReplicationCountScaling:
         assert results[150.0] == 2
         assert results[750.0] == 8
 
-    def test_replica_count_capped_by_config(self):
+    def test_replica_count_capped_by_config(self, monkeypatch):
         servers = tuple(f"s{i}" for i in range(8))
         plan = Plan.bootstrap(servers)
+        monkeypatch.setattr(rebalance, "MAX_REPLICATION_SERVERS", 3)
+        monkeypatch.setattr(rebalance, "ALL_PUBS_THRESHOLD", 1e9)
         cfg = config(
-            all_subs_threshold=100.0, publication_threshold=50.0,
-            max_replication_servers=3,
-            all_pubs_threshold=1e9, subscriber_threshold=1e9,
+            all_subs_threshold=100.0, publication_threshold=50.0, subscriber_threshold=1e9,
         )
         loads = {"s0": [snap("hot", pubs=5000.0, subs=1, out=100.0)]}
         decision = paper_decision(

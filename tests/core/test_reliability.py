@@ -25,48 +25,41 @@ from repro.core.reliability import (
     CausalGate,
     ChannelReplayCache,
     ParkTimeout,
-    ReliabilityConfig,
     ReplaySlice,
     SequenceStage,
-    reliability_config_from,
 )
 from repro.sim.kernel import Simulator
-from tests.helpers import make_bare_client
+from tests.helpers import make_bare_client, make_static_cluster
 
 
 def _entry(seq: int, size: int = 100) -> CacheEntry:
     return CacheEntry(seq, f"payload-{seq}", size, size + 40)
 
 
-def _config(**kwargs) -> ReliabilityConfig:
-    kwargs.setdefault("delivery_tier", "exactly_once")
-    return ReliabilityConfig(**kwargs)
-
-
 # ----------------------------------------------------------------------
-# ReliabilityConfig
+# What the cluster builds from the config's two reliability fields
 # ----------------------------------------------------------------------
-class TestReliabilityConfig:
-    def test_tier_predicates(self):
-        assert not ReliabilityConfig(delivery_tier="at_most_once").reliable
-        assert ReliabilityConfig(delivery_tier="at_least_once").reliable
-        assert not ReliabilityConfig(delivery_tier="at_least_once").exactly_once
-        assert ReliabilityConfig(delivery_tier="exactly_once").exactly_once
-
-
 class TestConfigFrom:
     def test_inert_config_maps_to_none(self):
-        assert reliability_config_from(DynamothConfig()) is None
+        cluster = make_static_cluster()
+        client = cluster.create_client("c")
+        assert all(server.reliability is None for server in cluster.servers.values())
+        assert client._sequence is None and client._gate is None
 
     def test_knobs_thread_through(self):
-        config = DynamothConfig(delivery_tier="at_least_once", causal_order=True)
-        rel = reliability_config_from(config)
-        assert rel == ReliabilityConfig("at_least_once", causal_order=True)
+        for tier in ("at_least_once", "exactly_once"):
+            config = DynamothConfig(delivery_tier=tier, causal_order=True)
+            cluster = make_static_cluster(config=config)
+            client = cluster.create_client("c")
+            assert [server.reliability.epoch for server in cluster.servers.values()] == [1, 1, 1]
+            assert client._sequence._drop_stale == (tier == "exactly_once")
+            assert client._gate is not None
 
     def test_causal_alone_is_not_inert(self):
-        rel = reliability_config_from(DynamothConfig(causal_order=True))
-        assert rel is not None
-        assert rel.causal_order
+        cluster = make_static_cluster(config=DynamothConfig(causal_order=True))
+        client = cluster.create_client("c")
+        assert all(server.reliability is None for server in cluster.servers.values())
+        assert client._sequence is None and client._gate is not None
 
 
 # ----------------------------------------------------------------------
@@ -171,13 +164,13 @@ class TestChannelReplayCache:
 # ----------------------------------------------------------------------
 class TestBrokerReliability:
     def test_stamp_and_cache_per_channel(self):
-        broker = BrokerReliability(_config(), epoch=1)
+        broker = BrokerReliability(epoch=1)
         assert broker.stamp_and_cache("a", "m1", 10, 50) == 1
         assert broker.stamp_and_cache("a", "m2", 10, 50) == 2
         assert broker.stamp_and_cache("b", "m3", 10, 50) == 1
 
     def test_replay_slice_happy_path(self):
-        broker = BrokerReliability(_config(), epoch=3)
+        broker = BrokerReliability(epoch=3)
         for _ in range(5):
             broker.stamp_and_cache("a", "m", 10, 50)
         result = broker.replay_slice("a", epoch=3, seqs=(2, 4))
@@ -185,12 +178,12 @@ class TestBrokerReliability:
         assert [e.seq for e in result.entries] == [2, 4]
 
     def test_epoch_mismatch_returns_none(self):
-        broker = BrokerReliability(_config(), epoch=2)
+        broker = BrokerReliability(epoch=2)
         broker.stamp_and_cache("a", "m", 10, 50)
         assert broker.replay_slice("a", epoch=1, seqs=(1,)) is None
 
     def test_unknown_channel_returns_none(self):
-        broker = BrokerReliability(_config(), epoch=1)
+        broker = BrokerReliability(epoch=1)
         assert broker.replay_slice("ghost", epoch=1, seqs=(1, 2)) is None
 
 
@@ -204,25 +197,25 @@ def _feed(stage: SequenceStage, *observations):
 
 class TestSequenceStage:
     def test_in_order_stream_has_no_requests(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         verdicts = _feed(stage, *[("s1", "a", seq, 1, 0.0) for seq in range(1, 5)])
         assert verdicts == [True, True, True, True]
 
     def test_first_contact_mid_stream_owes_nothing_before_the_join_point(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         assert stage.observe("s1", "a", 7, 1, 0.0) is True
         assert stage.resume_point("s1", "a") == (7, 1)
 
     def test_gap_requests_the_missing_range(self):
         """A hole is asked for by number, in the call that finds it."""
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         assert _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 5, 1, 0.1)) == [
             True,
             (2, 3, 4),
         ]
 
     def test_fill_shrinks_the_hole_and_requests_the_rest(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 5, 1, 0.1))
         # 2 and 4 are still missing and their request is a timeout old: they
         # are named again, 3 (just filled) is not.
@@ -235,7 +228,7 @@ class TestSequenceStage:
     def test_cooldown_suppresses_request_storms(self):
         """The retry clock is per hole: one already asked for waits out its
         own timeout, one found meanwhile is asked for at once."""
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         assert _feed(
             stage,
             ("s1", "a", 1, 1, 0.0),
@@ -248,7 +241,7 @@ class TestSequenceStage:
         ) == [True, (2,), True, (5,), True, (2,), (5,)]
 
     def test_timeout_is_measured_from_holes_asked_exactly_once(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 4, 1, 1.0))  # asks 2, 3
         link = stage._links["s1"]
         assert (link.srtt, link.timeout) == (0.0, 1.0)  # the ceiling, until a sample
@@ -275,7 +268,7 @@ class TestSequenceStage:
         assert stage._links["s2"].timeout == 1.0
 
     def test_measured_timeout_never_exceeds_the_configured_ceiling(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         # One 0.4 s sample: srtt + 4 * rttvar is 1.2 s, above the 1 s ceiling.
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 3, 1, 1.0), ("s1", "a", 2, 1, 1.4))
         assert stage._links["s1"].srtt == pytest.approx(0.4)
@@ -286,7 +279,7 @@ class TestSequenceStage:
         to reset the live stream (holes and watermark gone), and the next
         epoch-2 delivery reset it again."""
         for tier in ("at_least_once", "exactly_once"):
-            stage = SequenceStage(_config(delivery_tier=tier))
+            stage = SequenceStage(tier == "exactly_once")
             _feed(stage, ("s1", "a", 9, 1, 0.0), ("s1", "a", 1, 2, 1.0))
             assert stage.observe("s1", "a", 4, 2, 1.1) == (2, 3)
             # Handed on to dedup, whatever its number.
@@ -297,7 +290,7 @@ class TestSequenceStage:
             assert stage.observe("s1", "a", 5, 2, 1.3) is True  # no reset, no re-ask
 
     def test_retry_timer_asks_again_when_nothing_arrives(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 3, 1, 2.0))
         assert stage.arm("s1", "a") == 1.0
         assert stage.arm("s1", "a") == 0.0  # one timer per stream
@@ -310,7 +303,7 @@ class TestSequenceStage:
         assert stage.arm("s1", "a") == 1.0  # a later hole starts a new one
 
     def test_retry_timer_backs_off_on_silence_and_any_arrival_resets_it(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 4, 1, 1.0), ("s1", "a", 2, 1, 1.08))
         assert stage._links["s1"].timeout == pytest.approx(0.24)
         delay = stage.arm("s1", "a")
@@ -333,7 +326,7 @@ class TestSequenceStage:
         assert stage.retry("s1", "a", 5.0, True) == (1, (3,), pytest.approx(0.24))
 
     def test_retry_timer_stops_for_a_dropped_or_unheld_stream(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 3, 1, 0.1))
         assert stage.arm("s1", "a") == 1.0
         # The client no longer holds s1 for the channel: stop, ask nothing,
@@ -355,18 +348,18 @@ class TestSequenceStage:
         assert stage.retry("s1", "a", 7.6, True) == (1, (2,), 1.0)
 
     def test_stale_seq_drops_on_exactly_once_only(self):
-        exactly = SequenceStage(_config(delivery_tier="exactly_once"))
+        exactly = SequenceStage(True)
         assert _feed(
             exactly, ("s1", "a", 1, 1, 0.0), ("s1", "a", 2, 1, 0.0), ("s1", "a", 1, 1, 0.1)
         ) == [True, True, False]
 
-        at_least = SequenceStage(_config(delivery_tier="at_least_once"))
+        at_least = SequenceStage(False)
         assert _feed(
             at_least, ("s1", "a", 1, 1, 0.0), ("s1", "a", 2, 1, 0.0), ("s1", "a", 1, 1, 0.1)
         ) == [True, True, True]
 
     def test_epoch_change_resets_and_adopts_midstream(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 4, 1, 0.1))
         # Server restarted: new epoch, and we join at seq 7 mid-stream --
         # no gap is owed before our join point.
@@ -374,14 +367,14 @@ class TestSequenceStage:
         assert stage.resume_point("s1", "a") == (7, 2)
 
     def test_fresh_epoch_seq_one_is_not_a_regression(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         assert _feed(stage, ("s1", "a", 9, 1, 0.0), ("s1", "a", 1, 2, 1.0)) == [
             True,
             True,
         ]
 
     def test_forget_through_abandons_evicted_holes(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         _feed(stage, ("s1", "a", 1, 1, 0.0), ("s1", "a", 6, 1, 0.1))
         assert stage.forget_through("s1", "a", epoch=1, through_seq=4) == 3  # 2, 3, 4
         assert stage.resume_point("s1", "a") == (4, 1)  # still chasing 5
@@ -390,7 +383,7 @@ class TestSequenceStage:
         assert stage.forget_through("s2", "a", epoch=1, through_seq=6) == 0
 
     def test_resume_point_defaults_and_drop_channel(self):
-        stage = SequenceStage(_config())
+        stage = SequenceStage(True)
         assert stage.resume_point("s1", "a") == (-1, -1)
         _feed(stage, ("s1", "a", 2, 1, 0.0), ("s1", "b", 3, 1, 0.0))
         stage.drop_channel("a")
@@ -407,7 +400,7 @@ class TestSubscribeHandshake:
     def _client():
         """A bare exactly_once client whose servers never ack: the test does."""
         sim, _, client = make_bare_client(
-            servers=("s1", "s2"), reliability=ReliabilityConfig(delivery_tier="exactly_once")
+            servers=("s1", "s2"), config=DynamothConfig(delivery_tier="exactly_once")
         )
         return sim, client
 
@@ -467,8 +460,9 @@ class TestSubscribeHandshake:
         """The ping tick re-sends a SUBSCRIBE whose latest send is the
         ceiling old; a re-send restarts that clock, an ack ends it."""
         sim, wire, client = make_bare_client(
-            config=DynamothConfig(client_ping_interval_s=REPLAY_RETRY_COOLDOWN_S),
-            reliability=ReliabilityConfig(delivery_tier="exactly_once"),
+            config=DynamothConfig(
+                client_ping_interval_s=REPLAY_RETRY_COOLDOWN_S, delivery_tier="exactly_once"
+            ),
         )
         wire.live.add("s1")
         send = wire.send
@@ -526,7 +520,7 @@ class _RepairRun:
 
     def __init__(self, tier, lost_deliveries, lost_requests, lost_replays, period, one_way):
         self.sim = Simulator()
-        self.stage = SequenceStage(_config(delivery_tier=tier))
+        self.stage = SequenceStage(tier == "exactly_once")
         self.drops_stale = tier == "exactly_once"
         self.lost = {
             "delivery": list(lost_deliveries),

@@ -15,9 +15,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.chaos import ChaosScenarioConfig, RecoveryWatch, run_chaos
+from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
 from repro.experiments.run import build
 from repro.obs.export import write_trace
+from repro.obs.recovery import RecoveryWatch
 from repro.obs.trace import (
     ClientFailoverEvent,
     ClientReconnectEvent,

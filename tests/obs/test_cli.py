@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.cli import TraceSummary, main, percentile, render_summary, sparkline
-from repro.obs.export import write_trace
+from repro.obs.export import read_trace, write_trace
 from repro.obs.trace import (
     DeliveryEvent,
     LoadSnapshotEvent,
@@ -97,6 +97,22 @@ class TestTraceSummary:
         series = TraceSummary(_synthetic_events()).load_series()
         assert series["pub1"] == [(1.0, 0.2), (6.0, 0.05)]
         assert series["pub2"] == [(1.0, 0.1), (6.0, 0.3)]
+
+
+    def test_recovery_is_the_chaos_runs(self, tmp_path):
+        """Time-to-recover has one definition: the summary replays each
+        crash through the ``RecoveryWatch`` that ``run_chaos`` runs live."""
+        from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
+
+        result = run_chaos(ChaosScenarioConfig.smoke())
+        path = tmp_path / "chaos.jsonl"
+        write_trace(path, result.tracer.events)
+        (watch,) = TraceSummary(read_trace(path)).recoveries()
+        assert (watch.victim, watch.crash_t) == (result.victim, result.crash_t)
+        assert (watch.detection_s, watch.repair_s, watch.failover_count, watch.recovery_s) == (
+            result.detection_s, result.repair_s, result.failover_count, result.recovery_s
+        )
+        assert watch.recovery_s is not None
 
 
 class TestRenderSummary:

@@ -63,7 +63,6 @@ class TestNullTracerStaysCold:
             raise AssertionError("NullTracer recording method called")
 
         monkeypatch.setattr(NullTracer, "emit", boom)
-        monkeypatch.setattr(NullTracer, "message_tap", boom)
         result = experiment1.run_fig4a_point(50, False, seed=0, measure_s=1.0)
         assert result.delivery_rate > 0.0
 

@@ -32,8 +32,13 @@ def _deliver(tracer, t, latency_s, channel="tile:1:1", server="pub1"):
     )
 
 
+def _scope(monitor, scope=OVERALL_SCOPE):
+    """``report()``'s row for ``scope`` at the monitor's clock ({} before its first sample)."""
+    return monitor.report(monitor.epoch * monitor.slice_s)["scopes"].get(scope, {})
+
+
 def _window_count(monitor, scope=OVERALL_SCOPE):
-    return monitor.report(monitor.epoch * monitor.slice_s)["scopes"][scope]["window_count"]
+    return _scope(monitor, scope)["window_count"]
 
 
 class TestSlidingHistogram:
@@ -44,7 +49,7 @@ class TestSlidingHistogram:
         # 15s later the sample is outside the 10s window.
         monitor.poll(16.0)
         assert _window_count(monitor) == 0
-        assert monitor.windowed_percentile() is None
+        assert _scope(monitor).get("value_s") is None
 
     def test_merged_spans_live_slices(self):
         tracer, monitor = _monitor()
@@ -103,10 +108,10 @@ class TestViolationLifecycle:
         _deliver(tracer, 0.5, 0.5, channel="tile:1:1", server="pub1")
         _deliver(tracer, 0.6, 0.001, channel="room:7", server="pub2")
         monitor.poll(2.0)
-        assert monitor.in_violation("channel:tile")
-        assert monitor.in_violation("server:pub1")
-        assert not monitor.in_violation("channel:room")
-        assert not monitor.in_violation("server:pub2")
+        assert _scope(monitor, "channel:tile")["violating"]
+        assert _scope(monitor, "server:pub1")["violating"]
+        assert not _scope(monitor, "channel:room")["violating"]
+        assert not _scope(monitor, "server:pub2")["violating"]
         assert "channel:tile" in monitor.active_scopes()
 
 
@@ -116,7 +121,7 @@ class TestEdgeCases:
         monitor.poll(50.0)  # windows advance with zero samples
         assert monitor.active_scopes() == ()
         assert monitor.report(50.0)["violation_count"] == 0
-        assert monitor.windowed_percentile() is None
+        assert _scope(monitor).get("value_s") is None
 
     def test_threshold_exactly_met_is_not_a_violation(self):
         # Pick the threshold equal to the bucket upper edge the samples
@@ -132,7 +137,7 @@ class TestEdgeCases:
         monitor2.poll(5.0)
         # The windowed p95 equals the threshold -- strictly greater is
         # required, so the SLA is still met.
-        assert monitor2.windowed_percentile() == pytest.approx(edge)
+        assert _scope(monitor2)["value_s"] == pytest.approx(edge)
         assert monitor2.active_scopes() == ()
 
     def test_just_above_threshold_violates(self):
@@ -140,13 +145,13 @@ class TestEdgeCases:
         for i in range(10):
             _deliver(tracer, 0.1 + i * 0.1, 0.09)
         monitor.poll(5.0)
-        assert monitor.in_violation(OVERALL_SCOPE)
+        assert _scope(monitor, OVERALL_SCOPE)["violating"]
 
     def test_open_episode_has_no_duration(self):
         tracer, monitor = _monitor()
         _deliver(tracer, 0.5, 0.5)
         monitor.poll(3.0)  # still inside the window: episode stays open
-        assert monitor.in_violation(OVERALL_SCOPE)
+        assert _scope(monitor, OVERALL_SCOPE)["violating"]
         open_episodes = [v for v in monitor.violations if v.end_t is None]
         assert open_episodes and open_episodes[0].duration_s is None
 

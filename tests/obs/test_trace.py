@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.broker.commands import SubscribeCmd
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.obs.export import dump_tracer, read_trace
 from repro.obs.sink import StreamingJsonlSink
@@ -21,7 +22,7 @@ from repro.obs.trace import (
     channel_class,
 )
 from repro.sim.kernel import Simulator
-from tests.helpers import python_calls_by_file
+from tests.helpers import python_calls_by_file, python_calls_by_function
 
 
 class TestChannelClass:
@@ -46,7 +47,6 @@ class TestNullTracer:
     def test_null_hooks_are_noops(self):
         t = NullTracer()
         t.emit(SubscribeEvent(0.0, "c", "ch", ("s",)))
-        t.message_tap("a", "b", object(), 10)
         t.attach_kernel(object())  # must not touch the object
         assert t.events == []
 
@@ -100,17 +100,19 @@ class TestTracedRun:
         assert subs[0].client == "c1"
         assert [e.channel for e in unsubs] == ["a"]
 
-    def test_message_tap_counts_sends(self):
+    def test_a_traced_send_runs_no_obs_frame(self):
+        """A node's egress is counted on its NIC (``EgressPort``): tracing
+        adds no frame to a plain send, nor a per-node trailer row."""
         cluster, tracer = _traced_cluster()
-        sub = cluster.create_client("sub")
-        sub.subscribe("news", lambda *a: None)
+        client = cluster.create_client("c")
+        home = cluster.plan.ring.lookup("news")
+        calls = python_calls_by_function(
+            lambda: client.send(home, SubscribeCmd("news"), SubscribeCmd.WIRE_SIZE)
+        )
+        assert calls and not [key for key in calls if "/repro/obs/" in key[0]]
         cluster.run_for(1.0)
-        pub = cluster.create_client("pub")
-        pub.publish("news", "x", payload_size=10)
-        cluster.run_for(1.0)
-        sent = tracer.metrics.counter_total("messages_sent_total")
-        assert sent >= 2  # at least subscribe + publish
-        assert tracer.metrics.counter_value("messages_sent_total", node="pub") >= 1
+        assert cluster.servers[home].subscriber_count("news") == 1
+        assert "messages_sent_total" not in str(tracer.metrics.snapshot())
 
     def test_kernel_metrics_track_clock(self):
         cluster, tracer = _traced_cluster()

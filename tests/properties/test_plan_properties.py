@@ -9,10 +9,12 @@ from repro.core.messages import ChannelMetricsSnapshot, LoadReport
 from repro.core.metrics import ClusterLoadView
 from repro.core.plan import ChannelMapping, Plan, ReplicationMode
 from repro.core.rebalance import LoadEstimator
+from tests.helpers import make_bare_client
 
-servers_strategy = st.lists(
-    st.sampled_from([f"s{i}" for i in range(8)]), min_size=1, max_size=8, unique=True
-)
+SERVERS = tuple(f"s{i}" for i in range(8))
+servers_strategy = st.lists(st.sampled_from(SERVERS), min_size=1, max_size=8, unique=True)
+#: what a subscriber holds before it reconciles: any servers, in the mapping or not
+held_strategy = st.sets(st.sampled_from(SERVERS), max_size=3)
 
 
 def mapping_strategy(servers):
@@ -28,24 +30,48 @@ def mapping_strategy(servers):
     return st.tuples(modes, st.permutations(servers)).map(lambda t: build(*t))
 
 
+def subscriber(seed):
+    """A bare client whose replica picks draw from ``Random(seed)``."""
+    __, __, client = make_bare_client(servers=SERVERS)
+    client._rng = Random(seed)
+    return client
+
+
 class TestMappingProperties:
-    @given(servers=servers_strategy, seed=st.integers(0, 2**16))
-    def test_publish_and_subscribe_targets_are_members(self, servers, seed):
-        rng = Random(seed)
+    """Figure 2's routing rules as the client runs them: publications go to
+    ``ChannelMapping.publish_targets``, subscriptions to the servers
+    ``DynamothClient._desired_sub_servers`` keeps or picks, from any held
+    set, on a plain reconcile or a forced rebalance."""
+
+    @given(
+        servers=servers_strategy,
+        held=held_strategy,
+        rebalance=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_publish_and_subscribe_targets_are_members(self, servers, held, rebalance, seed):
+        rng, client = Random(seed), subscriber(seed)
         for mode in ReplicationMode:
             if mode is not ReplicationMode.SINGLE and len(servers) < 2:
                 continue
             chosen = servers if mode is not ReplicationMode.SINGLE else servers[:1]
             mapping = ChannelMapping(mode, tuple(chosen))
             assert set(mapping.publish_targets(rng)) <= set(chosen)
-            assert set(mapping.subscribe_targets(rng)) <= set(chosen)
+            desired = client._desired_sub_servers(mapping, set(held), rebalance=rebalance)
+            # inside the mapping; every replica under ALL_SUBSCRIBERS, else one
+            assert mapping.is_valid_subscription_set(desired), (mode, held, desired)
 
-    @given(servers=servers_strategy, seed=st.integers(0, 2**16))
-    def test_every_publication_meets_every_subscription(self, servers, seed):
+    @given(
+        servers=servers_strategy,
+        held=held_strategy,
+        rebalance=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_publication_meets_every_subscription(self, servers, held, rebalance, seed):
         """The fundamental replication invariant (Figure 2): for any mode,
-        any publish-target choice and any subscribe-target choice must
-        share at least one server."""
-        rng = Random(seed)
+        any publish-target choice and the servers a subscriber holds after
+        reconciling must share at least one server."""
+        rng, client = Random(seed), subscriber(seed)
         for mode in ReplicationMode:
             if mode is not ReplicationMode.SINGLE and len(servers) < 2:
                 continue
@@ -53,7 +79,9 @@ class TestMappingProperties:
             mapping = ChannelMapping(mode, tuple(chosen))
             for __ in range(10):
                 publish_to = set(mapping.publish_targets(rng))
-                subscribe_on = set(mapping.subscribe_targets(rng))
+                subscribe_on = client._desired_sub_servers(
+                    mapping, set(held), rebalance=rebalance
+                )
                 assert publish_to & subscribe_on, (
                     f"{mode}: publication to {publish_to} invisible to "
                     f"subscriber on {subscribe_on}"

@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broker.commands import Delivery, ReplayGapNotice, ReplayRequest
+from repro.core.config import DynamothConfig
 from repro.core.messages import AppEnvelope
-from repro.core.reliability import CausalGate, ParkTimeout, ReliabilityConfig, SequenceStage
+from repro.core.reliability import CausalGate, ParkTimeout, SequenceStage
 from repro.sim.kernel import Simulator
 from tests.helpers import make_bare_client
 
@@ -36,12 +37,12 @@ class _Reference:
     observed, deduplicated on a set of ``(sender, number)`` (the window,
     for numbers this small), and admitted through the gate."""
 
-    def __init__(self, reliability: ReliabilityConfig, held: Callable[[str, str], bool]) -> None:
+    def __init__(self, config: DynamothConfig, held: Callable[[str, str], bool]) -> None:
         self.sim = Simulator()
         self.node_id = "me"
         self.held = held
-        self.sequence = SequenceStage(reliability)
-        self.gate = CausalGate(self) if reliability.causal_order else None
+        self.sequence = SequenceStage(config.delivery_tier == "exactly_once")
+        self.gate = CausalGate(self) if config.causal_order else None
         self.seen: Set[Tuple[str, int]] = set()
         self.delivered: List[Tuple[float, str]] = []
         self.requests: List[Tuple[str, ReplayRequest]] = []
@@ -163,8 +164,8 @@ def _gate_state(gate: CausalGate) -> dict:
 
 
 def _check_against_reference(tier: str, causal: bool, ops) -> None:
-    reliability = ReliabilityConfig(tier, causal)
-    sim, wire, client = make_bare_client("me", servers=SERVERS, reliability=reliability)
+    config = DynamothConfig(delivery_tier=tier, causal_order=causal)
+    sim, wire, client = make_bare_client("me", servers=SERVERS, config=config)
     delivered: List[Tuple[float, str]] = []
     client.on_delivery = lambda channel, envelope, delivery: delivered.append(
         (sim.now, envelope.msg_id)
@@ -172,7 +173,7 @@ def _check_against_reference(tier: str, causal: bool, ops) -> None:
     for channel in CHANNELS:
         client.subscribe(channel, lambda channel, body, envelope: None)
     holders = {channel: client.subscription_servers(channel) for channel in CHANNELS}
-    reference = _Reference(reliability, lambda server, channel: server in holders[channel])
+    reference = _Reference(config, lambda server, channel: server in holders[channel])
     world = _World()
     held: List[Delivery] = []
 

@@ -28,7 +28,7 @@ class TestTileWorld:
 
     def test_all_channels_enumerated(self):
         world = TileWorld(100.0, 3)
-        channels = world.all_channels()
+        channels = [channel for row in world.grid for channel in row]
         assert len(channels) == 9
         assert len(set(channels)) == 9
 

@@ -33,7 +33,7 @@ class TestPopulationSchedule:
     def test_peak_and_end_time(self):
         schedule = steps([(0, 0), (10, 80), (30, 20)])
         assert schedule.peak == 80
-        assert schedule.end_time == 30.0
+        assert schedule.target(30.0) == schedule.target(1e9) == 20  # held past the end
 
     def test_unsorted_breakpoints_rejected(self):
         with pytest.raises(ValueError):
