@@ -43,6 +43,7 @@ from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
 SUBSYSTEMS: Dict[str, str] = {
     "publish": "client",
     "delivery": "client",
+    "arrival": "client",
     "subscribe": "client",
     "unsubscribe": "client",
     "plan_miss": "client",
@@ -50,6 +51,7 @@ SUBSYSTEMS: Dict[str, str] = {
     "client_reconnect": "client",
     "causal_timeout": "client",
     "fanout": "broker",
+    "server_subscribe": "broker",
     "replay": "broker",
     "gap_unrecoverable": "broker",
     "load_report": "balancer",

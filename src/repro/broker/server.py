@@ -45,6 +45,7 @@ from repro.obs.trace import (
     FirstUse,
     ReplayEvent,
     ReplayGapEvent,
+    ServerSubscribeEvent,
     Tracer,
     channel_class,
 )
@@ -408,6 +409,11 @@ class PubSubServer(Actor):
         # Redis-style subscription confirmation back to the client.
         ack = SubscribeAck(channel, self.node_id)
         self.transport.send(self.node_id, client_id, ack, SubscribeAck.WIRE_SIZE)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(
+                ServerSubscribeEvent(self.sim.now, self.node_id, channel, client_id, plan_version)
+            )
         for listener in self._subscribe_listeners:
             listener(channel, client_id, plan_version)
         # Reconnect resume: replay what this boot cached past the client's

@@ -4,7 +4,8 @@ FoundationDB-style testing for the Dynamoth reproduction: randomized
 scenarios compose workload shapes (flash crowds, hot-channel skew, churny
 subscribers) with :mod:`repro.faults` chaos schedules, run them under the
 deterministic simulator with the flight recorder attached, and check the
-resulting trace plus final state against invariant *oracles*:
+resulting trace -- the run's only record -- plus final state against
+invariant *oracles*:
 
 * loss-free reconfiguration -- publications outside fault turbulence
   windows reach every stable subscriber;
@@ -41,21 +42,19 @@ documented at-most-once carve-out during the repair window.
 from repro.check.generate import FAULT_PROFILES, WORKLOAD_SHAPES, generate_scenario
 from repro.check.oracles import Violation, check_result
 from repro.check.scenario import (
-    DeliveryRecord,
-    Ledger,
     RunResult,
     Scenario,
+    TraceView,
     run_scenario,
     with_reliable_break,
 )
 from repro.check.shrink import shrink
 
 __all__ = [
-    "DeliveryRecord",
     "FAULT_PROFILES",
-    "Ledger",
     "RunResult",
     "Scenario",
+    "TraceView",
     "Violation",
     "WORKLOAD_SHAPES",
     "check_result",

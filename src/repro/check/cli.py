@@ -165,7 +165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _handle_failure(scenario, violations, args)
         print(f"ok   seed={scenario.seed} label={scenario.label} "
               f"({len(result.tracer.events)} events, "
-              f"{len(result.ledger.deliveries)} deliveries)")
+              f"{len(result.view.deliveries)} deliveries)")
     print(f"\nall {len(scenarios)} scenario(s) passed every oracle")
     return 0
 

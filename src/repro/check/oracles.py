@@ -1,7 +1,8 @@
 """Invariant oracles over one finished scenario run.
 
-Each oracle consumes the schema-2 trace plus the harness ledgers of a
-:class:`~repro.check.scenario.RunResult` and returns zero or more
+Each oracle reads one :class:`~repro.check.scenario.RunResult` -- its
+trace, through the one :class:`~repro.check.scenario.TraceView` built from
+it, plus the final cluster state -- and returns zero or more
 :class:`Violation` records.  The oracles deliberately carve out the
 windows where the documented semantics are weaker:
 
@@ -46,6 +47,7 @@ from repro.faults.schedule import (
 )
 from repro.obs.trace import (
     CausalTimeoutEvent,
+    DeliveryEvent,
     FanoutEvent,
     PlanAppliedEvent,
     PlanRepairDoneEvent,
@@ -156,11 +158,11 @@ def oracle_loss_free(result: RunResult) -> List[Violation]:
     """
     violations: List[Violation] = []
     windows = turbulence_windows(result)
-    ledger = result.ledger
-    delivered = ledger.delivered_pairs
+    view = result.view
+    delivered = view.delivery_counts
     horizon = result.scenario.horizon_s
     subscribers_by_channel: Dict[str, List[str]] = {}
-    for client, channel in ledger.sub_intervals:
+    for client, channel in view.sub_intervals:
         subscribers_by_channel.setdefault(channel, []).append(client)
 
     for event in result.tracer.events_of(PublishEvent):
@@ -170,7 +172,7 @@ def oracle_loss_free(result: RunResult) -> List[Violation]:
         if _intersects(windows, tp - PRE_SUB_MARGIN_S, tp + DELIVERY_GRACE_S):
             continue
         for client in subscribers_by_channel.get(event.channel, ()):
-            if not ledger.covers(
+            if not view.covers(
                 client, event.channel, tp - PRE_SUB_MARGIN_S, tp + DELIVERY_GRACE_S
             ):
                 continue  # not a stable subscriber for this publication
@@ -199,7 +201,7 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
     time bound, and no more candidate publications than the buffer holds.
     """
     violations: List[Violation] = []
-    ledger = result.ledger
+    view = result.view
     crash_times = {
         e.server: e.t for e in result.tracer.events_of(ServerCrashEvent)
     }
@@ -212,7 +214,7 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
     fanouts = result.tracer.events_of(FanoutEvent)
     #: client-originated message ids (excludes dispatcher switch notices)
     app_msg_ids = {e.msg_id for e in result.tracer.events_of(PublishEvent)}
-    delivered = ledger.delivered_pairs
+    delivered = view.delivery_counts
     fault_times = sorted(a.at for a in result.fault_timeline)
 
     for repair in repairs:
@@ -247,9 +249,9 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
                     continue  # the push never landed (home died too)
                 attach = next(
                     (
-                        (t, client)
-                        for t, server, ch, client in ledger.server_subs
-                        if server == home and ch == channel and t > applied_t
+                        (e.t, e.client)
+                        for e in view.server_subs
+                        if e.server == home and e.channel == channel and e.t > applied_t
                     ),
                     None,
                 )
@@ -266,7 +268,7 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
                 ):
                     continue
                 # The subscriber must stay attached long enough to receive.
-                if not ledger.covers(
+                if not view.covers(
                     client, channel, attach_t, attach_t + DELIVERY_GRACE_S
                 ):
                     continue
@@ -315,7 +317,7 @@ def oracle_at_most_once(result: RunResult) -> List[Violation]:
             "at-most-once",
             f"client {client} saw {msg_id} {count} times",
         )
-        for (client, msg_id), count in result.ledger.delivery_counts.items()
+        for (client, msg_id), count in result.view.delivery_counts.items()
         if count > 1
     ]
 
@@ -338,7 +340,7 @@ def oracle_plan_consistency(result: RunResult) -> List[Violation]:
     plan = result.final_plan
     live = set(cluster.servers)
 
-    for (client_id, channel), intervals in sorted(result.ledger.sub_intervals.items()):
+    for (client_id, channel), intervals in sorted(result.view.sub_intervals.items()):
         if not intervals or intervals[-1][1] != result.scenario.horizon_s:
             continue  # not subscribed when the run ended
         client = cluster.clients.get(client_id)
@@ -542,7 +544,7 @@ def oracle_gap_free(result: RunResult) -> List[Violation]:
     if scenario.delivery_tier == "at_most_once":
         return []
     violations: List[Violation] = []
-    ledger = result.ledger
+    view = result.view
     horizon = scenario.horizon_s
 
     crash_times: Dict[str, List[float]] = {}
@@ -555,11 +557,11 @@ def oracle_gap_free(result: RunResult) -> List[Violation]:
         evicted_through[key] = max(evicted_through.get(key, 0), event.to_seq)
 
     streams: Dict[Tuple[str, str, int, str], Dict[int, float]] = {}
-    for t, client, server, channel, epoch, seq in ledger.seq_observations:
-        key = (client, server, epoch, channel)
+    for arrival in view.arrivals:
+        key = (arrival.client, arrival.server, arrival.epoch, arrival.channel)
         first_t = streams.setdefault(key, {})
-        if seq not in first_t:
-            first_t[seq] = t
+        if arrival.seq not in first_t:
+            first_t[arrival.seq] = arrival.t
 
     for key in sorted(streams):
         client, server, epoch, channel = key
@@ -577,7 +579,7 @@ def oracle_gap_free(result: RunResult) -> List[Violation]:
                 continue
             if any(t >= t_known - 1.0 for t in crash_times.get(server, ())):
                 continue  # replay source died
-            if not ledger.covers(client, channel, first_t[prev], t_known):
+            if not view.covers(client, channel, first_t[prev], t_known):
                 continue  # subscription lapsed across the hole
             violations.append(
                 Violation(
@@ -613,18 +615,15 @@ def oracle_causal_order(result: RunResult) -> List[Violation]:
     if not result.scenario.causal_order:
         return []
     violations: List[Violation] = []
-    ledger = result.ledger
 
     flush_t: Dict[Tuple[str, str], float] = {}
     for event in result.tracer.events_of(CausalTimeoutEvent):
         key = (event.client, event.channel)
         flush_t[key] = min(flush_t.get(key, event.t), event.t)
 
-    per_pair: Dict[Tuple[str, str], List] = {}
-    for record in ledger.records:
-        if record.pub_seq <= 0:
-            continue
-        per_pair.setdefault((record.client, record.channel), []).append(record)
+    per_pair: Dict[Tuple[str, str], List[Tuple[DeliveryEvent, PublishEvent]]] = {}
+    for delivery, pub in result.view.causal:
+        per_pair.setdefault((delivery.client, delivery.channel), []).append((delivery, pub))
 
     for pair in sorted(per_pair):
         client, channel = pair
@@ -632,8 +631,8 @@ def oracle_causal_order(result: RunResult) -> List[Violation]:
         records = per_pair[pair]
         # First-delivery index per (sender, pub_seq); dups are ignored.
         first_index: Dict[Tuple[str, int], int] = {}
-        for i, record in enumerate(records):
-            first_index.setdefault((record.sender, record.pub_seq), i)
+        for i, (_, pub) in enumerate(records):
+            first_index.setdefault((pub.sender, pub.pub_seq), i)
         #: per sender: delivered pub_seqs sorted, with first index
         by_sender: Dict[str, List[Tuple[int, int]]] = {}
         for (sender, pub_seq), i in first_index.items():
@@ -642,45 +641,45 @@ def oracle_causal_order(result: RunResult) -> List[Violation]:
             entries.sort()
 
         max_seen: Dict[str, int] = {}
-        for i, record in enumerate(records):
-            if first_index[(record.sender, record.pub_seq)] != i:
+        for i, (delivery, pub) in enumerate(records):
+            if first_index[(pub.sender, pub.pub_seq)] != i:
                 continue  # duplicate delivery (at-least-once)
             # Sender FIFO inversion.
-            prior_max = max_seen.get(record.sender, 0)
+            prior_max = max_seen.get(pub.sender, 0)
             if (
-                record.pub_seq < prior_max
-                and not record.replayed
-                and record.t < cutoff
+                pub.pub_seq < prior_max
+                and not delivery.replayed
+                and delivery.t < cutoff
             ):
                 violations.append(
                     Violation(
                         "causal-order",
-                        f"{client} delivered {record.sender}'s pub_seq "
-                        f"{record.pub_seq} on {channel} after already "
+                        f"{client} delivered {pub.sender}'s pub_seq "
+                        f"{pub.pub_seq} on {channel} after already "
                         f"seeing pub_seq {prior_max} (FIFO inversion)",
-                        t=record.t,
+                        t=delivery.t,
                     )
                 )
-            max_seen[record.sender] = max(prior_max, record.pub_seq)
+            max_seen[pub.sender] = max(prior_max, pub.pub_seq)
             # Dependency inversions: a dep delivered *later* than the
             # message that depended on it.
-            for dep_sender, dep_seq in record.deps:
+            for dep_sender, dep_seq in pub.deps:
                 for pub_seq, j in by_sender.get(dep_sender, ()):
                     if pub_seq > dep_seq:
                         break
                     if j <= i:
                         continue
-                    late = records[j]
+                    late = records[j][0]
                     if late.replayed or late.t >= cutoff:
                         continue
                     violations.append(
                         Violation(
                             "causal-order",
-                            f"{client} delivered {record.sender}'s pub_seq "
-                            f"{record.pub_seq} on {channel} before its "
+                            f"{client} delivered {pub.sender}'s pub_seq "
+                            f"{pub.pub_seq} on {channel} before its "
                             f"dependency {dep_sender}:{pub_seq} "
                             f"(delivered later at t={late.t:.3f})",
-                            t=record.t,
+                            t=delivery.t,
                         )
                     )
     return violations

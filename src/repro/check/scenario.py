@@ -4,14 +4,18 @@ A :class:`Scenario` is a frozen, JSON-serializable value: everything a run
 needs -- workload shape, fault schedule, tunables and the seed -- lives in
 it, so the same scenario always produces the byte-identical trace.  The
 harness drives all workload decisions from the cluster's own RNG registry
-(stream ``"check-workload"``) and keeps ground-truth ledgers on the side:
+(stream ``"check-workload"``) and records nothing of its own: the run's
+trace is the record.  :class:`TraceView` reads from it, in one pass, what
+the oracles check:
 
-* every application-level delivery, via the client's ``on_delivery`` hook
-  (fires once per non-duplicate delivery, before the callback);
-* every server-side subscribe, via broker subscribe listeners (attached to
-  late-spawned and restarted servers too);
-* the exact intervals each (client, channel) pair was subscribed, as
-  driven by the harness (initial subscriptions, churn, flash crowds).
+* every application-level delivery (``delivery`` events, one per
+  non-duplicate delivery) and, for causally stamped publications, the
+  ``publish`` event it delivers;
+* every sequenced delivery off the wire, before dedup (``arrival``);
+* every SUBSCRIBE a broker processed (``server_subscribe``), on servers
+  spawned or restarted mid-run too;
+* the intervals each (client, channel) pair was subscribed
+  (``subscribe`` / ``unsubscribe``).
 
 Runs end with a *settle phase*: faults stop, the network heals, churn
 stops, and publishers rotate one publication over every channel so plan
@@ -24,7 +28,8 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.cluster import DynamothCluster
 from repro.core.config import DELIVERY_TIERS, DynamothConfig
@@ -40,7 +45,16 @@ from repro.faults.schedule import (
     action_to_dict,
 )
 from repro.obs.export import render
-from repro.obs.trace import Tracer
+from repro.obs.trace import (
+    ArrivalEvent,
+    DeliveryEvent,
+    PublishEvent,
+    ServerSubscribeEvent,
+    SubscribeEvent,
+    TraceEvent,
+    Tracer,
+    UnsubscribeEvent,
+)
 
 #: grace before the end of the run during which nothing publishes, so the
 #: last publications can still be delivered inside the horizon.
@@ -189,84 +203,64 @@ _FIELD_TYPES = {f.name: _JSON_TYPES.get(str(f.type), (list,)) for f in fields(Sc
 
 
 # ----------------------------------------------------------------------
-# Ground-truth ledgers
+# What the oracles read: one view of the run's trace
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One application-level delivery with its reliability metadata.
-
-    Recorded outside the SUT via the client's ``on_delivery`` hook; the
-    gap-free and causal-order oracles read these instead of trusting any
-    broker-side state.
-    """
-
-    t: float
-    client: str
-    channel: str
-    msg_id: str
-    sender: str
-    #: broker that fanned the delivery out
-    server: str
-    #: broker-stamped sequence number (None on at_most_once / control)
-    seq: Optional[int]
-    #: broker boot epoch the seq belongs to
-    epoch: int
-    #: whether this arrived via gap/resume replay
-    replayed: bool
-    #: causal metadata (0 / () when causal mode is off)
-    pub_seq: int
-    deps: Tuple[Tuple[str, int], ...]
-
-
 @dataclass
-class Ledger:
-    """What actually happened, recorded outside the system under test."""
+class TraceView:
+    """The facts the oracles check, read off the trace in one pass."""
 
     #: (t, client, channel, msg_id) per application-level delivery
     deliveries: List[Tuple[float, str, str, str]] = field(default_factory=list)
     #: app-visible delivery multiplicity (at-most-once oracle input)
     delivery_counts: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: full per-delivery records including seq/dep metadata (reliability
-    #: oracles); same order as :attr:`deliveries`
-    records: List[DeliveryRecord] = field(default_factory=list)
-    #: (t, client, server, channel, epoch, seq) per *wire-level* sequenced
-    #: delivery, recorded before dedup/stale suppression -- the gap-free
-    #: oracle's input (a hole filled by a cross-stream duplicate that the
-    #: app never sees is still a filled hole)
-    seq_observations: List[Tuple[float, str, str, str, int, int]] = field(
-        default_factory=list
-    )
-    #: (t, server, channel, client) per server-side SUBSCRIBE processed
-    server_subs: List[Tuple[float, str, str, str]] = field(default_factory=list)
-    #: (client, channel) -> closed/open [start, end] subscription intervals
+    #: (client, channel) -> [start, end] subscription intervals
     sub_intervals: Dict[Tuple[str, str], List[List[float]]] = field(default_factory=dict)
+    #: sequenced deliveries off the wire, before dedup (gap-free oracle input)
+    arrivals: List[ArrivalEvent] = field(default_factory=list)
+    #: SUBSCRIBEs as the brokers processed them (repair-bridging oracle input)
+    server_subs: List[ServerSubscribeEvent] = field(default_factory=list)
+    #: each delivery of a causally stamped publication, with that
+    #: publication (causal-order oracle input)
+    causal: List[Tuple[DeliveryEvent, PublishEvent]] = field(default_factory=list)
 
-    def note_delivery(
-        self, t: float, client: str, channel: str, msg_id: str,
-        record: Optional[DeliveryRecord] = None,
-    ) -> None:
-        self.deliveries.append((t, client, channel, msg_id))
-        key = (client, msg_id)
-        self.delivery_counts[key] = self.delivery_counts.get(key, 0) + 1
-        if record is not None:
-            self.records.append(record)
+    @classmethod
+    def read(cls, events: Iterable[TraceEvent], horizon: float) -> "TraceView":
+        """Build the view; subscriptions still open end at ``horizon``.
 
-    @property
-    def delivered_pairs(self) -> Set[Tuple[str, str]]:
-        return set(self.delivery_counts)
-
-    def open_interval(self, t: float, client: str, channel: str) -> None:
-        self.sub_intervals.setdefault((client, channel), []).append([t, math.inf])
-
-    def close_interval(self, t: float, client: str, channel: str) -> None:
-        intervals = self.sub_intervals.get((client, channel))
-        if intervals and intervals[-1][1] == math.inf:
-            intervals[-1][1] = t
-
-    def close_all(self, t: float) -> None:
-        for intervals in self.sub_intervals.values():
-            if intervals and intervals[-1][1] == math.inf:
-                intervals[-1][1] = t
+        A ``SubscribeEvent`` opens an interval unless one is open (a
+        reconnect re-subscribes a channel the client still holds), and an
+        ``UnsubscribeEvent`` closes it.
+        """
+        view = cls()
+        counts, intervals = view.delivery_counts, view.sub_intervals
+        publications: Dict[str, PublishEvent] = {}
+        for event in events:
+            kind = type(event)
+            if kind is DeliveryEvent:
+                view.deliveries.append((event.t, event.client, event.channel, event.msg_id))
+                key = (event.client, event.msg_id)
+                counts[key] = counts.get(key, 0) + 1
+                publication = publications.get(event.msg_id)
+                if publication is not None and publication.pub_seq > 0:
+                    view.causal.append((event, publication))
+            elif kind is PublishEvent:
+                publications[event.msg_id] = event
+            elif kind is ArrivalEvent:
+                view.arrivals.append(event)
+            elif kind is SubscribeEvent:
+                held = intervals.setdefault((event.client, event.channel), [])
+                if not held or held[-1][1] != math.inf:
+                    held.append([event.t, math.inf])
+            elif kind is UnsubscribeEvent:
+                held = intervals.get((event.client, event.channel))
+                if held and held[-1][1] == math.inf:
+                    held[-1][1] = event.t
+            elif kind is ServerSubscribeEvent:
+                view.server_subs.append(event)
+        for held in intervals.values():
+            if held and held[-1][1] == math.inf:
+                held[-1][1] = horizon
+        return view
 
     def covers(self, client: str, channel: str, start: float, end: float) -> bool:
         """Whether the pair was continuously subscribed over [start, end]."""
@@ -283,9 +277,13 @@ class RunResult:
     scenario: Scenario
     cluster: DynamothCluster
     tracer: Tracer
-    ledger: Ledger
     #: the injector's concrete (expanded) fault timeline
     fault_timeline: Tuple[ConcreteAction, ...]
+
+    @cached_property
+    def view(self) -> TraceView:
+        """The trace, read once for the oracles."""
+        return TraceView.read(self.tracer.events, self.scenario.horizon_s)
 
     @property
     def plan_history(self) -> List[Tuple[float, Plan]]:
@@ -298,7 +296,7 @@ class RunResult:
         return self.cluster.current_plan()
 
     def trace_bytes(self) -> bytes:
-        """The schema-2 JSONL body; byte-identical across replays."""
+        """The JSONL trace body (no header); byte-identical across replays."""
         return ("\n".join(render(self.tracer.events)) + "\n").encode("utf-8")
 
 
@@ -308,30 +306,18 @@ class RunResult:
 class _Workload:
     """Mutable driver state for one run (all decisions from ``wl`` RNG)."""
 
-    def __init__(self, scenario: Scenario, cluster: DynamothCluster, ledger: Ledger):
+    def __init__(self, scenario: Scenario, cluster: DynamothCluster):
         self.scenario = scenario
         self.cluster = cluster
-        self.ledger = ledger
         self.sim = cluster.sim
         self.wl = cluster.rng.stream("check-workload")
         self.channels = scenario.channel_names()
-        self.clients: Dict[str, object] = {}
         self.flash_active = False
         self.churn_cursor = 0
         self.settle_cursor: Dict[str, int] = {}
         self.stop_publish_at = scenario.horizon_s - PUBLISH_TAIL_S
 
-    # --- subscription bookkeeping -------------------------------------
-    def subscribe(self, client_id: str, channel: str) -> None:
-        client = self.cluster.clients[client_id]
-        client.subscribe(channel)  # ``on_delivery`` records what arrives
-        self.ledger.open_interval(self.sim.now, client_id, channel)
-
-    def unsubscribe(self, client_id: str, channel: str) -> None:
-        client = self.cluster.clients[client_id]
-        client.unsubscribe(channel)
-        self.ledger.close_interval(self.sim.now, client_id, channel)
-
+    # --- subscriptions ------------------------------------------------
     def subscribed_channels(self, client_id: str) -> List[str]:
         client = self.cluster.clients[client_id]
         return sorted(c for c in self.channels if client.is_subscribed(c))
@@ -374,7 +360,7 @@ class _Workload:
         for reader_id in self.scenario.subscriber_ids():
             client = self.cluster.clients.get(reader_id)
             if client is not None and not client.is_subscribed(self.channels[0]):
-                self.subscribe(reader_id, self.channels[0])
+                client.subscribe(self.channels[0])
 
     def churn_tick(self) -> None:
         now = self.sim.now
@@ -386,14 +372,14 @@ class _Workload:
         held = self.subscribed_channels(reader_id)
         if held:
             channel = held[self.wl.randrange(len(held))]
-            self.unsubscribe(reader_id, channel)
+            self.cluster.clients[reader_id].unsubscribe(channel)
             self.sim.schedule(CHURN_OFF_S, self.churn_rejoin, reader_id, channel)
         self.sim.schedule(self.scenario.churn_interval_s, self.churn_tick)
 
     def churn_rejoin(self, reader_id: str, channel: str) -> None:
         client = self.cluster.clients.get(reader_id)
         if client is not None and not client.is_subscribed(channel):
-            self.subscribe(reader_id, channel)
+            client.subscribe(channel)
 
 
 #: ``Scenario`` flag -> (class, method, broken stand-in): the real loss
@@ -473,29 +459,6 @@ def _run_scenario(scenario: Scenario, tracer: Optional[Tracer]) -> RunResult:
         initial_servers=scenario.initial_servers,
         tracer=tracer,
     )
-    ledger = Ledger()
-
-    # Server-side subscribe ledger, on every broker -- including servers
-    # spawned or restarted later, via the materialize wrapper.
-    def attach_listener(server: object) -> None:
-        server_id = server.node_id
-
-        def listener(channel: str, client_id: str, plan_version: int) -> None:
-            ledger.server_subs.append((cluster.sim.now, server_id, channel, client_id))
-
-        server.add_subscribe_listener(listener)
-
-    for server in cluster.servers.values():
-        attach_listener(server)
-    original_materialize = cluster._materialize_server
-
-    def materialize_and_attach(server_id: str):
-        server = original_materialize(server_id)
-        attach_listener(server)
-        return server
-
-    cluster._materialize_server = materialize_and_attach
-
     injector: Optional[FaultInjector] = None
     timeline: Tuple[ConcreteAction, ...] = ()
     if scenario.faults:
@@ -503,52 +466,14 @@ def _run_scenario(scenario: Scenario, tracer: Optional[Tracer]) -> RunResult:
         injector.arm()
         timeline = tuple(injector.timeline)
 
-    workload = _Workload(scenario, cluster, ledger)
-
-    def delivery_hook(client_id: str):
-        def hook(channel: str, envelope, delivery) -> None:
-            now = cluster.sim.now
-            record = DeliveryRecord(
-                t=now,
-                client=client_id,
-                channel=channel,
-                msg_id=envelope.msg_id,
-                sender=envelope.sender,
-                server=delivery.server_id,
-                seq=delivery.seq,
-                epoch=delivery.epoch,
-                replayed=delivery.replayed,
-                pub_seq=envelope.pub_seq,
-                deps=envelope.deps,
-            )
-            ledger.note_delivery(now, client_id, channel, envelope.msg_id, record)
-
-        return hook
-
-    def wire_hook(client_id: str):
-        def hook(channel: str, delivery) -> None:
-            if delivery.seq is not None:
-                ledger.seq_observations.append((
-                    cluster.sim.now,
-                    client_id,
-                    delivery.server_id,
-                    channel,
-                    delivery.epoch,
-                    delivery.seq,
-                ))
-
-        return hook
-
+    workload = _Workload(scenario, cluster)
     for reader_id in scenario.subscriber_ids():
-        client = cluster.create_client(reader_id)
-        client.on_delivery = delivery_hook(reader_id)
-        client.on_wire_delivery = wire_hook(reader_id)
+        reader = cluster.create_client(reader_id)
         count = 1 + workload.wl.randrange(min(3, scenario.channels))
         for channel in sorted(workload.wl.sample(workload.channels, count)):
-            workload.subscribe(reader_id, channel)
+            reader.subscribe(channel)
     for writer_id in scenario.publisher_ids():
-        client = cluster.create_client(writer_id)
-        client.on_delivery = delivery_hook(writer_id)
+        cluster.create_client(writer_id)
         # Stagger the first publications so writers do not tick in lockstep.
         cluster.sim.schedule(
             0.5 + workload.wl.random() * scenario.publish_interval_s,
@@ -567,8 +492,7 @@ def _run_scenario(scenario: Scenario, tracer: Optional[Tracer]) -> RunResult:
 
     cluster.sim.schedule(scenario.settle_start_s, enter_settle)
     cluster.run_until(scenario.horizon_s)
-    ledger.close_all(scenario.horizon_s)
-    return RunResult(scenario, cluster, tracer, ledger, timeline)
+    return RunResult(scenario, cluster, tracer, timeline)
 
 
 def with_break(scenario: Scenario, broken: bool = True) -> Scenario:

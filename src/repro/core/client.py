@@ -47,6 +47,7 @@ from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.core.reliability import CausalGate, ParkTimeout, SequenceStage
 from repro.obs.trace import (
     NULL_TRACER,
+    ArrivalEvent,
     CausalTimeoutEvent,
     ClientFailoverEvent,
     DeliveryEvent,
@@ -118,7 +119,7 @@ class DynamothClient(Actor):
         "_ring", "_streams", "_rng", "_config", "_tracer", "_entries", "_ch_cache",
         "_subs", "_reconcile", "_pending_drops", "_windows",
         "_msg_counter", "_sequence", "_gate", "_recovery", "_handshakes", "_down",
-        "on_response_time", "on_delivery", "on_wire_delivery",
+        "on_response_time",
         "published", "delivered", "duplicates", "redirects", "switches",
         "disconnects", "failovers", "reconnects", "resubscribes",
         "causal_timeouts", "gap_requests", "unrecoverable",
@@ -186,14 +187,6 @@ class DynamothClient(Actor):
         #: optional hook fired when the client receives its own publication
         #: back (the paper's response-time metric).
         self.on_response_time: Optional[ResponseTimeHook] = None
-        #: optional ground-truth delivery ledger hook: called once per
-        #: *non-duplicate* application delivery as ``(channel, envelope,
-        #: delivery)``, before the subscription callback.  The
-        #: ``repro.check`` property harness uses it to record exactly what
-        #: the application saw (including seq/epoch/replayed metadata).
-        self.on_delivery: Optional[Callable[[str, AppEnvelope, Delivery], None]] = None
-        #: protocol-level tap: every delivery off the wire, pre-dedup
-        self.on_wire_delivery: Optional[Callable[[str, Delivery], None]] = None
 
         # --- counters (metrics / tests) ---
         self.published = 0
@@ -232,7 +225,7 @@ class DynamothClient(Actor):
         """Subscribe to ``channel``; ``callback`` receives each publication.
 
         Without a callback a delivery still counts (``delivered``, the
-        trace, ``on_delivery``, ``on_response_time``) and calls nothing
+        trace, ``on_response_time``) and calls nothing
         else: a subscriber that only needs its own updates back, or a count
         of what it got, pays no frame per delivery.
         """
@@ -342,7 +335,7 @@ class DynamothClient(Actor):
             tracer.emit(
                 PublishEvent(
                     self.sim.now, msg_id, channel, self.node_id, mapping.version,
-                    tuple(targets), payload_size,
+                    tuple(targets), payload_size, pub_seq, deps,
                 )
             )
             tracer.publication_counters[channel].value += 1.0
@@ -560,9 +553,9 @@ class DynamothClient(Actor):
     def receive(self, message: Any, src_id: str) -> None:
         if isinstance(message, Delivery):
             # Hot path: one call per application delivery.  The fixed chain
-            # touch -> switch notice -> wire tap -> [sequence stage] ->
-            # dedup -> [causal gate] -> tail runs in this one frame (an
-            # at_most_once run has neither stage and pays for no other).
+            # touch -> switch notice -> [sequence stage] -> dedup ->
+            # [causal gate] -> tail runs in this one frame (an at_most_once
+            # run has neither stage and pays for no other).
             envelope = message.payload
             if not isinstance(envelope, AppEnvelope):
                 return
@@ -578,19 +571,22 @@ class DynamothClient(Actor):
                 return
 
             tracer = self._tracer
-            if self.on_wire_delivery is not None:
-                # Protocol-level tap: fires for every app delivery that
-                # made it off the wire, *before* seq/dedup suppression (a
-                # hole filled by a cross-stream duplicate is still a
-                # filled hole).
-                self.on_wire_delivery(channel, message)
             sequence = self._sequence
             if sequence is not None and message.seq is not None:
+                seq = message.seq
+                if tracer.enabled:
+                    # Traced before seq/dedup suppression: a hole filled by
+                    # a cross-stream duplicate is still a filled hole.
+                    tracer.emit(
+                        ArrivalEvent(
+                            sim.now, self.node_id, channel, message.server_id, seq,
+                            message.epoch, message.replayed,
+                        )
+                    )
                 # Predicted (TCP header prediction): the next number of a
                 # known stream in the same epoch with no holes moves the
                 # watermark here, as ``observe`` would; anything else is
                 # the stage's to judge.
-                seq = message.seq
                 stream = sequence.streams.get((message.server_id, channel))
                 if (
                     stream is not None and seq == stream.max_seq + 1
@@ -737,10 +733,9 @@ class DynamothClient(Actor):
                     DeliveryEvent(
                         sim.now, self.node_id, channel, envelope.msg_id, envelope.sender,
                         sim.now - envelope.sent_at, envelope.plan_version, delivery.server_id,
+                        delivery.replayed,
                     )
                 )
-            if self.on_delivery is not None:
-                self.on_delivery(channel, envelope, delivery)
             if envelope.sender == self.node_id and self.on_response_time is not None:
                 self.on_response_time(sim.now - envelope.sent_at, sim.now)
             sub = self._subs.get(channel)

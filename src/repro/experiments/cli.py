@@ -16,8 +16,9 @@ so results can be regenerated without pytest: ``fig5`` / ``headline`` /
 :data:`repro.experiments.run.SPECS` (``--paper-scale`` its ``-paper`` twin).
 
 Every figure subcommand also accepts ``--trace PATH``: the run is then
-executed with the flight recorder attached and a JSONL trace written to
-PATH, ready for ``python -m repro.obs summary PATH``.  Tracing does not
+executed with the flight recorder attached and a JSONL trace streamed to
+PATH (``--trace-gzip`` compresses it, ``--trace-rotate N`` splits it every
+N events), ready for ``python -m repro.obs summary PATH``.  Tracing does not
 change the simulation -- the printed tables are byte-identical with and
 without it.
 """
@@ -33,7 +34,6 @@ from typing import List, Optional
 from repro.core.config import DELIVERY_TIERS
 from repro.experiments import chaos, experiment1, report
 from repro.experiments.run import SPECS, RunSpec, run, with_policy
-from repro.obs.export import dump_tracer
 from repro.obs.sink import StreamingJsonlSink
 from repro.obs.trace import Tracer
 
@@ -50,24 +50,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(inspect it with: python -m repro.obs summary PATH)",
     )
     parser.add_argument(
-        "--stream-trace",
-        action="store_true",
-        help="write the trace incrementally through a bounded-memory "
-        "streaming sink instead of buffering every event in RAM "
-        "(requires --trace; output is byte-identical)",
-    )
-    parser.add_argument(
         "--trace-gzip",
         action="store_true",
-        help="gzip-compress the streamed trace (requires --stream-trace)",
+        help="gzip-compress the trace (requires --trace)",
     )
     parser.add_argument(
         "--trace-rotate",
         type=int,
         metavar="N",
         default=None,
-        help="rotate the streamed trace into PATH, PATH.1, ... every N "
-        "events (requires --stream-trace)",
+        help="rotate the trace into PATH, PATH.1, ... every N events "
+        "(requires --trace)",
     )
     parser.add_argument(
         "-v",
@@ -149,43 +142,25 @@ def _figure_spec(figure: str, args) -> RunSpec:
 
 
 def _make_tracer(args) -> Optional[Tracer]:
-    trace = args.trace
-    stream = args.stream_trace
-    compress = args.trace_gzip
-    rotate = args.trace_rotate
-    if stream and not trace:
-        raise SystemExit("error: --stream-trace requires --trace PATH")
-    if (compress or rotate is not None) and not stream:
-        raise SystemExit(
-            "error: --trace-gzip/--trace-rotate require --stream-trace"
-        )
-    if not trace:
+    """A tracer streaming to ``--trace`` through a bounded-memory sink, or
+    ``None``; the file is opened here, before the (long) simulation."""
+    if not args.trace:
+        if args.trace_gzip or args.trace_rotate is not None:
+            raise SystemExit("error: --trace-gzip/--trace-rotate require --trace PATH")
         return None
-    if stream:
-        try:
-            sink = StreamingJsonlSink(
-                trace, compress=compress, rotate_events=rotate
-            )
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write trace file: {exc}")
-        return Tracer(sink=sink)
-    # Fail before the (long) simulation, not at dump time afterwards.
     try:
-        with open(trace, "w", encoding="utf-8"):
-            pass
+        sink = StreamingJsonlSink(
+            args.trace, compress=args.trace_gzip, rotate_events=args.trace_rotate
+        )
     except OSError as exc:
         raise SystemExit(f"error: cannot write trace file: {exc}")
-    return Tracer()
+    return Tracer(sink=sink)
 
 
 def _dump(tracer: Optional[Tracer], args) -> None:
     if tracer is None:
         return
-    sink = tracer.sink
-    if sink is not None:
-        count = sink.finalize(tracer)
-    else:
-        count = dump_tracer(tracer, args.trace)
+    count = tracer.sink.finalize(tracer)
     logger.info("wrote %d trace events to %s", count, args.trace)
 
 
@@ -204,7 +179,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # tail (no trailer -- the run did not finish) so the events leading
         # up to the failure are on disk and a gzip member is not cut short.
         # After a finished run the sink is already closed and this is a no-op.
-        if tracer is not None and tracer.sink is not None:
+        if tracer is not None:
             tracer.sink.close()
 
 

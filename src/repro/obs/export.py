@@ -2,7 +2,7 @@
 
 Schema (one JSON object per line):
 
-* Line 1 is a header: ``{"type": "trace_header", "schema": 3}``.
+* Line 1 is a header: ``{"type": "trace_header", "schema": 4}``.
 * Every following line is one event: ``{"type": "<tag>", "t": <float>, ...}``
   where ``<tag>`` is a key of :data:`repro.obs.trace.EVENT_TYPES` and the
   remaining keys are that event dataclass's fields (tuples serialized as
@@ -49,14 +49,15 @@ from repro.obs.trace import (
 )
 
 #: Current writer schema.  v2 added the fault/recovery event types of the
-#: ``repro.faults`` subsystem; v3 adds the live-SLA events (sla_violation_*,
+#: ``repro.faults`` subsystem; v3 the live-SLA events (sla_violation_*,
 #: sla_window), the (since retired) ``profile`` snapshot event and
-#: DeliveryEvent.server.
-SCHEMA_VERSION = 3
-#: Schemas this reader accepts.  v1/v2 traces contain a strict subset of
-#: the v3 event types (and v3-grown fields have defaults), so they load
+#: DeliveryEvent.server; v4 the ``arrival`` and ``server_subscribe`` events,
+#: DeliveryEvent.replayed and PublishEvent.pub_seq / deps.
+SCHEMA_VERSION = 4
+#: Schemas this reader accepts.  Older traces contain a strict subset of
+#: the v4 event types (and later-grown fields have defaults), so they load
 #: unchanged.
-SUPPORTED_SCHEMAS = frozenset({1, 2, 3})
+SUPPORTED_SCHEMAS = frozenset({1, 2, 3, 4})
 HEADER_TYPE = "trace_header"
 
 #: GZIP magic bytes, for transparent sniffing on the read side.

@@ -85,7 +85,8 @@ class TraceEvent:
                 raise KeyError(f.name)
             value = data[f.name]
             if isinstance(value, list):
-                value = tuple(value)
+                # Nested arrays (causal ``deps`` pairs) come back as tuples too.
+                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
             kwargs[f.name] = value
         return cls(**kwargs)
 
@@ -105,6 +106,10 @@ class PublishEvent(TraceEvent):
     plan_version: int
     targets: Tuple[str, ...]
     payload_size: int
+    #: The envelope's causal stamps (schema 4): the sender's per-channel
+    #: publication number and its dependencies; 0 and () with causal order off.
+    pub_seq: int = 0
+    deps: Tuple[Tuple[str, int], ...] = ()
 
 
 @dataclass
@@ -134,6 +139,23 @@ class DeliveryEvent(TraceEvent):
     plan_version: int
     #: Broker that fanned out the delivery (schema 3; "" in older traces).
     server: str = ""
+    #: Whether the delivery came from a gap or resume replay (schema 4).
+    replayed: bool = False
+
+
+@dataclass
+class ArrivalEvent(TraceEvent):
+    """A sequenced delivery reached a client, before the sequence stage and
+    dedup judge it (schema 4; reliable tiers only)."""
+
+    TYPE = "arrival"
+
+    client: str
+    channel: str
+    server: str
+    seq: int
+    epoch: int
+    replayed: bool
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +187,18 @@ class PlanMissEvent(TraceEvent):
     client: str
     channel: str
     server: str
+
+
+@dataclass
+class ServerSubscribeEvent(TraceEvent):
+    """A broker processed a client's SUBSCRIBE (schema 4)."""
+
+    TYPE = "server_subscribe"
+
+    server: str
+    channel: str
+    client: str
+    plan_version: int
 
 
 # ----------------------------------------------------------------------
@@ -512,8 +546,10 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         PublishEvent,
         FanoutEvent,
         DeliveryEvent,
+        ArrivalEvent,
         SubscribeEvent,
         UnsubscribeEvent,
+        ServerSubscribeEvent,
         PlanMissEvent,
         LoadReportEvent,
         LoadSnapshotEvent,

@@ -35,7 +35,7 @@ class LabTask:
 def check_worker(task: CheckTask) -> Dict[str, Any]:
     """Run one generated scenario through every oracle.
 
-    The ``trace_sha256`` digest covers the full schema-2 trace body --
+    The ``trace_sha256`` digest covers the full trace body --
     the strongest per-seed determinism witness we have: two runs of the
     same seed (any process count, any machine) must agree on it.
     """
@@ -58,7 +58,7 @@ def check_worker(task: CheckTask) -> Dict[str, Any]:
         "causal_order": scenario.causal_order,
         "ok": not violations,
         "events": len(result.tracer.events),
-        "deliveries": len(result.ledger.deliveries),
+        "deliveries": len(result.view.deliveries),
         "trace_sha256": digest,
         "violations": [str(v) for v in violations],
     }

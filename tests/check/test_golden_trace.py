@@ -1,13 +1,12 @@
 """Byte witness: pinned scenario seeds must hash to the recorded traces.
 
 ``golden_trace_sha256.json`` holds the ``trace_sha256`` that
-``python -m repro.sweep check`` emits (sha256 of the full schema-2 trace
-body) for a fixed scenario set: the generator's own seeds 0-19, plus
-three fault profiles (crash, client-partition, client-loss) pinned to
-every delivery tier x causal on/off -- seeds on which the tiers really
-diverge (four distinct traces each; at_least_once and exactly_once differ
-only in suppressed duplicates, which the trace does not record) -- plus
-seed 38, the one pinned scenario whose reliable tiers *need* gap replay
+``python -m repro.sweep check`` emits (sha256 of the full trace body) for
+a fixed scenario set: the generator's own seeds 0-19, plus three fault
+profiles (crash, client-partition, client-loss) pinned to every delivery
+tier x causal on/off -- four distinct traces per seed, because
+at_least_once and exactly_once suppress the same duplicates here -- plus seed
+38, the one pinned scenario whose reliable tiers *need* gap replay
 (``tests/check/test_detection.py::GAP_SEED``: with replay disabled the
 gap-free oracle fails it, where seed 12 passes every oracle).  A
 refactor that claims "same bytes" keeps this file untouched; a change that
@@ -19,14 +18,11 @@ The digests must not depend on the hash seed: run this test under
 ``PYTHONHASHSEED`` 0, 1 and 3 (3 is where the full-size fig 7 diverges
 from 0 and 1).
 
-Last re-pinned when a ``Delivery`` on a channel the client had left
-stopped reaching the sequence stage and the causal gate: such a straggler
-no longer re-creates a dropped stream (whose resume point made the next
-SUBSCRIBE replay history) or parks behind a dropped channel's causal
-state.  Eight digests moved -- seeds 4, 12 and 15, and seed 12 on every
-pinned (tier, causal) pair but at_most_once plain, which has neither
-stage -- and every re-pinned scenario passes every oracle.  Moving the SUBSCRIBE handshake into the client's one
-table moved none.
+Last re-pinned at trace schema 4, which records what the check oracles
+read: ``arrival`` and ``server_subscribe`` events, ``replayed`` on
+deliveries and the causal stamps on publications.  Every digest moved,
+and by that alone: with those lines and keys removed and the header set
+back to schema 3, each trace equals the schema-3 one byte for byte.
 """
 
 from __future__ import annotations

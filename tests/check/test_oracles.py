@@ -1,8 +1,9 @@
-"""Oracle unit tests: each oracle fires on tampered ground truth and
-stays silent on an honest run."""
+"""Oracle unit tests: each oracle fires on a tampered trace and stays
+silent on an honest run."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -16,9 +17,13 @@ from repro.check.oracles import (
     oracle_ring_bounds,
     turbulence_windows,
 )
-from repro.check.scenario import Scenario, run_scenario
+from repro.broker.commands import ConnectionClosed
+from repro.check.scenario import Scenario, TraceView, run_scenario
+from repro.core.client import DynamothClient
+from repro.core.cluster import DynamothCluster
 from repro.core.plan import ChannelMapping, ReplicationMode
 from repro.faults.schedule import CrashServer, PartitionNodes
+from repro.obs.trace import DeliveryEvent, SubscribeEvent, Tracer
 
 #: a small, calm, steady scenario: no faults, no turbulence windows
 CALM = Scenario(seed=5, channels=2, subscribers=3, publishers=2)
@@ -33,35 +38,34 @@ def test_calm_run_passes_every_oracle(calm_result):
     assert check_result(calm_result) == []
 
 
+def with_trace(result, events):
+    """``result`` with ``events`` as its trace: the oracles read a fresh view."""
+    tracer = Tracer()
+    tracer.events = list(events)
+    return replace(result, tracer=tracer)
+
+
 def test_at_most_once_fires_on_duplicate_delivery(calm_result):
-    t, client, channel, msg_id = calm_result.ledger.deliveries[0]
-    calm_result.ledger.delivery_counts[(client, msg_id)] += 1
-    try:
-        violations = oracle_at_most_once(calm_result)
-        assert len(violations) == 1
-        assert violations[0].oracle == "at-most-once"
-        assert client in violations[0].detail and msg_id in violations[0].detail
-    finally:
-        calm_result.ledger.delivery_counts[(client, msg_id)] -= 1
+    events = calm_result.tracer.events
+    first = next(e for e in events if isinstance(e, DeliveryEvent))
+    violations = oracle_at_most_once(with_trace(calm_result, [*events, first]))
+    assert len(violations) == 1
+    assert violations[0].oracle == "at-most-once"
+    assert first.client in violations[0].detail and first.msg_id in violations[0].detail
 
 
 def test_loss_free_fires_on_suppressed_delivery(calm_result):
-    # Erase one subscriber's entire delivery record: some mid-run
-    # publication on a channel it stably covered must now be "lost".
-    ledger = calm_result.ledger
+    # Erase one subscriber's every delivery: some mid-run publication on a
+    # channel it stably covered must now be "lost".
     victim = CALM.subscriber_ids()[0]
-    saved = dict(ledger.delivery_counts)
-    for client, msg_id in list(ledger.delivery_counts):
-        if client == victim:
-            del ledger.delivery_counts[(client, msg_id)]
-    try:
-        violations = oracle_loss_free(calm_result)
-        assert violations, "suppressing all deliveries went unnoticed"
-        assert all(v.oracle == "loss-free" for v in violations)
-        assert any(victim in v.detail for v in violations)
-    finally:
-        ledger.delivery_counts.clear()
-        ledger.delivery_counts.update(saved)
+    events = [
+        e for e in calm_result.tracer.events
+        if not (isinstance(e, DeliveryEvent) and e.client == victim)
+    ]
+    violations = oracle_loss_free(with_trace(calm_result, events))
+    assert violations, "suppressing all deliveries went unnoticed"
+    assert all(v.oracle == "loss-free" for v in violations)
+    assert any(victim in v.detail for v in violations)
 
 
 def test_replication_soundness_fires_below_thresholds(calm_result):
@@ -112,3 +116,21 @@ def test_turbulence_windows_cover_faults_with_margin():
 
 def test_no_faults_means_no_turbulence(calm_result):
     assert turbulence_windows(calm_result) == []
+
+
+def test_a_reconnect_keeps_one_subscription_interval():
+    # A closed connection makes the client re-subscribe a channel it still
+    # holds: a second SubscribeEvent, and still one interval in the view.
+    tracer = Tracer()
+    cluster = DynamothCluster(seed=0, initial_servers=2, tracer=tracer)
+    client = cluster.create_client("reader")
+    client.subscribe("room:0")
+    cluster.run_until(1.0)
+    (server,) = client.subscription_servers("room:0")
+    client.receive(ConnectionClosed(server, "server-shutdown"), server)
+    cluster.run_until(3.0)
+    subscribes = [e.t for e in tracer.events_of(SubscribeEvent) if e.client == "reader"]
+    assert subscribes == [0.0, 1.0 + DynamothClient.RECONNECT_DELAY_S]
+    view = TraceView.read(tracer.events, horizon=3.0)
+    assert view.sub_intervals == {("reader", "room:0"): [[0.0, 3.0]]}
+    assert view.covers("reader", "room:0", 0.0, 3.0)

@@ -96,5 +96,5 @@ def test_generated_scenarios_are_seed_deterministic():
 def test_runs_produce_traffic_and_deliveries(seed):
     result = run_scenario(generate_scenario(seed))
     assert result.tracer.events, "run produced no trace events"
-    assert result.ledger.deliveries, "run produced no deliveries"
+    assert result.view.deliveries, "run produced no deliveries"
     assert result.final_plan.version >= 0

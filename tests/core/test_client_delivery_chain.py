@@ -212,7 +212,7 @@ class TestOneTail:
             config=DynamothConfig(causal_order=True),
         )
         seen = []
-        client.on_delivery = lambda ch, env, delivery: seen.append(("hook", env.msg_id))
+        tracer.add_observer(lambda event: seen.append(("trace", event.msg_id)), DeliveryEvent)
         client.subscribe("ch", lambda ch, body, env: seen.append(("app", env.msg_id)))
         return sim, client, tracer, seen
 
@@ -236,9 +236,9 @@ class TestOneTail:
         assert self.trace(tracer) == ["a:1", "b:1", "a:2"]
         # Each delivery runs the whole tail before the next one starts.
         assert seen == [
-            ("hook", "a:1"), ("app", "a:1"),
-            ("hook", "b:1"), ("app", "b:1"),
-            ("hook", "a:2"), ("app", "a:2"),
+            ("trace", "a:1"), ("app", "a:1"),
+            ("trace", "b:1"), ("app", "b:1"),
+            ("trace", "a:2"), ("app", "a:2"),
         ]
         assert client.delivered == 3
 

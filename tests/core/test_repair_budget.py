@@ -25,6 +25,7 @@ on purpose.
 
 from random import Random
 
+from repro.broker.commands import Delivery
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
 from repro.core.config import DynamothConfig
 from repro.faults import ChaosSchedule, DegradeLink, FaultInjector
@@ -60,16 +61,23 @@ def _lossy_run(seed: int = 0):
     subscribers, publishers, tasks = [], [], []
     originals = []
 
-    def count_originals(channel, delivery):
-        if not delivery.replayed:
-            originals.append(delivery.seq)
+    def count_originals(receive):
+        """A spy on one subscriber's ``receive``: original (not replayed)
+        sequenced deliveries off the wire, before dedup."""
+
+        def spy(message, src_id):
+            if isinstance(message, Delivery) and message.seq is not None and not message.replayed:
+                originals.append(message.seq)
+            receive(message, src_id)
+
+        return spy
 
     for c in range(CHANNELS):
         channel = f"tile:{c}"
         for s in range(SUBS):
             sub = cluster.create_client(f"sub-{c}-{s}")
             sub.subscribe(channel, lambda ch, body, envelope: None)
-            sub.on_wire_delivery = count_originals
+            vars(sub)["receive"] = count_originals(sub.receive)
             subscribers.append(sub)
         for p in range(PUBS):
             pub = cluster.create_client(f"pub-{c}-{p}")

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
 from repro.experiments.cli import main
-from repro.obs.export import iter_trace
-from repro.obs.trace import MetricsEvent
+from repro.obs.export import dump_tracer, iter_trace
+from repro.obs.trace import MetricsEvent, Tracer
 from tests.helpers import crash_clusters_at
 
 
@@ -39,25 +40,21 @@ class TestCli:
 
 
 class TestStreamingFlags:
-    def test_stream_trace_requires_trace(self):
-        with pytest.raises(SystemExit):
-            main(["chaos", "--smoke", "--stream-trace"])
-
-    def test_gzip_requires_stream(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["chaos", "--smoke", "--trace", str(tmp_path / "t.jsonl"),
-                 "--trace-gzip"]
-            )
+    def test_gzip_requires_stream(self):
+        """``--trace-gzip`` and ``--trace-rotate`` shape the stream that
+        ``--trace`` opens; without it they are an error."""
+        for flags in (["--trace-gzip"], ["--trace-rotate", "100"]):
+            with pytest.raises(SystemExit):
+                main(["chaos", "--smoke", *flags])
 
     def test_chaos_streamed_trace_matches_buffered(self, tmp_path, capsys):
         streamed = tmp_path / "streamed.jsonl"
         buffered = tmp_path / "buffered.jsonl"
-        assert main(
-            ["chaos", "--smoke", "--trace", str(streamed), "--stream-trace"]
-        ) == 0
-        assert main(["chaos", "--smoke", "--trace", str(buffered)]) == 0
+        assert main(["chaos", "--smoke", "--trace", str(streamed)]) == 0
         capsys.readouterr()
+        tracer = Tracer()
+        run_chaos(ChaosScenarioConfig.smoke(), tracer=tracer)
+        dump_tracer(tracer, buffered)
         assert streamed.read_bytes() == buffered.read_bytes()
 
     @pytest.mark.parametrize("gzip_flag", [[], ["--trace-gzip"]])
@@ -69,7 +66,7 @@ class TestStreamingFlags:
         with pytest.raises(RuntimeError, match="workload callback failed"):
             main(
                 ["fig4a", "--levels", "100", "--measure-s", "4",
-                 "--trace", str(path), "--stream-trace", *gzip_flag]
+                 "--trace", str(path), *gzip_flag]
             )
         events = list(iter_trace(path))
         assert len(events) == seen["emitted"] > 0

@@ -21,7 +21,7 @@ from repro.core.hashing import ConsistentHashRing
 from repro.core.messages import AppEnvelope
 from repro.core.reliability import REPLAY_CACHE_MAX_MSGS, REPLAY_RETRY_COOLDOWN_S, BrokerReliability
 from repro.faults import ChaosSchedule, DegradeLink, FaultInjector
-from repro.obs.trace import ReplayEvent, ReplayGapEvent, Tracer
+from repro.obs.trace import ArrivalEvent, ReplayEvent, ReplayGapEvent, Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import PeriodicTask
@@ -152,7 +152,8 @@ def _quiet_stream_run():
     finds the hole -- and the ReplayRequest that asks for m2 is lost too.
     Then nothing is published.  Returns (cluster, subscriber, received
     bodies, home server id, time the hole was found)."""
-    cluster = _cluster(DynamothConfig(delivery_tier="exactly_once"))
+    tracer = Tracer()
+    cluster = _cluster(DynamothConfig(delivery_tier="exactly_once"), tracer=tracer)
     home = cluster.plan.ring.lookup("arena")
     got = []
     sub = cluster.create_client("sub")
@@ -173,7 +174,7 @@ def _quiet_stream_run():
     for at, body in ((1.0, "m1"), (2.1, "m2"), (3.0, "m3")):
         cluster.sim.schedule_at(at, pub.publish, "arena", body, 60)
     found = []
-    sub.on_wire_delivery = lambda ch, delivery: found.append(cluster.sim.now)
+    tracer.add_observer(lambda arrival: found.append(arrival.t), ArrivalEvent)
     cluster.run_until(3.0)
     while len(found) < 2:  # step to m3's arrival: the hole is found and asked for
         cluster.sim.step()

@@ -6,7 +6,7 @@ holds the number itself in tier-1: the chaos smoke run, streamed and SLA-
 monitored, under the counting profile the ledger uses -- Python-level calls
 in files under ``repro/obs/`` per ``DeliveryEvent``.  The smoke run's fan-out
 is narrower than ``traced_crash``'s, so it emits more events per delivery
-and reads higher (2.69 here against 1.59 there).
+and reads higher (2.71 here against 1.61 there).
 
 Counts are exact and the same on any machine; there is no wall clock here.
 A change that needs more frames per delivery (hop records will) raises
@@ -18,13 +18,14 @@ from repro.obs.sink import StreamingJsonlSink
 from repro.obs.trace import DeliveryEvent, Tracer
 from tests.helpers import python_calls_by_function
 
-#: ``repro/obs`` calls per delivery: reads 2.69.  The floor is 1.6:
-#: ``Tracer.emit`` for each of the run's 1.62 events per delivery.  A
+#: ``repro/obs`` calls per delivery: reads 2.71, and the budget is that
+#: plus 10 %.  The floor is 1.64: ``Tracer.emit`` for each of the run's
+#: 1.64 events per delivery (200 of them server-side SUBSCRIBEs).  A
 #: delivery's run-level latency sample and its SLA leaf sample are appends
-#: inside that emit, no frame.  The rest (1.07) is the SLA window merges at
+#: inside that emit, no frame.  The rest (1.06) is the SLA window merges at
 #: slice boundaries with the registry's reads, and the chaos run's
 #: ``RecoveryWatch``.
-BUDGET = 4.0
+BUDGET = 2.98
 
 
 def test_obs_calls_per_delivery_within_budget(tmp_path):

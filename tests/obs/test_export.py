@@ -3,7 +3,7 @@
 import importlib
 import json
 import pkgutil
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from repro.obs.export import (
 )
 from repro.obs.trace import (
     EVENT_TYPES,
+    ArrivalEvent,
     CausalTimeoutEvent,
     ClientFailoverEvent,
     ClientReconnectEvent,
@@ -52,6 +53,7 @@ from repro.obs.trace import (
     ServerReadyEvent,
     ServerRestartEvent,
     ServerResurrectedEvent,
+    ServerSubscribeEvent,
     ServerSuspectEvent,
     SlaViolationEndEvent,
     SlaViolationStartEvent,
@@ -72,7 +74,9 @@ SAMPLE_EVENTS = [
     FanoutEvent(0.6, "pub1", "tile:1:1", None, 0, 298),  # msg-id-less payload
     DeliveryEvent(0.7, "bob", "tile:1:1", "m1", "alice", 0.012, 3, "pub1"),
     DeliveryEvent(0.7, "bob", "tile:1:1", "m1", "alice", 0.012, 3),  # v2: no server
+    ArrivalEvent(0.9, "bob", "tile:1:1", "pub1", 5, 1, True),  # schema 4
     SubscribeEvent(1.0, "bob", "tile:1:1", ("pub1",)),
+    ServerSubscribeEvent(1.1, "pub1", "tile:1:1", "bob", 3),  # schema 4
     UnsubscribeEvent(2.0, "bob", "tile:1:1"),
     PlanMissEvent(2.1, "bob", "ghost", "pub2"),
     LoadReportEvent(3.0, "pub1", 0.82, 0.4, 12),
@@ -131,12 +135,51 @@ def test_sample_covers_every_event_type():
     )
 
 
+#: a value unlike the field's default, by declared type
+NON_DEFAULT = {
+    "float": 1.25,
+    "int": 7,
+    "str": "x1",
+    "bool": True,
+    "Optional[str]": "m9",
+    "Optional[float]": 0.5,
+    "Tuple[str, ...]": ("a", "b"),
+    "Tuple[Tuple[str, int], ...]": (("w0", 3),),
+    "Dict[str, float]": {"pub1": 0.5},
+    "Dict[str, Any]": {"counters": {"x": 1.0}},
+}
+
+
 class TestRoundTrip:
     def test_every_event_type_round_trips_losslessly(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         assert write_trace(path, SAMPLE_EVENTS) == len(SAMPLE_EVENTS)
         loaded = read_trace(path)
         assert loaded == SAMPLE_EVENTS  # dataclass equality, field for field
+
+    @pytest.mark.parametrize("cls", list(EVENT_TYPES.values()), ids=lambda cls: cls.TYPE)
+    def test_every_field_round_trips_a_non_default_value(self, tmp_path, cls):
+        # Keyed by the declared type: a field of a new type fails here until
+        # it is given a value.
+        event = cls(**{f.name: NON_DEFAULT[f.type] for f in fields(cls)})
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, [event])
+        assert read_trace(path) == [event]
+
+    def test_schema_3_lines_load_with_the_schema_4_fields_defaulted(self, tmp_path):
+        path = tmp_path / "v3.jsonl"
+        path.write_text(
+            '{"type": "trace_header", "schema": 3}\n'
+            '{"channel":"tile:1:1","msg_id":"m1","payload_size":120,"plan_version":3,'
+            '"sender":"alice","t":0.5,"targets":["pub1"],"type":"publish"}\n'
+            '{"channel":"tile:1:1","client":"bob","latency_s":0.012,"msg_id":"m1",'
+            '"plan_version":3,"sender":"alice","server":"pub1","t":0.7,"type":"delivery"}\n'
+        )
+        publish, delivery = read_trace(path)
+        assert publish == PublishEvent(0.5, "m1", "tile:1:1", "alice", 3, ("pub1",), 120, 0, ())
+        assert delivery == DeliveryEvent(
+            0.7, "bob", "tile:1:1", "m1", "alice", 0.012, 3, "pub1", False
+        )
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"

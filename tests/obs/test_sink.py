@@ -111,10 +111,11 @@ class TestPinnedBytes:
     #: threshold: they see neither the ``sla_*`` events nor the metrics
     #: trailer.  This file has both, so a change to the emit path, the SLA
     #: monitor or an instrument that moves a byte moves this value.  So does
-    #: a change to the simulation itself.  It last moved when the per-send
-    #: tap went: the events are byte-identical, and the trailer lost its
-    #: per-node ``messages_sent_total`` / ``bytes_sent_total`` rows.
-    SMOKE_TRACE_SHA256 = "f29e39efd54e84bc3ba7beee338c162848d9ff627daff734f3a047b2f35ace23"
+    #: a change to the simulation itself.  It last moved at trace schema 4:
+    #: with the ``arrival`` / ``server_subscribe`` lines, ``replayed`` on
+    #: deliveries and ``pub_seq`` / ``deps`` on publications removed and the
+    #: header set back to 3, the file equals the schema-3 one byte for byte.
+    SMOKE_TRACE_SHA256 = "3fc29f009d5cbeb7b9149202bf794234bd6743e8b9978aad92ab86445fd6e052"
 
     @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "buffered"])
     def test_chaos_smoke_trace_is_pinned(self, tmp_path, streamed):

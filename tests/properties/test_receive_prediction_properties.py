@@ -24,6 +24,7 @@ from repro.broker.commands import Delivery, ReplayGapNotice, ReplayRequest
 from repro.core.config import DynamothConfig
 from repro.core.messages import AppEnvelope
 from repro.core.reliability import CausalGate, ParkTimeout, SequenceStage
+from repro.obs.trace import DeliveryEvent, Tracer
 from repro.sim.kernel import Simulator
 from tests.helpers import make_bare_client
 
@@ -165,11 +166,8 @@ def _gate_state(gate: CausalGate) -> dict:
 
 def _check_against_reference(tier: str, causal: bool, ops) -> None:
     config = DynamothConfig(delivery_tier=tier, causal_order=causal)
-    sim, wire, client = make_bare_client("me", servers=SERVERS, config=config)
-    delivered: List[Tuple[float, str]] = []
-    client.on_delivery = lambda channel, envelope, delivery: delivered.append(
-        (sim.now, envelope.msg_id)
-    )
+    tracer = Tracer()
+    sim, wire, client = make_bare_client("me", servers=SERVERS, config=config, tracer=tracer)
     for channel in CHANNELS:
         client.subscribe(channel, lambda channel, body, envelope: None)
     holders = {channel: client.subscription_servers(channel) for channel in CHANNELS}
@@ -207,6 +205,7 @@ def _check_against_reference(tier: str, causal: bool, ops) -> None:
             sim.run_until(sim.now + tick)
             reference.sim.run_until(reference.sim.now + tick)
 
+    delivered = [(event.t, event.msg_id) for event in tracer.events_of(DeliveryEvent)]
     assert delivered == reference.delivered
     assert client.delivered == len(reference.delivered)
     assert client.duplicates == reference.duplicates
