@@ -6,17 +6,10 @@ events.  This module turns that into a one-command localization::
 
     python -m repro.analysis bisect left.jsonl right.jsonl
 
-The algorithm is the classic prefix-hash bisection, streamed so neither
-trace is ever held in memory:
-
-1. **Checkpoint pass** -- stream both files in lockstep, folding each
-   event line into a running SHA-256 and recording the running digest at
-   every ``chunk`` boundary (default 4096 events).  Prefix digests are
-   monotone: once the inputs diverge, every later checkpoint differs.
-2. **Binary search** over the checkpoint arrays for the first differing
-   chunk -- O(log n) comparisons over O(n / chunk) digests.
-3. **Rescan** just that chunk, comparing raw lines, for the exact event
-   index.
+Both files are streamed in lockstep, one event line from each at a time,
+so neither trace is ever held in memory: the first pair of lines that
+differ (or the first line one side lacks) is the divergence, and the
+walk goes on to the end of both files to count their events.
 
 The divergent event is then decoded (type tag + virtual time ``t``) and
 attributed to its emitting subsystem via the static table below, which
@@ -31,12 +24,12 @@ naming the file and line -- an unreadable input, never a divergence.
 from __future__ import annotations
 
 import gzip
-import hashlib
 import json
 import zlib
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Any, Dict, Iterator, Optional, Tuple
 
 #: event type tag -> emitting subsystem (kept in sync with the emit
 #: sites in src/; the facts unit test cross-checks a sample).
@@ -146,72 +139,24 @@ def _event_lines(path: Path) -> Iterator[bytes]:
             ) from exc
 
 
-def _checkpoints(path: Path, chunk: int) -> Tuple[List[str], int]:
-    """Running prefix digests at each chunk boundary, plus event count."""
-    digest = hashlib.sha256()
-    marks: List[str] = []
-    count = 0
-    for line in _event_lines(path):
-        digest.update(line)
-        digest.update(b"\n")
-        count += 1
-        if count % chunk == 0:
-            marks.append(digest.hexdigest())
-    marks.append(digest.hexdigest())  # final partial chunk
-    return marks, count
-
-
-def _first_diff_chunk(left: List[str], right: List[str]) -> int:
-    """Binary search for the first checkpoint index where digests differ.
-
-    Prefix digests are monotone (equal up to the divergence, unequal
-    after), which is what makes bisection valid.  Returns ``len`` when
-    every shared checkpoint agrees.
-    """
-    shared = min(len(left), len(right))
-    lo, hi = 0, shared
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if left[mid] == right[mid]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def bisect_traces(
-    left_path: Path, right_path: Path, chunk: int = 4096
-) -> Optional[Divergence]:
+def bisect_traces(left_path: Path, right_path: Path) -> Optional[Divergence]:
     """First diverging event between two traces, or ``None`` if identical."""
-    left_marks, left_total = _checkpoints(left_path, chunk)
-    right_marks, right_total = _checkpoints(right_path, chunk)
-    if left_marks == right_marks and left_total == right_total:
+    first: Optional[Tuple[int, Optional[bytes], Optional[bytes]]] = None
+    left_total = right_total = 0
+    pairs = zip_longest(_event_lines(left_path), _event_lines(right_path))
+    for index, (left, right) in enumerate(pairs):
+        left_total += left is not None
+        right_total += right is not None
+        if first is None and left != right:
+            first = (index, left, right)
+    if first is None:
         return None
-    first_chunk = _first_diff_chunk(left_marks, right_marks)
-    start = first_chunk * chunk
-    # Rescan only the suspect chunk (every earlier chunk hashed equal).
-    left_lines = list(_slice_lines(left_path, start, chunk))
-    right_lines = list(_slice_lines(right_path, start, chunk))
-    index = start
-    for offset in range(max(len(left_lines), len(right_lines))):
-        left_line = left_lines[offset] if offset < len(left_lines) else None
-        right_line = right_lines[offset] if offset < len(right_lines) else None
-        if left_line != right_line:
-            index = start + offset
-            return _decode(
-                index, left_line, right_line, left_total, right_total
-            )
-    # Digests differed only past the shared checkpoints: pure truncation.
-    index = min(left_total, right_total)
-    return _decode(index, None, None, left_total, right_total)
+    index, left, right = first
+    return _decode(index, _text(left), _text(right), left_total, right_total)
 
 
-def _slice_lines(path: Path, start: int, count: int) -> Iterator[str]:
-    for position, line in enumerate(_event_lines(path)):
-        if position >= start + count:
-            return
-        if position >= start:
-            yield line.decode("utf-8", errors="replace")
+def _text(line: Optional[bytes]) -> Optional[str]:
+    return None if line is None else line.decode("utf-8", errors="replace")
 
 
 def _decode(
@@ -237,8 +182,6 @@ def _decode(
             t = float(raw_t) if isinstance(raw_t, (int, float)) else None
             break
     subsystem = SUBSYSTEMS.get(event_type or "", "unknown")
-    if left is None and right is None:
-        subsystem = "truncation"
     return Divergence(
         index=index,
         left=left,

@@ -11,8 +11,8 @@ Subcommands
     class docstring under ``repro/analysis/rules/``.
 
 ``bisect LEFT.jsonl RIGHT.jsonl`` / ``bisect --seed N``
-    Localize the first diverging event between two trace files by
-    prefix-hash bisection (exit 0: identical, 1: divergence found,
+    Localize the first diverging event between two trace files in one
+    lockstep pass (exit 0: identical, 1: divergence found,
     2: a trace could not be read, e.g. a gzip stream cut short).
     With ``--seed``, run the property-check scenario twice under
     different ``PYTHONHASHSEED`` values as a hash-order divergence

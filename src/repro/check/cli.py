@@ -1,15 +1,16 @@
-"""``python -m repro.check``: run, replay, and shrink property scenarios.
+"""``python -m repro.check``: run, replay, and shrink one property scenario.
 
-Modes:
+Exactly one of:
 
-* default -- run ``--iterations`` generated scenarios (seeds 0..N-1),
-  stop at the first violation, shrink it and print the minimal
-  reproducer (exit 1), or report all-clear (exit 0);
-* ``--seed S`` -- run exactly one generated scenario, shrinking on
-  violation; this is the replay command printed with every failure;
+* ``--seed S`` -- run generated scenario ``S``; this is the replay
+  command printed with every failure;
 * ``--scenario FILE`` -- run a scenario from its JSON (e.g. a minimized
   reproducer artifact) without regenerating from the seed; a FILE that is
   not a scenario is one ``error: FILE: ...`` line on stderr and exit 2.
+
+A violation is shrunk and the minimal reproducer printed (exit 1); a
+clean run exits 0.  Soaking many seeds is ``python -m repro.sweep
+check --iterations N``.
 
 ``--break-repair-replay`` flips the dispatcher's test-only kill switch so
 the suite's own detection power can be demonstrated end to end;
@@ -84,16 +85,14 @@ def _handle_failure(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
-        description="Property-test the Dynamoth reproduction with "
-        "randomized fault scenarios and invariant oracles.",
+        description="Property-test the Dynamoth reproduction with one "
+        "randomized fault scenario and the invariant oracles.",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="run exactly this generated scenario seed")
-    parser.add_argument("--iterations", type=int, default=20,
-                        help="number of seeds to sweep when no --seed/"
-                             "--scenario is given (default: 20)")
-    parser.add_argument("--scenario", type=Path, default=None,
-                        help="run a scenario from its JSON file")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--seed", type=int, default=None,
+                       help="run this generated scenario seed")
+    which.add_argument("--scenario", type=Path, default=None,
+                       help="run a scenario from its JSON file")
     parser.add_argument("--break-repair-replay", action="store_true",
                         help="disable the dispatcher's repair-buffer replay "
                              "(test-only fault to demo oracle detection)")
@@ -108,15 +107,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="pin causal-order mode on (--causal) or off "
                              "(--no-causal) instead of sampling it")
     parser.add_argument("--no-shrink", action="store_true",
-                        help="report the first violation without shrinking")
+                        help="report the violation without shrinking")
     parser.add_argument("--shrink-budget", type=int, default=32,
                         help="max candidate runs during shrinking (default: 32)")
     parser.add_argument("--artifacts", type=Path, default=None,
                         help="directory to write minimized reproducer JSON to")
     parser.add_argument("--trace", type=Path, default=None,
-                        help="stream each run's trace to this JSONL file "
-                             "(overwritten per scenario, so it holds the "
-                             "failing -- or last -- run)")
+                        help="stream the run's trace to this JSONL file")
     args = parser.parse_args(argv)
 
     if args.scenario is not None:
@@ -134,39 +131,36 @@ def main(argv: Optional[List[str]] = None) -> int:
             scenario = replace(scenario, delivery_tier=args.tier)
         if args.causal is not None:
             scenario = replace(scenario, causal_order=args.causal)
-        scenarios = [scenario]
+    elif args.seed is not None:
+        scenario = generate_scenario(
+            args.seed,
+            break_repair_replay=args.break_repair_replay,
+            break_reliable_replay=args.break_reliable_replay,
+            delivery_tier=args.tier,
+            causal_order=args.causal,
+        )
     else:
-        seeds = [args.seed] if args.seed is not None else range(args.iterations)
-        scenarios = [
-            generate_scenario(
-                seed,
-                break_repair_replay=args.break_repair_replay,
-                break_reliable_replay=args.break_reliable_replay,
-                delivery_tier=args.tier,
-                causal_order=args.causal,
-            )
-            for seed in seeds
-        ]
+        parser.error("one of --seed S or --scenario FILE is required; "
+                     "to soak seeds 0..N-1 run python -m repro.sweep check "
+                     "--iterations N")
 
-    for scenario in scenarios:
-        if args.trace is None:
-            result = run_scenario(scenario)
-        else:
-            # Tee mode: stream to disk while also buffering, because the
-            # oracles read result.tracer.events after the run.  Should the
-            # scenario raise, leaving the ``with`` flushes the events that
-            # led up to it (no trailer); after finalize it is a no-op.
-            with StreamingJsonlSink(str(args.trace)) as sink:
-                tracer = Tracer(sink=sink, keep_events=True)
-                result = run_scenario(scenario, tracer=tracer)
-                sink.finalize(tracer)
-        violations = check_result(result)
-        if violations:
-            return _handle_failure(scenario, violations, args)
-        print(f"ok   seed={scenario.seed} label={scenario.label} "
-              f"({len(result.tracer.events)} events, "
-              f"{len(result.view.deliveries)} deliveries)")
-    print(f"\nall {len(scenarios)} scenario(s) passed every oracle")
+    if args.trace is None:
+        result = run_scenario(scenario)
+    else:
+        # Tee mode: stream to disk while also buffering, because the
+        # oracles read result.tracer.events after the run.  Should the
+        # scenario raise, leaving the ``with`` flushes the events that
+        # led up to it (no trailer); after finalize it is a no-op.
+        with StreamingJsonlSink(str(args.trace)) as sink:
+            tracer = Tracer(sink=sink, keep_events=True)
+            result = run_scenario(scenario, tracer=tracer)
+            sink.finalize(tracer)
+    violations = check_result(result)
+    if violations:
+        return _handle_failure(scenario, violations, args)
+    print(f"ok   seed={scenario.seed} label={scenario.label} "
+          f"({len(result.tracer.events)} events, "
+          f"{len(result.view.deliveries)} deliveries)")
     return 0
 
 

@@ -39,7 +39,6 @@ from repro.core.reliability import BrokerReliability
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import (
     ChaosSchedule,
-    ConcreteAction,
     FaultAction,
     action_from_dict,
     action_to_dict,
@@ -278,7 +277,7 @@ class RunResult:
     cluster: DynamothCluster
     tracer: Tracer
     #: the injector's concrete (expanded) fault timeline
-    fault_timeline: Tuple[ConcreteAction, ...]
+    fault_timeline: Tuple[FaultAction, ...]
 
     @cached_property
     def view(self) -> TraceView:
@@ -460,7 +459,7 @@ def _run_scenario(scenario: Scenario, tracer: Optional[Tracer]) -> RunResult:
         tracer=tracer,
     )
     injector: Optional[FaultInjector] = None
-    timeline: Tuple[ConcreteAction, ...] = ()
+    timeline: Tuple[FaultAction, ...] = ()
     if scenario.faults:
         injector = FaultInjector(cluster, ChaosSchedule(tuple(scenario.faults)))
         injector.arm()

@@ -11,7 +11,7 @@ The built-in policies, one table keyed by ``DynamothConfig.rebalance_policy``:
   (Experiment 2).
 
 Select one via ``DynamothConfig.rebalance_policy``; compare them by
-running each on the same scenario with ``python -m repro.lab compare``
+running each on the same scenario with ``python -m repro.sweep lab``
 (see :mod:`repro.lab`).
 """
 

@@ -17,8 +17,8 @@ so results can be regenerated without pytest: ``fig5`` / ``headline`` /
 
 Every figure subcommand also accepts ``--trace PATH``: the run is then
 executed with the flight recorder attached and a JSONL trace streamed to
-PATH (``--trace-gzip`` compresses it, ``--trace-rotate N`` splits it every
-N events), ready for ``python -m repro.obs summary PATH``.  Tracing does not
+PATH (``--trace-gzip`` compresses it), ready for ``python -m repro.obs
+summary PATH``.  Tracing does not
 change the simulation -- the printed tables are byte-identical with and
 without it.
 """
@@ -53,14 +53,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--trace-gzip",
         action="store_true",
         help="gzip-compress the trace (requires --trace)",
-    )
-    parser.add_argument(
-        "--trace-rotate",
-        type=int,
-        metavar="N",
-        default=None,
-        help="rotate the trace into PATH, PATH.1, ... every N events "
-        "(requires --trace)",
     )
     parser.add_argument(
         "-v",
@@ -145,13 +137,11 @@ def _make_tracer(args) -> Optional[Tracer]:
     """A tracer streaming to ``--trace`` through a bounded-memory sink, or
     ``None``; the file is opened here, before the (long) simulation."""
     if not args.trace:
-        if args.trace_gzip or args.trace_rotate is not None:
-            raise SystemExit("error: --trace-gzip/--trace-rotate require --trace PATH")
+        if args.trace_gzip:
+            raise SystemExit("error: --trace-gzip requires --trace PATH")
         return None
     try:
-        sink = StreamingJsonlSink(
-            args.trace, compress=args.trace_gzip, rotate_events=args.trace_rotate
-        )
+        sink = StreamingJsonlSink(args.trace, compress=args.trace_gzip)
     except OSError as exc:
         raise SystemExit(f"error: cannot write trace file: {exc}")
     return Tracer(sink=sink)

@@ -20,7 +20,6 @@ from repro.faults.schedule import (
     DegradeLink,
     HealPartition,
     PartitionNodes,
-    RandomCrashes,
     RestartServer,
     StallLla,
     action_from_dict,
@@ -35,7 +34,6 @@ __all__ = [
     "HealPartition",
     "NetworkFaultPlane",
     "PartitionNodes",
-    "RandomCrashes",
     "RestartServer",
     "StallLla",
     "action_from_dict",

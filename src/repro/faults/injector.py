@@ -1,9 +1,9 @@
 """The fault injector: arms a chaos schedule against a live cluster.
 
-The injector owns two dedicated RNG streams -- ``"chaos"`` for expanding
-stochastic schedules and ``"chaos-net"`` for the network fault plane -- so
-arming a schedule never perturbs any other stream: a run with an armed but
-empty schedule is byte-identical to an uninjected run of the same seed.
+The injector owns one dedicated RNG stream, ``"chaos-net"``, for the
+network fault plane, so arming a schedule never perturbs any other
+stream: a run with an armed but empty schedule is byte-identical to an
+uninjected run of the same seed.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from repro.core.cluster import DynamothCluster
 from repro.faults.netfaults import NetworkFaultPlane
 from repro.faults.schedule import (
     ChaosSchedule,
-    ConcreteAction,
     CrashServer,
     DegradeLink,
+    FaultAction,
     HealPartition,
     PartitionNodes,
     RestartServer,
@@ -31,11 +31,10 @@ class FaultInjector:
     def __init__(self, cluster: DynamothCluster, schedule: ChaosSchedule):
         self.cluster = cluster
         self.schedule = schedule
-        self._rng = cluster.rng.stream("chaos")
         self.plane = NetworkFaultPlane(cluster.rng.stream("chaos-net"))
         self._armed = False
-        #: the expanded, concrete fault timeline (filled by :meth:`arm`)
-        self.timeline: List[ConcreteAction] = []
+        #: the time-sorted fault timeline (filled by :meth:`arm`)
+        self.timeline: List[FaultAction] = []
 
         # --- counters ---
         self.crashes = 0
@@ -45,20 +44,17 @@ class FaultInjector:
         self.link_faults = 0
         self.lla_stalls = 0
 
-    def arm(self) -> List[ConcreteAction]:
+    def arm(self) -> List[FaultAction]:
         """Schedule every action.
 
         The network fault plane goes onto the transport with its first
-        rule, not here (:meth:`_plane_changed`).  Returns the concrete
-        timeline (stochastic processes expanded), so experiments can record
-        exactly which faults will fire.
+        rule, not here (:meth:`_plane_changed`).  Returns the time-sorted
+        timeline, so experiments can record exactly which faults will fire.
         """
         if self._armed:
             raise RuntimeError("injector already armed")
         self._armed = True
-        self.timeline = self.schedule.expand(
-            self._rng, sorted(self.cluster.servers)
-        )
+        self.timeline = self.schedule.expand()
         for action in self.timeline:
             self.cluster.sim.schedule_at(action.at, self._execute, action)
         return self.timeline
@@ -66,7 +62,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute(self, action: ConcreteAction) -> None:
+    def _execute(self, action: FaultAction) -> None:
         if isinstance(action, CrashServer):
             if action.server in self.cluster.servers:
                 self.cluster.crash_server(action.server)
@@ -93,7 +89,7 @@ class FaultInjector:
                 )
         elif isinstance(action, StallLla):
             self._stall(action)
-        else:  # pragma: no cover - schedule.expand only emits the above
+        else:  # pragma: no cover - FaultAction is the above
             raise TypeError(f"unknown fault action: {type(action).__name__}")
 
     def _group(self, endpoint: str) -> tuple:

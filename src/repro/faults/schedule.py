@@ -1,17 +1,13 @@
 """Declarative chaos schedules.
 
 A :class:`ChaosSchedule` is an immutable list of fault actions, each
-stamped with its (virtual) execution time.  Deterministic actions name an
-exact time and target; the stochastic :class:`RandomCrashes` process is
-*expanded* into concrete crash/restart actions by :meth:`ChaosSchedule
-.expand` using the injector's dedicated ``"chaos"`` RNG stream -- so the
-same seed always yields the same fault timeline, and fault-free runs never
-touch that stream at all.
+stamped with its (virtual) execution time and naming an exact target, so
+a schedule is its own fault timeline: :meth:`ChaosSchedule.expand` only
+sorts it by time.
 """
 
 from __future__ import annotations
 
-from random import Random
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -82,34 +78,7 @@ class StallLla:
     duration_s: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class RandomCrashes:
-    """Poisson crash process over ``[start, end)`` at ``rate_per_s``.
-
-    Each sampled instant crashes one uniformly chosen *currently-known*
-    server; with ``restart_after_s`` set, every crash is followed by a
-    restart that much later.  Expanded deterministically from the chaos
-    RNG stream before the run starts.
-    """
-
-    rate_per_s: float
-    start: float
-    end: float
-    restart_after_s: Optional[float] = None
-
-
 FaultAction = Union[
-    CrashServer,
-    RestartServer,
-    PartitionNodes,
-    HealPartition,
-    DegradeLink,
-    StallLla,
-    RandomCrashes,
-]
-
-#: Action types executable as-is (everything except RandomCrashes).
-ConcreteAction = Union[
     CrashServer,
     RestartServer,
     PartitionNodes,
@@ -123,11 +92,10 @@ ConcreteAction = Union[
 class ChaosSchedule:
     """An immutable fault timeline; see the module docstring.
 
-    Construction validates the *declarative* actions: per-action parameter
-    ranges, restarts that reference a server never crashed (or not yet
-    crashed at restart time), and overlapping partition windows on the
-    same node pair.  :class:`RandomCrashes` expansions are exempt -- the
-    injector already tolerates crash/restart races in sampled timelines.
+    Construction validates the actions: per-action parameter ranges,
+    restarts that reference a server never crashed (or not yet crashed at
+    restart time), and overlapping partition windows on the same node
+    pair.
     """
 
     actions: Tuple[FaultAction, ...] = ()
@@ -139,10 +107,9 @@ class ChaosSchedule:
         """Raise ``ValueError`` on an ill-formed schedule."""
         for action in self.actions:
             _validate_params(action)
-        concrete = [a for a in self.actions if not isinstance(a, RandomCrashes)]
-        concrete.sort(key=lambda a: a.at)
-        _validate_crash_restart_order(concrete)
-        _validate_partition_windows(concrete)
+        timeline = self.expand()
+        _validate_crash_restart_order(timeline)
+        _validate_partition_windows(timeline)
 
     @classmethod
     def single_crash(
@@ -157,59 +124,15 @@ class ChaosSchedule:
             actions.append(RestartServer(at + restart_after_s, server))
         return cls(tuple(actions))
 
-    def expand(
-        self, rng: Random, server_ids: Sequence[str]
-    ) -> List[ConcreteAction]:
-        """Resolve stochastic actions into a concrete, time-sorted list.
-
-        ``server_ids`` must be passed in deterministic order (the injector
-        sorts them); ``rng`` is consumed only for :class:`RandomCrashes`
-        entries, so schedules without them expand identically regardless
-        of the stream's state.
-        """
-        concrete: List[ConcreteAction] = []
-        for action in self.actions:
-            if isinstance(action, RandomCrashes):
-                concrete.extend(self._expand_random(action, rng, server_ids))
-            else:
-                concrete.append(action)
-        # Stable sort on time: simultaneous actions keep schedule order.
-        concrete.sort(key=lambda a: a.at)
-        return concrete
-
-    @staticmethod
-    def _expand_random(
-        process: RandomCrashes, rng: Random, server_ids: Sequence[str]
-    ) -> List[ConcreteAction]:
-        if process.rate_per_s <= 0.0 or not server_ids:
-            return []
-        out: List[ConcreteAction] = []
-        t = process.start
-        while True:
-            t += rng.expovariate(process.rate_per_s)
-            if t >= process.end:
-                break
-            server = server_ids[rng.randrange(len(server_ids))]
-            out.append(CrashServer(t, server))
-            if process.restart_after_s is not None:
-                out.append(RestartServer(t + process.restart_after_s, server))
-        return out
+    def expand(self) -> List[FaultAction]:
+        """The actions sorted by time; simultaneous ones keep schedule order."""
+        return sorted(self.actions, key=lambda a: a.at)
 
 
 # ----------------------------------------------------------------------
 # Validation helpers
 # ----------------------------------------------------------------------
 def _validate_params(action: FaultAction) -> None:
-    if isinstance(action, RandomCrashes):
-        if action.rate_per_s < 0.0:
-            raise ValueError(f"RandomCrashes rate must be >= 0, got {action.rate_per_s}")
-        if action.end < action.start:
-            raise ValueError(
-                f"RandomCrashes window ends ({action.end}) before it starts ({action.start})"
-            )
-        if action.restart_after_s is not None and action.restart_after_s <= 0.0:
-            raise ValueError("RandomCrashes restart_after_s must be positive")
-        return
     if action.at < 0.0:
         raise ValueError(f"action time must be >= 0, got {action.at} for {action}")
     if isinstance(action, (PartitionNodes, HealPartition, DegradeLink)):
@@ -230,10 +153,10 @@ def _validate_params(action: FaultAction) -> None:
             raise ValueError(f"stall duration must be positive, got {action.duration_s}")
 
 
-def _validate_crash_restart_order(concrete: Sequence[ConcreteAction]) -> None:
+def _validate_crash_restart_order(timeline: Sequence[FaultAction]) -> None:
     """Every declarative restart must follow a crash of the same server."""
     down: set = set()
-    for action in concrete:
+    for action in timeline:
         if isinstance(action, CrashServer):
             # crashing an already-dead server is tolerated (the injector
             # skips it), so only the restart side is strict here
@@ -246,10 +169,10 @@ def _validate_crash_restart_order(concrete: Sequence[ConcreteAction]) -> None:
             down.discard(action.server)
 
 
-def _validate_partition_windows(concrete: Sequence[ConcreteAction]) -> None:
+def _validate_partition_windows(timeline: Sequence[FaultAction]) -> None:
     """No two partition windows on the same node pair may overlap."""
     events: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
-    for action in concrete:
+    for action in timeline:
         if isinstance(action, PartitionNodes):
             pair = (min(action.a, action.b), max(action.a, action.b))
             events.setdefault(pair, []).append((action.at, 1))
@@ -284,7 +207,6 @@ _ACTION_CLASSES = {
     "heal": HealPartition,
     "degrade_link": DegradeLink,
     "stall_lla": StallLla,
-    "random_crashes": RandomCrashes,
 }
 _ACTION_KINDS = {cls: kind for kind, cls in _ACTION_CLASSES.items()}
 

@@ -6,27 +6,25 @@ the harness that exploits it.  :func:`run_policy` runs one
 :class:`~repro.experiments.run.RunSpec` under one policy and
 :func:`read_row` reads the comparison row -- SLA violations, delivery
 ratio, plan pushes, migration churn, spawns, rented server-hours, load
-ratios -- off the run's record; :func:`compare_policies` tabulates every
-registered policy on the same spec and seed.
+ratios -- off the run's record; :func:`make_report` gathers one spec's
+rows and :func:`report_markdown` renders them.
 
-``python -m repro.lab compare`` is the front end; ``python -m repro.sweep
-lab`` fans all scenarios over worker processes.
+``python -m repro.sweep lab`` is the front end: it runs every
+(spec, policy) pair, in process or over worker processes.
 """
 
 from repro.lab.compare import (
     LAB_SPECS,
-    compare_policies,
+    make_report,
     read_row,
-    report_json,
     report_markdown,
     run_policy,
 )
 
 __all__ = [
     "LAB_SPECS",
-    "compare_policies",
+    "make_report",
     "read_row",
-    "report_json",
     "report_markdown",
     "run_policy",
 ]

@@ -6,20 +6,17 @@ the comparison row off the :class:`~repro.experiments.run.RunRecord` --
 the balancer's plan ledger, event log and load samples, the cluster's
 rental accounting, the SLA monitor's report and how many published
 updates came back.  Nothing is modelled: a row says what that policy
-*did*.  ``compare_policies`` does so for every requested policy on the
-same spec, seed and SLA threshold; the report renders to markdown (for
-humans and CI artifacts) and JSON (for tooling), both byte-identical run
-to run.
+*did*.  ``make_report`` gathers every policy's row on one spec, seed and
+SLA threshold (:func:`repro.sweep.lab_sweep` runs them), and
+``report_markdown`` renders it, byte-identical run to run.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 from collections import Counter
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.core.policy import available_policies
 from repro.experiments.run import RunRecord, RunSpec, run, with_policy
 from repro.obs.trace import Tracer
 
@@ -96,25 +93,6 @@ def make_report(
         "sla_threshold_s": sla_threshold_s,
         "policies": list(rows),
     }
-
-
-def compare_policies(
-    scenario: RunSpec,
-    policies: Sequence[str] = (),
-    *,
-    seed: int = 0,
-    sla_threshold_s: float = DEFAULT_SLA_THRESHOLD_S,
-) -> Dict[str, Any]:
-    """Run ``scenario`` under each policy (default: all registered)."""
-    rows = [
-        run_policy(scenario, name, seed, sla_threshold_s)
-        for name in policies or available_policies()
-    ]
-    return make_report(scenario, seed, sla_threshold_s, rows)
-
-
-def report_json(report: Dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def report_markdown(report: Dict[str, Any]) -> str:

@@ -8,7 +8,7 @@ Six pieces:
 * :mod:`repro.obs.metrics` -- the label-aware counter / gauge / histogram
   registry shared through the tracer;
 * :mod:`repro.obs.sink` -- bounded-memory streaming trace sinks (chunked
-  JSONL, optional gzip and rotation), byte-equivalent to buffered export;
+  JSONL, optional gzip), byte-equivalent to buffered export;
 * :mod:`repro.obs.sla` -- the live sliding-window SLA monitor;
 * :mod:`repro.obs.recovery` -- a crash's time-to-recover, read live by
   the chaos scenario and offline by ``summary``;
@@ -24,7 +24,6 @@ from repro.obs.export import (
     dump_tracer,
     iter_trace,
     read_trace,
-    read_trace_segments,
     write_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -48,6 +47,5 @@ __all__ = [
     "dump_tracer",
     "iter_trace",
     "read_trace",
-    "read_trace_segments",
     "write_trace",
 ]

@@ -1,7 +1,7 @@
 """Trace-analysis CLI: ``python -m repro.obs <command> <trace.jsonl>``.
 
 Commands over JSONL traces produced by :mod:`repro.obs.export` (buffered
-or streamed, plain or gzipped, rotated segments included):
+or streamed, plain or gzipped):
 
 * ``summary`` -- run summary: delivery-latency percentiles overall and per
   *phase* (the interval between two consecutive plan generations), the
@@ -23,7 +23,7 @@ import sys
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.export import read_trace_segments
+from repro.obs.export import read_trace
 from repro.obs.recovery import RecoveryWatch
 from repro.obs.sla import OVERALL_SCOPE
 from repro.obs.trace import (
@@ -516,14 +516,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> List[TraceEvent]:
-    return read_trace_segments(path)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        events = _load(args.trace)
+        events = read_trace(args.trace)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

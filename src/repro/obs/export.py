@@ -24,8 +24,7 @@ The loader reconstructs typed event objects, so a write/read cycle is
 lossless (``loaded == original`` field for field); unknown event types in
 *newer* traces are skipped rather than failing, keeping old readers usable.
 Readers transparently handle gzip-compressed traces (sniffed by magic
-bytes) and rotated segment files (``trace.jsonl``, ``trace.jsonl.1``, ...)
-written by :class:`repro.obs.sink.StreamingJsonlSink`.
+bytes), as :class:`repro.obs.sink.StreamingJsonlSink` writes them.
 """
 
 from __future__ import annotations
@@ -259,28 +258,3 @@ def read_trace(path: Union[str, Path]) -> List[TraceEvent]:
     not know, and raises ``ValueError`` on malformed input.
     """
     return list(iter_trace(path))
-
-
-def trace_segments(path: Union[str, Path]) -> List[Path]:
-    """``path`` plus any rotation segments ``path.1``, ``path.2``, ... in order."""
-    base = Path(path)
-    segments = [base]
-    index = 1
-    while True:
-        candidate = base.with_name(f"{base.name}.{index}")
-        if not candidate.exists():
-            break
-        segments.append(candidate)
-        index += 1
-    return segments
-
-
-def iter_trace_segments(path: Union[str, Path]) -> Iterator[TraceEvent]:
-    """Stream events across a (possibly rotated) trace in segment order."""
-    for segment in trace_segments(path):
-        yield from iter_trace(segment)
-
-
-def read_trace_segments(path: Union[str, Path]) -> List[TraceEvent]:
-    """Load a (possibly rotated) trace into one event list."""
-    return list(iter_trace_segments(path))

@@ -13,9 +13,7 @@ them incrementally:
 * output is byte-equivalent to the buffered :func:`repro.obs.export.dump_tracer`
   path (same header, same serialization, same trailer via
   :meth:`finalize`), so downstream tooling cannot tell the difference;
-* optional gzip compression (``compress=True``) and rotation every
-  ``rotate_events`` events into ``path``, ``path.1``, ``path.2``, ...
-  (each segment self-contained with its own schema header).
+* optional gzip compression (``compress=True``).
 
 Usage::
 
@@ -33,7 +31,6 @@ trailer.
 from __future__ import annotations
 
 import gzip
-from itertools import islice
 from pathlib import Path
 from typing import IO, List, Optional, Protocol, Union
 
@@ -76,7 +73,7 @@ class _ClosedChunk:
 
 
 class StreamingJsonlSink:
-    """Incremental JSONL writer with chunked flush, gzip and rotation."""
+    """Incremental JSONL writer with chunked flush and optional gzip."""
 
     DEFAULT_CHUNK = 4096
 
@@ -86,55 +83,41 @@ class StreamingJsonlSink:
         *,
         chunk_events: int = DEFAULT_CHUNK,
         compress: bool = False,
-        rotate_events: Optional[int] = None,
     ) -> None:
         if chunk_events < 1:
             raise ValueError(f"chunk_events must be >= 1: {chunk_events!r}")
-        if rotate_events is not None and rotate_events < 1:
-            raise ValueError(f"rotate_events must be >= 1: {rotate_events!r}")
         self.path = Path(path)
         self.chunk_events = chunk_events
-        self._compress = compress
-        self._rotate = rotate_events
         #: Accepted events not yet written (fewer than ``chunk_events``
         #: between flushes); a :class:`_ClosedChunk` once closed.
         self.pending: List[TraceEvent] = []
-        self._fh: Optional[IO[str]] = None
-        self._segment_events = 0
         self._flushed = 0
-        #: Segment paths in write order (``path`` first).
-        self.segments: List[Path] = []
-        self._open_segment()
+        self._fh: Optional[IO[str]] = (
+            gzip.open(self.path, "wt", encoding="utf-8")
+            if compress
+            else open(self.path, "w", encoding="utf-8")
+        )
+        self._fh.write(header_json() + "\n")
 
     # ------------------------------------------------------------------
     # TraceSink interface
     # ------------------------------------------------------------------
     def flush(self) -> None:
-        """Write the pending chunk, starting a new segment at every
-        ``rotate_events`` boundary inside it."""
+        """Write the pending chunk."""
         pending = self.pending
         if not pending:
             return
-        start, end = 0, len(pending)
-        while start < end:
-            if self._segment_events == self._rotate:
-                self._close_fh()
-                self._open_segment()
-            stop = end
-            if self._rotate is not None:
-                stop = min(end, start + self._rotate - self._segment_events)
-            assert self._fh is not None
-            write_events(self._fh, islice(pending, start, stop))
-            self._segment_events += stop - start
-            start = stop
-        self._flushed += end
+        assert self._fh is not None
+        write_events(self._fh, pending)
+        self._flushed += len(pending)
         pending.clear()
 
     def close(self) -> None:
         if self._fh is None:
             return
         self.flush()
-        self._close_fh()
+        self._fh.close()
+        self._fh = None
         self.pending = _ClosedChunk(self.path)  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
@@ -142,14 +125,14 @@ class StreamingJsonlSink:
     # ------------------------------------------------------------------
     @property
     def events_written(self) -> int:
-        """Every event accepted so far (all segments, pending ones
-        included, headers excluded)."""
+        """Every event accepted so far (pending ones included, the
+        header excluded)."""
         return self._flushed + len(self.pending)
 
     def finalize(self, tracer: Tracer) -> int:
         """Append the end-of-run trailer (the metrics snapshot) and close.
 
-        Returns the total number of events written across all segments.
+        Returns the total number of events written.
         The trailer comes from :func:`repro.obs.export.trailer_events`, the
         same helper :func:`~repro.obs.export.dump_tracer` uses, which keeps
         streamed and buffered traces byte-equivalent.
@@ -157,24 +140,6 @@ class StreamingJsonlSink:
         self.pending.extend(trailer_events(tracer))
         self.close()
         return self.events_written
-
-    def _open_segment(self) -> None:
-        if not self.segments:
-            segment = self.path
-        else:
-            segment = self.path.with_name(f"{self.path.name}.{len(self.segments)}")
-        if self._compress:
-            self._fh = gzip.open(segment, "wt", encoding="utf-8")
-        else:
-            self._fh = open(segment, "w", encoding="utf-8")
-        self._fh.write(header_json() + "\n")
-        self.segments.append(segment)
-        self._segment_events = 0
-
-    def _close_fh(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
     def __enter__(self) -> "StreamingJsonlSink":
         return self

@@ -5,8 +5,8 @@ It provides:
 
 * :class:`~repro.sim.kernel.Simulator` -- a heap-based event loop with a
   virtual clock and cancellable scheduled events.
-* :class:`~repro.sim.timers.Timer` -- a resettable one-shot timer, used by
-  the Dynamoth client library and dispatchers for plan-entry expiry.
+* :class:`~repro.sim.timers.PeriodicTask` -- a start/stop handle over the
+  kernel's periodic schedule (RGame player ticks, per-second samplers).
 * :class:`~repro.sim.rng.RngRegistry` -- named, independently seeded random
   streams so that every experiment is reproducible bit-for-bit.
 * :class:`~repro.sim.actor.Actor` -- the base class for every simulated node
@@ -16,7 +16,7 @@ It provides:
 from repro.sim.actor import Actor
 from repro.sim.kernel import ScheduledEvent, Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.timers import PeriodicTask, Timer
+from repro.sim.timers import PeriodicTask
 
 __all__ = [
     "Actor",
@@ -24,5 +24,4 @@ __all__ = [
     "RngRegistry",
     "ScheduledEvent",
     "Simulator",
-    "Timer",
 ]

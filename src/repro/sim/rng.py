@@ -47,9 +47,5 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Create a child registry whose streams are independent of ours."""
-        return RngRegistry(derive_seed(self.root_seed, f"fork:{name}"))
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams

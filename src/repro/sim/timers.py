@@ -1,13 +1,5 @@
-"""Resettable timers and periodic tasks on top of the event kernel.
+"""Periodic tasks on top of the event kernel.
 
-Dynamoth relies on timers in two places (paper section IV-A.5):
-
-* every client associates a timer with each entry of its local plan -- the
-  entry is dropped when the timer expires without traffic on the channel;
-* the dispatcher of an old server keeps forwarding publications for a moved
-  channel until the same timeout elapses.
-
-:class:`Timer` models exactly that resettable one-shot behaviour, and
 :class:`PeriodicTask` drives recurring work such as LLA reports, load
 balancer evaluations and player position updates.  A periodic task is a
 start/stop handle over :meth:`Simulator.schedule_every`: the kernel's run
@@ -20,48 +12,6 @@ from random import Random
 from typing import Callable, Optional
 
 from repro.sim.kernel import ScheduledEvent, Simulator
-
-
-class Timer:
-    """A resettable one-shot timer.
-
-    The callback fires ``interval`` seconds after the most recent
-    :meth:`start` or :meth:`reset`.  Resetting an expired or stopped timer
-    re-arms it.
-    """
-
-    def __init__(self, sim: Simulator, interval: float, callback: Callable[[], None]) -> None:
-        if not interval > 0:  # a NaN fails it too
-            raise ValueError(f"timer interval must be positive: {interval!r}")
-        self._sim = sim
-        self.interval = interval
-        self._callback = callback
-        self._event: Optional[ScheduledEvent] = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timer is currently counting down."""
-        return self._event is not None and not self._event.cancelled
-
-    def start(self) -> None:
-        """Arm (or re-arm) the timer for a full interval from now."""
-        self.reset()
-
-    def reset(self) -> None:
-        """Restart the countdown from now."""
-        if self._event is not None:
-            self._event.cancel()
-        self._event = self._sim.schedule(self.interval, self._fire)
-
-    def cancel(self) -> None:
-        """Disarm the timer without firing."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self._callback()
 
 
 class PeriodicTask:

@@ -1,9 +1,12 @@
-"""``python -m repro.sweep`` -- multiprocess soak / lab sweeps.
+"""``python -m repro.sweep`` -- soaks and policy comparisons.
 
 Subcommands::
 
     check   soak N generated check-scenario seeds through every oracle
-    lab     run every lab scenario live under every policy
+            (``python -m repro.check --seed S`` replays one)
+    lab     run lab specs (steady / flash-crowd / crash, or any other
+            entry of ``repro.experiments.run.SPECS``) live under every
+            registered policy -- same seed, same SLA threshold
 
 Both fan work over a ``spawn`` process pool (``--procs``) and merge
 results in task order, so the JSON/markdown reports are byte-stable
@@ -15,15 +18,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import DELIVERY_TIERS
+from repro.core.policy import policy_class
 from repro.experiments.run import SPECS
-from repro.lab.cli import policy_names
 from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, LAB_SPECS, report_markdown
-from repro.sweep.orchestrator import check_markdown, check_sweep, lab_sweep
+from repro.sweep.orchestrator import check_markdown, check_sweep, lab_sweep, replay_command
 
 _Out = Callable[[str], None]
+
+
+def policy_names(value: str) -> Tuple[str, ...]:
+    """``--policies a,b`` -> names, rejected before anything is run."""
+    names = tuple(p.strip() for p in value.split(",") if p.strip())
+    try:
+        for name in names:
+            policy_class(name)
+    except ValueError as exc:  # names the registered policies
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return names
 
 
 def _write_outputs(
@@ -63,10 +77,10 @@ def _cmd_check(args: argparse.Namespace, out: _Out) -> int:
     _write_outputs(doc, check_markdown(doc), args, out)
     summary = doc["summary"]
     if summary["failed"]:
+        first = next(r for r in doc["results"] if not r["ok"])
         out(
             f"{summary['failed']}/{summary['total']} seed(s) FAILED; "
-            f"replay with: python -m repro.check --seed "
-            f"{summary['failed_seeds'][0]}"
+            f"replay with: {replay_command(first)}"
         )
         return 1
     out(f"all {summary['total']} seed(s) passed every oracle")
@@ -84,7 +98,7 @@ def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
         )
 
     doc = lab_sweep(
-        args.scenario or LAB_SPECS,
+        [SPECS[name] for name in args.scenario or LAB_SPECS],
         seed=args.seed,
         policies=args.policies,
         sla_threshold_s=args.sla_threshold,

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.core.policy import available_policies
-from repro.experiments.run import SPECS
+from repro.experiments.run import RunSpec
 from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, make_report
 from repro.sweep.workers import CheckTask, LabTask, check_worker, lab_worker
 
@@ -93,6 +93,16 @@ def check_sweep(
     }
 
 
+def replay_command(result: Dict[str, Any]) -> str:
+    """The ``repro.check`` command that reruns one soak row, its tier and
+    causal mode pinned (a bare ``--seed`` would sample them afresh)."""
+    causal = "--causal" if result["causal_order"] else "--no-causal"
+    return (
+        f"python -m repro.check --seed {result['seed']} "
+        f"--tier {result['delivery_tier']} {causal}"
+    )
+
+
 def check_markdown(doc: Dict[str, Any]) -> str:
     summary = doc["summary"]
     lines = [
@@ -113,8 +123,9 @@ def check_markdown(doc: Dict[str, Any]) -> str:
         lines.append("")
         lines.append("Replay a failing seed (with shrinking):")
         lines.append("")
-        for seed in summary["failed_seeds"]:
-            lines.append(f"    python -m repro.check --seed {seed}")
+        for r in doc["results"]:
+            if not r["ok"]:
+                lines.append(f"    {replay_command(r)}")
     return "\n".join(lines) + "\n"
 
 
@@ -122,7 +133,7 @@ def check_markdown(doc: Dict[str, Any]) -> str:
 # policy lab
 # ----------------------------------------------------------------------
 def lab_sweep(
-    scenarios: Sequence[str],
+    specs: Sequence[RunSpec],
     *,
     seed: int = 0,
     policies: Sequence[str] = (),
@@ -130,11 +141,13 @@ def lab_sweep(
     procs: int = 1,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Dict[str, Any]:
-    """Run every (scenario, policy) pair live; one report per scenario."""
-    scenarios = list(dict.fromkeys(scenarios))  # a repeated name runs once
+    """Run every (spec, policy) pair live; one report per spec name."""
+    by_name: Dict[str, RunSpec] = {}
+    for spec in specs:
+        by_name.setdefault(spec.name, spec)  # a repeated name runs once
     tasks = [
-        LabTask(scenario=name, policy=policy, seed=seed, sla_threshold_s=sla_threshold_s)
-        for name in scenarios
+        LabTask(spec=spec, policy=policy, seed=seed, sla_threshold_s=sla_threshold_s)
+        for spec in by_name.values()
         for policy in policies or available_policies()
     ]
     results = run_tasks(lab_worker, tasks, procs=procs, progress=progress)
@@ -144,11 +157,11 @@ def lab_sweep(
         "seed": seed,
         "scenarios": {
             name: make_report(
-                SPECS[name],
+                spec,
                 seed,
                 sla_threshold_s,
                 [r["row"] for r in results if r["scenario"] == name],
             )
-            for name in scenarios
+            for name, spec in by_name.items()
         },
     }

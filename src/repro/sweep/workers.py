@@ -1,16 +1,20 @@
 """Spawn-safe sweep work units and their worker functions.
 
-Each task is a frozen dataclass of primitives (hashable, picklable under
-the ``spawn`` start method) and each worker is a plain module-level
-function mapping one task to one JSON-serializable dict.  Workers never
-read the wall clock (DET001).
+Each task is a frozen dataclass of plain data (picklable under the
+``spawn`` start method): a check seed, or a lab run's whole
+:class:`~repro.experiments.run.RunSpec`.  Each worker is a plain
+module-level function mapping one task to one JSON-serializable dict.
+Workers never read the wall clock (DET001).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
+
+if TYPE_CHECKING:
+    from repro.experiments.run import RunSpec
 
 
 @dataclass(frozen=True)
@@ -24,9 +28,9 @@ class CheckTask:
 
 @dataclass(frozen=True)
 class LabTask:
-    """Run one named run spec live under one policy."""
+    """Run one spec live under one policy."""
 
-    scenario: str
+    spec: RunSpec
     policy: str
     seed: int
     sla_threshold_s: float
@@ -65,11 +69,8 @@ def check_worker(task: CheckTask) -> Dict[str, Any]:
 
 
 def lab_worker(task: LabTask) -> Dict[str, Any]:
-    """One (scenario, policy) live run; returns the policy's report row."""
-    from repro.experiments.run import SPECS
+    """One (spec, policy) live run; returns the policy's report row."""
     from repro.lab.compare import run_policy
 
-    row = run_policy(
-        SPECS[task.scenario], task.policy, task.seed, task.sla_threshold_s
-    )
-    return {"scenario": task.scenario, "row": row}
+    row = run_policy(task.spec, task.policy, task.seed, task.sla_threshold_s)
+    return {"scenario": task.spec.name, "row": row}

@@ -44,11 +44,10 @@ class TestBisect:
 
     @pytest.mark.parametrize("index", [0, 1, 127, 128, 129, 255, 499])
     def test_first_divergence_index(self, tmp_path, index):
-        # chunk=128 so several indices land exactly on chunk boundaries.
         left, right = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         _write_trace(left, 500)
         _write_trace(right, 500, mutate_at=index)
-        divergence = bisect_traces(left, right, chunk=128)
+        divergence = bisect_traces(left, right)
         assert divergence is not None
         assert divergence.index == index
         assert divergence.event_type in {"delivery", "fanout"}
@@ -59,7 +58,7 @@ class TestBisect:
         left, right = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         _write_trace(left, 300)
         _write_trace(right, 220)
-        divergence = bisect_traces(left, right, chunk=64)
+        divergence = bisect_traces(left, right)
         assert divergence is not None
         assert divergence.index == 220
         assert divergence.right is None
@@ -83,7 +82,7 @@ class TestBisect:
         _write_trace(clean, 200)
         with gzip.open(packed, "wb") as handle:
             handle.write(clean.read_bytes())
-        divergence = bisect_traces(plain, packed, chunk=32)
+        divergence = bisect_traces(plain, packed)
         assert divergence is not None
         assert divergence.index == 33
 

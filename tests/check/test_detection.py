@@ -18,7 +18,11 @@ class level (``repro.check.scenario._PLANTABLE_BUGS``).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,8 @@ from repro.check.cli import main
 from repro.check.scenario import Scenario
 from repro.experiments.chaos import ChaosScenarioConfig, run_chaos
 from repro.obs.trace import ReplayEvent, UnsubscribeEvent
+
+ROOT = Path(__file__).resolve().parents[2]
 
 #: a generated scenario (churny + double-crash) whose timing lands a
 #: publication in the repair window; found by an 800-seed sweep and
@@ -99,10 +105,19 @@ def test_cli_sweep_catches_the_kill_switch_and_prints_replay(capsys, tmp_path):
     assert main(["--scenario", str(artifact), "--no-shrink"]) == 1
 
 
-def test_cli_clean_sweep_exits_zero(capsys):
-    assert main(["--iterations", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "all 3 scenario(s) passed every oracle" in out
+def test_bare_cli_exits_2_and_names_the_soak_driver():
+    """``repro.check`` runs one scenario; soaking seeds is ``repro.sweep
+    check``, and a bare invocation says so instead of running anything."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.check"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "repro.sweep check" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,4 @@
-"""Unit tests for chaos schedules and their deterministic expansion."""
-
-from random import Random
+"""Unit tests for chaos schedules: timeline order, validation, wire format."""
 
 import pytest
 
@@ -10,14 +8,11 @@ from repro.faults import (
     DegradeLink,
     HealPartition,
     PartitionNodes,
-    RandomCrashes,
     RestartServer,
     StallLla,
     action_from_dict,
     action_to_dict,
 )
-
-SERVERS = ["pub1", "pub2", "pub3"]
 
 
 class TestSingleCrash:
@@ -42,68 +37,14 @@ class TestExpand:
                 PartitionNodes(10.0, "pub1", "pub3", until=15.0),
             )
         )
-        timeline = schedule.expand(Random(0), SERVERS)
+        timeline = schedule.expand()
         assert [a.at for a in timeline] == [5.0, 10.0, 20.0]
 
     def test_simultaneous_actions_keep_schedule_order(self):
         first = CrashServer(5.0, "pub1")
         second = DegradeLink(5.0, "pub2", "pub3", loss=0.1)
-        timeline = ChaosSchedule((first, second)).expand(Random(0), SERVERS)
+        timeline = ChaosSchedule((first, second)).expand()
         assert timeline == [first, second]
-
-    def test_expansion_consumes_no_rng_without_random_crashes(self):
-        rng = Random(42)
-        state = rng.getstate()
-        ChaosSchedule.single_crash("pub1", at=1.0).expand(rng, SERVERS)
-        assert rng.getstate() == state
-
-
-class TestRandomCrashes:
-    def test_same_seed_same_timeline(self):
-        schedule = ChaosSchedule((RandomCrashes(0.1, start=0.0, end=100.0),))
-        a = schedule.expand(Random(7), SERVERS)
-        b = schedule.expand(Random(7), SERVERS)
-        assert a == b and a  # identical and non-empty
-
-    def test_different_seed_different_timeline(self):
-        schedule = ChaosSchedule((RandomCrashes(0.1, start=0.0, end=100.0),))
-        a = schedule.expand(Random(1), SERVERS)
-        b = schedule.expand(Random(2), SERVERS)
-        assert a != b
-
-    def test_crashes_stay_in_window_and_name_known_servers(self):
-        schedule = ChaosSchedule((RandomCrashes(0.5, start=10.0, end=50.0),))
-        timeline = schedule.expand(Random(3), SERVERS)
-        crashes = [a for a in timeline if isinstance(a, CrashServer)]
-        assert crashes
-        for crash in crashes:
-            assert 10.0 <= crash.at < 50.0
-            assert crash.server in SERVERS
-
-    def test_restart_follows_each_crash(self):
-        schedule = ChaosSchedule(
-            (RandomCrashes(0.5, start=0.0, end=50.0, restart_after_s=5.0),)
-        )
-        timeline = schedule.expand(Random(3), SERVERS)
-        crashes = [a for a in timeline if isinstance(a, CrashServer)]
-        restarts = [a for a in timeline if isinstance(a, RestartServer)]
-        assert len(restarts) == len(crashes)
-        by_time = {(c.server, c.at + 5.0) for c in crashes}
-        assert {(r.server, r.at) for r in restarts} == by_time
-
-    def test_zero_rate_or_no_servers_expands_empty(self):
-        assert (
-            ChaosSchedule((RandomCrashes(0.0, 0.0, 100.0),)).expand(
-                Random(0), SERVERS
-            )
-            == []
-        )
-        assert (
-            ChaosSchedule((RandomCrashes(1.0, 0.0, 100.0),)).expand(
-                Random(0), []
-            )
-            == []
-        )
 
 
 class TestValidation:
@@ -195,12 +136,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration"):
             ChaosSchedule((StallLla(5.0, "pub1", duration_s=0.0),))
 
-    def test_random_crashes_window_is_validated(self):
-        with pytest.raises(ValueError):
-            ChaosSchedule((RandomCrashes(0.1, start=10.0, end=5.0),))
-        with pytest.raises(ValueError):
-            ChaosSchedule((RandomCrashes(-0.1, start=0.0, end=5.0),))
-
 
 class TestActionWireFormat:
     def test_every_action_kind_round_trips(self):
@@ -211,7 +146,6 @@ class TestActionWireFormat:
             HealPartition(8.5, "pub1", "pub2"),
             DegradeLink(2.0, "pub1", "pub3", loss=0.25, jitter_s=0.1, until=6.0),
             StallLla(6.0, "pub2", duration_s=3.0),
-            RandomCrashes(0.1, start=0.0, end=30.0, restart_after_s=5.0),
         ]
         for action in actions:
             assert action_from_dict(action_to_dict(action)) == action
@@ -219,3 +153,10 @@ class TestActionWireFormat:
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             action_from_dict({"kind": "meteor-strike", "at": 1.0})
+
+    def test_random_crashes_kind_is_unknown(self):
+        """``random_crashes`` is not an action kind: a file naming it is
+        rejected like any other unknown kind."""
+        with pytest.raises(ValueError, match="unknown fault action kind: 'random_crashes'"):
+            action_from_dict({"kind": "random_crashes", "rate_per_s": 0.1,
+                              "start": 0.0, "end": 30.0})

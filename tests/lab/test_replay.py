@@ -1,4 +1,7 @@
-"""The live policy lab: rows read off real runs, determinism, report, CLI."""
+"""The live policy lab: rows read off real runs, determinism, report.
+
+The rows come through :func:`repro.sweep.lab_sweep`, the one driver of
+policy comparisons; ``tests/sweep/test_sweep.py`` covers its CLI."""
 
 import hashlib
 import json
@@ -8,15 +11,13 @@ import pytest
 from repro.core.config import DynamothConfig
 from repro.core.policy import available_policies
 from repro.experiments.run import SPECS, RunSpec, build, with_policy
-from repro.lab.cli import main
 from repro.lab.compare import (
     DEFAULT_SLA_THRESHOLD_S,
-    compare_policies,
     make_report,
-    report_json,
     report_markdown,
     run_policy,
 )
+from repro.sweep import lab_sweep
 
 MINI_FLASH = RunSpec(
     name="mini-flash",
@@ -33,7 +34,7 @@ SEED = 7
 @pytest.fixture(scope="module")
 def mini_report():
     """Every registered policy, run live once on the mini flash crowd."""
-    return compare_policies(MINI_FLASH, seed=SEED)
+    return lab_sweep([MINI_FLASH], seed=SEED)["scenarios"]["mini-flash"]
 
 
 def rows_by_policy(report):
@@ -111,13 +112,14 @@ def test_every_policy_has_a_pinned_digest():
 
 class TestDeterminism:
     def test_compare_report_deterministic(self, mini_report):
-        again = compare_policies(
-            MINI_FLASH, ("consistent_hashing", "paper"), seed=SEED
+        doc = lab_sweep(
+            [MINI_FLASH, MINI_FLASH], seed=SEED, policies=("consistent_hashing", "paper")
         )
+        assert list(doc["scenarios"]) == ["mini-flash"]  # a repeated spec runs once
+        again = doc["scenarios"]["mini-flash"]
         first = rows_by_policy(mini_report)
         assert again["policies"] == [first["consistent_hashing"], first["paper"]]
-        rebuilt = make_report(MINI_FLASH, SEED, 0.25, again["policies"])
-        assert report_json(again) == report_json(rebuilt)
+        assert again == make_report(MINI_FLASH, SEED, 0.25, again["policies"])
 
 
 class TestModeledReplay:
@@ -159,30 +161,3 @@ class TestModeledReplay:
         row = run_policy(SPECS["crash"], "paper", 0, DEFAULT_SLA_THRESHOLD_S)
         assert row["repairs"] == 1
         assert row["delivery_ratio"] >= 0.80
-
-
-class TestCli:
-    def test_compare_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "report.md"
-        assert main(["compare", "--scenario", "steady", "--out", str(out)]) == 0
-        text = out.read_text()
-        assert text.startswith("# Policy lab: `steady`")
-        for name in available_policies():
-            assert f"| {name} |" in text
-
-    def test_compare_policy_subset(self, capsys):
-        argv = ["compare", "--scenario", "steady", "--policies", "paper,chbl", "--json"]
-        assert main(argv) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert [m["policy"] for m in report["policies"]] == ["paper", "chbl"]
-        assert report["scenario"] == "steady"
-
-    def test_mistyped_policy_exits_2_before_any_run(self, monkeypatch, capsys):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("a scenario ran before the arguments were checked")
-
-        monkeypatch.setattr("repro.lab.compare.run_policy", must_not_run)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["compare", "--policies", "bogus"])
-        assert exit_info.value.code == 2
-        assert "paper" in capsys.readouterr().err  # the valid names are listed

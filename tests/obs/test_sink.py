@@ -1,16 +1,11 @@
-"""Streaming trace sink tests: byte-equivalence, bounded memory, rotation."""
+"""Streaming trace sink tests: byte-equivalence, bounded memory, lifecycle."""
 
 import gzip
 import hashlib
 
 import pytest
 
-from repro.obs.export import (
-    dump_tracer,
-    read_trace,
-    read_trace_segments,
-    trace_segments,
-)
+from repro.obs.export import dump_tracer, read_trace
 from repro.obs.sink import StreamingJsonlSink
 from repro.obs.sla import SlaMonitor
 from repro.obs.trace import (
@@ -130,51 +125,6 @@ class TestPinnedBytes:
         else:
             dump_tracer(tracer, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SMOKE_TRACE_SHA256
-
-
-class TestRotation:
-    def test_segments_concatenate_to_full_trace(self, tmp_path):
-        path = tmp_path / "rot.jsonl"
-        sink = StreamingJsonlSink(str(path), chunk_events=4, rotate_events=30)
-        tracer = Tracer(sink=sink)
-        _emit_sample_run(tracer)  # 101 events + trailer
-        written = sink.finalize(tracer)
-
-        segments = trace_segments(path)
-        assert len(segments) > 1
-        events = read_trace_segments(path)
-        assert len(events) == written
-        # Same content as an unrotated buffered dump.
-        reference = Tracer()
-        _emit_sample_run(reference)
-        ref_path = tmp_path / "ref.jsonl"
-        dump_tracer(reference, ref_path)
-        assert events == read_trace(ref_path)
-
-    def test_a_chunk_larger_than_the_rotation_splits_at_exact_boundaries(self, tmp_path):
-        expected = _buffered_bytes(tmp_path)
-        path = tmp_path / "rot.jsonl"
-        sink = StreamingJsonlSink(str(path), chunk_events=50, rotate_events=7)
-        tracer = Tracer(sink=sink)
-        _emit_sample_run(tracer)
-        written = sink.finalize(tracer)
-
-        assert written == 102  # 101 events + the metrics trailer
-        segments = trace_segments(path)
-        assert sink.segments == segments
-        assert len(segments) == 15  # ceil(102 / 7)
-        header, *body = expected.splitlines(keepends=True)
-        for index, segment in enumerate(segments):
-            assert segment.read_bytes() == header + b"".join(body[7 * index : 7 * index + 7])
-
-    def test_each_segment_standalone_readable(self, tmp_path):
-        path = tmp_path / "rot.jsonl"
-        sink = StreamingJsonlSink(str(path), rotate_events=25)
-        tracer = Tracer(sink=sink)
-        _emit_sample_run(tracer)
-        sink.finalize(tracer)
-        for segment in trace_segments(path):
-            assert read_trace(segment)  # each has its own valid header
 
 
 class TestBoundedMemory:

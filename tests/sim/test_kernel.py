@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.timers import PeriodicTask, Timer
+from repro.sim.timers import PeriodicTask
 
 NAN = float("nan")
 
@@ -107,9 +107,6 @@ class TestNaNRejected:
     )
     def test_schedule_batch(self, sim, times):
         self._rejects(sim, lambda: sim.schedule_batch(lambda: None, times, [()] * len(times)))
-
-    def test_timer(self, sim):
-        self._rejects(sim, lambda: Timer(sim, NAN, lambda: None))
 
     def test_periodic_task_period(self, sim):
         self._rejects(sim, lambda: PeriodicTask(sim, NAN, lambda now: None))

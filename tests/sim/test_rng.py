@@ -43,13 +43,3 @@ class TestRngRegistry:
         assert "x" not in reg
         reg.stream("x")
         assert "x" in reg
-
-    def test_fork_is_independent_of_parent(self):
-        reg = RngRegistry(5)
-        child = reg.fork("worker")
-        assert child.stream("s").random() != reg.stream("s").random()
-
-    def test_fork_deterministic(self):
-        a = RngRegistry(5).fork("w").stream("s").random()
-        b = RngRegistry(5).fork("w").stream("s").random()
-        assert a == b

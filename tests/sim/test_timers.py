@@ -1,66 +1,11 @@
-"""Unit tests for resettable timers and periodic tasks."""
+"""Unit tests for periodic tasks and the kernel's periodic schedule."""
 
 from random import Random
 
 import pytest
 
-from repro.sim.timers import PeriodicTask, Timer
+from repro.sim.timers import PeriodicTask
 from tests.helpers import python_calls_by_function
-
-
-class TestTimer:
-    def test_fires_after_interval(self, sim):
-        fired = []
-        timer = Timer(sim, 5.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.run_until(10.0)
-        assert fired == [5.0]
-
-    def test_does_not_fire_before_start(self, sim):
-        fired = []
-        Timer(sim, 1.0, lambda: fired.append(sim.now))
-        sim.run_until(10.0)
-        assert fired == []
-
-    def test_reset_postpones_expiry(self, sim):
-        fired = []
-        timer = Timer(sim, 5.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.run_until(3.0)
-        timer.reset()
-        sim.run_until(20.0)
-        assert fired == [8.0]
-
-    def test_cancel_prevents_firing(self, sim):
-        fired = []
-        timer = Timer(sim, 5.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.run_until(3.0)
-        timer.cancel()
-        sim.run_until(20.0)
-        assert fired == []
-        assert not timer.armed
-
-    def test_restart_after_expiry(self, sim):
-        fired = []
-        timer = Timer(sim, 2.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.run_until(5.0)
-        timer.start()
-        sim.run_until(10.0)
-        assert fired == [2.0, 7.0]
-
-    def test_armed_property(self, sim):
-        timer = Timer(sim, 2.0, lambda: None)
-        assert not timer.armed
-        timer.start()
-        assert timer.armed
-        sim.run_until(3.0)
-        assert not timer.armed
-
-    def test_non_positive_interval_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Timer(sim, 0.0, lambda: None)
 
 
 class TestPeriodicTask:

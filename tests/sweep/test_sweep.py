@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.sweep import SWEEP_SCHEMA, CheckTask, check_sweep, run_tasks
+from repro.experiments.run import SPECS
+from repro.sweep import SWEEP_SCHEMA, CheckTask, LabTask, check_sweep, run_tasks
 from repro.sweep.cli import main
 from repro.sweep.orchestrator import check_markdown
 
@@ -67,6 +68,17 @@ class TestCheckSweep:
         assert "| 1 |" in rendered
         assert "2/2 seeds passed" in rendered
 
+    def test_replay_command_pins_the_soaked_tier(self):
+        """A bare ``--seed`` would sample the tier afresh and may pass."""
+        failed = {"seed": 86, "label": "churny+client-loss", "ok": False,
+                  "delivery_tier": "at_most_once", "causal_order": False,
+                  "events": 1, "deliveries": 1, "violations": ["v"]}
+        doc = {"summary": {"total": 1, "passed": 0, "failed": 1,
+                           "failed_seeds": [86]},
+               "results": [failed]}
+        assert ("python -m repro.check --seed 86 --tier at_most_once --no-causal"
+                in check_markdown(doc))
+
     def test_tier_override_reaches_worker(self):
         doc = check_sweep(1, delivery_tier="at_least_once", procs=1)
         assert doc["results"][0]["delivery_tier"] == "at_least_once"
@@ -92,12 +104,14 @@ class TestCli:
 
     def test_lab_compares_the_named_policies(self, tmp_path, capsys):
         out_json = tmp_path / "lab.json"
+        out_md = tmp_path / "lab.md"
         rc = main(
             [
                 "lab",
                 "--scenario", "steady",
                 "--policies", "paper, chbl",
                 "--output", str(out_json),
+                "--markdown", str(out_md),
             ]
         )
         assert rc == 0
@@ -105,6 +119,9 @@ class TestCli:
         assert doc["mode"] == "lab"
         report = doc["scenarios"]["steady"]
         assert [m["policy"] for m in report["policies"]] == ["paper", "chbl"]
+        text = out_md.read_text(encoding="utf-8")
+        assert text.startswith("# Policy lab: `steady`")
+        assert "| paper |" in text and "| chbl |" in text
 
     def test_lab_json_is_identical_across_procs(self, tmp_path, capsys):
         """(scenario, policy) runs merge in task order, whoever ran them."""
@@ -153,3 +170,7 @@ class TestDeterminismScope:
 
         task = CheckTask(seed=3, delivery_tier="reliable", causal_order=True)
         assert pickle.loads(pickle.dumps(task)) == task
+        # a lab task carries its whole spec, fault schedule included
+        lab = LabTask(spec=SPECS["crash"], policy="paper", seed=0, sla_threshold_s=0.25)
+        assert lab.spec.faults
+        assert pickle.loads(pickle.dumps(lab)) == lab
