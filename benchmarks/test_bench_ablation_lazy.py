@@ -10,41 +10,15 @@ channel; eager notifies everyone about everything.
 """
 
 from benchmarks.conftest import run_once
-from repro.core.cluster import BALANCER_DYNAMOTH, DynamothCluster
-from repro.core.config import DynamothConfig
-from repro.broker.config import BrokerConfig
-from repro.experiments.records import BucketedStat
+from benchmarks.stepped_rgame import run_stepped_rgame
 from repro.experiments.report import table
-from repro.workload.rgame import RGameConfig, RGameWorkload
 
 
 def run_policy(eager: bool, seed: int = 0):
-    config = DynamothConfig(
-        max_servers=6,
-        min_servers=1,
-        t_wait_s=8.0,
-        spawn_delay_s=4.0,
-        eager_plan_push=eager,
-    )
-    broker = BrokerConfig(nominal_egress_bps=240_000.0, per_connection_bps=None)
-    cluster = DynamothCluster(
-        seed=seed, config=config, broker_config=broker, initial_servers=1
-    )
-    rtt = BucketedStat()
-    workload = RGameWorkload(
-        cluster,
-        RGameConfig(tiles_per_side=6),
-        rtt_sink=lambda v, t: rtt.add(t, v),
-    )
-    for __ in range(5):
-        workload.add_players(30)
-        cluster.run_for(25.0)
-    cluster.run_for(50.0)
-
+    cluster, workload, steady_rt = run_stepped_rgame(seed, eager_plan_push=eager)
     lazy_notices = sum(d.redirects_sent for d in cluster.dispatchers.values())
     switch_notices = sum(d.switch_notices_sent for d in cluster.dispatchers.values())
     eager_notices = cluster.balancer.eager_notices_sent
-    steady_rt = rtt.window_mean(cluster.sim.now - 40, cluster.sim.now)
     return {
         "rebalances": len(cluster.balancer.rebalance_times()),
         "lazy_notices": lazy_notices,

@@ -13,65 +13,33 @@ workload and shows the cross-assignments fail:
 """
 
 from benchmarks.conftest import run_once
-from repro.core.cluster import BALANCER_NONE, DynamothCluster
-from repro.core.config import DynamothConfig
-from repro.core.plan import ChannelMapping, ReplicationMode
-from repro.experiments.experiment1 import (
-    CHANNEL,
-    fanin_broker_config,
-    fanout_broker_config,
-)
+from repro.core.plan import ReplicationMode
+from repro.experiments.experiment1 import run_point
 from repro.experiments.report import table
-from repro.workload.microbench import FanInWorkload, FanOutWorkload
+
+#: workload name -> (Experiment 1 profile, clients)
+WORKLOADS = {"fanout": ("fig4a", 700), "fanin": ("fig4b", 500)}
 
 
-def run_point(workload_kind, mode, seed=0):
-    """One (workload, scheme) cell of the ablation matrix."""
-    broker = fanout_broker_config() if workload_kind == "fanout" else fanin_broker_config()
-    cluster = DynamothCluster(
-        seed=seed,
-        config=DynamothConfig(max_servers=3, min_servers=3),
-        broker_config=broker,
-        initial_servers=3,
-        balancer=BALANCER_NONE,
-    )
-    servers = tuple(sorted(cluster.servers))
-    if mode is ReplicationMode.SINGLE:
-        mapping = ChannelMapping(mode, (cluster.plan.ring.lookup(CHANNEL),))
-    else:
-        mapping = ChannelMapping(mode, servers)
-    cluster.set_static_mapping(CHANNEL, mapping)
-
-    if workload_kind == "fanout":
-        workload = FanOutWorkload(cluster, CHANNEL, n_subscribers=700)
-    else:
-        workload = FanInWorkload(cluster, CHANNEL, n_publishers=500)
-    cluster.run_until(1.0)
-    workload.start(measure_from=6.0)
-    cluster.run_until(16.0)
-    workload.stop()
-    cluster.run_for(0.5)
-
-    latencies = workload.collector.latencies()
-    mean = sum(latencies) / len(latencies) if latencies else float("inf")
-    if workload_kind == "fanout":
-        expected = workload.published_measured * 700
-        rate = min(1.0, len(latencies) / expected) if expected else 1.0
-    else:
-        rate = workload.delivery_rate()
-    return mean, rate
+def run_cell(workload, mode):
+    """One (workload, scheme) cell of the ablation matrix: mean latency
+    (``inf`` when nothing arrived) and delivery rate."""
+    figure, clients = WORKLOADS[workload]
+    point = run_point(figure, clients, mode, measure_s=10.0)
+    mean = point.mean_latency_s
+    return (float("inf") if mean is None else mean), point.delivery_rate
 
 
 def test_bench_ablation_scheme_choice(benchmark):
     def run_matrix():
         results = {}
-        for workload in ("fanout", "fanin"):
+        for workload in WORKLOADS:
             for mode in (
                 ReplicationMode.SINGLE,
                 ReplicationMode.ALL_PUBLISHERS,
                 ReplicationMode.ALL_SUBSCRIBERS,
             ):
-                results[(workload, mode)] = run_point(workload, mode)
+                results[(workload, mode)] = run_cell(workload, mode)
         return results
 
     results = run_once(benchmark, run_matrix)

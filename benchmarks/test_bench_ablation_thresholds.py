@@ -12,12 +12,8 @@ threshold pairs:
 """
 
 from benchmarks.conftest import run_once
-from repro.broker.config import BrokerConfig
-from repro.core.cluster import BALANCER_DYNAMOTH, DynamothCluster
-from repro.core.config import DynamothConfig
-from repro.experiments.records import BucketedStat
+from benchmarks.stepped_rgame import run_stepped_rgame
 from repro.experiments.report import table
-from repro.workload.rgame import RGameConfig, RGameWorkload
 
 SETTINGS = {
     "eager": dict(lr_high=0.70, lr_safe=0.55),
@@ -27,34 +23,11 @@ SETTINGS = {
 
 
 def run_setting(name: str, seed: int = 0):
-    thresholds = SETTINGS[name]
-    config = DynamothConfig(
-        max_servers=6,
-        min_servers=1,
-        t_wait_s=8.0,
-        spawn_delay_s=4.0,
-        lr_low=0.3,
-        lr_low_target=0.5,
-        **thresholds,
-    )
-    broker = BrokerConfig(nominal_egress_bps=240_000.0, per_connection_bps=None)
-    cluster = DynamothCluster(
-        seed=seed, config=config, broker_config=broker, initial_servers=1
-    )
-    rtt = BucketedStat()
-    workload = RGameWorkload(
-        cluster, RGameConfig(tiles_per_side=6), rtt_sink=lambda v, t: rtt.add(t, v)
-    )
-    for __ in range(5):
-        workload.add_players(30)
-        cluster.run_for(25.0)
-    cluster.run_for(50.0)
-
+    cluster, __, steady = run_stepped_rgame(seed, lr_low=0.3, lr_low_target=0.5, **SETTINGS[name])
     lb = cluster.balancer
     overload_seconds = sum(
         1 for __, ratios in lb.load_history if ratios and max(ratios.values()) > 1.0
     )
-    steady = rtt.window_mean(cluster.sim.now - 40, cluster.sim.now)
     return {
         "rebalances": len(lb.rebalance_times()),
         "servers": cluster.server_count,

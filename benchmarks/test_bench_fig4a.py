@@ -9,14 +9,14 @@ fan-out); the replicated configuration stays low throughout.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.experiment1 import DEFAULT_LEVELS, run_fig4a
+from repro.experiments.experiment1 import DEFAULT_LEVELS, PROFILES, run_figure4
 from repro.experiments.report import render_figure4
 
 
 def test_bench_fig4a(benchmark):
-    result = run_once(benchmark, lambda: run_fig4a(DEFAULT_LEVELS, measure_s=10.0))
+    result = run_once(benchmark, lambda: run_figure4("fig4a", DEFAULT_LEVELS, measure_s=10.0))
     print()
-    print(render_figure4(result, "Figure 4a -- all-publishers replication"))
+    print(render_figure4(result, PROFILES["fig4a"].title))
 
     non_rep = {p.clients: p for p in result.series(False)}
     rep = {p.clients: p for p in result.series(True)}

@@ -10,14 +10,14 @@ the system survives to nearly 600 publishers.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.experiment1 import DEFAULT_LEVELS, run_fig4b
+from repro.experiments.experiment1 import DEFAULT_LEVELS, PROFILES, run_figure4
 from repro.experiments.report import render_figure4
 
 
 def test_bench_fig4b(benchmark):
-    result = run_once(benchmark, lambda: run_fig4b(DEFAULT_LEVELS, measure_s=10.0))
+    result = run_once(benchmark, lambda: run_figure4("fig4b", DEFAULT_LEVELS, measure_s=10.0))
     print()
-    print(render_figure4(result, "Figure 4b -- all-subscribers replication"))
+    print(render_figure4(result, PROFILES["fig4b"].title))
 
     non_rep = {p.clients: p for p in result.series(False)}
     rep = {p.clients: p for p in result.series(True)}

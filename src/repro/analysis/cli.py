@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="fmt",
         help="output format (default: text)",
     )
-    check.add_argument("--root", default=None, help="project root (default: auto)")
 
     bisect = sub.add_parser(
         "bisect", help="localize the first diverging event between two traces"
@@ -82,9 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def find_project_root(start: Optional[Path] = None) -> Path:
-    """Walk up from ``start`` (default: cwd) to the nearest pyproject.toml."""
-    current = (start or Path.cwd()).resolve()
+def find_project_root() -> Path:
+    """Walk up from the working directory to the nearest pyproject.toml."""
+    current = Path.cwd().resolve()
     for candidate in (current, *current.parents):
         if (candidate / "pyproject.toml").is_file():
             return candidate
@@ -114,8 +113,7 @@ def _emit_json(report: CheckReport, stream: TextIO) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    root = Path(args.root).resolve() if args.root else find_project_root()
-    report = AnalysisEngine(root).check([Path(p) for p in args.paths])
+    report = AnalysisEngine(find_project_root()).check([Path(p) for p in args.paths])
     if args.fmt == "json":
         _emit_json(report, sys.stdout)
     else:

@@ -28,7 +28,6 @@ cries wolf on scheduling jitter is worse than one that checks less.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -46,6 +45,7 @@ from repro.faults.schedule import (
     StallLla,
 )
 from repro.obs.trace import (
+    ArrivalEvent,
     CausalTimeoutEvent,
     DeliveryEvent,
     FanoutEvent,
@@ -55,6 +55,7 @@ from repro.obs.trace import (
     PublishEvent,
     ReplayGapEvent,
     ServerCrashEvent,
+    ServerSubscribeEvent,
 )
 
 #: how long after a fault's effect ends the system may still be settling
@@ -165,7 +166,7 @@ def oracle_loss_free(result: RunResult) -> List[Violation]:
     for client, channel in view.sub_intervals:
         subscribers_by_channel.setdefault(channel, []).append(client)
 
-    for event in result.tracer.events_of(PublishEvent):
+    for event in view.of(PublishEvent):
         tp = event.t
         if tp + DELIVERY_GRACE_S > horizon:
             continue  # too close to the end to assert delivery
@@ -202,18 +203,13 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
     """
     violations: List[Violation] = []
     view = result.view
-    crash_times = {
-        e.server: e.t for e in result.tracer.events_of(ServerCrashEvent)
-    }
-    repairs = result.tracer.events_of(PlanRepairStartEvent)
-    repair_done = {
-        (e.server, e.t): e.version
-        for e in result.tracer.events_of(PlanRepairDoneEvent)
-    }
-    plan_applied = result.tracer.events_of(PlanAppliedEvent)
-    fanouts = result.tracer.events_of(FanoutEvent)
+    crash_times = {e.server: e.t for e in view.of(ServerCrashEvent)}
+    repairs = view.of(PlanRepairStartEvent)
+    repair_done = {(e.server, e.t): e.version for e in view.of(PlanRepairDoneEvent)}
+    plan_applied = view.of(PlanAppliedEvent)
+    fanouts = view.of(FanoutEvent)
     #: client-originated message ids (excludes dispatcher switch notices)
-    app_msg_ids = {e.msg_id for e in result.tracer.events_of(PublishEvent)}
+    app_msg_ids = {e.msg_id for e in view.of(PublishEvent)}
     delivered = view.delivery_counts
     fault_times = sorted(a.at for a in result.fault_timeline)
 
@@ -250,7 +246,7 @@ def oracle_repair_bridging(result: RunResult) -> List[Violation]:
                 attach = next(
                     (
                         (e.t, e.client)
-                        for e in view.server_subs
+                        for e in view.of(ServerSubscribeEvent)
                         if e.server == home and e.channel == channel and e.t > applied_t
                     ),
                     None,
@@ -470,52 +466,7 @@ def oracle_replication_soundness(result: RunResult) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
-# O6: consistent-hashing ring load bounds and exclusion determinism
-# ----------------------------------------------------------------------
-def oracle_ring_bounds(result: RunResult) -> List[Violation]:
-    violations: List[Violation] = []
-    ring = result.cluster.plan.ring
-    servers = list(ring.servers)
-    if len(servers) < 2:
-        return violations
-    probe_count = 64 * len(servers)
-    counts = Counter(
-        ring.lookup(f"check-ring:{i}") for i in range(probe_count)
-    )
-    average = probe_count / len(servers)
-    heaviest, load = counts.most_common(1)[0]
-    if load > 2.5 * average + 4:
-        violations.append(
-            Violation(
-                "ring-bounds",
-                f"CH fallback ring is skewed: {heaviest} got {load} of "
-                f"{probe_count} channels (average {average:.1f})",
-            )
-        )
-    for i in range(16):
-        channel = f"check-ring:{i}"
-        home = ring.lookup(channel)
-        alt = ring.lookup(channel, exclude=(home,))
-        if alt == home or alt not in servers:
-            violations.append(
-                Violation(
-                    "ring-bounds",
-                    f"exclusion walk for {channel} returned {alt} "
-                    f"(home {home})",
-                )
-            )
-        elif ring.lookup(channel, exclude=(home,)) != alt:
-            violations.append(
-                Violation(
-                    "ring-bounds",
-                    f"exclusion walk for {channel} is nondeterministic",
-                )
-            )
-    return violations
-
-
-# ----------------------------------------------------------------------
-# O7: gap-free sequenced delivery (reliable tiers)
+# O6: gap-free sequenced delivery (reliable tiers)
 # ----------------------------------------------------------------------
 def oracle_gap_free(result: RunResult) -> List[Violation]:
     """Under a reliable tier, every *interior* sequence hole gets repaired.
@@ -548,16 +499,16 @@ def oracle_gap_free(result: RunResult) -> List[Violation]:
     horizon = scenario.horizon_s
 
     crash_times: Dict[str, List[float]] = {}
-    for event in result.tracer.events_of(ServerCrashEvent):
+    for event in view.of(ServerCrashEvent):
         crash_times.setdefault(event.server, []).append(event.t)
     #: (client, server, epoch, channel) -> seqs reported evicted through
     evicted_through: Dict[Tuple[str, str, int, str], int] = {}
-    for event in result.tracer.events_of(ReplayGapEvent):
+    for event in view.of(ReplayGapEvent):
         key = (event.client, event.server, event.epoch, event.channel)
         evicted_through[key] = max(evicted_through.get(key, 0), event.to_seq)
 
     streams: Dict[Tuple[str, str, int, str], Dict[int, float]] = {}
-    for arrival in view.arrivals:
+    for arrival in view.of(ArrivalEvent):
         key = (arrival.client, arrival.server, arrival.epoch, arrival.channel)
         first_t = streams.setdefault(key, {})
         if arrival.seq not in first_t:
@@ -595,7 +546,7 @@ def oracle_gap_free(result: RunResult) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
-# O8: causal order per channel (causal mode)
+# O7: causal order per channel (causal mode)
 # ----------------------------------------------------------------------
 def oracle_causal_order(result: RunResult) -> List[Violation]:
     """With causal mode on, app-level delivery never inverts causality.
@@ -617,7 +568,7 @@ def oracle_causal_order(result: RunResult) -> List[Violation]:
     violations: List[Violation] = []
 
     flush_t: Dict[Tuple[str, str], float] = {}
-    for event in result.tracer.events_of(CausalTimeoutEvent):
+    for event in result.view.of(CausalTimeoutEvent):
         key = (event.client, event.channel)
         flush_t[key] = min(flush_t.get(key, event.t), event.t)
 
@@ -692,7 +643,6 @@ ORACLES = (
     oracle_at_most_once,
     oracle_plan_consistency,
     oracle_replication_soundness,
-    oracle_ring_bounds,
     oracle_gap_free,
     oracle_causal_order,
 )

@@ -8,12 +8,13 @@ harness drives all workload decisions from the cluster's own RNG registry
 trace is the record.  :class:`TraceView` reads from it, in one pass, what
 the oracles check:
 
+* every event, filed under its class: ``view.of(ArrivalEvent)`` is every
+  sequenced delivery off the wire, before dedup, and
+  ``view.of(ServerSubscribeEvent)`` every SUBSCRIBE a broker processed,
+  on servers spawned or restarted mid-run too;
 * every application-level delivery (``delivery`` events, one per
   non-duplicate delivery) and, for causally stamped publications, the
   ``publish`` event it delivers;
-* every sequenced delivery off the wire, before dedup (``arrival``);
-* every SUBSCRIBE a broker processed (``server_subscribe``), on servers
-  spawned or restarted mid-run too;
 * the intervals each (client, channel) pair was subscribed
   (``subscribe`` / ``unsubscribe``).
 
@@ -29,7 +30,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type, TypeVar, cast
 
 from repro.core.cluster import DynamothCluster
 from repro.core.config import DELIVERY_TIERS, DynamothConfig
@@ -45,10 +46,8 @@ from repro.faults.schedule import (
 )
 from repro.obs.export import render
 from repro.obs.trace import (
-    ArrivalEvent,
     DeliveryEvent,
     PublishEvent,
-    ServerSubscribeEvent,
     SubscribeEvent,
     TraceEvent,
     Tracer,
@@ -204,6 +203,9 @@ _FIELD_TYPES = {f.name: _JSON_TYPES.get(str(f.type), (list,)) for f in fields(Sc
 # ----------------------------------------------------------------------
 # What the oracles read: one view of the run's trace
 # ----------------------------------------------------------------------
+E = TypeVar("E", bound=TraceEvent)
+
+
 @dataclass
 class TraceView:
     """The facts the oracles check, read off the trace in one pass."""
@@ -214,13 +216,11 @@ class TraceView:
     delivery_counts: Dict[Tuple[str, str], int] = field(default_factory=dict)
     #: (client, channel) -> [start, end] subscription intervals
     sub_intervals: Dict[Tuple[str, str], List[List[float]]] = field(default_factory=dict)
-    #: sequenced deliveries off the wire, before dedup (gap-free oracle input)
-    arrivals: List[ArrivalEvent] = field(default_factory=list)
-    #: SUBSCRIBEs as the brokers processed them (repair-bridging oracle input)
-    server_subs: List[ServerSubscribeEvent] = field(default_factory=list)
     #: each delivery of a causally stamped publication, with that
     #: publication (causal-order oracle input)
     causal: List[Tuple[DeliveryEvent, PublishEvent]] = field(default_factory=list)
+    #: event class -> its events in trace order (read through :meth:`of`)
+    by_class: Dict[Type[TraceEvent], List[TraceEvent]] = field(default_factory=dict)
 
     @classmethod
     def read(cls, events: Iterable[TraceEvent], horizon: float) -> "TraceView":
@@ -232,9 +232,14 @@ class TraceView:
         """
         view = cls()
         counts, intervals = view.delivery_counts, view.sub_intervals
+        by_class = view.by_class
         publications: Dict[str, PublishEvent] = {}
         for event in events:
             kind = type(event)
+            filed = by_class.get(kind)
+            if filed is None:
+                filed = by_class[kind] = []
+            filed.append(event)
             if kind is DeliveryEvent:
                 view.deliveries.append((event.t, event.client, event.channel, event.msg_id))
                 key = (event.client, event.msg_id)
@@ -244,8 +249,6 @@ class TraceView:
                     view.causal.append((event, publication))
             elif kind is PublishEvent:
                 publications[event.msg_id] = event
-            elif kind is ArrivalEvent:
-                view.arrivals.append(event)
             elif kind is SubscribeEvent:
                 held = intervals.setdefault((event.client, event.channel), [])
                 if not held or held[-1][1] != math.inf:
@@ -254,12 +257,14 @@ class TraceView:
                 held = intervals.get((event.client, event.channel))
                 if held and held[-1][1] == math.inf:
                     held[-1][1] = event.t
-            elif kind is ServerSubscribeEvent:
-                view.server_subs.append(event)
         for held in intervals.values():
             if held and held[-1][1] == math.inf:
                 held[-1][1] = horizon
         return view
+
+    def of(self, event_class: Type[E]) -> List[E]:
+        """Every event of exactly ``event_class``, in trace order."""
+        return cast(List[E], self.by_class.get(event_class, []))
 
     def covers(self, client: str, channel: str, start: float, end: float) -> bool:
         """Whether the pair was continuously subscribed over [start, end]."""

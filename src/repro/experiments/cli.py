@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("fig4a", "fig4b"):
+    for name in experiment1.PROFILES:
         p = sub.add_parser(name, help=f"Experiment 1 ({name})")
         p.add_argument(
             "--levels",
@@ -100,13 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--smoke", action="store_true", help="small fast preset (CI)")
     p.add_argument("--players", type=int, default=None)
-    p.add_argument("--crash-at", type=float, default=None, help="crash time, seconds")
-    p.add_argument(
-        "--restart-after",
-        type=float,
-        default=None,
-        help="restart the victim this many seconds after the crash",
-    )
     p.add_argument(
         "--max-recovery-s",
         type=float,
@@ -174,18 +167,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run_command(args, tracer: Optional[Tracer]) -> int:
-    if args.command == "fig4a":
-        result = experiment1.run_fig4a(
-            args.levels, seed=args.seed, measure_s=args.measure_s, tracer=tracer
+    if args.command in experiment1.PROFILES:
+        result = experiment1.run_figure4(
+            args.command, args.levels, seed=args.seed, measure_s=args.measure_s, tracer=tracer
         )
         _dump(tracer, args)
-        print(report.render_figure4(result, "Figure 4a -- all-publishers replication"))
-    elif args.command == "fig4b":
-        result = experiment1.run_fig4b(
-            args.levels, seed=args.seed, measure_s=args.measure_s, tracer=tracer
-        )
-        _dump(tracer, args)
-        print(report.render_figure4(result, "Figure 4b -- all-subscribers replication"))
+        print(report.render_figure4(result, experiment1.PROFILES[args.command].title))
     elif args.command in ("fig5", "headline"):
         spec = _figure_spec("fig5", args)
         logger.info("running Dynamoth (%d players max)...", spec.population[-1][1])
@@ -219,10 +206,6 @@ def _run_command(args, tracer: Optional[Tracer]) -> int:
         overrides = {"seed": args.seed}
         if args.players is not None:
             overrides["players"] = args.players
-        if args.crash_at is not None:
-            overrides["crash_at_s"] = args.crash_at
-        if args.restart_after is not None:
-            overrides["restart_after_s"] = args.restart_after
         if args.tier is not None:
             overrides["delivery_tier"] = args.tier
         config = replace(config, **overrides)

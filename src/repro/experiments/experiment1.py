@@ -19,13 +19,16 @@ exact setup of section V-C:
   system survives to roughly 3x the publishers.
 
 As in the paper, replication is configured statically for the
-micro-benchmarks (no load balancer is running).
+micro-benchmarks (no load balancer is running).  The two figures are two
+rows of :data:`PROFILES`; :func:`run_point` measures one (profile, scheme,
+client count) cell of the grid and :func:`run_figure4` sweeps a figure's
+two series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.broker.config import BrokerConfig
 from repro.core.cluster import BALANCER_NONE, DynamothCluster
@@ -70,7 +73,7 @@ def fanin_broker_config() -> BrokerConfig:
 
 @dataclass(frozen=True)
 class ReplicationPoint:
-    """One measured level of Figure 4a or 4b."""
+    """One measured cell of the Experiment 1 grid."""
 
     clients: int  # subscribers (4a) or publishers (4b)
     replicated: bool
@@ -89,42 +92,64 @@ class Experiment1Result:
         return [p for p in self.points if p.replicated == replicated]
 
 
-def _build_cluster(
-    broker_config: BrokerConfig, seed: int, tracer: Optional[Tracer] = None
-) -> DynamothCluster:
-    config = DynamothConfig(max_servers=3, min_servers=3)
-    return DynamothCluster(
-        seed=seed,
-        config=config,
-        broker_config=broker_config,
-        initial_servers=3,
-        balancer=BALANCER_NONE,
-        tracer=tracer,
-    )
+@dataclass(frozen=True)
+class Profile:
+    """One overload profile of Figure 4: its broker model, the replication
+    scheme that fits it (section II-B), its workload and its table title."""
+
+    broker_config: Callable[[], BrokerConfig]
+    scheme: ReplicationMode
+    workload: Callable[[DynamothCluster, str, int], FanOutWorkload | FanInWorkload]
+    title: str
 
 
-def _static_mapping(cluster: DynamothCluster, replicated: bool, mode: ReplicationMode) -> None:
-    servers = tuple(sorted(cluster.servers))
-    if replicated:
-        mapping = ChannelMapping(mode, servers)
-    else:
-        mapping = ChannelMapping(ReplicationMode.SINGLE, (cluster.plan.ring.lookup(CHANNEL),))
-    cluster.set_static_mapping(CHANNEL, mapping)
+#: figure name -> overload profile; the clients swept are the workload's
+#: subscribers (4a) or publishers (4b)
+PROFILES: Dict[str, Profile] = {
+    "fig4a": Profile(
+        fanout_broker_config,
+        ReplicationMode.ALL_PUBLISHERS,
+        FanOutWorkload,
+        "Figure 4a -- all-publishers replication",
+    ),
+    "fig4b": Profile(
+        fanin_broker_config,
+        ReplicationMode.ALL_SUBSCRIBERS,
+        FanInWorkload,
+        "Figure 4b -- all-subscribers replication",
+    ),
+}
 
 
-def run_fig4a_point(
-    n_subscribers: int,
-    replicated: bool,
+def run_point(
+    figure: str,
+    clients: int,
+    mode: ReplicationMode,
     *,
     seed: int = 0,
     warmup_s: float = 5.0,
     measure_s: float = 15.0,
     tracer: Optional[Tracer] = None,
 ) -> ReplicationPoint:
-    """Measure one subscriber-count level of Figure 4a."""
-    cluster = _build_cluster(fanout_broker_config(), seed, tracer)
-    _static_mapping(cluster, replicated, ReplicationMode.ALL_PUBLISHERS)
-    workload = FanOutWorkload(cluster, CHANNEL, n_subscribers)
+    """Measure ``figure``'s profile at ``clients`` with ``CHANNEL`` mapped
+    under ``mode``: ``SINGLE`` on its ring home, any other scheme on all
+    three servers.  Any profile takes any scheme, so the cells off the
+    figure's own scheme run here too."""
+    profile = PROFILES[figure]
+    cluster = DynamothCluster(
+        seed=seed,
+        config=DynamothConfig(max_servers=3, min_servers=3),
+        broker_config=profile.broker_config(),
+        initial_servers=3,
+        balancer=BALANCER_NONE,
+        tracer=tracer,
+    )
+    if mode is ReplicationMode.SINGLE:
+        servers: Tuple[str, ...] = (cluster.plan.ring.lookup(CHANNEL),)
+    else:
+        servers = tuple(sorted(cluster.servers))
+    cluster.set_static_mapping(CHANNEL, ChannelMapping(mode, servers))
+    workload = profile.workload(cluster, CHANNEL, clients)
     cluster.run_until(1.0)  # let subscriptions land
     workload.start(measure_from=1.0 + warmup_s)
     cluster.run_until(1.0 + warmup_s + measure_s)
@@ -132,78 +157,30 @@ def run_fig4a_point(
     cluster.run_for(0.5)  # drain in-flight deliveries
 
     latencies = workload.collector.latencies()
-    expected = workload.published_measured * n_subscribers
     mean = sum(latencies) / len(latencies) if latencies else None
     p95 = sorted(latencies)[int(0.95 * (len(latencies) - 1))] if latencies else None
     killed = sum(s.killed_connections for s in cluster.servers.values())
-    rate = min(1.0, len(latencies) / expected) if expected else 1.0
-    return ReplicationPoint(n_subscribers, replicated, mean, p95, rate, killed)
-
-
-def run_fig4b_point(
-    n_publishers: int,
-    replicated: bool,
-    *,
-    seed: int = 0,
-    warmup_s: float = 5.0,
-    measure_s: float = 15.0,
-    tracer: Optional[Tracer] = None,
-) -> ReplicationPoint:
-    """Measure one publisher-count level of Figure 4b."""
-    cluster = _build_cluster(fanin_broker_config(), seed, tracer)
-    _static_mapping(cluster, replicated, ReplicationMode.ALL_SUBSCRIBERS)
-    workload = FanInWorkload(cluster, CHANNEL, n_publishers)
-    cluster.run_until(1.0)
-    workload.start(measure_from=1.0 + warmup_s)
-    cluster.run_until(1.0 + warmup_s + measure_s)
-    workload.stop()
-    cluster.run_for(0.5)
-
-    latencies = workload.collector.latencies()
-    mean = sum(latencies) / len(latencies) if latencies else None
-    p95 = sorted(latencies)[int(0.95 * (len(latencies) - 1))] if latencies else None
-    killed = sum(s.killed_connections for s in cluster.servers.values())
-    return ReplicationPoint(
-        n_publishers, replicated, mean, p95, workload.delivery_rate(), killed
-    )
+    replicated = mode is not ReplicationMode.SINGLE
+    return ReplicationPoint(clients, replicated, mean, p95, workload.delivery_rate(), killed)
 
 
 DEFAULT_LEVELS = (100, 200, 300, 400, 500, 600, 700, 800)
 
 
-def run_fig4a(
+def run_figure4(
+    figure: str,
     levels: Sequence[int] = DEFAULT_LEVELS,
     *,
     seed: int = 0,
     measure_s: float = 15.0,
     tracer: Optional[Tracer] = None,
 ) -> Experiment1Result:
-    """The full Figure 4a sweep: both configurations over all levels."""
-    result = Experiment1Result("fig4a")
-    for replicated in (False, True):
+    """The full sweep of ``figure``: no replication, then the profile's
+    scheme, over all levels."""
+    result = Experiment1Result(figure)
+    for mode in (ReplicationMode.SINGLE, PROFILES[figure].scheme):
         for level in levels:
             result.points.append(
-                run_fig4a_point(
-                    level, replicated, seed=seed, measure_s=measure_s, tracer=tracer
-                )
-            )
-    return result
-
-
-def run_fig4b(
-    levels: Sequence[int] = DEFAULT_LEVELS,
-    *,
-    seed: int = 0,
-    measure_s: float = 15.0,
-    tracer: Optional[Tracer] = None,
-) -> Experiment1Result:
-    """The full Figure 4b sweep: both configurations over all levels."""
-    result = Experiment1Result("fig4b")
-    for replicated in (False, True):
-        for level in levels:
-            result.points.append(
-                run_fig4b_point(
-                    level, replicated, seed=seed, measure_s=measure_s, tracer=tracer
-                )
+                run_point(figure, level, mode, seed=seed, measure_s=measure_s, tracer=tracer)
             )
     return result

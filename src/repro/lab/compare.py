@@ -6,8 +6,8 @@ the comparison row off the :class:`~repro.experiments.run.RunRecord` --
 the balancer's plan ledger, event log and load samples, the cluster's
 rental accounting, the SLA monitor's report and how many published
 updates came back.  Nothing is modelled: a row says what that policy
-*did*.  ``make_report`` gathers every policy's row on one spec, seed and
-SLA threshold (:func:`repro.sweep.lab_sweep` runs them), and
+*did*.  ``make_report`` gathers every policy's row on one spec and seed
+(:func:`repro.sweep.lab_sweep` runs them), and
 ``report_markdown`` renders it, byte-identical run to run.
 """
 
@@ -22,16 +22,14 @@ from repro.obs.trace import Tracer
 
 REPORT_SCHEMA = 3
 
-#: SLA threshold on the windowed delivery latency, unless one is given.
-DEFAULT_SLA_THRESHOLD_S = 0.25
+#: SLA threshold on the windowed delivery latency of every lab run.
+SLA_THRESHOLD_S = 0.25
 
 #: The ``SPECS`` entries ``python -m repro.sweep lab`` runs by default.
 LAB_SPECS: Tuple[str, ...] = ("steady", "flash-crowd", "crash")
 
 
-def run_policy(
-    spec: RunSpec, policy: str, seed: int, sla_threshold_s: float
-) -> Dict[str, Any]:
+def run_policy(spec: RunSpec, policy: str, seed: int) -> Dict[str, Any]:
     """Run ``spec`` live under ``policy``; return its comparison row."""
     # The previous run's cluster and buffered trace are cyclic garbage that
     # the kernel's GC policy would freeze for the whole of this run (six
@@ -39,7 +37,7 @@ def run_policy(
     gc.collect()
     return read_row(
         run(
-            with_policy(spec, policy, sla_threshold_s=sla_threshold_s),
+            with_policy(spec, policy, sla_threshold_s=SLA_THRESHOLD_S),
             seed,
             tracer=Tracer(),  # buffered: the SLA monitor rides the tracer
         )
@@ -77,12 +75,7 @@ def read_row(record: RunRecord) -> Dict[str, Any]:
     }
 
 
-def make_report(
-    scenario: RunSpec,
-    seed: int,
-    sla_threshold_s: float,
-    rows: Sequence[Dict[str, Any]],
-) -> Dict[str, Any]:
+def make_report(scenario: RunSpec, seed: int, rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """All policies' rows on one scenario, as the JSON-able report."""
     return {
         "schema": REPORT_SCHEMA,
@@ -90,7 +83,7 @@ def make_report(
         "describe": scenario.describe,
         "seed": seed,
         "duration_s": scenario.duration_s,
-        "sla_threshold_s": sla_threshold_s,
+        "sla_threshold_s": SLA_THRESHOLD_S,
         "policies": list(rows),
     }
 

@@ -769,9 +769,6 @@ class Tracer:
         if len(samples) >= FOLD_AT:
             hist.fold()
 
-    def events_of(self, event_type: Type[TraceEvent]) -> List[TraceEvent]:
-        return [e for e in self.events if type(e) is event_type]
-
     def _delivery_instrument_pair(self, channel: str) -> Tuple[Histogram, Counter]:
         metrics = self.metrics
         return (

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from repro.core.config import DELIVERY_TIERS
 from repro.core.policy import policy_class
 from repro.experiments.run import SPECS
-from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, LAB_SPECS, report_markdown
+from repro.lab.compare import LAB_SPECS, report_markdown
 from repro.sweep.orchestrator import check_markdown, check_sweep, lab_sweep, replay_command
 
 _Out = Callable[[str], None]
@@ -101,7 +101,6 @@ def _cmd_lab(args: argparse.Namespace, out: _Out) -> int:
         [SPECS[name] for name in args.scenario or LAB_SPECS],
         seed=args.seed,
         policies=args.policies,
-        sla_threshold_s=args.sla_threshold,
         procs=args.procs,
         progress=progress,
     )
@@ -145,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     lab.add_argument("--seed", type=int, default=0)
     lab.add_argument("--policies", type=policy_names, default=(),
                      help="comma-separated policy names (default: all)")
-    lab.add_argument("--sla-threshold", type=float,
-                     default=DEFAULT_SLA_THRESHOLD_S)
     common(lab)
     lab.set_defaults(func=_cmd_lab)
     return parser

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.core.policy import available_policies
 from repro.experiments.run import RunSpec
-from repro.lab.compare import DEFAULT_SLA_THRESHOLD_S, make_report
+from repro.lab.compare import make_report
 from repro.sweep.workers import CheckTask, LabTask, check_worker, lab_worker
 
 SWEEP_SCHEMA = 1
@@ -137,7 +137,6 @@ def lab_sweep(
     *,
     seed: int = 0,
     policies: Sequence[str] = (),
-    sla_threshold_s: float = DEFAULT_SLA_THRESHOLD_S,
     procs: int = 1,
     progress: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Dict[str, Any]:
@@ -146,7 +145,7 @@ def lab_sweep(
     for spec in specs:
         by_name.setdefault(spec.name, spec)  # a repeated name runs once
     tasks = [
-        LabTask(spec=spec, policy=policy, seed=seed, sla_threshold_s=sla_threshold_s)
+        LabTask(spec=spec, policy=policy, seed=seed)
         for spec in by_name.values()
         for policy in policies or available_policies()
     ]
@@ -157,10 +156,7 @@ def lab_sweep(
         "seed": seed,
         "scenarios": {
             name: make_report(
-                spec,
-                seed,
-                sla_threshold_s,
-                [r["row"] for r in results if r["scenario"] == name],
+                spec, seed, [r["row"] for r in results if r["scenario"] == name]
             )
             for name, spec in by_name.items()
         },

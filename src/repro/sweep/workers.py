@@ -33,7 +33,6 @@ class LabTask:
     spec: RunSpec
     policy: str
     seed: int
-    sla_threshold_s: float
 
 
 def check_worker(task: CheckTask) -> Dict[str, Any]:
@@ -72,5 +71,5 @@ def lab_worker(task: LabTask) -> Dict[str, Any]:
     """One (spec, policy) live run; returns the policy's report row."""
     from repro.lab.compare import run_policy
 
-    row = run_policy(task.spec, task.policy, task.seed, task.sla_threshold_s)
+    row = run_policy(task.spec, task.policy, task.seed)
     return {"scenario": task.spec.name, "row": row}

@@ -87,6 +87,14 @@ class FanOutWorkload:
         if now >= self._measure_from:
             self.published_measured += 1
 
+    def delivery_rate(self) -> float:
+        """Fraction of measured-window (publication, subscriber) pairs
+        actually delivered."""
+        expected = self.published_measured * len(self.subscribers)
+        if expected == 0:
+            return 1.0
+        return min(1.0, len(self.collector.samples) / expected)
+
 
 class FanInWorkload:
     """Many publishers, one subscriber, one channel (Figure 4b setup)."""

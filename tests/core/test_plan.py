@@ -172,3 +172,23 @@ class TestPlan:
     def test_diff_empty_for_identical_plans(self):
         plan = Plan.bootstrap(["a", "b"])
         assert plan.diff(plan) == {}
+
+
+@pytest.mark.parametrize("n_servers", range(2, 9))
+def test_bootstrap_ring_bounds(n_servers):
+    """A cluster's bootstrap ring (servers ``pub1..pubN``): the
+    consistent-hashing fallback spreads channels within 2.5x the average
+    (+4) over 64 probes per server, and the exclusion walk returns
+    another member, the same one every time."""
+    servers = [f"pub{i}" for i in range(1, n_servers + 1)]
+    ring = Plan.bootstrap(servers).ring
+    probes = [f"check-ring:{i}" for i in range(64 * n_servers)]
+    loads = {server: 0 for server in servers}
+    for channel in probes:
+        loads[ring.lookup(channel)] += 1
+    assert max(loads.values()) <= 2.5 * len(probes) / n_servers + 4
+    for channel in probes[:16]:
+        home = ring.lookup(channel)
+        alt = ring.lookup(channel, exclude=(home,))
+        assert alt != home and alt in servers
+        assert ring.lookup(channel, exclude=(home,)) == alt

@@ -3,44 +3,60 @@ and reproduces its qualitative paper shape."""
 
 import pytest
 
-from repro.experiments.experiment1 import run_fig4a_point, run_fig4b_point
+from repro.core.plan import ReplicationMode
+from repro.experiments.experiment1 import run_point
 from repro.experiments.run import SPECS, run, with_policy
 from repro.experiments import report
+
+SINGLE = ReplicationMode.SINGLE
+ALL_PUBLISHERS = ReplicationMode.ALL_PUBLISHERS
+ALL_SUBSCRIBERS = ReplicationMode.ALL_SUBSCRIBERS
 
 
 class TestExperiment1Shapes:
     def test_fig4a_replication_beats_single_at_high_fanout(self):
         """Figure 4a at 700 subscribers: non-replicated past the CPU knee,
         3-server all-publishers still flat."""
-        single = run_fig4a_point(700, replicated=False, measure_s=8.0)
-        replicated = run_fig4a_point(700, replicated=True, measure_s=8.0)
+        single = run_point("fig4a", 700, SINGLE, measure_s=8.0)
+        replicated = run_point("fig4a", 700, ALL_PUBLISHERS, measure_s=8.0)
         assert single.mean_latency_s > 3 * replicated.mean_latency_s
         assert replicated.mean_latency_s < 0.250
         assert replicated.delivery_rate > 0.99
 
     def test_fig4a_low_fanout_equivalent(self):
         """At 100 subscribers both configurations are comfortable."""
-        single = run_fig4a_point(100, replicated=False, measure_s=8.0)
-        replicated = run_fig4a_point(100, replicated=True, measure_s=8.0)
+        single = run_point("fig4a", 100, SINGLE, measure_s=8.0)
+        replicated = run_point("fig4a", 100, ALL_PUBLISHERS, measure_s=8.0)
         assert single.mean_latency_s < 0.200
         assert replicated.mean_latency_s < 0.200
         assert single.delivery_rate == pytest.approx(1.0)
 
     def test_fig4b_nonreplicated_fails_past_200_publishers(self):
-        point = run_fig4b_point(400, replicated=False, measure_s=8.0)
+        point = run_point("fig4b", 400, SINGLE, measure_s=8.0)
         assert point.delivery_rate < 0.95
         assert point.killed_connections >= 1
 
     def test_fig4b_replication_survives_where_single_fails(self):
-        single = run_fig4b_point(400, replicated=False, measure_s=8.0)
-        replicated = run_fig4b_point(400, replicated=True, measure_s=8.0)
+        single = run_point("fig4b", 400, SINGLE, measure_s=8.0)
+        replicated = run_point("fig4b", 400, ALL_SUBSCRIBERS, measure_s=8.0)
         assert replicated.delivery_rate > 0.99
         assert replicated.killed_connections == 0
         assert replicated.delivery_rate > single.delivery_rate
 
     def test_fig4b_safe_at_low_publisher_count(self):
-        point = run_fig4b_point(100, replicated=False, measure_s=8.0)
+        point = run_point("fig4b", 100, SINGLE, measure_s=8.0)
         assert point.delivery_rate == pytest.approx(1.0)
+        assert point.mean_latency_s < 0.200
+
+    def test_fanout_profile_runs_under_all_subscribers(self):
+        """A cell off the figures' diagonal: the fan-out profile under the
+        scheme that fits fan-in.  The publisher reaches one of the three
+        servers, so a subscriber holding fewer than all three would miss
+        publications; at this light load none does and nothing is killed."""
+        point = run_point("fig4a", 60, ALL_SUBSCRIBERS, warmup_s=1.0, measure_s=2.0)
+        assert point.replicated
+        assert point.delivery_rate == pytest.approx(1.0)
+        assert point.killed_connections == 0
         assert point.mean_latency_s < 0.200
 
 

@@ -11,12 +11,7 @@ import pytest
 from repro.core.config import DynamothConfig
 from repro.core.policy import available_policies
 from repro.experiments.run import SPECS, RunSpec, build, with_policy
-from repro.lab.compare import (
-    DEFAULT_SLA_THRESHOLD_S,
-    make_report,
-    report_markdown,
-    run_policy,
-)
+from repro.lab.compare import make_report, report_markdown, run_policy
 from repro.sweep import lab_sweep
 
 MINI_FLASH = RunSpec(
@@ -119,7 +114,7 @@ class TestDeterminism:
         again = doc["scenarios"]["mini-flash"]
         first = rows_by_policy(mini_report)
         assert again["policies"] == [first["consistent_hashing"], first["paper"]]
-        assert again == make_report(MINI_FLASH, SEED, 0.25, again["policies"])
+        assert again == make_report(MINI_FLASH, SEED, again["policies"])
 
 
 class TestModeledReplay:
@@ -151,13 +146,13 @@ class TestModeledReplay:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown rebalance policy"):
-            run_policy(MINI_FLASH, "nope", SEED, 0.25)
+            run_policy(MINI_FLASH, "nope", SEED)
 
     def test_crash_row_keeps_delivering_after_the_failure_is_confirmed(self):
         """The lab's crash spec runs with probing off: its clients learn of
         the dead server only from the survivors' failure notices (without
         them the row reads 0.596).  What is still lost belongs to clients
         with no subscription on any survivor."""
-        row = run_policy(SPECS["crash"], "paper", 0, DEFAULT_SLA_THRESHOLD_S)
+        row = run_policy(SPECS["crash"], "paper", 0)
         assert row["repairs"] == 1
         assert row["delivery_ratio"] >= 0.80

@@ -9,6 +9,7 @@ untraced run must never reach a NullTracer recording method at all (the
 import pytest
 
 from repro.core.cluster import BALANCER_DYNAMOTH, DynamothCluster
+from repro.core.plan import ReplicationMode
 from repro.experiments import experiment1, report
 from repro.obs.trace import DeliveryEvent, NullTracer, PlanGeneratedEvent, Tracer
 
@@ -18,21 +19,21 @@ MEASURE_S = 2.0
 
 class TestTracedRunsAreIdentical:
     def test_figure4a_render_is_byte_identical(self):
-        plain = experiment1.run_fig4a(LEVELS, seed=3, measure_s=MEASURE_S)
-        traced = experiment1.run_fig4a(
-            LEVELS, seed=3, measure_s=MEASURE_S, tracer=Tracer()
+        plain = experiment1.run_figure4("fig4a", LEVELS, seed=3, measure_s=MEASURE_S)
+        traced = experiment1.run_figure4(
+            "fig4a", LEVELS, seed=3, measure_s=MEASURE_S, tracer=Tracer()
         )
         assert report.render_figure4(plain, "t") == report.render_figure4(traced, "t")
 
     def test_figure4b_render_is_byte_identical(self):
-        plain = experiment1.run_fig4b(LEVELS, seed=3, measure_s=MEASURE_S)
+        plain = experiment1.run_figure4("fig4b", LEVELS, seed=3, measure_s=MEASURE_S)
         tracer = Tracer()
-        traced = experiment1.run_fig4b(
-            LEVELS, seed=3, measure_s=MEASURE_S, tracer=tracer
+        traced = experiment1.run_figure4(
+            "fig4b", LEVELS, seed=3, measure_s=MEASURE_S, tracer=tracer
         )
         assert report.render_figure4(plain, "t") == report.render_figure4(traced, "t")
         # ... and the trace actually recorded the run it shadowed.
-        assert tracer.events_of(DeliveryEvent)
+        assert any(isinstance(e, DeliveryEvent) for e in tracer.events)
 
     def test_balancer_run_identical_with_tracing(self):
         def run(tracer):
@@ -63,7 +64,9 @@ class TestNullTracerStaysCold:
             raise AssertionError("NullTracer recording method called")
 
         monkeypatch.setattr(NullTracer, "emit", boom)
-        result = experiment1.run_fig4a_point(50, False, seed=0, measure_s=1.0)
+        result = experiment1.run_point(
+            "fig4a", 50, ReplicationMode.SINGLE, seed=0, measure_s=1.0
+        )
         assert result.delivery_rate > 0.0
 
     def test_kernel_runs_nothing_per_event_traced_or_not(self):
@@ -108,7 +111,7 @@ class TestControlPlaneTrace:
             pub.publish(f"tile:{step % 4}", "x", payload_size=400)
         cluster.run_for(5.0)
 
-        plans = tracer.events_of(PlanGeneratedEvent)
+        plans = [e for e in tracer.events if isinstance(e, PlanGeneratedEvent)]
         assert plans, "overload should force at least one plan generation"
         versions = [p.version for p in plans]
         assert versions == sorted(versions)

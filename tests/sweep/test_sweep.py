@@ -171,6 +171,6 @@ class TestDeterminismScope:
         task = CheckTask(seed=3, delivery_tier="reliable", causal_order=True)
         assert pickle.loads(pickle.dumps(task)) == task
         # a lab task carries its whole spec, fault schedule included
-        lab = LabTask(spec=SPECS["crash"], policy="paper", seed=0, sla_threshold_s=0.25)
+        lab = LabTask(spec=SPECS["crash"], policy="paper", seed=0)
         assert lab.spec.faults
         assert pickle.loads(pickle.dumps(lab)) == lab

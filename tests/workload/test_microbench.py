@@ -41,6 +41,30 @@ class TestFanOutWorkload:
         for latency in workload.collector.latencies():
             assert 0 < latency < 1.0
 
+    def test_delivery_rate_is_capped_at_one(self):
+        """The window opens between the first publication (t=1.1) and its
+        deliveries: they count as samples but not as expected ones."""
+        cluster = make_static_cluster()
+        workload = FanOutWorkload(cluster, "bcast", n_subscribers=3, publications_per_s=10.0)
+        cluster.run_until(1.0)
+        workload.start(measure_from=1.15)
+        cluster.run_until(1.25)
+        workload.stop()
+        cluster.run_for(1.0)
+        assert len(workload.collector.samples) > workload.published_measured * 3
+        assert workload.delivery_rate() == 1.0
+
+    def test_delivery_rate_is_one_when_nothing_was_published(self):
+        cluster = make_static_cluster()
+        workload = FanOutWorkload(cluster, "bcast", n_subscribers=3)
+        cluster.run_until(1.0)
+        workload.start(measure_from=10.0)
+        cluster.run_until(2.0)
+        workload.stop()
+        cluster.run_for(1.0)
+        assert workload.published > 0 == workload.published_measured
+        assert workload.delivery_rate() == 1.0
+
 
 class TestFanInWorkload:
     def test_single_subscriber_receives_from_all_publishers(self):
